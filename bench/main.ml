@@ -1,41 +1,17 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's experiment index) and, with "bechamel",
-   measures the simulator's own throughput with one Bechamel test per
-   table/figure.
+   evaluation from Report.registry (the same bytes `armvirt run` prints)
+   and, with "bechamel", measures the simulator's own throughput with one
+   Bechamel test per registry entry.
 
-   Usage: main.exe [experiment ...]
-     paper artifacts: table2 table3 table5 fig4 vhe irqdist pinning zerocopy
-     extensions:      oversub disk tail coldstart lrs gicv3 ticks linkspeed
-                      isolation guestops crosscall vapic twodwalk multiqueue
-                      lazyswitch consolidation tracereplay structural
-                      fig4chart
-     also:            bechamel, runner, explore, migrate, events,
-                      all (default) *)
+   Usage: main.exe [target ...]
+     artifacts: any id `armvirt list` prints
+     also:      bechamel, runner, explore, migrate-page, events,
+                all (default) *)
 
 module Experiment = Armvirt_core.Experiment
 module Report = Armvirt_core.Report
 
 let ppf = Format.std_formatter
-
-let run_table2 () = Report.pp_table2 ppf (Experiment.table2 ())
-let run_table3 () = Report.pp_table3 ppf (Experiment.table3 ())
-let run_table5 () = Report.pp_table5 ppf (Experiment.table5 ())
-let run_fig4 () = Report.pp_fig4 ppf (Experiment.fig4 ())
-
-let run_vhe () =
-  Report.pp_vhe ppf (Experiment.vhe ());
-  Format.pp_print_newline ppf ();
-  Report.pp_vhe_app ppf (Experiment.vhe_app ())
-
-let run_irqdist () = Report.pp_irqdist ppf (Experiment.irqdist ())
-let run_pinning () = Report.pp_pinning ppf (Experiment.pinning ())
-
-let run_zerocopy () =
-  Report.pp_zerocopy ppf (Experiment.zerocopy ());
-  Format.fprintf ppf
-    "x86 break-even: zero copy only pays off above %d bytes per transfer \
-     (8-CPU TLB shootdown), hence Xen x86 copies (section V).@."
-    (Experiment.x86_zero_copy_break_even ())
 
 module Runner = Armvirt_core.Runner
 
@@ -128,7 +104,7 @@ let run_explore_bench () =
 (* Live migration: what shipping one page actually costs through each
    hypervisor's transport, against the bare memcpy+wire lower bound the
    Native profile gives (no wp faults, no harvest, no kicks). *)
-let run_migrate_bench () =
+let run_migrate_page_bench () =
   let module P = Armvirt_core.Platform in
   let module WM = Armvirt_workloads.Migration in
   let module Pre = Armvirt_migrate.Precopy in
@@ -174,39 +150,21 @@ let run_events_bench () =
 
 (* Bechamel: how fast the simulator itself regenerates each artifact.
    Every staged run clears the cross-artifact memo table first, so
-   iterations measure regeneration, not cache hits. *)
+   iterations measure regeneration, not cache hits; the report goes to a
+   null formatter. *)
 let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
-  let stage f =
-    Staged.stage (fun () ->
-        Experiment.reset_memo ();
-        ignore (f ()))
-  in
+  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   let tests =
     Test.make_grouped ~name:"regenerate"
-      [
-        Test.make ~name:"table2"
-          (stage (fun () -> Experiment.table2 ~iterations:2 ()));
-        Test.make ~name:"table3" (stage Experiment.table3);
-        Test.make ~name:"table5"
-          (stage (fun () -> Experiment.table5 ~transactions:50 ()));
-        Test.make ~name:"fig4" (stage Experiment.fig4);
-        Test.make ~name:"vhe" (stage (fun () -> Experiment.vhe ~iterations:2 ()));
-        Test.make ~name:"irqdist" (stage Experiment.irqdist);
-        Test.make ~name:"pinning"
-          (stage (fun () -> Experiment.pinning ~iterations:2 ()));
-        Test.make ~name:"zerocopy" (stage Experiment.zerocopy);
-        Test.make ~name:"oversub" (stage Experiment.oversub);
-        Test.make ~name:"disk" (stage Experiment.disk);
-        Test.make ~name:"tail" (stage Experiment.tail);
-        Test.make ~name:"coldstart" (stage Experiment.coldstart);
-        Test.make ~name:"lrs" (stage Experiment.lrs);
-        Test.make ~name:"gicv3" (stage Experiment.gicv3);
-        Test.make ~name:"ticks" (stage Experiment.ticks);
-        Test.make ~name:"linkspeed" (stage Experiment.linkspeed);
-        Test.make ~name:"isolation" (stage Experiment.isolation);
-      ]
+      (List.map
+         (fun (e : Report.entry) ->
+           Test.make ~name:e.id
+             (Staged.stage (fun () ->
+                  Experiment.reset_memo ();
+                  e.run null_ppf)))
+         Report.registry)
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
@@ -229,71 +187,33 @@ let run_bechamel () =
       | Some _ | None -> Format.fprintf ppf "  %-24s (no estimate)@." name)
     rows
 
-let experiments =
+let self_benchmarks =
   [
-    ("table2", run_table2);
-    ("table3", run_table3);
-    ("table5", run_table5);
-    ("fig4", run_fig4);
-    ("vhe", run_vhe);
-    ("irqdist", run_irqdist);
-    ("pinning", run_pinning);
-    ("zerocopy", run_zerocopy);
-    ("oversub", fun () -> Report.pp_oversub ppf (Experiment.oversub ()));
-    ("disk", fun () -> Report.pp_disk ppf (Experiment.disk ()));
-    ("tail", fun () -> Report.pp_tail ppf (Experiment.tail ()));
-    ("coldstart", fun () -> Report.pp_coldstart ppf (Experiment.coldstart ()));
-    ("lrs", fun () -> Report.pp_lrs ppf (Experiment.lrs ()));
-    ("gicv3", fun () -> Report.pp_gicv3 ppf (Experiment.gicv3 ()));
-    ("ticks", fun () -> Report.pp_ticks ppf (Experiment.ticks ()));
-    ("linkspeed", fun () -> Report.pp_linkspeed ppf (Experiment.linkspeed ()));
-    ("isolation", fun () -> Report.pp_isolation ppf (Experiment.isolation ()));
-    ("structural", fun () -> Report.pp_structural ppf (Experiment.structural ()));
-    ("lazyswitch", fun () -> Report.pp_lazyswitch ppf (Experiment.lazyswitch ()));
-    ("guestops", fun () -> Report.pp_guestops ppf (Experiment.guestops ()));
-    ("crosscall", fun () -> Report.pp_crosscall ppf (Experiment.crosscall ()));
-    ("twodwalk", fun () -> Report.pp_twodwalk ppf (Experiment.twodwalk ()));
-    ("multiqueue", fun () -> Report.pp_multiqueue ppf (Experiment.multiqueue ()));
-    ( "tracereplay",
-      fun () -> Report.pp_tracereplay ppf (Experiment.tracereplay ()) );
-    ( "vapic",
-      fun () ->
-        Report.pp_vapic ppf (Experiment.vapic ());
-        Report.pp_vapic_apps ppf (Experiment.vapic_apps ()) );
-    ( "consolidation",
-      fun () -> Report.pp_consolidation ppf (Experiment.consolidation ()) );
-    ( "fig4chart",
-      fun () -> Report.pp_fig4_chart ppf (Experiment.fig4 ()) );
+    ("bechamel", run_bechamel);
+    ("runner", run_runner_bench);
+    ("explore", run_explore_bench);
+    ("migrate-page", run_migrate_page_bench);
+    ("events", run_events_bench);
   ]
 
-let run_one name =
-  match List.assoc_opt name experiments with
-  | Some f ->
-      f ();
-      Format.pp_print_newline ppf ()
-  | None ->
-      if name = "bechamel" then run_bechamel ()
-      else if name = "runner" then run_runner_bench ()
-      else if name = "explore" then run_explore_bench ()
-      else if name = "migrate" then run_migrate_bench ()
-      else if name = "events" then run_events_bench ()
-      else begin
-        Format.fprintf ppf
-          "unknown experiment %S; available: %s bechamel runner explore \
-           migrate events all@."
-          name
-          (String.concat " " (List.map fst experiments));
-        exit 1
-      end
+let run_artifact (e : Report.entry) =
+  e.run ppf;
+  Format.pp_print_newline ppf ()
+
+(* Every name is resolved before anything runs, so a typo fails fast. *)
+let target name =
+  match (Report.find name, List.assoc_opt name self_benchmarks) with
+  | Some e, _ -> fun () -> run_artifact e
+  | None, Some f -> f
+  | None, None ->
+      let ids = List.map (fun (e : Report.entry) -> e.id) Report.registry in
+      Format.eprintf "unknown target %S; available: %s all@." name
+        (String.concat " " (ids @ List.map fst self_benchmarks));
+      exit 1
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  match args with
+  match List.tl (Array.to_list Sys.argv) with
   | [] | [ "all" ] ->
-      List.iter (fun (name, _) -> run_one name) experiments;
-      run_bechamel ();
-      run_runner_bench ();
-      run_explore_bench ();
-      run_migrate_bench ();
-      run_events_bench ()
-  | names -> List.iter run_one names
+      List.iter run_artifact Report.registry;
+      List.iter (fun (_, f) -> f ()) self_benchmarks
+  | names -> List.iter (fun f -> f ()) (List.map target names)

@@ -14,7 +14,10 @@
      cluster       VM-to-VM traffic over the virtual switch fabric:
                    throughput matrix, service chain, load-generator sweep
      bench-events  measure raw engine events/sec and emit BENCH_events.json
-     lint          statically check the determinism invariants (lib/lint) *)
+     lint          statically check the determinism invariants (lib/lint)
+
+   Experiments come from Report.registry; this file only wires them to
+   flags. *)
 
 module Platform = Armvirt_core.Platform
 module Experiment = Armvirt_core.Experiment
@@ -110,6 +113,44 @@ let apply_jobs = function
   | Some n -> Armvirt_core.Runner.set_jobs n
   | None -> ()
 
+(* --- output plumbing -------------------------------------------------- *)
+
+let out_arg =
+  Arg.(
+    value & opt string "-"
+    & info [ "o"; "out" ] ~docv:"FILE"
+        ~doc:"Output file; $(b,-) (default) writes to stdout.")
+
+(* The one "-" or path writer: [render] goes to stdout for "-"; otherwise
+   to [path], followed by a "wrote PATH" status line on stdout ending in
+   [detail]. *)
+let write_out ?(detail = "") path render =
+  match path with
+  | "-" ->
+      render Format.std_formatter;
+      Format.pp_print_flush Format.std_formatter ()
+  | path ->
+      Out_channel.with_open_text path (fun oc ->
+          let out = Format.formatter_of_out_channel oc in
+          render out;
+          Format.pp_print_flush out ());
+      Format.fprintf ppf "wrote %s%s@." path detail
+
+let table_format = Arg.enum [ ("md", `Md); ("csv", `Csv) ]
+
+let table_format_arg ~doc =
+  Arg.(value & opt table_format `Md & info [ "format" ] ~docv:"FORMAT" ~doc)
+
+let pp_table format out ~header rows =
+  match format with
+  | `Csv -> Report.pp_csv_table out ~header rows
+  | `Md -> Report.pp_markdown_table out ~header rows
+
+let f0 = Printf.sprintf "%.0f"
+let f1 = Printf.sprintf "%.1f"
+let f2 = Printf.sprintf "%.2f"
+let f3 = Printf.sprintf "%.3f"
+
 (* --- tracing plumbing ------------------------------------------------- *)
 
 let format_conv =
@@ -142,29 +183,20 @@ let traced_cell label f =
   Observe.record_cells [| cell |];
   v
 
-let write_trace ppf ~format path =
+let write_trace ~format path =
   let procs = Observe.processes () in
-  let render out =
-    match format with
-    | `Chrome -> Export.chrome out procs
-    | `Csv -> Export.csv out procs
-    | `Summary -> Export.summary out procs
+  let events =
+    List.fold_left
+      (fun acc (p : Export.process) -> acc + List.length p.events)
+      0 procs
   in
-  match path with
-  | "-" -> render Format.std_formatter
-  | path ->
-      let oc = open_out path in
-      let out = Format.formatter_of_out_channel oc in
-      render out;
-      Format.pp_print_flush out ();
-      close_out oc;
-      let events =
-        List.fold_left
-          (fun acc (p : Export.process) -> acc + List.length p.events)
-          0 procs
-      in
-      Format.fprintf ppf "wrote %s (%d cells, %d events)@." path
-        (List.length procs) events
+  write_out path
+    ~detail:(Printf.sprintf " (%d cells, %d events)" (List.length procs) events)
+    (fun out ->
+      match format with
+      | `Chrome -> Export.chrome out procs
+      | `Csv -> Export.csv out procs
+      | `Summary -> Export.summary out procs)
 
 let print_verbose ppf =
   let hits, misses = Experiment.memo_stats () in
@@ -183,79 +215,98 @@ let stat_file_arg =
            attribution) as $(b,armvirt.stat/v1) JSON to $(docv); \
            $(b,-) writes it to stdout.")
 
-let write_stat ppf ~context path =
+let write_stat ~context path =
   let acct = Stat_report.of_session () in
-  let render out =
-    Stat.render_json ~context out acct;
-    Format.pp_print_flush out ()
-  in
-  match path with
-  | "-" -> render Format.std_formatter
-  | path ->
-      let oc = open_out path in
-      render (Format.formatter_of_out_channel oc);
-      close_out oc;
-      Format.fprintf ppf "wrote %s (%d accounting rows)@." path
-        (List.length (Stat_report.of_session ()).Armvirt_obs.Accounting.vms)
+  write_out path
+    ~detail:
+      (Printf.sprintf " (%d accounting rows)"
+         (List.length acct.Armvirt_obs.Accounting.vms))
+    (fun out -> Stat.render_json ~context out acct)
+
+type session = {
+  jobs : int option;
+  trace_file : string option;
+  stat_file : string option;
+}
+
+(* The --jobs/--trace/--stat trio, for the commands that take all three. *)
+let session_args =
+  Term.(
+    const (fun jobs trace_file stat_file -> { jobs; trace_file; stat_file })
+    $ jobs_arg $ trace_file_arg $ stat_file_arg)
 
 (* Tracing, [--stat] and [--verbose] share a session: all need the
    observer hooks installed; they differ only in what is exported
    afterwards. *)
-let with_session ~context ?(stat_file = None) ~trace_file ~verbose f =
-  if trace_file = None && stat_file = None && not verbose then f ()
+let with_session ~context ?(verbose = false) s f =
+  apply_jobs s.jobs;
+  if s.trace_file = None && s.stat_file = None && not verbose then f ()
   else begin
     Observe.enable ~context ();
     Observe.set_verbose verbose;
     Fun.protect ~finally:Observe.disable (fun () ->
         let v = f () in
-        (match trace_file with
-        | Some path -> write_trace ppf ~format:`Chrome path
-        | None -> ());
-        (match stat_file with
-        | Some path -> write_stat ppf ~context path
-        | None -> ());
+        Option.iter (write_trace ~format:`Chrome) s.trace_file;
+        Option.iter (write_stat ~context) s.stat_file;
         if verbose then print_verbose ppf;
         v)
   end
 
-(* --- list ------------------------------------------------------------- *)
+(* --- observed targets (trace, stat) ----------------------------------- *)
 
-let experiments =
-  [
-    ("table2", "Table II: the seven microbenchmarks on all four hypervisors");
-    ("table3", "Table III: KVM ARM hypercall save/restore decomposition");
-    ("table5", "Table V: Netperf TCP_RR latency analysis on ARM");
-    ("fig4", "Figure 4: application benchmark performance, normalized");
-    ("vhe", "Section VI: ARMv8.1 VHE microbenchmarks and app predictions");
-    ("irqdist", "Section V ablation: distributing virtual interrupts");
-    ("pinning", "Section IV check: Xen I/O latency vs pinning");
-    ("zerocopy", "Section V what-if: Xen zero copy on ARM");
-    ("oversub", "Extension: VM Switch cost under oversubscription");
-    ("disk", "Extension: paravirtual block I/O latency/throughput");
-    ("tail", "Extension: open-loop tail latency percentiles");
-    ("coldstart", "Extension: cold-start stage-2 faulting");
-    ("lrs", "Extension: vGIC list-register sensitivity");
-    ("gicv3", "Extension: GICv2 vs GICv3 interrupt-controller ablation");
-    ("ticks", "Extension: virtual-timer tick overhead per guest HZ");
-    ("linkspeed", "Extension: TCP_STREAM at 1 vs 10 GbE wire speed");
-    ("isolation", "Extension: measurement variability without isolation");
-    ("structural", "Cross-validation: structural stacks vs analytic models");
-    ("lazyswitch", "Extension: post-paper lazy state-switching optimizations");
-    ("guestops", "Extension: guest-local operation costs (what stays native)");
-    ("crosscall", "Extension: guest broadcast cross-call (TLB shootdown) cost");
-    ("vapic", "Extension: x86 with vAPIC (hardware interrupt completion)");
-    ("twodwalk", "Extension: nested paging's 24-access 2D page walk");
-    ("multiqueue", "Extension: virtio-net multiqueue vs the IRQ bottleneck");
-    ("tracereplay", "Extension: synthetic trace replay, per-request surcharges");
-    ("consolidation", "Extension: VM density (N memcached VMs per host)");
-    ("migrate", "Extension: live-migration downtime/SLO under request load");
-    ("fig4chart", "Figure 4 as ASCII bars (ARM columns)");
-  ]
+let is_target s =
+  List.mem s [ "rr"; "micro"; "fleet"; "cluster" ] || Report.find s <> None
+
+let unknown_target s = Printf.sprintf "unknown target %S; try `armvirt list`" s
+
+let target_conv =
+  let parse s = if is_target s then Ok s else Error (`Msg (unknown_target s)) in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* A registry experiment's report is discarded under trace and stat: the
+   export is those commands' output. *)
+let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
+
+(* Runs [target] (see [is_target]) with the observer on, then [export]s
+   what it recorded. The direct paths build their hypervisor inside one
+   traced cell, honouring -p/-H; [micro_hypervisor] overrides the model
+   for micro. *)
+let observe_target ~platform ~hyp ?(iterations = 32) ?micro_hypervisor target
+    export =
+  let hypervisor () = resolve platform hyp in
+  let cell f = traced_cell (target ^ "#0.0") (fun () -> ignore (f ())) in
+  Observe.enable ~context:target ();
+  Fun.protect ~finally:Observe.disable (fun () ->
+      (match target with
+      | "micro" ->
+          cell (fun () ->
+              W.Microbench.run ~iterations
+                (Option.value micro_hypervisor ~default:hypervisor ()))
+      | "rr" -> cell (fun () -> W.Netperf.run_tcp_rr (hypervisor ()))
+      | "fleet" ->
+          cell (fun () ->
+              let desc =
+                Fleet.Descriptor.v ~vms:8 [ (Fleet.Descriptor.synthetic, 1) ]
+              in
+              Fleet.Scenario.boot_storm (hypervisor ()) desc)
+      | "cluster" ->
+          (* A two-host service chain: the vswitch.* and wire.* per-port
+             counters surface as operation rows. *)
+          cell (fun () -> W.Cluster.run_chain ~requests:40 (hypervisor ()))
+      | id ->
+          Option.iter
+            (fun (e : Report.entry) -> e.run null_ppf)
+            (Report.find id));
+      export ())
+
+(* --- list ------------------------------------------------------------- *)
 
 let list_cmd =
   let run () =
     print_endline "Experiments (armvirt run <id>):";
-    List.iter (fun (id, doc) -> Printf.printf "  %-10s %s\n" id doc) experiments;
+    List.iter
+      (fun (e : Report.entry) -> Printf.printf "  %-10s %s\n" e.id e.doc)
+      Report.registry;
     print_endline "\nPlatforms (-p): arm, arm-vhe, x86";
     print_endline "Hypervisors (-H): kvm, xen, native";
     print_endline "\nApplication workloads (armvirt app <name>):";
@@ -277,60 +328,26 @@ let list_cmd =
 
 (* --- run ---------------------------------------------------------------- *)
 
-let run_experiment ppf = function
-  | "table2" -> Report.pp_table2 ppf (Experiment.table2 ())
-  | "table3" -> Report.pp_table3 ppf (Experiment.table3 ())
-  | "table5" -> Report.pp_table5 ppf (Experiment.table5 ())
-  | "fig4" -> Report.pp_fig4 ppf (Experiment.fig4 ())
-  | "vhe" ->
-      Report.pp_vhe ppf (Experiment.vhe ());
-      Report.pp_vhe_app ppf (Experiment.vhe_app ())
-  | "irqdist" -> Report.pp_irqdist ppf (Experiment.irqdist ())
-  | "pinning" -> Report.pp_pinning ppf (Experiment.pinning ())
-  | "zerocopy" ->
-      Report.pp_zerocopy ppf (Experiment.zerocopy ());
-      Format.fprintf ppf "x86 zero-copy break-even: %d bytes@."
-        (Experiment.x86_zero_copy_break_even ())
-  | "oversub" -> Report.pp_oversub ppf (Experiment.oversub ())
-  | "disk" -> Report.pp_disk ppf (Experiment.disk ())
-  | "tail" -> Report.pp_tail ppf (Experiment.tail ())
-  | "coldstart" -> Report.pp_coldstart ppf (Experiment.coldstart ())
-  | "lrs" -> Report.pp_lrs ppf (Experiment.lrs ())
-  | "gicv3" -> Report.pp_gicv3 ppf (Experiment.gicv3 ())
-  | "ticks" -> Report.pp_ticks ppf (Experiment.ticks ())
-  | "linkspeed" -> Report.pp_linkspeed ppf (Experiment.linkspeed ())
-  | "isolation" -> Report.pp_isolation ppf (Experiment.isolation ())
-  | "structural" -> Report.pp_structural ppf (Experiment.structural ())
-  | "lazyswitch" -> Report.pp_lazyswitch ppf (Experiment.lazyswitch ())
-  | "guestops" -> Report.pp_guestops ppf (Experiment.guestops ())
-  | "crosscall" -> Report.pp_crosscall ppf (Experiment.crosscall ())
-  | "twodwalk" -> Report.pp_twodwalk ppf (Experiment.twodwalk ())
-  | "multiqueue" -> Report.pp_multiqueue ppf (Experiment.multiqueue ())
-  | "tracereplay" -> Report.pp_tracereplay ppf (Experiment.tracereplay ())
-  | "vapic" ->
-      Report.pp_vapic ppf (Experiment.vapic ());
-      Report.pp_vapic_apps ppf (Experiment.vapic_apps ())
-  | "consolidation" ->
-      Report.pp_consolidation ppf (Experiment.consolidation ())
-  | "migrate" -> Report.pp_migrate ppf (Experiment.migrate ())
-  | "fig4chart" -> Report.pp_fig4_chart ppf (Experiment.fig4 ())
-  | other -> Format.fprintf ppf "unknown experiment %S; try `armvirt list`@." other
-
 let run_cmd =
   let ids =
+    let ids =
+      List.map (fun (e : Report.entry) -> (e.id, e)) Report.registry
+    in
     Arg.(
-      non_empty & pos_all string []
+      non_empty
+      & pos_all (enum ids) []
       & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see `armvirt list`).")
   in
-  let run jobs trace_file stat_file verbose ids =
-    apply_jobs jobs;
-    with_session ~context:(String.concat "+" ids) ~stat_file ~trace_file
-      ~verbose (fun () -> List.iter (run_experiment ppf) ids)
+  let run session verbose entries =
+    let context =
+      String.concat "+" (List.map (fun (e : Report.entry) -> e.id) entries)
+    in
+    with_session ~context ~verbose session (fun () ->
+        List.iter (fun (e : Report.entry) -> e.run ppf) entries)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Regenerate the paper's tables and figures")
-    Term.(
-      const run $ jobs_arg $ trace_file_arg $ stat_file_arg $ verbose_arg $ ids)
+    Term.(const run $ session_args $ verbose_arg $ ids)
 
 (* --- micro ---------------------------------------------------------------- *)
 
@@ -340,10 +357,8 @@ let micro_cmd =
       value & opt int 32
       & info [ "iterations" ] ~docv:"N" ~doc:"Iterations per microbenchmark.")
   in
-  let run platform hyp iterations jobs trace_file stat_file =
-    apply_jobs jobs;
-    with_session ~context:"micro" ~stat_file ~trace_file ~verbose:false
-      (fun () ->
+  let run platform hyp iterations session =
+    with_session ~context:"micro" session (fun () ->
         (* The hypervisor (and its machine) must be built inside the
            captured cell so the tracer attaches to it. *)
         traced_cell "micro#0.0" (fun () ->
@@ -360,16 +375,31 @@ let micro_cmd =
   in
   Cmd.v
     (Cmd.info "micro" ~doc:"Run the Table I microbenchmark suite")
-    Term.(
-      const run $ platform_arg $ hyp_arg $ iterations $ jobs_arg
-      $ trace_file_arg $ stat_file_arg)
+    Term.(const run $ platform_arg $ hyp_arg $ iterations $ session_args)
 
 (* --- app ------------------------------------------------------------------- *)
 
 let app_cmd =
   let workload =
+    let parse name =
+      match String.uppercase_ascii name with
+      | ("TCP_RR" | "TCP_STREAM" | "TCP_MAERTS") as n -> Ok (`Netperf n)
+      | _ -> (
+          match W.Workload.find name with
+          | Some w -> Ok (`App w)
+          | None ->
+              Error
+                (`Msg
+                  (Printf.sprintf "unknown workload %S; try `armvirt list`"
+                     name)))
+    in
+    let print fmt = function
+      | `Netperf n -> Format.pp_print_string fmt n
+      | `App w -> Format.pp_print_string fmt w.W.Workload.name
+    in
     Arg.(
-      required & pos 0 (some string) None
+      required
+      & pos 0 (some (conv (parse, print))) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see `armvirt list`).")
   in
   let distribute =
@@ -378,50 +408,39 @@ let app_cmd =
       & info [ "distribute-irqs" ]
           ~doc:"Spread virtual interrupts across all VCPUs (section V ablation).")
   in
-  let run platform hyp name distribute jobs trace_file stat_file =
-    apply_jobs jobs;
-    with_session ~context:"app" ~stat_file ~trace_file ~verbose:false
-    @@ fun () ->
+  let run platform hyp workload distribute session =
+    with_session ~context:"app" session @@ fun () ->
     traced_cell "app#0.0" @@ fun () ->
     let hypervisor = resolve platform hyp in
-    match String.uppercase_ascii name with
-    | "TCP_RR" ->
+    let stream (r : W.Netperf.stream_result) =
+      Format.fprintf ppf "%s: %.2f Gb/s (%.2fx native time, %s-bound)@."
+        hypervisor.Hypervisor.name r.W.Netperf.gbps
+        r.W.Netperf.stream_normalized r.W.Netperf.stream_bottleneck
+    in
+    match workload with
+    | `Netperf "TCP_RR" ->
         let r = W.Netperf.run_tcp_rr hypervisor in
         Format.fprintf ppf "%s: %.0f trans/s, %.1f us/trans (%.2fx native)@."
           hypervisor.Hypervisor.name r.W.Netperf.trans_per_sec
           r.W.Netperf.time_per_trans_us r.W.Netperf.normalized
-    | "TCP_STREAM" ->
-        let r = W.Netperf.tcp_stream hypervisor in
-        Format.fprintf ppf "%s: %.2f Gb/s (%.2fx native time, %s-bound)@."
-          hypervisor.Hypervisor.name r.W.Netperf.gbps
-          r.W.Netperf.stream_normalized r.W.Netperf.stream_bottleneck
-    | "TCP_MAERTS" ->
-        let r = W.Netperf.tcp_maerts hypervisor in
-        Format.fprintf ppf "%s: %.2f Gb/s (%.2fx native time, %s-bound)@."
-          hypervisor.Hypervisor.name r.W.Netperf.gbps
-          r.W.Netperf.stream_normalized r.W.Netperf.stream_bottleneck
-    | _ -> (
-        match W.Workload.find name with
-        | None ->
-            Format.fprintf ppf "unknown workload %S; try `armvirt list`@." name
-        | Some w ->
-            let irq_distribution =
-              if distribute then W.App_model.All_vcpus
-              else W.App_model.Single_vcpu
-            in
-            let v = W.App_model.run ~irq_distribution w hypervisor in
-            Format.fprintf ppf
-              "%s on %s: %.2fx native (overhead %.1f%%, bottleneck: %s)@."
-              w.W.Workload.name hypervisor.Hypervisor.name
-              v.W.App_model.normalized
-              (W.App_model.overhead_percent v)
-              v.W.App_model.bottleneck)
+    | `Netperf "TCP_STREAM" -> stream (W.Netperf.tcp_stream hypervisor)
+    | `Netperf _ -> stream (W.Netperf.tcp_maerts hypervisor)
+    | `App w ->
+        let irq_distribution =
+          if distribute then W.App_model.All_vcpus else W.App_model.Single_vcpu
+        in
+        let v = W.App_model.run ~irq_distribution w hypervisor in
+        Format.fprintf ppf
+          "%s on %s: %.2fx native (overhead %.1f%%, bottleneck: %s)@."
+          w.W.Workload.name hypervisor.Hypervisor.name
+          v.W.App_model.normalized
+          (W.App_model.overhead_percent v)
+          v.W.App_model.bottleneck
   in
   Cmd.v
     (Cmd.info "app" ~doc:"Run one application workload (Figure 4 model)")
     Term.(
-      const run $ platform_arg $ hyp_arg $ workload $ distribute $ jobs_arg
-      $ trace_file_arg $ stat_file_arg)
+      const run $ platform_arg $ hyp_arg $ workload $ distribute $ session_args)
 
 (* --- rr ---------------------------------------------------------------------- *)
 
@@ -432,7 +451,8 @@ let rr_cmd =
       & info [ "transactions" ] ~docv:"N" ~doc:"Transactions to simulate.")
   in
   let run platform hyp transactions trace_file =
-    with_session ~context:"rr" ~trace_file ~verbose:false @@ fun () ->
+    with_session ~context:"rr" { jobs = None; trace_file; stat_file = None }
+    @@ fun () ->
     traced_cell "rr#0.0" @@ fun () ->
     let hypervisor = resolve platform hyp in
     let r = W.Netperf.run_tcp_rr ~transactions hypervisor in
@@ -459,18 +479,13 @@ let rr_cmd =
 let trace_cmd =
   let target =
     Arg.(
-      required & pos 0 (some string) None
+      required
+      & pos 0 (some target_conv) None
       & info [] ~docv:"EXPERIMENT"
           ~doc:
             "What to trace: any experiment id from `armvirt list`, or \
-             $(b,rr) / $(b,micro) for the direct workload paths (honouring \
-             $(b,-p)/$(b,-H)).")
-  in
-  let out =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) writes to stdout.")
+             $(b,rr) / $(b,micro) / $(b,fleet) / $(b,cluster) for the \
+             direct workload paths (honouring $(b,-p)/$(b,-H)).")
   in
   let format =
     Arg.(
@@ -481,34 +496,15 @@ let trace_cmd =
              Perfetto/chrome://tracing), $(b,csv), or $(b,summary) \
              (flame-style cycle attribution by category).")
   in
-  (* The experiment's normal report goes to a null formatter: the trace
-     is this command's output. *)
-  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   let run platform hyp jobs target out format =
     apply_jobs jobs;
-    Observe.enable ~context:target ();
-    Fun.protect ~finally:Observe.disable (fun () ->
-        (match target with
-        | "rr" ->
-            traced_cell "rr#0.0" (fun () ->
-                let hypervisor = resolve platform hyp in
-                ignore (W.Netperf.run_tcp_rr hypervisor))
-        | "micro" ->
-            traced_cell "micro#0.0" (fun () ->
-                let hypervisor = resolve platform hyp in
-                ignore (W.Microbench.run hypervisor))
-        | id when List.mem_assoc id experiments -> run_experiment null_ppf id
-        | other ->
-            Format.fprintf ppf "unknown experiment %S; try `armvirt list`@."
-              other;
-            exit 2);
-        write_trace ppf ~format out)
+    observe_target ~platform ~hyp target (fun () -> write_trace ~format out)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run an experiment under the tracer and export the trace")
     Term.(
-      const run $ platform_arg $ hyp_arg $ jobs_arg $ target $ out $ format)
+      const run $ platform_arg $ hyp_arg $ jobs_arg $ target $ out_arg $ format)
 
 (* --- stat ----------------------------------------------------------------- *)
 
@@ -526,12 +522,6 @@ let stat_cmd =
              per-port vswitch and wire counters. With \
              $(b,--diff), two armvirt.stat/v1 JSON files (old then \
              new).")
-  in
-  let out =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) writes to stdout.")
   in
   let format =
     Arg.(
@@ -619,7 +609,22 @@ let stat_cmd =
              is overridden to $(docv) cycles (Table III default: 3250), \
              so the report measurably shifts.")
   in
-  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
+  (* Perturbed split-mode KVM ARM, whatever -p/-H say: the knob exists to
+     move the committed baseline measurably. *)
+  let perturbed_kvm_arm save () =
+    let module Cost_model = Armvirt_arch.Cost_model in
+    let arm = Cost_model.arm_default in
+    let restore =
+      (arm.Cost_model.reg Armvirt_arch.Reg_class.Vgic).Cost_model.restore
+    in
+    let cost =
+      Cost_model.Arm
+        (Cost_model.with_reg_cost Armvirt_arch.Reg_class.Vgic ~save ~restore
+           arm)
+    in
+    Armvirt_hypervisor.Kvm_arm.to_hypervisor
+      (Armvirt_hypervisor.Kvm_arm.create (Platform.machine_with ~cost))
+  in
   let read_file path = In_channel.with_open_bin path In_channel.input_all in
   let run platform hyp jobs iterations format out per_vcpu per_domain top diff
       crosscheck count_pct cycles_pct perturb targets =
@@ -651,76 +656,20 @@ let stat_cmd =
     end
     else
       match targets with
-      | [ target ] ->
-          Observe.enable ~context:target ();
-          Fun.protect ~finally:Observe.disable (fun () ->
-              (match target with
-              | "micro" ->
-                  traced_cell "micro#0.0" (fun () ->
-                      let hypervisor =
-                        match perturb with
-                        | None -> resolve platform hyp
-                        | Some save ->
-                            (* Perturbed split-mode KVM ARM, whatever
-                               -p/-H say: the knob exists to move the
-                               committed baseline measurably. *)
-                            let module Cost_model = Armvirt_arch.Cost_model in
-                            let arm = Cost_model.arm_default in
-                            let restore =
-                              (arm.Cost_model.reg Armvirt_arch.Reg_class.Vgic)
-                                .Cost_model.restore
-                            in
-                            let cost =
-                              Cost_model.Arm
-                                (Cost_model.with_reg_cost
-                                   Armvirt_arch.Reg_class.Vgic ~save ~restore
-                                   arm)
-                            in
-                            Armvirt_hypervisor.Kvm_arm.to_hypervisor
-                              (Armvirt_hypervisor.Kvm_arm.create
-                                 (Platform.machine_with ~cost))
-                      in
-                      ignore (W.Microbench.run ~iterations hypervisor))
-              | "rr" ->
-                  traced_cell "rr#0.0" (fun () ->
-                      ignore (W.Netperf.run_tcp_rr (resolve platform hyp)))
-              | "fleet" ->
-                  traced_cell "fleet#0.0" (fun () ->
-                      let desc =
-                        Fleet.Descriptor.v ~vms:8
-                          [ (Fleet.Descriptor.synthetic, 1) ]
-                      in
-                      ignore
-                        (Fleet.Scenario.boot_storm (resolve platform hyp) desc))
-              | "cluster" ->
-                  (* A traced two-host service chain: the vswitch.* and
-                     wire.* per-port counters surface as operation rows. *)
-                  traced_cell "cluster#0.0" (fun () ->
-                      ignore
-                        (W.Cluster.run_chain ~requests:40
-                           (resolve platform hyp)))
-              | id when List.mem_assoc id experiments ->
-                  run_experiment null_ppf id
-              | other ->
-                  Format.fprintf ppf
-                    "unknown experiment %S; try `armvirt list`@." other;
-                  exit 2);
+      | [ target ] when is_target target ->
+          let micro_hypervisor = Option.map perturbed_kvm_arm perturb in
+          observe_target ~platform ~hyp ~iterations ?micro_hypervisor target
+            (fun () ->
               let acct = Stat_report.of_session () in
               let opts = { Stat.per_vcpu; per_domain; top } in
-              let render fmt =
-                (match format with
-                | `Text -> Stat.render_text ~opts ~context:target fmt acct
-                | `Csv -> Stat.render_csv ~opts ~context:target fmt acct
-                | `Json -> Stat.render_json ~opts ~context:target fmt acct);
-                Format.pp_print_flush fmt ()
-              in
-              match out with
-              | "-" -> render Format.std_formatter
-              | path ->
-                  let oc = open_out path in
-                  render (Format.formatter_of_out_channel oc);
-                  close_out oc;
-                  Format.fprintf ppf "wrote %s@." path)
+              write_out out (fun fmt ->
+                  match format with
+                  | `Text -> Stat.render_text ~opts ~context:target fmt acct
+                  | `Csv -> Stat.render_csv ~opts ~context:target fmt acct
+                  | `Json -> Stat.render_json ~opts ~context:target fmt acct))
+      | [ target ] ->
+          prerr_endline (unknown_target target);
+          exit 2
       | _ ->
           Format.fprintf ppf
             "stat needs one target (or --diff OLD NEW / --crosscheck); try \
@@ -735,16 +684,27 @@ let stat_cmd =
           diffing and the trace-vs-analytic crosscheck")
     Term.(
       const run $ platform_arg $ hyp_arg $ jobs_arg $ iterations $ format
-      $ out $ per_vcpu $ per_domain $ top $ diff $ crosscheck
+      $ out_arg $ per_vcpu $ per_domain $ top $ diff $ crosscheck
       $ count_tolerance $ cycles_tolerance $ perturb_vgic_save $ targets)
 
 (* --- timeline ------------------------------------------------------------ *)
+
+let timeline_ops =
+  [
+    ("hypercall", fun (h : Hypervisor.t) -> h.hypercall ());
+    ("ict", fun h -> h.interrupt_controller_trap ());
+    ("eoi", fun h -> h.virtual_irq_completion ());
+    ("vmswitch", fun h -> h.vm_switch ());
+    ("vipi", fun h -> ignore (h.virtual_ipi ()));
+    ("io-out", fun h -> ignore (h.io_latency_out ()));
+    ("io-in", fun h -> ignore (h.io_latency_in ()));
+  ]
 
 let timeline_cmd =
   let operation =
     Arg.(
       value
-      & opt string "hypercall"
+      & opt (enum (List.map (fun (op, _) -> (op, op)) timeline_ops)) "hypercall"
       & info [ "op" ] ~docv:"OP"
           ~doc:
             "Operation to trace: hypercall, ict, eoi, vmswitch, vipi, io-out \
@@ -754,40 +714,21 @@ let timeline_cmd =
     let hypervisor = resolve platform hyp in
     let machine = hypervisor.Hypervisor.machine in
     let trace = Armvirt_stats.Trace.create () in
-    let path : (unit -> unit) option =
-      match op with
-      | "hypercall" -> Some hypervisor.Hypervisor.hypercall
-      | "ict" -> Some hypervisor.Hypervisor.interrupt_controller_trap
-      | "eoi" -> Some hypervisor.Hypervisor.virtual_irq_completion
-      | "vmswitch" -> Some hypervisor.Hypervisor.vm_switch
-      | "vipi" -> Some (fun () -> ignore (hypervisor.Hypervisor.virtual_ipi ()))
-      | "io-out" ->
-          Some (fun () -> ignore (hypervisor.Hypervisor.io_latency_out ()))
-      | "io-in" ->
-          Some (fun () -> ignore (hypervisor.Hypervisor.io_latency_in ()))
-      | _ -> None
-    in
-    match path with
-    | None ->
-        Format.fprintf ppf
-          "unknown operation %S (hypercall|ict|eoi|vmswitch|vipi|io-out|io-in)@."
-          op
-    | Some path ->
-        Armvirt_engine.Sim.spawn
-          (Armvirt_arch.Machine.sim machine)
-          ~name:"timeline" (fun () ->
-            Armvirt_arch.Machine.observe machine
-              (Some
-                 (fun ~label ~cycles ~now ->
-                   Armvirt_stats.Trace.record trace ~label ~cycles ~now));
-            path ();
-            Armvirt_arch.Machine.observe machine None);
-        Armvirt_engine.Sim.run (Armvirt_arch.Machine.sim machine);
-        Format.fprintf ppf "%s: %s, step by step@." hypervisor.Hypervisor.name
-          op;
-        Armvirt_stats.Trace.pp_timeline ppf trace;
-        Format.fprintf ppf "total: %d cycles@."
-          (Armvirt_stats.Trace.total_cycles trace)
+    let path = List.assoc op timeline_ops in
+    Armvirt_engine.Sim.spawn
+      (Armvirt_arch.Machine.sim machine)
+      ~name:"timeline" (fun () ->
+        Armvirt_arch.Machine.observe machine
+          (Some
+             (fun ~label ~cycles ~now ->
+               Armvirt_stats.Trace.record trace ~label ~cycles ~now));
+        path hypervisor;
+        Armvirt_arch.Machine.observe machine None);
+    Armvirt_engine.Sim.run (Armvirt_arch.Machine.sim machine);
+    Format.fprintf ppf "%s: %s, step by step@." hypervisor.Hypervisor.name op;
+    Armvirt_stats.Trace.pp_timeline ppf trace;
+    Format.fprintf ppf "total: %d cycles@."
+      (Armvirt_stats.Trace.total_cycles trace)
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -857,21 +798,12 @@ let explore_cmd =
             "Objective to evaluate at each point (repeatable; default \
              $(b,hypercall)). Use $(b,--objectives) to list.")
   in
-  let out_arg =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) writes to stdout.")
-  in
   let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("md", `Md); ("csv", `Csv) ]) `Md
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:
-            "$(b,md) (markdown report with Pareto frontier and, for oat \
-             runs, the sensitivity ranking) or $(b,csv) (one row per \
-             point with a pareto 0/1 column).")
+    table_format_arg
+      ~doc:
+        "$(b,md) (markdown report with Pareto frontier and, for oat runs, \
+         the sensitivity ranking) or $(b,csv) (one row per point with a \
+         pareto 0/1 column)."
   in
   let seed_arg =
     Arg.(
@@ -902,22 +834,8 @@ let explore_cmd =
     Arg.(
       value & flag & info [ "objectives" ] ~doc:"List the objectives and exit.")
   in
-  let with_out out f =
-    match out with
-    | "-" ->
-        f Format.std_formatter;
-        Format.pp_print_flush Format.std_formatter ()
-    | path ->
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        f fmt;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
-  in
   let run space sampler objectives out format seed calibrate restarts knobs
       objectives_list jobs trace_file =
-    apply_jobs jobs;
     if knobs then
       List.iter
         (fun (n, d) -> Printf.printf "  %-18s %s\n" n d)
@@ -945,7 +863,8 @@ let explore_cmd =
             | l -> l
           in
           let base = Explore.Config.default in
-          with_session ~context:"explore" ~trace_file ~verbose:false
+          with_session ~context:"explore"
+            { jobs; trace_file; stat_file = None }
           @@ fun () ->
           if calibrate then begin
             let objective = List.hd objectives in
@@ -964,7 +883,7 @@ let explore_cmd =
             let sweep =
               Explore.Sweep.run ~seed ~base ~sampler ~objectives space
             in
-            with_out out (fun fmt ->
+            write_out out (fun fmt ->
                 match format with
                 | `Csv -> Explore.Sweep.pp_csv fmt sweep
                 | `Md -> Explore.Sweep.pp_markdown fmt sweep)
@@ -1037,30 +956,11 @@ let migrate_cmd =
   let format_arg =
     Arg.(
       value
-      & opt (some (enum [ ("md", `Md); ("csv", `Csv) ])) None
+      & opt (some table_format) None
       & info [ "format" ] ~docv:"FORMAT"
           ~doc:
             "Machine-readable output instead of the text report: $(b,md) \
              or $(b,csv), one row per configuration.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file for --format; $(b,-) (default) is stdout.")
-  in
-  let with_out out f =
-    match out with
-    | "-" ->
-        f Format.std_formatter;
-        Format.pp_print_flush Format.std_formatter ()
-    | path ->
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        f fmt;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
   in
   let table_rows rows =
     let header =
@@ -1076,25 +976,24 @@ let migrate_cmd =
         name;
         r.W.Migration.transport;
         string_of_int r.W.Migration.precopy_rounds;
-        Printf.sprintf "%.1f" (r.W.Migration.total_ms *. 1e3);
-        Printf.sprintf "%.1f" r.W.Migration.downtime_us;
+        f1 (r.W.Migration.total_ms *. 1e3);
+        f1 r.W.Migration.downtime_us;
         string_of_int r.W.Migration.pages_sent;
         string_of_int r.W.Migration.pages_resent;
         string_of_int r.W.Migration.final_pages;
         string_of_int r.W.Migration.wp_faults;
         string_of_bool r.W.Migration.converged;
-        Printf.sprintf "%.2f" r.W.Migration.baseline_p99_us;
+        f2 r.W.Migration.baseline_p99_us;
         string_of_int r.W.Migration.worst_round;
-        Printf.sprintf "%.2f" r.W.Migration.worst_p99_us;
-        Printf.sprintf "%.3f" r.W.Migration.p99_degradation;
-        Printf.sprintf "%.2f" r.W.Migration.post_p99_us;
+        f2 r.W.Migration.worst_p99_us;
+        f3 r.W.Migration.p99_degradation;
+        f2 r.W.Migration.post_p99_us;
       ]
     in
     (header, List.map cells rows)
   in
   let run platform hyp pages page_kb vcpus hot_pages rate bandwidth rounds
-      downtime seed compare detail format out jobs trace_file stat_file =
-    apply_jobs jobs;
+      downtime seed compare detail format out session =
     let plan =
       {
         d with
@@ -1114,8 +1013,7 @@ let migrate_cmd =
     | exception Invalid_argument msg ->
         Format.fprintf ppf "invalid plan: %s@." msg;
         exit 2);
-    with_session ~context:"migrate" ~stat_file ~trace_file ~verbose:false
-    @@ fun () ->
+    with_session ~context:"migrate" session @@ fun () ->
     let results =
       if compare then Experiment.migrate ~plan ()
       else
@@ -1129,12 +1027,9 @@ let migrate_cmd =
     | None ->
         Report.pp_migrate ppf results;
         if detail then Report.pp_migrate_rounds ppf results
-    | Some fmt ->
+    | Some format ->
         let header, rows = table_rows results in
-        with_out out (fun out_ppf ->
-            match fmt with
-            | `Csv -> Report.pp_csv_table out_ppf ~header rows
-            | `Md -> Report.pp_markdown_table out_ppf ~header rows)
+        write_out out (fun out_ppf -> pp_table format out_ppf ~header rows)
   in
   Cmd.v
     (Cmd.info "migrate"
@@ -1144,7 +1039,7 @@ let migrate_cmd =
     Term.(
       const run $ platform_arg $ hyp_arg $ pages $ page_kb $ vcpus $ hot_pages
       $ rate $ bandwidth $ rounds $ downtime $ seed $ compare $ detail
-      $ format_arg $ out_arg $ jobs_arg $ trace_file_arg $ stat_file_arg)
+      $ format_arg $ out_arg $ session_args)
 
 (* --- fleet ----------------------------------------------------------------- *)
 
@@ -1186,35 +1081,9 @@ let fleet_cmd =
              declared proportion.")
   in
   let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("md", `Md); ("csv", `Csv) ]) `Md
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"$(b,md) (default) or $(b,csv), one row per cell.")
+    table_format_arg ~doc:"$(b,md) (default) or $(b,csv), one row per cell."
   in
-  let out_arg =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) is stdout.")
-  in
-  let with_out out f =
-    match out with
-    | "-" ->
-        f Format.std_formatter;
-        Format.pp_print_flush Format.std_formatter ()
-    | path ->
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        f fmt;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
-  in
-  let f1 = Printf.sprintf "%.1f" in
-  let f3 = Printf.sprintf "%.3f" in
-  let run scenario vms mix_spec format out jobs trace_file stat_file =
-    apply_jobs jobs;
+  let run scenario vms mix_spec format out session =
     let mix =
       match W.Fleet_profiles.parse_mix mix_spec with
       | Ok mix -> mix
@@ -1227,8 +1096,7 @@ let fleet_cmd =
     | exception Invalid_argument msg ->
         Format.fprintf ppf "invalid fleet: %s@." msg;
         exit 2);
-    with_session ~context:"fleet" ~stat_file ~trace_file ~verbose:false
-    @@ fun () ->
+    with_session ~context:"fleet" session @@ fun () ->
     let header, rows =
       match scenario with
       | `Boot ->
@@ -1298,10 +1166,7 @@ let fleet_cmd =
                 ])
               results )
     in
-    with_out out (fun out_ppf ->
-        match format with
-        | `Csv -> Report.pp_csv_table out_ppf ~header rows
-        | `Md -> Report.pp_markdown_table out_ppf ~header rows)
+    write_out out (fun out_ppf -> pp_table format out_ppf ~header rows)
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1312,7 +1177,7 @@ let fleet_cmd =
           model")
     Term.(
       const run $ scenario_arg $ vms_arg $ mix_arg $ format_arg $ out_arg
-      $ jobs_arg $ trace_file_arg $ stat_file_arg)
+      $ session_args)
 
 (* --- cluster --------------------------------------------------------------- *)
 
@@ -1384,37 +1249,8 @@ let cluster_cmd =
              native capacity; the default tops out at $(b,1.1) — past \
              the knee on every model.")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("md", `Md); ("csv", `Csv) ]) `Md
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"$(b,md) (default) or $(b,csv).")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "-"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output file; $(b,-) (default) is stdout.")
-  in
-  let with_out out f =
-    match out with
-    | "-" ->
-        f Format.std_formatter;
-        Format.pp_print_flush Format.std_formatter ()
-    | path ->
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        f fmt;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
-  in
-  let f1 = Printf.sprintf "%.1f" in
-  let f2 = Printf.sprintf "%.2f" in
-  let f3 = Printf.sprintf "%.3f" in
-  let run scenario spec vms loads format out jobs trace_file stat_file =
-    apply_jobs jobs;
+  let format_arg = table_format_arg ~doc:"$(b,md) (default) or $(b,csv)." in
+  let run scenario spec vms loads format out session =
     (match loads with
     | [] ->
         Format.fprintf ppf "--offered-load needs at least one point@.";
@@ -1423,8 +1259,7 @@ let cluster_cmd =
         Format.fprintf ppf "--offered-load points must be positive@.";
         exit 2
     | _ -> ());
-    with_session ~context:"cluster" ~stat_file ~trace_file ~verbose:false
-    @@ fun () ->
+    with_session ~context:"cluster" session @@ fun () ->
     let header, rows =
       match scenario with
       | `Matrix ->
@@ -1479,21 +1314,18 @@ let cluster_cmd =
                       name;
                       string_of_int r.W.Cluster.backends;
                       f2 p.W.Cluster.offered;
-                      Printf.sprintf "%.0f" p.W.Cluster.offered_rps;
+                      f0 p.W.Cluster.offered_rps;
                       string_of_int p.W.Cluster.completed;
                       f1 p.W.Cluster.mean_us;
                       f1 p.W.Cluster.p50_us;
                       f1 p.W.Cluster.p95_us;
                       f1 p.W.Cluster.p99_us;
-                      Printf.sprintf "%.0f" p.W.Cluster.throughput_rps;
+                      f0 p.W.Cluster.throughput_rps;
                     ])
                   r.W.Cluster.points)
               results )
     in
-    with_out out (fun out_ppf ->
-        match format with
-        | `Csv -> Report.pp_csv_table out_ppf ~header rows
-        | `Md -> Report.pp_markdown_table out_ppf ~header rows)
+    write_out out (fun out_ppf -> pp_table format out_ppf ~header rows)
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1505,7 +1337,7 @@ let cluster_cmd =
           platform/hypervisor model")
     Term.(
       const run $ scenario_arg $ topology_arg $ vms_arg $ loads_arg
-      $ format_arg $ out_arg $ jobs_arg $ trace_file_arg $ stat_file_arg)
+      $ format_arg $ out_arg $ session_args)
 
 (* --- bench-events ---------------------------------------------------------- *)
 
@@ -1534,21 +1366,16 @@ let bench_events_cmd =
   let run scale out =
     let results = Bench_events.suite ~scale () in
     let overhead = Bench_events.overhead_trial ~scale () in
-    match out with
-    | Some "-" ->
-        Bench_events.emit_json Format.std_formatter ~scale ~overhead results
-    | Some path ->
-        Bench_events.pp_table ppf results;
-        Bench_events.pp_overhead ppf overhead;
-        let oc = open_out path in
-        let fmt = Format.formatter_of_out_channel oc in
-        Bench_events.emit_json fmt ~scale ~overhead results;
-        Format.pp_print_flush fmt ();
-        close_out oc;
-        Format.fprintf ppf "wrote %s@." path
-    | None ->
-        Bench_events.pp_table ppf results;
-        Bench_events.pp_overhead ppf overhead
+    (* With "-" the JSON replaces the table on stdout. *)
+    if out <> Some "-" then begin
+      Bench_events.pp_table ppf results;
+      Bench_events.pp_overhead ppf overhead
+    end;
+    Option.iter
+      (fun path ->
+        write_out path (fun fmt ->
+            Bench_events.emit_json fmt ~scale ~overhead results))
+      out
   in
   Cmd.v
     (Cmd.info "bench-events"
@@ -1569,13 +1396,10 @@ let report_cmd =
   in
   let run output =
     let report = Armvirt_core.Markdown.full_report () in
-    match output with
-    | None -> print_string report
-    | Some path ->
-        let oc = open_out path in
-        output_string oc report;
-        close_out oc;
-        Printf.printf "wrote %s (%d bytes)\n" path (String.length report)
+    write_out
+      (Option.value output ~default:"-")
+      ~detail:(Printf.sprintf " (%d bytes)" (String.length report))
+      (fun out -> Format.pp_print_string out report)
   in
   Cmd.v
     (Cmd.info "report"

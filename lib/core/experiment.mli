@@ -1,10 +1,11 @@
-(** The experiment registry: one entry per table/figure of the paper's
+(** The experiments: one computation per table/figure of the paper's
     evaluation, plus the ablations its text reports.
 
     Every function builds fresh simulated machines, runs the relevant
     workloads and returns structured results; {!Report} renders them next
-    to {!Paper_data}. The experiment ids here are the ones DESIGN.md's
-    per-experiment index lists and `bench/main.exe` accepts. *)
+    to {!Paper_data}, and {!Report.registry} maps each artifact id
+    (the ids DESIGN.md's per-experiment index lists) to its computation
+    and printer. *)
 
 type quad_f = {
   q_kvm_arm : float option;

@@ -275,38 +275,46 @@ let pp_lrs ppf groups =
     groups;
   hline ppf 92
 
-let pp_gicv3 ppf groups =
-  Format.fprintf ppf
-    "Extension: GICv2 vs GICv3 — how much of Table II is the X-Gene's \
-     slow GIC interface@.";
-  hline ppf 108;
+(* One row per configuration, one column per Table II operation (short
+   names), cycles in each cell: the shared layout of gicv3, vapic and
+   lazyswitch. *)
+let short_op = function
+  | "Interrupt Controller Trap" -> "ICT"
+  | "Virtual IPI" -> "vIPI"
+  | "Virtual IRQ Completion" -> "vIRQ-EOI"
+  | "VM Switch" -> "VM-Switch"
+  | "I/O Latency Out" -> "IO-Out"
+  | "I/O Latency In" -> "IO-In"
+  | other -> other
+
+let pp_op_matrix ~title ~label_width ~cell_width ~rule ppf groups =
+  Format.fprintf ppf "%s@." title;
+  hline ppf rule;
   (match groups with
   | (_, rows) :: _ ->
-      Format.fprintf ppf "%-24s" "";
-      List.iter (fun (op, _) ->
-          let short =
-            match op with
-            | "Hypercall" -> "Hypercall"
-            | "Interrupt Controller Trap" -> "ICT"
-            | "Virtual IPI" -> "vIPI"
-            | "Virtual IRQ Completion" -> "vIRQ-EOI"
-            | "VM Switch" -> "VM-Switch"
-            | "I/O Latency Out" -> "IO-Out"
-            | "I/O Latency In" -> "IO-In"
-            | other -> other
-          in
-          Format.fprintf ppf " %10s" short)
+      Format.fprintf ppf "%-*s" label_width "";
+      List.iter
+        (fun (op, _) -> Format.fprintf ppf " %*s" cell_width (short_op op))
         rows;
       Format.fprintf ppf "@."
   | [] -> ());
-  hline ppf 108;
+  hline ppf rule;
   List.iter
     (fun (label, rows) ->
-      Format.fprintf ppf "%-24s" label;
-      List.iter (fun (_, cycles) -> Format.fprintf ppf " %10d" cycles) rows;
+      Format.fprintf ppf "%-*s" label_width label;
+      List.iter
+        (fun (_, cycles) -> Format.fprintf ppf " %*d" cell_width cycles)
+        rows;
       Format.fprintf ppf "@.")
     groups;
-  hline ppf 108
+  hline ppf rule
+
+let pp_gicv3 =
+  pp_op_matrix
+    ~title:
+      "Extension: GICv2 vs GICv3 — how much of Table II is the X-Gene's \
+       slow GIC interface"
+    ~label_width:24 ~cell_width:10 ~rule:108
 
 let pp_ticks ppf rows =
   Format.fprintf ppf
@@ -403,38 +411,11 @@ let pp_twodwalk ppf rows =
     rows;
   hline ppf 96
 
-let pp_vapic ppf groups =
-  Format.fprintf ppf
-    "Extension: x86 with vAPIC — hardware interrupt completion closes      the gap to ARM (section IV), microbenchmark cycles@.";
-  hline ppf 112;
-  (match groups with
-  | (_, rows) :: _ ->
-      Format.fprintf ppf "%-28s" "";
-      List.iter
-        (fun (op, _) ->
-          let short =
-            match op with
-            | "Hypercall" -> "Hypercall"
-            | "Interrupt Controller Trap" -> "ICT"
-            | "Virtual IPI" -> "vIPI"
-            | "Virtual IRQ Completion" -> "vIRQ-EOI"
-            | "VM Switch" -> "VM-Switch"
-            | "I/O Latency Out" -> "IO-Out"
-            | "I/O Latency In" -> "IO-In"
-            | other -> other
-          in
-          Format.fprintf ppf " %9s" short)
-        rows;
-      Format.fprintf ppf "@."
-  | [] -> ());
-  hline ppf 112;
-  List.iter
-    (fun (label, rows) ->
-      Format.fprintf ppf "%-28s" label;
-      List.iter (fun (_, cycles) -> Format.fprintf ppf " %9d" cycles) rows;
-      Format.fprintf ppf "@.")
-    groups;
-  hline ppf 112
+let pp_vapic =
+  pp_op_matrix
+    ~title:
+      "Extension: x86 with vAPIC — hardware interrupt completion closes      the gap to ARM (section IV), microbenchmark cycles"
+    ~label_width:28 ~cell_width:9 ~rule:112
 
 let pp_vapic_apps ppf rows =
   Format.fprintf ppf "Application impact on KVM x86 (normalized):@.";
@@ -486,38 +467,11 @@ let pp_guestops ppf groups =
   hline ppf 118;
   Format.fprintf ppf "(*) the operation left the VM.@."
 
-let pp_lazyswitch ppf groups =
-  Format.fprintf ppf
-    "Extension: the post-paper KVM ARM optimizations (lazy state      switching), microbenchmark cycles@.";
-  hline ppf 108;
-  (match groups with
-  | (_, rows) :: _ ->
-      Format.fprintf ppf "%-22s" "";
-      List.iter
-        (fun (op, _) ->
-          let short =
-            match op with
-            | "Hypercall" -> "Hypercall"
-            | "Interrupt Controller Trap" -> "ICT"
-            | "Virtual IPI" -> "vIPI"
-            | "Virtual IRQ Completion" -> "vIRQ-EOI"
-            | "VM Switch" -> "VM-Switch"
-            | "I/O Latency Out" -> "IO-Out"
-            | "I/O Latency In" -> "IO-In"
-            | other -> other
-          in
-          Format.fprintf ppf " %10s" short)
-        rows;
-      Format.fprintf ppf "@."
-  | [] -> ());
-  hline ppf 108;
-  List.iter
-    (fun (label, rows) ->
-      Format.fprintf ppf "%-22s" label;
-      List.iter (fun (_, cycles) -> Format.fprintf ppf " %10d" cycles) rows;
-      Format.fprintf ppf "@.")
-    groups;
-  hline ppf 108
+let pp_lazyswitch =
+  pp_op_matrix
+    ~title:
+      "Extension: the post-paper KVM ARM optimizations (lazy state      switching), microbenchmark cycles"
+    ~label_width:22 ~cell_width:10 ~rule:108
 
 let pp_consolidation ppf rows =
   Format.fprintf ppf
@@ -641,28 +595,10 @@ let pp_migrate_rounds ppf rows =
 
 (* --- generic machine-readable tables --------------------------------- *)
 
-(* CSV per RFC 4180: fields containing separators, quotes or newlines are
-   quoted, embedded quotes doubled. lib/explore's sweep reports go
-   through these two emitters so every exploration artifact renders the
-   same way the paper tables do — in one place. *)
-let csv_field s =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  in
-  if not needs_quoting then s
-  else begin
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string b "\"\"" else Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-  end
-
+(* lib/explore's sweep reports and the CLI's md/csv tables go through
+   these two emitters, so every tabular artifact renders in one place. *)
 let pp_csv_row ppf cells =
-  Format.fprintf ppf "%s@." (String.concat "," (List.map csv_field cells))
+  Format.fprintf ppf "%s@." (String.concat "," (List.map Armvirt_obs.Export.escape_csv cells))
 
 let pp_csv_table ppf ~header rows =
   pp_csv_row ppf header;
@@ -680,3 +616,77 @@ let pp_markdown_table ppf ~header rows =
   Format.fprintf ppf "|%s@."
     (String.concat "|" (List.map (fun _ -> "---") header) ^ "|");
   List.iter row rows
+
+(* --- the experiment registry ------------------------------------------ *)
+
+type entry = { id : string; doc : string; run : Format.formatter -> unit }
+
+let entry id doc run = { id; doc; run }
+
+let registry =
+  [
+    entry "table2" "Table II: the seven microbenchmarks on all four hypervisors"
+      (fun ppf -> pp_table2 ppf (Experiment.table2 ()));
+    entry "table3" "Table III: KVM ARM hypercall save/restore decomposition"
+      (fun ppf -> pp_table3 ppf (Experiment.table3 ()));
+    entry "table5" "Table V: Netperf TCP_RR latency analysis on ARM"
+      (fun ppf -> pp_table5 ppf (Experiment.table5 ()));
+    entry "fig4" "Figure 4: application benchmark performance, normalized"
+      (fun ppf -> pp_fig4 ppf (Experiment.fig4 ()));
+    entry "vhe" "Section VI: ARMv8.1 VHE microbenchmarks and app predictions"
+      (fun ppf ->
+        pp_vhe ppf (Experiment.vhe ());
+        pp_vhe_app ppf (Experiment.vhe_app ()));
+    entry "irqdist" "Section V ablation: distributing virtual interrupts"
+      (fun ppf -> pp_irqdist ppf (Experiment.irqdist ()));
+    entry "pinning" "Section IV check: Xen I/O latency vs pinning"
+      (fun ppf -> pp_pinning ppf (Experiment.pinning ()));
+    entry "zerocopy" "Section V what-if: Xen zero copy on ARM" (fun ppf ->
+        pp_zerocopy ppf (Experiment.zerocopy ());
+        Format.fprintf ppf "x86 zero-copy break-even: %d bytes@."
+          (Experiment.x86_zero_copy_break_even ()));
+    entry "oversub" "Extension: VM Switch cost under oversubscription"
+      (fun ppf -> pp_oversub ppf (Experiment.oversub ()));
+    entry "disk" "Extension: paravirtual block I/O latency/throughput"
+      (fun ppf -> pp_disk ppf (Experiment.disk ()));
+    entry "tail" "Extension: open-loop tail latency percentiles" (fun ppf ->
+        pp_tail ppf (Experiment.tail ()));
+    entry "coldstart" "Extension: cold-start stage-2 faulting" (fun ppf ->
+        pp_coldstart ppf (Experiment.coldstart ()));
+    entry "lrs" "Extension: vGIC list-register sensitivity" (fun ppf ->
+        pp_lrs ppf (Experiment.lrs ()));
+    entry "gicv3" "Extension: GICv2 vs GICv3 interrupt-controller ablation"
+      (fun ppf -> pp_gicv3 ppf (Experiment.gicv3 ()));
+    entry "ticks" "Extension: virtual-timer tick overhead per guest HZ"
+      (fun ppf -> pp_ticks ppf (Experiment.ticks ()));
+    entry "linkspeed" "Extension: TCP_STREAM at 1 vs 10 GbE wire speed"
+      (fun ppf -> pp_linkspeed ppf (Experiment.linkspeed ()));
+    entry "isolation" "Extension: measurement variability without isolation"
+      (fun ppf -> pp_isolation ppf (Experiment.isolation ()));
+    entry "structural" "Cross-validation: structural stacks vs analytic models"
+      (fun ppf -> pp_structural ppf (Experiment.structural ()));
+    entry "lazyswitch" "Extension: post-paper lazy state-switching optimizations"
+      (fun ppf -> pp_lazyswitch ppf (Experiment.lazyswitch ()));
+    entry "guestops" "Extension: guest-local operation costs (what stays native)"
+      (fun ppf -> pp_guestops ppf (Experiment.guestops ()));
+    entry "crosscall" "Extension: guest broadcast cross-call (TLB shootdown) cost"
+      (fun ppf -> pp_crosscall ppf (Experiment.crosscall ()));
+    entry "vapic" "Extension: x86 with vAPIC (hardware interrupt completion)"
+      (fun ppf ->
+        pp_vapic ppf (Experiment.vapic ());
+        pp_vapic_apps ppf (Experiment.vapic_apps ()));
+    entry "twodwalk" "Extension: nested paging's 24-access 2D page walk"
+      (fun ppf -> pp_twodwalk ppf (Experiment.twodwalk ()));
+    entry "multiqueue" "Extension: virtio-net multiqueue vs the IRQ bottleneck"
+      (fun ppf -> pp_multiqueue ppf (Experiment.multiqueue ()));
+    entry "tracereplay" "Extension: synthetic trace replay, per-request surcharges"
+      (fun ppf -> pp_tracereplay ppf (Experiment.tracereplay ()));
+    entry "consolidation" "Extension: VM density (N memcached VMs per host)"
+      (fun ppf -> pp_consolidation ppf (Experiment.consolidation ()));
+    entry "migrate" "Extension: live-migration downtime/SLO under request load"
+      (fun ppf -> pp_migrate ppf (Experiment.migrate ()));
+    entry "fig4chart" "Figure 4 as ASCII bars (ARM columns)" (fun ppf ->
+        pp_fig4_chart ppf (Experiment.fig4 ()));
+  ]
+
+let find id = List.find_opt (fun e -> e.id = id) registry

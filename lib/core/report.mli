@@ -126,3 +126,23 @@ val pp_csv_table :
 val pp_markdown_table :
   Format.formatter -> header:string list -> string list list -> unit
 (** A GitHub-flavoured markdown table (pipes in cells escaped). *)
+
+(** {1 The experiment registry}
+
+    The one list of regenerable artifacts: [armvirt list], [run],
+    [trace] and [stat] and [bench/main.exe] all read it. Adding an
+    experiment is its computation in {!Experiment}, its printer here and
+    one entry below; nothing in [bin/] or [bench/] changes. *)
+
+type entry = {
+  id : string;  (** What [armvirt run] accepts, e.g. ["table2"]. *)
+  doc : string;  (** The one-line description [armvirt list] prints. *)
+  run : Format.formatter -> unit;
+      (** Computes the artifact and prints it: the bytes [armvirt run]
+          writes. Nothing is computed until [run] is called. *)
+}
+
+val registry : entry list
+(** Every artifact, in [armvirt list] order. *)
+
+val find : string -> entry option

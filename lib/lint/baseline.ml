@@ -16,6 +16,8 @@
    the attribution is deterministic even if not always the historically
    "same" site, which is the price of line-independence. *)
 
+module Json = Armvirt_obs.Json
+
 type entry = { file : string; rule : Rules.id; count : int }
 
 type t = entry list (* sorted by (file, rule) *)
@@ -99,125 +101,58 @@ let render (t : t) =
       Buffer.add_string buf
         (Printf.sprintf "\n    { \"file\": \"%s\", \"rule\": \"%s\", \
                          \"count\": %d }"
-           e.file (Rules.to_string e.rule) e.count))
+           (Json.escape e.file) (Rules.to_string e.rule) e.count))
     t;
   if t <> [] then Buffer.add_string buf "\n  ";
   Buffer.add_string buf "]\n}\n";
   Buffer.contents buf
 
 (* --- parsing ---------------------------------------------------------- *)
-(* A strict recursive-descent parser for exactly the schema [render]
-   emits (whitespace-insensitive). No escapes are needed: files are
-   repo-relative source paths. *)
+(* A strict walk over the shared JSON reader's tree, accepting exactly
+   the schema [render] emits: unknown keys, unknown rules, negative or
+   fractional counts and missing fields are all errors. *)
 
 exception Bad of string
 
+let check_keys ~what allowed = function
+  | Json.Obj fields ->
+      List.iter
+        (fun (k, _) ->
+          if not (List.mem k allowed) then
+            raise (Bad (Printf.sprintf "unknown %s key %s" what k)))
+        fields
+  | _ -> raise (Bad (what ^ " is not an object"))
+
+let int_member key j =
+  match Json.member key j with
+  | Some (Json.Num f) when Float.is_integer f -> Some (int_of_float f)
+  | _ -> None
+
+let entry_of_json j =
+  check_keys ~what:"entry" [ "file"; "rule"; "count" ] j;
+  match (Json.member "file" j, Json.member "rule" j, int_member "count" j) with
+  | Some (Json.Str file), Some (Json.Str rule_s), Some count -> (
+      match Rules.of_string rule_s with
+      | Some rule when count >= 0 -> { file; rule; count }
+      | Some _ -> raise (Bad "negative count")
+      | None -> raise (Bad ("unknown rule " ^ rule_s)))
+  | _ -> raise (Bad "entry missing file/rule/count")
+
 let parse (s : string) : (t, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && s.[!pos] = c then incr pos
-    else raise (Bad (Printf.sprintf "expected %c at offset %d" c !pos))
-  in
-  let peek () =
-    skip_ws ();
-    if !pos < n then Some s.[!pos] else None
-  in
-  let string_ () =
-    expect '"';
-    let start = !pos in
-    while !pos < n && s.[!pos] <> '"' do
-      if s.[!pos] = '\\' then raise (Bad "escapes not supported");
-      incr pos
-    done;
-    if !pos >= n then raise (Bad "unterminated string");
-    let v = String.sub s start (!pos - start) in
-    incr pos;
-    v
-  in
-  let int_ () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n && (match s.[!pos] with '0' .. '9' | '-' -> true | _ -> false)
-    do
-      incr pos
-    done;
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "expected integer at offset %d" start))
-  in
-  let key () =
-    let k = string_ () in
-    expect ':';
-    k
-  in
-  let entry () =
-    expect '{';
-    let file = ref None and rule = ref None and count = ref None in
-    let rec fields () =
-      (match key () with
-      | "file" -> file := Some (string_ ())
-      | "rule" -> rule := Some (string_ ())
-      | "count" -> count := Some (int_ ())
-      | k -> raise (Bad ("unknown entry key " ^ k)));
-      match peek () with
-      | Some ',' ->
-          incr pos;
-          fields ()
-      | _ -> expect '}'
-    in
-    fields ();
-    match (!file, !rule, !count) with
-    | Some file, Some rule_s, Some count -> (
-        match Rules.of_string rule_s with
-        | Some rule when count >= 0 -> { file; rule; count }
-        | Some _ -> raise (Bad "negative count")
-        | None -> raise (Bad ("unknown rule " ^ rule_s)))
-    | _ -> raise (Bad "entry missing file/rule/count")
-  in
-  try
-    expect '{';
-    (match key () with
-    | "version" ->
-        let v = int_ () in
-        if v <> version then
-          raise (Bad (Printf.sprintf "unsupported baseline version %d" v))
-    | k -> raise (Bad ("expected version, got " ^ k)));
-    expect ',';
-    (match key () with
-    | "entries" -> ()
-    | k -> raise (Bad ("expected entries, got " ^ k)));
-    expect '[';
-    let entries =
-      match peek () with
-      | Some ']' ->
-          incr pos;
-          []
-      | _ ->
-          let rec loop acc =
-            let e = entry () in
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                loop (e :: acc)
-            | _ ->
-                expect ']';
-                List.rev (e :: acc)
-          in
-          loop []
-    in
-    expect '}';
-    Ok (List.sort compare_entry entries)
-  with Bad msg -> Error msg
+  match Json.parse s with
+  | Error msg -> Error msg
+  | Ok doc -> (
+      try
+        check_keys ~what:"baseline" [ "version"; "entries" ] doc;
+        (match int_member "version" doc with
+        | Some v when v = version -> ()
+        | Some v -> raise (Bad (Printf.sprintf "unsupported baseline version %d" v))
+        | None -> raise (Bad "missing version"));
+        match Json.member "entries" doc with
+        | Some (Json.Arr entries) ->
+            Ok (List.sort compare_entry (List.map entry_of_json entries))
+        | _ -> raise (Bad "missing entries")
+      with Bad msg -> Error msg)
 
 let load path =
   match open_in_bin path with

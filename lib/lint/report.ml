@@ -1,3 +1,6 @@
+module Export = Armvirt_obs.Export
+module Json = Armvirt_obs.Json
+
 type format = Text | Csv | Json
 
 let format_of_string = function
@@ -47,26 +50,6 @@ let of_findings ?(passes = []) ~root ~files_scanned ~suppressed findings =
     findings = List.map (fun f -> (f, Fresh)) findings;
     stale = [];
   }
-
-let escape_json s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let escape_csv s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
 
 let finding_tag (f : Engine.finding) = function
   | Fresh -> Rules.severity_to_string (Rules.severity f.rule)
@@ -118,11 +101,11 @@ let render_csv t =
   List.iter
     (fun ((f : Engine.finding), status) ->
       Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%s,%s,%s,%s\n" (escape_csv f.file) f.line
-           f.col (Rules.to_string f.rule)
+        (Printf.sprintf "%s,%d,%d,%s,%s,%s,%s\n"
+           (Export.escape_csv f.file) f.line f.col (Rules.to_string f.rule)
            (Rules.severity_to_string (Rules.severity f.rule))
            (status_to_string status)
-           (escape_csv f.message)))
+           (Export.escape_csv f.message)))
     t.findings;
   Buffer.contents buf
 
@@ -145,7 +128,7 @@ let render_json t =
   Buffer.add_string buf
     (Printf.sprintf
        "{\n  \"version\": 2,\n  \"root\": \"%s\",\n  \"files_scanned\": %d,\n\
-       \  \"suppressed\": %d,\n  \"passes\": [" (escape_json t.root)
+       \  \"suppressed\": %d,\n  \"passes\": [" (Json.escape t.root)
        t.files_scanned t.suppressed);
   List.iteri
     (fun i p ->
@@ -154,7 +137,7 @@ let render_json t =
         (Printf.sprintf
            "\n    { \"name\": \"%s\", \"rules\": [%s], \"duration_ms\": \
             %.3f, \"findings\": %d }"
-           (escape_json p.pass)
+           (Json.escape p.pass)
            (String.concat ", "
               (List.map
                  (fun r -> Printf.sprintf "\"%s\"" (Rules.to_string r))
@@ -177,12 +160,12 @@ let render_json t =
            "\n    { \"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \
             \"%s\", \"pass\": \"%s\", \"severity\": \"%s\", \"status\": \
             \"%s\", \"message\": \"%s\", \"hint\": \"%s\" }"
-           (escape_json f.file) f.line f.col (Rules.to_string f.rule)
+           (Json.escape f.file) f.line f.col (Rules.to_string f.rule)
            (Engine.pass_of_rule f.rule)
            (Rules.severity_to_string (Rules.severity f.rule))
            (status_to_string status)
-           (escape_json f.message)
-           (escape_json (Rules.hint f.rule))))
+           (Json.escape f.message)
+           (Json.escape (Rules.hint f.rule))))
     t.findings;
   if t.findings <> [] then Buffer.add_string buf "\n  ";
   Buffer.add_string buf "]\n}\n";

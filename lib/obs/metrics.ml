@@ -220,7 +220,7 @@ let pp_prometheus ppf t =
       Format.fprintf ppf "%s_count%s %d@." name (prom_labels k.labels)
         h.h_count)
 
-let json_string s = "\"" ^ escape_label_value s ^ "\""
+let json_string s = "\"" ^ Json.escape s ^ "\""
 
 let json_labels labels =
   "{"

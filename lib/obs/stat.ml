@@ -87,14 +87,6 @@ let render_text ?(opts = default_options) ~context ppf (t : Accounting.t) =
 
 (* --- csv ------------------------------------------------------------- *)
 
-let csv_field s =
-  let needs_quote =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  in
-  if needs_quote then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 let render_csv ?(opts = default_options) ~context:_ ppf (t : Accounting.t) =
   Format.fprintf ppf
     "kind,cell,machine,hyp,pcpu,name,count,lat_count,lat_sum,lat_min,lat_max@.";
@@ -108,10 +100,10 @@ let render_csv ?(opts = default_options) ~context:_ ppf (t : Accounting.t) =
             h.Accounting.min h.Accounting.max
     in
     Format.fprintf ppf "%s,%s,%s,%s,%s,%s,%d,%s@." kind
-      (csv_field v.Accounting.cell)
-      (csv_field v.Accounting.machine)
-      (csv_field v.Accounting.hyp)
-      pcpu (csv_field name) count h_cells
+      (Export.escape_csv v.Accounting.cell)
+      (Export.escape_csv v.Accounting.machine)
+      (Export.escape_csv v.Accounting.hyp)
+      pcpu (Export.escape_csv name) count h_cells
   in
   List.iter
     (fun (v : Accounting.vm_stats) ->
@@ -145,22 +137,6 @@ let render_csv ?(opts = default_options) ~context:_ ppf (t : Accounting.t) =
 
 (* --- json ------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let pp_json_hist ppf (h : Accounting.hist) =
   Format.fprintf ppf
     "{\"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \"buckets\": [%s]}"
@@ -176,22 +152,22 @@ let pp_json_exits ppf rows =
     (fun i (reason, count, hist) ->
       if i > 0 then Format.fprintf ppf ", ";
       Format.fprintf ppf "{\"reason\": \"%s\", \"count\": %d, \"latency\": %a}"
-        (json_escape reason) count pp_json_hist hist)
+        (Json.escape reason) count pp_json_hist hist)
     rows;
   Format.fprintf ppf "]"
 
 let render_json ?(opts = default_options) ~context ppf (t : Accounting.t) =
   Format.fprintf ppf "{@.";
   Format.fprintf ppf "  \"schema\": \"armvirt.stat/v1\",@.";
-  Format.fprintf ppf "  \"context\": \"%s\",@." (json_escape context);
+  Format.fprintf ppf "  \"context\": \"%s\",@." (Json.escape context);
   Format.fprintf ppf "  \"vms\": [";
   List.iteri
     (fun i (v : Accounting.vm_stats) ->
       if i > 0 then Format.fprintf ppf ",";
       Format.fprintf ppf "@.    {\"cell\": \"%s\", \"machine\": \"%s\", \"hyp\": \"%s\",@."
-        (json_escape v.Accounting.cell)
-        (json_escape v.Accounting.machine)
-        (json_escape v.Accounting.hyp);
+        (Json.escape v.Accounting.cell)
+        (Json.escape v.Accounting.machine)
+        (Json.escape v.Accounting.hyp);
       Format.fprintf ppf "     \"entries\": %d,@." v.Accounting.entries;
       (* Emitted only on opt-in and when markers named a domain, so the
          default document stays byte-identical to pre-fleet reports. *)
@@ -219,7 +195,7 @@ let render_json ?(opts = default_options) ~context ppf (t : Accounting.t) =
            (List.map
               (fun (op, n) ->
                 Printf.sprintf "{\"op\": \"%s\", \"count\": %d}"
-                  (json_escape op) n)
+                  (Json.escape op) n)
               v.Accounting.ops));
       Format.fprintf ppf
         "     \"attribution\": {\"guest\": %d, \"hypervisor\": %d}}"
@@ -231,9 +207,9 @@ let render_json ?(opts = default_options) ~context ppf (t : Accounting.t) =
     t.Accounting.total_guest t.Accounting.total_hyp t.Accounting.total_exits;
   Format.fprintf ppf "}@."
 
-(* --- minimal JSON parser --------------------------------------------- *)
+(* --- JSON parsing ----------------------------------------------------- *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -241,140 +217,7 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-exception Parse_error of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    let w = String.length word in
-    if !pos + w <= n && String.sub s !pos w = word then begin
-      pos := !pos + w;
-      value
-    end
-    else fail (Printf.sprintf "expected '%s'" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance (); Buffer.contents buf
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* Our own emitter only escapes control characters; decode
-                 the BMP code point as UTF-8. *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf
-                  (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c -> advance (); Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); Arr [] end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
+let parse_json = Json.parse
 
 (* --- diff ------------------------------------------------------------ *)
 
@@ -389,18 +232,14 @@ type finding = {
   delta_pct : float;
 }
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
 let num_member key j =
-  match member key j with Some (Num f) -> Some f | _ -> None
+  match Json.member key j with Some (Num f) -> Some f | _ -> None
 
 let str_member key j =
-  match member key j with Some (Str s) -> Some s | _ -> None
+  match Json.member key j with Some (Str s) -> Some s | _ -> None
 
 let arr_member key j =
-  match member key j with Some (Arr l) -> Some l | _ -> None
+  match Json.member key j with Some (Arr l) -> Some l | _ -> None
 
 let delta_pct old_v new_v =
   let base = Float.max (Float.abs old_v) 1.0 in
@@ -419,7 +258,7 @@ let vm_key vm =
     (Option.value ~default:"?" (str_member "hyp" vm))
 
 let diff ?(thresholds = default_thresholds) old_doc new_doc =
-  match (parse_json old_doc, parse_json new_doc) with
+  match (Json.parse old_doc, Json.parse new_doc) with
   | Error e, _ -> Error (Printf.sprintf "old document: %s" e)
   | _, Error e -> Error (Printf.sprintf "new document: %s" e)
   | Ok old_j, Ok new_j -> (
@@ -453,7 +292,7 @@ let diff ?(thresholds = default_thresholds) old_doc new_doc =
                     check ~threshold:count_tol_pct ~path:(path "count") (get "count" o)
                       (get "count" n);
                     let lat k j =
-                      match member "latency" j with
+                      match Json.member "latency" j with
                       | Some h -> Option.value ~default:0.0 (num_member k h)
                       | None -> 0.0
                     in
@@ -527,7 +366,7 @@ let diff ?(thresholds = default_thresholds) old_doc new_doc =
                   o n)
               names;
             let attr k j =
-              match member "attribution" j with
+              match Json.member "attribution" j with
               | Some a -> Option.value ~default:0.0 (num_member k a)
               | None -> 0.0
             in
@@ -561,7 +400,7 @@ let diff ?(thresholds = default_thresholds) old_doc new_doc =
                     :: !findings
               | None, None -> ())
             keys;
-          (match (member "totals" old_j, member "totals" new_j) with
+          (match (Json.member "totals" old_j, Json.member "totals" new_j) with
           | Some ot, Some nt ->
               List.iter
                 (fun (field, threshold) ->

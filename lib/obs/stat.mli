@@ -39,7 +39,7 @@ val render_json :
 
 (** {1 JSON parsing and diffing} *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -48,8 +48,7 @@ type json =
   | Obj of (string * json) list
 
 val parse_json : string -> (json, string) result
-(** A minimal strict JSON parser (sufficient for the documents this
-    module emits; no dependency on an external JSON library). *)
+(** {!Json.parse}, kept under this name for existing callers. *)
 
 type thresholds = {
   count_pct : float;

@@ -407,6 +407,29 @@ let test_baseline_round_trip () =
   | Ok _ -> Alcotest.fail "empty baseline grew entries"
   | Error e -> Alcotest.fail ("empty baseline unparseable: " ^ e)
 
+(* Every error the baseline reader reported before it became a walk over
+   the shared JSON tree is still reported, with the same message. *)
+let test_baseline_parse_errors () =
+  let entry_doc fields =
+    Printf.sprintf {|{ "version": 1, "entries": [ { %s } ] }|} fields
+  in
+  List.iter
+    (fun (doc, expected) ->
+      match Baseline.parse doc with
+      | Ok _ -> Alcotest.failf "accepted %s" doc
+      | Error msg -> Alcotest.(check string) doc expected msg)
+    [
+      ({|{ "version": 9, "entries": [] }|}, "unsupported baseline version 9");
+      ( entry_doc {|"file": "a", "rule": "R6", "count": 1, "line": 3|},
+        "unknown entry key line" );
+      ( entry_doc {|"file": "a", "rule": "ZZ", "count": 1|},
+        "unknown rule ZZ" );
+      ( entry_doc {|"file": "a", "rule": "R6", "count": -1|},
+        "negative count" );
+      ( entry_doc {|"file": "a", "rule": "R6"|},
+        "entry missing file/rule/count" );
+    ]
+
 (* --- report formats --------------------------------------------------- *)
 
 let fixture_report () =
@@ -472,6 +495,22 @@ let test_csv_and_text () =
     "text mentions both rules and the pass table" true
     (has text "[R1]" && has text "[R2]" && has text "2 findings"
     && has text "pass determinism")
+
+(* RFC 4180: a CR inside a field must be quoted like an LF, or the row
+   splits on readers that treat "\r\n" as the record separator. *)
+let test_csv_crlf_field () =
+  let f line message = { (finding Rules.R6 "lib/a.ml" line) with message } in
+  let csv =
+    Report.render Report.Csv
+      (Report.of_findings ~root:"." ~files_scanned:1 ~suppressed:0
+         [ f 3 "first\r\nsecond"; f 4 "bare\rCR" ])
+  in
+  Alcotest.(check string)
+    "one quoted field each"
+    "file,line,col,rule,severity,status,message\n\
+     lib/a.ml,3,0,R6,warning,fresh,\"first\r\nsecond\"\n\
+     lib/a.ml,4,0,R6,warning,fresh,\"bare\rCR\"\n"
+    csv
 
 let test_grandfathered_render () =
   let f = finding Rules.R6 "lib/a.ml" 3 in
@@ -614,11 +653,13 @@ let () =
           Alcotest.test_case "ratchet semantics" `Quick test_baseline_ratchet;
           Alcotest.test_case "render/parse round trip" `Quick
             test_baseline_round_trip;
+          Alcotest.test_case "parse errors" `Quick test_baseline_parse_errors;
         ] );
       ( "report",
         [
           Alcotest.test_case "json v2 golden" `Quick test_json_golden;
           Alcotest.test_case "csv and text" `Quick test_csv_and_text;
+          Alcotest.test_case "csv CRLF field" `Quick test_csv_crlf_field;
           Alcotest.test_case "grandfathered and stale" `Quick
             test_grandfathered_render;
           Alcotest.test_case "render deterministic" `Quick

@@ -1,14 +1,13 @@
-(* Rendering smoke tests: every report formatter runs against real
-   experiment output without raising (format-string bugs surface here)
-   and mentions the strings a reader would look for. *)
+(* Rendering smoke tests: every registry entry runs its experiment and
+   printer without raising (format-string bugs surface here) and mentions
+   the strings a reader would look for. *)
 
-module Experiment = Armvirt_core.Experiment
 module Report = Armvirt_core.Report
 
-let render pp v =
+let render run =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
-  pp ppf v;
+  run ppf;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
@@ -26,92 +25,56 @@ let check_render name out needles =
         true (contains out needle))
     needles
 
-let test_table3 () =
-  check_render "table3"
-    (render Report.pp_table3 (Experiment.table3 ()))
-    [ "VGIC Regs"; "3250"; "Register State" ]
+(* The strings a reader would look for in each artifact, keyed by
+   registry id. Every registry entry must have a row. *)
+let needles =
+  [
+    ("table2", [ "Table II"; "Hypercall"; "6500/6500"; "x86 Xen" ]);
+    ("table3", [ "VGIC Regs"; "3250"; "Register State" ]);
+    ("table5", [ "Trans/s"; "VM recv to VM send"; "Xen" ]);
+    ("fig4", [ "Figure 4"; "Kernbench"; "Apache"; "Dom0 kernel panic" ]);
+    ("vhe", [ "KVM split-mode"; "Hypercall"; "speedup"; "improvement" ]);
+    ("irqdist", [ "distributed"; "Apache"; "paper" ]);
+    ("pinning", [ "separate PCPUs"; "sharing" ]);
+    ("zerocopy", [ "grant copy"; "TLBI"; "Gb/s"; "break-even" ]);
+    ("oversub", [ "switches"; "overhead"; "KVM ARM" ]);
+    ("disk", [ "SATA3 SSD"; "RAID5"; "4K read" ]);
+    ("tail", [ "p99"; "utilization"; "Native" ]);
+    ("coldstart", [ "faults"; "cycles/fault"; "KVM ARM (VHE)" ]);
+    ("lrs", [ "maintenance"; "LRs" ]);
+    ("gicv3", [ "GICv3"; "Hypercall"; "vIRQ-EOI" ]);
+    ("ticks", [ "cycles/tick"; "HZ" ]);
+    ("linkspeed", [ "GbE"; "Gb/s" ]);
+    ("isolation", [ "stddev"; "isolated" ]);
+    ("structural", [ "agreement"; "TCP_RR"; "Hackbench" ]);
+    ("lazyswitch", [ "lazy FP + VGIC"; "VM-Switch"; "vIRQ-EOI" ]);
+    ("guestops", [ "null syscall"; "stage-2"; "left the VM" ]);
+    ("crosscall", [ "TLB flush"; "sender cycles"; "no IPIs" ]);
+    ("vapic", [ "KVM x86 + vAPIC"; "vIRQ-EOI"; "with vAPIC" ]);
+    ("twodwalk", [ "2D walk"; "accesses"; "walk cycles" ]);
+    ("multiqueue", [ "queues:"; "KVM ARM"; "Xen ARM" ]);
+    ("tracereplay", [ "requests"; "p99 surcharge"; "static" ]);
+    ("consolidation", [ "per VM"; "aggregate"; "bottleneck" ]);
+    ("migrate", [ "Plan:"; "downtime us"; "KVM ARM (VHE)" ]);
+    (* Xen's STREAM bar should be visibly longer than KVM's. *)
+    ("fig4chart", [ "Kernbench"; "TCP_STREAM"; "|#"; "====================" ]);
+  ]
 
-let test_table5 () =
-  check_render "table5"
-    (render Report.pp_table5 (Experiment.table5 ~transactions:30 ()))
-    [ "Trans/s"; "VM recv to VM send"; "Xen" ]
+let render_test (e : Report.entry) =
+  Alcotest.test_case e.id `Quick (fun () ->
+      match List.assoc_opt e.id needles with
+      | None -> Alcotest.failf "registry id %S has no needle row" e.id
+      | Some needles ->
+          check_render e.id (render e.run) needles)
 
-let test_vhe () =
-  check_render "vhe"
-    (render Report.pp_vhe (Experiment.vhe ~iterations:2 ()))
-    [ "KVM split-mode"; "Hypercall"; "speedup" ]
-
-let test_irqdist () =
-  check_render "irqdist"
-    (render Report.pp_irqdist (Experiment.irqdist ()))
-    [ "distributed"; "Apache"; "paper" ]
-
-let test_pinning () =
-  check_render "pinning"
-    (render Report.pp_pinning (Experiment.pinning ~iterations:2 ()))
-    [ "separate PCPUs"; "sharing" ]
-
-let test_zerocopy () =
-  check_render "zerocopy"
-    (render Report.pp_zerocopy (Experiment.zerocopy ()))
-    [ "grant copy"; "TLBI"; "Gb/s" ]
-
-let test_oversub () =
-  check_render "oversub"
-    (render Report.pp_oversub (Experiment.oversub ()))
-    [ "switches"; "overhead"; "KVM ARM" ]
-
-let test_disk () =
-  check_render "disk"
-    (render Report.pp_disk (Experiment.disk ()))
-    [ "SATA3 SSD"; "RAID5"; "4K read" ]
-
-let test_tail () =
-  check_render "tail"
-    (render Report.pp_tail (Experiment.tail ()))
-    [ "p99"; "utilization"; "Native" ]
-
-let test_coldstart () =
-  check_render "coldstart"
-    (render Report.pp_coldstart (Experiment.coldstart ()))
-    [ "faults"; "cycles/fault"; "KVM ARM (VHE)" ]
-
-let test_lrs () =
-  check_render "lrs"
-    (render Report.pp_lrs (Experiment.lrs ()))
-    [ "maintenance"; "LRs" ]
-
-let test_gicv3 () =
-  check_render "gicv3"
-    (render Report.pp_gicv3 (Experiment.gicv3 ()))
-    [ "GICv3"; "Hypercall"; "vIRQ-EOI" ]
-
-let test_ticks () =
-  check_render "ticks"
-    (render Report.pp_ticks (Experiment.ticks ()))
-    [ "cycles/tick"; "HZ" ]
-
-let test_linkspeed () =
-  check_render "linkspeed"
-    (render Report.pp_linkspeed (Experiment.linkspeed ()))
-    [ "GbE"; "Gb/s" ]
-
-let test_isolation () =
-  check_render "isolation"
-    (render Report.pp_isolation (Experiment.isolation ()))
-    [ "stddev"; "isolated" ]
-
-let test_structural () =
-  check_render "structural"
-    (render Report.pp_structural (Experiment.structural ()))
-    [ "agreement"; "TCP_RR"; "Hackbench" ]
-
-let test_fig4_chart () =
-  let out = render Report.pp_fig4_chart (Experiment.fig4 ()) in
-  check_render "fig4chart" out [ "Kernbench"; "TCP_STREAM"; "|#" ];
-  (* Xen's STREAM bar should be visibly longer than KVM's. *)
-  Alcotest.(check bool) "bars scale with values" true
-    (contains out "====================")
+let test_needles_known () =
+  List.iter
+    (fun (id, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is a registry id" id)
+        true
+        (Report.find id <> None))
+    needles
 
 (* --- Markdown -------------------------------------------------------------- *)
 
@@ -153,26 +116,9 @@ let test_markdown_full_report () =
 let () =
   Alcotest.run "report"
     [
-      ( "render",
-        [
-          Alcotest.test_case "table3" `Quick test_table3;
-          Alcotest.test_case "table5" `Quick test_table5;
-          Alcotest.test_case "vhe" `Quick test_vhe;
-          Alcotest.test_case "irqdist" `Quick test_irqdist;
-          Alcotest.test_case "pinning" `Quick test_pinning;
-          Alcotest.test_case "zerocopy" `Quick test_zerocopy;
-          Alcotest.test_case "oversub" `Quick test_oversub;
-          Alcotest.test_case "disk" `Quick test_disk;
-          Alcotest.test_case "tail" `Quick test_tail;
-          Alcotest.test_case "coldstart" `Quick test_coldstart;
-          Alcotest.test_case "lrs" `Quick test_lrs;
-          Alcotest.test_case "gicv3" `Quick test_gicv3;
-          Alcotest.test_case "ticks" `Quick test_ticks;
-          Alcotest.test_case "linkspeed" `Quick test_linkspeed;
-          Alcotest.test_case "isolation" `Quick test_isolation;
-          Alcotest.test_case "structural" `Quick test_structural;
-          Alcotest.test_case "fig4 chart" `Quick test_fig4_chart;
-        ] );
+      ("render", List.map render_test Report.registry);
+      ( "registry",
+        [ Alcotest.test_case "needles name registry ids" `Quick test_needles_known ] );
       ( "markdown",
         [
           Alcotest.test_case "tables" `Quick test_markdown_tables;
