@@ -22,21 +22,21 @@ let lookup t ipa =
   | None -> raise (Stage2_fault (Unmapped ipa))
   | Some entry -> entry
 
-let translate t ipa =
-  let entry = lookup t ipa in
+let pa_of entry ipa =
   Addr.pa_add (Addr.pa_of_page entry.pa_page) (Addr.ipa_offset ipa)
+
+let translate t ipa = pa_of (lookup t ipa) ipa
 
 let translate_write t ipa =
   let entry = lookup t ipa in
   match entry.perm with
   | Read_only -> raise (Stage2_fault (Permission ipa))
-  | Read_write ->
-      Addr.pa_add (Addr.pa_of_page entry.pa_page) (Addr.ipa_offset ipa)
+  | Read_write -> pa_of entry ipa
 
 let translate_opt t ipa =
-  match translate t ipa with
-  | pa -> Some pa
-  | exception Stage2_fault _ -> None
+  match Hashtbl.find_opt t.table (Addr.ipa_page ipa) with
+  | None -> None
+  | Some entry -> Some (pa_of entry ipa)
 
 let mapped t ~ipa_page = Hashtbl.mem t.table ipa_page
 

@@ -32,6 +32,9 @@ val translate_write : t -> Addr.ipa -> Addr.pa
     for read-only pages. *)
 
 val translate_opt : t -> Addr.ipa -> Addr.pa option
+(** [Some (translate t ipa)] when the page is mapped, [None] when it is
+    not; never raises. *)
+
 val mapped : t -> ipa_page:int -> bool
 val permission : t -> ipa_page:int -> perm option
 val mapping_count : t -> int

@@ -1,16 +1,22 @@
 module Cycles = Armvirt_engine.Cycles
 
-type set = (string, int) Hashtbl.t
+(* One mutable cell per name, so updating a touched counter is a single
+   probe with no allocation. *)
+type set = (string, int ref) Hashtbl.t
 
 let create_set () : set = Hashtbl.create 32
 
 let add set name n =
-  let current = Option.value ~default:0 (Hashtbl.find_opt set name) in
-  Hashtbl.replace set name (current + n)
+  match Hashtbl.find set name with
+  | cell -> cell := !cell + n
+  | exception Not_found -> Hashtbl.add set name (ref n)
 
 let incr set name = add set name 1
 let add_cycles set name c = add set name (Cycles.to_int c)
-let get set name = Option.value ~default:0 (Hashtbl.find_opt set name)
+
+let get set name =
+  match Hashtbl.find_opt set name with Some cell -> !cell | None -> 0
+
 let get_cycles set name = Cycles.of_int (get set name)
 
 let names set =

@@ -125,6 +125,27 @@ let test_machine_spend_accounts () =
   Alcotest.(check int) "simulated time advanced" 120
     (Cycles.to_int (Sim.now (Machine.sim m)))
 
+(* Cycle conservation in the accounting layer: every spend lands on its
+   own label and on "cycles", and advances simulated time by as much. *)
+let prop_spend_conserves_cycles =
+  let labels = [| "step.a"; "step.b"; "step.c"; "step.d" |] in
+  QCheck.Test.make ~name:"spend conserves cycles per label and in total"
+    QCheck.(list (pair (int_bound 3) (int_bound 5000)))
+    (fun spends ->
+      let m = arm_machine () in
+      in_process m (fun () ->
+          List.iter (fun (i, n) -> Machine.spend m labels.(i) n) spends);
+      let get = Counter.get (Machine.counters m) in
+      let sum label =
+        List.fold_left
+          (fun acc (i, n) -> if labels.(i) = label then acc + n else acc)
+          0 spends
+      in
+      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 spends in
+      Array.for_all (fun label -> get label = sum label) labels
+      && get "cycles" = total
+      && Cycles.to_int (Sim.now (Machine.sim m)) = total)
+
 let test_machine_validation () =
   let sim = Sim.create () in
   Alcotest.check_raises "no cpus"
@@ -271,7 +292,8 @@ let () =
           Alcotest.test_case "spend accounts" `Quick test_machine_spend_accounts;
           Alcotest.test_case "validation" `Quick test_machine_validation;
           Alcotest.test_case "elapsed us" `Quick test_machine_elapsed_us;
-        ] );
+        ]
+        @ qcheck [ prop_spend_conserves_cycles ] );
       ( "arm_ops",
         [
           Alcotest.test_case "primitive costs" `Quick test_arm_ops_costs;

@@ -241,6 +241,19 @@ let test_coldstart_structure () =
   Alcotest.(check bool) "VHE brings KVM near Xen" true
     (vhe.W.Coldstart.per_fault_cycles < xen.W.Coldstart.per_fault_cycles)
 
+(* Exact LRU at the experiment's TLB size (512 entries): a sweep that fits
+   hits on every warm access, and a sequential sweep even one page larger
+   never hits, LRU's known worst case. Random or approximate replacement
+   would keep some pages and read above 0.0. *)
+let test_coldstart_exact_lru () =
+  let warm_hit_rate pages =
+    (W.Coldstart.run (Platform.hypervisor Arm_m400 Kvm) ~pages)
+      .W.Coldstart.tlb_hit_rate_warm
+  in
+  Alcotest.(check (float 0.0)) "fits the TLB" 1.0 (warm_hit_rate 512);
+  Alcotest.(check (float 0.0)) "one page over" 0.0 (warm_hit_rate 513);
+  Alcotest.(check (float 0.0)) "regen's size" 0.0 (warm_hit_rate 8192)
+
 let test_lr_sensitivity_monotone () =
   let hyp = Platform.hypervisor Arm_m400 Kvm in
   let results = W.Lr_sensitivity.sweep hyp ~lrs:[ 1; 2; 4; 8; 16 ] ~burst_size:12 ~bursts:50 in
@@ -474,6 +487,8 @@ let () =
           Alcotest.test_case "tail latency" `Quick test_tail_latency_ordering;
           Alcotest.test_case "tail validation" `Quick test_tail_latency_validation;
           Alcotest.test_case "coldstart" `Quick test_coldstart_structure;
+          Alcotest.test_case "coldstart exact LRU" `Quick
+            test_coldstart_exact_lru;
           Alcotest.test_case "LR sensitivity" `Quick test_lr_sensitivity_monotone;
           Alcotest.test_case "timer tick scaling" `Quick test_timer_tick_scaling;
           Alcotest.test_case "link speed hides overhead" `Quick

@@ -87,6 +87,37 @@ let test_stage2_iter_sorted () =
   Stage2.iter s2 (fun ~ipa_page ~pa_page:_ _ -> seen := ipa_page :: !seen);
   Alcotest.(check (list int)) "ascending" [ 1; 3; 5 ] (List.rev !seen)
 
+(* translate_opt answers exactly when translate would, and never raises,
+   whatever map/unmap history the table has seen. *)
+let prop_stage2_translate_opt =
+  let op = QCheck.(pair bool (pair (int_bound 15) (int_bound 10000))) in
+  QCheck.Test.make ~name:"stage2 translate_opt = translate or None"
+    QCheck.(pair (list op) (list (pair (int_bound 15) (int_bound 4095))))
+    (fun (ops, probes) ->
+      let s2 = Stage2.create () in
+      let mapped = Hashtbl.create 16 in
+      List.iter
+        (fun (is_map, (ipa_page, pa_page)) ->
+          if is_map then begin
+            Stage2.map s2 ~ipa_page ~pa_page Stage2.Read_write;
+            Hashtbl.replace mapped ipa_page ()
+          end
+          else begin
+            Stage2.unmap s2 ~ipa_page;
+            Hashtbl.remove mapped ipa_page
+          end)
+        ops;
+      List.for_all
+        (fun (page, offset) ->
+          let ipa = Addr.ipa ((page * Addr.page_size) + offset) in
+          match Stage2.translate_opt s2 ipa with
+          | Some pa ->
+              Hashtbl.mem mapped page
+              && Addr.equal_pa pa (Stage2.translate s2 ipa)
+          | None -> not (Hashtbl.mem mapped page)
+          | exception _ -> false)
+        probes)
+
 (* --- Tlb ------------------------------------------------------------ *)
 
 let test_tlb_hit_miss () =
@@ -115,6 +146,105 @@ let test_tlb_invalidation () =
   Alcotest.(check int) "one left" 1 (Tlb.entries tlb);
   Tlb.invalidate_all tlb;
   Alcotest.(check int) "flushed" 0 (Tlb.entries tlb)
+
+let test_tlb_reinsert_resident () =
+  let tlb = Tlb.create ~capacity:2 in
+  Tlb.insert tlb ~ipa_page:1 ~pa_page:10;
+  Tlb.insert tlb ~ipa_page:2 ~pa_page:20;
+  Tlb.insert tlb ~ipa_page:1 ~pa_page:11 (* full, but 1 is resident *);
+  Alcotest.(check int) "nothing evicted" 2 (Tlb.entries tlb);
+  Tlb.insert tlb ~ipa_page:3 ~pa_page:30 (* 1 is most recent: evicts 2 *);
+  Alcotest.(check (option int))
+    "1 replaced" (Some 11) (Tlb.lookup tlb ~ipa_page:1);
+  Alcotest.(check (option int)) "2 evicted" None (Tlb.lookup tlb ~ipa_page:2)
+
+(* Reference LRU over a plain list, most recent first. *)
+module Lru_model = struct
+  type t = {
+    capacity : int;
+    mutable entries : (int * int) list;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create capacity = { capacity; entries = []; hits = 0; misses = 0 }
+  let invalidate_page m page = m.entries <- List.remove_assoc page m.entries
+
+  let insert m page pa =
+    invalidate_page m page;
+    if List.length m.entries >= m.capacity then
+      m.entries <- List.filteri (fun i _ -> i < m.capacity - 1) m.entries;
+    m.entries <- (page, pa) :: m.entries
+
+  let lookup m page =
+    match List.assoc_opt page m.entries with
+    | Some pa ->
+        m.hits <- m.hits + 1;
+        insert m page pa;
+        Some pa
+    | None ->
+        m.misses <- m.misses + 1;
+        None
+end
+
+type tlb_op =
+  | Lookup of int
+  | Insert of int * int
+  | Invalidate_page of int
+  | Invalidate_all
+
+let tlb_op_to_string = function
+  | Lookup p -> Printf.sprintf "lookup %d" p
+  | Insert (p, pa) -> Printf.sprintf "insert %d->%d" p pa
+  | Invalidate_page p -> Printf.sprintf "invalidate %d" p
+  | Invalidate_all -> "invalidate_all"
+
+let tlb_ops_arb =
+  let open QCheck.Gen in
+  let key = int_bound 15 in
+  let op =
+    frequency
+      [
+        (4, map (fun p -> Lookup p) key);
+        (4, map2 (fun p pa -> Insert (p, pa)) key (int_bound 1000));
+        (1, map (fun p -> Invalidate_page p) key);
+        (1, return Invalidate_all);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list tlb_op_to_string))
+    (pair (int_range 1 8) (list_size (int_bound 200) op))
+
+let prop_tlb_matches_lru_model =
+  QCheck.Test.make ~name:"tlb matches a reference LRU" tlb_ops_arb
+    (fun (capacity, ops) ->
+      let tlb = Tlb.create ~capacity in
+      let model = Lru_model.create capacity in
+      List.for_all
+        (fun op ->
+          let same_lookup =
+            match op with
+            | Lookup p ->
+                Option.equal Int.equal (Tlb.lookup tlb ~ipa_page:p)
+                  (Lru_model.lookup model p)
+            | Insert (p, pa) ->
+                Tlb.insert tlb ~ipa_page:p ~pa_page:pa;
+                Lru_model.insert model p pa;
+                true
+            | Invalidate_page p ->
+                Tlb.invalidate_page tlb ~ipa_page:p;
+                Lru_model.invalidate_page model p;
+                true
+            | Invalidate_all ->
+                Tlb.invalidate_all tlb;
+                model.entries <- [];
+                true
+          in
+          same_lookup
+          && Tlb.hits tlb = model.hits
+          && Tlb.misses tlb = model.misses
+          && Tlb.entries tlb = List.length model.entries)
+        ops)
 
 let prop_tlb_never_exceeds_capacity =
   QCheck.Test.make ~name:"tlb entries <= capacity"
@@ -304,14 +434,17 @@ let () =
           Alcotest.test_case "remap and unmap" `Quick test_stage2_remap_and_unmap;
           Alcotest.test_case "iter sorted" `Quick test_stage2_iter_sorted;
         ]
-        @ qcheck [ prop_stage2_roundtrip ] );
+        @ qcheck [ prop_stage2_roundtrip; prop_stage2_translate_opt ] );
       ( "tlb",
         [
           Alcotest.test_case "hit and miss" `Quick test_tlb_hit_miss;
           Alcotest.test_case "LRU eviction" `Quick test_tlb_lru_eviction;
           Alcotest.test_case "invalidation" `Quick test_tlb_invalidation;
+          Alcotest.test_case "re-insert resident at capacity" `Quick
+            test_tlb_reinsert_resident;
         ]
-        @ qcheck [ prop_tlb_never_exceeds_capacity ] );
+        @ qcheck
+            [ prop_tlb_never_exceeds_capacity; prop_tlb_matches_lru_model ] );
       ( "stage1",
         [
           Alcotest.test_case "roundtrip" `Quick test_stage1_roundtrip;

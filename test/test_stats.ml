@@ -155,6 +155,32 @@ let test_counter_accumulation () =
   Counter.reset set;
   Alcotest.(check int) "reset" 0 (Counter.get set "traps")
 
+(* get is the sum of adds per name, names the sorted distinct names, and
+   reset zeroes every counter. *)
+let prop_counter_sums =
+  let labels = [| "traps"; "ipis"; "vm_switch"; "copies" |] in
+  QCheck.Test.make ~name:"counter get = sum of adds; reset zeroes"
+    QCheck.(list (pair (int_bound 3) (int_range (-1000) 1000)))
+    (fun updates ->
+      let set = Counter.create_set () in
+      List.iter (fun (i, n) -> Counter.add set labels.(i) n) updates;
+      let sum label =
+        List.fold_left
+          (fun acc (i, n) -> if labels.(i) = label then acc + n else acc)
+          0 updates
+      in
+      let touched =
+        List.sort_uniq String.compare
+          (List.map (fun (i, _) -> labels.(i)) updates)
+      in
+      let sums_hold =
+        Array.for_all (fun label -> Counter.get set label = sum label) labels
+      in
+      let names_hold = Counter.names set = touched in
+      Counter.reset set;
+      sums_hold && names_hold
+      && Array.for_all (fun label -> Counter.get set label = 0) labels)
+
 (* --- Cycle_counter -------------------------------------------------- *)
 
 let test_cycle_counter_measure () =
@@ -276,7 +302,9 @@ let () =
           Alcotest.test_case "errors" `Quick test_histogram_errors;
         ]
         @ qcheck [ prop_histogram_total ] );
-      ("counter", [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ]);
+      ( "counter",
+        [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ]
+        @ qcheck [ prop_counter_sums ] );
       ( "cycle_counter",
         [
           Alcotest.test_case "measure subtracts overhead" `Quick
