@@ -36,6 +36,15 @@ open Cmdliner
 
 let ppf = Format.std_formatter
 
+(* A rejected argument: one line on stderr, so none lands in the data on
+   stdout, and exit code 2. *)
+let reject fmt =
+  Format.kasprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 (* --- shared converters ------------------------------------------------ *)
 
 let platform_conv =
@@ -635,9 +644,7 @@ let stat_cmd =
           let thresholds = { Stat.count_pct; cycles_pct } in
           match Stat.diff ~thresholds (read_file old_file) (read_file new_file)
           with
-          | Error msg ->
-              Format.fprintf ppf "stat diff: %s@." msg;
-              exit 2
+          | Error msg -> reject "stat diff: %s" msg
           | Ok [] ->
               Format.fprintf ppf
                 "stat diff: no findings (count tol %.2f%%, cycles tol \
@@ -646,9 +653,7 @@ let stat_cmd =
           | Ok findings ->
               Stat.pp_findings ppf findings;
               exit 1)
-      | _ ->
-          Format.fprintf ppf "stat --diff needs exactly two JSON reports@.";
-          exit 2)
+      | _ -> reject "stat --diff needs exactly two JSON reports")
     else if crosscheck then begin
       let checks = Stat_report.crosscheck ~iterations () in
       Stat_report.pp_checks ppf checks;
@@ -667,14 +672,11 @@ let stat_cmd =
                   | `Text -> Stat.render_text ~opts ~context:target fmt acct
                   | `Csv -> Stat.render_csv ~opts ~context:target fmt acct
                   | `Json -> Stat.render_json ~opts ~context:target fmt acct))
-      | [ target ] ->
-          prerr_endline (unknown_target target);
-          exit 2
+      | [ target ] -> reject "%s" (unknown_target target)
       | _ ->
-          Format.fprintf ppf
+          reject
             "stat needs one target (or --diff OLD NEW / --crosscheck); try \
-             `armvirt list`@.";
-          exit 2
+             `armvirt list`"
   in
   Cmd.v
     (Cmd.info "stat"
@@ -852,10 +854,7 @@ let explore_cmd =
         Explore.Objective.all
     else
       match space with
-      | None ->
-          Format.fprintf ppf
-            "missing --space (try --knobs for axis names)@.";
-          exit 2
+      | None -> reject "missing --space (try --knobs for axis names)"
       | Some space ->
           let objectives =
             match objectives with
@@ -1010,9 +1009,7 @@ let migrate_cmd =
     in
     (match Plan.validate plan with
     | () -> ()
-    | exception Invalid_argument msg ->
-        Format.fprintf ppf "invalid plan: %s@." msg;
-        exit 2);
+    | exception Invalid_argument msg -> reject "invalid plan: %s" msg);
     with_session ~context:"migrate" session @@ fun () ->
     let results =
       if compare then Experiment.migrate ~plan ()
@@ -1087,15 +1084,11 @@ let fleet_cmd =
     let mix =
       match W.Fleet_profiles.parse_mix mix_spec with
       | Ok mix -> mix
-      | Error e ->
-          Format.fprintf ppf "invalid --profile-mix: %s@." e;
-          exit 2
+      | Error e -> reject "invalid --profile-mix: %s" e
     in
     (match Fleet.Descriptor.v ~vms mix with
     | (_ : Fleet.Descriptor.t) -> ()
-    | exception Invalid_argument msg ->
-        Format.fprintf ppf "invalid fleet: %s@." msg;
-        exit 2);
+    | exception Invalid_argument msg -> reject "invalid fleet: %s" msg);
     with_session ~context:"fleet" session @@ fun () ->
     let header, rows =
       match scenario with
@@ -1252,12 +1245,9 @@ let cluster_cmd =
   let format_arg = table_format_arg ~doc:"$(b,md) (default) or $(b,csv)." in
   let run scenario spec vms loads format out session =
     (match loads with
-    | [] ->
-        Format.fprintf ppf "--offered-load needs at least one point@.";
-        exit 2
+    | [] -> reject "--offered-load needs at least one point"
     | l when List.exists (fun x -> x <= 0.0) l ->
-        Format.fprintf ppf "--offered-load points must be positive@.";
-        exit 2
+        reject "--offered-load points must be positive"
     | _ -> ());
     with_session ~context:"cluster" session @@ fun () ->
     let header, rows =

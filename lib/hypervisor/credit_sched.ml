@@ -3,6 +3,7 @@ type vcpu = { dom : int; index : int }
 let default_weight = 256
 
 type vstate = {
+  vcpu : vcpu;
   affinity : int;
   weight : int; (* proportional share, 256 = 1.0x *)
   cap : int; (* percent ceiling per refill interval; 0 = uncapped *)
@@ -12,12 +13,19 @@ type vstate = {
   mutable enqueued_at : int; (* FIFO tie-break among equal credits *)
 }
 
+(* One PCPU's runqueue: exactly its runnable VCPUs, in ascending
+   (dom, index) order. Slots from [len] on are unused. *)
+type runq = { mutable items : vstate array; mutable len : int }
+
 type t = {
   num_pcpus : int;
   timeslice : int;
   initial_credit : int;
   vcpus : (vcpu, vstate) Hashtbl.t;
-  running : vcpu option array;
+  runqs : runq array;
+  running : vstate option array; (* registered VCPUs only: [==] is identity *)
+  mutable runnable_count : int;
+  mutable in_credit_count : int; (* runnable VCPUs with credit > 0 *)
   mutable stamp : int;
   mutable switch_count : int;
   mutable refill_count : int;
@@ -32,7 +40,10 @@ let create ~num_pcpus ~timeslice_cycles =
     timeslice = timeslice_cycles;
     initial_credit = 10 * timeslice_cycles;
     vcpus = Hashtbl.create 16;
+    runqs = Array.init num_pcpus (fun _ -> { items = [||]; len = 0 });
     running = Array.make num_pcpus None;
+    runnable_count = 0;
+    in_credit_count = 0;
     stamp = 0;
     switch_count = 0;
     refill_count = 0;
@@ -56,6 +67,7 @@ let add_vcpu ?(weight = default_weight) ?(cap = 0) t vcpu ~affinity =
   in
   Hashtbl.replace t.vcpus vcpu
     {
+      vcpu;
       affinity;
       weight;
       cap;
@@ -70,10 +82,48 @@ let state t vcpu =
   | Some s -> s
   | None -> invalid_arg "Credit_sched: unknown VCPU"
 
-let remove_vcpu t vcpu =
-  let s = state t vcpu in
-  Hashtbl.remove t.vcpus vcpu;
-  if t.running.(s.affinity) = Some vcpu then t.running.(s.affinity) <- None
+let check_pcpu t ~fn pcpu =
+  if pcpu < 0 || pcpu >= t.num_pcpus then
+    invalid_arg ("Credit_sched." ^ fn ^ ": pcpu out of range")
+
+let order (a : vcpu) (b : vcpu) =
+  match Int.compare a.dom b.dom with
+  | 0 -> Int.compare a.index b.index
+  | c -> c
+
+(* The first slot whose VCPU does not sort below [v]. *)
+let position q v =
+  let lo = ref 0 and hi = ref q.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if order q.items.(mid).vcpu v < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Sorted insertion: a domid that churn recycles lands in its place,
+   not at the tail. A boot storm admits in domid order, so it appends. *)
+let enqueue q s =
+  let i = position q s.vcpu in
+  if q.len = Array.length q.items then begin
+    let grown = Array.make (Stdlib.max 8 (2 * q.len)) s in
+    Array.blit q.items 0 grown 0 q.len;
+    q.items <- grown
+  end;
+  Array.blit q.items i q.items (i + 1) (q.len - i);
+  q.items.(i) <- s;
+  q.len <- q.len + 1
+
+let dequeue q s =
+  let i = position q s.vcpu in
+  Array.blit q.items (i + 1) q.items i (q.len - i - 1);
+  q.len <- q.len - 1
+
+(* Credit changes only here and runnability only in [set_runnable], so
+   the runqueues and both counts stay exact. *)
+let set_credit t s credit =
+  if s.runnable && (s.credit > 0) <> (credit > 0) then
+    t.in_credit_count <- (t.in_credit_count + if credit > 0 then 1 else -1);
+  s.credit <- credit
 
 (* A capped VCPU that has burned through its credit is throttled until
    the next refill (Xen's CSCHED_PRI_IDLE under a cap): it stays
@@ -95,26 +145,29 @@ let ceiling t s =
 
 let set_runnable t vcpu runnable =
   let s = state t vcpu in
-  if runnable && not s.runnable then begin
-    (* Wake-up boost: jumps the queue once, like Xen's BOOST. *)
-    s.boosted <- true;
-    s.enqueued_at <- next_stamp t
-  end;
-  s.runnable <- runnable
+  if runnable <> s.runnable then begin
+    let q = t.runqs.(s.affinity) and delta = if runnable then 1 else -1 in
+    if runnable then begin
+      (* Wake-up boost: jumps the queue once, like Xen's BOOST. *)
+      s.boosted <- true;
+      s.enqueued_at <- next_stamp t;
+      enqueue q s
+    end
+    else dequeue q s;
+    t.runnable_count <- t.runnable_count + delta;
+    if s.credit > 0 then t.in_credit_count <- t.in_credit_count + delta;
+    s.runnable <- runnable
+  end
 
-let candidates t ~pcpu =
-  Hashtbl.fold
-    (fun vcpu s acc ->
-      if s.runnable && s.affinity = pcpu && not (throttled s) then
-        (vcpu, s) :: acc
-      else acc)
-    t.vcpus []
-  |> List.sort (fun ((a : vcpu), _) ((b : vcpu), _) ->
-         match Int.compare a.dom b.dom with
-         | 0 -> Int.compare a.index b.index
-         | c -> c)
+let remove_vcpu t vcpu =
+  set_runnable t vcpu false;
+  let s = state t vcpu in
+  Hashtbl.remove t.vcpus vcpu;
+  match t.running.(s.affinity) with
+  | Some r when r == s -> t.running.(s.affinity) <- None
+  | _ -> ()
 
-let better (_, a) (_, b) =
+let[@inline] better a b =
   (* Boosted first; then most credit; FIFO among equals. *)
   match (a.boosted, b.boosted) with
   | true, false -> true
@@ -131,43 +184,43 @@ let better (_, a) (_, b) =
       || (a.credit = b.credit && a.enqueued_at < b.enqueued_at)
 
 let pick t ~pcpu =
-  if pcpu < 0 || pcpu >= t.num_pcpus then
-    invalid_arg "Credit_sched.pick: pcpu out of range";
-  let chosen =
-    List.fold_left
-      (fun best c ->
-        match best with
-        | None -> Some c
-        | Some b -> if better c b then Some c else best)
-      None (candidates t ~pcpu)
+  check_pcpu t ~fn:"pick" pcpu;
+  (* Across a cap boundary [better] is not transitive, so the winner
+     depends on the scan order: always (dom, index), the runqueue's. *)
+  let q = t.runqs.(pcpu) in
+  let best = ref (-1) in
+  for i = 0 to q.len - 1 do
+    let s = q.items.(i) in
+    if (not (throttled s)) && (!best < 0 || better s q.items.(!best)) then
+      best := i
+  done;
+  let next =
+    if !best < 0 then None
+    else begin
+      let s = q.items.(!best) in
+      s.boosted <- false;
+      Some s
+    end
   in
-  let next = Option.map fst chosen in
-  (match chosen with Some (_, s) -> s.boosted <- false | None -> ());
-  if next <> t.running.(pcpu) then begin
-    t.switch_count <- t.switch_count + 1;
-    t.running.(pcpu) <- next
-  end;
-  next
+  (match (next, t.running.(pcpu)) with
+  | None, None -> ()
+  | Some s, Some r when s == r -> ()
+  | _ ->
+      t.switch_count <- t.switch_count + 1;
+      t.running.(pcpu) <- next);
+  Option.map (fun s -> s.vcpu) next
 
 (* Refill until some runnable VCPU is back in credit (a deeply indebted
    VCPU — e.g. one that overran a long timeslice — may need several
-   grants, as in Xen's periodic accounting). *)
+   grants, as in Xen's periodic accounting). The test is O(1); the
+   grant walks every VCPU, because blocked ones earn credit too. *)
 let rec refill_if_exhausted t =
-  let runnable_with_credit = ref false and any_runnable = ref false in
-  (* lint: sorted — boolean accumulation is order-insensitive *)
-  Hashtbl.iter
-    (fun _ s ->
-      if s.runnable then begin
-        any_runnable := true;
-        if s.credit > 0 then runnable_with_credit := true
-      end)
-    t.vcpus;
-  if !any_runnable && not !runnable_with_credit then begin
+  if t.runnable_count > 0 && t.in_credit_count = 0 then begin
     t.refill_count <- t.refill_count + 1;
     (* lint: sorted — weighted credit grant commutes across VCPUs *)
     Hashtbl.iter
       (fun _ s ->
-        s.credit <- Stdlib.min (ceiling t s) (s.credit + grant t s))
+        set_credit t s (Stdlib.min (ceiling t s) (s.credit + grant t s)))
       t.vcpus;
     refill_if_exhausted t
   end
@@ -184,39 +237,39 @@ let periodic_refill t ~cycles =
   if cycles < 0 then
     invalid_arg "Credit_sched.periodic_refill: negative cycles";
   t.refill_count <- t.refill_count + 1;
-  let weight_sum = Array.make t.num_pcpus 0 in
-  (* lint: sorted — weight accumulation commutes across VCPUs *)
-  Hashtbl.iter
-    (fun _ s ->
-      if s.runnable then
-        weight_sum.(s.affinity) <- weight_sum.(s.affinity) + s.weight)
-    t.vcpus;
-  (* lint: sorted — each grant depends only on its VCPU and the sums *)
-  Hashtbl.iter
-    (fun _ s ->
-      if s.runnable && weight_sum.(s.affinity) > 0 then begin
-        let fair = cycles * s.weight / weight_sum.(s.affinity) in
+  Array.iter
+    (fun q ->
+      let weight_sum = ref 0 in
+      for i = 0 to q.len - 1 do
+        weight_sum := !weight_sum + q.items.(i).weight
+      done;
+      for i = 0 to q.len - 1 do
+        let s = q.items.(i) in
+        let fair = cycles * s.weight / !weight_sum in
         let fair =
           if s.cap = 0 then fair else Stdlib.min fair (cycles * s.cap / 100)
         in
         let top =
           if s.cap = 0 then t.initial_credit else ceiling t s
         in
-        s.credit <- Stdlib.min top (s.credit + fair)
-      end)
-    t.vcpus
+        set_credit t s (Stdlib.min top (s.credit + fair))
+      done)
+    t.runqs
 
 let charge t ~pcpu ~cycles =
   if cycles < 0 then invalid_arg "Credit_sched.charge: negative cycles";
+  check_pcpu t ~fn:"charge" pcpu;
   (match t.running.(pcpu) with
-  | Some vcpu ->
-      let s = state t vcpu in
-      s.credit <- s.credit - cycles;
+  | Some s ->
+      set_credit t s (s.credit - cycles);
       s.enqueued_at <- next_stamp t (* requeue at the back *)
   | None -> ());
   refill_if_exhausted t
 
-let current t ~pcpu = t.running.(pcpu)
+let current t ~pcpu =
+  check_pcpu t ~fn:"current" pcpu;
+  Option.map (fun s -> s.vcpu) t.running.(pcpu)
+
 let credit_of t vcpu = (state t vcpu).credit
 let switches t = t.switch_count
 let refills t = t.refill_count
@@ -246,8 +299,6 @@ let run_to_completion t ~work ~switch_cost =
           progress := true;
           let left = Hashtbl.find remaining vcpu in
           let slice = Stdlib.min left t.timeslice in
-          let was_current = current t ~pcpu = Some vcpu in
-          ignore was_current;
           pcpu_time.(pcpu) <- pcpu_time.(pcpu) + slice;
           charge t ~pcpu ~cycles:slice;
           let left' = left - slice in

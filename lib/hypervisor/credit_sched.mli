@@ -8,7 +8,14 @@
     overhead (see {!Armvirt_workloads.Oversub}). The model keeps the
     essentials: per-VCPU credits burned while running, wake-up boosting,
     affinity, round-robin among equal-credit VCPUs, and a global refill
-    when the runnable set exhausts its credits. *)
+    when the runnable set exhausts its credits.
+
+    Each PCPU keeps a runqueue of exactly its runnable VCPUs, in
+    ascending (dom, index) order, and the scheduler keeps two counts:
+    runnable VCPUs, and runnable VCPUs with credit > 0. With [V] VCPUs
+    registered and [R] runnable on the PCPU concerned, one
+    quantum-stepped pass over every PCPU (see
+    [Armvirt_fleet.Scenario]) costs O(sum of R), not O(PCPUs * V). *)
 
 type vcpu = { dom : int; index : int }
 
@@ -32,27 +39,38 @@ val add_vcpu : ?weight:int -> ?cap:int -> t -> vcpu -> affinity:int -> unit
     throttled — runnable but unschedulable — whenever its credit is
     exhausted, bounding its PCPU share even when cycles are idle.
     Raises [Invalid_argument] for an out-of-range PCPU, a weight < 1,
-    a cap outside [0, 100], or a duplicate VCPU. *)
+    a cap outside [0, 100], or a duplicate VCPU. O(1). *)
 
 val remove_vcpu : t -> vcpu -> unit
 (** Deregisters a VCPU (a departing guest under churn). If it was the
     incumbent on its PCPU the slot falls back to idle; the next [pick]
-    records the switch. Raises [Invalid_argument] if unknown. *)
+    records the switch. Raises [Invalid_argument] if unknown. O(R): a
+    runnable VCPU leaves its runqueue by a sorted delete. *)
 
 val set_runnable : t -> vcpu -> bool -> unit
 (** Blocking/waking. Waking boosts the VCPU to the front of its
     runqueue (Xen's BOOST priority), letting I/O-blocked VCPUs preempt
     CPU hogs — the behaviour that keeps latency-sensitive VMs alive
-    under oversubscription. *)
+    under oversubscription. O(R) for a change of runnability (sorted
+    insert or delete; O(log R) when the VCPU sorts last, as each new
+    domid of a boot storm does), O(1) otherwise. *)
 
 val pick : t -> pcpu:int -> vcpu option
 (** Schedules the next VCPU on a PCPU: the runnable VCPU with the most
     credit (FIFO among ties), or [None] to run the idle context.
-    Recorded as a context switch when it differs from the incumbent. *)
+    Recorded as a context switch when it differs from the incumbent.
+    O(R): one scan of the PCPU's runqueue, always in ascending
+    (dom, index) order. The order is part of the contract — once capped
+    and uncapped VCPUs share a PCPU the pick comparison is not
+    transitive, so a different scan order could pick differently.
+    Raises [Invalid_argument] for an out-of-range PCPU. *)
 
 val charge : t -> pcpu:int -> cycles:int -> unit
 (** Burns credit on the currently running VCPU. When every runnable
-    VCPU in the system is out of credit, credits refill. *)
+    VCPU in the system is out of credit, credits refill. O(1), plus
+    O(V) per refill grant on the rare exhausted call: blocked VCPUs
+    earn credit too. Raises [Invalid_argument] on negative [cycles] or
+    an out-of-range PCPU. *)
 
 val periodic_refill : t -> cycles:int -> unit
 (** Xen's periodic accounting tick. [cycles] is the per-PCPU capacity
@@ -62,10 +80,14 @@ val periodic_refill : t -> cycles:int -> unit
     prevent hoarding. Quantum-stepped drivers (see
     [Armvirt_fleet.Scenario]) call this on a fixed cadence so caps and
     weights shape throughput even when the work-conserving exhaustion
-    refill never fires. Raises [Invalid_argument] on negative
-    [cycles]. *)
+    refill never fires. O(PCPUs + runnable VCPUs): weight sums and
+    grants come from the runqueues. Raises [Invalid_argument] on
+    negative [cycles]. *)
 
 val current : t -> pcpu:int -> vcpu option
+(** The PCPU's incumbent, O(1). Raises [Invalid_argument] for an
+    out-of-range PCPU. *)
+
 val credit_of : t -> vcpu -> int
 val switches : t -> int
 (** Context switches performed so far (idle transitions included). *)

@@ -1,6 +1,7 @@
-(* The CLI rejects unknown ids up front: for each case armvirt must exit
-   non-zero, print nothing on stdout (the error goes to stderr), and do
-   so within a time bound — it may not run anything first.
+(* The CLI rejects unknown ids and invalid arguments up front: for each
+   case armvirt must exit with the expected code, print nothing on stdout
+   (the error goes to stderr, never into the data), and do so within a
+   time bound — it may not run anything first.
 
    Runs ../bin/armvirt.exe, which the test stanza depends on. *)
 
@@ -39,7 +40,8 @@ let run args =
   Sys.remove out;
   (code, stdout)
 
-let cases =
+(* Unknown ids are cmdliner usage errors: exit 124. *)
+let unknown_ids =
   [
     [ "run"; "bogus" ];
     (* Validated before table3 runs: nothing reaches stdout. *)
@@ -49,11 +51,28 @@ let cases =
     [ "trace"; "bogus" ];
   ]
 
-let test_case args =
+(* Values the parser accepts but the command rejects: exit 2. *)
+let rejected =
+  [
+    [ "fleet"; "--vms"; "0" ];
+    [ "fleet"; "--profile-mix"; "bogus" ];
+    [ "migrate"; "--pages"; "0" ];
+    [ "explore" ];
+    [ "cluster"; "--offered-load"; "0" ];
+    [ "stat"; "micro"; "rr" ];
+    [ "stat"; "--diff"; "onlyone" ];
+  ]
+
+let test_case ~code args =
   let name = String.concat " " args in
   Alcotest.test_case name `Quick (fun () ->
-      let code, stdout = run args in
-      Alcotest.(check bool) (name ^ " exits non-zero") true (code <> 0);
+      let got, stdout = run args in
+      Alcotest.(check int) (name ^ " exit code") code got;
       Alcotest.(check string) (name ^ " prints nothing on stdout") "" stdout)
 
-let () = Alcotest.run "cli" [ ("unknown id", List.map test_case cases) ]
+let () =
+  Alcotest.run "cli"
+    [
+      ("unknown id", List.map (test_case ~code:124) unknown_ids);
+      ("rejected argument", List.map (test_case ~code:2) rejected);
+    ]

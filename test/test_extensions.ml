@@ -147,7 +147,13 @@ let test_sched_validation () =
       Credit_sched.add_vcpu s (vcpu 0 0) ~affinity:0);
   Alcotest.check_raises "affinity"
     (Invalid_argument "Credit_sched.add_vcpu: affinity out of range") (fun () ->
-      Credit_sched.add_vcpu s (vcpu 9 9) ~affinity:5)
+      Credit_sched.add_vcpu s (vcpu 9 9) ~affinity:5);
+  Alcotest.check_raises "charge pcpu"
+    (Invalid_argument "Credit_sched.charge: pcpu out of range") (fun () ->
+      Credit_sched.charge s ~pcpu:1 ~cycles:10);
+  Alcotest.check_raises "current pcpu"
+    (Invalid_argument "Credit_sched.current: pcpu out of range") (fun () ->
+      ignore (Credit_sched.current s ~pcpu:(-1)))
 
 (* --- Blk_device ------------------------------------------------------------ *)
 

@@ -1,14 +1,19 @@
 (* lib/fleet: pooled guest state, the quantum-stepped scenario engines
    (boot-storm / churn / noisy-neighbor), and credit_sched under real
-   overcommit — fairness, caps, weights, and candidate-order
-   determinism. *)
+   overcommit — fairness, caps, weights, candidate-order determinism,
+   and agreement with the scan-and-sort scheduler the runqueues
+   replaced. *)
 
 module Pool = Armvirt_fleet.Pool
 module Descriptor = Armvirt_fleet.Descriptor
 module Scenario = Armvirt_fleet.Scenario
 module Batch = Armvirt_fleet.Batch
 module Credit_sched = Armvirt_hypervisor.Credit_sched
+module Hypervisor = Armvirt_hypervisor.Hypervisor
+module Machine = Armvirt_arch.Machine
 module Platform = Armvirt_core.Platform
+
+let qcheck = QCheck_alcotest.to_alcotest
 
 let models =
   [
@@ -118,6 +123,49 @@ let test_boot_storm_monotone_in_size () =
   let t16 = ready 16 and t64 = ready 64 and t256 = ready 256 in
   Alcotest.(check bool) "16 <= 64" true (t16 <= t64);
   Alcotest.(check bool) "64 <= 256" true (t64 <= t256)
+
+(* Work-conservation oracle: with every guest arriving at t = 0, the
+   busiest PCPU holds ceil(vms/P) one-VCPU guests, each needing
+   k = ceil(boot/ts) quanta, the last of them r = boot - (k-1)*ts
+   cycles long. All-ready lands exactly when that PCPU finishes its
+   last quantum — ((ceil(vms/P) * k) - 1) * ts + r cycles — if and only
+   if no PCPU ever idles while it has runnable work. *)
+let prop_boot_storm_work_conserving =
+  QCheck.Test.make ~name:"boot-storm all-ready time is work-conserving"
+    ~count:20
+    QCheck.(int_range 1 200)
+    (fun vms ->
+      let desc = storm_desc vms in
+      List.for_all
+        (fun (name, platform, id) ->
+          let hyp = Platform.hypervisor platform id in
+          let machine = hyp.Hypervisor.machine in
+          let cycles_per_ms = Machine.freq_ghz machine *. 1e9 /. 1e3 in
+          (* The timeslice in the scenario's own float expression, so
+             the rounding to whole cycles agrees. *)
+          let ts =
+            Stdlib.max 1
+              (int_of_float
+                 (desc.Descriptor.timeslice_ms *. Machine.freq_ghz machine
+                *. 1e9 /. 1e3))
+          in
+          let boot = Descriptor.synthetic.Descriptor.boot_cycles in
+          let k = (boot + ts - 1) / ts in
+          let r = boot - ((k - 1) * ts) in
+          let per_pcpu =
+            (vms + Machine.num_cpus machine - 1) / Machine.num_cpus machine
+          in
+          let want =
+            float_of_int ((((per_pcpu * k) - 1) * ts) + r) /. cycles_per_ms
+          in
+          let got =
+            (Scenario.boot_storm ~window_ms:0.0 hyp desc)
+              .Scenario.time_to_ready_ms
+          in
+          Float.abs (got -. want) <= 1e-9
+          || QCheck.Test.fail_reportf "%s at %d VMs: all-ready %.9f ms, want %.9f"
+               name vms got want)
+        models)
 
 (* --- churn ----------------------------------------------------------- *)
 
@@ -368,6 +416,300 @@ let test_remove_vcpu () =
   (* Re-adding the removed identity is legal (churn domid reuse). *)
   Credit_sched.add_vcpu sched a ~affinity:0
 
+(* --- credit_sched against the scan-and-sort reference --------------- *)
+
+(* The scheduler as it was before per-PCPU runqueues, kept as the test
+   oracle: every [pick] folds the whole VCPU table, sorts that PCPU's
+   candidates by (dom, index) and scans them; every [charge] walks the
+   table to test for exhaustion, and [periodic_refill] makes two passes
+   over it. *)
+module Reference = struct
+  type vcpu = Credit_sched.vcpu = { dom : int; index : int }
+
+  let default_weight = 256
+
+  type vstate = {
+    affinity : int;
+    weight : int;
+    cap : int;
+    mutable credit : int;
+    mutable runnable : bool;
+    mutable boosted : bool;
+    mutable enqueued_at : int;
+  }
+
+  type t = {
+    num_pcpus : int;
+    initial_credit : int;
+    vcpus : (vcpu, vstate) Hashtbl.t;
+    running : vcpu option array;
+    mutable stamp : int;
+    mutable switch_count : int;
+    mutable refill_count : int;
+  }
+
+  let create ~num_pcpus ~timeslice_cycles =
+    {
+      num_pcpus;
+      initial_credit = 10 * timeslice_cycles;
+      vcpus = Hashtbl.create 16;
+      running = Array.make num_pcpus None;
+      stamp = 0;
+      switch_count = 0;
+      refill_count = 0;
+    }
+
+  let next_stamp t =
+    t.stamp <- t.stamp + 1;
+    t.stamp
+
+  let add_vcpu ~weight ~cap t vcpu ~affinity =
+    if Hashtbl.mem t.vcpus vcpu then
+      invalid_arg "Credit_sched.add_vcpu: duplicate VCPU";
+    let initial =
+      if cap = 0 then t.initial_credit
+      else
+        Stdlib.min t.initial_credit
+          (Stdlib.max 1 (t.initial_credit * cap / 100))
+    in
+    Hashtbl.replace t.vcpus vcpu
+      {
+        affinity;
+        weight;
+        cap;
+        credit = initial;
+        runnable = false;
+        boosted = false;
+        enqueued_at = next_stamp t;
+      }
+
+  let state t vcpu =
+    match Hashtbl.find_opt t.vcpus vcpu with
+    | Some s -> s
+    | None -> invalid_arg "Credit_sched: unknown VCPU"
+
+  let remove_vcpu t vcpu =
+    let s = state t vcpu in
+    Hashtbl.remove t.vcpus vcpu;
+    if t.running.(s.affinity) = Some vcpu then t.running.(s.affinity) <- None
+
+  let throttled s = s.cap > 0 && s.credit <= 0
+
+  let grant t s =
+    if s.cap = 0 then
+      Stdlib.max 1 (t.initial_credit * s.weight / default_weight)
+    else Stdlib.max 1 (t.initial_credit * s.cap / 100)
+
+  let ceiling t s =
+    if s.cap = 0 then max_int
+    else Stdlib.max 1 (t.initial_credit * s.cap / 100)
+
+  let set_runnable t vcpu runnable =
+    let s = state t vcpu in
+    if runnable && not s.runnable then begin
+      s.boosted <- true;
+      s.enqueued_at <- next_stamp t
+    end;
+    s.runnable <- runnable
+
+  let candidates t ~pcpu =
+    Hashtbl.fold
+      (fun vcpu s acc ->
+        if s.runnable && s.affinity = pcpu && not (throttled s) then
+          (vcpu, s) :: acc
+        else acc)
+      t.vcpus []
+    |> List.sort (fun ((a : vcpu), _) ((b : vcpu), _) ->
+           match Int.compare a.dom b.dom with
+           | 0 -> Int.compare a.index b.index
+           | c -> c)
+
+  let better (_, a) (_, b) =
+    match (a.boosted, b.boosted) with
+    | true, false -> true
+    | false, true -> false
+    | _ when a.cap > 0 || b.cap > 0 ->
+        let ua = a.credit > 0 and ub = b.credit > 0 in
+        if ua <> ub then ua else a.enqueued_at < b.enqueued_at
+    | _ ->
+        a.credit > b.credit
+        || (a.credit = b.credit && a.enqueued_at < b.enqueued_at)
+
+  let pick t ~pcpu =
+    let chosen =
+      List.fold_left
+        (fun best c ->
+          match best with
+          | None -> Some c
+          | Some b -> if better c b then Some c else best)
+        None (candidates t ~pcpu)
+    in
+    let next = Option.map fst chosen in
+    (match chosen with Some (_, s) -> s.boosted <- false | None -> ());
+    if next <> t.running.(pcpu) then begin
+      t.switch_count <- t.switch_count + 1;
+      t.running.(pcpu) <- next
+    end;
+    next
+
+  let rec refill_if_exhausted t =
+    let with_credit = ref false and any = ref false in
+    Hashtbl.iter
+      (fun _ s ->
+        if s.runnable then begin
+          any := true;
+          if s.credit > 0 then with_credit := true
+        end)
+      t.vcpus;
+    if !any && not !with_credit then begin
+      t.refill_count <- t.refill_count + 1;
+      Hashtbl.iter
+        (fun _ s ->
+          s.credit <- Stdlib.min (ceiling t s) (s.credit + grant t s))
+        t.vcpus;
+      refill_if_exhausted t
+    end
+
+  let periodic_refill t ~cycles =
+    t.refill_count <- t.refill_count + 1;
+    let weight_sum = Array.make t.num_pcpus 0 in
+    Hashtbl.iter
+      (fun _ s ->
+        if s.runnable then
+          weight_sum.(s.affinity) <- weight_sum.(s.affinity) + s.weight)
+      t.vcpus;
+    Hashtbl.iter
+      (fun _ s ->
+        if s.runnable && weight_sum.(s.affinity) > 0 then begin
+          let fair = cycles * s.weight / weight_sum.(s.affinity) in
+          let fair =
+            if s.cap = 0 then fair else Stdlib.min fair (cycles * s.cap / 100)
+          in
+          let top = if s.cap = 0 then t.initial_credit else ceiling t s in
+          s.credit <- Stdlib.min top (s.credit + fair)
+        end)
+      t.vcpus
+
+  let charge t ~pcpu ~cycles =
+    (match t.running.(pcpu) with
+    | Some vcpu ->
+        let s = state t vcpu in
+        s.credit <- s.credit - cycles;
+        s.enqueued_at <- next_stamp t
+    | None -> ());
+    refill_if_exhausted t
+
+  let current t ~pcpu = t.running.(pcpu)
+  let credit_of t vcpu = (state t vcpu).credit
+end
+
+type sched_op =
+  | Add of { vcpu : Credit_sched.vcpu; weight : int; cap : int; affinity : int }
+  | Remove of Credit_sched.vcpu
+  | Set_runnable of Credit_sched.vcpu * bool
+  | Pick of int
+  | Charge of int * int
+  | Refill of int
+
+let show_vcpu (v : Credit_sched.vcpu) =
+  Printf.sprintf "d%d.%d" v.Credit_sched.dom v.Credit_sched.index
+
+let show_op = function
+  | Add { vcpu; weight; cap; affinity } ->
+      Printf.sprintf "add %s w%d c%d @%d" (show_vcpu vcpu) weight cap affinity
+  | Remove v -> "remove " ^ show_vcpu v
+  | Set_runnable (v, b) -> Printf.sprintf "runnable %s %b" (show_vcpu v) b
+  | Pick p -> Printf.sprintf "pick %d" p
+  | Charge (p, c) -> Printf.sprintf "charge %d %d" p c
+  | Refill c -> Printf.sprintf "refill %d" c
+
+let sched_case_gen =
+  let open QCheck.Gen in
+  let vcpu =
+    map2 (fun dom index -> { Credit_sched.dom; index }) (int_bound 7)
+      (int_bound 1)
+  in
+  int_range 1 3 >>= fun pcpus ->
+  let pcpu = int_bound (pcpus - 1) in
+  let op =
+    frequency
+      [
+        ( 3,
+          map
+            (fun (vcpu, weight, cap, affinity) ->
+              Add { vcpu; weight; cap; affinity })
+            (quad vcpu (oneofl [ 128; 256; 512 ]) (oneofl [ 0; 0; 25; 50; 100 ])
+               pcpu) );
+        (1, map (fun v -> Remove v) vcpu);
+        (4, map2 (fun v b -> Set_runnable (v, b)) vcpu bool);
+        (4, map (fun p -> Pick p) pcpu);
+        (4, map2 (fun p c -> Charge (p, c)) pcpu (int_bound 3000));
+        (1, map (fun c -> Refill c) (int_bound 5000));
+      ]
+  in
+  pair (return pcpus) (list_size (int_bound 200) op)
+
+(* The outcome of one call: its value, or the Invalid_argument message. *)
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let prop_sched_matches_reference =
+  QCheck.Test.make ~name:"runqueue picks match the scan-and-sort scheduler"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (pcpus, ops) ->
+         Printf.sprintf "%d PCPUs: %s" pcpus
+           (String.concat "; " (List.map show_op ops)))
+       ~shrink:QCheck.Shrink.(pair nil list)
+       sched_case_gen)
+    (fun (pcpus, ops) ->
+      let ts = 100 in
+      let sched = Credit_sched.create ~num_pcpus:pcpus ~timeslice_cycles:ts in
+      let model = Reference.create ~num_pcpus:pcpus ~timeslice_cycles:ts in
+      let added = ref [] in
+      let step op =
+        match op with
+        | Add { vcpu; weight; cap; affinity } ->
+            if not (List.mem vcpu !added) then added := vcpu :: !added;
+            outcome (fun () ->
+                Credit_sched.add_vcpu ~weight ~cap sched vcpu ~affinity)
+            = outcome (fun () ->
+                  Reference.add_vcpu ~weight ~cap model vcpu ~affinity)
+        | Remove v ->
+            outcome (fun () -> Credit_sched.remove_vcpu sched v)
+            = outcome (fun () -> Reference.remove_vcpu model v)
+        | Set_runnable (v, b) ->
+            outcome (fun () -> Credit_sched.set_runnable sched v b)
+            = outcome (fun () -> Reference.set_runnable model v b)
+        | Pick pcpu ->
+            outcome (fun () -> Credit_sched.pick sched ~pcpu)
+            = outcome (fun () -> Reference.pick model ~pcpu)
+        | Charge (pcpu, cycles) ->
+            outcome (fun () -> Credit_sched.charge sched ~pcpu ~cycles)
+            = outcome (fun () -> Reference.charge model ~pcpu ~cycles)
+        | Refill cycles ->
+            Credit_sched.periodic_refill sched ~cycles;
+            Reference.periodic_refill model ~cycles;
+            true
+      in
+      let agree () =
+        List.for_all
+          (fun pcpu ->
+            Credit_sched.current sched ~pcpu = Reference.current model ~pcpu)
+          (List.init pcpus Fun.id)
+        && List.for_all
+             (fun v ->
+               outcome (fun () -> Credit_sched.credit_of sched v)
+               = outcome (fun () -> Reference.credit_of model v))
+             !added
+        && Credit_sched.switches sched = model.Reference.switch_count
+        && Credit_sched.refills sched = model.Reference.refill_count
+      in
+      List.for_all
+        (fun op ->
+          (step op && agree ())
+          || QCheck.Test.fail_reportf "diverged at %s" (show_op op))
+        ops)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -388,6 +730,7 @@ let () =
             test_boot_storm_256;
           Alcotest.test_case "ready time monotone in fleet size" `Quick
             test_boot_storm_monotone_in_size;
+          qcheck prop_boot_storm_work_conserving;
         ] );
       ( "churn",
         [
@@ -418,5 +761,6 @@ let () =
             test_candidate_order_insertion_invariant;
           Alcotest.test_case "remove_vcpu (churn departures)" `Quick
             test_remove_vcpu;
+          qcheck prop_sched_matches_reference;
         ] );
     ]
