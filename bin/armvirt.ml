@@ -363,7 +363,7 @@ let run_cmd =
 let micro_cmd =
   let iterations =
     Arg.(
-      value & opt int 32
+      value & opt positive_int 32
       & info [ "iterations" ] ~docv:"N" ~doc:"Iterations per microbenchmark.")
   in
   let run platform hyp iterations session =
@@ -456,7 +456,7 @@ let app_cmd =
 let rr_cmd =
   let transactions =
     Arg.(
-      value & opt int 400
+      value & opt positive_int 400
       & info [ "transactions" ] ~docv:"N" ~doc:"Transactions to simulate.")
   in
   let run platform hyp transactions trace_file =
@@ -564,7 +564,7 @@ let stat_cmd =
   in
   let iterations =
     Arg.(
-      value & opt int 32
+      value & opt positive_int 32
       & info [ "iterations" ] ~docv:"N"
           ~doc:
             "Iterations per microbenchmark ($(b,micro) target and \

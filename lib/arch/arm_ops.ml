@@ -18,20 +18,36 @@ let hvc_issue t = spend t "arm.hvc_issue" t.hw.Cost_model.hvc_issue
 let trap_to_el2 t = spend t "arm.trap_to_el2" t.hw.Cost_model.trap_to_el2
 let eret t = spend t "arm.eret" t.hw.Cost_model.eret
 
+(* Literal per-class labels, so a split-mode world switch (all seven
+   classes each way) builds no strings. *)
+let save_label = function
+  | Reg_class.Gp -> "arm.save.GP Regs"
+  | Fp -> "arm.save.FP Regs"
+  | El1_sys -> "arm.save.EL1 System Regs"
+  | Vgic -> "arm.save.VGIC Regs"
+  | Timer -> "arm.save.Timer Regs"
+  | El2_config -> "arm.save.EL2 Config Regs"
+  | El2_virtual_memory -> "arm.save.EL2 Virtual Memory Regs"
+
+let restore_label = function
+  | Reg_class.Gp -> "arm.restore.GP Regs"
+  | Fp -> "arm.restore.FP Regs"
+  | El1_sys -> "arm.restore.EL1 System Regs"
+  | Vgic -> "arm.restore.VGIC Regs"
+  | Timer -> "arm.restore.Timer Regs"
+  | El2_config -> "arm.restore.EL2 Config Regs"
+  | El2_virtual_memory -> "arm.restore.EL2 Virtual Memory Regs"
+
 let save_classes t classes =
   List.iter
     (fun cls ->
-      spend t
-        ("arm.save." ^ Reg_class.to_string cls)
-        (t.hw.Cost_model.reg cls).Cost_model.save)
+      spend t (save_label cls) (t.hw.Cost_model.reg cls).Cost_model.save)
     classes
 
 let restore_classes t classes =
   List.iter
     (fun cls ->
-      spend t
-        ("arm.restore." ^ Reg_class.to_string cls)
-        (t.hw.Cost_model.reg cls).Cost_model.restore)
+      spend t (restore_label cls) (t.hw.Cost_model.reg cls).Cost_model.restore)
     classes
 
 let stage2_disable t =

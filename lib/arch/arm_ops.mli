@@ -31,7 +31,16 @@ val eret : t -> unit
 (** {1 Context switching} *)
 
 val save_classes : t -> Reg_class.t list -> unit
+(** Spends each class's save cost under {!save_label}. *)
+
 val restore_classes : t -> Reg_class.t list -> unit
+(** Spends each class's restore cost under {!restore_label}. *)
+
+val save_label : Reg_class.t -> string
+(** ["arm.save." ^ Reg_class.to_string cls], as a literal per class. *)
+
+val restore_label : Reg_class.t -> string
+(** ["arm.restore." ^ Reg_class.to_string cls], as a literal per class. *)
 
 val stage2_disable : t -> unit
 (** Turn off traps + Stage-2 translation so the host owns EL1 (split-mode

@@ -3,6 +3,7 @@ module Cycles = Armvirt_engine.Cycles
 module Machine = Armvirt_arch.Machine
 module Cost_model = Armvirt_arch.Cost_model
 module Reg_class = Armvirt_arch.Reg_class
+module Arm_ops = Armvirt_arch.Arm_ops
 module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
 module Export = Armvirt_obs.Export
@@ -317,14 +318,14 @@ let crosscheck ?(iterations = 8) () =
                 {
                   model;
                   name = Printf.sprintf "Table III save %s" cls_name;
-                  measured = span_mean hc_events ("arm.save." ^ cls_name);
+                  measured = span_mean hc_events (Arm_ops.save_label cls);
                   expected = fi costs.Cost_model.save;
                   tolerance_pct = 1.0;
                 };
                 {
                   model;
                   name = Printf.sprintf "Table III restore %s" cls_name;
-                  measured = span_mean hc_events ("arm.restore." ^ cls_name);
+                  measured = span_mean hc_events (Arm_ops.restore_label cls);
                   expected = fi costs.Cost_model.restore;
                   tolerance_pct = 1.0;
                 };

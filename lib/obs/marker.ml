@@ -42,9 +42,15 @@ let require_ident ~what s =
     invalid_arg
       (Printf.sprintf "Marker: %s %S is not a lowercase identifier" what s)
 
+(* Exit, entry and switch labels are built on every marked transition,
+   so they are concatenated directly: one [String.concat] costs a
+   fraction of a [Printf.sprintf] and gives the same bytes. *)
+let exit_of ~hyp reason ~pcpu =
+  String.concat "" [ hyp; ".exit/"; reason; "/p"; Int.to_string pcpu ]
+
 let exit ~hyp ~reason ~pcpu =
   require_ident ~what:"hypervisor" hyp;
-  Printf.sprintf "%s.exit/%s/p%d" hyp (reason_to_string reason) pcpu
+  exit_of ~hyp (reason_to_string reason) ~pcpu
 
 let exit_name ~hyp ~reason ~pcpu =
   require_ident ~what:"hypervisor" hyp;
@@ -53,13 +59,15 @@ let exit_name ~hyp ~reason ~pcpu =
   | None ->
       invalid_arg
         (Printf.sprintf "Marker.exit_name: %S is not an exit mnemonic" reason));
-  Printf.sprintf "%s.exit/%s/p%d" hyp reason pcpu
+  exit_of ~hyp reason ~pcpu
 
 let entry ?domid ~hyp ~pcpu () =
   require_ident ~what:"hypervisor" hyp;
   match domid with
-  | None -> Printf.sprintf "%s.entry/p%d" hyp pcpu
-  | Some d -> Printf.sprintf "%s.entry/p%d/d%d" hyp pcpu d
+  | None -> String.concat "" [ hyp; ".entry/p"; Int.to_string pcpu ]
+  | Some d ->
+      String.concat ""
+        [ hyp; ".entry/p"; Int.to_string pcpu; "/d"; Int.to_string d ]
 
 let op ~hyp name =
   require_ident ~what:"hypervisor" hyp;
@@ -74,15 +82,17 @@ let op ~hyp name =
 
 let port ~switch ~port dir =
   require_ident ~what:"switch" switch;
-  Printf.sprintf "vswitch.%s/p%d/%s" switch port (dir_to_string dir)
+  String.concat ""
+    [ "vswitch."; switch; "/p"; Int.to_string port; "/"; dir_to_string dir ]
 
 let flood ~switch =
   require_ident ~what:"switch" switch;
-  Printf.sprintf "vswitch.%s/flood" switch
+  String.concat "" [ "vswitch."; switch; "/flood" ]
 
 let uplink ~switch ~uplink dir =
   require_ident ~what:"switch" switch;
   (match dir with
   | Drop -> invalid_arg "Marker.uplink: wires carry rx/tx only"
   | Rx | Tx -> ());
-  Printf.sprintf "wire.%s-u%d/%s" switch uplink (dir_to_string dir)
+  String.concat ""
+    [ "wire."; switch; "-u"; Int.to_string uplink; "/"; dir_to_string dir ]

@@ -192,6 +192,16 @@ let test_arm_ops_save_restore () =
   Alcotest.(check int) "vgic save attributed" 3250
     (spent m "arm.save.VGIC Regs")
 
+let test_arm_ops_class_labels () =
+  List.iter
+    (fun cls ->
+      let name = Armvirt_arch.Reg_class.to_string cls in
+      Alcotest.(check string) ("save " ^ name) ("arm.save." ^ name)
+        (Arm_ops.save_label cls);
+      Alcotest.(check string) ("restore " ^ name) ("arm.restore." ^ name)
+        (Arm_ops.restore_label cls))
+    Armvirt_arch.Reg_class.all
+
 let test_arm_ops_vhe_elides_toggles () =
   let m = arm_machine ~vhe:true () in
   let ops = Arm_ops.create m in
@@ -299,6 +309,7 @@ let () =
           Alcotest.test_case "primitive costs" `Quick test_arm_ops_costs;
           Alcotest.test_case "save/restore accounting" `Quick
             test_arm_ops_save_restore;
+          Alcotest.test_case "class labels" `Quick test_arm_ops_class_labels;
           Alcotest.test_case "VHE elides toggles" `Quick
             test_arm_ops_vhe_elides_toggles;
           Alcotest.test_case "rejects x86 machine" `Quick

@@ -40,8 +40,9 @@ let run args =
   Sys.remove out;
   (code, stdout)
 
-(* Unknown ids are cmdliner usage errors: exit 124. *)
-let unknown_ids =
+(* Unknown ids and values the option parser rejects are cmdliner usage
+   errors: exit 124. *)
+let usage_errors =
   [
     [ "run"; "bogus" ];
     (* Validated before table3 runs: nothing reaches stdout. *)
@@ -49,12 +50,20 @@ let unknown_ids =
     [ "app"; "bogus" ];
     [ "timeline"; "--op"; "bogus" ];
     [ "trace"; "bogus" ];
+    (* Counts must be positive: rejected before micro prints its header. *)
+    [ "micro"; "--iterations"; "0" ];
+    [ "micro"; "--iterations=-1" ];
+    [ "rr"; "--transactions"; "0" ];
+    [ "rr"; "--transactions=-5" ];
+    [ "stat"; "micro"; "--iterations"; "0" ];
+    [ "explore"; "--space"; "bogus" ];
   ]
 
 (* Values the parser accepts but the command rejects: exit 2. *)
 let rejected =
   [
     [ "fleet"; "--vms"; "0" ];
+    [ "fleet"; "--vms=-1" ];
     [ "fleet"; "--profile-mix"; "bogus" ];
     [ "migrate"; "--pages"; "0" ];
     [ "explore" ];
@@ -73,6 +82,6 @@ let test_case ~code args =
 let () =
   Alcotest.run "cli"
     [
-      ("unknown id", List.map (test_case ~code:124) unknown_ids);
+      ("usage error", List.map (test_case ~code:124) usage_errors);
       ("rejected argument", List.map (test_case ~code:2) rejected);
     ]

@@ -599,6 +599,284 @@ let prop_sim_determinism =
       in
       run () = run ())
 
+(* Run-ahead finds the running sim through a per-domain slot, which a
+   sim takes from the domain that runs it, not the one that built it.
+   Two sims built here run at once, one on another domain: [queued]
+   switches processes on every event, while [ahead] runs ahead on every
+   delay and reads its clock in between. Each must log exactly what a
+   run on its own logs. *)
+let test_sim_runs_on_any_domain () =
+  let build ~procs ~steps ~reads =
+    let sim = Sim.create () in
+    let log = ref [] in
+    for _ = 1 to procs do
+      Sim.spawn sim (fun () ->
+          for _ = 1 to steps do
+            Sim.delay Cycles.one;
+            let seen = ref 0 in
+            for _ = 1 to reads do
+              seen := !seen + Cycles.to_int (Sim.current_time ())
+            done;
+            log := !seen :: !log
+          done)
+    done;
+    (sim, log)
+  in
+  let queued () = build ~procs:8 ~steps:20_000 ~reads:1
+  and ahead () = build ~procs:1 ~steps:100_000 ~reads:16 in
+  let alone build =
+    let sim, log = build () in
+    Sim.run sim;
+    !log
+  in
+  let queued_alone = alone queued and ahead_alone = alone ahead in
+  let q, q_log = queued () and a, a_log = ahead () in
+  let started = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        Sim.run q)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  Sim.run a;
+  Domain.join other;
+  Alcotest.(check bool)
+    "queued sim on another domain" true (!q_log = queued_alone);
+  Alcotest.(check bool)
+    "run-ahead sim here meanwhile" true (!a_log = ahead_alone)
+
+(* --- Run-ahead against the queue-only engine --------------------------- *)
+
+(* Sim finishes a delay in place when no other event can run first;
+   Reference_sim is the same engine with every delay going through the
+   queue. One generated program drives both, and their logs — each
+   operation with the clock it saw, every escaped exception or deadlock,
+   and [now] and [events_processed] after each run — must be equal. *)
+
+type op =
+  | Delay of int
+  | Yield
+  | Clock
+  | Send of int
+  | Recv of int
+  | Notify of int
+  | Wait of int
+  | Use of int * int
+  | Spawn of op list  (* spawn_here a sub-program *)
+  | Nested of op list list  (* run a fresh sim inside this process *)
+  | Reenter of int  (* run_until this process's own sim, [n] cycles on *)
+  | Raise
+
+let rec show_op = function
+  | Delay n -> Printf.sprintf "delay %d" n
+  | Yield -> "yield"
+  | Clock -> "clock"
+  | Send m -> Printf.sprintf "send m%d" m
+  | Recv m -> Printf.sprintf "recv m%d" m
+  | Notify s -> Printf.sprintf "notify s%d" s
+  | Wait s -> Printf.sprintf "wait s%d" s
+  | Use (r, n) -> Printf.sprintf "use r%d %d" r n
+  | Spawn ops -> Printf.sprintf "spawn [%s]" (show_ops ops)
+  | Nested procs ->
+      Printf.sprintf "nested [%s]"
+        (String.concat " | " (List.map show_ops procs))
+  | Reenter n -> Printf.sprintf "reenter %d" n
+  | Raise -> "raise"
+
+and show_ops ops = String.concat "; " (List.map show_op ops)
+
+(* 1-4 processes of up to 25 operations, sub-programs two levels deep;
+   at depth > 0 a process raises in 1 case out of 21. *)
+let arb_program =
+  let open QCheck.Gen in
+  let rec ops depth len = list_size (int_bound len) (op depth)
+  and op depth =
+    let leaf =
+      [
+        (4, map (fun n -> Delay n) (int_bound 6));
+        (2, return Yield);
+        (1, return Clock);
+        (1, map (fun n -> Reenter n) (int_bound 6));
+        (2, map (fun m -> Send m) (int_bound 1));
+        (2, map (fun m -> Recv m) (int_bound 1));
+        (2, map (fun s -> Notify s) (int_bound 1));
+        (2, map (fun s -> Wait s) (int_bound 1));
+        (2, map2 (fun r n -> Use (r, n)) (int_bound 1) (int_bound 6));
+        (1, return Raise);
+      ]
+    in
+    if depth = 0 then frequency leaf
+    else
+      frequency
+        ((1, map (fun sub -> Spawn sub) (ops (depth - 1) 8))
+        :: ( 1,
+             map
+               (fun ps -> Nested ps)
+               (list_size (int_range 1 2) (ops (depth - 1) 8)) )
+        :: leaf)
+  in
+  QCheck.make
+    ~print:(fun (procs, horizon) ->
+      Printf.sprintf "horizon %d\n%s" horizon
+        (String.concat "\n" (List.map show_ops procs)))
+    (pair (list_size (int_range 1 4) (ops 2 25)) (int_bound 40))
+
+(* What the differential program uses, met by both engines. *)
+module type ENGINE = sig
+  type t
+
+  exception Deadlock of string
+
+  val create : unit -> t
+  val now : t -> Cycles.t
+  val events_processed : t -> int
+  val spawn : t -> ?name:string -> (unit -> unit) -> unit
+  val run : t -> unit
+  val run_until : t -> Cycles.t -> unit
+  val delay : Cycles.t -> unit
+  val yield : unit -> unit
+  val current_time : unit -> Cycles.t
+  val spawn_here : ?name:string -> (unit -> unit) -> unit
+
+  module Signal : sig
+    type sim := t
+    type t
+
+    val create : sim -> t
+    val wait : t -> unit
+    val notify : t -> unit
+  end
+
+  module Mailbox : sig
+    type sim := t
+    type 'a t
+
+    val create : ?name:string -> sim -> 'a t
+    val send : 'a t -> 'a -> unit
+    val recv : 'a t -> 'a
+  end
+
+  module Resource : sig
+    type sim := t
+    type t
+
+    val create : ?name:string -> sim -> capacity:int -> t
+    val use : t -> Cycles.t -> unit
+  end
+end
+
+module Differential (E : ENGINE) = struct
+  type world = {
+    sim : E.t;
+    mailboxes : int E.Mailbox.t array;
+    signals : E.Signal.t array;
+    resources : E.Resource.t array;
+    log : string list ref;
+  }
+
+  let world log =
+    let sim = E.create () in
+    {
+      sim;
+      mailboxes =
+        Array.init 2 (fun i ->
+            E.Mailbox.create ~name:(Printf.sprintf "m%d" i) sim);
+      signals = Array.init 2 (fun _ -> E.Signal.create sim);
+      resources =
+        Array.init 2 (fun i ->
+            E.Resource.create ~name:(Printf.sprintf "r%d" i) sim ~capacity:1);
+      log;
+    }
+
+  let record w fmt = Printf.ksprintf (fun line -> w.log := line :: !(w.log)) fmt
+
+  (* Runs [f] until it returns or deadlocks; a process that raises is
+     gone, so [f] is re-entered for the rest. *)
+  let rec settle w label f =
+    match f () with
+    | () -> record w "%s done" label
+    | exception E.Deadlock names -> record w "%s deadlock [%s]" label names
+    | exception Failure who ->
+        record w "%s raised %s" label who;
+        settle w label f
+
+  let finish w label f =
+    settle w label f;
+    record w "%s now=%d events=%d" label
+      (Cycles.to_int (E.now w.sim))
+      (E.events_processed w.sim)
+
+  let rec exec w name ops = List.iteri (fun i op -> step w name i op) ops
+
+  and step w name i op =
+    let note what =
+      record w "%s %s @%d" name what (Cycles.to_int (E.current_time ()))
+    in
+    match op with
+    | Delay n ->
+        E.delay (cycles_of n);
+        note "delay"
+    | Yield ->
+        E.yield ();
+        note "yield"
+    | Clock -> note "clock"
+    | Send m ->
+        E.Mailbox.send w.mailboxes.(m) i;
+        note "send"
+    | Recv m -> note (Printf.sprintf "recv %d" (E.Mailbox.recv w.mailboxes.(m)))
+    | Notify s ->
+        E.Signal.notify w.signals.(s);
+        note "notify"
+    | Wait s ->
+        E.Signal.wait w.signals.(s);
+        note "wait"
+    | Use (r, n) ->
+        E.Resource.use w.resources.(r) (cycles_of n);
+        note "use"
+    | Spawn sub ->
+        let child = Printf.sprintf "%s/%d" name i in
+        E.spawn_here ~name:child (fun () -> exec w child sub);
+        note "spawn"
+    | Nested procs ->
+        let inner = world w.log in
+        List.iteri
+          (fun j sub ->
+            let child = Printf.sprintf "%s/%d.%d" name i j in
+            E.spawn inner.sim ~name:child (fun () -> exec inner child sub))
+          procs;
+        finish inner (name ^ " nested run") (fun () -> E.run inner.sim);
+        note "nested"
+    | Reenter n ->
+        let limit = Cycles.to_int (E.current_time ()) + n in
+        finish w (name ^ " reentrant run_until") (fun () ->
+            E.run_until w.sim (cycles_of limit));
+        note "reenter"
+    | Raise ->
+        note "raise";
+        failwith name
+
+  let run (procs, horizon) =
+    let w = world (ref []) in
+    List.iteri
+      (fun i ops ->
+        let name = Printf.sprintf "p%d" i in
+        E.spawn w.sim ~name (fun () -> exec w name ops))
+      procs;
+    finish w "run_until" (fun () -> E.run_until w.sim (cycles_of horizon));
+    finish w "run" (fun () -> E.run w.sim);
+    List.rev !(w.log)
+end
+
+module Run_ahead = Differential (Sim)
+module Queue_only = Differential (Reference_sim)
+
+let prop_run_ahead_matches_queue =
+  QCheck.Test.make ~name:"run-ahead matches the queue-only engine"
+    ~count:20_000 arb_program (fun program ->
+      Run_ahead.run program = Queue_only.run program)
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -666,8 +944,10 @@ let () =
             test_sim_events_processed;
           Alcotest.test_case "mailbox depth transitions" `Quick
             test_sim_mailbox_depth_transitions;
+          Alcotest.test_case "runs on any domain" `Quick
+            test_sim_runs_on_any_domain;
         ]
-        @ qcheck [ prop_sim_determinism ] );
+        @ qcheck [ prop_sim_determinism; prop_run_ahead_matches_queue ] );
       ( "bench",
         [
           Alcotest.test_case "BENCH_events.json schema" `Quick

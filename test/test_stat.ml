@@ -6,6 +6,7 @@
 module Span = Armvirt_obs.Span
 module Export = Armvirt_obs.Export
 module Accounting = Armvirt_obs.Accounting
+module Marker = Armvirt_obs.Marker
 module Stat = Armvirt_obs.Stat
 module Observe = Armvirt_core.Observe
 module Runner = Armvirt_core.Runner
@@ -40,6 +41,71 @@ let test_parse_label () =
   Alcotest.(check bool)
     "dot-free labels are not markers" true
     (Accounting.parse_label "spawn" = None)
+
+(* The builders concatenate instead of formatting; they must give the
+   Printf bytes for every reason, direction and index a model can pass,
+   and every exit/entry label must parse back to its parts. *)
+let test_builders_match_printf () =
+  let hyp = "kvm_arm" and switch = "tor" in
+  let check_op label =
+    match Accounting.parse_label label with
+    | Some (Accounting.Op { hyp; op }) ->
+        Alcotest.(check string) "op round-trip" label (hyp ^ "." ^ op)
+    | _ -> Alcotest.failf "%s did not parse as an Op" label
+  in
+  Alcotest.(check string) "flood" (Printf.sprintf "vswitch.%s/flood" switch)
+    (Marker.flood ~switch);
+  check_op (Marker.flood ~switch);
+  for n = 0 to 1023 do
+    List.iter
+      (fun reason ->
+        let r = Marker.reason_to_string reason in
+        let want = Printf.sprintf "%s.exit/%s/p%d" hyp r n in
+        let exit_l = Marker.exit ~hyp ~reason ~pcpu:n in
+        Alcotest.(check string) "exit" want exit_l;
+        Alcotest.(check string) "exit_name" want
+          (Marker.exit_name ~hyp ~reason:r ~pcpu:n);
+        match Accounting.parse_label exit_l with
+        | Some (Accounting.Exit e)
+          when e.hyp = hyp && e.reason = r && e.pcpu = n ->
+            ()
+        | _ -> Alcotest.failf "%s did not round-trip" exit_l)
+      Marker.all_reasons;
+    let entry_l = Marker.entry ~hyp ~pcpu:n () in
+    Alcotest.(check string) "entry"
+      (Printf.sprintf "%s.entry/p%d" hyp n)
+      entry_l;
+    (match Accounting.parse_label entry_l with
+    | Some (Accounting.Entry { hyp = h; pcpu; domid = None })
+      when h = hyp && pcpu = n ->
+        ()
+    | _ -> Alcotest.failf "%s did not round-trip" entry_l);
+    let domid = 1023 - n in
+    let entry_d = Marker.entry ~domid ~hyp ~pcpu:n () in
+    Alcotest.(check string) "entry with domid"
+      (Printf.sprintf "%s.entry/p%d/d%d" hyp n domid)
+      entry_d;
+    (match Accounting.parse_label entry_d with
+    | Some (Accounting.Entry { hyp = h; pcpu; domid = Some d })
+      when h = hyp && pcpu = n && d = domid ->
+        ()
+    | _ -> Alcotest.failf "%s did not round-trip" entry_d);
+    List.iter
+      (fun (dir, name) ->
+        let port_l = Marker.port ~switch ~port:n dir in
+        Alcotest.(check string) "port"
+          (Printf.sprintf "vswitch.%s/p%d/%s" switch n name)
+          port_l;
+        check_op port_l;
+        if dir <> Marker.Drop then begin
+          let uplink_l = Marker.uplink ~switch ~uplink:n dir in
+          Alcotest.(check string) "uplink"
+            (Printf.sprintf "wire.%s-u%d/%s" switch n name)
+            uplink_l;
+          check_op uplink_l
+        end)
+      [ (Marker.Rx, "rx"); (Marker.Tx, "tx"); (Marker.Drop, "drop") ]
+  done
 
 (* --- synthetic trace for pairing/lanes/renderers --------------------- *)
 
@@ -398,6 +464,8 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "marker grammar" `Quick test_parse_label;
+          Alcotest.test_case "builders match Printf" `Quick
+            test_builders_match_printf;
           Alcotest.test_case "pairing and lanes" `Quick
             test_pairing_and_lanes;
           Alcotest.test_case "lane rules" `Quick test_lane_rules;
