@@ -775,11 +775,15 @@ let explore_cmd =
       & opt (some space_conv) None
       & info [ "space" ] ~docv:"SPACE"
           ~doc:
-            "The design space: comma-separated $(i,axis)=$(i,spec) bindings \
-             where spec is $(i,lo:hi:step) or explicit levels \
-             $(i,v|v|...). Example: \
-             $(b,vgic.save=2000:4375:625,lr_count=2|4,hyp=kvm|xen). Use \
-             $(b,--knobs) to list axis names.")
+            (Printf.sprintf
+               "The design space: comma-separated $(i,axis)=$(i,spec) \
+                bindings where spec is $(i,lo:hi:step) or explicit levels \
+                $(i,v|v|...). Example: \
+                $(b,vgic.save=2000:4375:625,lr_count=2|4,hyp=kvm|xen). Use \
+                $(b,--knobs) to list axis names. An axis may have at most \
+                %d levels, and a sweep may evaluate at most %d points (the \
+                full product for $(b,grid))."
+               Explore.Space.max_levels Explore.Sampler.max_points))
   in
   let sampler_arg =
     Arg.(
@@ -856,6 +860,12 @@ let explore_cmd =
       match space with
       | None -> reject "missing --space (try --knobs for axis names)"
       | Some space ->
+          (match
+             if calibrate then Explore.Space.check space
+             else Explore.Sampler.check sampler space
+           with
+          | Ok () -> ()
+          | Error msg -> reject "invalid --space: %s" msg);
           let objectives =
             match objectives with
             | [] -> [ Explore.Objective.find "hypercall" ]
@@ -911,7 +921,10 @@ let migrate_cmd =
     Arg.(value & opt float default & info names ~docv ~doc)
   in
   let d = Plan.default in
-  let pages = opt_int [ "pages" ] d.Plan.pages "N" "Guest memory in pages." in
+  let pages =
+    opt_int [ "pages" ] d.Plan.pages "N"
+      (Printf.sprintf "Guest memory in pages, at most %d." Plan.max_pages)
+  in
   let page_kb =
     opt_int [ "page-kb" ] d.Plan.page_kb "KB" "Page granule in KiB."
   in
@@ -1064,8 +1077,10 @@ let fleet_cmd =
       value & opt int 64
       & info [ "vms" ] ~docv:"N"
           ~doc:
-            "Fleet size: guests in the boot-storm window / at churn \
-             start / at the largest noisy-neighbor point.")
+            (Printf.sprintf
+               "Fleet size: guests in the boot-storm window / at churn \
+                start / at the largest noisy-neighbor point; at most %d."
+               Fleet.Descriptor.max_vms))
   in
   let mix_arg =
     Arg.(
@@ -1214,8 +1229,10 @@ let cluster_cmd =
       & opt (some positive_int) None
       & info [ "vms" ] ~docv:"N"
           ~doc:
-            "VM count: matrix default 4, loadgen backend-pool default 16 \
-             (the chain is always client + LB + backend).")
+            (Printf.sprintf
+               "VM count: matrix default 4, loadgen backend-pool default \
+                16 (the chain is always client + LB + backend); at most %d."
+               Topology.max_vms))
   in
   let loads_conv =
     let parse s =
@@ -1248,6 +1265,10 @@ let cluster_cmd =
     | [] -> reject "--offered-load needs at least one point"
     | l when List.exists (fun x -> x <= 0.0) l ->
         reject "--offered-load points must be positive"
+    | _ -> ());
+    (match vms with
+    | Some n when n > Topology.max_vms ->
+        reject "--vms must be at most %d" Topology.max_vms
     | _ -> ());
     with_session ~context:"cluster" session @@ fun () ->
     let header, rows =

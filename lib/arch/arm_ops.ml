@@ -1,83 +1,112 @@
 module Cycles = Armvirt_engine.Cycles
 
-type t = { machine : Machine.t; hw : Cost_model.arm }
+type t = {
+  machine : Machine.t;
+  hw : Cost_model.arm;
+  hvc_issue : Machine.op;
+  trap_to_el2 : Machine.op;
+  eret : Machine.op;
+  save : Machine.op array; (* by Reg_class.index *)
+  restore : Machine.op array;
+  stage2_toggle : Machine.op;
+  mmio_decode : Machine.op;
+  vgic_slot_scan : Machine.op;
+  vgic_lr_write : Machine.op;
+  virq_complete : Machine.op;
+  virq_guest_dispatch : Machine.op;
+  tlb_broadcast : Machine.op;
+  tlb_local : Machine.op;
+  page_map : Machine.op;
+  copy_bytes : Machine.op;
+}
+
+let save_label cls = "arm.save." ^ Reg_class.to_string cls
+let restore_label cls = "arm.restore." ^ Reg_class.to_string cls
 
 let create machine =
   match Machine.cost machine with
-  | Cost_model.Arm hw -> { machine; hw }
   | Cost_model.X86 _ ->
       invalid_arg "Arm_ops.create: machine has an x86 cost model"
+  | Cost_model.Arm hw ->
+      let op = Machine.op machine in
+      let per_class label =
+        Array.of_list (List.map (fun cls -> op (label cls)) Reg_class.all)
+      in
+      {
+        machine;
+        hw;
+        hvc_issue = op "arm.hvc_issue";
+        trap_to_el2 = op "arm.trap_to_el2";
+        eret = op "arm.eret";
+        save = per_class save_label;
+        restore = per_class restore_label;
+        stage2_toggle = op "arm.stage2_toggle";
+        mmio_decode = op "arm.mmio_decode";
+        vgic_slot_scan = op "arm.vgic_slot_scan";
+        vgic_lr_write = op "arm.vgic_lr_write";
+        virq_complete = op "arm.virq_complete";
+        virq_guest_dispatch = op "arm.virq_guest_dispatch";
+        tlb_broadcast = op "arm.tlb_broadcast";
+        tlb_local = op "arm.tlb_local";
+        page_map = op "arm.page_map";
+        copy_bytes = op "arm.copy_bytes";
+      }
 
 let machine t = t.machine
 let hw t = t.hw
 let vhe_enabled t = t.hw.Cost_model.vhe
 
-let spend t label cycles = Machine.spend t.machine label cycles
+let hvc_issue t = Machine.spend t.hvc_issue t.hw.Cost_model.hvc_issue
+let trap_to_el2 t = Machine.spend t.trap_to_el2 t.hw.Cost_model.trap_to_el2
+let eret t = Machine.spend t.eret t.hw.Cost_model.eret
 
-let hvc_issue t = spend t "arm.hvc_issue" t.hw.Cost_model.hvc_issue
-let trap_to_el2 t = spend t "arm.trap_to_el2" t.hw.Cost_model.trap_to_el2
-let eret t = spend t "arm.eret" t.hw.Cost_model.eret
+let rec save_classes t = function
+  | [] -> ()
+  | cls :: rest ->
+      Machine.spend
+        t.save.(Reg_class.index cls)
+        (t.hw.Cost_model.reg cls).Cost_model.save;
+      save_classes t rest
 
-(* Literal per-class labels, so a split-mode world switch (all seven
-   classes each way) builds no strings. *)
-let save_label = function
-  | Reg_class.Gp -> "arm.save.GP Regs"
-  | Fp -> "arm.save.FP Regs"
-  | El1_sys -> "arm.save.EL1 System Regs"
-  | Vgic -> "arm.save.VGIC Regs"
-  | Timer -> "arm.save.Timer Regs"
-  | El2_config -> "arm.save.EL2 Config Regs"
-  | El2_virtual_memory -> "arm.save.EL2 Virtual Memory Regs"
-
-let restore_label = function
-  | Reg_class.Gp -> "arm.restore.GP Regs"
-  | Fp -> "arm.restore.FP Regs"
-  | El1_sys -> "arm.restore.EL1 System Regs"
-  | Vgic -> "arm.restore.VGIC Regs"
-  | Timer -> "arm.restore.Timer Regs"
-  | El2_config -> "arm.restore.EL2 Config Regs"
-  | El2_virtual_memory -> "arm.restore.EL2 Virtual Memory Regs"
-
-let save_classes t classes =
-  List.iter
-    (fun cls ->
-      spend t (save_label cls) (t.hw.Cost_model.reg cls).Cost_model.save)
-    classes
-
-let restore_classes t classes =
-  List.iter
-    (fun cls ->
-      spend t (restore_label cls) (t.hw.Cost_model.reg cls).Cost_model.restore)
-    classes
+let rec restore_classes t = function
+  | [] -> ()
+  | cls :: rest ->
+      Machine.spend
+        t.restore.(Reg_class.index cls)
+        (t.hw.Cost_model.reg cls).Cost_model.restore;
+      restore_classes t rest
 
 let stage2_disable t =
   if not t.hw.Cost_model.vhe then
-    spend t "arm.stage2_toggle" t.hw.Cost_model.stage2_toggle
+    Machine.spend t.stage2_toggle t.hw.Cost_model.stage2_toggle
 
 let stage2_enable t =
   if not t.hw.Cost_model.vhe then
-    spend t "arm.stage2_toggle" t.hw.Cost_model.stage2_toggle
+    Machine.spend t.stage2_toggle t.hw.Cost_model.stage2_toggle
 
-let mmio_decode t = spend t "arm.mmio_decode" t.hw.Cost_model.mmio_decode
-let vgic_slot_scan t = spend t "arm.vgic_slot_scan" t.hw.Cost_model.vgic_slot_scan
-let vgic_lr_write t = spend t "arm.vgic_lr_write" t.hw.Cost_model.vgic_lr_write
-let virq_complete t = spend t "arm.virq_complete" t.hw.Cost_model.virq_complete
+let mmio_decode t = Machine.spend t.mmio_decode t.hw.Cost_model.mmio_decode
+
+let vgic_slot_scan t =
+  Machine.spend t.vgic_slot_scan t.hw.Cost_model.vgic_slot_scan
+
+let vgic_lr_write t = Machine.spend t.vgic_lr_write t.hw.Cost_model.vgic_lr_write
+let virq_complete t = Machine.spend t.virq_complete t.hw.Cost_model.virq_complete
 
 let virq_guest_dispatch t =
-  spend t "arm.virq_guest_dispatch" t.hw.Cost_model.virq_guest_dispatch
+  Machine.spend t.virq_guest_dispatch t.hw.Cost_model.virq_guest_dispatch
 
 let ipi_wire_latency t = Cycles.of_int t.hw.Cost_model.phys_ipi_wire
 
 let tlb_invalidate_broadcast t =
-  spend t "arm.tlb_broadcast" t.hw.Cost_model.tlb_broadcast_invalidate
+  Machine.spend t.tlb_broadcast t.hw.Cost_model.tlb_broadcast_invalidate
 
 let tlb_invalidate_local t =
-  spend t "arm.tlb_local" t.hw.Cost_model.tlb_local_invalidate
+  Machine.spend t.tlb_local t.hw.Cost_model.tlb_local_invalidate
 
-let page_map t = spend t "arm.page_map" t.hw.Cost_model.page_map_cost
+let page_map t = Machine.spend t.page_map t.hw.Cost_model.page_map_cost
 
 let copy_bytes t n =
-  spend t "arm.copy_bytes"
+  Machine.spend t.copy_bytes
     (Cost_model.copy_cost ~per_byte:t.hw.Cost_model.per_byte_copy ~bytes:n)
 
 let barrier_cost t = Cycles.of_int t.hw.Cost_model.timestamp_barrier

@@ -9,7 +9,8 @@
 type t
 
 val create : Machine.t -> t
-(** Raises [Invalid_argument] if the machine's cost model is not ARM. *)
+(** Interns every operation's label on the machine ({!Machine.op}).
+    Raises [Invalid_argument] if the machine's cost model is not ARM. *)
 
 val machine : t -> Machine.t
 val hw : t -> Cost_model.arm
@@ -37,10 +38,10 @@ val restore_classes : t -> Reg_class.t list -> unit
 (** Spends each class's restore cost under {!restore_label}. *)
 
 val save_label : Reg_class.t -> string
-(** ["arm.save." ^ Reg_class.to_string cls], as a literal per class. *)
+(** ["arm.save." ^ Reg_class.to_string cls]. *)
 
 val restore_label : Reg_class.t -> string
-(** ["arm.restore." ^ Reg_class.to_string cls], as a literal per class. *)
+(** ["arm.restore." ^ Reg_class.to_string cls]. *)
 
 val stage2_disable : t -> unit
 (** Turn off traps + Stage-2 translation so the host owns EL1 (split-mode

@@ -1,6 +1,7 @@
 module Sim = Armvirt_engine.Sim
 module Cycles = Armvirt_engine.Cycles
 module Counter = Armvirt_stats.Counter
+module Span = Armvirt_obs.Span
 
 type pcpu = { id : int; exclusive : Sim.Resource.t }
 
@@ -12,9 +13,29 @@ type t = {
   mutable observer :
     (label:string -> cycles:int -> now:Cycles.t -> unit) option;
   mutable obs_observer :
-    (label:string -> cycles:int -> now:Cycles.t -> unit) option;
-  mutable count_observer : (label:string -> now:Cycles.t -> unit) option;
+    (label:string ->
+    cat:Span.category ->
+    cycles:int ->
+    now:Cycles.t ->
+    unit)
+    option;
+  mutable count_observer :
+    (label:string -> cat:Span.category -> now:Cycles.t -> unit) option;
 }
+
+(* One interned label of one machine. Ops and markers share the
+   representation; the interface keeps the two types apart. The category
+   is classified on the first observed use, not at intern time: most
+   machines are never traced. *)
+type slot = {
+  machine : t;
+  counter : Counter.id;
+  label : string;
+  mutable cat : Span.category option;
+}
+
+type op = slot
+type marker = slot
 
 (* Process-wide hook run on every [create], so a tracing session can
    attach to machines it never sees constructed (experiments build their
@@ -64,22 +85,42 @@ let observe t observer = t.observer <- observer
 let observe_obs t observer = t.obs_observer <- observer
 let observe_count t observer = t.count_observer <- observer
 
-let spend t label cycles =
+let intern t label =
+  { machine = t; counter = Counter.intern t.counters label; label; cat = None }
+
+let op = intern
+let marker = intern
+
+let category s =
+  match s.cat with
+  | Some c -> c
+  | None ->
+      let c = Span.of_label s.label in
+      s.cat <- Some c;
+      c
+
+let spend op cycles =
   if cycles < 0 then invalid_arg "Machine.spend: negative cycles";
-  Counter.add t.counters label cycles;
-  Counter.add t.counters "cycles" cycles;
+  let t = op.machine in
+  Counter.add_id t.counters op.counter cycles;
+  Counter.add_id t.counters Counter.cycles cycles;
   Sim.delay (Cycles.of_int cycles);
   (match t.observer with
-  | Some notify -> notify ~label ~cycles ~now:(Sim.current_time ())
+  | Some notify -> notify ~label:op.label ~cycles ~now:(Sim.current_time ())
   | None -> ());
   match t.obs_observer with
-  | Some notify -> notify ~label ~cycles ~now:(Sim.current_time ())
+  | Some notify ->
+      notify ~label:op.label ~cat:(category op) ~cycles
+        ~now:(Sim.current_time ())
   | None -> ()
 
-let count t label =
-  Counter.incr t.counters label;
+let count marker =
+  let t = marker.machine in
+  Counter.incr_id t.counters marker.counter;
   match t.count_observer with
-  | Some notify -> notify ~label ~now:(Sim.now t.sim)
+  | Some notify ->
+      notify ~label:marker.label ~cat:(category marker) ~now:(Sim.now t.sim)
   | None -> ()
+
 let freq_ghz t = Cost_model.freq_ghz t.cost
 let elapsed_us t c = Cycles.to_us ~hz:(freq_ghz t *. 1e9) c

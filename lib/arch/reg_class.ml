@@ -12,6 +12,15 @@ let full_world_switch = all
 let trap_only = [ Gp ]
 let vm_to_vm_switch = [ Gp; Fp; El1_sys; Vgic; Timer ]
 
+let index = function
+  | Gp -> 0
+  | Fp -> 1
+  | El1_sys -> 2
+  | Vgic -> 3
+  | Timer -> 4
+  | El2_config -> 5
+  | El2_virtual_memory -> 6
+
 let to_string = function
   | Gp -> "GP Regs"
   | Fp -> "FP Regs"

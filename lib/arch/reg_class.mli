@@ -32,6 +32,9 @@ val vm_to_vm_switch : t list
     replacing one VM with another in EL1: everything except the per-VM
     EL2 classes handled separately. Used by the VM-switch paths. *)
 
+val index : t -> int
+(** Position in {!all}, for per-class tables. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

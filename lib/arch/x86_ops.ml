@@ -1,46 +1,71 @@
 module Cycles = Armvirt_engine.Cycles
 
-type t = { machine : Machine.t; hw : Cost_model.x86 }
+type t = {
+  machine : Machine.t;
+  hw : Cost_model.x86;
+  vmcall_issue : Machine.op;
+  vmexit : Machine.op;
+  vmentry : Machine.op;
+  eoi_vapic : Machine.op;
+  eoi_emul : Machine.op;
+  virq_guest_dispatch : Machine.op;
+  tlb_shootdown : Machine.op;
+  page_map : Machine.op;
+  copy_bytes : Machine.op;
+}
 
 let create machine =
   match Machine.cost machine with
-  | Cost_model.X86 hw -> { machine; hw }
   | Cost_model.Arm _ ->
       invalid_arg "X86_ops.create: machine has an ARM cost model"
+  | Cost_model.X86 hw ->
+      let op = Machine.op machine in
+      {
+        machine;
+        hw;
+        vmcall_issue = op "x86.vmcall_issue";
+        vmexit = op "x86.vmexit";
+        vmentry = op "x86.vmentry";
+        eoi_vapic = op "x86.eoi_vapic";
+        eoi_emul = op "x86.eoi_emul";
+        virq_guest_dispatch = op "x86.virq_guest_dispatch";
+        tlb_shootdown = op "x86.tlb_shootdown";
+        page_map = op "x86.page_map";
+        copy_bytes = op "x86.copy_bytes";
+      }
 
 let machine t = t.machine
 let hw t = t.hw
 let vapic_enabled t = t.hw.Cost_model.vapic
 
-let spend t label cycles = Machine.spend t.machine label cycles
-
-let vmcall_issue t = spend t "x86.vmcall_issue" t.hw.Cost_model.vmcall_issue
-let vmexit t = spend t "x86.vmexit" t.hw.Cost_model.vmexit
-let vmentry t = spend t "x86.vmentry" t.hw.Cost_model.vmentry
+let vmcall_issue t = Machine.spend t.vmcall_issue t.hw.Cost_model.vmcall_issue
+let vmexit t = Machine.spend t.vmexit t.hw.Cost_model.vmexit
+let vmentry t = Machine.spend t.vmentry t.hw.Cost_model.vmentry
+let eoi_emul t = Machine.spend t.eoi_emul t.hw.Cost_model.eoi_emul
 
 let eoi t =
-  if t.hw.Cost_model.vapic then spend t "x86.eoi_vapic" 71
+  if t.hw.Cost_model.vapic then Machine.spend t.eoi_vapic 71
   else begin
     vmexit t;
-    spend t "x86.eoi_emul" t.hw.Cost_model.eoi_emul;
+    eoi_emul t;
     vmentry t
   end
 
 let virq_guest_dispatch t =
-  spend t "x86.virq_guest_dispatch" t.hw.Cost_model.virq_guest_dispatch
+  Machine.spend t.virq_guest_dispatch t.hw.Cost_model.virq_guest_dispatch
 
 let ipi_wire_latency t = Cycles.of_int t.hw.Cost_model.phys_ipi_wire
 
 let tlb_shootdown t ~cpus =
   if cpus < 0 then invalid_arg "X86_ops.tlb_shootdown: negative cpu count";
-  spend t "x86.tlb_shootdown"
+  Machine.spend t.tlb_shootdown
     (t.hw.Cost_model.tlb_shootdown_base
     + (cpus * t.hw.Cost_model.tlb_shootdown_per_cpu))
 
-let page_map t = spend t "x86.page_map" t.hw.Cost_model.page_map_cost
+let page_map t = Machine.spend t.page_map t.hw.Cost_model.page_map_cost
 
 let copy_bytes t n =
-  spend t "x86.copy_bytes"
+  Machine.spend t.copy_bytes
     (Cost_model.copy_cost ~per_byte:t.hw.Cost_model.per_byte_copy ~bytes:n)
 
 let barrier_cost t = Cycles.of_int t.hw.Cost_model.timestamp_barrier

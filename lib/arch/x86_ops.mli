@@ -11,7 +11,8 @@
 type t
 
 val create : Machine.t -> t
-(** Raises [Invalid_argument] if the machine's cost model is not x86. *)
+(** Interns every operation's label on the machine ({!Machine.op}).
+    Raises [Invalid_argument] if the machine's cost model is not x86. *)
 
 val machine : t -> Machine.t
 val hw : t -> Cost_model.x86
@@ -25,6 +26,10 @@ val vmexit : t -> unit
 
 val vmentry : t -> unit
 (** Root → non-root; VMCS guest-state load. *)
+
+val eoi_emul : t -> unit
+(** The emulated EOI handler alone, without the exit and entry that
+    {!eoi} brackets it with on pre-vAPIC hardware. *)
 
 val eoi : t -> unit
 (** Guest signals end-of-interrupt. Without vAPIC this traps: vmexit +

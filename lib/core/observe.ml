@@ -54,12 +54,12 @@ let attach live m =
   live.machines <- idx + 1;
   let prefix = if idx = 0 then "" else Printf.sprintf "m%d:" idx in
   let tracer = live.tracer and metrics = live.cell_metrics in
+  let cpu = prefix ^ "cpu" in
   Machine.observe_obs m
     (Some
-       (fun ~label ~cycles ~now ->
+       (fun ~label ~cat ~cycles ~now ->
          let now = Cycles.to_int now in
-         let cat = Span.of_label label in
-         Tracer.complete tracer ~track:(prefix ^ "cpu") ~cat ~name:label
+         Tracer.complete tracer ~track:cpu ~cat ~name:label
            ~ts:(now - cycles) ~dur:cycles;
          Metrics.incr metrics
            ~labels:[ ("category", Span.category_to_string cat) ]
@@ -68,9 +68,9 @@ let attach live m =
      pairs exit/entry markers against it to derive exit latencies. *)
   Machine.observe_count m
     (Some
-       (fun ~label ~now ->
-         Tracer.instant tracer ~track:(prefix ^ "cpu") ~cat:(Span.of_label label)
-           ~name:label ~ts:(Cycles.to_int now)));
+       (fun ~label ~cat ~now ->
+         Tracer.instant tracer ~track:cpu ~cat ~name:label
+           ~ts:(Cycles.to_int now)));
   (* Park times keyed by pid so blocked spans pair correctly even when
      several processes share a display name. *)
   let parked : (int, int) Hashtbl.t = Hashtbl.create 32 in

@@ -6,8 +6,9 @@
     cell a private tracer and metric registry on its executing domain
     (via [Domain.DLS]). A {!Armvirt_arch.Machine.set_create_hook} hook
     attaches both to every machine the cell builds: [spend] calls become
-    complete spans on the machine's ["cpu"] track (categorised with
-    {!Armvirt_obs.Span.of_label}), and an engine observer
+    complete spans on the machine's ["cpu"] track, categorised by the
+    category each op carries ({!Armvirt_obs.Span.of_label} of its label,
+    computed once per op), and an engine observer
     ({!Armvirt_engine.Sim.set_observer}) records process spawns, blocked
     intervals, resource contention and mailbox depths on per-process
     tracks. {!record_cells} then merges finished cells back {e in input

@@ -36,15 +36,15 @@ let traced_run hyp f =
   let tracer = Tracer.create () in
   Machine.observe_obs m
     (Some
-       (fun ~label ~cycles ~now ->
+       (fun ~label ~cat ~cycles ~now ->
          let now = Cycles.to_int now in
-         Tracer.complete tracer ~track:"cpu" ~cat:(Span.of_label label)
-           ~name:label ~ts:(now - cycles) ~dur:cycles));
+         Tracer.complete tracer ~track:"cpu" ~cat ~name:label
+           ~ts:(now - cycles) ~dur:cycles));
   Machine.observe_count m
     (Some
-       (fun ~label ~now ->
-         Tracer.instant tracer ~track:"cpu" ~cat:(Span.of_label label)
-           ~name:label ~ts:(Cycles.to_int now)));
+       (fun ~label ~cat ~now ->
+         Tracer.instant tracer ~track:"cpu" ~cat ~name:label
+           ~ts:(Cycles.to_int now)));
   let sim = Machine.sim m in
   Sim.spawn sim ~name:"stat-crosscheck" (fun () -> f hyp);
   Sim.run sim;

@@ -91,3 +91,28 @@ let points t ~seed space =
   | Grid -> grid space
   | Lhs n -> latin_hypercube ~seed ~n space
   | Oat -> one_at_a_time space
+
+let max_points = 100_000
+
+(* Saturates past [max_points]: a level count is at most
+   [Space.max_levels + 1], so no product overflows. *)
+let point_count t space =
+  match t with
+  | Lhs n -> n
+  | Grid ->
+      List.fold_left
+        (fun acc a ->
+          if acc > max_points then acc else acc * Space.level_count a)
+        1 space
+  | Oat ->
+      List.fold_left (fun acc a -> acc + Space.level_count a - 1) 1 space
+
+let check t space =
+  match Space.check space with
+  | Error _ as e -> e
+  | Ok () ->
+      if point_count t space <= max_points then Ok ()
+      else
+        Error
+          (Printf.sprintf "the %s sampler would evaluate more than %d points"
+             (to_string t) max_points)

@@ -24,3 +24,11 @@ val to_string : t -> string
 
 val points : t -> seed:int -> Space.t -> Space.point list
 (** [seed] only affects [Lhs]. *)
+
+val max_points : int
+(** 100 000: the most points one sweep may evaluate. *)
+
+val check : t -> Space.t -> (unit, string) result
+(** {!Space.check}, then [Error] if the sampler would produce more than
+    {!max_points} points (the full product for [Grid], [n] for [Lhs n]).
+    Counts arithmetically, so a huge space is rejected at once. *)

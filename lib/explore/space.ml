@@ -58,6 +58,29 @@ let levels a =
 let size t =
   List.fold_left (fun acc a -> acc * List.length (levels a)) 1 t
 
+let max_levels = 10_000
+
+(* Counted without materializing the axis; past [max_levels] the count
+   is [max_levels + 1]. *)
+let level_count a =
+  match a.spec with
+  | Levels vs -> List.length vs
+  | Int_range { lo; hi; step } ->
+      let span = hi - lo in
+      (* [span < 0]: [hi - lo] overflowed. *)
+      if span < 0 || span / step >= max_levels then max_levels + 1
+      else (span / step) + 1
+  | Float_range { lo; hi; step } ->
+      if (hi -. lo) /. step >= float_of_int max_levels then max_levels + 1
+      else List.length (levels a)
+
+let check t =
+  match List.find_opt (fun a -> level_count a > max_levels) t with
+  | None -> Ok ()
+  | Some a ->
+      Error
+        (Printf.sprintf "axis %s has more than %d levels" a.name max_levels)
+
 let value_to_string = function
   | Int n -> string_of_int n
   | Float f -> Printf.sprintf "%g" f

@@ -33,6 +33,18 @@ val levels : axis -> value list
 val size : t -> int
 (** Number of full-grid points (product of level counts). *)
 
+val max_levels : int
+(** 10 000: the most levels one axis may have. *)
+
+val level_count : axis -> int
+(** [List.length (levels a)], computed without building the levels;
+    any count past {!max_levels} is reported as [max_levels + 1]. *)
+
+val check : t -> (unit, string) result
+(** [Error] naming the first axis with more than {!max_levels} levels.
+    Check a parsed space before sampling it: the samplers materialize
+    every level. *)
+
 val value_to_string : value -> string
 val value_to_float : value -> float
 (** [Bool] maps to 0/1; raises [Invalid_argument] on [Choice]. *)

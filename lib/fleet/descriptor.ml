@@ -30,8 +30,12 @@ type t = {
   refill_quanta : int;
 }
 
+let max_vms = 65_536
+
 let validate t =
   if t.vms < 1 then invalid_arg "Fleet.Descriptor: vms < 1";
+  if t.vms > max_vms then
+    invalid_arg (Printf.sprintf "Fleet.Descriptor: vms > %d" max_vms);
   if t.timeslice_ms <= 0.0 then
     invalid_arg "Fleet.Descriptor: non-positive timeslice";
   if t.refill_quanta < 1 then

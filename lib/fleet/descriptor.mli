@@ -32,11 +32,15 @@ type t = {
       (** Quanta between periodic credit refills (Xen ticks every 10). *)
 }
 
+val max_vms : int
+(** 65 536: the largest fleet a descriptor admits. *)
+
 val v :
   ?timeslice_ms:float -> ?refill_quanta:int -> vms:int ->
   (profile * int) list -> t
 (** Validating constructor. Raises [Invalid_argument] on a non-positive
-    fleet size, timeslice, share, or per-profile parameter. *)
+    fleet size, timeslice, share, or per-profile parameter, or a fleet
+    larger than {!max_vms}. Allocates nothing before validating. *)
 
 val validate : t -> unit
 

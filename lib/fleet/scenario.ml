@@ -8,6 +8,7 @@ module Hypervisor = Armvirt_hypervisor.Hypervisor
 module Io_profile = Armvirt_hypervisor.Io_profile
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Credit_sched = Armvirt_hypervisor.Credit_sched
+module Transitions = Armvirt_arch.Transitions
 
 (* --- the quantum-stepped host ---------------------------------------- *)
 
@@ -31,7 +32,7 @@ type host = {
   desc : Descriptor.t;
   num_pcpus : int;
   timeslice : int; (* cycles *)
-  prefix : string;
+  transitions : Transitions.t;
   mutable rr_pcpu : int; (* round-robin VCPU placement cursor *)
   mutable active : int; (* runnable VCPUs with work left *)
   mutable quanta : int;
@@ -56,7 +57,7 @@ let make_host (hyp : Hypervisor.t) (desc : Descriptor.t) =
     desc;
     num_pcpus;
     timeslice;
-    prefix = marker_prefix hyp;
+    transitions = Transitions.create machine ~hyp:(marker_prefix hyp);
     rr_pcpu = 0;
     active = 0;
     quanta = 0;
@@ -97,15 +98,13 @@ let dispatch host ~service =
     match Credit_sched.pick host.sched ~pcpu with
     | None ->
         if prev <> None then
-          Machine.count host.machine
-            (Marker.exit ~hyp:host.prefix ~reason:Marker.Irq ~pcpu)
+          Machine.count (Transitions.exit host.transitions Marker.Irq ~pcpu)
     | Some v ->
         if prev <> Some v then begin
           if prev <> None then
-            Machine.count host.machine
-              (Marker.exit ~hyp:host.prefix ~reason:Marker.Irq ~pcpu);
-          Machine.count host.machine
-            (Marker.entry ~domid:v.Credit_sched.dom ~hyp:host.prefix ~pcpu ())
+            Machine.count (Transitions.exit host.transitions Marker.Irq ~pcpu);
+          Machine.count
+            (Transitions.entry ~domid:v.Credit_sched.dom host.transitions ~pcpu)
         end;
         let used = service v ~pcpu ~now in
         Credit_sched.charge host.sched ~pcpu ~cycles:used

@@ -9,6 +9,8 @@ type t = {
   kind : kind;
   per_item : int;
   wake_cost : int;
+  item_op : Machine.op;
+  wake_op : Machine.op;
   batch_budget : int;
   on_item : int -> unit;
   queue : int Queue.t;
@@ -29,6 +31,8 @@ let per_item_cost (p : Io_profile.t) kind =
       p.Io_profile.backend_cpu_per_packet + p.Io_profile.rx_grant_per_packet
       + int_of_float (p.Io_profile.rx_copy_per_byte *. 1500.0)
 
+let label kind = match kind with Vhost -> "vhost" | Netback -> "netback"
+
 let create machine ~profile ~kind ?(batch_budget = 64) on_item =
   if batch_budget < 1 then
     invalid_arg "Backend_thread.create: batch budget < 1";
@@ -38,6 +42,8 @@ let create machine ~profile ~kind ?(batch_budget = 64) on_item =
     per_item = per_item_cost profile kind;
     (* Scheduler wake of a kernel thread. *)
     wake_cost = 1_100;
+    item_op = Machine.op machine (label kind ^ ".item");
+    wake_op = Machine.op machine (label kind ^ ".wake");
     batch_budget;
     on_item;
     queue = Queue.create ();
@@ -56,9 +62,6 @@ let vhost machine ~profile ?batch_budget on_item =
 let netback machine ~profile ?batch_budget on_item =
   create machine ~profile ~kind:Netback ?batch_budget on_item
 
-let label t =
-  match t.kind with Vhost -> "vhost" | Netback -> "netback"
-
 let worker t () =
   let continue_running = ref true in
   while !continue_running do
@@ -68,7 +71,7 @@ let worker t () =
         (* Budget exhausted or queue dry: re-arm notifications, park. *)
         t.parked <- true;
         Sim.Signal.wait t.bell;
-        Machine.spend t.machine (label t ^ ".wake") t.wake_cost
+        Machine.spend t.wake_op t.wake_cost
       end
     else begin
       t.parked <- false;
@@ -77,7 +80,7 @@ let worker t () =
         let item = Queue.pop t.queue in
         incr burst;
         t.processed <- t.processed + 1;
-        Machine.spend t.machine (label t ^ ".item") t.per_item;
+        Machine.spend t.item_op t.per_item;
         t.on_item item
       done;
       (* Yield between bursts so producers interleave, like
@@ -89,7 +92,7 @@ let worker t () =
 let start t =
   if t.started then invalid_arg "Backend_thread.start: already started";
   t.started <- true;
-  Sim.spawn (Machine.sim t.machine) ~name:(label t ^ "-worker") (worker t)
+  Sim.spawn (Machine.sim t.machine) ~name:(label t.kind ^ "-worker") (worker t)
 
 let ring_bell t =
   if t.parked then begin

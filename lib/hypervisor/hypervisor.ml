@@ -1,6 +1,31 @@
 module Sim = Armvirt_engine.Sim
 module Cycles = Armvirt_engine.Cycles
 module Machine = Armvirt_arch.Machine
+module Transitions = Armvirt_arch.Transitions
+module Marker = Armvirt_obs.Marker
+
+type marks = {
+  hypercall : Machine.marker;
+  ict : Machine.marker;
+  virq_completion : Machine.marker;
+  vm_switch : Machine.marker;
+  vipi : Machine.marker;
+  io_out : Machine.marker;
+  io_in : Machine.marker;
+  transitions : Transitions.t;
+}
+
+let marks machine ~hyp : marks =
+  {
+    hypercall = Machine.marker machine (Marker.op ~hyp "hypercall");
+    ict = Machine.marker machine (Marker.op ~hyp "ict");
+    virq_completion = Machine.marker machine (Marker.op ~hyp "virq_completion");
+    vm_switch = Machine.marker machine (Marker.op ~hyp "vm_switch");
+    vipi = Machine.marker machine (Marker.op ~hyp "vipi");
+    io_out = Machine.marker machine (Marker.op ~hyp "io_out");
+    io_in = Machine.marker machine (Marker.op ~hyp "io_in");
+    transitions = Transitions.create machine ~hyp;
+  }
 
 type kind = Type1 | Type2
 type arch = Arm | X86

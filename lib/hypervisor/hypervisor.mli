@@ -16,6 +16,25 @@
     synchronized counters. All must be invoked inside a simulation
     process. *)
 
+type marks = {
+  hypercall : Armvirt_arch.Machine.marker;
+  ict : Armvirt_arch.Machine.marker;
+  virq_completion : Armvirt_arch.Machine.marker;
+  vm_switch : Armvirt_arch.Machine.marker;
+  vipi : Armvirt_arch.Machine.marker;
+  io_out : Armvirt_arch.Machine.marker;
+  io_in : Armvirt_arch.Machine.marker;
+  transitions : Armvirt_arch.Transitions.t;
+}
+(** What every model counts: one ["<hyp>.<op>"] marker per Table I
+    operation, counted on entry to it, and the model's exit and entry
+    markers. Declared before {!t}, whose closure fields share some of
+    these names. *)
+
+val marks : Armvirt_arch.Machine.t -> hyp:string -> marks
+(** Interns the markers on the machine; call it when the model is
+    built. *)
+
 type kind = Type1 | Type2
 type arch = Arm | X86
 

@@ -9,7 +9,7 @@ module Distributor = Armvirt_gic.Distributor
 module El2_state = Armvirt_arch.El2_state
 module Esr = Armvirt_arch.Esr
 module Kernel_costs = Armvirt_guest.Kernel_costs
-module Marker = Armvirt_obs.Marker
+module Transitions = Armvirt_arch.Transitions
 
 type tuning = {
   lazy_fp : bool;
@@ -48,10 +48,25 @@ let default_tuning =
     vhost_per_packet = 1500;
   }
 
+(* The model's priced steps, interned at [create]. *)
+type steps = {
+  host_dispatch : Machine.op;
+  gic_mmio_emulate : Machine.op;
+  process_switch : Machine.op;
+  sgi_emulate : Machine.op;
+  host_irq_route : Machine.op;
+  kick_dispatch : Machine.op;
+  vhost_signal : Machine.op;
+  vcpu_resume : Machine.op;
+}
+
 type t = {
   ops : Arm_ops.t;
   tun : tuning;
   machine : Machine.t;
+  step : steps;
+  mark : Hypervisor.marks;
+  virq_injected : Machine.marker;
   vm : Vm.t;
   second_vm : Vm.t;
   guest : Kernel_costs.t;
@@ -78,10 +93,24 @@ let create ?(tuning = default_tuning) machine =
   let phys_gic = Distributor.create ~num_cpus:(Machine.num_cpus machine) in
   (* SGI 1 carries cross-CPU kicks, as in Linux's IPI assignment. *)
   Distributor.enable phys_gic 1;
+  let op = Machine.op machine in
   {
     ops;
     tun = tuning;
     machine;
+    step =
+      {
+        host_dispatch = op "kvm_arm.host_dispatch";
+        gic_mmio_emulate = op "kvm_arm.gic_mmio_emulate";
+        process_switch = op "kvm_arm.process_switch";
+        sgi_emulate = op "kvm_arm.sgi_emulate";
+        host_irq_route = op "kvm_arm.host_irq_route";
+        kick_dispatch = op "kvm_arm.kick_dispatch";
+        vhost_signal = op "kvm_arm.vhost_signal";
+        vcpu_resume = op "kvm_arm.vcpu_resume";
+      };
+    mark = Hypervisor.marks machine ~hyp:"kvm_arm";
+    virq_injected = Machine.marker machine "kvm_arm.virq_injected";
     vm;
     second_vm;
     guest = Kernel_costs.defaults;
@@ -96,8 +125,6 @@ let world t ~pcpu = t.world.(pcpu)
 
 (* VCPU0 of the measured VM is pinned to PCPU 4 (section III). *)
 let vcpu0_pcpu = 4
-
-let spend t label cycles = Machine.spend t.machine label cycles
 
 (* VM -> host transition. Split-mode: trap to EL2, switch the full EL1
    world (Table III), turn the virtualization features off so the host
@@ -119,8 +146,8 @@ let exit_to_host ?(pcpu = vcpu0_pcpu) ?(reason = Esr.Hvc64) t =
   (* The lowvisor's first act: decode the syndrome and classify. The
      marker label is the kvm_stat-style exit record consumed by
      Armvirt_obs.Accounting. *)
-  Machine.count t.machine
-    (Marker.exit ~hyp:"kvm_arm" ~reason:(Esr.marker_reason reason) ~pcpu);
+  Machine.count
+    (Transitions.exit t.mark.transitions (Esr.marker_reason reason) ~pcpu);
   let w = t.world.(pcpu) in
   El2_state.exit_to_el2 w;
   Arm_ops.trap_to_el2 t.ops;
@@ -161,7 +188,7 @@ let enter_vm ?(pcpu = vcpu0_pcpu) ?(domid = 1) t =
   end;
   (* Marked after the restore path so the exit->entry marker distance is
      the full world-switch latency, like kvm_entry after vcpu_load. *)
-  Machine.count t.machine (Marker.entry ~hyp:"kvm_arm" ~pcpu ~domid ())
+  Machine.count (Transitions.entry ~domid t.mark.transitions ~pcpu)
 
 let dispatch_cost t = if vhe t then t.tun.vhe_dispatch else t.tun.host_dispatch
 
@@ -182,37 +209,37 @@ let inject_virq t (vcpu : Vm.vcpu) irq =
   Arm_ops.vgic_slot_scan t.ops;
   Arm_ops.vgic_lr_write t.ops;
   Vgic.inject_or_queue vcpu.Vm.vgic irq;
-  Machine.count t.machine "kvm_arm.virq_injected"
+  Machine.count t.virq_injected
 
 let hypercall t =
-  Machine.count t.machine "kvm_arm.hypercall";
+  Machine.count t.mark.hypercall;
   given_vm_running t;
   Arm_ops.hvc_issue t.ops;
   exit_to_host t;
-  spend t "kvm_arm.host_dispatch" (dispatch_cost t);
+  Machine.spend t.step.host_dispatch (dispatch_cost t);
   enter_vm t
 
 let interrupt_controller_trap t =
-  Machine.count t.machine "kvm_arm.ict";
+  Machine.count t.mark.ict;
   given_vm_running t;
   exit_to_host ~reason:Esr.Data_abort_lower t;
   Arm_ops.mmio_decode t.ops;
-  spend t "kvm_arm.gic_mmio_emulate" t.tun.gic_mmio_emulate;
+  Machine.spend t.step.gic_mmio_emulate t.tun.gic_mmio_emulate;
   enter_vm t
 
 let virtual_irq_completion t =
-  Machine.count t.machine "kvm_arm.virq_completion";
+  Machine.count t.mark.virq_completion;
   (* Hardware vGIC CPU interface: no hypervisor involvement at all. *)
   Arm_ops.virq_complete t.ops
 
 let vm_switch t =
-  Machine.count t.machine "kvm_arm.vm_switch";
+  Machine.count t.mark.vm_switch;
   (* VM1 -> host (full switch), Linux picks the other VM's QEMU process,
      host -> VM2 (full switch again): EL1 state crosses memory twice,
      which is why KVM only loses slightly to Xen here (section IV). *)
   given_vm_running t;
   exit_to_host ~reason:Esr.Irq t (* the scheduler tick preempts *);
-  spend t "kvm_arm.process_switch" t.tun.process_switch;
+  Machine.spend t.step.process_switch t.tun.process_switch;
   enter_vm ~domid:2 t
 
 (* Sender VCPU writes the emulated SGI register; the host emulates it and
@@ -220,12 +247,12 @@ let vm_switch t =
    takes a physical interrupt to EL2, which the host turns into a virtual
    interrupt injection, then re-enters the VM. *)
 let virtual_ipi t =
-  Machine.count t.machine "kvm_arm.vipi";
+  Machine.count t.mark.vipi;
   given_vm_running t;
   given_vm_running ~pcpu:5 t;
   let start = Sim.current_time () in
   exit_to_host ~reason:Esr.Data_abort_lower t (* GICD_SGIR write *);
-  spend t "kvm_arm.sgi_emulate" t.tun.sgi_emulate;
+  Machine.spend t.step.sgi_emulate t.tun.sgi_emulate;
   (* The host's SGI emulation fires a real SGI through the physical
      distributor to the target PCPU. *)
   Distributor.send_sgi t.phys_gic 1 ~from:vcpu0_pcpu ~targets:[ 5 ];
@@ -234,7 +261,7 @@ let virtual_ipi t =
     | Some 1 -> ()
     | Some _ | None -> failwith "Kvm_arm: spurious physical interrupt");
     exit_to_host ~pcpu:5 ~reason:Esr.Irq t;
-    spend t "kvm_arm.host_irq_route" t.tun.host_irq_route;
+    Machine.spend t.step.host_irq_route t.tun.host_irq_route;
     Distributor.end_of_interrupt t.phys_gic 1 ~cpu:5;
     inject_virq t (Vm.vcpu t.vm 1) 1;
     enter_vm ~pcpu:5 t;
@@ -256,12 +283,12 @@ let kick_dispatch t =
    microbenchmark's definition ("for KVM, this traps to the host
    kernel"). *)
 let io_latency_out t =
-  Machine.count t.machine "kvm_arm.io_out";
+  Machine.count t.mark.io_out;
   given_vm_running t;
   let start = Sim.current_time () in
   exit_to_host ~reason:Esr.Data_abort_lower t (* virtqueue kick MMIO *);
   Arm_ops.mmio_decode t.ops;
-  spend t "kvm_arm.kick_dispatch" (kick_dispatch t);
+  Machine.spend t.step.kick_dispatch (kick_dispatch t);
   let latency = Cycles.sub (Sim.current_time ()) start in
   enter_vm t;
   latency
@@ -270,13 +297,13 @@ let io_latency_out t =
    (scheduler wakeup + vcpu_load + run-loop re-entry), inject the virtual
    interrupt, enter the VM. *)
 let io_latency_in t =
-  Machine.count t.machine "kvm_arm.io_in";
+  Machine.count t.mark.io_in;
   (* The VM blocked in WFI earlier; its exit is off the measured path. *)
   given_vcpu_blocked t;
   let start = Sim.current_time () in
-  spend t "kvm_arm.vhost_signal" 300;
+  Machine.spend t.step.vhost_signal 300;
   let receiver () =
-    spend t "kvm_arm.vcpu_resume" t.tun.vcpu_resume;
+    Machine.spend t.step.vcpu_resume t.tun.vcpu_resume;
     inject_virq t (Vm.vcpu t.vm 0) 48;
     enter_vm t;
     Arm_ops.virq_guest_dispatch t.ops

@@ -7,7 +7,7 @@ module Apic = Armvirt_gic.Apic
 module Vmx_state = Armvirt_arch.Vmx_state
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
-module Marker = Armvirt_obs.Marker
+module Transitions = Armvirt_arch.Transitions
 
 type tuning = {
   dispatch : int;
@@ -32,10 +32,24 @@ let default_tuning =
     vhost_per_packet = 1400;
   }
 
+(* The model's priced steps, interned at [create]. *)
+type steps = {
+  dispatch : Machine.op;
+  apic_emulate : Machine.op;
+  process_switch : Machine.op;
+  icr_emulate : Machine.op;
+  irq_inject : Machine.op;
+  kick_dispatch : Machine.op;
+  vhost_signal : Machine.op;
+  vcpu_resume : Machine.op;
+}
+
 type t = {
   ops : X86_ops.t;
   tun : tuning;
   machine : Machine.t;
+  step : steps;
+  mark : Hypervisor.marks;
   vm : Vm.t;
   apic : Apic.t;
   guest : Kernel_costs.t;
@@ -48,10 +62,23 @@ let create ?(tuning = default_tuning) machine =
   let ops = X86_ops.create machine in
   let vm = Vm.create ~domid:1 ~name:"VM" ~pcpus:[ 4; 5; 6; 7 ] in
   Vm.map_memory vm ~pages:1024 ~base_pa_page:0x10000;
+  let op = Machine.op machine in
   {
     ops;
     tun = tuning;
     machine;
+    step =
+      {
+        dispatch = op "kvm_x86.dispatch";
+        apic_emulate = op "kvm_x86.apic_emulate";
+        process_switch = op "kvm_x86.process_switch";
+        icr_emulate = op "kvm_x86.icr_emulate";
+        irq_inject = op "kvm_x86.irq_inject";
+        kick_dispatch = op "kvm_x86.kick_dispatch";
+        vhost_signal = op "kvm_x86.vhost_signal";
+        vcpu_resume = op "kvm_x86.vcpu_resume";
+      };
+    mark = Hypervisor.marks machine ~hyp:"kvm_x86";
     vm;
     apic = Apic.create ();
     guest = Kernel_costs.defaults;
@@ -61,7 +88,6 @@ let create ?(tuning = default_tuning) machine =
 let machine t = t.machine
 let vm t = t.vm
 let world t ~pcpu = t.world.(pcpu)
-let spend t label cycles = Machine.spend t.machine label cycles
 
 let vcpu0_pcpu = 4
 
@@ -75,33 +101,33 @@ let given_vcpu_blocked ?(pcpu = vcpu0_pcpu) ?(domid = 1) t =
 (* VMCALL is the x86 hypercall; the ARM mnemonics double as generic
    exit reasons in the marker labels (mli note in Esr). *)
 let exit_vm ?(pcpu = vcpu0_pcpu) ?(reason = Esr.Hvc64) t =
-  Machine.count t.machine
-    (Marker.exit ~hyp:"kvm_x86" ~reason:(Esr.marker_reason reason) ~pcpu);
+  Machine.count
+    (Transitions.exit t.mark.transitions (Esr.marker_reason reason) ~pcpu);
   Vmx_state.vmexit t.world.(pcpu);
   X86_ops.vmexit t.ops
 
 let resume_vm ?(pcpu = vcpu0_pcpu) t =
   X86_ops.vmentry t.ops;
   Vmx_state.vmentry t.world.(pcpu);
-  Machine.count t.machine (Marker.entry ~hyp:"kvm_x86" ~pcpu ())
+  Machine.count (Transitions.entry t.mark.transitions ~pcpu)
 
 let hypercall t =
-  Machine.count t.machine "kvm_x86.hypercall";
+  Machine.count t.mark.hypercall;
   given_vm_running t;
   X86_ops.vmcall_issue t.ops;
   exit_vm t;
-  spend t "kvm_x86.dispatch" t.tun.dispatch;
+  Machine.spend t.step.dispatch t.tun.dispatch;
   resume_vm t
 
 let interrupt_controller_trap t =
-  Machine.count t.machine "kvm_x86.ict";
+  Machine.count t.mark.ict;
   given_vm_running t;
   exit_vm ~reason:Esr.Data_abort_lower t (* APIC MMIO write *);
-  spend t "kvm_x86.apic_emulate" t.tun.apic_mmio_emulate;
+  Machine.spend t.step.apic_emulate t.tun.apic_mmio_emulate;
   resume_vm t
 
 let virtual_irq_completion t =
-  Machine.count t.machine "kvm_x86.virq_completion";
+  Machine.count t.mark.virq_completion;
   let hw = X86_ops.hw t.ops in
   if hw.Cost_model.vapic then X86_ops.eoi t.ops
   else begin
@@ -109,32 +135,32 @@ let virtual_irq_completion t =
        it is a marked exit/entry pair (same spends as X86_ops.eoi). *)
     given_vm_running t;
     exit_vm ~reason:Esr.Data_abort_lower t;
-    spend t "x86.eoi_emul" hw.Cost_model.eoi_emul;
+    X86_ops.eoi_emul t.ops;
     resume_vm t
   end
 
 let vm_switch t =
-  Machine.count t.machine "kvm_x86.vm_switch";
+  Machine.count t.mark.vm_switch;
   given_vm_running t;
   let w = t.world.(vcpu0_pcpu) in
   exit_vm ~reason:Esr.Irq t (* the scheduler tick preempts *);
-  spend t "kvm_x86.process_switch" t.tun.process_switch;
+  Machine.spend t.step.process_switch t.tun.process_switch;
   (* The other QEMU process vmptrld's its own VMCS. *)
   Vmx_state.vmclear w;
   Vmx_state.vmptrld w ~domid:2;
   resume_vm t
 
 let virtual_ipi t =
-  Machine.count t.machine "kvm_x86.vipi";
+  Machine.count t.mark.vipi;
   given_vm_running t;
   given_vm_running ~pcpu:5 t;
   let start = Sim.current_time () in
   exit_vm ~reason:Esr.Data_abort_lower t (* APIC ICR write *);
-  spend t "kvm_x86.icr_emulate" t.tun.icr_emulate;
+  Machine.spend t.step.icr_emulate t.tun.icr_emulate;
   Apic.fire t.apic ~vector:64;
   let receiver () =
     exit_vm ~pcpu:5 ~reason:Esr.Irq t;
-    spend t "kvm_x86.irq_inject" t.tun.irq_inject;
+    Machine.spend t.step.irq_inject t.tun.irq_inject;
     ignore (Apic.acknowledge t.apic);
     resume_vm ~pcpu:5 t;
     X86_ops.virq_guest_dispatch t.ops
@@ -151,24 +177,24 @@ let virtual_ipi t =
    kernel (vhost) receives the eventfd signal before KVM re-enters the
    VM. *)
 let io_latency_out t =
-  Machine.count t.machine "kvm_x86.io_out";
+  Machine.count t.mark.io_out;
   given_vm_running t;
   let start = Sim.current_time () in
   exit_vm ~reason:Esr.Data_abort_lower t (* virtqueue kick MMIO *);
-  spend t "kvm_x86.kick_dispatch" t.tun.kick_dispatch;
+  Machine.spend t.step.kick_dispatch t.tun.kick_dispatch;
   let latency = Cycles.sub (Sim.current_time ()) start in
   resume_vm t;
   latency
 
 let io_latency_in t =
-  Machine.count t.machine "kvm_x86.io_in";
+  Machine.count t.mark.io_in;
   (* The VCPU thread blocked earlier: its exit is off the measured path. *)
   given_vcpu_blocked t;
   let start = Sim.current_time () in
-  spend t "kvm_x86.vhost_signal" 300;
+  Machine.spend t.step.vhost_signal 300;
   let receiver () =
-    spend t "kvm_x86.vcpu_resume" t.tun.vcpu_resume;
-    spend t "kvm_x86.irq_inject" t.tun.irq_inject;
+    Machine.spend t.step.vcpu_resume t.tun.vcpu_resume;
+    Machine.spend t.step.irq_inject t.tun.irq_inject;
     resume_vm t;
     X86_ops.virq_guest_dispatch t.ops
   in

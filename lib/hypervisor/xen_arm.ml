@@ -10,7 +10,7 @@ module El2_state = Armvirt_arch.El2_state
 module Event_channel = Armvirt_io.Event_channel
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
-module Marker = Armvirt_obs.Marker
+module Transitions = Armvirt_arch.Transitions
 
 type pinning = Separate | Shared
 
@@ -49,10 +49,28 @@ let default_tuning =
     netback_per_packet = 3300;
   }
 
+(* The model's priced steps, interned at [create]. *)
+type steps = {
+  trap_save : Machine.op;
+  trap_restore : Machine.op;
+  sched_pick : Machine.op;
+  dispatch : Machine.op;
+  gic_mmio_emulate : Machine.op;
+  sgi_emulate : Machine.op;
+  irq_route : Machine.op;
+  evtchn_send : Machine.op;
+  dom0_upcall : Machine.op;
+  dom0_signal_path : Machine.op;
+}
+
 type t = {
   ops : Arm_ops.t;
   tun : tuning;
   machine : Machine.t;
+  step : steps;
+  mark : Hypervisor.marks;
+  vm_switch_inner : Machine.marker;
+  virq_injected : Machine.marker;
   dom0 : Vm.t;
   domu : Vm.t;
   channels : Event_channel.t;
@@ -84,10 +102,27 @@ let create ?(tuning = default_tuning) ?(pinning = Separate) machine =
   in
   let phys_gic = Distributor.create ~num_cpus:(Machine.num_cpus machine) in
   Distributor.enable phys_gic 1;
+  let op = Machine.op machine in
   {
     ops;
     tun = tuning;
     machine;
+    step =
+      {
+        trap_save = op "xen_arm.trap_save";
+        trap_restore = op "xen_arm.trap_restore";
+        sched_pick = op "xen_arm.sched_pick";
+        dispatch = op "xen_arm.dispatch";
+        gic_mmio_emulate = op "xen_arm.gic_mmio_emulate";
+        sgi_emulate = op "xen_arm.sgi_emulate";
+        irq_route = op "xen_arm.irq_route";
+        evtchn_send = op "xen_arm.evtchn_send";
+        dom0_upcall = op "xen_arm.dom0_upcall";
+        dom0_signal_path = op "xen_arm.dom0_signal_path";
+      };
+    mark = Hypervisor.marks machine ~hyp:"xen_arm";
+    vm_switch_inner = Machine.marker machine "xen_arm.vm_switch_inner";
+    virq_injected = Machine.marker machine "xen_arm.virq_injected";
     dom0;
     domu;
     channels;
@@ -115,23 +150,22 @@ let idle_domid = -1
 let given_vm_running t ~pcpu ~domid =
   El2_state.establish t.world.(pcpu) ~el1:(El2_state.Vm domid)
     ~executing:(`Vm domid)
-let spend t label cycles = Machine.spend t.machine label cycles
 
 let mark_exit t ~pcpu reason =
-  Machine.count t.machine
-    (Marker.exit ~hyp:"xen_arm" ~reason:(Esr.marker_reason reason) ~pcpu)
+  Machine.count
+    (Transitions.exit t.mark.transitions (Esr.marker_reason reason) ~pcpu)
 
 let mark_entry t ~pcpu ~domid =
-  Machine.count t.machine (Marker.entry ~hyp:"xen_arm" ~pcpu ~domid ())
+  Machine.count (Transitions.entry ~domid t.mark.transitions ~pcpu)
 
 let trap_to_xen ?(pcpu = 4) ?(reason = Esr.Hvc64) t =
   mark_exit t ~pcpu reason;
   El2_state.exit_to_el2 t.world.(pcpu);
   Arm_ops.trap_to_el2 t.ops;
-  spend t "xen_arm.trap_save" t.tun.trap_save
+  Machine.spend t.step.trap_save t.tun.trap_save
 
 let return_from_xen ?(pcpu = 4) ?(domid = 1) t =
-  spend t "xen_arm.trap_restore" t.tun.trap_restore;
+  Machine.spend t.step.trap_restore t.tun.trap_restore;
   Arm_ops.eret t.ops;
   El2_state.enter_vm t.world.(pcpu) ~domid;
   mark_entry t ~pcpu ~domid
@@ -141,9 +175,9 @@ let return_from_xen ?(pcpu = 4) ?(domid = 1) t =
    costs, which is why its VM Switch is only modestly cheaper than
    KVM's (section IV). *)
 let full_vm_switch ?(pcpu = 4) ?(to_domid = 1) t =
-  Machine.count t.machine "xen_arm.vm_switch_inner";
+  Machine.count t.vm_switch_inner;
   Arm_ops.save_classes t.ops Reg_class.full_world_switch;
-  spend t "xen_arm.sched_pick" t.tun.sched_pick;
+  Machine.spend t.step.sched_pick t.tun.sched_pick;
   Arm_ops.restore_classes t.ops Reg_class.full_world_switch;
   El2_state.load_el1 t.world.(pcpu) (El2_state.Vm to_domid)
 
@@ -151,32 +185,32 @@ let inject_virq t (vcpu : Vm.vcpu) irq =
   Arm_ops.vgic_slot_scan t.ops;
   Arm_ops.vgic_lr_write t.ops;
   Vgic.inject_or_queue vcpu.Vm.vgic irq;
-  Machine.count t.machine "xen_arm.virq_injected"
+  Machine.count t.virq_injected
 
 let hypercall t =
-  Machine.count t.machine "xen_arm.hypercall";
+  Machine.count t.mark.hypercall;
   let pcpu = domu_pcpu t in
   given_vm_running t ~pcpu ~domid:1;
   Arm_ops.hvc_issue t.ops;
   trap_to_xen ~pcpu t;
-  spend t "xen_arm.dispatch" t.tun.hypercall_dispatch;
+  Machine.spend t.step.dispatch t.tun.hypercall_dispatch;
   return_from_xen ~pcpu t
 
 let interrupt_controller_trap t =
-  Machine.count t.machine "xen_arm.ict";
+  Machine.count t.mark.ict;
   let pcpu = domu_pcpu t in
   given_vm_running t ~pcpu ~domid:1;
   trap_to_xen ~pcpu ~reason:Esr.Data_abort_lower t;
   Arm_ops.mmio_decode t.ops;
-  spend t "xen_arm.gic_mmio_emulate" t.tun.gic_mmio_emulate;
+  Machine.spend t.step.gic_mmio_emulate t.tun.gic_mmio_emulate;
   return_from_xen ~pcpu t
 
 let virtual_irq_completion t =
-  Machine.count t.machine "xen_arm.virq_completion";
+  Machine.count t.mark.virq_completion;
   Arm_ops.virq_complete t.ops
 
 let vm_switch t =
-  Machine.count t.machine "xen_arm.vm_switch";
+  Machine.count t.mark.vm_switch;
   let pcpu = domu_pcpu t in
   given_vm_running t ~pcpu ~domid:1;
   mark_exit t ~pcpu Esr.Irq (* the scheduler tick preempts *);
@@ -190,21 +224,21 @@ let vm_switch t =
 (* Both VCPUs execute VM code; the whole exchange stays in EL2 on both
    sides — roughly twice as fast as KVM's host-mediated version. *)
 let virtual_ipi t =
-  Machine.count t.machine "xen_arm.vipi";
+  Machine.count t.mark.vipi;
   let pcpu = domu_pcpu t in
   let peer = pcpu + 1 in
   given_vm_running t ~pcpu ~domid:1;
   given_vm_running t ~pcpu:peer ~domid:1;
   let start = Sim.current_time () in
   trap_to_xen ~pcpu ~reason:Esr.Data_abort_lower t (* GICD_SGIR write *);
-  spend t "xen_arm.sgi_emulate" t.tun.sgi_emulate;
+  Machine.spend t.step.sgi_emulate t.tun.sgi_emulate;
   Distributor.send_sgi t.phys_gic 1 ~from:pcpu ~targets:[ peer ];
   let receiver () =
     (match Distributor.acknowledge t.phys_gic ~cpu:peer with
     | Some 1 -> ()
     | Some _ | None -> failwith "Xen_arm: spurious physical interrupt");
     trap_to_xen ~pcpu:peer ~reason:Esr.Irq t;
-    spend t "xen_arm.irq_route" t.tun.irq_route;
+    Machine.spend t.step.irq_route t.tun.irq_route;
     Distributor.end_of_interrupt t.phys_gic 1 ~cpu:peer;
     inject_virq t (Vm.vcpu t.domu 1) 1;
     return_from_xen ~pcpu:peer t;
@@ -225,7 +259,7 @@ let virtual_ipi t =
    with an extra full VM switch, which the paper found "similar or
    worse". *)
 let io_latency_out t =
-  Machine.count t.machine "xen_arm.io_out";
+  Machine.count t.mark.io_out;
   let pcpu = domu_pcpu t in
   given_vm_running t ~pcpu ~domid:1;
   (* Dom0 idles between requests: the idle domain holds its PCPU
@@ -236,7 +270,7 @@ let io_latency_out t =
   let start = Sim.current_time () in
   Arm_ops.hvc_issue t.ops;
   trap_to_xen ~pcpu t;
-  spend t "xen_arm.evtchn_send" t.tun.evtchn_send;
+  Machine.spend t.step.evtchn_send t.tun.evtchn_send;
   Event_channel.send t.channels t.io_port;
   let dom0_side ~on =
     mark_exit t ~pcpu:on Esr.Irq (* event-channel IPI lands in EL2 *);
@@ -250,7 +284,7 @@ let io_latency_out t =
     mark_entry t ~pcpu:on ~domid:0;
     Arm_ops.virq_guest_dispatch t.ops;
     ignore (Event_channel.consume t.channels t.io_port);
-    spend t "xen_arm.dom0_upcall" t.tun.dom0_upcall
+    Machine.spend t.step.dom0_upcall t.tun.dom0_upcall
   in
   (match t.pinning with
   | Separate ->
@@ -267,7 +301,7 @@ let io_latency_out t =
 (* Netback completion in Dom0 -> DomU's interrupt handler: the mirror
    image, switching the idle domain for DomU on the target PCPU. *)
 let io_latency_in t =
-  Machine.count t.machine "xen_arm.io_in";
+  Machine.count t.mark.io_in;
   let pcpu = domu_pcpu t in
   (* Dom0 is running (it has data to deliver); DomU blocked for I/O, so
      the idle domain holds its PCPU. *)
@@ -276,10 +310,10 @@ let io_latency_in t =
   | Separate -> given_vm_running t ~pcpu ~domid:idle_domid
   | Shared -> ());
   let start = Sim.current_time () in
-  spend t "xen_arm.dom0_signal_path" t.tun.dom0_signal_path;
+  Machine.spend t.step.dom0_signal_path t.tun.dom0_signal_path;
   Arm_ops.hvc_issue t.ops;
   trap_to_xen ~pcpu:dom0_pcpu t;
-  spend t "xen_arm.evtchn_send" t.tun.evtchn_send;
+  Machine.spend t.step.evtchn_send t.tun.evtchn_send;
   Event_channel.send t.channels t.irq_port;
   let domu_side ~on =
     mark_exit t ~pcpu:on Esr.Irq (* event-channel IPI lands in EL2 *);

@@ -7,7 +7,7 @@ module Event_channel = Armvirt_io.Event_channel
 module Vmx_state = Armvirt_arch.Vmx_state
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
-module Marker = Armvirt_obs.Marker
+module Transitions = Armvirt_arch.Transitions
 
 type tuning = {
   dispatch : int;
@@ -40,10 +40,27 @@ let default_tuning =
     netback_per_packet = 3100;
   }
 
+(* The model's priced steps, interned at [create]. *)
+type steps = {
+  dispatch : Machine.op;
+  apic_emulate : Machine.op;
+  eoi_vapic : Machine.op;
+  eoi_emul : Machine.op;
+  sched_switch : Machine.op;
+  icr_emulate : Machine.op;
+  irq_inject : Machine.op;
+  evtchn_send : Machine.op;
+  pv_switch : Machine.op;
+  dom0_upcall : Machine.op;
+  dom0_signal_path : Machine.op;
+}
+
 type t = {
   ops : X86_ops.t;
   tun : tuning;
   machine : Machine.t;
+  step : steps;
+  mark : Hypervisor.marks;
   dom0 : Vm.t;
   domu : Vm.t;
   channels : Event_channel.t;
@@ -64,10 +81,26 @@ let create ?(tuning = default_tuning) machine =
   let channels = Event_channel.create () in
   let io_port = Event_channel.alloc channels ~from_dom:1 ~to_dom:0 in
   let irq_port = Event_channel.alloc channels ~from_dom:0 ~to_dom:1 in
+  let op = Machine.op machine in
   {
     ops;
     tun = tuning;
     machine;
+    step =
+      {
+        dispatch = op "xen_x86.dispatch";
+        apic_emulate = op "xen_x86.apic_emulate";
+        eoi_vapic = op "xen_x86.eoi_vapic";
+        eoi_emul = op "xen_x86.eoi_emul";
+        sched_switch = op "xen_x86.sched_switch";
+        icr_emulate = op "xen_x86.icr_emulate";
+        irq_inject = op "xen_x86.irq_inject";
+        evtchn_send = op "xen_x86.evtchn_send";
+        pv_switch = op "xen_x86.pv_switch";
+        dom0_upcall = op "xen_x86.dom0_upcall";
+        dom0_signal_path = op "xen_x86.dom0_signal_path";
+      };
+    mark = Hypervisor.marks machine ~hyp:"xen_x86";
     dom0;
     domu;
     channels;
@@ -81,7 +114,6 @@ let machine t = t.machine
 let dom0 t = t.dom0
 let domu t = t.domu
 let world t ~pcpu = t.world.(pcpu)
-let spend t label cycles = Machine.spend t.machine label cycles
 
 (* DomU (HVM) VCPU0 on PCPU 4; Dom0 is paravirtualized and lives in
    root mode on PCPUs 0-3 — it never enters non-root operation. *)
@@ -99,63 +131,63 @@ let given_domu_blocked ?(pcpu = domu_pcpu) t =
 (* Only HVM DomU transitions are marked: PV Dom0 never leaves root
    mode, so its traps are plain spends, matching real kvm_stat scope. *)
 let exit_vm ?(pcpu = domu_pcpu) ?(reason = Esr.Hvc64) t =
-  Machine.count t.machine
-    (Marker.exit ~hyp:"xen_x86" ~reason:(Esr.marker_reason reason) ~pcpu);
+  Machine.count
+    (Transitions.exit t.mark.transitions (Esr.marker_reason reason) ~pcpu);
   Vmx_state.vmexit t.world.(pcpu);
   X86_ops.vmexit t.ops
 
 let resume_vm ?(pcpu = domu_pcpu) t =
   X86_ops.vmentry t.ops;
   Vmx_state.vmentry t.world.(pcpu);
-  Machine.count t.machine (Marker.entry ~hyp:"xen_x86" ~pcpu ())
+  Machine.count (Transitions.entry t.mark.transitions ~pcpu)
 
 let hypercall t =
-  Machine.count t.machine "xen_x86.hypercall";
+  Machine.count t.mark.hypercall;
   given_vm_running t;
   X86_ops.vmcall_issue t.ops;
   exit_vm t;
-  spend t "xen_x86.dispatch" t.tun.dispatch;
+  Machine.spend t.step.dispatch t.tun.dispatch;
   resume_vm t
 
 let interrupt_controller_trap t =
-  Machine.count t.machine "xen_x86.ict";
+  Machine.count t.mark.ict;
   given_vm_running t;
   exit_vm ~reason:Esr.Data_abort_lower t (* APIC MMIO write *);
-  spend t "xen_x86.apic_emulate" t.tun.apic_mmio_emulate;
+  Machine.spend t.step.apic_emulate t.tun.apic_mmio_emulate;
   resume_vm t
 
 let virtual_irq_completion t =
-  Machine.count t.machine "xen_x86.virq_completion";
+  Machine.count t.mark.virq_completion;
   given_vm_running t;
   if X86_ops.vapic_enabled t.ops then
     (* Hardware completion, like ARM's virtual CPU interface. *)
-    spend t "xen_x86.eoi_vapic" 71
+    Machine.spend t.step.eoi_vapic 71
   else begin
     exit_vm ~reason:Esr.Data_abort_lower t (* EOI register write *);
-    spend t "xen_x86.eoi_emul" t.tun.eoi_emul;
+    Machine.spend t.step.eoi_emul t.tun.eoi_emul;
     resume_vm t
   end
 
 let vm_switch t =
-  Machine.count t.machine "xen_x86.vm_switch";
+  Machine.count t.mark.vm_switch;
   given_vm_running t;
   let w = t.world.(domu_pcpu) in
   exit_vm ~reason:Esr.Irq t (* the scheduler tick preempts *);
-  spend t "xen_x86.sched_switch" t.tun.sched_switch;
+  Machine.spend t.step.sched_switch t.tun.sched_switch;
   Vmx_state.vmclear w;
   Vmx_state.vmptrld w ~domid:2;
   resume_vm t
 
 let virtual_ipi t =
-  Machine.count t.machine "xen_x86.vipi";
+  Machine.count t.mark.vipi;
   given_vm_running t;
   given_vm_running ~pcpu:5 t;
   let start = Sim.current_time () in
   exit_vm ~reason:Esr.Data_abort_lower t (* APIC ICR write *);
-  spend t "xen_x86.icr_emulate" t.tun.icr_emulate;
+  Machine.spend t.step.icr_emulate t.tun.icr_emulate;
   let receiver () =
     exit_vm ~pcpu:5 ~reason:Esr.Irq t;
-    spend t "xen_x86.irq_inject" t.tun.irq_inject;
+    Machine.spend t.step.irq_inject t.tun.irq_inject;
     resume_vm ~pcpu:5 t;
     X86_ops.virq_guest_dispatch t.ops
   in
@@ -170,16 +202,16 @@ let virtual_ipi t =
    PCPU, where the idle context is swapped for Dom0's root-mode PV
    context — no VMCS reload, but a full scheduler pass. *)
 let io_latency_out t =
-  Machine.count t.machine "xen_x86.io_out";
+  Machine.count t.mark.io_out;
   given_vm_running t;
   let start = Sim.current_time () in
   exit_vm ~reason:Esr.Hvc64 t (* evtchn_send hypercall *);
-  spend t "xen_x86.evtchn_send" t.tun.evtchn_send;
+  Machine.spend t.step.evtchn_send t.tun.evtchn_send;
   Event_channel.send t.channels t.io_port;
   let dom0_side () =
-    spend t "xen_x86.pv_switch" t.tun.pv_switch;
+    Machine.spend t.step.pv_switch t.tun.pv_switch;
     ignore (Event_channel.consume t.channels t.io_port);
-    spend t "xen_x86.dom0_upcall" t.tun.dom0_upcall
+    Machine.spend t.step.dom0_upcall t.tun.dom0_upcall
   in
   Hypervisor.remote_completion t.machine ~name:"xen-x86-io-out"
     ~wire:(X86_ops.ipi_wire_latency t.ops)
@@ -192,16 +224,16 @@ let io_latency_out t =
    then Xen switches the idle context for the HVM DomU (VMCS load) and
    injects the virtual interrupt. *)
 let io_latency_in t =
-  Machine.count t.machine "xen_x86.io_in";
+  Machine.count t.mark.io_in;
   (* DomU blocked earlier; Xen's root-mode idle context holds its PCPU. *)
   given_domu_blocked t;
   let start = Sim.current_time () in
-  spend t "xen_x86.dom0_signal_path" t.tun.dom0_signal_path;
-  spend t "xen_x86.evtchn_send" t.tun.evtchn_send;
+  Machine.spend t.step.dom0_signal_path t.tun.dom0_signal_path;
+  Machine.spend t.step.evtchn_send t.tun.evtchn_send;
   Event_channel.send t.channels t.irq_port;
   let domu_side () =
-    spend t "xen_x86.sched_switch" (t.tun.sched_switch / 2);
-    spend t "xen_x86.irq_inject" t.tun.irq_inject;
+    Machine.spend t.step.sched_switch (t.tun.sched_switch / 2);
+    Machine.spend t.step.irq_inject t.tun.irq_inject;
     ignore (Event_channel.consume t.channels t.irq_port);
     Vmx_state.vmptrld t.world.(domu_pcpu) ~domid:1;
     resume_vm t;

@@ -1,6 +1,6 @@
 (* M1: stat-marker label grammar.
 
-   Every string literal reaching [Machine.count] is a row key in
+   Every label interned with [Machine.marker] is a row key in
    `armvirt stat`: exit/entry markers drive the kvm_stat-style pairing,
    operation counters become op rows, and vswitch/wire counters become
    port statistics. A typo ("kvm_arm.exit/hvcc/p0", a missing "/p")
@@ -19,7 +19,14 @@
    (or the [Accounting.*_label] compatibility aliases) — those
    constructors and [parse_label] live in the same module, so a
    builder-produced label is grammatical by construction. Literal
-   [~reason:]/[~hyp:] arguments of the builders are checked too. *)
+   [~reason:]/[~hyp:] arguments of the builders are checked too.
+
+   The rule sits at the intern site: [Machine.count] takes an interned
+   marker, so checking [Machine.marker] checks every counted label.
+   [Machine.op] labels are priced steps ("arm.save.GP Regs"), free-form
+   and outside the grammar, so they are not checked. A [Machine.marker]
+   that is not applied to its label (a partial application, or the
+   function passed as a value) is flagged: its label cannot be seen. *)
 
 open Parsetree
 module Esr = Armvirt_arch.Esr
@@ -160,9 +167,9 @@ let check_label_text label : string option =
 let last2 segs =
   match List.rev segs with b :: a :: _ -> Some (a, b) | _ -> None
 
-let is_count_path lid =
+let is_marker_path lid =
   match last2 (Pass.flatten lid) with
-  | Some ("Machine", "count") -> true
+  | Some ("Machine", "marker") -> true
   | _ -> false
 
 (* The typed builders: labels produced by these are grammatical by
@@ -213,7 +220,11 @@ let check_builder_args ctx fn args =
       | _ -> ())
     args
 
-let check_count_label ctx (label : expression) =
+let unchecked =
+  "Machine.marker label is neither a literal nor built by Obs.Marker: the \
+   grammar cannot be checked"
+
+let check_marker_label ctx (label : expression) =
   match string_lit label with
   | Some s -> (
       match check_label_text s with
@@ -224,36 +235,37 @@ let check_count_label ctx (label : expression) =
       | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
           match builder_of txt with
           | Some _ -> () (* literal args checked when the walker visits it *)
-          | None ->
-              Pass.emit ctx Rules.M1 label.pexp_loc
-                "Machine.count label is neither a literal nor built by \
-                 Obs.Marker: the grammar cannot be checked")
-      | _ ->
-          Pass.emit ctx Rules.M1 label.pexp_loc
-            "Machine.count label is neither a literal nor built by \
-             Obs.Marker: the grammar cannot be checked")
+          | None -> Pass.emit ctx Rules.M1 label.pexp_loc unchecked)
+      | _ -> Pass.emit ctx Rules.M1 label.pexp_loc unchecked)
+
+let unapplied =
+  "Machine.marker is not applied to its label (partial application or \
+   passed as a value): the grammar cannot be checked"
 
 let run ctx (ast : Pass.ast) =
   let expr sub e =
-    (match e.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-        if is_count_path txt then
-          (* The label is the last unlabelled argument. *)
-          match
-            List.rev
-              (List.filter_map
-                 (fun (lbl, a) ->
-                   match lbl with Asttypes.Nolabel -> Some a | _ -> None)
-                 args)
-          with
-          | label :: _ :: _ -> check_count_label ctx label
-          | _ -> ()
-        else
-          match builder_of txt with
-          | Some fn -> check_builder_args ctx fn args
-          | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.expr sub e
+    match e.pexp_desc with
+    | Pexp_apply (({ pexp_desc = Pexp_ident { txt; _ }; _ } as f), args)
+      when is_marker_path txt ->
+        (* The label is the last unlabelled argument, after the machine. *)
+        (match
+           List.rev
+             (List.filter_map
+                (fun (lbl, a) ->
+                  match lbl with Asttypes.Nolabel -> Some a | _ -> None)
+                args)
+         with
+        | label :: _ :: _ -> check_marker_label ctx label
+        | _ -> Pass.emit ctx Rules.M1 f.pexp_loc unapplied);
+        List.iter (fun (_, a) -> sub.Ast_iterator.expr sub a) args
+    | Pexp_ident { txt; _ } when is_marker_path txt ->
+        Pass.emit ctx Rules.M1 e.pexp_loc unapplied
+    | _ ->
+        (match e.pexp_desc with
+        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+            Option.iter (fun fn -> check_builder_args ctx fn args) (builder_of txt)
+        | _ -> ());
+        Ast_iterator.default_iterator.expr sub e
   in
   let it = { Ast_iterator.default_iterator with expr } in
   match ast with

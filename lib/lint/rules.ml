@@ -134,8 +134,9 @@ let explain = function
        { downtime_us = 300.0; ... }) are the sanctioned entry points and do \
        not flag. Audit with (* lint: unit <u> <reason> *)."
   | M1 ->
-      "M1 parses every string literal reaching Machine.count (and literal \
-       ~reason:/~hyp: arguments of the marker builders) under the stat \
+      "M1 checks counted labels where they are interned: every string \
+       literal handed to Machine.marker (and literal ~reason:/~hyp: \
+       arguments of the marker builders) is parsed under the stat \
        grammar: '<hyp>.exit/<reason>/p<pcpu>[/d<domid>]', \
        '<hyp>.entry/p<pcpu>[/d<domid>]', operation counters '<hyp>.<op>', \
        switch counters 'vswitch.<name>/p<port>/(rx|tx|drop)' and \
@@ -143,8 +144,12 @@ let explain = function
        'wire.<name>-u<id>/(rx|tx)'. <reason> is cross-checked against \
        Esr.short_name, and the literal is re-parsed with the exact \
        Accounting.parse_label the stat subcommand uses — a typo would \
-       silently drop rows from `armvirt stat`. Non-literal labels must come \
-       from the Obs.Marker builders."
+       silently drop rows from `armvirt stat`. Machine.count takes an \
+       interned marker, so every counted label passes this check. \
+       Non-literal labels must come from the Obs.Marker builders, and \
+       Machine.marker must be applied to its label, not partially applied \
+       or passed as a value. Priced-step labels interned with Machine.op \
+       (e.g. 'arm.save.GP Regs') are free-form and not checked."
   | D1 ->
       "D1 closes the escape hole R4 leaves open: R4 confines Domain.spawn \
        to Runner, but a closure passed to Runner.map may still capture \

@@ -38,8 +38,12 @@ let default =
 let page_bytes t = t.page_kb * 1024
 let total_bytes t = t.pages * page_bytes t
 
+let max_pages = 1 lsl 20
+
 let validate t =
   if t.pages <= 0 then invalid_arg "Plan: pages must be positive";
+  if t.pages > max_pages then
+    invalid_arg (Printf.sprintf "Plan: pages must be at most %d" max_pages);
   if t.page_kb <= 0 then invalid_arg "Plan: page_kb must be positive";
   if t.vcpus <= 0 then invalid_arg "Plan: vcpus must be positive";
   if t.hot_pages < 0 || t.hot_pages > t.pages then

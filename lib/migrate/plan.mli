@@ -39,7 +39,11 @@ val default : t
 val page_bytes : t -> int
 val total_bytes : t -> int
 
+val max_pages : int
+(** 1 048 576 pages (4 GiB at 4 KiB): the largest guest a plan admits. *)
+
 val validate : t -> unit
-(** Raises [Invalid_argument] on a nonsensical plan. *)
+(** Raises [Invalid_argument] on a nonsensical plan or more than
+    {!max_pages} pages. *)
 
 val pp : Format.formatter -> t -> unit

@@ -65,9 +65,22 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
   let page_bytes = Plan.page_bytes plan in
   let us_of c = Machine.elapsed_us machine c in
   let cycles_of_us us = Cycles.of_us ~hz:freq_hz us in
-  let spend label cycles =
-    if cycles > 0 then Machine.spend machine label cycles
-  in
+  let spend op cycles = if cycles > 0 then Machine.spend op cycles in
+  let op = Machine.op machine in
+  let wp_fault_op = op "migrate.wp_fault"
+  and guest_service_op = op "migrate.guest_service"
+  and copy_op = op "migrate.copy"
+  and send_op = op "migrate.send"
+  and kick_op = op "migrate.kick"
+  and protect_op = op "migrate.protect"
+  and harvest_op = op "migrate.harvest"
+  and pause_op = op "migrate.pause"
+  and state_op = op "migrate.state"
+  and resume_op = op "migrate.resume" in
+  let start_mark = Machine.marker machine "migrate.start"
+  and round_mark = Machine.marker machine "migrate.round"
+  and round_cap_mark = Machine.marker machine "migrate.round_cap"
+  and blackout_mark = Machine.marker machine "migrate.blackout" in
   (* The migration link as seen from this machine's clock: 2 us of
      propagation (as Link.ten_gbe) and the plan's bandwidth. *)
   let link =
@@ -160,9 +173,9 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
                 Sim.Signal.wait resume_sig
               done;
               if faults > 0 then
-                spend "migrate.wp_fault"
+                spend wp_fault_op
                   (faults * prof.Migrate_profile.wp_fault_guest_cpu);
-              spend "migrate.guest_service" plan.Plan.service_cycles;
+              spend guest_service_op plan.Plan.service_cycles;
               record_latency
                 (us_of (Cycles.sub (Sim.current_time ()) arrival));
               loop ()
@@ -183,11 +196,11 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
      stream the bytes in wire-FIFO order. *)
   let ship_batch n =
     let bytes = n * page_bytes in
-    spend "migrate.copy"
+    spend copy_op
       (Cost_model.copy_cost ~per_byte:prof.Migrate_profile.page_copy_per_byte
          ~bytes);
-    spend "migrate.send" (n * prof.Migrate_profile.page_send_per_page);
-    spend "migrate.kick" prof.Migrate_profile.batch_kick;
+    spend send_op (n * prof.Migrate_profile.page_send_per_page);
+    spend kick_op prof.Migrate_profile.batch_kick;
     ignore (Link.send_bulk link ~bytes)
   in
   let ship_pages n =
@@ -221,7 +234,7 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
       if plan.Plan.warmup_us > 0.0 then
         Sim.delay (cycles_of_us plan.Plan.warmup_us);
       let start = Sim.current_time () in
-      Machine.count machine "migrate.start";
+      Machine.count start_mark;
       (* Everything from here on is round 0: the initial protect pass
          already makes the guest fault, and those requests must not
          land in the idle-baseline bucket. *)
@@ -229,11 +242,11 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
       (* Enable dirty logging: one pass write-protecting every guest
          page, same per-page machinery as the per-round re-arm. *)
       Dirty_log.start dlog;
-      spend "migrate.protect"
+      spend protect_op
         (plan.Plan.pages * prof.Migrate_profile.harvest_per_page);
       let rec precopy r to_send =
         round_ref := r;
-        Machine.count machine "migrate.round";
+        Machine.count round_mark;
         let round_start = Sim.current_time () in
         let faults_before = Dirty_log.wp_faults dlog in
         ship_pages to_send;
@@ -255,13 +268,13 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
         end
         else if r + 1 >= plan.Plan.max_rounds then begin
           converged := false;
-          Machine.count machine "migrate.round_cap";
+          Machine.count round_cap_mark;
           r + 1
         end
         else begin
           let pages = Dirty_log.harvest dlog in
           let n = List.length pages in
-          spend "migrate.harvest" (n * prof.Migrate_profile.harvest_per_page);
+          spend harvest_op (n * prof.Migrate_profile.harvest_per_page);
           precopy (r + 1) n
         end
       in
@@ -271,15 +284,15 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
       (* Stop-and-copy: blackout begins. *)
       let pause_start = Sim.current_time () in
       paused := true;
-      Machine.count machine "migrate.blackout";
-      spend "migrate.pause" (plan.Plan.vcpus * prof.Migrate_profile.pause_vcpu);
+      Machine.count blackout_mark;
+      spend pause_op (plan.Plan.vcpus * prof.Migrate_profile.pause_vcpu);
       let residual = Dirty_log.harvest dlog in
       let n = List.length residual in
       final_pages := n;
-      spend "migrate.harvest" (n * prof.Migrate_profile.harvest_per_page);
+      spend harvest_op (n * prof.Migrate_profile.harvest_per_page);
       ship_pages n;
-      spend "migrate.state" prof.Migrate_profile.state_transfer;
-      spend "migrate.resume" (plan.Plan.vcpus * prof.Migrate_profile.resume_vcpu);
+      spend state_op prof.Migrate_profile.state_transfer;
+      spend resume_op (plan.Plan.vcpus * prof.Migrate_profile.resume_vcpu);
       Dirty_log.stop dlog;
       let now = Sim.current_time () in
       downtime_us_ref := us_of (Cycles.sub now pause_start);

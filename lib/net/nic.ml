@@ -3,7 +3,8 @@ module Machine = Armvirt_arch.Machine
 
 type t = {
   sim : Sim.t;
-  machine : Machine.t;
+  rx_dma : Machine.op;
+  tx_dma : Machine.op;
   dma_cost : int;
   irq_raise : Packet.t -> unit;
   mutable link : (Link.t * (Packet.t -> unit)) option;
@@ -13,12 +14,21 @@ type t = {
 
 let create sim ~machine ~dma_cost ~irq_raise =
   if dma_cost < 0 then invalid_arg "Nic.create: negative DMA cost";
-  { sim; machine; dma_cost; irq_raise; link = None; rx_count = 0; tx_count = 0 }
+  {
+    sim;
+    rx_dma = Machine.op machine "nic.rx_dma";
+    tx_dma = Machine.op machine "nic.tx_dma";
+    dma_cost;
+    irq_raise;
+    link = None;
+    rx_count = 0;
+    tx_count = 0;
+  }
 
 let attach t link ~remote = t.link <- Some (link, remote)
 
 let receive t packet =
-  Machine.spend t.machine "nic.rx_dma" t.dma_cost;
+  Machine.spend t.rx_dma t.dma_cost;
   t.rx_count <- t.rx_count + 1;
   Packet.stamp packet "nic_rx";
   t.irq_raise packet
@@ -27,7 +37,7 @@ let transmit t packet =
   match t.link with
   | None -> failwith "Nic.transmit: no link attached"
   | Some (link, remote) ->
-      Machine.spend t.machine "nic.tx_dma" t.dma_cost;
+      Machine.spend t.tx_dma t.dma_cost;
       t.tx_count <- t.tx_count + 1;
       Packet.stamp packet "nic_tx";
       Link.send link packet ~deliver:remote

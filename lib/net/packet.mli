@@ -6,7 +6,12 @@
     us to analyze the latency between operations happening in the VM and
     the host." Every interesting point in the simulated stack calls
     {!stamp}; the analysis in [Armvirt_core.Trace] differences the
-    stamps. *)
+    stamps.
+
+    A packet keeps its stamps in two small arrays (labels and times) in
+    first-stamp order and finds a label by scanning them with
+    [String.equal]. Call sites pass string literals, so a lookup usually
+    ends on a pointer-equal hit; no label is hashed. *)
 
 type t
 
@@ -52,4 +57,5 @@ val interval : t -> string -> string -> Armvirt_engine.Cycles.t option
     if either is missing or [b] precedes [a]. *)
 
 val stamps : t -> (string * Armvirt_engine.Cycles.t) list
-(** In chronological order. *)
+(** In chronological order; stamps at the same time keep the order in
+    which their labels were first stamped. *)

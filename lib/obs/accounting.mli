@@ -1,8 +1,8 @@
 (** kvm_stat-style exit accounting over recorded traces.
 
     The hypervisor models mark every VM exit and re-entry with a
-    zero-cost {!Armvirt_arch.Machine.count} whose label follows a fixed
-    grammar (below). A tracing session turns those counts into instant
+    zero-cost {!Armvirt_arch.Machine.count} of a marker interned when the
+    model is built, whose label follows a fixed grammar (below). A tracing session turns those counts into instant
     events on the machine's ["cpu"] track; this module reduces a list of
     exported trace processes into what [kvm_stat] / [perf kvm stat]
     would show on real hardware: per-exit-reason counters, log2 exit

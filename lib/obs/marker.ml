@@ -42,9 +42,8 @@ let require_ident ~what s =
     invalid_arg
       (Printf.sprintf "Marker: %s %S is not a lowercase identifier" what s)
 
-(* Exit, entry and switch labels are built on every marked transition,
-   so they are concatenated directly: one [String.concat] costs a
-   fraction of a [Printf.sprintf] and gives the same bytes. *)
+(* Concatenated directly: the same bytes as the grammar's format
+   strings, without a [Printf.sprintf] per label. *)
 let exit_of ~hyp reason ~pcpu =
   String.concat "" [ hyp; ".exit/"; reason; "/p"; Int.to_string pcpu ]
 

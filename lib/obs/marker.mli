@@ -11,13 +11,16 @@
     itself out of reach here, so parity is enforced by test and by the
     M1 lint pass, which links both libraries.
 
-    The M1 pass closes the loop at call sites: string literals at
-    [Machine.count] sites are re-parsed with {!Accounting.parse_label},
-    and any non-literal label must be an application of one of these
-    builders (or the {!Accounting.exit_label} / {!Accounting.entry_label}
-    aliases). Constant operation counters like ["kvm_arm.hypercall"]
-    should stay literals — zero-cost and grammar-checked at lint time;
-    use {!op} only when the name is computed. *)
+    The M1 pass closes the loop where labels are interned: string
+    literals handed to [Machine.marker] are re-parsed with
+    {!Accounting.parse_label}, and any non-literal label must be an
+    application of one of these builders (or the
+    {!Accounting.exit_label} / {!Accounting.entry_label} aliases).
+    [Machine.count] takes the interned marker, so every counted label
+    passes that check once, when the model is built. Constant operation
+    counters like ["kvm_arm.hypercall"] should stay literals —
+    grammar-checked at lint time; use {!op} only when the name is
+    computed. *)
 
 type reason = Wfx | Hvc | Smc | Sysreg | Iabt | Dabt | Irq
 

@@ -30,7 +30,11 @@ let run ?(requests = 64) (hyp : Hypervisor.t) ~device =
   let p = hyp.Hypervisor.io_profile in
   let g = hyp.Hypervisor.guest in
   let freq_ghz = Machine.freq_ghz machine in
-  let spend label c = Machine.spend machine label c in
+  let op = Machine.op machine in
+  let irq_delivery_op = op "disk_system.irq_delivery"
+  and guest_blk_op = op "disk_system.guest_blk"
+  and kick_op = op "disk_system.kick"
+  and completion_op = op "disk_system.completion" in
   let zero_copy = p.Io_profile.zero_copy in
   let vq = Virtqueue.create () in
   let ring = Xen_ring.create () in
@@ -55,7 +59,7 @@ let run ?(requests = 64) (hyp : Hypervisor.t) ~device =
       Xen_ring.backend_respond ring { Xen_ring.id = req.Xen_ring.id; status = 0 }
     end;
     ignore id;
-    spend "disk_system.irq_delivery" p.Io_profile.irq_delivery_latency;
+    Machine.spend irq_delivery_op p.Io_profile.irq_delivery_latency;
     Sim.Signal.notify completion
   in
   let backend =
@@ -68,7 +72,7 @@ let run ?(requests = 64) (hyp : Hypervisor.t) ~device =
   Sim.spawn sim ~name:"guest-fio" (fun () ->
       for id = 1 to requests do
         let t0 = Sim.current_time () in
-        spend "disk_system.guest_blk"
+        Machine.spend guest_blk_op
           (g.Kernel_costs.syscall + g.Kernel_costs.driver_tx);
         (if zero_copy then
            Virtqueue.add_avail vq
@@ -83,13 +87,13 @@ let run ?(requests = 64) (hyp : Hypervisor.t) ~device =
            Xen_ring.frontend_push ring
              { Xen_ring.gref; len = 4096; id = id mod 256 }
          end);
-        spend "disk_system.kick" p.Io_profile.kick_guest_cpu;
+        Machine.spend kick_op p.Io_profile.kick_guest_cpu;
         Backend_thread.submit backend id;
         Sim.Signal.wait completion;
         (* Reap the completion. *)
         (if zero_copy then ignore (Virtqueue.guest_reap_used vq)
          else ignore (Xen_ring.frontend_reap ring));
-        spend "disk_system.completion"
+        Machine.spend completion_op
           (g.Kernel_costs.irq_top_half + p.Io_profile.virq_completion);
         latencies :=
           Machine.elapsed_us machine (Cycles.sub (Sim.current_time ()) t0)

@@ -39,7 +39,10 @@ let run ?(frames = 1500) ?tso_bug (hyp : Hypervisor.t) =
     if completion_latency > 20_000 then Kernel_costs.tx_batch guest ~mtu_packets:42
     else 42
   in
-  let spend label c = Machine.spend machine label c in
+  let op = Machine.op machine in
+  let guest_frame_op = op "maerts_system.guest_frame"
+  and kick_op = op "maerts_system.kick"
+  and backend_frame_op = op "maerts_system.backend_frame" in
   let ring = Virtqueue.create ~size:256 () in
   let window = Sim.Resource.create ~name:"tx-window" sim ~capacity:window_frames in
   let backend_inbox : int Sim.Mailbox.t = Sim.Mailbox.create ~name:"backend-inbox" sim in
@@ -50,14 +53,14 @@ let run ?(frames = 1500) ?tso_bug (hyp : Hypervisor.t) =
   Sim.spawn sim ~name:"guest-tx" (fun () ->
       for id = 1 to frames do
         Sim.Resource.acquire window;
-        spend "maerts_system.guest_frame"
+        Machine.spend guest_frame_op
           ((guest.Kernel_costs.tcp_tx / 42) + p.Io_profile.guest_tx_per_packet);
         Virtqueue.add_avail ring
           { Virtqueue.addr = Addr.ipa_of_page (7000 + (id mod 200)); len = mtu;
             id = id mod 256 };
         if Virtqueue.kick_needed ring then begin
           incr round_trips;
-          spend "maerts_system.kick" (p.Io_profile.kick_guest_cpu / 4)
+          Machine.spend kick_op (p.Io_profile.kick_guest_cpu / 4)
         end;
         Sim.Mailbox.send backend_inbox id
       done);
@@ -81,7 +84,7 @@ let run ?(frames = 1500) ?tso_bug (hyp : Hypervisor.t) =
           + p.Io_profile.tx_grant_per_packet
           + int_of_float (p.Io_profile.tx_copy_per_byte *. float_of_int mtu)
         in
-        spend "maerts_system.backend_frame" (Stdlib.max work wire_cycles_per_frame);
+        Machine.spend backend_frame_op (Stdlib.max work wire_cycles_per_frame);
         Virtqueue.backend_push_used ring ~id:desc.Virtqueue.id ~len:mtu;
         (* Completion interrupt back into the guest opens the window. *)
         Sim.spawn_here ~name:"tx-completion" (fun () ->

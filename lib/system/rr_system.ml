@@ -76,7 +76,18 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
   let sim = Machine.sim machine in
   let p = hyp.Hypervisor.io_profile in
   let g = hyp.Hypervisor.guest in
-  let spend label c = Machine.spend machine label c in
+  let op = Machine.op machine in
+  let rx_grant_op = op "rr_system.rx_grant"
+  and irq_delivery_op = op "rr_system.irq_delivery"
+  and notify_op = op "rr_system.notify"
+  and tx_grant_op = op "rr_system.tx_grant"
+  and backend_tx_op = op "rr_system.backend_tx"
+  and host_tx_path_op = op "rr_system.host_tx_path"
+  and phys_rx_extra_op = op "rr_system.phys_rx_extra"
+  and native_server_op = op "rr_system.native_server"
+  and host_rx_path_op = op "rr_system.host_rx_path"
+  and virq_completion_op = op "rr_system.virq_completion"
+  and vm_processing_op = op "rr_system.vm_processing" in
   let stats = { rings = 0; grants = 0; virqs = 0 } in
   let transport = make_transport hyp in
   let vgic = Vgic.create () in
@@ -130,7 +141,7 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
         let req = Option.get (Xen_ring.backend_pop rx) in
         stats.rings <- stats.rings + 1;
         let _page = Grant_table.map grants req.Xen_ring.gref ~by:0 in
-        spend "rr_system.rx_grant"
+        Machine.spend rx_grant_op
           (Io_profile.total_rx_packet_cost p ~bytes:(Packet.wire_bytes pkt)
           - p.Io_profile.backend_cpu_per_packet);
         Grant_table.unmap grants req.Xen_ring.gref ~by:0;
@@ -139,7 +150,7 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
         Event_channel.send channels irq_port);
     Vgic.inject_or_queue vgic 48;
     stats.virqs <- stats.virqs + 1;
-    spend "rr_system.irq_delivery" p.Io_profile.irq_delivery_latency;
+    Machine.spend irq_delivery_op p.Io_profile.irq_delivery_latency;
     Sim.Mailbox.send guest_inbox pkt
   in
   (* Guest transmit: post the response and kick the backend. *)
@@ -160,7 +171,7 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
         Xen_ring.frontend_push tx { Xen_ring.gref; len = 67; id };
         stats.rings <- stats.rings + 1;
         Event_channel.send channels io_port);
-    spend "rr_system.notify" p.Io_profile.notify_latency;
+    Machine.spend notify_op p.Io_profile.notify_latency;
     Sim.Mailbox.send backend_tx_inbox pkt
   in
   (* Backend transmit: drain the ring and put the frame on the wire. *)
@@ -174,14 +185,14 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
         ignore (Event_channel.consume channels io_port);
         let req = Option.get (Xen_ring.backend_pop tx) in
         let _page = Grant_table.map grants req.Xen_ring.gref ~by:0 in
-        spend "rr_system.tx_grant"
+        Machine.spend tx_grant_op
           (Io_profile.total_tx_packet_cost p ~bytes:(Packet.wire_bytes pkt)
           - p.Io_profile.backend_cpu_per_packet);
         Grant_table.unmap grants req.Xen_ring.gref ~by:0;
         stats.grants <- stats.grants + 1;
         Xen_ring.backend_respond tx { Xen_ring.id = req.Xen_ring.id; status = 0 });
-    spend "rr_system.backend_tx" p.Io_profile.backend_cpu_per_packet;
-    spend "rr_system.host_tx_path" host_tx_path;
+    Machine.spend backend_tx_op p.Io_profile.backend_cpu_per_packet;
+    Machine.spend host_tx_path_op host_tx_path;
     Nic.transmit server_nic pkt
   in
   (* Guest cleanup between transactions: reap completions, recycle
@@ -218,15 +229,15 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
   Sim.spawn sim ~name:"backend-rx" (fun () ->
       for _ = 1 to transactions do
         let pkt = Sim.Mailbox.recv host_inbox in
-        spend "rr_system.phys_rx_extra" p.Io_profile.phys_rx_extra_latency;
+        Machine.spend phys_rx_extra_op p.Io_profile.phys_rx_extra_latency;
         Packet.stamp pkt "recv";
         if is_native then begin
-          spend "rr_system.native_server" (Kernel_costs.rr_server_cycles g);
+          Machine.spend native_server_op (Kernel_costs.rr_server_cycles g);
           Packet.stamp pkt "send_mark";
           Nic.transmit server_nic pkt
         end
         else begin
-          spend "rr_system.host_rx_path" host_rx_path;
+          Machine.spend host_rx_path_op host_rx_path;
           backend_rx pkt
         end
       done);
@@ -242,7 +253,7 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
           | Direct | Virtio _ -> ());
           (match Vgic.acknowledge vgic with
           | Some irq ->
-              spend "rr_system.virq_completion" p.Io_profile.virq_completion;
+              Machine.spend virq_completion_op p.Io_profile.virq_completion;
               Vgic.complete vgic irq
           | None -> failwith "Rr_system: interrupt without pending vIRQ");
           Packet.stamp pkt "vm_recv";
@@ -251,7 +262,7 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
             Kernel_costs.rr_server_cycles g
             - g.Kernel_costs.irq_top_half - g.Kernel_costs.driver_tx
           in
-          spend "rr_system.vm_processing"
+          Machine.spend vm_processing_op
             (guest_core + p.Io_profile.guest_rx_per_packet
            + p.Io_profile.guest_tx_per_packet + guest_virt_steal);
           Packet.stamp pkt "vm_send";

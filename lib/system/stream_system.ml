@@ -25,7 +25,10 @@ let run ?(frames = 2000) (hyp : Hypervisor.t) =
   let sim = Machine.sim machine in
   let p = hyp.Hypervisor.io_profile in
   let g = hyp.Hypervisor.guest in
-  let spend label c = Machine.spend machine label c in
+  let op = Machine.op machine in
+  let guest_frame = op "stream_system.guest_frame"
+  and backend_frame = op "stream_system.backend_frame"
+  and irq_delivery = op "stream_system.irq_delivery" in
   (* One receive virtqueue models either transport's ring here: the
      batching protocol (backend-live window) is identical; the per-frame
      costs differ through the profile. *)
@@ -66,7 +69,7 @@ let run ?(frames = 2000) (hyp : Hypervisor.t) =
         (match reap_with_linger () with
         | Some _ ->
             incr processed;
-            spend "stream_system.guest_frame"
+            Machine.spend guest_frame
               ((g.Kernel_costs.softirq_rx + g.Kernel_costs.tcp_rx) / 42
               + p.Io_profile.guest_rx_per_packet);
             post_buffers 1;
@@ -92,7 +95,7 @@ let run ?(frames = 2000) (hyp : Hypervisor.t) =
           + p.Io_profile.rx_grant_per_packet
           + int_of_float (p.Io_profile.rx_copy_per_byte *. float_of_int mtu)
         in
-        spend "stream_system.backend_frame" (Stdlib.max work wire_cycles_per_frame);
+        Machine.spend backend_frame (Stdlib.max work wire_cycles_per_frame);
         let rec take_buffer () =
           match Virtqueue.backend_pop ring with
           | Some desc -> desc
@@ -107,7 +110,7 @@ let run ?(frames = 2000) (hyp : Hypervisor.t) =
         (* Interrupt only if the guest parked since our last one. *)
         if Sim.Signal.waiters guest_wakeup > 0 then begin
           incr interrupts;
-          spend "stream_system.irq_delivery"
+          Machine.spend irq_delivery
             (p.Io_profile.irq_delivery_guest_cpu / 4);
           Sim.Signal.notify guest_wakeup
         end

@@ -14,6 +14,9 @@ type port = {
   mutable tx_frames : int;
   mutable dropped : int;
   mutable egress_free_at : Cycles.t; (* per-port backend serialization *)
+  rx_mark : Machine.marker;
+  tx_mark : Machine.marker;
+  drop_mark : Machine.marker;
 }
 
 type dest = Local of int | Via_uplink of int
@@ -23,6 +26,8 @@ type uplink = {
   up_link : Link.t;
   mutable up_tx : int;
   mutable up_rx : int;
+  up_tx_mark : Machine.marker;
+  up_rx_mark : Machine.marker;
   (* Set by [connect]: runs the peer switch's ingress after the wire
      delivers a frame. *)
   mutable up_deliver : src:int -> dst:int -> Packet.t -> unit;
@@ -31,6 +36,8 @@ type uplink = {
 type t = {
   name : string;
   machine : Machine.t;
+  ingress_op : Machine.op;
+  flood_mark : Machine.marker;
   profile : Port_profile.t;
   queue_capacity : int;
   learning : bool;
@@ -45,6 +52,8 @@ let create ?(queue_capacity = 64) ?(learning = true) ~name machine profile =
   {
     name;
     machine;
+    ingress_op = Machine.op machine "vswitch.ingress";
+    flood_mark = Machine.marker machine (Marker.flood ~switch:name);
     profile;
     queue_capacity;
     learning;
@@ -76,6 +85,13 @@ let attach t ~mac ~deliver =
       tx_frames = 0;
       dropped = 0;
       egress_free_at = Cycles.zero;
+      rx_mark =
+        Machine.marker t.machine (Marker.port ~switch:t.name ~port:port_id Rx);
+      tx_mark =
+        Machine.marker t.machine (Marker.port ~switch:t.name ~port:port_id Tx);
+      drop_mark =
+        Machine.marker t.machine
+          (Marker.port ~switch:t.name ~port:port_id Drop);
     }
   in
   t.ports <- p :: t.ports;
@@ -92,7 +108,7 @@ let set_handler t ~port deliver = (find_port t port).handler <- deliver
 let egress t p ~lead ~src ~dst pkt =
   if p.queued >= t.queue_capacity then begin
     p.dropped <- p.dropped + 1;
-    Machine.count t.machine (Marker.port ~switch:t.name ~port:p.port_id Marker.Drop)
+    Machine.count p.drop_mark
   end
   else begin
     p.queued <- p.queued + 1;
@@ -112,14 +128,13 @@ let egress t p ~lead ~src ~dst pkt =
         Sim.delay (Cycles.sub arrival now);
         p.queued <- p.queued - 1;
         p.tx_frames <- p.tx_frames + 1;
-        Machine.count t.machine
-          (Marker.port ~switch:t.name ~port:p.port_id Marker.Tx);
+        Machine.count p.tx_mark;
         p.handler ~src ~dst pkt)
   end
 
-let uplink_send t u ~src ~dst pkt =
+let uplink_send u ~src ~dst pkt =
   u.up_tx <- u.up_tx + 1;
-  Machine.count t.machine (Marker.uplink ~switch:t.name ~uplink:u.up_id Marker.Tx);
+  Machine.count u.up_tx_mark;
   (* Trunk ports tag the frame: +4 bytes of 802.1Q on the wire. *)
   Packet.set_framing pkt (Packet.framing_bytes pkt + Packet.vlan_tag_bytes);
   Link.send u.up_link pkt ~deliver:(fun pkt -> u.up_deliver ~src ~dst pkt)
@@ -156,7 +171,7 @@ let rec forward t ~ingress ~src ~dst pkt =
     when (match ingress with From_uplink u -> u <> uid | From_port _ -> true)
     -> (
       match List.find_opt (fun u -> u.up_id = uid) t.uplinks with
-      | Some u -> uplink_send t u ~src ~dst pkt
+      | Some u -> uplink_send u ~src ~dst pkt
       | None -> ())
   | Some (Via_uplink _) ->
       (* Split horizon: never bounce a frame back out the uplink it
@@ -166,7 +181,7 @@ let rec forward t ~ingress ~src ~dst pkt =
 
 and flood t ~ingress ~src ~dst pkt =
   t.flooded <- t.flooded + 1;
-  Machine.count t.machine (Marker.flood ~switch:t.name);
+  Machine.count t.flood_mark;
   let skip_port =
     match ingress with From_port i -> Some i | From_uplink _ -> None
   in
@@ -183,26 +198,31 @@ and flood t ~ingress ~src ~dst pkt =
     (List.rev t.ports);
   List.iter
     (fun u ->
-      if Some u.up_id <> skip_uplink then uplink_send t u ~src ~dst pkt)
+      if Some u.up_id <> skip_uplink then uplink_send u ~src ~dst pkt)
     (List.rev t.uplinks)
 
 let transmit t ~port ~dst pkt =
   let p = find_port t port in
   p.rx_frames <- p.rx_frames + 1;
-  Machine.count t.machine (Marker.port ~switch:t.name ~port:p.port_id Marker.Rx);
+  Machine.count p.rx_mark;
   (* The sending guest's kick plus the backend's TX path, charged in
      the caller's (guest) process like the netperf model does. *)
-  Machine.spend t.machine "vswitch.ingress"
+  Machine.spend t.ingress_op
     (Port_profile.ingress_cost t.profile ~bytes:(Packet.wire_bytes pkt));
   forward t ~ingress:(From_port port) ~src:p.mac ~dst pkt
 
 let add_uplink t link =
+  let up_id = List.length t.uplinks in
   let u =
     {
-      up_id = List.length t.uplinks;
+      up_id;
       up_link = link;
       up_tx = 0;
       up_rx = 0;
+      up_tx_mark =
+        Machine.marker t.machine (Marker.uplink ~switch:t.name ~uplink:up_id Tx);
+      up_rx_mark =
+        Machine.marker t.machine (Marker.uplink ~switch:t.name ~uplink:up_id Rx);
       up_deliver = (fun ~src:_ ~dst:_ _ -> ());
     }
   in
@@ -216,15 +236,13 @@ let connect a b ~a_to_b ~b_to_a =
     (fun ~src ~dst pkt ->
       Packet.set_framing pkt (Packet.framing_bytes pkt - Packet.vlan_tag_bytes);
       ub.up_rx <- ub.up_rx + 1;
-      Machine.count b.machine
-        (Marker.uplink ~switch:b.name ~uplink:ub.up_id Marker.Rx);
+      Machine.count ub.up_rx_mark;
       forward b ~ingress:(From_uplink ub.up_id) ~src ~dst pkt);
   ub.up_deliver <-
     (fun ~src ~dst pkt ->
       Packet.set_framing pkt (Packet.framing_bytes pkt - Packet.vlan_tag_bytes);
       ua.up_rx <- ua.up_rx + 1;
-      Machine.count a.machine
-        (Marker.uplink ~switch:a.name ~uplink:ua.up_id Marker.Rx);
+      Machine.count ua.up_rx_mark;
       forward a ~ingress:(From_uplink ua.up_id) ~src ~dst pkt)
 
 type port_stats = {

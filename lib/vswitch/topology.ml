@@ -47,9 +47,13 @@ let mk_link sim ~freq_ghz ~gbps =
   let propagation = Cycles.of_us ~hz:(freq_ghz *. 1e9) 2.0 in
   Link.create sim ~propagation ~cycles_per_byte
 
+let max_vms = 256
+
 let build ?(queue_capacity = 64) ?(uplink_gbps = 10.0) ~vms (hyp : Hypervisor.t)
     spec =
   if vms < 1 then invalid_arg "Topology.build: vms < 1";
+  if vms > max_vms then
+    invalid_arg (Printf.sprintf "Topology.build: vms > %d" max_vms);
   if uplink_gbps <= 0.0 then invalid_arg "Topology.build: uplink_gbps <= 0";
   (match spec with
   | Star n when n < 2 -> invalid_arg "Topology.build: star needs >= 2 hosts"

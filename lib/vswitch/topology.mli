@@ -20,6 +20,9 @@ val spec_to_string : spec -> string
 
 type t
 
+val max_vms : int
+(** 256: the most VMs {!build} attaches. *)
+
 val build :
   ?queue_capacity:int ->
   ?uplink_gbps:float ->
@@ -31,7 +34,7 @@ val build :
     the hypervisor's machine. VM [i] lives on host [i mod hosts] with
     MAC [i] and an initially-ignoring delivery handler (see
     {!set_handler}). Raises [Invalid_argument] on a non-positive VM
-    count or uplink rate. *)
+    count or uplink rate, or more than {!max_vms} VMs. *)
 
 val spec : t -> spec
 val hyp : t -> Armvirt_hypervisor.Hypervisor.t

@@ -158,26 +158,28 @@ let run_chain ?(requests = 400) ?(payload = 256) ?(spec = Topology.Pair)
   let lb = if Topology.same_host topo 0 2 then 2 else 1 in
   let backend = if lb = 2 then 1 else 2 in
   let g = hyp.Hypervisor.guest in
-  let spend label c = Machine.spend machine label c in
+  let op = Machine.op machine in
+  let lb_op = op "cluster.lb"
+  and backend_op = op "cluster.backend" in
   let pkts = ref [] in
   Topology.set_handler topo ~vm:lb (fun ~src ~dst pkt ->
       if dst = lb then
         if src = client then begin
           Packet.stamp pkt "lb_recv";
-          spend "cluster.lb" (lb_cycles g);
+          Machine.spend lb_op (lb_cycles g);
           Packet.stamp pkt "lb_send";
           Topology.send topo ~src:lb ~dst:backend pkt
         end
         else begin
           Packet.stamp pkt "lb_ret_recv";
-          spend "cluster.lb" (lb_cycles g);
+          Machine.spend lb_op (lb_cycles g);
           Packet.stamp pkt "lb_ret_send";
           Topology.send topo ~src:lb ~dst:client pkt
         end);
   Topology.set_handler topo ~vm:backend (fun ~src:_ ~dst pkt ->
       if dst = backend then begin
         Packet.stamp pkt "backend_recv";
-        spend "cluster.backend" (service_cycles hyp);
+        Machine.spend backend_op (service_cycles hyp);
         Packet.stamp pkt "backend_send";
         Topology.send topo ~src:backend ~dst:lb pkt
       end);

@@ -31,6 +31,10 @@ let run (hyp : Hypervisor.t) ~pages =
      guest-visible exit+entry pair); native runs fault into its own
      kernel with no transition at all. *)
   let transition = p.Io_profile.kick_guest_cpu in
+  let op = Machine.op machine in
+  let transition_op = op "coldstart.transition"
+  and alloc_op = op "coldstart.alloc"
+  and map_op = op "coldstart.map" in
   let stage2 = Stage2.create () in
   let tlb = Tlb.create ~capacity:512 in
   let faults = ref 0 in
@@ -46,9 +50,9 @@ let run (hyp : Hypervisor.t) ~pages =
         | None ->
             if warm then incr warm_faults else incr faults;
             let t0 = Sim.current_time () in
-            Machine.spend machine "coldstart.transition" transition;
-            Machine.spend machine "coldstart.alloc" host_alloc_cycles;
-            Machine.spend machine "coldstart.map" 420;
+            Machine.spend transition_op transition;
+            Machine.spend alloc_op host_alloc_cycles;
+            Machine.spend map_op 420;
             Stage2.map stage2 ~ipa_page:page ~pa_page:(0x40000 + page)
               Stage2.Read_write;
             Tlb.insert tlb ~ipa_page:page ~pa_page:(0x40000 + page);

@@ -32,6 +32,7 @@ let run ?(targets = 3) (hyp : Hypervisor.t) =
       ( 700 + (p.Io_profile.vipi_guest_cpu / 2),
         800 + (p.Io_profile.vipi_guest_cpu / 2) + target_handler )
   in
+  let send_leg = Machine.op machine "crosscall.send_leg" in
   let latency = ref 0 in
   let sender_cpu = ref 0 in
   Sim.spawn sim ~name:"crosscall-sender" (fun () ->
@@ -39,7 +40,7 @@ let run ?(targets = 3) (hyp : Hypervisor.t) =
       (* Initiate each leg serially (ICR/SGI writes serialize on the
          sender)... *)
       for _ = 1 to targets do
-        Machine.spend machine "crosscall.send_leg" sender_leg
+        Machine.spend send_leg sender_leg
       done;
       let sent = Sim.current_time () in
       sender_cpu := Cycles.to_int (Cycles.sub sent t0);

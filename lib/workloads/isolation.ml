@@ -23,6 +23,7 @@ let run ?(seed = 7) ?(iterations = 200) ~interference (hyp : Hypervisor.t) =
   let counter =
     Cycle_counter.create ~barrier_cost:hyp.Hypervisor.barrier_cost
   in
+  let interference_op = Machine.op machine "isolation.interference" in
   let collected = ref None in
   Sim.spawn sim ~name:"isolation-probe" (fun () ->
       let samples =
@@ -33,7 +34,7 @@ let run ?(seed = 7) ?(iterations = 200) ~interference (hyp : Hypervisor.t) =
                   (* A stray host IRQ or scheduler preemption lands inside
                      the measured window. *)
                   let stolen = 500 + Rng.int rng ~bound:14_500 in
-                  Machine.spend machine "isolation.interference" stolen
+                  Machine.spend interference_op stolen
                 end))
       in
       collected := Some (Summary.of_cycles samples));

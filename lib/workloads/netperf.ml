@@ -41,28 +41,39 @@ let is_native (hyp : Hypervisor.t) = hyp.Hypervisor.name = "Native"
    processing (through the hypervisor when virtualized), wire out. All
    timestamps land on the packet, mirroring tcpdump at the data-link
    layer plus a capture inside the VM. *)
-let transaction (hyp : Hypervisor.t) ~id =
+let transaction (hyp : Hypervisor.t) =
   let p = hyp.Hypervisor.io_profile in
   let g = hyp.Hypervisor.guest in
   let machine = hyp.Hypervisor.machine in
-  let spend label c = Machine.spend machine label c in
+  let op = Machine.op machine in
+  let phys_rx_extra_op = op "netperf.phys_rx_extra"
+  and native_server_op = op "netperf.native_server"
+  and host_rx_path_op = op "netperf.host_rx_path"
+  and rx_grant_op = op "netperf.rx_grant"
+  and irq_delivery_op = op "netperf.irq_delivery"
+  and vm_processing_op = op "netperf.vm_processing"
+  and notify_op = op "netperf.notify"
+  and backend_tx_op = op "netperf.backend_tx"
+  and host_tx_path_op = op "netperf.host_tx_path" in
+  let native = is_native hyp in
+  fun ~id ->
   let pkt = Packet.create ~payload:rr_payload ~id () in
   Packet.stamp pkt "client_send";
   Sim.delay (Cycles.of_int (wire_cycles + nic_dma));
   (* Xen: the physical driver lives in Dom0, which may need waking
      before tcpdump even sees the frame. *)
-  spend "netperf.phys_rx_extra" p.Io_profile.phys_rx_extra_latency;
+  Machine.spend phys_rx_extra_op p.Io_profile.phys_rx_extra_latency;
   Packet.stamp pkt "recv";
-  if is_native hyp then
-    spend "netperf.native_server" (Kernel_costs.rr_server_cycles g)
+  if native then
+    Machine.spend native_server_op (Kernel_costs.rr_server_cycles g)
   else begin
     (* Physical driver -> bridge -> backend queue, then delivery of the
        virtual interrupt into the VM. *)
-    spend "netperf.host_rx_path" host_rx_path;
-    spend "netperf.rx_grant"
+    Machine.spend host_rx_path_op host_rx_path;
+    Machine.spend rx_grant_op
       (Io_profile.total_rx_packet_cost p ~bytes:(Packet.wire_bytes pkt)
       - p.Io_profile.backend_cpu_per_packet);
-    spend "netperf.irq_delivery" p.Io_profile.irq_delivery_latency;
+    Machine.spend irq_delivery_op p.Io_profile.irq_delivery_latency;
     Packet.stamp pkt "vm_recv";
     (* In-VM residence: the native stack minus the physical driver ends,
        plus paravirtual frontend costs. *)
@@ -70,16 +81,16 @@ let transaction (hyp : Hypervisor.t) ~id =
       Kernel_costs.rr_server_cycles g
       - g.Kernel_costs.irq_top_half - g.Kernel_costs.driver_tx
     in
-    spend "netperf.vm_processing"
+    Machine.spend vm_processing_op
       (guest_core + p.Io_profile.guest_rx_per_packet
       + p.Io_profile.guest_tx_per_packet + p.Io_profile.virq_completion
       + guest_virt_steal);
     Packet.stamp pkt "vm_send";
     (* Kick the backend, which moves the response to the physical NIC. *)
-    spend "netperf.notify" p.Io_profile.notify_latency;
-    spend "netperf.backend_tx"
+    Machine.spend notify_op p.Io_profile.notify_latency;
+    Machine.spend backend_tx_op
       (Io_profile.total_tx_packet_cost p ~bytes:(Packet.wire_bytes pkt));
-    spend "netperf.host_tx_path" host_tx_path
+    Machine.spend host_tx_path_op host_tx_path
   end;
   Packet.stamp pkt "send";
   Sim.delay (Cycles.of_int (nic_dma + wire_cycles));
@@ -118,10 +129,11 @@ let run_tcp_rr ?(transactions = 400) (hyp : Hypervisor.t) =
   let sim = Machine.sim machine in
   let pkts = ref [] in
   let elapsed = ref Cycles.zero in
+  let transaction = transaction hyp in
   Sim.spawn sim ~name:"netperf-tcp-rr" (fun () ->
       let start = Sim.current_time () in
       for id = 1 to transactions do
-        pkts := transaction hyp ~id :: !pkts
+        pkts := transaction ~id :: !pkts
       done;
       elapsed := Cycles.sub (Sim.current_time ()) start);
   Sim.run sim;

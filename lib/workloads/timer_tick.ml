@@ -33,9 +33,10 @@ let run ?(tick_hz = 250) ?(simulated_ms = 100) (hyp : Hypervisor.t) =
   (* Each expiry: the physical interrupt lands at the hypervisor, which
      injects the virtual timer interrupt; the guest handles and
      completes it, then re-arms for the next period — a clockevent. *)
+  let translate = Machine.op machine "timer_tick.translate" in
   let on_expiry () =
     let t0 = Sim.current_time () in
-    Machine.spend machine "timer_tick.translate"
+    Machine.spend translate
       (p.Io_profile.irq_delivery_guest_cpu + p.Io_profile.virq_completion);
     incr ticks;
     tick_cycles :=

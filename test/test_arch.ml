@@ -10,6 +10,8 @@ module Exception_level = Armvirt_arch.Exception_level
 module Machine = Armvirt_arch.Machine
 module Arm_ops = Armvirt_arch.Arm_ops
 module X86_ops = Armvirt_arch.X86_ops
+module Transitions = Armvirt_arch.Transitions
+module Marker = Armvirt_obs.Marker
 
 let arm_machine ?(vhe = false) () =
   let sim = Sim.create () in
@@ -114,9 +116,9 @@ let test_platform_frequencies () =
 let test_machine_spend_accounts () =
   let m = arm_machine () in
   in_process m (fun () ->
-      Machine.spend m "test.op" 100;
-      Machine.spend m "test.op" 20;
-      Machine.count m "test.events");
+      Machine.spend (Machine.op m "test.op") 100;
+      Machine.spend (Machine.op m "test.op") 20;
+      Machine.count (Machine.marker m "test.events"));
   Alcotest.(check int) "label total" 120 (Counter.get (Machine.counters m) "test.op");
   Alcotest.(check int) "global cycles" 120
     (Counter.get (Machine.counters m) "cycles");
@@ -134,7 +136,7 @@ let prop_spend_conserves_cycles =
     (fun spends ->
       let m = arm_machine () in
       in_process m (fun () ->
-          List.iter (fun (i, n) -> Machine.spend m labels.(i) n) spends);
+          List.iter (fun (i, n) -> Machine.spend (Machine.op m labels.(i)) n) spends);
       let get = Counter.get (Machine.counters m) in
       let sum label =
         List.fold_left
@@ -145,6 +147,151 @@ let prop_spend_conserves_cycles =
       Array.for_all (fun label -> get label = sum label) labels
       && get "cycles" = total
       && Cycles.to_int (Sim.now (Machine.sim m)) = total)
+
+(* Interned ops and markers against label-keyed references: two machines
+   share one sim and one process, so their spends interleave on one
+   clock. Each machine's counters must equal a reference counter fed by
+   label, both spend observers and the count observer must see exactly
+   the (label, cycles, now) sequence a label-keyed replay predicts, and
+   every observed category must be [Span.of_label] of its own label. The
+   labels span several categories, so a category taken from the wrong
+   label shows. *)
+let traffic_labels =
+  [|
+    "arm.save.GP Regs"; "kvm_arm.exit/hvc/p4"; "kvm_arm.entry/p4/d1";
+    "netperf.host_rx_path"; "migrate.copy"; "vswitch.s0/p1/rx";
+    "kvm_arm.hypercall"; "xen_arm.sched_pick"; "plain";
+  |]
+
+type traffic = Spend of int * int * int | Count of int * int
+
+let traffic_gen =
+  QCheck.Gen.(
+    let m = int_bound 1 and l = int_bound (Array.length traffic_labels - 1) in
+    oneof
+      [
+        map3 (fun m l c -> Spend (m, l, c)) m l (int_bound 5000);
+        map2 (fun m l -> Count (m, l)) m l;
+      ])
+
+let prop_interned_traffic_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"interned ops and markers match label-keyed references"
+    QCheck.(
+      make
+        ~print:(fun steps ->
+          String.concat "; "
+            (List.map
+               (function
+                 | Spend (m, l, c) ->
+                     Printf.sprintf "spend m%d %s %d" m traffic_labels.(l) c
+                 | Count (m, l) ->
+                     Printf.sprintf "count m%d %s" m traffic_labels.(l))
+               steps))
+        Gen.(list_size (int_bound 80) traffic_gen))
+    (fun steps ->
+      let sim = Sim.create () in
+      let cost = Cost_model.Arm Cost_model.arm_default in
+      let machines = Array.init 2 (fun _ -> Machine.create sim ~cost ~num_cpus:8) in
+      (* Interned at build time, as the models do; an op and a marker on
+         the same label share one counter. *)
+      let ops = Array.map (fun m -> Array.map (Machine.op m) traffic_labels) machines in
+      let markers =
+        Array.map (fun m -> Array.map (Machine.marker m) traffic_labels) machines
+      in
+      let seen = Array.make 2 [] and seen_obs = Array.make 2 []
+      and seen_count = Array.make 2 [] and cats_ok = ref true in
+      let check_cat label cat =
+        if cat <> Armvirt_obs.Span.of_label label then cats_ok := false
+      in
+      Array.iteri
+        (fun i m ->
+          Machine.observe m
+            (Some
+               (fun ~label ~cycles ~now ->
+                 seen.(i) <- (label, cycles, Cycles.to_int now) :: seen.(i)));
+          Machine.observe_obs m
+            (Some
+               (fun ~label ~cat ~cycles ~now ->
+                 check_cat label cat;
+                 seen_obs.(i) <-
+                   (label, cycles, Cycles.to_int now) :: seen_obs.(i)));
+          Machine.observe_count m
+            (Some
+               (fun ~label ~cat ~now ->
+                 check_cat label cat;
+                 seen_count.(i) <- (label, Cycles.to_int now) :: seen_count.(i))))
+        machines;
+      Sim.spawn sim ~name:"traffic" (fun () ->
+          List.iter
+            (function
+              | Spend (m, l, c) -> Machine.spend ops.(m).(l) c
+              | Count (m, l) -> Machine.count markers.(m).(l))
+            steps);
+      Sim.run sim;
+      (* The label-keyed replay. *)
+      let refs = Array.init 2 (fun _ -> Reference_counter.create_set ()) in
+      let spends = Array.make 2 [] and counts = Array.make 2 [] in
+      let now = ref 0 in
+      List.iter
+        (function
+          | Spend (m, l, c) ->
+              let label = traffic_labels.(l) in
+              Reference_counter.add refs.(m) label c;
+              Reference_counter.add refs.(m) "cycles" c;
+              now := !now + c;
+              spends.(m) <- (label, c, !now) :: spends.(m)
+          | Count (m, l) ->
+              Reference_counter.incr refs.(m) traffic_labels.(l);
+              counts.(m) <- (traffic_labels.(l), !now) :: counts.(m))
+        steps;
+      let counters_agree i =
+        let set = Machine.counters machines.(i) in
+        Counter.names set = Reference_counter.names refs.(i)
+        && List.for_all
+             (fun name -> Counter.get set name = Reference_counter.get refs.(i) name)
+             ("cycles" :: Array.to_list traffic_labels)
+      in
+      !cats_ok
+      && List.for_all
+           (fun i ->
+             counters_agree i && seen.(i) = spends.(i)
+             && seen_obs.(i) = spends.(i)
+             && seen_count.(i) = counts.(i))
+           [ 0; 1 ])
+
+(* The exit/entry marker table: labels are the Marker builders' bytes,
+   a repeated lookup returns the same interned marker, domids grow the
+   per-PCPU table, and a negative domid is rejected. *)
+let test_transitions_table () =
+  let m = arm_machine () in
+  let tr = Transitions.create m ~hyp:"kvm_arm" in
+  let first = Transitions.exit tr Marker.Hvc ~pcpu:4 in
+  Alcotest.(check bool) "cached" true
+    (first == Transitions.exit tr Marker.Hvc ~pcpu:4);
+  List.iter Machine.count
+    [
+      first;
+      Transitions.exit tr Marker.Hvc ~pcpu:4;
+      Transitions.exit tr Marker.Irq ~pcpu:5;
+      Transitions.entry tr ~pcpu:4;
+      Transitions.entry ~domid:40 tr ~pcpu:4;
+      Transitions.entry ~domid:2 tr ~pcpu:4;
+    ];
+  let set = Machine.counters m in
+  Alcotest.(check (list (pair string int)))
+    "labels and counts"
+    [
+      (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 (), 1);
+      (Marker.entry ~domid:2 ~hyp:"kvm_arm" ~pcpu:4 (), 1);
+      (Marker.entry ~domid:40 ~hyp:"kvm_arm" ~pcpu:4 (), 1);
+      (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:4, 2);
+      (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Irq ~pcpu:5, 1);
+    ]
+    (List.map (fun n -> (n, Counter.get set n)) (Counter.names set));
+  Alcotest.check_raises "negative domid"
+    (Invalid_argument "Transitions.entry: negative domid") (fun () ->
+      ignore (Transitions.entry ~domid:(-1) tr ~pcpu:4))
 
 let test_machine_validation () =
   let sim = Sim.create () in
@@ -303,7 +450,11 @@ let () =
           Alcotest.test_case "validation" `Quick test_machine_validation;
           Alcotest.test_case "elapsed us" `Quick test_machine_elapsed_us;
         ]
-        @ qcheck [ prop_spend_conserves_cycles ] );
+        @ qcheck [ prop_spend_conserves_cycles ]
+        @ [
+            Alcotest.test_case "transitions table" `Quick test_transitions_table;
+          ]
+        @ qcheck [ prop_interned_traffic_matches_reference ] );
       ( "arm_ops",
         [
           Alcotest.test_case "primitive costs" `Quick test_arm_ops_costs;

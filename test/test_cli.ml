@@ -9,7 +9,7 @@ let armvirt = Filename.concat (Filename.concat ".." "bin") "armvirt.exe"
 let time_bound_s = 20.0
 
 (* Exit code and stdout of one run, or a failure past the time bound. *)
-let run args =
+let run ?(time_bound_s = time_bound_s) args =
   let out = Filename.temp_file "armvirt_cli" ".out" in
   let stdout_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -72,10 +72,22 @@ let rejected =
     [ "stat"; "--diff"; "onlyone" ];
   ]
 
-let test_case ~code args =
+(* Sizes past the stated limits: rejected before anything is allocated,
+   so each exits at once instead of running out of memory or running
+   for minutes. *)
+let too_large =
+  [
+    [ "fleet"; "--vms"; "4611686018427387903" ];
+    [ "fleet"; "--vms"; "1000000000" ];
+    [ "cluster"; "--vms"; "1000000000" ];
+    [ "migrate"; "--pages"; "4611686018427387903" ];
+    [ "explore"; "--space"; "vgic.save=1:1000000000:1" ];
+  ]
+
+let test_case ?time_bound_s ~code args =
   let name = String.concat " " args in
   Alcotest.test_case name `Quick (fun () ->
-      let got, stdout = run args in
+      let got, stdout = run ?time_bound_s args in
       Alcotest.(check int) (name ^ " exit code") code got;
       Alcotest.(check string) (name ^ " prints nothing on stdout") "" stdout)
 
@@ -83,5 +95,7 @@ let () =
   Alcotest.run "cli"
     [
       ("usage error", List.map (test_case ~code:124) usage_errors);
-      ("rejected argument", List.map (test_case ~code:2) rejected);
+      ( "rejected argument",
+        List.map (test_case ~code:2) rejected
+        @ List.map (test_case ~time_bound_s:1.0 ~code:2) too_large );
     ]

@@ -202,48 +202,62 @@ let test_u2_literals () =
 let test_m1_literal_labels () =
   check_rules "well-formed exit passes" []
     (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.count m "kvm_arm.exit/hvc/p0"|});
+       {|let f m = Machine.marker m "kvm_arm.exit/hvc/p0"|});
   check_rules "entry with domain passes" []
     (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.count m "xen_arm.entry/p2/d7"|});
+       {|let f m = Machine.marker m "xen_arm.entry/p2/d7"|});
   check_rules "op counter passes" []
     (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.count m "kvm_arm.hypercall"|});
+       {|let f m = Machine.marker m "kvm_arm.hypercall"|});
   check_rules "vswitch format literal passes via hole neutralization" []
     (lint ~relpath:"lib/vswitch/x.ml"
        {|let f c = c "vswitch.%s/p%d/rx" && c "wire.%s-u%d/tx"|});
   check_rules "unknown exit reason flagged" [ "M1" ]
     (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.count m "kvm_arm.exit/hvcc/p0"|});
+       {|let f m = Machine.marker m "kvm_arm.exit/hvcc/p0"|});
   check_rules "missing pcpu parses as op and is flagged" [ "M1" ]
     (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.count m "kvm_arm.exit/hvc"|});
+       {|let f m = Machine.marker m "kvm_arm.exit/hvc"|});
   check_rules "dotless label flagged" [ "M1" ]
     (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.count m "hypercall"|});
+       {|let f m = Machine.marker m "hypercall"|});
   check_rules "malformed vswitch counter flagged" [ "M1" ]
     (lint ~relpath:"lib/vswitch/x.ml"
-       {|let f m = Machine.count m "vswitch.s0/rx"|});
+       {|let f m = Machine.marker m "vswitch.s0/rx"|});
   check_rules "opaque computed label flagged" [ "M1" ]
     (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m h = Machine.count m (h ^ ".exit/hvc/p0")|});
+       {|let f m h = Machine.marker m (h ^ ".exit/hvc/p0")|});
+  check_rules "computed label at the intern site flagged" [ "M1" ]
+    (lint ~relpath:"lib/hypervisor/x.ml"
+       {|let f m name = Machine.marker m name|});
+  check_rules "partially applied intern flagged" [ "M1" ]
+    (lint ~relpath:"lib/hypervisor/x.ml"
+       {|let f m = List.map (Machine.marker m) [ "kvm_arm.hypercall" ]|});
+  check_rules "intern passed as a value flagged" [ "M1" ]
+    (lint ~relpath:"lib/hypervisor/x.ml"
+       {|let f m = List.map (fun l -> l) [ Machine.marker ] |> ignore; m|});
+  check_rules "counting an interned marker is fine" []
+    (lint ~relpath:"lib/hypervisor/x.ml" {|let f mark = Machine.count mark|});
+  check_rules "free-form priced label at Machine.op unflagged" []
+    (lint ~relpath:"lib/arch/x.ml"
+       {|let f m = Machine.spend (Machine.op m "arm.save.GP Regs") 100|});
   check_rules "marker sites outside lib/ unscanned" []
     (lint ~relpath:"bench/x.ml"
-       {|let f m = Machine.count m "kvm_arm.exit/hvcc/p0"|})
+       {|let f m = Machine.marker m "kvm_arm.exit/hvcc/p0"|})
 
 let test_m1_builders () =
   check_rules "builder application trusted" []
     (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m r = Machine.count m (Marker.exit ~hyp:"kvm_arm" ~reason:r ~pcpu:0)|});
+       {|let f m r = Machine.marker m (Marker.exit ~hyp:"kvm_arm" ~reason:r ~pcpu:0)|});
   check_rules "accounting alias trusted" []
     (lint ~relpath:"lib/fleet/x.ml"
-       {|let f m p = Machine.count m (Accounting.entry_label ~hyp:"xen_arm" ~pcpu:p ())|});
+       {|let f m p = Machine.marker m (Accounting.entry_label ~hyp:"xen_arm" ~pcpu:p ())|});
   check_rules "builder literal reason cross-checked" [ "M1" ]
     (lint ~relpath:"lib/fleet/x.ml"
-       {|let f m = Machine.count m (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvcc" ~pcpu:0)|});
+       {|let f m = Machine.marker m (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvcc" ~pcpu:0)|});
   check_rules "builder literal hyp cross-checked" [ "M1" ]
     (lint ~relpath:"lib/fleet/x.ml"
-       {|let f m = Machine.count m (Marker.entry ~hyp:"Bad.Hyp" ~pcpu:0 ())|})
+       {|let f m = Machine.marker m (Marker.entry ~hyp:"Bad.Hyp" ~pcpu:0 ())|})
 
 (* --- D1: cross-domain capture ---------------------------------------- *)
 
@@ -331,7 +345,7 @@ let test_pass_registration () =
 let test_per_pass_timing () =
   let r =
     lint ~relpath:"lib/hypervisor/x.ml"
-      {|let f m = Machine.count m "kvm_arm.hypercall"|}
+      {|let f m = Machine.marker m "kvm_arm.hypercall"|}
   in
   let names = List.map fst r.Engine.timings in
   Alcotest.(check (list string))
@@ -600,7 +614,7 @@ let test_repo_gate_catches_injection () =
       "let jitter () = Random.int 100\n\
        let d f = Domain.spawn f\n\
        let mix link_gbps cost_cycles = link_gbps + cost_cycles\n\
-       let mark m = Machine.count m \"kvm_arm.exit/hvcc/p0\"\n\
+       let mark m = Machine.marker m \"kvm_arm.exit/hvcc/p0\"\n\
        let tally = ref 0\n\
        let fan xs = Runner.map (fun x -> tally := x) xs"
   in

@@ -79,6 +79,56 @@ let test_packet_restamp_overwrites () =
   | Some c -> Alcotest.(check int) "latest wins" 100 (Cycles.to_int c)
   | None -> Alcotest.fail "stamp missing")
 
+(* Stamps against a [Hashtbl] reference: random stamp and restamp
+   sequences over up to 12 labels, at arbitrary (often repeated) times.
+   Labels are rebuilt for every call, so lookups must match by content,
+   not by pointer. [stamps] is the reference's final times in time
+   order, ties in first-stamp order. *)
+let prop_packet_stamps_match_reference =
+  QCheck.Test.make ~count:1000 ~name:"stamps match a Hashtbl reference"
+    QCheck.(list_of_size Gen.(int_bound 40) (pair (int_bound 11) (int_bound 20)))
+    (fun program ->
+      let label i = String.concat "" [ "stamp"; string_of_int i ] in
+      let p = Packet.create ~id:1 () in
+      let reference = Hashtbl.create 12 and first_order = ref [] in
+      List.iter
+        (fun (i, time) ->
+          Packet.stamp_at p (label i) (Cycles.of_int time);
+          if not (Hashtbl.mem reference i) then first_order := i :: !first_order;
+          Hashtbl.replace reference i time)
+        program;
+      let labels = List.init 12 Fun.id in
+      let timestamps_agree =
+        List.for_all
+          (fun i ->
+            Option.map Cycles.to_int (Packet.timestamp p (label i))
+            = Hashtbl.find_opt reference i)
+          labels
+      in
+      let intervals_agree =
+        List.for_all
+          (fun a ->
+            List.for_all
+              (fun b ->
+                let expected =
+                  match (Hashtbl.find_opt reference a, Hashtbl.find_opt reference b) with
+                  | Some ta, Some tb when tb >= ta -> Some (tb - ta)
+                  | _ -> None
+                in
+                Option.map Cycles.to_int (Packet.interval p (label a) (label b))
+                = expected)
+              labels)
+          labels
+      in
+      let expected_stamps =
+        List.rev !first_order
+        |> List.map (fun i -> (label i, Hashtbl.find reference i))
+        |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
+      in
+      timestamps_agree && intervals_agree
+      && List.map (fun (l, t) -> (l, Cycles.to_int t)) (Packet.stamps p)
+         = expected_stamps)
+
 (* --- Link ------------------------------------------------------------ *)
 
 let test_link_latency () =
@@ -274,6 +324,7 @@ let () =
           Alcotest.test_case "stamps and intervals" `Quick test_packet_stamps;
           Alcotest.test_case "restamp overwrites" `Quick
             test_packet_restamp_overwrites;
+          QCheck_alcotest.to_alcotest prop_packet_stamps_match_reference;
         ] );
       ( "link",
         [

@@ -381,8 +381,8 @@ let run_traced_cells ~jobs =
             let m = Platform.machine Platform.Arm_m400 in
             let sim = Machine.sim m in
             Sim.spawn sim ~name:"w" (fun () ->
-                Machine.spend m "vmexit.entry" (100 * (i + 1));
-                Machine.spend m "netperf.tx_path" 50);
+                Machine.spend (Machine.op m "vmexit.entry") (100 * (i + 1));
+                Machine.spend (Machine.op m "netperf.tx_path") 50);
             Sim.run sim;
             i)
           [ 0; 1; 2; 3; 4; 5 ]

@@ -181,6 +181,94 @@ let prop_counter_sums =
       sums_hold && names_hold
       && Array.for_all (fun label -> Counter.get set label = 0) labels)
 
+(* Interned counters against the name-keyed reference counter
+   (test/reference_counter.ml). Random programs over two sets and up to 40 labels,
+   "cycles" (interned first in every set) among them; after every step
+   the two agree on get, names and pp. Adds go through a remembered id
+   when the label was interned before, also across resets, so a stale id
+   that no longer addressed its counter would show. *)
+type counter_step =
+  | Intern of int * int
+  | Add_id of int * int * int
+  | Add of int * int * int
+  | Incr of int * int
+  | Reset of int
+
+let counter_label i = if i = 0 then "cycles" else Printf.sprintf "op%d.n" i
+
+let counter_step_gen =
+  QCheck.Gen.(
+    let set = int_bound 1 and label = int_bound 39 in
+    let amount = oneof [ return 0; int_range (-1000) 1000 ] in
+    frequency
+      [
+        (3, map2 (fun s l -> Intern (s, l)) set label);
+        (4, map3 (fun s l n -> Add_id (s, l, n)) set label amount);
+        (3, map3 (fun s l n -> Add (s, l, n)) set label amount);
+        (2, map2 (fun s l -> Incr (s, l)) set label);
+        (1, map (fun s -> Reset s) set);
+      ])
+
+let pp_counter_step = function
+  | Intern (s, l) -> Printf.sprintf "intern %d %s" s (counter_label l)
+  | Add_id (s, l, n) -> Printf.sprintf "add_id %d %s %d" s (counter_label l) n
+  | Add (s, l, n) -> Printf.sprintf "add %d %s %d" s (counter_label l) n
+  | Incr (s, l) -> Printf.sprintf "incr %d %s" s (counter_label l)
+  | Reset s -> Printf.sprintf "reset %d" s
+
+let prop_counter_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"interned counters match the name-keyed reference"
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat "; " (List.map pp_counter_step l))
+        Gen.(list_size (int_bound 120) counter_step_gen))
+    (fun program ->
+      let sets = [| Counter.create_set (); Counter.create_set () |] in
+      let refs =
+        [| Reference_counter.create_set (); Reference_counter.create_set () |]
+      in
+      let ids = Hashtbl.create 16 in
+      let id s l =
+        match Hashtbl.find_opt ids (s, l) with
+        | Some id -> id
+        | None ->
+            let id = Counter.intern sets.(s) (counter_label l) in
+            Hashtbl.add ids (s, l) id;
+            id
+      in
+      let agree s =
+        let pp f set = Format.asprintf "%a" f set in
+        Counter.names sets.(s) = Reference_counter.names refs.(s)
+        && pp Counter.pp sets.(s) = pp Reference_counter.pp refs.(s)
+        && List.for_all
+             (fun l ->
+               Counter.get sets.(s) (counter_label l)
+               = Reference_counter.get refs.(s) (counter_label l))
+             (List.init 40 Fun.id)
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Intern (s, l) ->
+              (* Idempotent: a second intern returns the remembered id. *)
+              let fresh = Counter.intern sets.(s) (counter_label l) in
+              if fresh <> id s l then QCheck.Test.fail_report "intern moved"
+          | Add_id (s, l, n) ->
+              Counter.add_id sets.(s) (id s l) n;
+              Reference_counter.add refs.(s) (counter_label l) n
+          | Add (s, l, n) ->
+              Counter.add sets.(s) (counter_label l) n;
+              Reference_counter.add refs.(s) (counter_label l) n
+          | Incr (s, l) ->
+              Counter.incr sets.(s) (counter_label l);
+              Reference_counter.incr refs.(s) (counter_label l)
+          | Reset s ->
+              Counter.reset sets.(s);
+              Reference_counter.reset refs.(s));
+          agree 0 && agree 1)
+        program)
+
 (* --- Cycle_counter -------------------------------------------------- *)
 
 let test_cycle_counter_measure () =
@@ -220,9 +308,9 @@ let test_trace_records_spends () =
   Machine.observe machine
     (Some (fun ~label ~cycles ~now -> Trace.record trace ~label ~cycles ~now));
   Sim.spawn sim ~name:"worker" (fun () ->
-      Machine.spend machine "step.a" 100;
-      Machine.spend machine "step.b" 50;
-      Machine.spend machine "step.a" 25);
+      Machine.spend (Machine.op machine "step.a") 100;
+      Machine.spend (Machine.op machine "step.b") 50;
+      Machine.spend (Machine.op machine "step.a") 25);
   Sim.run sim;
   Alcotest.(check int) "three events" 3 (Trace.length trace);
   Alcotest.(check int) "total" 175 (Trace.total_cycles trace);
@@ -240,7 +328,7 @@ let test_trace_records_spends () =
     (Trace.by_label trace);
   (* Detaching stops recording. *)
   Machine.observe machine None;
-  Sim.spawn sim ~name:"worker2" (fun () -> Machine.spend machine "step.c" 10);
+  Sim.spawn sim ~name:"worker2" (fun () -> Machine.spend (Machine.op machine "step.c") 10);
   Sim.run sim;
   Alcotest.(check int) "no longer recording" 3 (Trace.length trace);
   Trace.clear trace;
@@ -304,7 +392,7 @@ let () =
         @ qcheck [ prop_histogram_total ] );
       ( "counter",
         [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ]
-        @ qcheck [ prop_counter_sums ] );
+        @ qcheck [ prop_counter_sums; prop_counter_matches_reference ] );
       ( "cycle_counter",
         [
           Alcotest.test_case "measure subtracts overhead" `Quick
