@@ -872,6 +872,20 @@ let explore_cmd =
             | l -> l
           in
           let base = Explore.Config.default in
+          (* Apply every point before evaluating any, so a bad level is
+             rejected up front. Calibration visits combinations of axis
+             levels; the knobs validate independently, so the
+             one-at-a-time design, which holds every level, covers
+             them. *)
+          (match
+             List.iter
+               (fun point -> ignore (Explore.Config.apply_point base point))
+               (Explore.Sampler.points
+                  (if calibrate then Explore.Sampler.Oat else sampler)
+                  ~seed space)
+           with
+          | () -> ()
+          | exception Invalid_argument msg -> reject "invalid --space: %s" msg);
           with_session ~context:"explore"
             { jobs; trace_file; stat_file = None }
           @@ fun () ->
@@ -926,20 +940,28 @@ let migrate_cmd =
       (Printf.sprintf "Guest memory in pages, at most %d." Plan.max_pages)
   in
   let page_kb =
-    opt_int [ "page-kb" ] d.Plan.page_kb "KB" "Page granule in KiB."
+    opt_int [ "page-kb" ] d.Plan.page_kb "KB"
+      (Printf.sprintf "Page granule in KiB, at most %d." Plan.max_page_kb)
   in
-  let vcpus = opt_int [ "vcpus" ] d.Plan.vcpus "N" "VCPUs to pause at blackout." in
+  let vcpus =
+    opt_int [ "vcpus" ] d.Plan.vcpus "N"
+      (Printf.sprintf "VCPUs to pause at blackout, at most %d." Plan.max_vcpus)
+  in
   let hot_pages =
     opt_int [ "hot-pages" ] d.Plan.hot_pages "N"
       "Hot working-set size in pages."
   in
   let rate =
     opt_float [ "rate" ] d.Plan.txn_rate_hz "HZ"
-      "Request arrival rate (each request dirties pages: the dirty rate)."
+      (Printf.sprintf
+         "Request arrival rate (each request dirties pages: the dirty rate), \
+          at most %.0f."
+         Plan.max_txn_rate_hz)
   in
   let bandwidth =
     opt_float [ "bandwidth" ] d.Plan.bandwidth_gbps "GBPS"
-      "Migration link bandwidth in Gb/s."
+      (Printf.sprintf "Migration link bandwidth in Gb/s, at least %g."
+         Plan.min_bandwidth_gbps)
   in
   let rounds =
     opt_int [ "rounds" ] d.Plan.max_rounds "N"

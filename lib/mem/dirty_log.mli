@@ -8,6 +8,13 @@
     protection, so a page costs one fault per round however many times
     it is written.
 
+    Representation: the tracked set is an ascending array of the pages
+    {!start} demoted, so a page's position in it (its slot) is found by
+    binary search; the dirty set is one flag per slot plus the dirty
+    slots in fault order. A {!write} allocates nothing, only {!harvest}
+    allocates (its result), and no exception is raised on a normal
+    path.
+
     Pure mechanism, like {!Stage2} and {!Tlb}: no simulated time is
     consumed here. Callers price each [`Wp_fault] through their cost
     model (trap + {!Armvirt_arch.Cost_model.arm.stage2_wp_fault} + TLB
@@ -26,11 +33,12 @@ val start : t -> unit
 (** Enables logging: write-protects every currently-writable mapping and
     clears the dirty set. Pages the guest maps read-only are left alone
     and never reported dirty. Raises [Invalid_argument] if already
-    logging. *)
+    logging. One ascending pass over the table, O(mappings). *)
 
 val stop : t -> unit
 (** Disables logging and restores write permission on every tracked
-    page. Raises [Invalid_argument] if not logging. *)
+    page that is still read-only. Raises [Invalid_argument] if not
+    logging. O(tracked pages). *)
 
 val write : t -> ipa_page:int -> [ `Clean_hit | `Wp_fault ]
 (** One guest store to [ipa_page]. [`Wp_fault] means this was the first
@@ -40,18 +48,22 @@ val write : t -> ipa_page:int -> [ `Clean_hit | `Wp_fault ]
     dirty this round). Raises {!Stage2.Stage2_fault} [(Unmapped _)] for
     a page with no mapping at all, and [(Permission _)] for a write to a
     page the {e guest} maps read-only — a real fault, not a logging
-    artifact. *)
+    artifact. A clean hit is one permission check; a write-protect
+    fault adds a binary search of the tracked set and an in-place flip
+    of the PTE. *)
 
 val harvest : t -> int list
 (** Atomically returns the dirty pages (ascending page order — the
-    deterministic transmit order), clears the set, and re-write-protects
-    the harvested pages for the next round. Raises [Invalid_argument] if
-    not logging. *)
+    deterministic transmit order, each page once), clears the set, and
+    re-write-protects the harvested pages for the next round. Raises
+    [Invalid_argument] if not logging. Sorts only the dirty pages:
+    O(d log d) for d dirty pages. *)
 
 val dirty_count : t -> int
 (** Pages dirtied since the last {!harvest} (or {!start}). *)
 
 val is_dirty : t -> ipa_page:int -> bool
+(** A binary search of the tracked set. *)
 
 val tracked_count : t -> int
 (** Pages under dirty logging (writable when {!start} ran). *)

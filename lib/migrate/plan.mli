@@ -42,8 +42,22 @@ val total_bytes : t -> int
 val max_pages : int
 (** 1 048 576 pages (4 GiB at 4 KiB): the largest guest a plan admits. *)
 
+val max_page_kb : int
+(** 1024 KiB: the largest page granule. *)
+
+val max_vcpus : int
+(** 4096 VCPUs. *)
+
+val max_txn_rate_hz : float
+(** 1 000 000 requests/s. *)
+
+val min_bandwidth_gbps : float
+(** 0.1 Gb/s: the slowest migration link. *)
+
 val validate : t -> unit
-(** Raises [Invalid_argument] on a nonsensical plan or more than
-    {!max_pages} pages. *)
+(** Raises [Invalid_argument] on a nonsensical plan: a non-finite float
+    field, a count or rate out of range, or a size past one of the
+    limits above. Each limit keeps a run on an otherwise default plan
+    within seconds. *)
 
 val pp : Format.formatter -> t -> unit

@@ -59,6 +59,29 @@ let test_stage2_remap_and_unmap () =
   (* Unmapping twice is a no-op, like invalidating an absent PTE. *)
   Stage2.unmap s2 ~ipa_page:2
 
+(* Any non-negative guest frame maps without memory in proportion to it;
+   a machine frame a PTE cannot hold is rejected like a negative one. *)
+let test_stage2_frame_limits () =
+  let s2 = Stage2.create () in
+  Stage2.map s2 ~ipa_page:max_int ~pa_page:(max_int lsr 1) Stage2.Read_only;
+  Alcotest.(check bool) "top frame mapped" true
+    (Stage2.mapped s2 ~ipa_page:max_int);
+  let seen = ref [] in
+  Stage2.iter s2 (fun ~ipa_page ~pa_page _ ->
+      seen := (ipa_page, pa_page) :: !seen);
+  Alcotest.(check (list (pair int int)))
+    "iter" [ (max_int, max_int lsr 1) ] !seen;
+  List.iter
+    (fun (ipa_page, pa_page) ->
+      match Stage2.map s2 ~ipa_page ~pa_page Stage2.Read_write with
+      | () -> Alcotest.failf "map %d -> %d accepted" ipa_page pa_page
+      | exception Invalid_argument _ -> ())
+    [ (-1, 0); (0, -1); (0, (max_int lsr 1) + 1); (0, max_int) ];
+  Alcotest.(check int) "rejected maps left no mapping" 1
+    (Stage2.mapping_count s2);
+  Alcotest.(check bool) "negative frame never mapped" false
+    (Stage2.mapped s2 ~ipa_page:(-1))
+
 let prop_stage2_roundtrip =
   QCheck.Test.make ~name:"stage2 map/translate roundtrip"
     QCheck.(list (pair (int_bound 1000) (int_bound 10000)))
@@ -117,6 +140,323 @@ let prop_stage2_translate_opt =
           | None -> not (Hashtbl.mem mapped page)
           | exception _ -> false)
         probes)
+
+(* --- Stage2 and Dirty_log against the per-page Hashtbl oracles ---------- *)
+
+(* Each program runs on the leaf table and on the reference
+   (test/reference_stage2.ml, test/reference_dirty_log.ml) in lockstep;
+   after every step both must print the same observations: results,
+   exception payloads and the whole table. *)
+
+module Dirty_log = Armvirt_mem.Dirty_log
+
+module type STAGE2 = sig
+  type t
+  type perm = Read_only | Read_write
+  type fault = Unmapped of Addr.ipa | Permission of Addr.ipa
+
+  exception Stage2_fault of fault
+
+  val create : unit -> t
+  val map : t -> ipa_page:int -> pa_page:int -> perm -> unit
+  val unmap : t -> ipa_page:int -> unit
+  val translate : t -> Addr.ipa -> Addr.pa
+  val translate_write : t -> Addr.ipa -> Addr.pa
+  val translate_opt : t -> Addr.ipa -> Addr.pa option
+  val mapped : t -> ipa_page:int -> bool
+  val permission : t -> ipa_page:int -> perm option
+  val mapping_count : t -> int
+  val iter : t -> (ipa_page:int -> pa_page:int -> perm -> unit) -> unit
+  val pp_fault : Format.formatter -> fault -> unit
+end
+
+module type DIRTY_LOG = sig
+  type t
+  type stage2
+
+  val create : stage2 -> t
+  val stage2 : t -> stage2
+  val start : t -> unit
+  val stop : t -> unit
+  val write : t -> ipa_page:int -> [ `Clean_hit | `Wp_fault ]
+  val harvest : t -> int list
+  val dirty_count : t -> int
+  val is_dirty : t -> ipa_page:int -> bool
+  val tracked_count : t -> int
+  val wp_faults : t -> int
+  val rounds : t -> int
+  val logging : t -> bool
+end
+
+(* Pages on both sides of leaf boundaries, and sparse ones far apart. *)
+let edge_pages =
+  [ 0; 1; 510; 511; 512; 513; 1022; 1023; 1024; 1025; 1100; 0x9000;
+    1_000_000; 1_000_511; 1_000_512 ]
+
+let page_gen =
+  QCheck.Gen.(frequency [ (3, int_bound 1100); (2, oneofl edge_pages) ])
+
+let pa_page_gen = QCheck.Gen.int_bound 0xfffff
+let pa_string pa = Printf.sprintf "pa %#x" (Addr.pa_to_int pa)
+let option_string f = function None -> "none" | Some x -> f x
+
+(* One address per probe page, at an offset that varies with the page. *)
+let probe_ipa page = Addr.ipa ((page * Addr.page_size) + (page * 7 mod 4096))
+
+type s2_op =
+  | S2_map of int * int * bool  (* ipa page, pa page, writable *)
+  | S2_unmap of int
+  | S2_iter of s2_op list
+      (* iterate; the callback's [i]th visit applies the [i]th op *)
+
+type dl_op =
+  | Dl_start
+  | Dl_stop
+  | Dl_harvest
+  | Dl_write of int
+  | Dl_map of int * int * bool  (* a remap from outside the log *)
+  | Dl_unmap of int
+
+(* A small page set, so writes, remaps and unmaps meet the same pages. *)
+let dl_pages =
+  List.init 12 Fun.id @ [ 511; 512; 1023; 1024; 0x9000; 1_000_000 ]
+
+let pages_string pages = String.concat "," (List.map string_of_int pages)
+
+(* Everything a program observes, as text both sides share: the two
+   fault types print alike through their [pp_fault]. *)
+module Observer (S : STAGE2) (D : DIRTY_LOG with type stage2 := S.t) = struct
+  let observe f =
+    match f () with
+    | s -> s
+    | exception S.Stage2_fault fault ->
+        Format.asprintf "fault: %a" S.pp_fault fault
+    | exception Invalid_argument msg -> "invalid_arg: " ^ msg
+
+  let perm_string = function S.Read_only -> "ro" | S.Read_write -> "rw"
+  let perm_of_writable w = if w then S.Read_write else S.Read_only
+
+  (* The whole table: count, the iter sequence, and every query at each
+     probe page. *)
+  let stage2_state s2 probes =
+    let b = Buffer.create 512 in
+    Printf.bprintf b "count %d |" (S.mapping_count s2);
+    S.iter s2 (fun ~ipa_page ~pa_page perm ->
+        Printf.bprintf b " %d->%d %s" ipa_page pa_page (perm_string perm));
+    List.iter
+      (fun page ->
+        let ipa = probe_ipa page in
+        Printf.bprintf b " | %d: %s %s %s %s %b" page
+          (observe (fun () -> pa_string (S.translate s2 ipa)))
+          (observe (fun () -> pa_string (S.translate_write s2 ipa)))
+          (option_string pa_string (S.translate_opt s2 ipa))
+          (option_string perm_string (S.permission s2 ~ipa_page:page))
+          (S.mapped s2 ~ipa_page:page))
+      probes;
+    Buffer.contents b
+
+  let rec run_s2_op s2 = function
+    | S2_map (ipa_page, pa_page, w) ->
+        S.map s2 ~ipa_page ~pa_page (perm_of_writable w);
+        "ok"
+    | S2_unmap ipa_page ->
+        S.unmap s2 ~ipa_page;
+        "ok"
+    | S2_iter ops ->
+        let pending = ref ops and seen = Buffer.create 64 in
+        S.iter s2 (fun ~ipa_page ~pa_page perm ->
+            Printf.bprintf seen "%d->%d %s;" ipa_page pa_page
+              (perm_string perm);
+            match !pending with
+            | op :: rest ->
+                pending := rest;
+                ignore (run_s2_op s2 op)
+            | [] -> ());
+        Buffer.contents seen
+
+  let write_string = function `Clean_hit -> "clean" | `Wp_fault -> "wp_fault"
+
+  let run_dl_op d = function
+    | Dl_start ->
+        D.start d;
+        "ok"
+    | Dl_stop ->
+        D.stop d;
+        "ok"
+    | Dl_harvest -> pages_string (D.harvest d)
+    | Dl_write ipa_page -> write_string (D.write d ~ipa_page)
+    | Dl_map (ipa_page, pa_page, w) ->
+        S.map (D.stage2 d) ~ipa_page ~pa_page (perm_of_writable w);
+        "ok"
+    | Dl_unmap ipa_page ->
+        S.unmap (D.stage2 d) ~ipa_page;
+        "ok"
+
+  let dl_state d =
+    Printf.sprintf "logging %b dirty %d tracked %d faults %d rounds %d [%s] %s"
+      (D.logging d) (D.dirty_count d) (D.tracked_count d) (D.wp_faults d)
+      (D.rounds d)
+      (pages_string
+         (List.filter (fun ipa_page -> D.is_dirty d ~ipa_page) dl_pages))
+      (stage2_state (D.stage2 d) dl_pages)
+
+  (* Each op's result and the state right after it. *)
+  let trace run state ops =
+    List.map
+      (fun op ->
+        let result = observe (fun () -> run op) in
+        (result, state ()))
+      ops
+
+  let stage2_trace probes ops =
+    let s2 = S.create () in
+    trace (run_s2_op s2) (fun () -> stage2_state s2 probes) ops
+
+  (* [initial] gives each page writable, guest read-only or unmapped. *)
+  let dirty_log_trace (initial, ops) =
+    let s2 = S.create () in
+    List.iter
+      (fun (ipa_page, pa_page, kind) ->
+        match kind with
+        | `Rw -> S.map s2 ~ipa_page ~pa_page S.Read_write
+        | `Ro -> S.map s2 ~ipa_page ~pa_page S.Read_only
+        | `Unmapped -> ())
+      initial;
+    let d = D.create s2 in
+    trace (run_dl_op d) (fun () -> dl_state d) ops
+end
+
+module Leaf = Observer (Stage2) (Dirty_log)
+module Oracle = Observer (Reference_stage2) (Reference_dirty_log)
+
+(* Both sides' (result, state) after each op must be equal; the first
+   difference fails with both. *)
+let same_trace to_string ops got want =
+  List.for_all2
+    (fun op ((g, g_state), (w, w_state)) ->
+      if g <> w || g_state <> w_state then
+        QCheck.Test.fail_reportf "after %s:\n got  %s\n  %s\n want %s\n  %s"
+          (to_string op) g g_state w w_state;
+      true)
+    ops (List.combine got want)
+
+let rec s2_op_to_string = function
+  | S2_map (ipa, pa, w) ->
+      Printf.sprintf "map %d->%d %s" ipa pa (if w then "rw" else "ro")
+  | S2_unmap ipa -> Printf.sprintf "unmap %d" ipa
+  | S2_iter ops ->
+      Printf.sprintf "iter [%s]"
+        (String.concat "; " (List.map s2_op_to_string ops))
+
+let s2_edit_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map3 (fun i p w -> S2_map (i, p, w)) page_gen pa_page_gen bool);
+        (1, map (fun i -> S2_unmap i) page_gen);
+      ])
+
+let s2_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, s2_edit_gen);
+        (1, map (fun ops -> S2_iter ops) (list_size (int_bound 6) s2_edit_gen));
+      ])
+
+let rec s2_pages = function
+  | S2_map (i, _, _) | S2_unmap i -> [ i ]
+  | S2_iter ops -> List.concat_map s2_pages ops
+
+let prop_stage2_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"stage2 matches the per-page Hashtbl table"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map s2_op_to_string ops))
+       QCheck.Gen.(list_size (int_bound 40) s2_op_gen))
+    (fun ops ->
+      let probes =
+        List.sort_uniq Int.compare (edge_pages @ List.concat_map s2_pages ops)
+      in
+      same_trace s2_op_to_string ops
+        (Leaf.stage2_trace probes ops)
+        (Oracle.stage2_trace probes ops))
+
+let dl_op_to_string = function
+  | Dl_start -> "start"
+  | Dl_stop -> "stop"
+  | Dl_harvest -> "harvest"
+  | Dl_write p -> Printf.sprintf "write %d" p
+  | Dl_map (i, p, w) ->
+      Printf.sprintf "map %d->%d %s" i p (if w then "rw" else "ro")
+  | Dl_unmap i -> Printf.sprintf "unmap %d" i
+
+let dl_page_gen = QCheck.Gen.oneofl dl_pages
+
+let dl_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Dl_start);
+        (1, return Dl_stop);
+        (2, return Dl_harvest);
+        (10, map (fun p -> Dl_write p) dl_page_gen);
+        (2, map3 (fun i p w -> Dl_map (i, p, w)) dl_page_gen pa_page_gen bool);
+        (1, map (fun i -> Dl_unmap i) dl_page_gen);
+      ])
+
+let dl_initial_gen =
+  QCheck.Gen.(
+    flatten_l
+      (List.map
+         (fun page ->
+           map2
+             (fun kind pa -> (page, pa, kind))
+             (frequencyl [ (3, `Rw); (1, `Ro); (1, `Unmapped) ])
+             pa_page_gen)
+         dl_pages))
+
+let print_dl_program (initial, ops) =
+  String.concat "\n"
+    (List.filter_map
+       (fun (page, pa, kind) ->
+         match kind with
+         | `Rw -> Some (Printf.sprintf "init %d->%d rw" page pa)
+         | `Ro -> Some (Printf.sprintf "init %d->%d ro" page pa)
+         | `Unmapped -> None)
+       initial
+    @ List.map dl_op_to_string ops)
+
+let dl_program_agrees ((_, ops) as program) =
+  same_trace dl_op_to_string ops
+    (Leaf.dirty_log_trace program)
+    (Oracle.dirty_log_trace program)
+
+let prop_dirty_log_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"dirty log matches the Hashtbl dirty log"
+    (QCheck.make ~print:print_dl_program
+       QCheck.Gen.(pair dl_initial_gen (list_size (int_bound 60) dl_op_gen)))
+    dl_program_agrees
+
+(* Every case the random programs are meant to reach, spelled out once:
+   idle calls, writes while idle, guest read-only and unmapped pages, a
+   dirty page re-protected mid-round (listed once), a dirty page
+   unmapped before harvest, and a page remapped while tracked. *)
+let prop_dirty_log_scripted =
+  let initial =
+    [ (0, 100, `Rw); (1, 101, `Ro); (2, 102, `Unmapped); (511, 600, `Rw);
+      (512, 601, `Rw); (1023, 602, `Ro); (0x9000, 700, `Rw) ]
+  and ops =
+    [ Dl_harvest; Dl_stop; Dl_write 0; Dl_write 2; Dl_start; Dl_start;
+      Dl_write 1; Dl_write 2; Dl_write 0; Dl_write 0; Dl_map (0, 100, false);
+      Dl_write 0; Dl_write 511; Dl_write 512; Dl_harvest; Dl_write 512;
+      Dl_write 0x9000; Dl_unmap 512; Dl_harvest; Dl_write 511;
+      Dl_map (511, 900, false); Dl_write 511; Dl_map (2, 103, false);
+      Dl_write 2; Dl_harvest; Dl_write 0; Dl_stop; Dl_write 0; Dl_stop;
+      Dl_harvest; Dl_start; Dl_write 1023; Dl_write 0x9000; Dl_stop ]
+  in
+  QCheck.Test.make ~count:1 ~name:"dirty log matches on the scripted program"
+    (QCheck.make ~print:print_dl_program (QCheck.Gen.return (initial, ops)))
+    dl_program_agrees
 
 (* --- Tlb ------------------------------------------------------------ *)
 
@@ -433,8 +773,16 @@ let () =
           Alcotest.test_case "permissions" `Quick test_stage2_permissions;
           Alcotest.test_case "remap and unmap" `Quick test_stage2_remap_and_unmap;
           Alcotest.test_case "iter sorted" `Quick test_stage2_iter_sorted;
+          Alcotest.test_case "frame limits" `Quick test_stage2_frame_limits;
         ]
-        @ qcheck [ prop_stage2_roundtrip; prop_stage2_translate_opt ] );
+        @ qcheck
+            [
+              prop_stage2_roundtrip;
+              prop_stage2_translate_opt;
+              prop_stage2_matches_reference;
+            ] );
+      ( "dirty_log",
+        qcheck [ prop_dirty_log_matches_reference; prop_dirty_log_scripted ] );
       ( "tlb",
         [
           Alcotest.test_case "hit and miss" `Quick test_tlb_hit_miss;

@@ -296,6 +296,77 @@ let profiles_diverge () =
     (px.H.Migrate_profile.page_send_per_page
     > pk.H.Migrate_profile.page_send_per_page)
 
+(* --- conservation ----------------------------------------------------- *)
+
+let configs =
+  Core.Platform.
+    [
+      (Arm_m400_vhe, Kvm); (Arm_m400, Kvm); (Arm_m400, Xen); (X86_r320, Kvm);
+      (X86_r320, Xen);
+    ]
+
+let plan_gen =
+  let open QCheck.Gen in
+  let* pages = int_range 64 6000 in
+  let* hot_pages = int_bound pages in
+  let* hot_fraction = float_bound_inclusive 1.0 in
+  let* writes_per_txn = int_bound 15 in
+  let* txn_rate_hz = float_bound_inclusive 80_000.0 in
+  let* max_rounds = int_range 1 30 in
+  let* batch_pages = int_range 1 200 in
+  let* downtime_target_us = float_range 10.0 2000.0 in
+  let* bandwidth_gbps = float_range 0.5 40.0 in
+  let+ seed = int_bound 1_000_000 in
+  {
+    M.Plan.default with
+    M.Plan.pages;
+    hot_pages;
+    hot_fraction;
+    writes_per_txn;
+    txn_rate_hz;
+    max_rounds;
+    batch_pages;
+    downtime_target_us;
+    bandwidth_gbps;
+    seed;
+  }
+
+(* Every page shipped is accounted for: the full first pass, then exactly
+   one resend per write-protect fault, across the rounds and the
+   blackout. *)
+let prop_precopy_conserves_pages =
+  QCheck.Test.make ~count:20
+    ~name:"precopy ships each page once plus each fault"
+    (QCheck.make ~print:(Format.asprintf "%a" M.Plan.pp) plan_gen)
+    (fun plan ->
+      List.for_all
+        (fun (p, h) ->
+          let r = M.Precopy.run ~plan (hyp p h) in
+          let round_pages =
+            List.fold_left
+              (fun acc (rd : M.Precopy.round) -> acc + rd.M.Precopy.pages)
+              0 r.M.Precopy.rounds
+          in
+          let ok =
+            round_pages + r.M.Precopy.final_pages = r.M.Precopy.pages_sent
+            && (match r.M.Precopy.rounds with
+               | first :: _ -> first.M.Precopy.pages = plan.M.Plan.pages
+               | [] -> false)
+            && r.M.Precopy.wp_faults = r.M.Precopy.pages_resent
+            && List.length r.M.Precopy.rounds = r.M.Precopy.precopy_rounds
+          in
+          if not ok then
+            QCheck.Test.fail_reportf
+              "%s, batch %d: %d rounds (%d listed) shipping %d pages, final \
+               %d, sent %d, resent %d, faults %d"
+              r.M.Precopy.hyp_name plan.M.Plan.batch_pages
+              r.M.Precopy.precopy_rounds
+              (List.length r.M.Precopy.rounds) round_pages
+              r.M.Precopy.final_pages r.M.Precopy.pages_sent
+              r.M.Precopy.pages_resent r.M.Precopy.wp_faults;
+          true)
+        configs)
+
 (* --- workload + experiment ------------------------------------------- *)
 
 let workload_p99_degrades () =
@@ -449,6 +520,7 @@ let () =
           tc "hot guest hits the round cap" `Quick precopy_round_cap;
           tc "deterministic across reruns" `Quick precopy_deterministic;
           tc "per-hypervisor profiles diverge" `Quick profiles_diverge;
+          QCheck_alcotest.to_alcotest prop_precopy_conserves_pages;
         ] );
       ( "workload",
         [
