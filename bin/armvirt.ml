@@ -244,19 +244,31 @@ let session_args =
     const (fun jobs trace_file stat_file -> { jobs; trace_file; stat_file })
     $ jobs_arg $ trace_file_arg $ stat_file_arg)
 
+(* A cell whose ring reached its cap lost its oldest events, so its
+   trace and exit accounting are short: one line on stderr per such
+   cell, leaving stdout and the exports as they are. *)
+let warn_dropped () =
+  List.iter
+    (fun (c : Observe.cell) ->
+      if c.dropped > 0 then
+        Printf.eprintf
+          "armvirt: warning: cell %s dropped %d trace events (ring full)\n%!"
+          c.label c.dropped)
+    (Observe.cells ())
+
 (* Tracing, [--stat] and [--verbose] share a session: all need the
-   observer hooks installed; they differ only in what is exported
+   machines instrumented; they differ only in what is exported
    afterwards. *)
 let with_session ~context ?(verbose = false) s f =
   apply_jobs s.jobs;
   if s.trace_file = None && s.stat_file = None && not verbose then f ()
   else begin
     Observe.enable ~context ();
-    Observe.set_verbose verbose;
     Fun.protect ~finally:Observe.disable (fun () ->
         let v = f () in
         Option.iter (write_trace ~format:`Chrome) s.trace_file;
         Option.iter (write_stat ~context) s.stat_file;
+        if s.trace_file <> None || s.stat_file <> None then warn_dropped ();
         if verbose then print_verbose ppf;
         v)
   end
@@ -306,7 +318,8 @@ let observe_target ~platform ~hyp ?(iterations = 32) ?micro_hypervisor target
           Option.iter
             (fun (e : Report.entry) -> e.run null_ppf)
             (Report.find id));
-      export ())
+      export ();
+      warn_dropped ())
 
 (* --- list ------------------------------------------------------------- *)
 
@@ -715,22 +728,21 @@ let timeline_cmd =
   let run platform hyp op =
     let hypervisor = resolve platform hyp in
     let machine = hypervisor.Hypervisor.machine in
-    let trace = Armvirt_stats.Trace.create () in
+    let tracer = Armvirt_obs.Tracer.create () in
     let path = List.assoc op timeline_ops in
     Armvirt_engine.Sim.spawn
       (Armvirt_arch.Machine.sim machine)
       ~name:"timeline" (fun () ->
-        Armvirt_arch.Machine.observe machine
-          (Some
-             (fun ~label ~cycles ~now ->
-               Armvirt_stats.Trace.record trace ~label ~cycles ~now));
+        Armvirt_arch.Machine.attach machine
+          (Some (Observe.machine_sink ~track:"cpu" tracer));
         path hypervisor;
-        Armvirt_arch.Machine.observe machine None);
+        Armvirt_arch.Machine.attach machine None);
     Armvirt_engine.Sim.run (Armvirt_arch.Machine.sim machine);
+    let events = Armvirt_obs.Tracer.events tracer in
     Format.fprintf ppf "%s: %s, step by step@." hypervisor.Hypervisor.name op;
-    Armvirt_stats.Trace.pp_timeline ppf trace;
+    Observe.pp_timeline ppf events;
     Format.fprintf ppf "total: %d cycles@."
-      (Armvirt_stats.Trace.total_cycles trace)
+      (List.fold_left (fun n e -> n + Armvirt_obs.Span.duration e) 0 events)
   in
   Cmd.v
     (Cmd.info "timeline"

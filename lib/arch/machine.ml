@@ -5,22 +5,18 @@ module Span = Armvirt_obs.Span
 
 type pcpu = { id : int; exclusive : Sim.Resource.t }
 
+type sink = {
+  spend :
+    label:string -> cat:Span.category -> cycles:int -> now:Cycles.t -> unit;
+  count : label:string -> cat:Span.category -> now:Cycles.t -> unit;
+}
+
 type t = {
   sim : Sim.t;
   cost : Cost_model.t;
   counters : Counter.set;
   cpus : pcpu array;
-  mutable observer :
-    (label:string -> cycles:int -> now:Cycles.t -> unit) option;
-  mutable obs_observer :
-    (label:string ->
-    cat:Span.category ->
-    cycles:int ->
-    now:Cycles.t ->
-    unit)
-    option;
-  mutable count_observer :
-    (label:string -> cat:Span.category -> now:Cycles.t -> unit) option;
+  mutable sink : sink option;
 }
 
 (* One interned label of one machine. Ops and markers share the
@@ -37,13 +33,14 @@ type slot = {
 type op = slot
 type marker = slot
 
-(* Process-wide hook run on every [create], so a tracing session can
-   attach to machines it never sees constructed (experiments build their
-   machines internally). *)
-(* lint: allow R6 — single process-wide hook slot, set only by Observe *)
-let create_hook : (t -> unit) option ref = ref None
+(* Run on every [create] on this domain, so a tracing session can attach
+   to machines it never sees constructed (experiments build their
+   machines internally). Domain-local: a capture on one domain never
+   instruments a machine another domain builds. *)
+let create_hook : (t -> unit) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-let set_create_hook h = create_hook := h
+let set_create_hook h = Domain.DLS.set create_hook h
 
 let create sim ~cost ~num_cpus =
   if num_cpus < 1 then invalid_arg "Machine.create: num_cpus < 1";
@@ -60,12 +57,10 @@ let create sim ~cost ~num_cpus =
       cost;
       counters = Counter.create_set ();
       cpus = Array.init num_cpus make_cpu;
-      observer = None;
-      obs_observer = None;
-      count_observer = None;
+      sink = None;
     }
   in
-  (match !create_hook with None -> () | Some h -> h t);
+  (match Domain.DLS.get create_hook with None -> () | Some h -> h t);
   t
 
 let sim t = t.sim
@@ -81,9 +76,7 @@ let pcpu t i =
 let pcpu_id cpu = cpu.id
 let exclusive cpu = cpu.exclusive
 
-let observe t observer = t.observer <- observer
-let observe_obs t observer = t.obs_observer <- observer
-let observe_count t observer = t.count_observer <- observer
+let attach t sink = t.sink <- sink
 
 let intern t label =
   { machine = t; counter = Counter.intern t.counters label; label; cat = None }
@@ -105,21 +98,18 @@ let spend op cycles =
   Counter.add_id t.counters op.counter cycles;
   Counter.add_id t.counters Counter.cycles cycles;
   Sim.delay (Cycles.of_int cycles);
-  (match t.observer with
-  | Some notify -> notify ~label:op.label ~cycles ~now:(Sim.current_time ())
-  | None -> ());
-  match t.obs_observer with
-  | Some notify ->
-      notify ~label:op.label ~cat:(category op) ~cycles
+  match t.sink with
+  | Some s ->
+      s.spend ~label:op.label ~cat:(category op) ~cycles
         ~now:(Sim.current_time ())
   | None -> ()
 
 let count marker =
   let t = marker.machine in
   Counter.incr_id t.counters marker.counter;
-  match t.count_observer with
-  | Some notify ->
-      notify ~label:marker.label ~cat:(category marker) ~now:(Sim.now t.sim)
+  match t.sink with
+  | Some s ->
+      s.count ~label:marker.label ~cat:(category marker) ~now:(Sim.now t.sim)
   | None -> ()
 
 let freq_ghz t = Cost_model.freq_ghz t.cost

@@ -59,7 +59,7 @@ val marker : t -> string -> marker
 (** As {!op}, for a counted label. *)
 
 (** Each op and marker also carries its {!Armvirt_obs.Span.category},
-    computed by {!Armvirt_obs.Span.of_label} the first time an observer
+    computed by {!Armvirt_obs.Span.of_label} the first time a {!sink}
     sees it, never at intern time. *)
 
 val spend : op -> int -> unit
@@ -71,48 +71,34 @@ val spend : op -> int -> unit
 val count : marker -> unit
 (** Increment [marker]'s counter without consuming time. *)
 
-(** {1 Observers} *)
+(** {1 Instrumentation} *)
 
-val observe :
-  t -> (label:string -> cycles:int -> now:Armvirt_engine.Cycles.t -> unit) option -> unit
-(** Installs (or clears) an observer invoked on every {!spend}, with the
-    simulated time {e after} the operation. Used by
-    {!Armvirt_stats.Trace} to reconstruct operation timelines without
-    touching the hypervisor paths. *)
+type sink = {
+  spend :
+    label:string -> cat:Armvirt_obs.Span.category -> cycles:int ->
+    now:Armvirt_engine.Cycles.t -> unit;
+      (** Every {!spend}: the op's label and category, its cycles and
+          the simulated time {e after} the step. *)
+  count :
+    label:string -> cat:Armvirt_obs.Span.category ->
+    now:Armvirt_engine.Cycles.t -> unit;
+      (** Every {!count}: the marker's label and category and the
+          machine's clock, so it is safe outside a simulation process. *)
+}
+(** Where a machine reports its priced steps and counted markers. The
+    library builds every sink with [Armvirt_core.Observe.machine_sink]:
+    spends become complete spans and counts become instants of a
+    tracer. *)
 
-val observe_obs :
-  t ->
-  (label:string ->
-  cat:Armvirt_obs.Span.category ->
-  cycles:int ->
-  now:Armvirt_engine.Cycles.t ->
-  unit)
-  option ->
-  unit
-(** A second, independent spend observer for the structured tracing
-    layer, so it can coexist with a user-installed {!Armvirt_stats.Trace}
-    observer. It also receives the op's category. *)
-
-val observe_count :
-  t ->
-  (label:string ->
-  cat:Armvirt_obs.Span.category ->
-  now:Armvirt_engine.Cycles.t ->
-  unit)
-  option ->
-  unit
-(** Installs (or clears) an observer invoked on every {!count} with the
-    marker's label, its category and the machine's current simulated
-    time. The accounting layer turns exit/entry marker counts into
-    instant trace events through this slot. Unlike the spend observers
-    it reads the machine clock directly, so it is safe from outside a
-    simulation process. *)
+val attach : t -> sink option -> unit
+(** Installs (or, with [None], clears) the machine's one sink. Idle, a
+    {!spend} or {!count} pays one [option] match. *)
 
 val set_create_hook : (t -> unit) option -> unit
-(** Installs (or clears) a process-wide hook invoked on every {!create}
-    with the new machine. Lets a tracing session instrument machines that
-    experiments construct internally. Not domain-scoped: set it before
-    spawning runner domains and clear it after. *)
+(** Installs (or clears) a hook invoked on every {!create} {e on the
+    calling domain} with the new machine. Lets a tracing session attach
+    to machines that experiments construct internally; machines built
+    on other domains never see it. *)
 
 val freq_ghz : t -> float
 

@@ -27,14 +27,13 @@ let live_key : live option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let default_capacity = 1 lsl 18
 
 let enabled = ref false
-let verbose_flag = ref false
 let ring_capacity = ref default_capacity
 let context_name = ref "run"
 let map_seq = Atomic.make 0
 
 (* Everything below the lock is shared across runner domains. *)
 let lock = Mutex.create ()
-let sink : cell list ref = ref [] (* newest first *)
+let recorded : cell list ref = ref [] (* newest first *)
 let global = ref (Metrics.create ())
 
 let locked f =
@@ -42,35 +41,48 @@ let locked f =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let active () = !enabled
-let set_verbose v = verbose_flag := v
-let verbose () = !verbose_flag
 let context () = !context_name
 let next_map_seq () = Atomic.fetch_and_add map_seq 1
 
 (* --- machine instrumentation --------------------------------------- *)
+
+let machine_sink ?metrics ~track tracer =
+  let spend ~label ~cat ~cycles ~now =
+    let now = Cycles.to_int now in
+    Tracer.complete tracer ~track ~cat ~name:label ~ts:(now - cycles)
+      ~dur:cycles;
+    match metrics with
+    | Some metrics ->
+        Metrics.incr metrics
+          ~labels:[ ("category", Span.category_to_string cat) ]
+          ~by:cycles "spend_cycles_total"
+    | None -> ()
+  in
+  (* Counts become instants on the same track: the accounting layer
+     pairs exit/entry markers against it to derive exit latencies. *)
+  let count ~label ~cat ~now =
+    Tracer.instant tracer ~track ~cat ~name:label ~ts:(Cycles.to_int now)
+  in
+  { Machine.spend; count }
+
+let pp_timeline ppf events =
+  List.iter
+    (fun (e : Span.event) ->
+      match e.kind with
+      | Span.Complete dur ->
+          Format.fprintf ppf "%12s  +%-6d %s@."
+            (Format.asprintf "%a" Cycles.pp (Cycles.of_int (e.ts + dur)))
+            dur e.name
+      | Span.Instant | Span.Value _ -> ())
+    events
 
 let attach live m =
   let idx = live.machines in
   live.machines <- idx + 1;
   let prefix = if idx = 0 then "" else Printf.sprintf "m%d:" idx in
   let tracer = live.tracer and metrics = live.cell_metrics in
-  let cpu = prefix ^ "cpu" in
-  Machine.observe_obs m
-    (Some
-       (fun ~label ~cat ~cycles ~now ->
-         let now = Cycles.to_int now in
-         Tracer.complete tracer ~track:cpu ~cat ~name:label
-           ~ts:(now - cycles) ~dur:cycles;
-         Metrics.incr metrics
-           ~labels:[ ("category", Span.category_to_string cat) ]
-           ~by:cycles "spend_cycles_total"));
-  (* Counts become instants on the same cpu track: the accounting layer
-     pairs exit/entry markers against it to derive exit latencies. *)
-  Machine.observe_count m
-    (Some
-       (fun ~label ~cat ~now ->
-         Tracer.instant tracer ~track:cpu ~cat ~name:label
-           ~ts:(Cycles.to_int now)));
+  Machine.attach m
+    (Some (machine_sink ~metrics ~track:(prefix ^ "cpu") tracer));
   (* Park times keyed by pid so blocked spans pair correctly even when
      several processes share a display name. *)
   let parked : (int, int) Hashtbl.t = Hashtbl.create 32 in
@@ -108,26 +120,18 @@ let attach live m =
                "sim_mailbox_depth" (float_of_int depth));
        })
 
-let machine_hook m =
-  match Domain.DLS.get live_key with
-  | None -> () (* machine built outside any captured cell: untraced *)
-  | Some live -> attach live m
-
 (* --- session lifecycle --------------------------------------------- *)
 
 let enable ?(capacity = default_capacity) ~context () =
   locked (fun () ->
-      sink := [];
+      recorded := [];
       global := Metrics.create ());
   context_name := context;
   Atomic.set map_seq 0;
   ring_capacity := capacity;
-  enabled := true;
-  Machine.set_create_hook (Some machine_hook)
+  enabled := true
 
-and disable () =
-  enabled := false;
-  Machine.set_create_hook None
+and disable () = enabled := false
 
 let capture ~label f =
   if not !enabled then (f (), None)
@@ -146,10 +150,15 @@ let capture ~label f =
           }
         in
         Domain.DLS.set live_key (Some live);
+        (* Only machines this cell builds on this domain are traced. *)
+        Machine.set_create_hook (Some (attach live));
         (* cell_wall_seconds is host-side profiling, never byte-compared *)
         (* lint: allow R2 — host-side wall-clock profiling gauge *)
         let t0 = Unix.gettimeofday () in
-        let finish () = Domain.DLS.set live_key None in
+        let finish () =
+          Machine.set_create_hook None;
+          Domain.DLS.set live_key None
+        in
         let result = try Ok (f ()) with e -> Error e in
         finish ();
         (match result with
@@ -176,11 +185,11 @@ let record_cells captured =
           (function
             | None -> ()
             | Some c ->
-                sink := c :: !sink;
+                recorded := c :: !recorded;
                 Metrics.merge_into ~dst:!global c.metrics)
           captured)
 
-let cells () = locked (fun () -> List.rev !sink)
+let cells () = locked (fun () -> List.rev !recorded)
 
 let processes () =
   List.mapi

@@ -1,5 +1,4 @@
 module Sim = Armvirt_engine.Sim
-module Cycles = Armvirt_engine.Cycles
 module Machine = Armvirt_arch.Machine
 module Cost_model = Armvirt_arch.Cost_model
 module Reg_class = Armvirt_arch.Reg_class
@@ -34,17 +33,7 @@ let check_ok c =
 let traced_run hyp f =
   let m = hyp.H.Hypervisor.machine in
   let tracer = Tracer.create () in
-  Machine.observe_obs m
-    (Some
-       (fun ~label ~cat ~cycles ~now ->
-         let now = Cycles.to_int now in
-         Tracer.complete tracer ~track:"cpu" ~cat ~name:label
-           ~ts:(now - cycles) ~dur:cycles));
-  Machine.observe_count m
-    (Some
-       (fun ~label ~cat ~now ->
-         Tracer.instant tracer ~track:"cpu" ~cat ~name:label
-           ~ts:(Cycles.to_int now)));
+  Machine.attach m (Some (Observe.machine_sink ~track:"cpu" tracer));
   let sim = Machine.sim m in
   Sim.spawn sim ~name:"stat-crosscheck" (fun () -> f hyp);
   Sim.run sim;

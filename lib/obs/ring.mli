@@ -1,11 +1,13 @@
 (** Growable-array ring buffer with an optional retention cap.
 
-    The recording substrate for {!Tracer} (and {!Armvirt_stats.Trace}):
-    O(1) amortized {!push}, O(1) {!length}, chronological {!to_list}.
-    Uncapped rings grow by doubling; capped rings overwrite the oldest
-    element once full and count the overwrites in {!dropped}, so a trace
-    that outgrows its budget degrades into "most recent N events" rather
-    than unbounded memory or silent truncation. *)
+    The recording substrate for {!Tracer}: O(1) amortized {!push}, O(1)
+    {!length}, chronological {!to_list}. Uncapped rings grow by
+    doubling; capped rings overwrite the oldest element once full and
+    count the overwrites in {!dropped}, so a trace that outgrows its
+    budget degrades into "most recent N events" rather than unbounded
+    memory. The loss is never silent: exports carry the count and the
+    CLI's [trace], [stat], [--trace] and [--stat] name every cell that
+    dropped events on stderr. *)
 
 type 'a t
 

@@ -1,56 +1,16 @@
-type open_span = { start : int; cat : Span.category; name : string }
+type t = Span.event Ring.t
 
-type t = {
-  ring : Span.event Ring.t;
-  stacks : (string, open_span list ref) Hashtbl.t;
-}
-
-let create ?capacity () =
-  { ring = Ring.create ?capacity (); stacks = Hashtbl.create 16 }
-
-let emit t e = Ring.push t.ring e
+let create ?capacity () = Ring.create ?capacity ()
 
 let complete t ~track ~cat ~name ~ts ~dur =
   if dur < 0 then invalid_arg "Tracer.complete: negative duration";
-  emit t { Span.ts; track; cat; name; kind = Span.Complete dur }
+  Ring.push t { Span.ts; track; cat; name; kind = Span.Complete dur }
 
 let instant t ~track ~cat ~name ~ts =
-  emit t { Span.ts; track; cat; name; kind = Span.Instant }
+  Ring.push t { Span.ts; track; cat; name; kind = Span.Instant }
 
 let value t ~track ~cat ~name ~ts ~value =
-  emit t { Span.ts; track; cat; name; kind = Span.Value value }
+  Ring.push t { Span.ts; track; cat; name; kind = Span.Value value }
 
-let stack t track =
-  match Hashtbl.find_opt t.stacks track with
-  | Some s -> s
-  | None ->
-      let s = ref [] in
-      Hashtbl.replace t.stacks track s;
-      s
-
-let begin_span t ~track ~cat ~name ~ts =
-  let s = stack t track in
-  s := { start = ts; cat; name } :: !s
-
-let end_span t ~track ~ts =
-  let s = stack t track in
-  match !s with
-  | [] ->
-      invalid_arg
-        (Printf.sprintf "Tracer.end_span: no open span on track %S" track)
-  | { start; cat; name } :: rest ->
-      s := rest;
-      complete t ~track ~cat ~name ~ts:start ~dur:(Stdlib.max 0 (ts - start))
-
-let open_spans t ~track =
-  match Hashtbl.find_opt t.stacks track with
-  | Some s -> List.length !s
-  | None -> 0
-
-let events t = Ring.to_list t.ring
-let length t = Ring.length t.ring
-let dropped t = Ring.dropped t.ring
-
-let clear t =
-  Ring.clear t.ring;
-  Hashtbl.reset t.stacks
+let events = Ring.to_list
+let dropped = Ring.dropped

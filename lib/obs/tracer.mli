@@ -1,11 +1,10 @@
-(** Span recorder: nested begin/end regions and point events on named
-    tracks, buffered in a {!Ring}.
+(** Span recorder: complete spans, point events and sampled values on
+    named tracks, buffered in a {!Ring}.
 
     A track is one timeline row — a simulated process, CPU or device.
-    Each track carries its own span stack, so [begin_span]/[end_span]
-    pairs nest per track exactly the way a process's blocked/running
-    regions nest in time. Events land in a single ring in recording
-    order; exporters ({!Export}) re-sort by start time. *)
+    Events land in a single ring in recording order; exporters
+    ({!Export}) re-sort by start time. Machines reach a tracer through
+    one sink each (see [Armvirt_core.Observe.machine_sink]). *)
 
 type t
 
@@ -27,20 +26,9 @@ val value :
   value:int -> unit
 (** Records a sampled value (queue depth, counter level) at [ts]. *)
 
-val begin_span :
-  t -> track:string -> cat:Span.category -> name:string -> ts:int -> unit
-(** Pushes an open span onto [track]'s stack. *)
-
-val end_span : t -> track:string -> ts:int -> unit
-(** Pops [track]'s innermost open span and records it as a complete
-    event from its begin time to [ts]. Raises [Invalid_argument] if the
-    track has no open span. *)
-
-val open_spans : t -> track:string -> int
-
 val events : t -> Span.event list
 (** In recording order (chronological by completion). *)
 
-val length : t -> int
 val dropped : t -> int
-val clear : t -> unit
+(** Events lost to the capacity cap, oldest first; the CLI warns on
+    stderr for every recorded cell where this is non-zero. *)

@@ -151,9 +151,10 @@ let prop_spend_conserves_cycles =
 (* Interned ops and markers against label-keyed references: two machines
    share one sim and one process, so their spends interleave on one
    clock. Each machine's counters must equal a reference counter fed by
-   label, both spend observers and the count observer must see exactly
-   the (label, cycles, now) sequence a label-keyed replay predicts, and
-   every observed category must be [Span.of_label] of its own label. The
+   label, each machine's sink must see exactly the (label, cycles, now)
+   spend sequence and (label, now) count sequence a label-keyed replay
+   predicts, and every category it sees must be [Span.of_label] of its
+   own label. The
    labels span several categories, so a category taken from the wrong
    label shows. *)
 let traffic_labels =
@@ -199,28 +200,26 @@ let prop_interned_traffic_matches_reference =
       let markers =
         Array.map (fun m -> Array.map (Machine.marker m) traffic_labels) machines
       in
-      let seen = Array.make 2 [] and seen_obs = Array.make 2 []
-      and seen_count = Array.make 2 [] and cats_ok = ref true in
+      let seen = Array.make 2 [] and seen_count = Array.make 2 []
+      and cats_ok = ref true in
       let check_cat label cat =
         if cat <> Armvirt_obs.Span.of_label label then cats_ok := false
       in
       Array.iteri
         (fun i m ->
-          Machine.observe m
+          Machine.attach m
             (Some
-               (fun ~label ~cycles ~now ->
-                 seen.(i) <- (label, cycles, Cycles.to_int now) :: seen.(i)));
-          Machine.observe_obs m
-            (Some
-               (fun ~label ~cat ~cycles ~now ->
-                 check_cat label cat;
-                 seen_obs.(i) <-
-                   (label, cycles, Cycles.to_int now) :: seen_obs.(i)));
-          Machine.observe_count m
-            (Some
-               (fun ~label ~cat ~now ->
-                 check_cat label cat;
-                 seen_count.(i) <- (label, Cycles.to_int now) :: seen_count.(i))))
+               {
+                 Machine.spend =
+                   (fun ~label ~cat ~cycles ~now ->
+                     check_cat label cat;
+                     seen.(i) <- (label, cycles, Cycles.to_int now) :: seen.(i));
+                 count =
+                   (fun ~label ~cat ~now ->
+                     check_cat label cat;
+                     seen_count.(i) <-
+                       (label, Cycles.to_int now) :: seen_count.(i));
+               }))
         machines;
       Sim.spawn sim ~name:"traffic" (fun () ->
           List.iter
@@ -256,7 +255,6 @@ let prop_interned_traffic_matches_reference =
       && List.for_all
            (fun i ->
              counters_agree i && seen.(i) = spends.(i)
-             && seen_obs.(i) = spends.(i)
              && seen_count.(i) = counts.(i))
            [ 0; 1 ])
 

@@ -1,23 +1,30 @@
 (* The CLI rejects unknown ids and invalid arguments up front: for each
    case armvirt must exit with the expected code, print nothing on stdout
    (the error goes to stderr, never into the data), and do so within a
-   time bound — it may not run anything first.
+   time bound — it may not run anything first. Also pinned here: the
+   bytes of every `armvirt timeline` and of the transition_timeline
+   example, and the stderr warning for a trace ring that dropped events.
 
-   Runs ../bin/armvirt.exe, which the test stanza depends on. *)
+   Runs ../bin/armvirt.exe and ../examples/transition_timeline.exe, which
+   the test stanza depends on. *)
 
 let armvirt = Filename.concat (Filename.concat ".." "bin") "armvirt.exe"
+
+let transition_timeline =
+  Filename.concat (Filename.concat ".." "examples") "transition_timeline.exe"
+
 let time_bound_s = 20.0
 
 (* Exit code, stdout and stderr of one run, or a failure past the time
    bound. *)
-let run ?(time_bound_s = time_bound_s) args =
+let run ?(prog = armvirt) ?(time_bound_s = time_bound_s) args =
   let out = Filename.temp_file "armvirt_cli" ".out" in
   let err = Filename.temp_file "armvirt_cli" ".err" in
   let stdout_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let stderr_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let pid =
-    Unix.create_process armvirt
-      (Array.of_list (armvirt :: args))
+    Unix.create_process prog
+      (Array.of_list (prog :: args))
       Unix.stdin stdout_fd stderr_fd
   in
   Unix.close stdout_fd;
@@ -28,14 +35,14 @@ let run ?(time_bound_s = time_bound_s) args =
     | 0, _ when Unix.gettimeofday () > deadline ->
         Unix.kill pid Sys.sigkill;
         ignore (Unix.waitpid [] pid);
-        Alcotest.failf "armvirt %s ran past %.0f s" (String.concat " " args)
+        Alcotest.failf "%s %s ran past %.0f s" prog (String.concat " " args)
           time_bound_s
     | 0, _ ->
         Unix.sleepf 0.02;
         wait ()
     | _, Unix.WEXITED code -> code
     | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-        Alcotest.failf "armvirt %s was killed" (String.concat " " args)
+        Alcotest.failf "%s %s was killed" prog (String.concat " " args)
   in
   let code = wait () in
   let read file =
@@ -126,6 +133,91 @@ let test_case ?time_bound_s ~code args =
           1
           (List.length (String.split_on_char '\n' (String.trim stderr))))
 
+(* md5 of `timeline -p P -H H --op OP`'s stdout for each op, in
+   [timeline_configs] order, and of the example's stdout: a change to
+   how machines are instrumented or timelines printed must leave every
+   byte as it is. *)
+let timeline_configs =
+  [ ("arm", "kvm"); ("arm", "xen"); ("arm-vhe", "kvm"); ("x86", "kvm");
+    ("x86", "xen") ]
+
+let timeline_pins =
+  [
+    ( "hypercall",
+      [ "cb48a23c588fb6fef73543dba303a4a7"; "451cbf06531b69a85dadf62291b21a92";
+        "208843ed66b8f6c17a025d73b3e1c9f9"; "7d5feee3a11fb8bea6a0e241890f4c68";
+        "339dbfcc3596882a756eef3a44a6fbfa" ] );
+    ( "ict",
+      [ "12845c3c86a2a2692ffc028be046cd8b"; "de842ecf7da3b121095292d01c8c620d";
+        "b02183c952d8e00840fe5eaebae15aba"; "9d67ce1bc2204b5a0edaae54013c6558";
+        "ce3cf19ae37e7a0c5af095bc0b11f9f2" ] );
+    ( "eoi",
+      [ "1fb9bc8b6ced721820d84b31efc0eef7"; "3dc882d1ecb3ed29b9e3a43b814f06de";
+        "fe746f3dd6f3b13f3863648c70cba0d3"; "8a18d904437c39b4308a4cd572cf1bee";
+        "e815174a09685faf61882a1e4b969637" ] );
+    ( "vmswitch",
+      [ "84b194ab670f0f5bf1d63d3c7423b211"; "bf3d17b6a74a4ed335723f482127afe3";
+        "2aaf76c83c30d733b211fc0679fc40d8"; "d126aab8344eb4ff3c7cde55a4898100";
+        "56cc5536f57be6a521e4e44f53631441" ] );
+    ( "vipi",
+      [ "170b6d6706588f05223d4229259f3c0a"; "42522521b922b119116f87028bd7643a";
+        "0c416dc5acd3a7c9f11f94fc07728a7c"; "d110d841df826aef2b93a567621727d5";
+        "99198133c572d26661945a78164d0018" ] );
+    ( "io-out",
+      [ "cb33a4f1dda8d4566fd8f45f54e4490f"; "7cc6cd4ee8ff20f3de008d2f874033c2";
+        "58e4a7b29a5f8b16ff4cf2ecc0c1792e"; "172093c21a46b062a6ae08dff7db2608";
+        "20f1000ca540bb9360ab859a7e95dd51" ] );
+    ( "io-in",
+      [ "842a89b10433f41800291cec3b1cb129"; "08bbd2d4916bf9bf7812a028eed94465";
+        "4819e13b6fc0a7cc118453b2a5d6a41b"; "b51b69962778353644eb6fad5aebf8b8";
+        "1152b611cefb881f7da6e5db0edbceb2" ] );
+  ]
+
+let transition_timeline_md5 = "4fc262013b6b0b92312b82e0f4adc9e7"
+
+let pin_case ?prog ~md5 args =
+  let name = String.concat " " (Option.to_list prog @ args) in
+  Alcotest.test_case name `Quick (fun () ->
+      let code, stdout, stderr = run ?prog args in
+      Alcotest.(check int) (name ^ " exit code") 0 code;
+      Alcotest.(check string) (name ^ " stderr") "" stderr;
+      Alcotest.(check string) (name ^ " stdout md5") md5
+        (Digest.to_hex (Digest.string stdout)))
+
+let pins =
+  List.concat_map
+    (fun (op, md5s) ->
+      List.map2
+        (fun (p, h) md5 -> pin_case ~md5 [ "timeline"; "-p"; p; "-H"; h; "--op"; op ])
+        timeline_configs md5s)
+    timeline_pins
+  @ [ pin_case ~prog:transition_timeline ~md5:transition_timeline_md5 [] ]
+
+(* At 1500 iterations the micro cell overflows its 2^18-event ring; at
+   1400 it fits. A loss prints exactly one stderr line naming the cell. *)
+let drop_warning = function
+  | true ->
+      "armvirt: warning: cell micro#0.0 dropped 9357 trace events (ring \
+       full)\n"
+  | false -> ""
+
+let drop_cases =
+  List.concat_map
+    (fun (n, drops) ->
+      [
+        ([ "stat"; "micro"; "-p"; "arm"; "-H"; "kvm"; "--iterations"; n ], drops);
+        ( [ "micro"; "-p"; "arm"; "-H"; "kvm"; "--iterations"; n; "--stat"; "-" ],
+          drops );
+      ])
+    [ ("1500", true); ("1400", false) ]
+
+let drop_case (args, drops) =
+  let name = String.concat " " args in
+  Alcotest.test_case name `Quick (fun () ->
+      let code, _, stderr = run args in
+      Alcotest.(check int) (name ^ " exit code") 0 code;
+      Alcotest.(check string) (name ^ " stderr") (drop_warning drops) stderr)
+
 let () =
   Alcotest.run "cli"
     [
@@ -134,4 +226,6 @@ let () =
         List.map (test_case ~code:2) rejected
         @ List.map (test_case ~time_bound_s:1.0 ~code:2) too_large
         @ List.map (test_case ~time_bound_s:5.0 ~code:2) bad_plans );
+      ("timeline pin", pins);
+      ("drop warning", List.map drop_case drop_cases);
     ]

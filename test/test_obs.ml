@@ -1,7 +1,8 @@
-(* Tests for Armvirt_obs (ring, spans, tracer, metrics, exporters) and
-   the Observe/Runner tracing glue: golden files for the Chrome and
-   Prometheus formats, histogram bucket boundaries, export determinism
-   across --jobs levels, and the traced-off = seed invariant. *)
+(* Tests for Armvirt_obs (ring, spans, metrics, exporters) and the
+   Observe/Runner tracing glue: the machine sink and timeline printer,
+   golden files for the Chrome and Prometheus formats, histogram bucket
+   boundaries, export determinism across --jobs levels, the domain-local
+   create hook, and the traced-off = seed invariant. *)
 
 module Ring = Armvirt_obs.Ring
 module Span = Armvirt_obs.Span
@@ -78,38 +79,69 @@ let test_span_category_roundtrip () =
       | None -> Alcotest.fail "category_of_string failed on its own output")
     Span.all
 
-(* --- Tracer -------------------------------------------------------- *)
+(* --- The machine sink and the timeline printer ---------------------- *)
 
-let test_tracer_nesting () =
-  let t = Tracer.create () in
-  Tracer.begin_span t ~track:"p" ~cat:Span.Sched ~name:"outer" ~ts:10;
-  Tracer.begin_span t ~track:"p" ~cat:Span.Io ~name:"inner" ~ts:20;
-  Alcotest.(check int) "two open" 2 (Tracer.open_spans t ~track:"p");
-  Tracer.end_span t ~track:"p" ~ts:30;
-  Tracer.end_span t ~track:"p" ~ts:50;
-  Alcotest.(check int) "closed" 0 (Tracer.open_spans t ~track:"p");
-  match Tracer.events t with
-  | [ inner; outer ] ->
-      Alcotest.(check string) "inner first (completion order)" "inner"
-        inner.Span.name;
-      Alcotest.(check int) "inner dur" 10 (Span.duration inner);
-      Alcotest.(check int) "outer ts" 10 outer.Span.ts;
-      Alcotest.(check int) "outer dur" 40 (Span.duration outer)
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
+let arm_machine sim =
+  let module Cost_model = Armvirt_arch.Cost_model in
+  Machine.create sim ~cost:(Cost_model.Arm Cost_model.arm_default) ~num_cpus:2
 
-let test_tracer_end_without_begin () =
-  let t = Tracer.create () in
-  Alcotest.check_raises "unbalanced end"
-    (Invalid_argument "Tracer.end_span: no open span on track \"p\"")
-    (fun () -> Tracer.end_span t ~track:"p" ~ts:1)
+(* A literal three-step path: spends become complete spans in recording
+   order, each completing at [ts + dur]; a count becomes an instant the
+   printer skips; the metrics registry gets every spend's cycles; and
+   detaching stops recording. *)
+let test_trace_records_spends () =
+  let sim = Sim.create () in
+  let machine = arm_machine sim in
+  let tracer = Tracer.create () and metrics = Metrics.create () in
+  Machine.attach machine
+    (Some (Observe.machine_sink ~metrics ~track:"cpu" tracer));
+  let a = Machine.op machine "step.a" and b = Machine.op machine "step.b" in
+  Sim.spawn sim ~name:"worker" (fun () ->
+      Machine.spend a 100;
+      Machine.spend b 50;
+      Machine.count (Machine.marker machine "kvm_arm.hypercall");
+      Machine.spend a 25);
+  Sim.run sim;
+  let events = Tracer.events tracer in
+  Alcotest.(check (list (triple string int int)))
+    "(name, ts, dur) in recording order"
+    [
+      ("step.a", 0, 100); ("step.b", 100, 50); ("kvm_arm.hypercall", 150, 0);
+      ("step.a", 150, 25);
+    ]
+    (List.map (fun (e : Span.event) -> (e.name, e.ts, Span.duration e)) events);
+  Alcotest.(check string) "timeline: completion time, cost, label"
+    "         100  +100    step.a\n\
+    \         150  +50     step.b\n\
+    \         175  +25     step.a\n"
+    (Format.asprintf "%a" Observe.pp_timeline events);
+  Alcotest.(check int) "spend_cycles_total" 175
+    (Metrics.counter_value metrics
+       ~labels:[ ("category", "other") ]
+       "spend_cycles_total");
+  Machine.attach machine None;
+  Sim.spawn sim ~name:"worker2" (fun () ->
+      Machine.spend (Machine.op machine "step.c") 10);
+  Sim.run sim;
+  Alcotest.(check int) "detached: no longer recording" 4
+    (List.length (Tracer.events tracer))
 
-let test_tracer_tracks_are_independent () =
-  let t = Tracer.create () in
-  Tracer.begin_span t ~track:"a" ~cat:Span.Sched ~name:"x" ~ts:0;
-  Tracer.begin_span t ~track:"b" ~cat:Span.Sched ~name:"y" ~ts:5;
-  Tracer.end_span t ~track:"a" ~ts:7;
-  Alcotest.(check int) "b still open" 1 (Tracer.open_spans t ~track:"b");
-  Alcotest.(check int) "a closed" 0 (Tracer.open_spans t ~track:"a")
+(* Many spends completing at one instant keep their recording order. *)
+let test_trace_events_chronological () =
+  let sim = Sim.create () in
+  let machine = arm_machine sim in
+  let tracer = Tracer.create () in
+  Machine.attach machine (Some (Observe.machine_sink ~track:"cpu" tracer));
+  let labels = List.init 1000 (Printf.sprintf "op%d") in
+  let ops = List.map (Machine.op machine) labels in
+  Sim.spawn sim ~name:"worker" (fun () ->
+      List.iter (fun op -> Machine.spend op 0) ops);
+  Sim.run sim;
+  let events = Tracer.events tracer in
+  Alcotest.(check (list string)) "recording order preserved" labels
+    (List.map (fun (e : Span.event) -> e.name) events);
+  Alcotest.(check bool) "all at t=0" true
+    (List.for_all (fun (e : Span.event) -> e.ts = 0) events)
 
 (* --- Metrics: histogram bucket boundaries -------------------------- *)
 
@@ -423,6 +455,58 @@ let test_memo_metrics () =
       Alcotest.(check int) "one hit" 1
         (Metrics.counter_value m "runner_memo_hits_total"))
 
+(* The create hook is domain-local and lives only while a capture runs:
+   a machine built inside the capture is traced; one built on the same
+   domain outside it, or on a second domain while it is open, is not;
+   and a later capture sees only its own machines. *)
+let test_create_hook_domain_local () =
+  let build () = arm_machine (Sim.create ()) in
+  let step m label =
+    let sim = Machine.sim m in
+    Sim.spawn sim ~name:"w" (fun () -> Machine.spend (Machine.op m label) 10);
+    Sim.run sim
+  in
+  let spans (cell : Observe.cell option) =
+    match cell with
+    | None -> Alcotest.fail "capture returned no cell"
+    | Some c ->
+        List.filter_map
+          (fun (e : Span.event) ->
+            match e.kind with
+            | Span.Complete _ -> Some (e.track, e.name)
+            | _ -> None)
+          c.events
+  in
+  Observe.enable ~context:"hook" ();
+  Fun.protect ~finally:Observe.disable (fun () ->
+      let before = build () in
+      let inside = ref None in
+      let (), first =
+        Observe.capture ~label:"hook#0.0" (fun () ->
+            let m = build () in
+            inside := Some m;
+            let other = Domain.join (Domain.spawn build) in
+            step m "inside";
+            step before "before";
+            step other "other")
+      in
+      Alcotest.(check (list (pair string string)))
+        "only the machine built inside the capture"
+        [ ("cpu", "inside") ]
+        (spans first);
+      let after = build () in
+      let (), later =
+        Observe.capture ~label:"hook#0.1" (fun () ->
+            let m = build () in
+            step after "after";
+            Option.iter (fun m -> step m "inside-again") !inside;
+            step m "later")
+      in
+      Alcotest.(check (list (pair string string)))
+        "a later capture sees only its own machine, as machine 0"
+        [ ("cpu", "later") ]
+        (spans later))
+
 (* --- No-observer overhead: traced-off runs match the seed ----------- *)
 
 let test_tracing_does_not_change_results () =
@@ -512,13 +596,11 @@ let () =
           Alcotest.test_case "category roundtrip" `Quick
             test_span_category_roundtrip;
         ] );
-      ( "tracer",
+      ( "trace",
         [
-          Alcotest.test_case "nesting" `Quick test_tracer_nesting;
-          Alcotest.test_case "end without begin" `Quick
-            test_tracer_end_without_begin;
-          Alcotest.test_case "tracks independent" `Quick
-            test_tracer_tracks_are_independent;
+          Alcotest.test_case "records spends" `Quick test_trace_records_spends;
+          Alcotest.test_case "events chronological" `Quick
+            test_trace_events_chronological;
         ] );
       ( "metrics",
         [
@@ -555,5 +637,7 @@ let () =
             test_mailbox_depth_value_events;
           Alcotest.test_case "untraced capture transparent" `Quick
             test_untraced_capture_is_transparent;
+          Alcotest.test_case "create hook is domain-local" `Quick
+            test_create_hook_domain_local;
         ] );
     ]

@@ -292,76 +292,6 @@ let test_cycle_counter_read_pays_barrier () =
   Sim.run sim;
   Alcotest.(check int) "barrier consumed simulated time" 24 (Cycles.to_int !t)
 
-(* --- Trace ----------------------------------------------------------- *)
-
-module Trace = Armvirt_stats.Trace
-module Machine = Armvirt_arch.Machine
-module Cost_model = Armvirt_arch.Cost_model
-
-let test_trace_records_spends () =
-  let sim = Sim.create () in
-  let machine =
-    Machine.create sim ~cost:(Cost_model.Arm Cost_model.arm_default)
-      ~num_cpus:2
-  in
-  let trace = Trace.create () in
-  Machine.observe machine
-    (Some (fun ~label ~cycles ~now -> Trace.record trace ~label ~cycles ~now));
-  Sim.spawn sim ~name:"worker" (fun () ->
-      Machine.spend (Machine.op machine "step.a") 100;
-      Machine.spend (Machine.op machine "step.b") 50;
-      Machine.spend (Machine.op machine "step.a") 25);
-  Sim.run sim;
-  Alcotest.(check int) "three events" 3 (Trace.length trace);
-  Alcotest.(check int) "total" 175 (Trace.total_cycles trace);
-  (match Trace.events trace with
-  | [ a; b; c ] ->
-      Alcotest.(check string) "order" "step.a" a.Trace.label;
-      Alcotest.(check int) "completion time" 100
-        (Armvirt_engine.Cycles.to_int a.Trace.at);
-      Alcotest.(check string) "second" "step.b" b.Trace.label;
-      Alcotest.(check int) "third at 175"
-        175 (Armvirt_engine.Cycles.to_int c.Trace.at)
-  | _ -> Alcotest.fail "event list shape");
-  Alcotest.(check (list (pair string int))) "by_label descending"
-    [ ("step.a", 125); ("step.b", 50) ]
-    (Trace.by_label trace);
-  (* Detaching stops recording. *)
-  Machine.observe machine None;
-  Sim.spawn sim ~name:"worker2" (fun () -> Machine.spend (Machine.op machine "step.c") 10);
-  Sim.run sim;
-  Alcotest.(check int) "no longer recording" 3 (Trace.length trace);
-  Trace.clear trace;
-  Alcotest.(check int) "cleared" 0 (Trace.length trace)
-
-(* Regression for the ring-buffer rewrite: [events] must stay
-   chronological (the old representation was a newest-first list that
-   [events] reversed) and [record] order must be preserved exactly, even
-   for many events with identical timestamps. *)
-let test_trace_events_chronological () =
-  let trace = Trace.create () in
-  let now = Armvirt_engine.Cycles.of_int 7 in
-  for i = 0 to 999 do
-    Trace.record trace ~label:(Printf.sprintf "op%d" i) ~cycles:1 ~now
-  done;
-  Alcotest.(check int) "length" 1000 (Trace.length trace);
-  Alcotest.(check (list string)) "recording order preserved"
-    (List.init 1000 (Printf.sprintf "op%d"))
-    (List.map (fun e -> e.Trace.label) (Trace.events trace));
-  Alcotest.(check int) "total is incremental" 1000 (Trace.total_cycles trace)
-
-let test_trace_by_label_tie_break () =
-  let trace = Trace.create () in
-  let now = Armvirt_engine.Cycles.of_int 0 in
-  (* Insert in an order that a Hashtbl fold would not preserve: equal
-     totals must come out sorted by label. *)
-  List.iter
-    (fun l -> Trace.record trace ~label:l ~cycles:10 ~now)
-    [ "zeta"; "alpha"; "mid" ];
-  Alcotest.(check (list (pair string int))) "ties sorted by label"
-    [ ("alpha", 10); ("mid", 10); ("zeta", 10) ]
-    (Trace.by_label trace)
-
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "stats"
@@ -400,13 +330,4 @@ let () =
           Alcotest.test_case "read pays barrier" `Quick
             test_cycle_counter_read_pays_barrier;
         ] );
-      ( "trace",
-        [
-          Alcotest.test_case "records spends" `Quick test_trace_records_spends;
-          Alcotest.test_case "events chronological" `Quick
-            test_trace_events_chronological;
-          Alcotest.test_case "by_label tie-break" `Quick
-            test_trace_by_label_tie_break;
-        ]
-      );
     ]
