@@ -2,7 +2,7 @@
 
    Subcommands:
      list          enumerate experiments, platforms and workloads
-     run           regenerate paper tables/figures by experiment id
+     run           regenerate paper tables/figures by experiment id, or all
      micro         run the Table I microbenchmark suite on one hypervisor
      app           run one application workload through the Figure 4 model
      rr            run the Netperf TCP_RR decomposition on one hypervisor
@@ -13,7 +13,6 @@
                    noisy-neighbor p99 vs fleet size
      cluster       VM-to-VM traffic over the virtual switch fabric:
                    throughput matrix, service chain, load-generator sweep
-     bench-events  measure raw engine events/sec and emit BENCH_events.json
      lint          statically check the determinism invariants (lib/lint)
 
    Experiments come from Report.registry; this file only wires them to
@@ -356,11 +355,13 @@ let run_cmd =
       List.map (fun (e : Report.entry) -> (e.id, e)) Report.registry
     in
     Arg.(
-      non_empty
+      value
       & pos_all (enum ids) []
-      & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see `armvirt list`).")
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiment ids (see `armvirt list`); none runs every one.")
   in
   let run session verbose entries =
+    let entries = match entries with [] -> Report.registry | l -> l in
     let context =
       String.concat "+" (List.map (fun (e : Report.entry) -> e.id) entries)
     in
@@ -1384,51 +1385,6 @@ let cluster_cmd =
       const run $ scenario_arg $ topology_arg $ vms_arg $ loads_arg
       $ format_arg $ out_arg $ session_args)
 
-(* --- bench-events ---------------------------------------------------------- *)
-
-module Bench_events = Armvirt_bench_events.Bench_events
-
-let bench_events_cmd =
-  let scale_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "scale" ] ~docv:"N"
-          ~doc:
-            "Iteration multiplier for every benchmark. $(b,0) is the CI \
-             smoke setting (~50x fewer iterations); larger values reduce \
-             timing noise proportionally. Event counts are deterministic \
-             at any fixed scale.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:
-            "Also write the results as BENCH_events.json schema v2 to \
-             $(docv); $(b,-) writes the JSON to stdout instead of the \
-             table.")
-  in
-  let run scale out =
-    let results = Bench_events.suite ~scale () in
-    let overhead = Bench_events.overhead_trial ~scale () in
-    (* With "-" the JSON replaces the table on stdout. *)
-    if out <> Some "-" then begin
-      Bench_events.pp_table ppf results;
-      Bench_events.pp_overhead ppf overhead
-    end;
-    Option.iter
-      (fun path ->
-        write_out path (fun fmt ->
-            Bench_events.emit_json fmt ~scale ~overhead results))
-      out
-  in
-  Cmd.v
-    (Cmd.info "bench-events"
-       ~doc:
-         "Measure raw engine throughput (events/sec): microbenchmark \
-          mixes plus whole-workload netperf and migration runs")
-    Term.(const run $ scale_arg $ out_arg)
-
 (* --- report ---------------------------------------------------------------- *)
 
 let report_cmd =
@@ -1473,5 +1429,5 @@ let () =
           [
             list_cmd; run_cmd; micro_cmd; app_cmd; rr_cmd; trace_cmd;
             stat_cmd; timeline_cmd; explore_cmd; migrate_cmd; fleet_cmd;
-            cluster_cmd; bench_events_cmd; report_cmd; lint_cmd;
+            cluster_cmd; report_cmd; lint_cmd;
           ]))

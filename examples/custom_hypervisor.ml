@@ -64,4 +64,4 @@ let () =
     "(On x86 the same design was tried and abandoned: revoking a grant\n\
      requires an IPI-based TLB shootdown on every CPU. ARM's broadcast\n\
      TLBI is why the what-if is plausible there — see\n\
-     `dune exec bench/main.exe -- zerocopy`.)"
+     `dune exec bin/armvirt.exe -- run zerocopy`.)"

@@ -36,5 +36,5 @@ let () =
   print_endline
     "because Xen's I/O lives in Dom0, a full VM switch away — the paper's\n\
      central finding: transition microbenchmarks do not predict application\n\
-     performance. Run `dune exec bench/main.exe` to regenerate every table\n\
+     performance. Run `dune exec bin/armvirt.exe -- run` to regenerate every table\n\
      and figure."

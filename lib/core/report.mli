@@ -129,10 +129,11 @@ val pp_markdown_table :
 
 (** {1 The experiment registry}
 
-    The one list of regenerable artifacts: [armvirt list], [run],
-    [trace] and [stat] and [bench/main.exe] all read it. Adding an
-    experiment is its computation in {!Experiment}, its printer here and
-    one entry below; nothing in [bin/] or [bench/] changes. *)
+    The one list of regenerable artifacts: [armvirt list], [run]
+    (every entry, in this order, when given no ids), [trace] and [stat]
+    all read it. Adding an experiment is its computation in
+    {!Experiment}, its printer here and one entry below; nothing in
+    [bin/] or [bench/] changes. *)
 
 type entry = {
   id : string;  (** What [armvirt run] accepts, e.g. ["table2"]. *)

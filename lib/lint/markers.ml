@@ -15,9 +15,8 @@
    ([%d] -> a digit, [%s] -> a name) so legacy ksprintf sites are
    still checked structurally.
 
-   Non-literal labels must come from the typed [Obs.Marker] builders
-   (or the [Accounting.*_label] compatibility aliases) — those
-   constructors and [parse_label] live in the same module, so a
+   Non-literal labels must come from the typed [Obs.Marker] builders —
+   those constructors and [parse_label] live in the same library, so a
    builder-produced label is grammatical by construction. Literal
    [~reason:]/[~hyp:] arguments of the builders are checked too.
 
@@ -183,8 +182,6 @@ let builder_fns =
     ("Marker", "port");
     ("Marker", "flood");
     ("Marker", "uplink");
-    ("Accounting", "exit_label");
-    ("Accounting", "entry_label");
   ]
 
 let builder_of lid =

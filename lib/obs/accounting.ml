@@ -1,13 +1,6 @@
 (* Exit accounting: reduce recorded traces into kvm_stat-style tables.
    Pure and deterministic — see accounting.mli for the label grammar. *)
 
-(* Compatibility aliases for the typed builders in Marker; exit_label
-   inherits Marker's validation, so an unknown mnemonic now raises
-   instead of silently minting an unparseable row key. *)
-let exit_label ~hyp ~reason ~pcpu = Marker.exit_name ~hyp ~reason ~pcpu
-
-let entry_label ?domid ~hyp ~pcpu () = Marker.entry ?domid ~hyp ~pcpu ()
-
 type marker =
   | Exit of { hyp : string; reason : string; pcpu : int }
   | Entry of { hyp : string; pcpu : int; domid : int option }

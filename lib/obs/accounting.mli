@@ -25,13 +25,6 @@
     Everything here is pure: input is event lists, output is
     deterministically ordered; no wall-clock, no randomness. *)
 
-val exit_label : hyp:string -> reason:string -> pcpu:int -> string
-(** Alias for {!Marker.exit_name}: raises [Invalid_argument] unless
-    [reason] is an {!Armvirt_arch.Esr.short_name} mnemonic. *)
-
-val entry_label : ?domid:int -> hyp:string -> pcpu:int -> unit -> string
-(** Alias for {!Marker.entry}. *)
-
 type marker =
   | Exit of { hyp : string; reason : string; pcpu : int }
   | Entry of { hyp : string; pcpu : int; domid : int option }

@@ -14,13 +14,11 @@
     The M1 pass closes the loop where labels are interned: string
     literals handed to [Machine.marker] are re-parsed with
     {!Accounting.parse_label}, and any non-literal label must be an
-    application of one of these builders (or the
-    {!Accounting.exit_label} / {!Accounting.entry_label} aliases).
-    [Machine.count] takes the interned marker, so every counted label
-    passes that check once, when the model is built. Constant operation
-    counters like ["kvm_arm.hypercall"] should stay literals —
-    grammar-checked at lint time; use {!op} only when the name is
-    computed. *)
+    application of one of these builders. [Machine.count] takes the
+    interned marker, so every counted label passes that check once, when
+    the model is built. Constant operation counters like
+    ["kvm_arm.hypercall"] should stay literals — grammar-checked at lint
+    time; use {!op} only when the name is computed. *)
 
 type reason = Wfx | Hvc | Smc | Sysreg | Iabt | Dabt | Irq
 

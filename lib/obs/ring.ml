@@ -14,7 +14,6 @@ let create ?capacity () =
 
 let length t = t.len
 let dropped t = t.dropped
-let capacity t = t.capacity
 
 let push t x =
   let n = Array.length t.data in
@@ -46,18 +45,9 @@ let push t x =
         t.len <- t.len + 1
   end
 
-let iter f t =
+let to_list t =
   let n = Array.length t.data in
-  for i = 0 to t.len - 1 do
-    f t.data.((t.head + i) mod n)
-  done
-
-let fold f init t =
-  let acc = ref init in
-  iter (fun x -> acc := f !acc x) t;
-  !acc
-
-let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
+  List.init t.len (fun i -> t.data.((t.head + i) mod n))
 
 let clear t =
   t.data <- [||];

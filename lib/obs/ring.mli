@@ -25,14 +25,6 @@ val length : 'a t -> int
 val dropped : 'a t -> int
 (** Elements overwritten because the ring was at capacity. *)
 
-val capacity : 'a t -> int option
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** Oldest first. *)
-
 val to_list : 'a t -> 'a list
 (** Oldest first (chronological for a tracer pushing in time order). *)
 

@@ -91,13 +91,3 @@ type event = {
 }
 
 let duration e = match e.kind with Complete d -> d | Instant | Value _ -> 0
-
-let pp_event ppf e =
-  let kind =
-    match e.kind with
-    | Complete d -> Printf.sprintf "dur=%d" d
-    | Instant -> "instant"
-    | Value v -> Printf.sprintf "value=%d" v
-  in
-  Format.fprintf ppf "@%d [%s/%s] %s (%s)" e.ts e.track
-    (category_to_string e.cat) e.name kind

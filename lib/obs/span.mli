@@ -53,5 +53,3 @@ type event = {
 
 val duration : event -> int
 (** The [Complete] duration, 0 for instants and values. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -3,7 +3,8 @@
    (the error goes to stderr, never into the data), and do so within a
    time bound — it may not run anything first. Also pinned here: the
    bytes of every `armvirt timeline` and of the transition_timeline
-   example, and the stderr warning for a trace ring that dropped events.
+   example, the stderr warning for a trace ring that dropped events, and
+   `run` with no ids printing what `run` with every listed id prints.
 
    Runs ../bin/armvirt.exe and ../examples/transition_timeline.exe, which
    the test stanza depends on. *)
@@ -218,6 +219,32 @@ let drop_case (args, drops) =
       Alcotest.(check int) (name ^ " exit code") 0 code;
       Alcotest.(check string) (name ^ " stderr") (drop_warning drops) stderr)
 
+(* `run` with no ids regenerates every artifact: the same bytes as `run`
+   given every id `armvirt list` prints, in that order. *)
+let listed_ids () =
+  let _, stdout, _ = run [ "list" ] in
+  let rec experiments = function
+    | [] | "" :: _ -> []
+    | line :: rest ->
+        List.hd (String.split_on_char ' ' (String.trim line))
+        :: experiments rest
+  in
+  match String.split_on_char '\n' stdout with
+  | _header :: lines -> experiments lines
+  | [] -> []
+
+let run_all_case jobs =
+  let name = "run --jobs " ^ jobs ^ " with no ids" in
+  Alcotest.test_case name `Quick (fun () ->
+      let ids = listed_ids () in
+      Alcotest.(check bool) "list prints experiments" true (ids <> []);
+      let code, stdout, stderr = run [ "run"; "--jobs"; jobs ] in
+      let code', stdout', stderr' = run ("run" :: ids @ [ "--jobs"; jobs ]) in
+      Alcotest.(check int) (name ^ " exit code") 0 code;
+      Alcotest.(check int) "run <every id> exit code" 0 code';
+      Alcotest.(check string) (name ^ " stderr") stderr' stderr;
+      Alcotest.(check string) (name ^ " stdout") stdout' stdout)
+
 let () =
   Alcotest.run "cli"
     [
@@ -228,4 +255,5 @@ let () =
         @ List.map (test_case ~time_bound_s:5.0 ~code:2) bad_plans );
       ("timeline pin", pins);
       ("drop warning", List.map drop_case drop_cases);
+      ("run all", List.map run_all_case [ "1"; "2" ]);
     ]

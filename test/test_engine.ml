@@ -527,60 +527,6 @@ let test_sim_mailbox_depth_transitions () =
   Alcotest.(check (list int)) "transitions only" [ 1; 2; 1; 0 ]
     (List.rev !depths)
 
-(* --- BENCH_events.json golden --------------------------------------- *)
-
-let contains haystack needle =
-  let n = String.length needle and m = String.length haystack in
-  let rec go i =
-    i + n <= m && (String.sub haystack i n = needle || go (i + 1))
-  in
-  go 0
-
-let rec find_repo_root dir =
-  if Sys.file_exists (Filename.concat dir "BENCH_events.json") then Some dir
-  else
-    let parent = Filename.dirname dir in
-    if String.equal parent dir then None else find_repo_root parent
-
-let test_bench_events_schema () =
-  (* Tests run from _build/default/test; walk up past _build to the
-     checkout root, the same way the lint driver finds dune-project. *)
-  match find_repo_root (Sys.getcwd ()) with
-  | None -> Alcotest.fail "BENCH_events.json not found above the test cwd"
-  | Some root ->
-      let path = Filename.concat root "BENCH_events.json" in
-      let ic = open_in_bin path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool)
-            (Printf.sprintf "contains %s" needle)
-            true (contains s needle))
-        [
-          "\"schema\": \"armvirt.bench-events/v2\"";
-          "\"scale\": 1";
-          "\"results\": [";
-          "\"engine_micro_geomean_speedup\"";
-          "\"observer_overhead\": [";
-          "\"exit_mix\"";
-          "\"disabled_overhead_pct\"";
-          "\"enabled_overhead_pct\"";
-          "\"heap-churn\"";
-          "\"delay-churn\"";
-          "\"suspend-wake\"";
-          "\"resource-contend\"";
-          "\"mailbox-pingpong\"";
-          "\"micro-suite\"";
-          "\"netperf-rr\"";
-          "\"migrate-precopy\"";
-          "\"cluster-matrix\"";
-          "\"cluster-loadgen\"";
-        ]
-
 let prop_sim_determinism =
   QCheck.Test.make ~name:"two identical runs produce identical traces"
     QCheck.(list_of_size (Gen.int_range 1 20) (int_range 1 100))
@@ -948,9 +894,4 @@ let () =
             test_sim_runs_on_any_domain;
         ]
         @ qcheck [ prop_sim_determinism; prop_run_ahead_matches_queue ] );
-      ( "bench",
-        [
-          Alcotest.test_case "BENCH_events.json schema" `Quick
-            test_bench_events_schema;
-        ] );
     ]

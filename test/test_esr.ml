@@ -108,7 +108,7 @@ let test_exit_reason_counters () =
      all these paths run on VCPU0's PCPU 4. *)
   let reason cls =
     Counter.get counters
-      (Armvirt_obs.Accounting.exit_label ~hyp:"kvm_arm"
+      (Armvirt_obs.Marker.exit_name ~hyp:"kvm_arm"
          ~reason:(Esr.short_name cls) ~pcpu:4)
   in
   Alcotest.(check int) "two hypercall exits" 2 (reason Esr.Hvc64);
@@ -117,7 +117,7 @@ let test_exit_reason_counters () =
   Alcotest.(check int) "no IRQ exits in these paths" 0 (reason Esr.Irq);
   Alcotest.(check int) "every exit re-entered" 4
     (Counter.get counters
-       (Armvirt_obs.Accounting.entry_label ~hyp:"kvm_arm" ~pcpu:4 ~domid:1 ()))
+       (Armvirt_obs.Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ~domid:1 ()))
 
 let () =
   Alcotest.run "esr"

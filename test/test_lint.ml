@@ -249,9 +249,9 @@ let test_m1_builders () =
   check_rules "builder application trusted" []
     (lint ~relpath:"lib/hypervisor/x.ml"
        {|let f m r = Machine.marker m (Marker.exit ~hyp:"kvm_arm" ~reason:r ~pcpu:0)|});
-  check_rules "accounting alias trusted" []
+  check_rules "builder with computed pcpu trusted" []
     (lint ~relpath:"lib/fleet/x.ml"
-       {|let f m p = Machine.marker m (Accounting.entry_label ~hyp:"xen_arm" ~pcpu:p ())|});
+       {|let f m p = Machine.marker m (Marker.entry ~hyp:"xen_arm" ~pcpu:p ())|});
   check_rules "builder literal reason cross-checked" [ "M1" ]
     (lint ~relpath:"lib/fleet/x.ml"
        {|let f m = Machine.marker m (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvcc" ~pcpu:0)|});

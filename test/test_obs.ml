@@ -533,6 +533,39 @@ let test_untraced_capture_is_transparent () =
   Alcotest.(check int) "value" 42 v;
   Alcotest.(check bool) "no cell" true (cell = None)
 
+(* A live session costs an engine-only simulation nothing: the session
+   reaches a run only through machines its cell builds, and this one
+   builds none. The delay-churn shape (512 processes of 30 delays) runs
+   once outside any session and once inside a capture; both must process
+   the same events with exactly the same minor-heap allocation, and the
+   cell must record nothing. *)
+let test_session_costs_engine_only_nothing () =
+  let churn () =
+    let sim = Sim.create () in
+    for p = 0 to 511 do
+      Sim.spawn sim (fun () ->
+          for i = 1 to 30 do
+            Sim.delay (Armvirt_engine.Cycles.of_int ((p + i) land 63))
+          done)
+    done;
+    let before = Gc.minor_words () in
+    Sim.run sim;
+    (Sim.events_processed sim, Gc.minor_words () -. before)
+  in
+  let events, words = churn () in
+  Observe.enable ~context:"engine-only" ();
+  Fun.protect ~finally:Observe.disable (fun () ->
+      let (events', words'), cell =
+        Observe.capture ~label:"engine-only#0.0" churn
+      in
+      Alcotest.(check int) "events" events events';
+      Alcotest.(check (float 0.)) "minor words" words words';
+      match cell with
+      | None -> Alcotest.fail "capture returned no cell"
+      | Some c ->
+          Alcotest.(check int) "no events recorded" 0 (List.length c.events);
+          Alcotest.(check int) "nothing dropped" 0 c.dropped)
+
 (* --- Mailbox depth through the tracer glue -------------------------- *)
 
 let test_mailbox_depth_value_events () =
@@ -637,6 +670,8 @@ let () =
             test_mailbox_depth_value_events;
           Alcotest.test_case "untraced capture transparent" `Quick
             test_untraced_capture_is_transparent;
+          Alcotest.test_case "session costs engine-only runs nothing" `Quick
+            test_session_costs_engine_only_nothing;
           Alcotest.test_case "create hook is domain-local" `Quick
             test_create_hook_domain_local;
         ] );

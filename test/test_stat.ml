@@ -17,7 +17,7 @@ module W = Armvirt_workloads
 (* --- marker grammar -------------------------------------------------- *)
 
 let test_parse_label () =
-  let exit_l = Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4 in
+  let exit_l = Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4 in
   Alcotest.(check string) "exit label" "kvm_arm.exit/hvc/p4" exit_l;
   (match Accounting.parse_label exit_l with
   | Some (Accounting.Exit { hyp; reason; pcpu }) ->
@@ -25,7 +25,7 @@ let test_parse_label () =
       Alcotest.(check string) "reason" "hvc" reason;
       Alcotest.(check int) "pcpu" 4 pcpu
   | _ -> Alcotest.fail "exit label did not parse as Exit");
-  let entry_l = Accounting.entry_label ~domid:0 ~hyp:"xen_arm" ~pcpu:5 () in
+  let entry_l = Marker.entry ~domid:0 ~hyp:"xen_arm" ~pcpu:5 () in
   Alcotest.(check string) "entry label" "xen_arm.entry/p5/d0" entry_l;
   (match Accounting.parse_label entry_l with
   | Some (Accounting.Entry { hyp; pcpu; domid }) ->
@@ -124,15 +124,15 @@ let synthetic_process =
     events =
       [
         ev 100
-          (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
+          (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
           Span.Instant;
         ev 150 "kvm_arm.host_dispatch" (Span.Complete 300);
         ev 700
-          (Accounting.entry_label ~hyp:"kvm_arm" ~pcpu:4 ())
+          (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ())
           Span.Instant;
         ev 800 "vm_processing" (Span.Complete 500);
         ev 1400
-          (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
+          (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
           Span.Instant;
         ev 1450 "kvm_arm.vipi" Span.Instant;
       ];
@@ -243,19 +243,19 @@ let fleet_process =
     events =
       [
         ev 100
-          (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:0)
+          (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:0)
           Span.Instant;
         ev 200
-          (Accounting.entry_label ~domid:0 ~hyp:"kvm_arm" ~pcpu:0 ())
+          (Marker.entry ~domid:0 ~hyp:"kvm_arm" ~pcpu:0 ())
           Span.Instant;
         ev 300
-          (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"irq" ~pcpu:0)
+          (Marker.exit_name ~hyp:"kvm_arm" ~reason:"irq" ~pcpu:0)
           Span.Instant;
         ev 350
-          (Accounting.entry_label ~domid:1 ~hyp:"kvm_arm" ~pcpu:0 ())
+          (Marker.entry ~domid:1 ~hyp:"kvm_arm" ~pcpu:0 ())
           Span.Instant;
         ev 400
-          (Accounting.entry_label ~domid:0 ~hyp:"kvm_arm" ~pcpu:1 ())
+          (Marker.entry ~domid:0 ~hyp:"kvm_arm" ~pcpu:1 ())
           Span.Instant;
       ];
   }
@@ -319,7 +319,7 @@ let test_per_domain_diff () =
         fleet_process.Export.events
         @ [
             ev 500
-              (Accounting.entry_label ~domid:1 ~hyp:"kvm_arm" ~pcpu:1 ())
+              (Marker.entry ~domid:1 ~hyp:"kvm_arm" ~pcpu:1 ())
               Span.Instant;
           ];
     }
@@ -439,7 +439,7 @@ let test_diff () =
         synthetic_process.Export.events
         @ [
             ev 2000
-              (Accounting.exit_label ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
+              (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
               Span.Instant;
             ev 2100 "kvm_arm.host_dispatch" (Span.Complete 900);
           ];
