@@ -244,8 +244,9 @@ let session_args =
     $ jobs_arg $ trace_file_arg $ stat_file_arg)
 
 (* A cell whose ring reached its cap lost its oldest events, so its
-   trace and exit accounting are short: one line on stderr per such
-   cell, leaving stdout and the exports as they are. *)
+   trace is short: one line on stderr per such cell, leaving stdout and
+   the exports as they are. Exit accounting reads the machines'
+   counters and loses nothing. *)
 let warn_dropped () =
   List.iter
     (fun (c : Observe.cell) ->
@@ -256,18 +257,18 @@ let warn_dropped () =
     (Observe.cells ())
 
 (* Tracing, [--stat] and [--verbose] share a session: all need the
-   machines instrumented; they differ only in what is exported
-   afterwards. *)
+   machines instrumented; they differ in what is exported afterwards,
+   and only a trace export records ring events. *)
 let with_session ~context ?(verbose = false) s f =
   apply_jobs s.jobs;
   if s.trace_file = None && s.stat_file = None && not verbose then f ()
   else begin
-    Observe.enable ~context ();
+    Observe.enable ~trace:(s.trace_file <> None) ~context ();
     Fun.protect ~finally:Observe.disable (fun () ->
         let v = f () in
         Option.iter (write_trace ~format:`Chrome) s.trace_file;
         Option.iter (write_stat ~context) s.stat_file;
-        if s.trace_file <> None || s.stat_file <> None then warn_dropped ();
+        if s.trace_file <> None then warn_dropped ();
         if verbose then print_verbose ppf;
         v)
   end
@@ -288,14 +289,14 @@ let target_conv =
 let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
 (* Runs [target] (see [is_target]) with the observer on, then [export]s
-   what it recorded. The direct paths build their hypervisor inside one
-   traced cell, honouring -p/-H; [micro_hypervisor] overrides the model
-   for micro. *)
-let observe_target ~platform ~hyp ?(iterations = 32) ?micro_hypervisor target
-    export =
+   what it recorded; [trace] records ring events for a trace export. The
+   direct paths build their hypervisor inside one observed cell,
+   honouring -p/-H; [micro_hypervisor] overrides the model for micro. *)
+let observe_target ~trace ~platform ~hyp ?(iterations = 32) ?micro_hypervisor
+    target export =
   let hypervisor () = resolve platform hyp in
   let cell f = traced_cell (target ^ "#0.0") (fun () -> ignore (f ())) in
-  Observe.enable ~context:target ();
+  Observe.enable ~trace ~context:target ();
   Fun.protect ~finally:Observe.disable (fun () ->
       (match target with
       | "micro" ->
@@ -521,7 +522,8 @@ let trace_cmd =
   in
   let run platform hyp jobs target out format =
     apply_jobs jobs;
-    observe_target ~platform ~hyp target (fun () -> write_trace ~format out)
+    observe_target ~trace:true ~platform ~hyp target (fun () ->
+        write_trace ~format out)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -540,8 +542,8 @@ let stat_cmd =
             "What to account: any experiment id from `armvirt list`, \
              $(b,rr) / $(b,micro) for the direct workload paths \
              (honouring $(b,-p)/$(b,-H)), $(b,fleet) for a small \
-             traced boot-storm whose entries are domain-tagged, or \
-             $(b,cluster) for a traced two-host service chain with \
+             boot-storm whose entries are domain-tagged, or \
+             $(b,cluster) for a two-host service chain with \
              per-port vswitch and wire counters. With \
              $(b,--diff), two armvirt.stat/v1 JSON files (old then \
              new).")
@@ -616,7 +618,7 @@ let stat_cmd =
       value & flag
       & info [ "crosscheck" ]
           ~doc:
-            "Validate the trace-derived accounting against the analytic \
+            "Validate the counter-derived accounting against the analytic \
              cost model on all five hypervisor models (Table III span \
              reconstruction, hypercall exit latency vs path costs and \
              Table II, structural exit mixes); exit non-zero if any \
@@ -677,7 +679,8 @@ let stat_cmd =
       match targets with
       | [ target ] when is_target target ->
           let micro_hypervisor = Option.map perturbed_kvm_arm perturb in
-          observe_target ~platform ~hyp ~iterations ?micro_hypervisor target
+          observe_target ~trace:false ~platform ~hyp ~iterations
+            ?micro_hypervisor target
             (fun () ->
               let acct = Stat_report.of_session () in
               let opts = { Stat.per_vcpu; per_domain; top } in
@@ -697,7 +700,7 @@ let stat_cmd =
        ~doc:
          "kvm_stat-style exit accounting: per-reason exit counts and \
           latencies, guest vs hypervisor cycle attribution, regression \
-          diffing and the trace-vs-analytic crosscheck")
+          diffing and the counter-vs-analytic crosscheck")
     Term.(
       const run $ platform_arg $ hyp_arg $ jobs_arg $ iterations $ format
       $ out_arg $ per_vcpu $ per_domain $ top $ diff $ crosscheck
@@ -1265,8 +1268,9 @@ let cluster_cmd =
       & info [ "vms" ] ~docv:"N"
           ~doc:
             (Printf.sprintf
-               "VM count: matrix default 4, loadgen backend-pool default \
-                16 (the chain is always client + LB + backend); at most %d."
+               "VM count: matrix default 4 and at least 2, loadgen \
+                backend-pool default 16 (the chain is always client + LB \
+                + backend); at most %d."
                Topology.max_vms))
   in
   let loads_conv =
@@ -1304,6 +1308,8 @@ let cluster_cmd =
     (match vms with
     | Some n when n > Topology.max_vms ->
         reject "--vms must be at most %d" Topology.max_vms
+    | Some n when n < 2 && scenario = `Matrix ->
+        reject "--vms must be at least 2 for the matrix scenario"
     | _ -> ());
     with_session ~context:"cluster" session @@ fun () ->
     let header, rows =

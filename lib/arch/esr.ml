@@ -33,17 +33,6 @@ let decode syndrome =
   let code = (syndrome lsr 26) land 0x3f in
   Option.map (fun cls -> (cls, syndrome land (il_bit - 1))) (of_ec code)
 
-let short_name = function
-  | Wfi_wfe -> "wfx"
-  | Hvc64 -> "hvc"
-  | Smc64 -> "smc"
-  | Sysreg_trap -> "sysreg"
-  | Inst_abort_lower -> "iabt"
-  | Data_abort_lower -> "dabt"
-  | Irq -> "irq"
-
-let of_short_name s = List.find_opt (fun cls -> short_name cls = s) all
-
 (* Obs sits below arch in the library graph, so Marker carries its own
    reason enum; this exhaustive match is the single mapping point — a
    new exception class fails to compile until Marker learns it too. *)

@@ -32,16 +32,10 @@ val decode : int -> (exception_class * int) option
 
 val describe : exception_class -> string
 
-val short_name : exception_class -> string
-(** A stable lowercase mnemonic (["hvc"], ["dabt"], ["irq"], ...) used
-    to key exit-marker counter labels and the [armvirt stat] report.
-    Never contains ['/'], ['.'] or whitespace. *)
-
-val of_short_name : string -> exception_class option
-
 val marker_reason : exception_class -> Armvirt_obs.Marker.reason
-(** The typed {!Armvirt_obs.Marker} reason with the same mnemonic;
-    [short_name cls = Marker.reason_to_string (marker_reason cls)] for
-    every class (asserted by the stat tests). *)
+(** The typed {!Armvirt_obs.Marker} exit reason of a class; its
+    [Marker.reason_to_string] mnemonic (["hvc"], ["dabt"], ["irq"], ...)
+    keys the [armvirt stat] rows. [test_esr] checks the map covers
+    [Marker.all_reasons] one to one, in order. *)
 
 val all : exception_class list

@@ -2,13 +2,16 @@ module Sim = Armvirt_engine.Sim
 module Cycles = Armvirt_engine.Cycles
 module Counter = Armvirt_stats.Counter
 module Span = Armvirt_obs.Span
+module Marker = Armvirt_obs.Marker
 
 type pcpu = { id : int; exclusive : Sim.Resource.t }
 
 type sink = {
   spend :
     label:string -> cat:Span.category -> cycles:int -> now:Cycles.t -> unit;
-  count : label:string -> cat:Span.category -> now:Cycles.t -> unit;
+  count :
+    marker:Marker.t -> label:string -> cat:Span.category -> now:Cycles.t ->
+    unit;
 }
 
 type t = {
@@ -17,21 +20,35 @@ type t = {
   counters : Counter.set;
   cpus : pcpu array;
   mutable sink : sink option;
+  mutable kinds : Bytes.t;
+  mutable marked : marker list;
 }
 
-(* One interned label of one machine. Ops and markers share the
-   representation; the interface keeps the two types apart. The category
-   is classified on the first observed use, not at intern time: most
-   machines are never traced. *)
-type slot = {
+(* One interned op of one machine. The category is classified on the
+   first observed use, not at intern time: most machines are never
+   traced. *)
+and op = {
   machine : t;
   counter : Counter.id;
   label : string;
   mutable cat : Span.category option;
 }
 
-type op = slot
-type marker = slot
+(* One interned marker, the same with its typed marker. *)
+and marker = {
+  m_machine : t;
+  m_counter : Counter.id;
+  m_label : string;
+  mutable m_cat : Span.category option;
+  marker : Marker.t;
+}
+
+(* [kinds] says, by counter id, what each label was interned as: a label
+   is an op or a marker on one machine, never both. [marked] holds the
+   first marker interned on each marker id, newest first. *)
+let free = '\000'
+and is_op = 'o'
+and is_marker = 'm'
 
 (* Run on every [create] on this domain, so a tracing session can attach
    to machines it never sees constructed (experiments build their
@@ -58,6 +75,8 @@ let create sim ~cost ~num_cpus =
       counters = Counter.create_set ();
       cpus = Array.init num_cpus make_cpu;
       sink = None;
+      kinds = Bytes.empty;
+      marked = [];
     }
   in
   (match Domain.DLS.get create_hook with None -> () | Some h -> h t);
@@ -78,19 +97,41 @@ let exclusive cpu = cpu.exclusive
 
 let attach t sink = t.sink <- sink
 
-let intern t label =
-  { machine = t; counter = Counter.intern t.counters label; label; cat = None }
+let kind t (counter : Counter.id) =
+  let i = (counter :> int) in
+  if i < Bytes.length t.kinds then Bytes.get t.kinds i else free
 
-let op = intern
-let marker = intern
+let set_kind t (counter : Counter.id) k =
+  let i = (counter :> int) in
+  if i >= Bytes.length t.kinds then begin
+    let grown = Bytes.make (Stdlib.max 256 (2 * (i + 1))) free in
+    Bytes.blit t.kinds 0 grown 0 (Bytes.length t.kinds);
+    t.kinds <- grown
+  end;
+  Bytes.set t.kinds i k
 
-let category s =
-  match s.cat with
-  | Some c -> c
-  | None ->
-      let c = Span.of_label s.label in
-      s.cat <- Some c;
-      c
+let op t label =
+  let counter = Counter.intern t.counters label in
+  if kind t counter = is_marker then
+    invalid_arg (Printf.sprintf "Machine.op: %S is already a marker" label);
+  set_kind t counter is_op;
+  { machine = t; counter; label; cat = None }
+
+let marker t m =
+  let label = Marker.label m in
+  let counter = Counter.intern t.counters label in
+  let k = kind t counter in
+  if k = is_op then
+    invalid_arg (Printf.sprintf "Machine.marker: %S is already an op" label);
+  let mk =
+    { m_machine = t; m_counter = counter; m_label = label; m_cat = None;
+      marker = m }
+  in
+  if k = free then begin
+    set_kind t counter is_marker;
+    t.marked <- mk :: t.marked
+  end;
+  mk
 
 let spend op cycles =
   if cycles < 0 then invalid_arg "Machine.spend: negative cycles";
@@ -100,17 +141,49 @@ let spend op cycles =
   Sim.delay (Cycles.of_int cycles);
   match t.sink with
   | Some s ->
-      s.spend ~label:op.label ~cat:(category op) ~cycles
-        ~now:(Sim.current_time ())
+      let cat =
+        match op.cat with
+        | Some c -> c
+        | None ->
+            let c = Span.of_label op.label in
+            op.cat <- Some c;
+            c
+      in
+      s.spend ~label:op.label ~cat ~cycles ~now:(Sim.current_time ())
   | None -> ()
 
-let count marker =
-  let t = marker.machine in
-  Counter.incr_id t.counters marker.counter;
+let count mk =
+  let t = mk.m_machine in
+  Counter.incr_id t.counters mk.m_counter;
   match t.sink with
   | Some s ->
-      s.count ~label:marker.label ~cat:(category marker) ~now:(Sim.now t.sim)
+      let cat =
+        match mk.m_cat with
+        | Some c -> c
+        | None ->
+            let c = Marker.category mk.marker in
+            mk.m_cat <- Some c;
+            c
+      in
+      s.count ~marker:mk.marker ~label:mk.m_label ~cat ~now:(Sim.now t.sim)
   | None -> ()
+
+let markers t =
+  List.fold_left
+    (fun acc mk ->
+      match Counter.value t.counters mk.m_counter with
+      | Some n -> (mk.marker, n) :: acc
+      | None -> acc)
+    [] t.marked
+
+let op_cycles t =
+  List.filter_map
+    (fun label ->
+      let counter = Counter.intern t.counters label in
+      if kind t counter = is_op then
+        Option.map (fun n -> (label, n)) (Counter.value t.counters counter)
+      else None)
+    (Counter.names t.counters)
 
 let freq_ghz t = Cost_model.freq_ghz t.cost
 let elapsed_us t c = Cycles.to_us ~hz:(freq_ghz t *. 1e9) c

@@ -11,7 +11,9 @@
     a label into a slot of this machine's counter set, and {!spend} and
     {!count} then update that slot by index, hashing and building no
     string. An op or marker carries its machine, so it can only ever
-    charge the machine it was interned on. *)
+    charge the machine it was interned on. The counters are exact at any
+    run length, and [armvirt stat] reads its counts from them
+    ({!markers}, {!op_cycles}). *)
 
 type pcpu
 (** One physical CPU. *)
@@ -44,23 +46,24 @@ type op
     a free-form label, spent through {!spend}. *)
 
 type marker
-(** A counted label in {!Armvirt_obs.Accounting}'s grammar (exit and
-    entry markers, ["<hyp>.<op>"] counters, switch and wire counters),
-    counted through {!count}. The lint rule M1 checks the label handed
-    to {!marker}; {!op} labels are not in that grammar and are not
-    checked. *)
+(** A counted {!Armvirt_obs.Marker.t} (exits, entries, operation,
+    switch and wire counters), counted through {!count}. *)
 
 val op : t -> string -> op
 (** [op t label] interns [label] in [t]'s counters. Interning the same
-    label again returns an op on the same counter. Call it when the model
-    is built, not per operation. *)
+    label again returns an op on the same counter. Call it when the
+    model is built, not per operation. Raises [Invalid_argument] if
+    [label] is already a marker on [t]. *)
 
-val marker : t -> string -> marker
-(** As {!op}, for a counted label. *)
+val marker : t -> Armvirt_obs.Marker.t -> marker
+(** As {!op}, for a marker: its label ({!Armvirt_obs.Marker.label}) is
+    built here, once. Raises [Invalid_argument] if that label is already
+    an op on [t]. *)
 
 (** Each op and marker also carries its {!Armvirt_obs.Span.category},
-    computed by {!Armvirt_obs.Span.of_label} the first time a {!sink}
-    sees it, never at intern time. *)
+    computed the first time a {!sink} sees it, never at intern time: for
+    an op {!Armvirt_obs.Span.of_label} of its label, for a marker
+    {!Armvirt_obs.Marker.category}. *)
 
 val spend : op -> int -> unit
 (** [spend op cycles] advances the calling process by [cycles] and adds
@@ -71,6 +74,14 @@ val spend : op -> int -> unit
 val count : marker -> unit
 (** Increment [marker]'s counter without consuming time. *)
 
+val markers : t -> (Armvirt_obs.Marker.t * int) list
+(** Every marker counted at least once, with its count, in intern
+    order; a marker interned twice is listed once. *)
+
+val op_cycles : t -> (string * int) list
+(** Every op spent at least once (a spend of 0 counts), with its label
+    and total cycles, sorted by label. *)
+
 (** {1 Instrumentation} *)
 
 type sink = {
@@ -80,15 +91,16 @@ type sink = {
       (** Every {!spend}: the op's label and category, its cycles and
           the simulated time {e after} the step. *)
   count :
-    label:string -> cat:Armvirt_obs.Span.category ->
-    now:Armvirt_engine.Cycles.t -> unit;
-      (** Every {!count}: the marker's label and category and the
-          machine's clock, so it is safe outside a simulation process. *)
+    marker:Armvirt_obs.Marker.t -> label:string ->
+    cat:Armvirt_obs.Span.category -> now:Armvirt_engine.Cycles.t -> unit;
+      (** Every {!count}: the typed marker, its label and category and
+          the machine's clock, so it is safe outside a simulation
+          process. *)
 }
-(** Where a machine reports its priced steps and counted markers. The
-    library builds every sink with [Armvirt_core.Observe.machine_sink]:
-    spends become complete spans and counts become instants of a
-    tracer. *)
+(** Where a machine reports its priced steps and counted markers, in
+    the order they happen. The library builds every sink in
+    [Armvirt_core.Observe]: spends become complete spans and counts
+    instants of a tracer, and counts feed exit-latency pairing. *)
 
 val attach : t -> sink option -> unit
 (** Installs (or, with [None], clears) the machine's one sink. Idle, a

@@ -5,29 +5,32 @@ module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
 module Metrics = Armvirt_obs.Metrics
 module Export = Armvirt_obs.Export
+module Accounting = Armvirt_obs.Accounting
 
 type cell = {
   label : string;
   events : Span.event list;
   dropped : int;
   metrics : Metrics.t;
+  rows : Accounting.vm_stats list;
 }
 
 (* One live collector per domain: the runner executes each cell on one
    domain, and [capture] scopes a collector to the cell so concurrent
-   cells never share a tracer. *)
+   cells never share a tracer. [tracer] is [None] when no trace export
+   will be read. *)
 type live = {
-  tracer : Tracer.t;
+  tracer : Tracer.t option;
   cell_metrics : Metrics.t;
-  mutable machines : int;
+  mutable machines : (Machine.t * Accounting.pairing) list; (* newest first *)
 }
 
 let live_key : live option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let default_capacity = 1 lsl 18
+let ring_capacity = 1 lsl 18
 
 let enabled = ref false
-let ring_capacity = ref default_capacity
+let tracing = ref false
 let context_name = ref "run"
 let map_seq = Atomic.make 0
 
@@ -46,24 +49,27 @@ let next_map_seq () = Atomic.fetch_and_add map_seq 1
 
 (* --- machine instrumentation --------------------------------------- *)
 
-let machine_sink ?metrics ~track tracer =
+let machine_sink ?pairing ~track tracer =
   let spend ~label ~cat ~cycles ~now =
     let now = Cycles.to_int now in
     Tracer.complete tracer ~track ~cat ~name:label ~ts:(now - cycles)
-      ~dur:cycles;
-    match metrics with
-    | Some metrics ->
-        Metrics.incr metrics
-          ~labels:[ ("category", Span.category_to_string cat) ]
-          ~by:cycles "spend_cycles_total"
-    | None -> ()
+      ~dur:cycles
   in
-  (* Counts become instants on the same track: the accounting layer
-     pairs exit/entry markers against it to derive exit latencies. *)
-  let count ~label ~cat ~now =
-    Tracer.instant tracer ~track ~cat ~name:label ~ts:(Cycles.to_int now)
+  let count ~marker ~label ~cat ~now =
+    let ts = Cycles.to_int now in
+    Tracer.instant tracer ~track ~cat ~name:label ~ts;
+    match pairing with Some p -> Accounting.pair p marker ~ts | None -> ()
   in
   { Machine.spend; count }
+
+(* An untraced session only pairs exits with entries. *)
+let pairing_sink pairing =
+  {
+    Machine.spend = (fun ~label:_ ~cat:_ ~cycles:_ ~now:_ -> ());
+    count =
+      (fun ~marker ~label:_ ~cat:_ ~now ->
+        Accounting.pair pairing marker ~ts:(Cycles.to_int now));
+  }
 
 let pp_timeline ppf events =
   List.iter
@@ -77,12 +83,16 @@ let pp_timeline ppf events =
     events
 
 let attach live m =
-  let idx = live.machines in
-  live.machines <- idx + 1;
+  let idx = List.length live.machines in
+  let pairing = Accounting.pairing () in
+  live.machines <- (m, pairing) :: live.machines;
   let prefix = if idx = 0 then "" else Printf.sprintf "m%d:" idx in
-  let tracer = live.tracer and metrics = live.cell_metrics in
+  let metrics = live.cell_metrics in
   Machine.attach m
-    (Some (machine_sink ~metrics ~track:(prefix ^ "cpu") tracer));
+    (Some
+       (match live.tracer with
+       | Some tracer -> machine_sink ~pairing ~track:(prefix ^ "cpu") tracer
+       | None -> pairing_sink pairing));
   (* Park times keyed by pid so blocked spans pair correctly even when
      several processes share a display name. *)
   let parked : (int, int) Hashtbl.t = Hashtbl.create 32 in
@@ -91,44 +101,75 @@ let attach live m =
        {
          Sim.on_spawn =
            (fun ~id:_ ~name ~at ->
-             Tracer.instant tracer ~track:(prefix ^ name) ~cat:Span.Sched
-               ~name:"spawn" ~ts:at;
+             (match live.tracer with
+             | Some tracer ->
+                 Tracer.instant tracer ~track:(prefix ^ name) ~cat:Span.Sched
+                   ~name:"spawn" ~ts:at
+             | None -> ());
              Metrics.incr metrics "sim_processes_spawned_total");
-         on_park = (fun ~id ~name:_ ~at -> Hashtbl.replace parked id at);
+         on_park =
+           (fun ~id ~name:_ ~at ->
+             if Option.is_some live.tracer then Hashtbl.replace parked id at);
          on_wake =
            (fun ~id ~name ~at ->
-             match Hashtbl.find_opt parked id with
-             | None -> ()
-             | Some t0 ->
+             match (live.tracer, Hashtbl.find_opt parked id) with
+             | None, _ | _, None -> ()
+             | Some tracer, Some t0 ->
                  Hashtbl.remove parked id;
                  if at > t0 then
                    Tracer.complete tracer ~track:(prefix ^ name)
                      ~cat:Span.Sched ~name:"blocked" ~ts:t0 ~dur:(at - t0));
          on_contention =
            (fun ~resource ~proc ~at ~waited ->
-             Tracer.complete tracer ~track:(prefix ^ proc) ~cat:Span.Sched
-               ~name:("contention:" ^ resource) ~ts:at ~dur:waited;
+             (match live.tracer with
+             | Some tracer ->
+                 Tracer.complete tracer ~track:(prefix ^ proc) ~cat:Span.Sched
+                   ~name:("contention:" ^ resource) ~ts:at ~dur:waited
+             | None -> ());
              Metrics.observe metrics
                ~labels:[ ("resource", resource) ]
                "sim_contention_wait_cycles" (float_of_int waited));
          on_queue_depth =
            (fun ~mailbox ~at ~depth ->
-             Tracer.value tracer ~track:(prefix ^ "mb:" ^ mailbox)
-               ~cat:Span.Io ~name:mailbox ~ts:at ~value:depth;
+             (match live.tracer with
+             | Some tracer ->
+                 Tracer.value tracer ~track:(prefix ^ "mb:" ^ mailbox)
+                   ~cat:Span.Io ~name:mailbox ~ts:at ~value:depth
+             | None -> ());
              Metrics.observe metrics
                ~labels:[ ("mailbox", mailbox) ]
                "sim_mailbox_depth" (float_of_int depth));
        })
 
+(* A finished cell's accounting rows, machines named m0, m1, ... in
+   build order and sorted as strings, and its spend_cycles_total by
+   category, both read from the machines' counters. *)
+let snapshot live ~label =
+  List.rev live.machines
+  |> List.mapi (fun i (m, pairing) ->
+         let machine = Printf.sprintf "m%d" i and ops = Machine.op_cycles m in
+         List.iter
+           (fun (op, cycles) ->
+             Metrics.incr live.cell_metrics
+               ~labels:
+                 [ ("category", Span.category_to_string (Span.of_label op)) ]
+               ~by:cycles "spend_cycles_total")
+           ops;
+         ( machine,
+           Accounting.rows ~cell:label ~machine ~markers:(Machine.markers m)
+             ~ops pairing ))
+  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.concat_map snd
+
 (* --- session lifecycle --------------------------------------------- *)
 
-let enable ?(capacity = default_capacity) ~context () =
+let enable ~trace ~context () =
   locked (fun () ->
       recorded := [];
       global := Metrics.create ());
   context_name := context;
   Atomic.set map_seq 0;
-  ring_capacity := capacity;
+  tracing := trace;
   enabled := true
 
 and disable () = enabled := false
@@ -144,13 +185,15 @@ let capture ~label f =
     | None ->
         let live =
           {
-            tracer = Tracer.create ~capacity:!ring_capacity ();
+            tracer =
+              (if !tracing then Some (Tracer.create ~capacity:ring_capacity ())
+               else None);
             cell_metrics = Metrics.create ();
-            machines = 0;
+            machines = [];
           }
         in
         Domain.DLS.set live_key (Some live);
-        (* Only machines this cell builds on this domain are traced. *)
+        (* Only machines this cell builds on this domain are observed. *)
         Machine.set_create_hook (Some (attach live));
         (* cell_wall_seconds is host-side profiling, never byte-compared *)
         (* lint: allow R2 — host-side wall-clock profiling gauge *)
@@ -169,14 +212,13 @@ let capture ~label f =
               "cell_wall_seconds"
               (* lint: allow R2 — same host-side profiling gauge as above *)
               (Unix.gettimeofday () -. t0);
-            ( v,
-              Some
-                {
-                  label;
-                  events = Tracer.events live.tracer;
-                  dropped = Tracer.dropped live.tracer;
-                  metrics = live.cell_metrics;
-                } ))
+            let rows = snapshot live ~label in
+            let events, dropped =
+              match live.tracer with
+              | Some t -> (Tracer.events t, Tracer.dropped t)
+              | None -> ([], 0)
+            in
+            (v, Some { label; events; dropped; metrics = live.cell_metrics; rows }))
 
 let record_cells captured =
   if !enabled then

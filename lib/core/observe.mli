@@ -1,35 +1,37 @@
-(** Tracing session glue: connects the {!Armvirt_obs} primitives to the
-    engine, machines and runner.
-
-    Every traced machine reports through one {!Armvirt_arch.Machine.sink}
-    built by {!machine_sink}: [spend] calls become complete spans on the
-    machine's ["cpu"] track, categorised by the category each op carries
-    ({!Armvirt_obs.Span.of_label} of its label, computed once per op),
-    and [count] calls become instants on the same track. The session,
-    the [stat --crosscheck] runs and [armvirt timeline] all use it.
+(** Observation session glue: connects the {!Armvirt_obs} primitives
+    to the engine, machines and runner.
 
     A session is process-global ({!enable} … {!disable}); within it, the
     runner wraps each simulation cell in {!capture}, which gives the
-    cell a private tracer and metric registry on its executing domain
-    (via [Domain.DLS]) and, while the cell runs, a domain-local
-    {!Armvirt_arch.Machine.set_create_hook} that attaches both to every
-    machine the cell builds, with an engine observer
-    ({!Armvirt_engine.Sim.set_observer}) recording process spawns,
-    blocked intervals, resource contention and mailbox depths on
-    per-process tracks. {!record_cells} then merges finished cells back
-    {e in input order}, so exported traces are byte-identical at any
-    [--jobs] level. *)
+    cell a private collector on its executing domain (via
+    [Domain.DLS]) and, while the cell runs, a domain-local
+    {!Armvirt_arch.Machine.set_create_hook} that attaches one sink to
+    every machine the cell builds. The sink feeds each counted marker
+    to the machine's {!Armvirt_obs.Accounting.pairing}, and in a traced
+    session also records spends as complete spans and counts as
+    instants on the machine's ["cpu"] track, categorised by the
+    category each op or marker carries. A traced session also records
+    the engine observer's process spawns, blocked intervals, resource
+    contention and mailbox depths on per-process tracks; every session
+    keeps their metrics.
+
+    When the cell finishes, {!capture} reads each machine's counters
+    into exit-accounting rows and [spend_cycles_total{category}], so
+    [armvirt stat] is exact at any run length and an untraced session
+    records no ring events at all. {!record_cells} then merges finished
+    cells back {e in input order}, so exported traces and stat reports
+    are byte-identical at any [--jobs] level. *)
 
 val machine_sink :
-  ?metrics:Armvirt_obs.Metrics.t ->
+  ?pairing:Armvirt_obs.Accounting.pairing ->
   track:string ->
   Armvirt_obs.Tracer.t ->
   Armvirt_arch.Machine.sink
 (** The sink that records a machine into a tracer: a spend of [c] cycles
     completing at [now] becomes a complete span on [track] from [now - c]
-    lasting [c], and a count an instant at the machine's clock. With
-    [metrics], every spend also adds its cycles to
-    [spend_cycles_total{category}]. *)
+    lasting [c], and a count an instant at the machine's clock, which is
+    also fed to [pairing]. Sessions, the [stat --crosscheck] runs and
+    [armvirt timeline] all use it. *)
 
 val pp_timeline : Format.formatter -> Armvirt_obs.Span.event list -> unit
 (** One line per complete span, in the given order: completion time
@@ -38,16 +40,20 @@ val pp_timeline : Format.formatter -> Armvirt_obs.Span.event list -> unit
 
 type cell = {
   label : string;  (** ["<context>#<map>.<index>"], from the runner. *)
-  events : Armvirt_obs.Span.event list;
-  dropped : int;
+  events : Armvirt_obs.Span.event list;  (** Empty in an untraced session. *)
+  dropped : int;  (** Events the cell's 2{^18}-event ring lost. *)
   metrics : Armvirt_obs.Metrics.t;
+  rows : Armvirt_obs.Accounting.vm_stats list;
+      (** Exit accounting of every machine the cell built, read from
+          its counters when the cell finished. *)
 }
 
-val enable : ?capacity:int -> context:string -> unit -> unit
-(** Starts a session: clears previously collected cells and metrics,
-    names the session [context] (used in cell labels) and bounds each
-    cell's event ring at [capacity] (default 2{^18}). Call before any
-    {!Runner.map}. *)
+val enable : trace:bool -> context:string -> unit -> unit
+(** Starts a session: clears previously collected cells and metrics and
+    names the session [context] (used in cell labels). With [trace],
+    each cell records spans, instants and values in a ring of 2{^18}
+    events for a trace export; without it, cells record none. Call
+    before any {!Runner.map}. *)
 
 val disable : unit -> unit
 

@@ -5,11 +5,12 @@ module Reg_class = Armvirt_arch.Reg_class
 module Arm_ops = Armvirt_arch.Arm_ops
 module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
-module Export = Armvirt_obs.Export
 module Accounting = Armvirt_obs.Accounting
 module H = Armvirt_hypervisor
 
-let of_session () = Accounting.of_processes (Observe.processes ())
+let of_session () =
+  Accounting.of_rows
+    (List.concat_map (fun (c : Observe.cell) -> c.rows) (Observe.cells ()))
 
 type check = {
   model : string;
@@ -25,23 +26,30 @@ let check_ok c =
     100.0 *. Float.abs (c.measured -. c.expected) /. Float.abs c.expected
     <= c.tolerance_pct
 
-(* --- traced model runs --------------------------------------------- *)
+(* --- model runs ----------------------------------------------------- *)
 
-(* A private tracer wired straight to the machine, bypassing the global
-   Observe session: the crosscheck must work (and give the same answer)
-   whether or not `--trace` is active. *)
-let traced_run hyp f =
+(* A private tracer and pairing wired straight to the machine, bypassing
+   the global Observe session: the crosscheck must work (and give the
+   same answer) whether or not a session is active. Counts come from the
+   machine's counters, the spans only feed the Table III means. *)
+let traced_run ~label hyp f =
   let m = hyp.H.Hypervisor.machine in
-  let tracer = Tracer.create () in
-  Machine.attach m (Some (Observe.machine_sink ~track:"cpu" tracer));
+  let tracer = Tracer.create () and pairing = Accounting.pairing () in
+  Machine.attach m (Some (Observe.machine_sink ~pairing ~track:"cpu" tracer));
   let sim = Machine.sim m in
   Sim.spawn sim ~name:"stat-crosscheck" (fun () -> f hyp);
   Sim.run sim;
-  Tracer.events tracer
-
-let accounting_of_events ~label events =
-  Accounting.of_processes
-    [ { Export.pid = 0; name = label; events; dropped = 0 } ]
+  let rows =
+    Accounting.rows ~cell:label ~machine:"m0" ~markers:(Machine.markers m)
+      ~ops:(Machine.op_cycles m) pairing
+  in
+  match rows with
+  | [ vm ] -> (vm, Tracer.events tracer)
+  | vms ->
+      (* One machine, one hypervisor per crosscheck run. *)
+      failwith
+        (Printf.sprintf "Stat_report.crosscheck: %d accounting rows"
+           (List.length vms))
 
 let full_suite ~iterations (hyp : H.Hypervisor.t) =
   for _ = 1 to iterations do
@@ -185,16 +193,7 @@ let models =
     };
   ]
 
-(* --- trace-side extraction ----------------------------------------- *)
-
-let vm_of acct =
-  match acct.Accounting.vms with
-  | [ vm ] -> vm
-  | vms ->
-      (* One machine, one hypervisor per crosscheck run. *)
-      failwith
-        (Printf.sprintf "Stat_report.crosscheck: %d accounting rows"
-           (List.length vms))
+(* --- measured side ------------------------------------------------ *)
 
 let exit_count vm reason =
   match
@@ -233,13 +232,11 @@ let crosscheck ?(iterations = 8) () =
     (fun me ->
       let model = me.label in
       (* Exit-mix checks over the full Table I suite. *)
-      let suite_events =
-        traced_run
+      let vm, _ =
+        traced_run ~label:model
           (Platform.hypervisor me.platform me.hyp_id)
           (full_suite ~iterations)
       in
-      let suite = accounting_of_events ~label:model suite_events in
-      let vm = vm_of suite in
       let count name reason expected =
         {
           model;
@@ -265,13 +262,11 @@ let crosscheck ?(iterations = 8) () =
       in
       (* Hypercall latency over a hypercall-only run, so no other path
          can contribute hvc samples. *)
-      let hc_events =
-        traced_run
+      let hc_vm, hc_events =
+        traced_run ~label:model
           (Platform.hypervisor me.platform me.hyp_id)
           (hypercall_only ~iterations)
       in
-      let hc = accounting_of_events ~label:model hc_events in
-      let hc_vm = vm_of hc in
       let lat_checks =
         {
           model;

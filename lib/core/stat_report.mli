@@ -1,12 +1,16 @@
-(** Session-level exit accounting and the trace-vs-analytic crosscheck.
+(** Session-level exit accounting and the counter-vs-analytic
+    crosscheck.
 
-    [of_session] folds the cells recorded by the live {!Observe} session
-    into an {!Armvirt_obs.Accounting.t} — the data behind `armvirt stat`.
+    [of_session] concatenates the rows {!Observe.capture} read from each
+    recorded cell's machines into an {!Armvirt_obs.Accounting.t} — the
+    data behind `armvirt stat`, exact at any run length.
 
     [crosscheck] is the validation the observability layer owes the
     paper reproduction: it drives every hypervisor model's Table I
-    operations under a private tracer and compares what the {e trace}
-    says against what the {e analytic} cost model predicts.
+    operations and compares the machine's own accounting (exit counts
+    and exit→entry latencies from its counters and marker pairing, span
+    means from a private tracer) against what the {e analytic} cost
+    model predicts.
 
     Three families of checks, with their documented tolerances:
 
@@ -21,17 +25,17 @@
       integer rounding of means).
     - {b Hypercall latency} (1% vs the composed path costs, 5% vs
       {!Paper_data.table2}): the exit-marker → entry-marker distance of a
-      traced hypercall must equal the sum of the analytic path terms,
-      and — after adding the guest-side issue cost the marker excludes —
-      land within 5% of the paper's published cycle count. *)
+      hypercall must equal the sum of the analytic path terms, and —
+      after adding the guest-side issue cost the marker excludes — land
+      within 5% of the paper's published cycle count. *)
 
 val of_session : unit -> Armvirt_obs.Accounting.t
-(** Accounting over {!Observe.processes} of the current session. *)
+(** Accounting over {!Observe.cells} of the current session. *)
 
 type check = {
   model : string;  (** e.g. ["KVM ARM"], as in the migrate configs. *)
   name : string;  (** What was compared. *)
-  measured : float;  (** Trace-derived value. *)
+  measured : float;  (** Value the model's run gave. *)
   expected : float;  (** Analytic (or paper) value. *)
   tolerance_pct : float;
 }

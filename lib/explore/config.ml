@@ -65,32 +65,35 @@ let hyp_choice_to_string = function
   | Xen -> "xen"
   | Native -> "native"
 
+(* Every integer cost knob is a cycle count, rejected below 0. *)
+let cost what = what ^ " (cycles >= 0)"
+
 let knobs =
   [
-    ("vgic.save", "VGIC register-class save cost (Table III's 3250)");
-    ("vgic.restore", "VGIC register-class restore cost (Table III's 181)");
-    ("trap_to_el2", "hardware trap cost into EL2");
-    ("eret", "exception return from EL2");
-    ("hvc_issue", "guest-side HVC issue cost");
-    ("stage2_toggle", "one Stage-2/trap reconfiguration of HCR_EL2");
-    ("vgic_slot_scan", "list-register status scan before injection");
-    ("vgic_lr_write", "one list-register write");
-    ("virq_complete", "trap-free virtual interrupt completion");
-    ("mmio_decode", "Stage-2 abort syndrome decode");
-    ("freq_ghz", "core clock in GHz (float)");
+    ("vgic.save", cost "VGIC register-class save cost (Table III's 3250)");
+    ("vgic.restore", cost "VGIC register-class restore cost (Table III's 181)");
+    ("trap_to_el2", cost "hardware trap cost into EL2");
+    ("eret", cost "exception return from EL2");
+    ("hvc_issue", cost "guest-side HVC issue cost");
+    ("stage2_toggle", cost "one Stage-2/trap reconfiguration of HCR_EL2");
+    ("vgic_slot_scan", cost "list-register status scan before injection");
+    ("vgic_lr_write", cost "one list-register write");
+    ("virq_complete", cost "trap-free virtual interrupt completion");
+    ("mmio_decode", cost "Stage-2 abort syndrome decode");
+    ("freq_ghz", "core clock in GHz (float, finite and > 0)");
     ("vhe", "ARMv8.1 VHE on/off (bool; forced off for xen/native)");
     ("lazy_fp", "lazy FP switch tuning flag (bool)");
     ("lazy_vgic", "lazy VGIC read-back tuning flag (bool)");
-    ("host_dispatch", "host-side KVM run-loop cost");
-    ("vcpu_resume", "blocked-VCPU wakeup cost");
-    ("vhost_per_packet", "VHOST backend per-packet cost");
-    ("process_switch", "VM-to-VM process switch cost");
+    ("host_dispatch", cost "host-side KVM run-loop cost");
+    ("vcpu_resume", cost "blocked-VCPU wakeup cost");
+    ("vhost_per_packet", cost "VHOST backend per-packet cost");
+    ("process_switch", cost "VM-to-VM process switch cost");
     ("lr_count", "GIC list registers available to the VM (int)");
     ("vhost", "in-kernel VHOST backend on/off (bool; off quadruples the \
                per-packet backend cost, modelling a userspace backend)");
     ("hyp", "which hypervisor runs the point (kvm|xen|native)");
-    ("stage2_wp_fault", "stage-2 write-protection fault handling cost \
-                         (dirty logging, distinct from a missing mapping)");
+    ("stage2_wp_fault", cost "stage-2 write-protection fault handling cost \
+                              (dirty logging, distinct from a missing mapping)");
     ("mig.txn_rate_hz", "migration workload request arrival rate (float, \
                          sets the guest dirty rate)");
     ("mig.bandwidth_gbps", "migration link bandwidth in Gbps (float)");
@@ -134,6 +137,12 @@ let as_bool name = function
         (Printf.sprintf "Config: %s wants a bool, got %s" name
            (Space.value_to_string v))
 
+(* A negative cycle cost would run simulated time backwards. *)
+let as_cost name v =
+  let n = as_int name v in
+  if n < 0 then invalid_arg (Printf.sprintf "Config: %s < 0" name);
+  n
+
 let vgic_costs arm = arm.Cost_model.reg Reg_class.Vgic
 
 let apply t name v =
@@ -146,32 +155,36 @@ let apply t name v =
   in
   match name with
   | "vgic.save" ->
-      let save = as_int name v and restore = (vgic_costs t.arm).restore in
+      let save = as_cost name v and restore = (vgic_costs t.arm).restore in
       arm (Cost_model.with_reg_cost Reg_class.Vgic ~save ~restore)
   | "vgic.restore" ->
-      let save = (vgic_costs t.arm).save and restore = as_int name v in
+      let save = (vgic_costs t.arm).save and restore = as_cost name v in
       arm (Cost_model.with_reg_cost Reg_class.Vgic ~save ~restore)
-  | "trap_to_el2" -> arm (fun a -> { a with trap_to_el2 = as_int name v })
-  | "eret" -> arm (fun a -> { a with eret = as_int name v })
-  | "hvc_issue" -> arm (fun a -> { a with hvc_issue = as_int name v })
-  | "stage2_toggle" -> arm (fun a -> { a with stage2_toggle = as_int name v })
-  | "vgic_slot_scan" -> arm (fun a -> { a with vgic_slot_scan = as_int name v })
-  | "vgic_lr_write" -> arm (fun a -> { a with vgic_lr_write = as_int name v })
-  | "virq_complete" -> arm (fun a -> { a with virq_complete = as_int name v })
-  | "mmio_decode" -> arm (fun a -> { a with mmio_decode = as_int name v })
-  | "freq_ghz" -> arm (fun a -> { a with freq_ghz = as_float name v })
+  | "trap_to_el2" -> arm (fun a -> { a with trap_to_el2 = as_cost name v })
+  | "eret" -> arm (fun a -> { a with eret = as_cost name v })
+  | "hvc_issue" -> arm (fun a -> { a with hvc_issue = as_cost name v })
+  | "stage2_toggle" -> arm (fun a -> { a with stage2_toggle = as_cost name v })
+  | "vgic_slot_scan" -> arm (fun a -> { a with vgic_slot_scan = as_cost name v })
+  | "vgic_lr_write" -> arm (fun a -> { a with vgic_lr_write = as_cost name v })
+  | "virq_complete" -> arm (fun a -> { a with virq_complete = as_cost name v })
+  | "mmio_decode" -> arm (fun a -> { a with mmio_decode = as_cost name v })
+  | "freq_ghz" ->
+      let ghz = as_float name v in
+      if not (Float.is_finite ghz && ghz > 0.0) then
+        invalid_arg "Config: freq_ghz must be finite and > 0";
+      arm (fun a -> { a with freq_ghz = ghz })
   | "vhe" -> arm (Cost_model.with_vhe (as_bool name v))
   | "lazy_fp" -> tuning (fun u -> { u with H.Kvm_arm.lazy_fp = as_bool name v })
   | "lazy_vgic" ->
       tuning (fun u -> { u with H.Kvm_arm.lazy_vgic = as_bool name v })
   | "host_dispatch" ->
-      tuning (fun u -> { u with H.Kvm_arm.host_dispatch = as_int name v })
+      tuning (fun u -> { u with H.Kvm_arm.host_dispatch = as_cost name v })
   | "vcpu_resume" ->
-      tuning (fun u -> { u with H.Kvm_arm.vcpu_resume = as_int name v })
+      tuning (fun u -> { u with H.Kvm_arm.vcpu_resume = as_cost name v })
   | "vhost_per_packet" ->
-      tuning (fun u -> { u with H.Kvm_arm.vhost_per_packet = as_int name v })
+      tuning (fun u -> { u with H.Kvm_arm.vhost_per_packet = as_cost name v })
   | "process_switch" ->
-      tuning (fun u -> { u with H.Kvm_arm.process_switch = as_int name v })
+      tuning (fun u -> { u with H.Kvm_arm.process_switch = as_cost name v })
   | "lr_count" ->
       let n = as_int name v in
       if n < 1 then invalid_arg "Config: lr_count < 1";
@@ -185,7 +198,7 @@ let apply t name v =
             (Printf.sprintf "Config: hyp wants kvm|xen|native, got %s"
                (Space.value_to_string v)))
   | "stage2_wp_fault" ->
-      arm (Cost_model.with_stage2_wp_fault (as_int name v))
+      arm (Cost_model.with_stage2_wp_fault (as_cost name v))
   | "mig.txn_rate_hz" ->
       mig (fun m -> { m with Plan.txn_rate_hz = as_float name v })
   | "mig.bandwidth_gbps" ->

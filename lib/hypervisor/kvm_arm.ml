@@ -10,6 +10,7 @@ module El2_state = Armvirt_arch.El2_state
 module Esr = Armvirt_arch.Esr
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Transitions = Armvirt_arch.Transitions
+module Marker = Armvirt_obs.Marker
 
 type tuning = {
   lazy_fp : bool;
@@ -110,7 +111,8 @@ let create ?(tuning = default_tuning) machine =
         vcpu_resume = op "kvm_arm.vcpu_resume";
       };
     mark = Hypervisor.marks machine ~hyp:"kvm_arm";
-    virq_injected = Machine.marker machine "kvm_arm.virq_injected";
+    virq_injected =
+      Machine.marker machine (Marker.op ~hyp:"kvm_arm" "virq_injected");
     vm;
     second_vm;
     guest = Kernel_costs.defaults;

@@ -11,6 +11,7 @@ module Event_channel = Armvirt_io.Event_channel
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Esr = Armvirt_arch.Esr
 module Transitions = Armvirt_arch.Transitions
+module Marker = Armvirt_obs.Marker
 
 type pinning = Separate | Shared
 
@@ -121,8 +122,10 @@ let create ?(tuning = default_tuning) ?(pinning = Separate) machine =
         dom0_signal_path = op "xen_arm.dom0_signal_path";
       };
     mark = Hypervisor.marks machine ~hyp:"xen_arm";
-    vm_switch_inner = Machine.marker machine "xen_arm.vm_switch_inner";
-    virq_injected = Machine.marker machine "xen_arm.virq_injected";
+    vm_switch_inner =
+      Machine.marker machine (Marker.op ~hyp:"xen_arm" "vm_switch_inner");
+    virq_injected =
+      Machine.marker machine (Marker.op ~hyp:"xen_arm" "virq_injected");
     dom0;
     domu;
     channels;

@@ -73,7 +73,7 @@ let term =
     $ baseline_arg $ update_baseline_arg $ explain_arg)
 
 let doc =
-  "statically check the simulator's determinism, unit, marker and capture \
+  "statically check the simulator's determinism, unit and capture \
    invariants"
 
 let man =
@@ -81,7 +81,7 @@ let man =
     `S Manpage.s_description;
     `P
       "Parses every .ml/.mli under lib/, bin/ and bench/ with compiler-libs \
-       and runs four analysis passes: $(b,determinism) — seeded randomness \
+       and runs three analysis passes: $(b,determinism) — seeded randomness \
        only (R1), no wall-clock in lib/ (R2), no unsorted Hashtbl iteration \
        escaping to reports (R3), parallelism only behind Runner.map (R4), \
        explicit comparators in engine/stats (R5), mutable top-level state \
@@ -89,9 +89,7 @@ let man =
        lib/ (R7); $(b,units) — no arithmetic or comparison across \
        incompatible inferred units of measure (U1) and no unit-less \
        literals entering unit-typed positions outside named converters \
-       (U2); $(b,markers) — every literal observability marker label must \
-       parse under the exit/op/vswitch grammars with a known exit reason \
-       (M1); $(b,capture) — closures crossing Runner.map must not capture \
+       (U2); $(b,capture) — closures crossing Runner.map must not capture \
        mutable toplevel state outside the R6 registries (D1). Use \
        $(b,--explain RULE) for the full rationale of any rule.";
     `P

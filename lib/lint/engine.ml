@@ -25,7 +25,7 @@ let compare_finding = Pass.compare_finding
 (* Registration order is report order; a pass declares the rules it can
    emit and is skipped entirely when none of them apply to the file. *)
 let passes : Pass.t list =
-  [ Determinism.pass; Units.pass; Markers.pass; Capture.pass ]
+  [ Determinism.pass; Units.pass; Capture.pass ]
 
 let pass_of_rule rule =
   match List.find_opt (fun p -> List.mem rule p.Pass.rules) passes with

@@ -26,7 +26,7 @@ val compare_finding : finding -> finding -> int
 
 val passes : Pass.t list
 (** The registered passes, in report order: ["determinism"] (R1-R7),
-    ["units"] (U1/U2), ["markers"] (M1), ["capture"] (D1). *)
+    ["units"] (U1/U2), ["capture"] (D1). *)
 
 val pass_of_rule : Rules.id -> string
 (** Name of the pass that implements a rule. *)

@@ -1,8 +1,8 @@
-type id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | U1 | U2 | M1 | D1
+type id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | U1 | U2 | D1
 
 type severity = Error | Warning
 
-let all = [ R1; R2; R3; R4; R5; R6; R7; U1; U2; M1; D1 ]
+let all = [ R1; R2; R3; R4; R5; R6; R7; U1; U2; D1 ]
 
 let to_string = function
   | R1 -> "R1"
@@ -14,7 +14,6 @@ let to_string = function
   | R7 -> "R7"
   | U1 -> "U1"
   | U2 -> "U2"
-  | M1 -> "M1"
   | D1 -> "D1"
 
 let of_string s =
@@ -28,12 +27,11 @@ let of_string s =
   | "R7" -> Some R7
   | "U1" -> Some U1
   | "U2" -> Some U2
-  | "M1" -> Some M1
   | "D1" -> Some D1
   | _ -> None
 
 let severity = function
-  | R1 | R2 | R3 | R4 | U1 | M1 | D1 -> Error
+  | R1 | R2 | R3 | R4 | U1 | D1 -> Error
   | R5 | R6 | R7 | U2 -> Warning
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
@@ -48,7 +46,6 @@ let summary = function
   | R7 -> "direct stdout printing in lib/"
   | U1 -> "arithmetic/comparison/binding between incompatible units of measure"
   | U2 -> "unit-less literal combined with a unit-carrying value"
-  | M1 -> "stat-marker label violates the exit/entry/op grammar"
   | D1 -> "closure reaching Runner.map captures mutable toplevel state"
 
 let hint = function
@@ -71,9 +68,6 @@ let hint = function
   | U2 ->
       "name the constant with a unit suffix, or audit the site with \
        (* lint: unit <u> *)"
-  | M1 ->
-      "build the label with Obs.Marker (typed constructors; one formatter, \
-       the same code Accounting parses)"
   | D1 ->
       "pass state into the cell function and return it; cells must be pure \
        functions of their input for memoization and --jobs invariance"
@@ -133,23 +127,6 @@ let explain = function
        directly at a unit-suffixed declaration (let timeout_us = 300.0, \
        { downtime_us = 300.0; ... }) are the sanctioned entry points and do \
        not flag. Audit with (* lint: unit <u> <reason> *)."
-  | M1 ->
-      "M1 checks counted labels where they are interned: every string \
-       literal handed to Machine.marker (and literal ~reason:/~hyp: \
-       arguments of the marker builders) is parsed under the stat \
-       grammar: '<hyp>.exit/<reason>/p<pcpu>[/d<domid>]', \
-       '<hyp>.entry/p<pcpu>[/d<domid>]', operation counters '<hyp>.<op>', \
-       switch counters 'vswitch.<name>/p<port>/(rx|tx|drop)' and \
-       'vswitch.<name>/flood', and uplink counters \
-       'wire.<name>-u<id>/(rx|tx)'. <reason> is cross-checked against \
-       Esr.short_name, and the literal is re-parsed with the exact \
-       Accounting.parse_label the stat subcommand uses — a typo would \
-       silently drop rows from `armvirt stat`. Machine.count takes an \
-       interned marker, so every counted label passes this check. \
-       Non-literal labels must come from the Obs.Marker builders, and \
-       Machine.marker must be applied to its label, not partially applied \
-       or passed as a value. Priced-step labels interned with Machine.op \
-       (e.g. 'arm.save.GP Regs') are free-form and not checked."
   | D1 ->
       "D1 closes the escape hole R4 leaves open: R4 confines Domain.spawn \
        to Runner, but a closure passed to Runner.map may still capture \
@@ -190,7 +167,7 @@ let applies ~relpath id =
       starts_with "lib/engine/" relpath || starts_with "lib/stats/" relpath
   | R6 ->
       starts_with "lib/" relpath && not (List.mem relpath registry_modules)
-  | U1 | U2 | M1 -> starts_with "lib/" relpath
+  | U1 | U2 -> starts_with "lib/" relpath
   | D1 ->
       starts_with "lib/" relpath
       && relpath <> runner_module

@@ -10,12 +10,10 @@
     - [U1]/[U2]: units-of-measure inference over identifier suffixes —
       the cost arithmetic composing cycles, microseconds, bytes and
       Gbps must never mix dimensions silently.
-    - [M1]: the stat-marker label grammar — a typo in an exit/entry
-      label silently drops rows from [armvirt stat].
     - [D1]: cross-domain capture — closures fanned out through
       [Runner.map] must not touch mutable toplevel state. *)
 
-type id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | U1 | U2 | M1 | D1
+type id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | U1 | U2 | D1
 
 type severity = Error | Warning
 

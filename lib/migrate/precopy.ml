@@ -2,6 +2,7 @@ module Sim = Armvirt_engine.Sim
 module Cycles = Armvirt_engine.Cycles
 module Rng = Armvirt_engine.Rng
 module Machine = Armvirt_arch.Machine
+module Marker = Armvirt_obs.Marker
 module Cost_model = Armvirt_arch.Cost_model
 module Stage2 = Armvirt_mem.Stage2
 module Dirty_log = Armvirt_mem.Dirty_log
@@ -77,10 +78,11 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
   and pause_op = op "migrate.pause"
   and state_op = op "migrate.state"
   and resume_op = op "migrate.resume" in
-  let start_mark = Machine.marker machine "migrate.start"
-  and round_mark = Machine.marker machine "migrate.round"
-  and round_cap_mark = Machine.marker machine "migrate.round_cap"
-  and blackout_mark = Machine.marker machine "migrate.blackout" in
+  let mark name = Machine.marker machine (Marker.op ~hyp:"migrate" name) in
+  let start_mark = mark "start"
+  and round_mark = mark "round"
+  and round_cap_mark = mark "round_cap"
+  and blackout_mark = mark "blackout" in
   (* The migration link as seen from this machine's clock: 2 us of
      propagation (as Link.ten_gbe) and the plan's bandwidth. *)
   let link =

@@ -1,38 +1,22 @@
-(** kvm_stat-style exit accounting over recorded traces.
+(** kvm_stat-style exit accounting from a machine's own counters.
 
-    The hypervisor models mark every VM exit and re-entry with a
-    zero-cost {!Armvirt_arch.Machine.count} of a marker interned when the
-    model is built, whose label follows a fixed grammar (below). A tracing session turns those counts into instant
-    events on the machine's ["cpu"] track; this module reduces a list of
-    exported trace processes into what [kvm_stat] / [perf kvm stat]
-    would show on real hardware: per-exit-reason counters, log2 exit
-    latency histograms keyed by (cell, machine, hypervisor, PCPU), and
-    guest-time vs hypervisor-time cycle attribution.
+    The hypervisor models count every VM exit and re-entry through a
+    zero-cost [Armvirt_arch.Machine.count] of a typed {!Marker.t}. This
+    module turns one machine's counts into what [kvm_stat] /
+    [perf kvm stat] would show on real hardware: per-exit-reason counts,
+    log2 exit-latency histograms keyed by (hypervisor, reason, PCPU),
+    and guest-time vs hypervisor-time cycle attribution.
 
-    {1 Marker label grammar}
+    Counts are the machine's counter values, so they are exact at any
+    run length. Latency needs the order of events: a {!pairing} is fed
+    every counted marker as it is counted, and pairs each exit with the
+    next entry on the same (hypervisor, PCPU) — entry markers fire
+    {e after} the restore path, so the latency covers the full world
+    switch, like the TSC delta between [kvm_exit] and [kvm_entry]
+    tracepoints.
 
-    - exit:  ["<hyp>.exit/<reason>/p<pcpu>"], e.g. ["kvm_arm.exit/hvc/p4"]
-    - entry: ["<hyp>.entry/p<pcpu>"] or ["<hyp>.entry/p<pcpu>/d<domid>"]
-    - any other counted label containing a ['.'] is an operation count,
-      e.g. ["kvm_arm.vipi"].
-
-    [<reason>] is an {!Armvirt_arch.Esr.short_name} mnemonic. Exit
-    latency is the span from an exit marker to the next entry marker on
-    the same (machine, hypervisor, PCPU) — entry markers fire {e after}
-    the restore path, so the latency covers the full world switch, like
-    the TSC delta between [kvm_exit] and [kvm_entry] tracepoints.
-
-    Everything here is pure: input is event lists, output is
-    deterministically ordered; no wall-clock, no randomness. *)
-
-type marker =
-  | Exit of { hyp : string; reason : string; pcpu : int }
-  | Entry of { hyp : string; pcpu : int; domid : int option }
-  | Op of { hyp : string; op : string }
-
-val parse_label : string -> marker option
-(** Classify a counted label per the grammar above. [None] for labels
-    with no ['.'] (e.g. the engine's ["spawn"] instants). *)
+    Everything here is deterministic: no wall-clock, no randomness, no
+    hash order in any result. *)
 
 (** {1 Log2 histograms} *)
 
@@ -62,11 +46,27 @@ val lane_of_label : string -> lane
     label — world-switch costs, hypervisor dispatch, host backend and
     I/O paths — is [Hypervisor]. *)
 
-(** {1 Reduction} *)
+(** {1 Exit latency} *)
+
+type pairing
+(** One machine's open exits and latency histograms. *)
+
+val pairing : unit -> pairing
+
+val pair : pairing -> Marker.t -> ts:int -> unit
+(** Feed one counted marker at simulated time [ts], in counting order.
+    An exit opens a pending exit on its (hypervisor, PCPU); a second
+    exit before any entry replaces it (the first never re-entered, e.g.
+    the VCPU blocked, so it gives no sample). An entry closes the
+    pending exit and adds [ts - exit_ts] to that exit's reason; an
+    entry with no pending exit adds no sample. Other markers are
+    ignored. *)
+
+(** {1 Rows} *)
 
 type vm_stats = {
-  cell : string;  (** Cell label ([Export.process.name]). *)
-  machine : string;  (** ["m0"], ["m1"], ... from the track prefix. *)
+  cell : string;  (** Cell label. *)
+  machine : string;  (** ["m0"], ["m1"], ... in the cell's build order. *)
   hyp : string;  (** Marker prefix, e.g. ["kvm_arm"]; ["-"] if none. *)
   exits : (string * int * hist) list;
       (** [(reason, exit_count, latency_hist)]; [latency_hist.count] can
@@ -76,26 +76,36 @@ type vm_stats = {
       (** Same, broken out per PCPU, ascending PCPU id. *)
   entries : int;
   entries_per_domain : (int * int) list;
-      (** [(domid, entries)] from entry markers carrying a [d<domid>]
-          suffix, ascending domid; empty when no marker named a domain.
-          Fleet schedulers tag every entry, so this is the per-guest
-          share of world switches on a consolidated host. *)
-  ops : (string * int) list;  (** Operation counts, sorted by name. *)
+      (** [(domid, entries)] from entry markers carrying a domid,
+          ascending domid; empty when no marker named a domain. Fleet
+          schedulers tag every entry, so this is the per-guest share of
+          world switches on a consolidated host. *)
+  ops : (string * int) list;
+      (** Counts of the other markers, by {!Marker.name}, sorted. *)
   guest_cycles : int;
   hyp_cycles : int;
 }
 
+val rows :
+  cell:string ->
+  machine:string ->
+  markers:(Marker.t * int) list ->
+  ops:(string * int) list ->
+  pairing ->
+  vm_stats list
+(** One machine's rows: one per marker prefix ({!Marker.hyp}), sorted.
+    [markers] are the machine's counted markers with their counts, each
+    once; [ops] its priced ops' labels and total cycles, split into the
+    two lanes by {!lane_of_label} and reported on the first row (in
+    practice one machine hosts one hypervisor). A machine with no
+    markers gets one ["-"] row if it spent any cycles, none otherwise. *)
+
 type t = {
-  vms : vm_stats list;  (** Input order: cells as recorded, machines by
-                            ascending index, hypervisors sorted. *)
+  vms : vm_stats list;
   total_guest : int;
   total_hyp : int;
   total_exits : int;
 }
 
-val of_processes : Export.process list -> t
-(** Reduce exported trace processes. Only events on ["cpu"] tracks
-    participate: instants are parsed as markers, complete spans feed the
-    cycle-attribution lanes. Deterministic in the input order, so the
-    result (and anything rendered from it) is byte-identical at any
-    [--jobs] level, like the trace exporters. *)
+val of_rows : vm_stats list -> t
+(** The rows, in the given order, with their totals. *)

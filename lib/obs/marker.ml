@@ -1,14 +1,9 @@
-(* Typed constructors for the counter-label grammar in accounting.mli.
-   Builders and parser live in the same library so a builder-produced
-   label is grammatical by construction; the M1 lint pass trusts
-   applications of these functions and checks everything else.
+(* Typed stat markers; see marker.mli for the label bytes.
 
-   The exit-reason mnemonics mirror Armvirt_arch.Esr.short_name — obs
-   sits below arch in the library graph (arch -> stats -> obs), so the
-   enum is duplicated here and parity is enforced twice: by
-   test_stat's marker/esr round-trip test and by the M1 pass, which
-   links both libraries and cross-checks every literal reason against
-   the live Esr list. *)
+   The exit reasons mirror Armvirt_arch.Esr.exception_class — obs sits
+   below arch in the library graph (arch -> stats -> obs), so the enum
+   is duplicated here, Esr.marker_reason maps one onto the other and
+   test_esr checks the map is one to one. *)
 
 type reason = Wfx | Hvc | Smc | Sysreg | Iabt | Dabt | Irq
 
@@ -23,12 +18,17 @@ let reason_to_string = function
   | Dabt -> "dabt"
   | Irq -> "irq"
 
-let reason_of_string s =
-  List.find_opt (fun r -> reason_to_string r = s) all_reasons
-
 type dir = Rx | Tx | Drop
 
 let dir_to_string = function Rx -> "rx" | Tx -> "tx" | Drop -> "drop"
+
+type t =
+  | Exit of { hyp : string; reason : reason; pcpu : int }
+  | Entry of { hyp : string; pcpu : int; domid : int option }
+  | Op of { hyp : string; name : string }
+  | Port of { switch : string; port : int; dir : dir }
+  | Flood of { switch : string }
+  | Uplink of { switch : string; uplink : int; dir : dir }
 
 let is_ident s =
   String.length s > 0
@@ -42,31 +42,13 @@ let require_ident ~what s =
     invalid_arg
       (Printf.sprintf "Marker: %s %S is not a lowercase identifier" what s)
 
-(* Concatenated directly: the same bytes as the grammar's format
-   strings, without a [Printf.sprintf] per label. *)
-let exit_of ~hyp reason ~pcpu =
-  String.concat "" [ hyp; ".exit/"; reason; "/p"; Int.to_string pcpu ]
-
 let exit ~hyp ~reason ~pcpu =
   require_ident ~what:"hypervisor" hyp;
-  exit_of ~hyp (reason_to_string reason) ~pcpu
-
-let exit_name ~hyp ~reason ~pcpu =
-  require_ident ~what:"hypervisor" hyp;
-  (match reason_of_string reason with
-  | Some _ -> ()
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Marker.exit_name: %S is not an exit mnemonic" reason));
-  exit_of ~hyp reason ~pcpu
+  Exit { hyp; reason; pcpu }
 
 let entry ?domid ~hyp ~pcpu () =
   require_ident ~what:"hypervisor" hyp;
-  match domid with
-  | None -> String.concat "" [ hyp; ".entry/p"; Int.to_string pcpu ]
-  | Some d ->
-      String.concat ""
-        [ hyp; ".entry/p"; Int.to_string pcpu; "/d"; Int.to_string d ]
+  Entry { hyp; pcpu; domid }
 
 let op ~hyp name =
   require_ident ~what:"hypervisor" hyp;
@@ -77,21 +59,52 @@ let op ~hyp name =
            (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false)
            name)
   then invalid_arg (Printf.sprintf "Marker.op: %S must match [a-z0-9_]+" name);
-  hyp ^ "." ^ name
+  Op { hyp; name }
 
 let port ~switch ~port dir =
   require_ident ~what:"switch" switch;
-  String.concat ""
-    [ "vswitch."; switch; "/p"; Int.to_string port; "/"; dir_to_string dir ]
+  Port { switch; port; dir }
 
 let flood ~switch =
   require_ident ~what:"switch" switch;
-  String.concat "" [ "vswitch."; switch; "/flood" ]
+  Flood { switch }
 
 let uplink ~switch ~uplink dir =
   require_ident ~what:"switch" switch;
   (match dir with
   | Drop -> invalid_arg "Marker.uplink: wires carry rx/tx only"
   | Rx | Tx -> ());
-  String.concat ""
-    [ "wire."; switch; "-u"; Int.to_string uplink; "/"; dir_to_string dir ]
+  Uplink { switch; uplink; dir }
+
+let hyp = function
+  | Exit { hyp; _ } | Entry { hyp; _ } | Op { hyp; _ } -> hyp
+  | Port _ | Flood _ -> "vswitch"
+  | Uplink _ -> "wire"
+
+(* Concatenated directly: the same bytes as the format strings in
+   marker.mli, without a [Printf.sprintf] per label. *)
+let label = function
+  | Exit { hyp; reason; pcpu } ->
+      String.concat ""
+        [ hyp; ".exit/"; reason_to_string reason; "/p"; Int.to_string pcpu ]
+  | Entry { hyp; pcpu; domid = None } ->
+      String.concat "" [ hyp; ".entry/p"; Int.to_string pcpu ]
+  | Entry { hyp; pcpu; domid = Some d } ->
+      String.concat ""
+        [ hyp; ".entry/p"; Int.to_string pcpu; "/d"; Int.to_string d ]
+  | Op { hyp; name } -> hyp ^ "." ^ name
+  | Port { switch; port; dir } ->
+      String.concat ""
+        [ "vswitch."; switch; "/p"; Int.to_string port; "/"; dir_to_string dir ]
+  | Flood { switch } -> String.concat "" [ "vswitch."; switch; "/flood" ]
+  | Uplink { switch; uplink; dir } ->
+      String.concat ""
+        [ "wire."; switch; "-u"; Int.to_string uplink; "/"; dir_to_string dir ]
+
+let name t =
+  let label = label t and skip = String.length (hyp t) + 1 in
+  String.sub label skip (String.length label - skip)
+
+let category = function
+  | Exit _ | Entry _ -> Span.Vmexit
+  | (Op _ | Port _ | Flood _ | Uplink _) as t -> Span.of_label (label t)

@@ -1,57 +1,72 @@
-(** Typed builders for {!Accounting}'s counter-label grammar.
+(** Typed stat markers: the rows of [armvirt stat].
 
-    A marker label is a row key in [armvirt stat]: a typo does not fail
-    at runtime, the row just silently vanishes from the table. These
-    constructors make every label grammatical by construction — exit
-    reasons and directions are variants, and free-form name parts are
-    validated as lowercase identifiers ([Invalid_argument] otherwise).
+    A marker is what a hypervisor or switch model counts through
+    [Armvirt_arch.Machine.count]: a VM exit, a VM entry, an operation,
+    or a switch port, flood or uplink counter. [Machine.marker] takes a
+    {!t}, so a misspelled row is a compile error, and {!Accounting}
+    reads a counted marker's parts from its constructor, never from its
+    label. Exit reasons and directions are variants; the free-form name
+    parts are checked as lowercase identifiers when a marker is built
+    ([Invalid_argument] otherwise).
 
-    {!reason} mirrors [Armvirt_arch.Esr.exception_class] mnemonics; the
-    library graph (arch depends on stats depends on obs) keeps [Esr]
-    itself out of reach here, so parity is enforced by test and by the
-    M1 lint pass, which links both libraries.
+    {!label} renders the marker once, when a machine interns it; only
+    the trace and the machine's counter set use the string:
 
-    The M1 pass closes the loop where labels are interned: string
-    literals handed to [Machine.marker] are re-parsed with
-    {!Accounting.parse_label}, and any non-literal label must be an
-    application of one of these builders. [Machine.count] takes the
-    interned marker, so every counted label passes that check once, when
-    the model is built. Constant operation counters like
-    ["kvm_arm.hypercall"] should stay literals — grammar-checked at lint
-    time; use {!op} only when the name is computed. *)
+    - exit:   ["<hyp>.exit/<reason>/p<pcpu>"], e.g. ["kvm_arm.exit/hvc/p4"]
+    - entry:  ["<hyp>.entry/p<pcpu>"] or ["<hyp>.entry/p<pcpu>/d<domid>"]
+    - op:     ["<hyp>.<name>"], e.g. ["kvm_arm.hypercall"]
+    - port:   ["vswitch.<switch>/p<port>/(rx|tx|drop)"]
+    - flood:  ["vswitch.<switch>/flood"]
+    - uplink: ["wire.<switch>-u<uplink>/(rx|tx)"]
+
+    {!reason} mirrors [Armvirt_arch.Esr.exception_class]; the library
+    graph (arch depends on obs) keeps [Esr] itself out of reach here,
+    so [Esr.marker_reason] maps one onto the other and [test_esr]
+    checks the map is one to one. *)
 
 type reason = Wfx | Hvc | Smc | Sysreg | Iabt | Dabt | Irq
 
 val all_reasons : reason list
 
 val reason_to_string : reason -> string
-(** The [Armvirt_arch.Esr.short_name] mnemonic. *)
-
-val reason_of_string : string -> reason option
+(** The lowercase mnemonic that keys an exit row: ["wfx"], ["hvc"],
+    ["smc"], ["sysreg"], ["iabt"], ["dabt"] or ["irq"]. *)
 
 type dir = Rx | Tx | Drop
 
-val exit : hyp:string -> reason:reason -> pcpu:int -> string
-(** ["<hyp>.exit/<reason>/p<pcpu>"]. *)
+type t = private
+  | Exit of { hyp : string; reason : reason; pcpu : int }
+  | Entry of { hyp : string; pcpu : int; domid : int option }
+  | Op of { hyp : string; name : string }
+  | Port of { switch : string; port : int; dir : dir }
+  | Flood of { switch : string }
+  | Uplink of { switch : string; uplink : int; dir : dir }
 
-val exit_name : hyp:string -> reason:string -> pcpu:int -> string
-(** Like {!exit} for callers that already carry the mnemonic as a
-    string (e.g. straight from [Esr.short_name]); raises
-    [Invalid_argument] unless [reason] round-trips through
-    {!reason_of_string}. *)
+val exit : hyp:string -> reason:reason -> pcpu:int -> t
 
-val entry : ?domid:int -> hyp:string -> pcpu:int -> unit -> string
-(** ["<hyp>.entry/p<pcpu>"] or ["<hyp>.entry/p<pcpu>/d<domid>"]. *)
+val entry : ?domid:int -> hyp:string -> pcpu:int -> unit -> t
+(** Fleet schedulers tag every entry with the guest's [domid]. *)
 
-val op : hyp:string -> string -> string
-(** ["<hyp>.<op>"] with [op] in [[a-z0-9_]+]. *)
+val op : hyp:string -> string -> t
+(** An operation counter; the name must match [[a-z0-9_]+]. *)
 
-val port : switch:string -> port:int -> dir -> string
-(** ["vswitch.<switch>/p<port>/(rx|tx|drop)"]. *)
+val port : switch:string -> port:int -> dir -> t
 
-val flood : switch:string -> string
-(** ["vswitch.<switch>/flood"]. *)
+val flood : switch:string -> t
 
-val uplink : switch:string -> uplink:int -> dir -> string
-(** ["wire.<switch>-u<uplink>/(rx|tx)"]; [Drop] raises
-    [Invalid_argument] — wires do not drop in the model. *)
+val uplink : switch:string -> uplink:int -> dir -> t
+(** [Drop] raises [Invalid_argument]: wires do not drop in the model. *)
+
+val label : t -> string
+(** The bytes above. Distinct markers have distinct labels. *)
+
+val hyp : t -> string
+(** A stat row's prefix: the hypervisor, ["vswitch"] or ["wire"]. *)
+
+val name : t -> string
+(** The label after [hyp ^ "."]: an op row's name ("hypercall",
+    ["s0/p1/rx"], ["s0-u0/tx"]). *)
+
+val category : t -> Span.category
+(** Exits and entries are {!Span.Vmexit}; every other marker is
+    {!Span.of_label} of its label. *)

@@ -53,10 +53,7 @@ let rules =
     (Migrate, [ "migrate"; "precopy"; "dirty_log"; "stop_and_copy"; "blackout" ]);
     (Vmexit,
      [ "vmexit"; "vmentry"; "vcpu_resume"; "process_switch"; "world_switch";
-       "vmswitch"; "eret"; "dom0_upcall";
-       (* exit/entry marker instants ("kvm_arm.exit/hvc/p4"): must win
-          over Trap, whose "hvc" needle would otherwise claim them. *)
-       "exit/"; "entry/" ]);
+       "vmswitch"; "eret"; "dom0_upcall" ]);
     (Trap,
      [ "trap"; "hvc"; "vmcall"; "hypercall"; "mmio"; "emul"; "dispatch";
        "decode" ]);

@@ -62,6 +62,9 @@ let get set name =
   | Some id -> set.values.(id)
   | None -> 0
 
+let value set id =
+  if Bytes.get set.touched id <> '\000' then Some set.values.(id) else None
+
 let get_cycles set name = Cycles.of_int (get set name)
 
 let names set =

@@ -14,10 +14,12 @@
 
 type set
 
-type id
-(** A counter slot of one set. Ids are dense and never move: {!reset}
-    keeps them valid. Using an id with a set that did not intern it is
-    meaningless (it addresses whatever counter holds that slot there). *)
+type id = private int
+(** A counter slot of one set: dense from 0, in intern order, so a
+    caller can index its own per-counter array by it. Ids never move:
+    {!reset} keeps them valid. Using an id with a set that did not
+    intern it is meaningless (it addresses whatever counter holds that
+    slot there). *)
 
 val create_set : unit -> set
 
@@ -38,6 +40,10 @@ val add_cycles : set -> string -> Armvirt_engine.Cycles.t -> unit
 
 val get : set -> string -> int
 (** 0 for a counter never touched. *)
+
+val value : set -> id -> int option
+(** [None] for a counter not updated since creation or the last
+    {!reset}. *)
 
 val get_cycles : set -> string -> Armvirt_engine.Cycles.t
 

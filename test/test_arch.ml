@@ -118,7 +118,7 @@ let test_machine_spend_accounts () =
   in_process m (fun () ->
       Machine.spend (Machine.op m "test.op") 100;
       Machine.spend (Machine.op m "test.op") 20;
-      Machine.count (Machine.marker m "test.events"));
+      Machine.count (Machine.marker m (Marker.op ~hyp:"test" "events")));
   Alcotest.(check int) "label total" 120 (Counter.get (Machine.counters m) "test.op");
   Alcotest.(check int) "global cycles" 120
     (Counter.get (Machine.counters m) "cycles");
@@ -151,28 +151,45 @@ let prop_spend_conserves_cycles =
 (* Interned ops and markers against label-keyed references: two machines
    share one sim and one process, so their spends interleave on one
    clock. Each machine's counters must equal a reference counter fed by
-   label, each machine's sink must see exactly the (label, cycles, now)
-   spend sequence and (label, now) count sequence a label-keyed replay
-   predicts, and every category it sees must be [Span.of_label] of its
-   own label. The
-   labels span several categories, so a category taken from the wrong
-   label shows. *)
-let traffic_labels =
+   label; its sink must see exactly the (label, cycles, now) spend
+   sequence and (marker, label, now) count sequence a label-keyed replay
+   predicts, each op with [Span.of_label] of its label and each marker
+   with [Marker.category]; and [Machine.markers] and [Machine.op_cycles]
+   must list each touched marker and op once with its total, however
+   often it was interned. The labels span several categories, so a
+   category taken from the wrong label shows. *)
+let traffic_ops =
   [|
-    "arm.save.GP Regs"; "kvm_arm.exit/hvc/p4"; "kvm_arm.entry/p4/d1";
-    "netperf.host_rx_path"; "migrate.copy"; "vswitch.s0/p1/rx";
-    "kvm_arm.hypercall"; "xen_arm.sched_pick"; "plain";
+    "arm.save.GP Regs"; "netperf.host_rx_path"; "migrate.copy";
+    "xen_arm.sched_pick"; "plain";
+  |]
+
+let traffic_markers =
+  [|
+    Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:4;
+    Marker.entry ~domid:1 ~hyp:"kvm_arm" ~pcpu:4 ();
+    Marker.port ~switch:"s0" ~port:1 Marker.Rx;
+    Marker.op ~hyp:"kvm_arm" "hypercall";
+    Marker.flood ~switch:"s0";
+    Marker.uplink ~switch:"s0" ~uplink:0 Marker.Tx;
   |]
 
 type traffic = Spend of int * int * int | Count of int * int
 
 let traffic_gen =
   QCheck.Gen.(
-    let m = int_bound 1 and l = int_bound (Array.length traffic_labels - 1) in
+    let m = int_bound 1 in
     oneof
       [
-        map3 (fun m l c -> Spend (m, l, c)) m l (int_bound 5000);
-        map2 (fun m l -> Count (m, l)) m l;
+        map3
+          (fun m l c -> Spend (m, l, c))
+          m
+          (int_bound (Array.length traffic_ops - 1))
+          (int_bound 5000);
+        map2
+          (fun m l -> Count (m, l))
+          m
+          (int_bound (Array.length traffic_markers - 1));
       ])
 
 let prop_interned_traffic_matches_reference =
@@ -185,26 +202,28 @@ let prop_interned_traffic_matches_reference =
             (List.map
                (function
                  | Spend (m, l, c) ->
-                     Printf.sprintf "spend m%d %s %d" m traffic_labels.(l) c
+                     Printf.sprintf "spend m%d %s %d" m traffic_ops.(l) c
                  | Count (m, l) ->
-                     Printf.sprintf "count m%d %s" m traffic_labels.(l))
+                     Printf.sprintf "count m%d %s" m
+                       (Marker.label traffic_markers.(l)))
                steps))
         Gen.(list_size (int_bound 80) traffic_gen))
     (fun steps ->
       let sim = Sim.create () in
       let cost = Cost_model.Arm Cost_model.arm_default in
       let machines = Array.init 2 (fun _ -> Machine.create sim ~cost ~num_cpus:8) in
-      (* Interned at build time, as the models do; an op and a marker on
-         the same label share one counter. *)
-      let ops = Array.map (fun m -> Array.map (Machine.op m) traffic_labels) machines in
+      (* Interned at build time, as the models do, and every marker a
+         second time: a re-interned label is the same counter. *)
+      let ops = Array.map (fun m -> Array.map (Machine.op m) traffic_ops) machines in
       let markers =
-        Array.map (fun m -> Array.map (Machine.marker m) traffic_labels) machines
+        Array.map (fun m -> Array.map (Machine.marker m) traffic_markers) machines
       in
+      Array.iter
+        (fun m -> Array.iter (fun mk -> ignore (Machine.marker m mk)) traffic_markers)
+        machines;
       let seen = Array.make 2 [] and seen_count = Array.make 2 []
       and cats_ok = ref true in
-      let check_cat label cat =
-        if cat <> Armvirt_obs.Span.of_label label then cats_ok := false
-      in
+      let check_cat cat want = if cat <> want then cats_ok := false in
       Array.iteri
         (fun i m ->
           Machine.attach m
@@ -212,13 +231,13 @@ let prop_interned_traffic_matches_reference =
                {
                  Machine.spend =
                    (fun ~label ~cat ~cycles ~now ->
-                     check_cat label cat;
+                     check_cat cat (Armvirt_obs.Span.of_label label);
                      seen.(i) <- (label, cycles, Cycles.to_int now) :: seen.(i));
                  count =
-                   (fun ~label ~cat ~now ->
-                     check_cat label cat;
+                   (fun ~marker ~label ~cat ~now ->
+                     check_cat cat (Marker.category marker);
                      seen_count.(i) <-
-                       (label, Cycles.to_int now) :: seen_count.(i));
+                       (marker, label, Cycles.to_int now) :: seen_count.(i));
                }))
         machines;
       Sim.spawn sim ~name:"traffic" (fun () ->
@@ -235,28 +254,95 @@ let prop_interned_traffic_matches_reference =
       List.iter
         (function
           | Spend (m, l, c) ->
-              let label = traffic_labels.(l) in
+              let label = traffic_ops.(l) in
               Reference_counter.add refs.(m) label c;
               Reference_counter.add refs.(m) "cycles" c;
               now := !now + c;
               spends.(m) <- (label, c, !now) :: spends.(m)
           | Count (m, l) ->
-              Reference_counter.incr refs.(m) traffic_labels.(l);
-              counts.(m) <- (traffic_labels.(l), !now) :: counts.(m))
+              let marker = traffic_markers.(l) in
+              let label = Marker.label marker in
+              Reference_counter.incr refs.(m) label;
+              counts.(m) <- (marker, label, !now) :: counts.(m))
         steps;
+      let labels =
+        Array.to_list traffic_ops
+        @ List.map Marker.label (Array.to_list traffic_markers)
+      in
       let counters_agree i =
         let set = Machine.counters machines.(i) in
         Counter.names set = Reference_counter.names refs.(i)
         && List.for_all
              (fun name -> Counter.get set name = Reference_counter.get refs.(i) name)
-             ("cycles" :: Array.to_list traffic_labels)
+             ("cycles" :: labels)
+      in
+      (* Touched markers, each once, in intern order, and touched ops by
+         label, with their totals. *)
+      let snapshots_agree i =
+        let touched xs key =
+          List.filter_map
+            (fun x ->
+              let name = key x in
+              if List.mem name (Reference_counter.names refs.(i)) then
+                Some (x, Reference_counter.get refs.(i) name)
+              else None)
+            (Array.to_list xs)
+        in
+        Machine.op_cycles machines.(i)
+        = List.sort compare (touched traffic_ops Fun.id)
+        && Machine.markers machines.(i) = touched traffic_markers Marker.label
       in
       !cats_ok
       && List.for_all
            (fun i ->
-             counters_agree i && seen.(i) = spends.(i)
+             counters_agree i && snapshots_agree i && seen.(i) = spends.(i)
              && seen_count.(i) = counts.(i))
            [ 0; 1 ])
+
+(* A label is an op or a marker on one machine, never both: stat rows
+   come from the markers and cycle attribution from the ops. *)
+let test_op_and_marker_disjoint () =
+  let m = arm_machine () in
+  let hc = Marker.op ~hyp:"kvm_arm" "hypercall" in
+  Machine.count (Machine.marker m hc);
+  Machine.count (Machine.marker m hc);
+  Alcotest.(check bool) "a re-interned marker shares its counter" true
+    (Machine.markers m = [ (hc, 2) ]);
+  ignore (Machine.op m "kvm_arm.host_dispatch");
+  Alcotest.check_raises "marker label as an op"
+    (Invalid_argument "Machine.op: \"kvm_arm.hypercall\" is already a marker")
+    (fun () -> ignore (Machine.op m "kvm_arm.hypercall"));
+  Alcotest.check_raises "op label as a marker"
+    (Invalid_argument
+       "Machine.marker: \"kvm_arm.host_dispatch\" is already an op")
+    (fun () -> ignore (Machine.marker m (Marker.op ~hyp:"kvm_arm" "host_dispatch")))
+
+(* A label string where Machine.marker wants a typed marker does not
+   compile: compile_fail/dune compiles such a line against the built
+   libraries, and its error must be exactly that type mismatch. *)
+let test_string_marker_is_a_type_error () =
+  let err =
+    In_channel.with_open_bin
+      (Filename.concat "compile_fail" "string_marker.err")
+      In_channel.input_all
+  in
+  let words s =
+    String.concat " "
+      (List.filter (( <> ) "")
+         (String.split_on_char ' '
+            (String.map (function '\n' | '\t' -> ' ' | c -> c) s)))
+  in
+  let want =
+    "Error: This expression has type string but an expression was expected \
+     of type Armvirt_obs.Marker.t"
+  in
+  let got = words err in
+  let n = String.length want in
+  let rec found i =
+    i + n <= String.length got && (String.sub got i n = want || found (i + 1))
+  in
+  if not (found 0) then
+    Alcotest.failf "expected the type error %S, the compiler said:\n%s" want err
 
 (* The exit/entry marker table: labels are the Marker builders' bytes,
    a repeated lookup returns the same interned marker, domids grow the
@@ -279,13 +365,15 @@ let test_transitions_table () =
   let set = Machine.counters m in
   Alcotest.(check (list (pair string int)))
     "labels and counts"
-    [
-      (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 (), 1);
-      (Marker.entry ~domid:2 ~hyp:"kvm_arm" ~pcpu:4 (), 1);
-      (Marker.entry ~domid:40 ~hyp:"kvm_arm" ~pcpu:4 (), 1);
-      (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:4, 2);
-      (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Irq ~pcpu:5, 1);
-    ]
+    (List.map
+       (fun (m, n) -> (Marker.label m, n))
+       [
+         (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 (), 1);
+         (Marker.entry ~domid:2 ~hyp:"kvm_arm" ~pcpu:4 (), 1);
+         (Marker.entry ~domid:40 ~hyp:"kvm_arm" ~pcpu:4 (), 1);
+         (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:4, 2);
+         (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Irq ~pcpu:5, 1);
+       ])
     (List.map (fun n -> (n, Counter.get set n)) (Counter.names set));
   Alcotest.check_raises "negative domid"
     (Invalid_argument "Transitions.entry: negative domid") (fun () ->
@@ -452,7 +540,13 @@ let () =
         @ [
             Alcotest.test_case "transitions table" `Quick test_transitions_table;
           ]
-        @ qcheck [ prop_interned_traffic_matches_reference ] );
+        @ qcheck [ prop_interned_traffic_matches_reference ]
+        @ [
+            Alcotest.test_case "op and marker labels disjoint" `Quick
+              test_op_and_marker_disjoint;
+            Alcotest.test_case "string marker is a type error" `Quick
+              test_string_marker_is_a_type_error;
+          ] );
       ( "arm_ops",
         [
           Alcotest.test_case "primitive costs" `Quick test_arm_ops_costs;

@@ -3,8 +3,9 @@
    (the error goes to stderr, never into the data), and do so within a
    time bound — it may not run anything first. Also pinned here: the
    bytes of every `armvirt timeline` and of the transition_timeline
-   example, the stderr warning for a trace ring that dropped events, and
-   `run` with no ids printing what `run` with every listed id prints.
+   example, the stderr warning for a trace ring that dropped events,
+   exact exit accounting on both sides of that ring's cap, and `run`
+   with no ids printing what `run` with every listed id prints.
 
    Runs ../bin/armvirt.exe and ../examples/transition_timeline.exe, which
    the test stanza depends on. *)
@@ -82,6 +83,8 @@ let rejected =
     [ "migrate"; "--pages"; "0" ];
     [ "explore" ];
     [ "cluster"; "--offered-load"; "0" ];
+    (* The matrix, the default scenario, needs two VMs. *)
+    [ "cluster"; "--vms"; "1" ];
     [ "stat"; "micro"; "rr" ];
     [ "stat"; "--diff"; "onlyone" ];
   ]
@@ -118,7 +121,29 @@ let bad_plans =
     [ "explore"; "--space"; "mig.bandwidth_gbps=nan" ];
     [ "explore"; "--space"; "mig.txn_rate_hz=1e9|2e4" ];
     [ "explore"; "--space"; "mig.page_kb=0|4"; "--calibrate" ];
+    (* Negative costs and non-positive clocks. *)
+    [ "explore"; "--space"; "vgic.save=-5:5:5"; "--objective"; "hypercall" ];
+    [ "explore"; "--space"; "mmio_decode=-1"; "--objective"; "ict" ];
+    [ "explore"; "--space"; "vcpu_resume=-100"; "--objective"; "io-in" ];
+    [ "explore"; "--space"; "freq_ghz=0"; "--objective"; "rr-us" ];
+    [ "explore"; "--space"; "freq_ghz=-1"; "--objective"; "hypercall" ];
   ]
+
+(* Values just inside a floor another scenario sets: they must run. *)
+let accepted =
+  [
+    [ "cluster"; "--scenario"; "chain"; "--vms"; "1"; "--format"; "csv" ];
+    [ "cluster"; "--scenario"; "loadgen"; "--vms"; "1"; "--format"; "csv" ];
+  ]
+
+let accepted_case args =
+  let name = String.concat " " args in
+  Alcotest.test_case name `Quick (fun () ->
+      let code, stdout, stderr = run args in
+      Alcotest.(check int) (name ^ " exit code") 0 code;
+      Alcotest.(check string) (name ^ " stderr") "" stderr;
+      Alcotest.(check bool) (name ^ " prints rows") true
+        (List.length (String.split_on_char '\n' (String.trim stdout)) > 1))
 
 (* A rejection (exit 2) is one line on stderr; cmdliner's usage errors
    (exit 124) print the usage too. *)
@@ -194,30 +219,81 @@ let pins =
     timeline_pins
   @ [ pin_case ~prog:transition_timeline ~md5:transition_timeline_md5 [] ]
 
-(* At 1500 iterations the micro cell overflows its 2^18-event ring; at
-   1400 it fits. A loss prints exactly one stderr line naming the cell. *)
+(* At 1500 iterations a traced micro cell overflows its 2^18-event ring;
+   at 1400 it fits. A loss prints exactly one stderr line naming the
+   cell. The trace goes to a temporary file, named FILE in the case. *)
 let drop_warning = function
   | true ->
       "armvirt: warning: cell micro#0.0 dropped 9357 trace events (ring \
        full)\n"
   | false -> ""
 
-let drop_cases =
-  List.concat_map
-    (fun (n, drops) ->
-      [
-        ([ "stat"; "micro"; "-p"; "arm"; "-H"; "kvm"; "--iterations"; n ], drops);
-        ( [ "micro"; "-p"; "arm"; "-H"; "kvm"; "--iterations"; n; "--stat"; "-" ],
-          drops );
-      ])
-    [ ("1500", true); ("1400", false) ]
-
-let drop_case (args, drops) =
-  let name = String.concat " " args in
+let drop_case (n, drops) =
+  let args file =
+    [ "micro"; "-p"; "arm"; "-H"; "kvm"; "--iterations"; n; "--trace"; file ]
+  in
+  let name = String.concat " " (args "FILE") in
   Alcotest.test_case name `Quick (fun () ->
-      let code, _, stderr = run args in
+      let file = Filename.temp_file "armvirt_cli" ".json" in
+      let code, _, stderr =
+        Fun.protect ~finally:(fun () -> Sys.remove file) (fun () -> run (args file))
+      in
       Alcotest.(check int) (name ^ " exit code") 0 code;
       Alcotest.(check string) (name ^ " stderr") (drop_warning drops) stderr)
+
+(* Exit accounting reads the machine's counters, so it is exact on both
+   sides of the ring's cap: N iterations of the Table I suite on KVM ARM
+   are N hvc, 3N dabt and 2N irq exits, 7N entries and N hypercalls,
+   with nothing on stderr, in the text report of `stat` and in the JSON
+   of `--stat -`. *)
+let exact_cases =
+  List.concat_map
+    (fun n ->
+      let iterations = string_of_int n in
+      let row reason count = Printf.sprintf "\n  %-10s %8d " reason count in
+      let exit reason count =
+        Printf.sprintf "{\"reason\": \"%s\", \"count\": %d," reason count
+      in
+      [
+        ( [ "stat"; "micro"; "-p"; "arm"; "-H"; "kvm"; "--iterations"; iterations ],
+          [
+            row "hvc" n;
+            row "dabt" (3 * n);
+            row "irq" (2 * n);
+            Printf.sprintf ", entries %d\n" (7 * n);
+            Printf.sprintf " hypercall=%d " n;
+          ] );
+        ( [
+            "micro"; "-p"; "arm"; "-H"; "kvm"; "--iterations"; iterations;
+            "--stat"; "-";
+          ],
+          [
+            exit "hvc" n;
+            exit "dabt" (3 * n);
+            exit "irq" (2 * n);
+            Printf.sprintf "\"entries\": %d," (7 * n);
+            Printf.sprintf "{\"op\": \"hypercall\", \"count\": %d}" n;
+          ] );
+      ])
+    [ 8; 1500; 100_000 ]
+
+let contains s needle =
+  let n = String.length needle and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+let exact_case (args, needles) =
+  let name = String.concat " " args in
+  Alcotest.test_case name `Quick (fun () ->
+      let code, stdout, stderr = run args in
+      Alcotest.(check int) (name ^ " exit code") 0 code;
+      Alcotest.(check string) (name ^ " stderr") "" stderr;
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s reports %S" name needle)
+            true (contains stdout needle))
+        needles)
 
 (* `run` with no ids regenerates every artifact: the same bytes as `run`
    given every id `armvirt list` prints, in that order. *)
@@ -254,6 +330,8 @@ let () =
         @ List.map (test_case ~time_bound_s:1.0 ~code:2) too_large
         @ List.map (test_case ~time_bound_s:5.0 ~code:2) bad_plans );
       ("timeline pin", pins);
-      ("drop warning", List.map drop_case drop_cases);
+      ( "accepted argument", List.map accepted_case accepted );
+      ("drop warning", List.map drop_case [ ("1500", true); ("1400", false) ]);
+      ("exact counts", List.map exact_case exact_cases);
       ("run all", List.map run_all_case [ "1"; "2" ]);
     ]

@@ -43,50 +43,34 @@ let prop_encode_distinct =
       i = j || Esr.encode a ~iss:0 <> Esr.encode b ~iss:0)
 
 let test_marker_parity () =
-  (* esr.mli promises short_name cls = Marker.reason_to_string
-     (marker_reason cls) for every class: the two mnemonic tables (arch
-     side and obs side) may never drift, because the M1 marker lint and
-     the stat report both parse labels back through Esr.short_name. *)
+  (* Exit rows are keyed by the obs-side reason enum: Esr.marker_reason
+     must map the arch-side classes onto it one to one, in order. *)
   let module Marker = Armvirt_obs.Marker in
-  List.iter
-    (fun cls ->
-      Alcotest.(check string)
-        (Esr.describe cls)
-        (Esr.short_name cls)
-        (Marker.reason_to_string (Esr.marker_reason cls)))
-    Esr.all;
   Alcotest.(check (list string))
     "the reason enums cover the same set in the same order"
-    (List.map Esr.short_name Esr.all)
-    (List.map Marker.reason_to_string Marker.all_reasons);
-  List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        (Marker.reason_to_string r ^ " round-trips")
-        true
-        (Marker.reason_of_string (Marker.reason_to_string r) = Some r))
-    Marker.all_reasons;
-  Alcotest.(check bool) "unknown mnemonic rejected" true
-    (Marker.reason_of_string "hvcc" = None);
-  (* Builder output matches the legacy literal grammar byte for byte —
-     the STAT_baseline goldens depend on it. *)
+    (List.map Marker.reason_to_string Marker.all_reasons)
+    (List.map (fun cls -> Marker.reason_to_string (Esr.marker_reason cls)) Esr.all);
+  (* Labels keep the legacy bytes — the STAT_baseline goldens and the
+     trace exports depend on them. *)
+  let label = Marker.label in
   Alcotest.(check string) "exit label" "kvm_arm.exit/hvc/p3"
-    (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:3);
+    (label (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:3));
   Alcotest.(check string) "entry label" "xen_arm.entry/p2/d7"
-    (Marker.entry ~hyp:"xen_arm" ~pcpu:2 ~domid:7 ());
+    (label (Marker.entry ~hyp:"xen_arm" ~pcpu:2 ~domid:7 ()));
   Alcotest.(check string) "entry without domain" "kvm_x86.entry/p0"
-    (Marker.entry ~hyp:"kvm_x86" ~pcpu:0 ());
+    (label (Marker.entry ~hyp:"kvm_x86" ~pcpu:0 ()));
   Alcotest.(check string) "op label" "kvm_arm.hypercall"
-    (Marker.op ~hyp:"kvm_arm" "hypercall");
+    (label (Marker.op ~hyp:"kvm_arm" "hypercall"));
   Alcotest.(check string) "port label" "vswitch.s0/p4/rx"
-    (Marker.port ~switch:"s0" ~port:4 Marker.Rx);
+    (label (Marker.port ~switch:"s0" ~port:4 Marker.Rx));
   Alcotest.(check string) "flood label" "vswitch.s0/flood"
-    (Marker.flood ~switch:"s0");
+    (label (Marker.flood ~switch:"s0"));
   Alcotest.(check string) "uplink label" "wire.s0-u1/tx"
-    (Marker.uplink ~switch:"s0" ~uplink:1 Marker.Tx);
-  Alcotest.check_raises "bad exit_name mnemonic rejected"
-    (Invalid_argument "Marker.exit_name: \"hvcc\" is not an exit mnemonic")
-    (fun () -> ignore (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvcc" ~pcpu:0));
+    (label (Marker.uplink ~switch:"s0" ~uplink:1 Marker.Tx));
+  Alcotest.check_raises "bad hypervisor name rejected"
+    (Invalid_argument
+       "Marker: hypervisor \"Bad.Hyp\" is not a lowercase identifier")
+    (fun () -> ignore (Marker.entry ~hyp:"Bad.Hyp" ~pcpu:0 ()));
   Alcotest.check_raises "uplinks have no drop counter"
     (Invalid_argument "Marker.uplink: wires carry rx/tx only")
     (fun () -> ignore (Marker.uplink ~switch:"s0" ~uplink:0 Marker.Drop))
@@ -104,12 +88,13 @@ let test_exit_reason_counters () =
       ignore (H.Kvm_arm.io_latency_out kvm));
   Sim.run (Machine.sim machine);
   let counters = Machine.counters machine in
-  (* Exit markers use the Accounting label grammar, keyed per PCPU;
-     all these paths run on VCPU0's PCPU 4. *)
+  (* Exit markers are keyed per PCPU; all these paths run on VCPU0's
+     PCPU 4. *)
   let reason cls =
     Counter.get counters
-      (Armvirt_obs.Marker.exit_name ~hyp:"kvm_arm"
-         ~reason:(Esr.short_name cls) ~pcpu:4)
+      (Armvirt_obs.Marker.label
+         (Armvirt_obs.Marker.exit ~hyp:"kvm_arm" ~reason:(Esr.marker_reason cls)
+            ~pcpu:4))
   in
   Alcotest.(check int) "two hypercall exits" 2 (reason Esr.Hvc64);
   Alcotest.(check int) "two MMIO exits (GIC access + kick)" 2
@@ -117,7 +102,8 @@ let test_exit_reason_counters () =
   Alcotest.(check int) "no IRQ exits in these paths" 0 (reason Esr.Irq);
   Alcotest.(check int) "every exit re-entered" 4
     (Counter.get counters
-       (Armvirt_obs.Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ~domid:1 ()))
+       (Armvirt_obs.Marker.label
+          (Armvirt_obs.Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ~domid:1 ())))
 
 let () =
   Alcotest.run "esr"

@@ -1,5 +1,5 @@
 (* Tests for Armvirt_lint: per-pass positive/negative/suppressed fixtures
-   (determinism R1-R7, units U1/U2, markers M1, capture D1), the baseline
+   (determinism R1-R7, units U1/U2, capture D1), the baseline
    ratchet, the JSON v2 report golden, CLI rule selection, and the
    meta-tests that the repo's own lib/, bin/ and bench/ trees are
    lint-clean and that the committed LINT_baseline.json verifies at HEAD. *)
@@ -197,68 +197,6 @@ let test_u2_literals () =
   check_rules "literal through a named converter is sanctioned" []
     (lint ~relpath:"lib/migrate/x.ml" "let f hz = Cycles.of_us ~hz 2.0")
 
-(* --- M1: marker grammar ---------------------------------------------- *)
-
-let test_m1_literal_labels () =
-  check_rules "well-formed exit passes" []
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.marker m "kvm_arm.exit/hvc/p0"|});
-  check_rules "entry with domain passes" []
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.marker m "xen_arm.entry/p2/d7"|});
-  check_rules "op counter passes" []
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.marker m "kvm_arm.hypercall"|});
-  check_rules "vswitch format literal passes via hole neutralization" []
-    (lint ~relpath:"lib/vswitch/x.ml"
-       {|let f c = c "vswitch.%s/p%d/rx" && c "wire.%s-u%d/tx"|});
-  check_rules "unknown exit reason flagged" [ "M1" ]
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.marker m "kvm_arm.exit/hvcc/p0"|});
-  check_rules "missing pcpu parses as op and is flagged" [ "M1" ]
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.marker m "kvm_arm.exit/hvc"|});
-  check_rules "dotless label flagged" [ "M1" ]
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = Machine.marker m "hypercall"|});
-  check_rules "malformed vswitch counter flagged" [ "M1" ]
-    (lint ~relpath:"lib/vswitch/x.ml"
-       {|let f m = Machine.marker m "vswitch.s0/rx"|});
-  check_rules "opaque computed label flagged" [ "M1" ]
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m h = Machine.marker m (h ^ ".exit/hvc/p0")|});
-  check_rules "computed label at the intern site flagged" [ "M1" ]
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m name = Machine.marker m name|});
-  check_rules "partially applied intern flagged" [ "M1" ]
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = List.map (Machine.marker m) [ "kvm_arm.hypercall" ]|});
-  check_rules "intern passed as a value flagged" [ "M1" ]
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m = List.map (fun l -> l) [ Machine.marker ] |> ignore; m|});
-  check_rules "counting an interned marker is fine" []
-    (lint ~relpath:"lib/hypervisor/x.ml" {|let f mark = Machine.count mark|});
-  check_rules "free-form priced label at Machine.op unflagged" []
-    (lint ~relpath:"lib/arch/x.ml"
-       {|let f m = Machine.spend (Machine.op m "arm.save.GP Regs") 100|});
-  check_rules "marker sites outside lib/ unscanned" []
-    (lint ~relpath:"bench/x.ml"
-       {|let f m = Machine.marker m "kvm_arm.exit/hvcc/p0"|})
-
-let test_m1_builders () =
-  check_rules "builder application trusted" []
-    (lint ~relpath:"lib/hypervisor/x.ml"
-       {|let f m r = Machine.marker m (Marker.exit ~hyp:"kvm_arm" ~reason:r ~pcpu:0)|});
-  check_rules "builder with computed pcpu trusted" []
-    (lint ~relpath:"lib/fleet/x.ml"
-       {|let f m p = Machine.marker m (Marker.entry ~hyp:"xen_arm" ~pcpu:p ())|});
-  check_rules "builder literal reason cross-checked" [ "M1" ]
-    (lint ~relpath:"lib/fleet/x.ml"
-       {|let f m = Machine.marker m (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvcc" ~pcpu:0)|});
-  check_rules "builder literal hyp cross-checked" [ "M1" ]
-    (lint ~relpath:"lib/fleet/x.ml"
-       {|let f m = Machine.marker m (Marker.entry ~hyp:"Bad.Hyp" ~pcpu:0 ())|})
-
 (* --- D1: cross-domain capture ---------------------------------------- *)
 
 let test_d1_capture () =
@@ -323,12 +261,10 @@ let test_parse_error () =
 
 let test_pass_registration () =
   Alcotest.(check (list string))
-    "registration order" [ "determinism"; "units"; "markers"; "capture" ]
+    "registration order" [ "determinism"; "units"; "capture" ]
     (List.map (fun (p : Armvirt_lint.Pass.t) -> p.Armvirt_lint.Pass.name)
        Engine.passes);
   Alcotest.(check string) "U1 owned by units" "units" (Engine.pass_of_rule Rules.U1);
-  Alcotest.(check string) "M1 owned by markers" "markers"
-    (Engine.pass_of_rule Rules.M1);
   Alcotest.(check string) "D1 owned by capture" "capture"
     (Engine.pass_of_rule Rules.D1);
   Alcotest.(check string) "R3 owned by determinism" "determinism"
@@ -345,16 +281,16 @@ let test_pass_registration () =
 let test_per_pass_timing () =
   let r =
     lint ~relpath:"lib/hypervisor/x.ml"
-      {|let f m = Machine.marker m "kvm_arm.hypercall"|}
+      {|let f m = Machine.spend (Machine.op m "kvm_arm.host_dispatch") 100|}
   in
   let names = List.map fst r.Engine.timings in
   Alcotest.(check (list string))
-    "every relevant pass timed" [ "determinism"; "units"; "markers"; "capture" ]
+    "every relevant pass timed" [ "determinism"; "units"; "capture" ]
     names;
   (* scoping skips passes wholesale: only determinism applies in bench/ *)
   let r = lint ~relpath:"bench/x.ml" "let f x = x" in
   Alcotest.(check (list string))
-    "bench scoping skips unit/marker/capture passes" [ "determinism" ]
+    "bench scoping skips unit/capture passes" [ "determinism" ]
     (List.map fst r.Engine.timings)
 
 (* --- the baseline ratchet --------------------------------------------- *)
@@ -605,8 +541,8 @@ let test_committed_baseline_is_clean () =
 
 let test_repo_gate_catches_injection () =
   (* The invariant CI relies on: were a forbidden call, a mixed-unit
-     expression, a malformed marker or a cross-domain capture introduced
-     in a scanned module, the same gate that is clean today would fail. *)
+     expression or a cross-domain capture introduced in a scanned
+     module, the same gate that is clean today would fail. *)
   let root = Driver.find_root () in
   let clean = Driver.lint_tree ~root () in
   let seeded =
@@ -614,13 +550,12 @@ let test_repo_gate_catches_injection () =
       "let jitter () = Random.int 100\n\
        let d f = Domain.spawn f\n\
        let mix link_gbps cost_cycles = link_gbps + cost_cycles\n\
-       let mark m = Machine.marker m \"kvm_arm.exit/hvcc/p0\"\n\
        let tally = ref 0\n\
        let fan xs = Runner.map (fun x -> tally := x) xs"
   in
   Alcotest.(check (list string))
-    "injected violations caught across all four passes"
-    [ "R1"; "R4"; "U1"; "M1"; "R6"; "D1" ]
+    "injected violations caught across all three passes"
+    [ "R1"; "R4"; "U1"; "R6"; "D1" ]
     (rule_ids seeded);
   Alcotest.(check int) "today's tree stays the baseline" 0
     (List.length (Report.fresh clean))
@@ -645,11 +580,6 @@ let () =
             test_u1_incompatible_units;
           Alcotest.test_case "U1 suppressed" `Quick test_u1_suppressed;
           Alcotest.test_case "U2 literals" `Quick test_u2_literals;
-        ] );
-      ( "markers",
-        [
-          Alcotest.test_case "M1 literal labels" `Quick test_m1_literal_labels;
-          Alcotest.test_case "M1 builders" `Quick test_m1_builders;
         ] );
       ( "capture",
         [ Alcotest.test_case "D1 capture" `Quick test_d1_capture ] );

@@ -13,6 +13,7 @@ module Observe = Armvirt_core.Observe
 module Runner = Armvirt_core.Runner
 module Platform = Armvirt_core.Platform
 module Machine = Armvirt_arch.Machine
+module Marker = Armvirt_obs.Marker
 module Sim = Armvirt_engine.Sim
 module W = Armvirt_workloads
 
@@ -79,6 +80,16 @@ let test_span_category_roundtrip () =
       | None -> Alcotest.fail "category_of_string failed on its own output")
     Span.all
 
+(* Position of the first occurrence of [needle] in [s], or -1. *)
+let index_of s needle =
+  let n = String.length needle and m = String.length s in
+  let rec go i =
+    if i + n > m then -1
+    else if String.sub s i n = needle then i
+    else go (i + 1)
+  in
+  go 0
+
 (* --- The machine sink and the timeline printer ---------------------- *)
 
 let arm_machine sim =
@@ -87,19 +98,18 @@ let arm_machine sim =
 
 (* A literal three-step path: spends become complete spans in recording
    order, each completing at [ts + dur]; a count becomes an instant the
-   printer skips; the metrics registry gets every spend's cycles; and
-   detaching stops recording. *)
+   printer skips; and detaching stops recording. *)
 let test_trace_records_spends () =
   let sim = Sim.create () in
   let machine = arm_machine sim in
-  let tracer = Tracer.create () and metrics = Metrics.create () in
-  Machine.attach machine
-    (Some (Observe.machine_sink ~metrics ~track:"cpu" tracer));
+  let tracer = Tracer.create () in
+  Machine.attach machine (Some (Observe.machine_sink ~track:"cpu" tracer));
   let a = Machine.op machine "step.a" and b = Machine.op machine "step.b" in
+  let hypercall = Machine.marker machine (Marker.op ~hyp:"kvm_arm" "hypercall") in
   Sim.spawn sim ~name:"worker" (fun () ->
       Machine.spend a 100;
       Machine.spend b 50;
-      Machine.count (Machine.marker machine "kvm_arm.hypercall");
+      Machine.count hypercall;
       Machine.spend a 25);
   Sim.run sim;
   let events = Tracer.events tracer in
@@ -115,16 +125,81 @@ let test_trace_records_spends () =
     \         150  +50     step.b\n\
     \         175  +25     step.a\n"
     (Format.asprintf "%a" Observe.pp_timeline events);
-  Alcotest.(check int) "spend_cycles_total" 175
-    (Metrics.counter_value metrics
-       ~labels:[ ("category", "other") ]
-       "spend_cycles_total");
   Machine.attach machine None;
   Sim.spawn sim ~name:"worker2" (fun () ->
       Machine.spend (Machine.op machine "step.c") 10);
   Sim.run sim;
   Alcotest.(check int) "detached: no longer recording" 4
     (List.length (Tracer.events tracer))
+
+(* The same path inside a capture, traced and untraced: the cell's
+   spend_cycles_total and exit-accounting rows come from the machine's
+   counters when the cell finishes, so both sessions give the same
+   metric (a 0-cycle op still creates its series) and rows, and only
+   the traced one records events. *)
+let test_capture_reads_counters () =
+  let cell_of ~trace =
+    Observe.enable ~trace ~context:"spends" ();
+    Fun.protect ~finally:Observe.disable (fun () ->
+        match
+          snd
+            (Observe.capture ~label:"spends#0.0" (fun () ->
+                 let sim = Sim.create () in
+                 let machine = arm_machine sim in
+                 let a = Machine.op machine "step.a"
+                 and b = Machine.op machine "step.b"
+                 and resume = Machine.op machine "kvm_arm.vcpu_resume" in
+                 let exit =
+                   Machine.marker machine
+                     (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:1)
+                 and entry =
+                   Machine.marker machine (Marker.entry ~hyp:"kvm_arm" ~pcpu:1 ())
+                 in
+                 Sim.spawn sim ~name:"worker" (fun () ->
+                     Machine.count exit;
+                     Machine.spend a 100;
+                     Machine.spend b 50;
+                     Machine.spend resume 0;
+                     Machine.count entry;
+                     Machine.spend a 25);
+                 Sim.run sim))
+        with
+        | Some c -> c
+        | None -> Alcotest.fail "capture returned no cell")
+  in
+  let traced = cell_of ~trace:true and untraced = cell_of ~trace:false in
+  List.iter
+    (fun (c : Observe.cell) ->
+      Alcotest.(check (list (pair string int)))
+        "spend_cycles_total by category"
+        [ ("other", 175); ("vmexit", 0) ]
+        (List.map
+           (fun cat ->
+             ( cat,
+               Metrics.counter_value c.metrics
+                 ~labels:[ ("category", cat) ]
+                 "spend_cycles_total" ))
+           [ "other"; "vmexit" ]);
+      Alcotest.(check bool) "the 0-cycle series exists" true
+        (index_of
+           (Format.asprintf "%a" Metrics.pp_prometheus c.metrics)
+           {|spend_cycles_total{category="vmexit"} 0|}
+        >= 0);
+      match c.rows with
+      | [ vm ] ->
+          Alcotest.(check (list (triple string int int)))
+            "one hvc exit, paired 150 cycles later"
+            [ ("hvc", 1, 150) ]
+            (List.map
+               (fun (r, n, (h : Armvirt_obs.Accounting.hist)) -> (r, n, h.sum))
+               vm.exits);
+          Alcotest.(check int) "entries" 1 vm.entries;
+          Alcotest.(check int) "hypervisor cycles" 175 vm.hyp_cycles
+      | rows -> Alcotest.failf "expected one row, got %d" (List.length rows))
+    [ traced; untraced ];
+  Alcotest.(check int) "traced: six machine events and the spawn" 7
+    (List.length traced.events);
+  Alcotest.(check int) "untraced: no events" 0 (List.length untraced.events)
 
 (* Many spends completing at one instant keep their recording order. *)
 let test_trace_events_chronological () =
@@ -382,16 +457,6 @@ let test_csv_export () =
   Alcotest.(check string) "outer span row first" "0,cell-a,1,cpu,0,10,sched,outer,"
     (List.nth lines 1)
 
-(* Position of the first occurrence of [needle] in [s], or -1. *)
-let index_of s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i =
-    if i + n > m then -1
-    else if String.sub s i n = needle then i
-    else go (i + 1)
-  in
-  go 0
-
 let test_summary_export () =
   let out = Format.asprintf "%a" Export.summary (chrome_sample ()) in
   (* sched (10) > io (3) > vmexit (2); instants and values contribute no
@@ -405,7 +470,7 @@ let test_summary_export () =
 (* --- Observe + Runner: export determinism across jobs --------------- *)
 
 let run_traced_cells ~jobs =
-  Observe.enable ~context:"t" ();
+  Observe.enable ~trace:true ~context:"t" ();
   Fun.protect ~finally:Observe.disable (fun () ->
       let results =
         Runner.map ~jobs
@@ -434,7 +499,7 @@ let test_export_deterministic_across_jobs () =
     (String.length t1 > 500)
 
 let test_cell_labels_in_input_order () =
-  Observe.enable ~context:"lbl" ();
+  Observe.enable ~trace:false ~context:"lbl" ();
   Fun.protect ~finally:Observe.disable (fun () ->
       ignore (Runner.map ~jobs:4 (fun i -> i) [ 10; 20; 30 ]);
       let labels = List.map (fun c -> c.Observe.label) (Observe.cells ()) in
@@ -443,7 +508,7 @@ let test_cell_labels_in_input_order () =
         labels)
 
 let test_memo_metrics () =
-  Observe.enable ~context:"memo" ();
+  Observe.enable ~trace:false ~context:"memo" ();
   Fun.protect ~finally:Observe.disable (fun () ->
       let tbl = Runner.Memo.create () in
       let key = Runner.Key.v ~platform:"arm" () in
@@ -477,7 +542,7 @@ let test_create_hook_domain_local () =
             | _ -> None)
           c.events
   in
-  Observe.enable ~context:"hook" ();
+  Observe.enable ~trace:true ~context:"hook" ();
   Fun.protect ~finally:Observe.disable (fun () ->
       let before = build () in
       let inside = ref None in
@@ -511,7 +576,7 @@ let test_create_hook_domain_local () =
 
 let test_tracing_does_not_change_results () =
   let untraced = W.Netperf.run_tcp_rr (Platform.hypervisor Arm_m400 Kvm) in
-  Observe.enable ~context:"rr" ();
+  Observe.enable ~trace:true ~context:"rr" ();
   let traced, cell =
     Fun.protect ~finally:Observe.disable (fun () ->
         Observe.capture ~label:"rr#0.0" (fun () ->
@@ -553,7 +618,7 @@ let test_session_costs_engine_only_nothing () =
     (Sim.events_processed sim, Gc.minor_words () -. before)
   in
   let events, words = churn () in
-  Observe.enable ~context:"engine-only" ();
+  Observe.enable ~trace:true ~context:"engine-only" ();
   Fun.protect ~finally:Observe.disable (fun () ->
       let (events', words'), cell =
         Observe.capture ~label:"engine-only#0.0" churn
@@ -632,6 +697,8 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "records spends" `Quick test_trace_records_spends;
+          Alcotest.test_case "capture reads counters" `Quick
+            test_capture_reads_counters;
           Alcotest.test_case "events chronological" `Quick
             test_trace_events_chronological;
         ] );

@@ -1,8 +1,15 @@
-(* `armvirt stat` and its accounting layer: marker grammar, exit/entry
-   pairing, lane attribution, renderer golden output, jobs-invariance,
-   RFC 4180 CSV escaping, the trace-vs-analytic crosscheck, and the
-   snapshot diff used for regression gating. *)
+(* `armvirt stat` and its accounting layer: marker label bytes,
+   exit/entry pairing, lane attribution, renderer golden output from
+   scripted machine runs, jobs-invariance, RFC 4180 CSV escaping, the
+   counter-vs-trace differential oracle, the trace-vs-analytic
+   crosscheck, and the snapshot diff used for regression gating. *)
 
+module Sim = Armvirt_engine.Sim
+module Cycles = Armvirt_engine.Cycles
+module Rng = Armvirt_engine.Rng
+module Counter = Armvirt_stats.Counter
+module Machine = Armvirt_arch.Machine
+module Cost_model = Armvirt_arch.Cost_model
 module Span = Armvirt_obs.Span
 module Export = Armvirt_obs.Export
 module Accounting = Armvirt_obs.Accounting
@@ -12,133 +19,106 @@ module Observe = Armvirt_core.Observe
 module Runner = Armvirt_core.Runner
 module Platform = Armvirt_core.Platform
 module Stat_report = Armvirt_core.Stat_report
+module Hypervisor = Armvirt_hypervisor.Hypervisor
+module Fleet = Armvirt_fleet
 module W = Armvirt_workloads
 
-(* --- marker grammar -------------------------------------------------- *)
+(* --- marker labels --------------------------------------------------- *)
 
-let test_parse_label () =
-  let exit_l = Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4 in
-  Alcotest.(check string) "exit label" "kvm_arm.exit/hvc/p4" exit_l;
-  (match Accounting.parse_label exit_l with
-  | Some (Accounting.Exit { hyp; reason; pcpu }) ->
-      Alcotest.(check string) "hyp" "kvm_arm" hyp;
-      Alcotest.(check string) "reason" "hvc" reason;
-      Alcotest.(check int) "pcpu" 4 pcpu
-  | _ -> Alcotest.fail "exit label did not parse as Exit");
-  let entry_l = Marker.entry ~domid:0 ~hyp:"xen_arm" ~pcpu:5 () in
-  Alcotest.(check string) "entry label" "xen_arm.entry/p5/d0" entry_l;
-  (match Accounting.parse_label entry_l with
-  | Some (Accounting.Entry { hyp; pcpu; domid }) ->
-      Alcotest.(check string) "hyp" "xen_arm" hyp;
-      Alcotest.(check int) "pcpu" 5 pcpu;
-      Alcotest.(check (option int)) "domid" (Some 0) domid
-  | _ -> Alcotest.fail "entry label did not parse as Entry");
-  (match Accounting.parse_label "kvm_arm.vipi" with
-  | Some (Accounting.Op { hyp; op }) ->
-      Alcotest.(check string) "op hyp" "kvm_arm" hyp;
-      Alcotest.(check string) "op name" "vipi" op
-  | _ -> Alcotest.fail "dotted non-marker label should be an Op");
-  Alcotest.(check bool)
-    "dot-free labels are not markers" true
-    (Accounting.parse_label "spawn" = None)
-
-(* The builders concatenate instead of formatting; they must give the
-   Printf bytes for every reason, direction and index a model can pass,
-   and every exit/entry label must parse back to its parts. *)
+(* The builders concatenate instead of formatting; their labels must be
+   the Printf bytes for every reason, direction and index a model can
+   pass, and split into {!Marker.hyp} and {!Marker.name} at the first
+   dot. *)
 let test_builders_match_printf () =
   let hyp = "kvm_arm" and switch = "tor" in
-  let check_op label =
-    match Accounting.parse_label label with
-    | Some (Accounting.Op { hyp; op }) ->
-        Alcotest.(check string) "op round-trip" label (hyp ^ "." ^ op)
-    | _ -> Alcotest.failf "%s did not parse as an Op" label
+  let check want m =
+    Alcotest.(check string) "label" want (Marker.label m);
+    Alcotest.(check string) "hyp.name" want (Marker.hyp m ^ "." ^ Marker.name m)
   in
-  Alcotest.(check string) "flood" (Printf.sprintf "vswitch.%s/flood" switch)
-    (Marker.flood ~switch);
-  check_op (Marker.flood ~switch);
+  check (Printf.sprintf "vswitch.%s/flood" switch) (Marker.flood ~switch);
+  check "kvm_arm.hypercall" (Marker.op ~hyp "hypercall");
   for n = 0 to 1023 do
     List.iter
       (fun reason ->
-        let r = Marker.reason_to_string reason in
-        let want = Printf.sprintf "%s.exit/%s/p%d" hyp r n in
-        let exit_l = Marker.exit ~hyp ~reason ~pcpu:n in
-        Alcotest.(check string) "exit" want exit_l;
-        Alcotest.(check string) "exit_name" want
-          (Marker.exit_name ~hyp ~reason:r ~pcpu:n);
-        match Accounting.parse_label exit_l with
-        | Some (Accounting.Exit e)
-          when e.hyp = hyp && e.reason = r && e.pcpu = n ->
-            ()
-        | _ -> Alcotest.failf "%s did not round-trip" exit_l)
+        check
+          (Printf.sprintf "%s.exit/%s/p%d" hyp (Marker.reason_to_string reason) n)
+          (Marker.exit ~hyp ~reason ~pcpu:n))
       Marker.all_reasons;
-    let entry_l = Marker.entry ~hyp ~pcpu:n () in
-    Alcotest.(check string) "entry"
-      (Printf.sprintf "%s.entry/p%d" hyp n)
-      entry_l;
-    (match Accounting.parse_label entry_l with
-    | Some (Accounting.Entry { hyp = h; pcpu; domid = None })
-      when h = hyp && pcpu = n ->
-        ()
-    | _ -> Alcotest.failf "%s did not round-trip" entry_l);
+    check (Printf.sprintf "%s.entry/p%d" hyp n) (Marker.entry ~hyp ~pcpu:n ());
     let domid = 1023 - n in
-    let entry_d = Marker.entry ~domid ~hyp ~pcpu:n () in
-    Alcotest.(check string) "entry with domid"
+    check
       (Printf.sprintf "%s.entry/p%d/d%d" hyp n domid)
-      entry_d;
-    (match Accounting.parse_label entry_d with
-    | Some (Accounting.Entry { hyp = h; pcpu; domid = Some d })
-      when h = hyp && pcpu = n && d = domid ->
-        ()
-    | _ -> Alcotest.failf "%s did not round-trip" entry_d);
+      (Marker.entry ~domid ~hyp ~pcpu:n ());
     List.iter
       (fun (dir, name) ->
-        let port_l = Marker.port ~switch ~port:n dir in
-        Alcotest.(check string) "port"
+        check
           (Printf.sprintf "vswitch.%s/p%d/%s" switch n name)
-          port_l;
-        check_op port_l;
-        if dir <> Marker.Drop then begin
-          let uplink_l = Marker.uplink ~switch ~uplink:n dir in
-          Alcotest.(check string) "uplink"
+          (Marker.port ~switch ~port:n dir);
+        if dir <> Marker.Drop then
+          check
             (Printf.sprintf "wire.%s-u%d/%s" switch n name)
-            uplink_l;
-          check_op uplink_l
-        end)
+            (Marker.uplink ~switch ~uplink:n dir))
       [ (Marker.Rx, "rx"); (Marker.Tx, "tx"); (Marker.Drop, "drop") ]
   done
 
-(* --- synthetic trace for pairing/lanes/renderers --------------------- *)
+(* --- scripted machine runs for pairing/lanes/renderers ---------------- *)
 
-let ev ts name kind =
-  (* Track "cpu" is machine "m0"; secondary machines are "m<N>:cpu". *)
-  { Span.ts; track = "cpu"; cat = Span.of_label name; name; kind }
+type step = Count of Marker.t | Spend of string * int
+
+(* Runs [script], (time, step) pairs in time order, on one fresh machine
+   inside a capture labelled [cell] and returns the session's accounting:
+   a count happens at its time, a spend starts then. *)
+let scripted ?(cell = "cell#0.0") script =
+  Observe.enable ~trace:false ~context:"scripted" ();
+  Fun.protect ~finally:Observe.disable (fun () ->
+      let (), c =
+        Observe.capture ~label:cell (fun () ->
+            let sim = Sim.create () in
+            let m =
+              Machine.create sim
+                ~cost:(Cost_model.Arm Cost_model.arm_default) ~num_cpus:8
+            in
+            let steps =
+              List.map
+                (fun (ts, step) ->
+                  ( ts,
+                    match step with
+                    | Count mk ->
+                        let mk = Machine.marker m mk in
+                        fun () -> Machine.count mk
+                    | Spend (label, cycles) ->
+                        let op = Machine.op m label in
+                        fun () -> Machine.spend op cycles ))
+                script
+            in
+            Sim.spawn sim ~name:"script" (fun () ->
+                List.iter
+                  (fun (ts, step) ->
+                    Sim.delay
+                      (Cycles.of_int (ts - Cycles.to_int (Sim.current_time ())));
+                    step ())
+                  steps);
+            Sim.run sim)
+      in
+      Observe.record_cells [| c |];
+      Stat_report.of_session ())
+
+let hvc_exit pcpu = Count (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu)
 
 (* Two hvc exits on PCPU 4; only the first re-enters (latency 600), the
-   second is still pending when the trace ends. One guest span and one
+   second is still pending when the run ends. One guest span and one
    hypervisor span feed the attribution lanes. *)
-let synthetic_process =
-  {
-    Export.pid = 0;
-    name = "cell#0.0";
-    dropped = 0;
-    events =
-      [
-        ev 100
-          (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
-          Span.Instant;
-        ev 150 "kvm_arm.host_dispatch" (Span.Complete 300);
-        ev 700
-          (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ())
-          Span.Instant;
-        ev 800 "vm_processing" (Span.Complete 500);
-        ev 1400
-          (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
-          Span.Instant;
-        ev 1450 "kvm_arm.vipi" Span.Instant;
-      ];
-  }
+let synthetic_script =
+  [
+    (100, hvc_exit 4);
+    (150, Spend ("kvm_arm.host_dispatch", 300));
+    (700, Count (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ()));
+    (800, Spend ("vm_processing", 500));
+    (1400, hvc_exit 4);
+    (1450, Count (Marker.op ~hyp:"kvm_arm" "vipi"));
+  ]
 
-let synthetic_accounting () = Accounting.of_processes [ synthetic_process ]
+let synthetic_accounting () = scripted synthetic_script
 
 let test_pairing_and_lanes () =
   let acct = synthetic_accounting () in
@@ -194,7 +174,7 @@ let render render_fn =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-(* The armvirt.stat/v1 document for the synthetic trace, verbatim. If
+(* The armvirt.stat/v1 document for the synthetic run, verbatim. If
    this changes shape, bump the schema string and the diff loader. *)
 let golden_json =
   {|{
@@ -230,41 +210,27 @@ let test_csv_render () =
        (fun l -> l = "exit,cell#0.0,m0,kvm_arm,all,hvc,2,1,600,600,600")
        lines)
 
-(* --- per-domain entry accounting (fleet traces) ----------------------- *)
+(* --- per-domain entry accounting (fleet runs) -------------------------- *)
 
-(* A fleet-style trace: every entry marker carries d<domid>. Two guests
+(* A fleet-style run: every entry marker carries a domid. Two guests
    time-share PCPU 0; a second entry for d0 lands on PCPU 1 with no
    pending exit, so it counts but contributes no latency sample. *)
-let fleet_process =
-  {
-    Export.pid = 0;
-    name = "fleet#0.0";
-    dropped = 0;
-    events =
-      [
-        ev 100
-          (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:0)
-          Span.Instant;
-        ev 200
-          (Marker.entry ~domid:0 ~hyp:"kvm_arm" ~pcpu:0 ())
-          Span.Instant;
-        ev 300
-          (Marker.exit_name ~hyp:"kvm_arm" ~reason:"irq" ~pcpu:0)
-          Span.Instant;
-        ev 350
-          (Marker.entry ~domid:1 ~hyp:"kvm_arm" ~pcpu:0 ())
-          Span.Instant;
-        ev 400
-          (Marker.entry ~domid:0 ~hyp:"kvm_arm" ~pcpu:1 ())
-          Span.Instant;
-      ];
-  }
+let entry ~domid pcpu = Count (Marker.entry ~domid ~hyp:"kvm_arm" ~pcpu ())
 
-let render_process ?opts p =
+let fleet_script =
+  [
+    (100, hvc_exit 0);
+    (200, entry ~domid:0 0);
+    (300, Count (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Irq ~pcpu:0));
+    (350, entry ~domid:1 0);
+    (400, entry ~domid:0 1);
+  ]
+
+let render_script ?opts script =
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
   Stat.render_json ?opts ~context:"fleet-golden" fmt
-    (Accounting.of_processes [ p ]);
+    (scripted ~cell:"fleet#0.0" script);
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
@@ -294,37 +260,27 @@ let contains_substring haystack needle =
   go 0
 
 let test_per_domain_golden () =
-  let got = render_process ~opts:per_domain_opts fleet_process in
+  let got = render_script ~opts:per_domain_opts fleet_script in
   Alcotest.(check string) "per-domain golden" fleet_golden_json got;
   (match Stat.parse_json got with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "per-domain golden does not re-parse: %s" e);
   (* Without the opt-in, the document must not grow the member — the
      pre-fleet golden above depends on it. *)
-  let default = render_process fleet_process in
+  let default = render_script fleet_script in
   Alcotest.(check bool)
     "per_domain absent by default" false
     (contains_substring default "per_domain")
 
 let test_per_domain_diff () =
-  let old_doc = render_process ~opts:per_domain_opts fleet_process in
+  let old_doc = render_script ~opts:per_domain_opts fleet_script in
   (match Stat.diff old_doc old_doc with
   | Ok [] -> ()
   | Ok fs -> Alcotest.failf "self-diff found %d findings" (List.length fs)
   | Error e -> Alcotest.failf "self-diff errored: %s" e);
-  let perturbed =
-    {
-      fleet_process with
-      Export.events =
-        fleet_process.Export.events
-        @ [
-            ev 500
-              (Marker.entry ~domid:1 ~hyp:"kvm_arm" ~pcpu:1 ())
-              Span.Instant;
-          ];
-    }
+  let new_doc =
+    render_script ~opts:per_domain_opts (fleet_script @ [ (500, entry ~domid:1 1) ])
   in
-  let new_doc = render_process ~opts:per_domain_opts perturbed in
   match Stat.diff old_doc new_doc with
   | Ok findings ->
       Alcotest.(check bool)
@@ -339,7 +295,7 @@ let test_per_domain_csv () =
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
   Stat.render_csv ~opts:per_domain_opts ~context:"fleet-golden" fmt
-    (Accounting.of_processes [ fleet_process ]);
+    (scripted ~cell:"fleet#0.0" fleet_script);
   Format.pp_print_flush fmt ();
   let lines = String.split_on_char '\n' (Buffer.contents buf) in
   List.iter
@@ -362,7 +318,16 @@ let test_csv_escaping () =
       Export.pid = 0;
       name = evil;
       dropped = 0;
-      events = [ ev 10 evil (Span.Complete 5) ];
+      events =
+        [
+          {
+            Span.ts = 10;
+            track = "cpu";
+            cat = Span.Other;
+            name = evil;
+            kind = Span.Complete 5;
+          };
+        ];
     }
   in
   let buf = Buffer.create 256 in
@@ -385,7 +350,7 @@ let test_csv_escaping () =
 (* --- jobs-invariance on a real workload ------------------------------ *)
 
 let rr_stat_json () =
-  Observe.enable ~context:"rr" ();
+  Observe.enable ~trace:false ~context:"rr" ();
   Fun.protect ~finally:Observe.disable (fun () ->
       let (), cell =
         Observe.capture ~label:"rr#0.0" (fun () ->
@@ -408,6 +373,112 @@ let test_jobs_invariance () =
   Runner.set_jobs 1;
   Alcotest.(check bool) "non-empty" true (String.length a > 0);
   Alcotest.(check string) "stat JSON byte-identical at --jobs 1 vs 4" a b
+
+(* --- counters against the trace reduction ------------------------------ *)
+
+let configs =
+  [
+    (Platform.Arm_m400, Platform.Kvm);
+    (Platform.Arm_m400_vhe, Platform.Kvm);
+    (Platform.Arm_m400, Platform.Xen);
+    (Platform.X86_r320, Platform.Kvm);
+    (Platform.X86_r320, Platform.Xen);
+  ]
+
+let table1 =
+  [|
+    (fun (h : Hypervisor.t) -> h.hypercall ());
+    (fun h -> h.interrupt_controller_trap ());
+    (fun h -> ignore (h.virtual_ipi ()));
+    (fun h -> h.virtual_irq_completion ());
+    (fun h -> h.vm_switch ());
+    (fun h -> ignore (h.io_latency_out ()));
+    (fun h -> ignore (h.io_latency_in ()));
+  |]
+
+let in_process (h : Hypervisor.t) f =
+  let sim = Machine.sim h.machine in
+  Sim.spawn sim ~name:"driver" f;
+  Sim.run sim
+
+(* One case, drawn from [seed] through Engine.Rng: a config, up to 8
+   iterations of a random Table I op sequence (plus a marker interned
+   twice), a boot-storm of up to 16 domain-tagged VMs and a service
+   chain of up to 40 requests for the port, flood and uplink counters,
+   each a cell of one traced session. The counter-built report must
+   render byte for byte like Reference_accounting's reduction of the
+   trace, the accounting it replaced. *)
+let counters_match_trace seed =
+  let rng = Rng.create ~seed in
+  let platform, hyp = List.nth configs (Rng.int rng ~bound:(List.length configs)) in
+  let ops =
+    List.init
+      (1 + Rng.int rng ~bound:8)
+      (fun _ ->
+        List.init (1 + Rng.int rng ~bound:7) (fun _ ->
+            table1.(Rng.int rng ~bound:(Array.length table1))))
+  in
+  let vms = 1 + Rng.int rng ~bound:16 and requests = 1 + Rng.int rng ~bound:40 in
+  let cell i f =
+    snd (Observe.capture ~label:(Printf.sprintf "oracle#0.%d" i) (fun () -> ignore (f ())))
+  in
+  Observe.enable ~trace:true ~context:"oracle" ();
+  Fun.protect ~finally:Observe.disable (fun () ->
+      Observe.record_cells
+        [|
+          cell 0 (fun () ->
+              let h = Platform.hypervisor platform hyp in
+              let probe = Marker.op ~hyp:"oracle" "probe" in
+              let mk = Machine.marker h.machine probe in
+              ignore (Machine.marker h.machine probe);
+              in_process h (fun () ->
+                  List.iter (List.iter (fun op -> op h; Machine.count mk)) ops));
+          cell 1 (fun () ->
+              Fleet.Scenario.boot_storm
+                (Platform.hypervisor platform hyp)
+                (Fleet.Descriptor.v ~vms [ (Fleet.Descriptor.synthetic, 1) ]));
+          cell 2 (fun () ->
+              W.Cluster.run_chain ~requests (Platform.hypervisor platform hyp));
+        |];
+      let render acct =
+        Format.asprintf "%a"
+          (Stat.render_json
+             ~opts:{ Stat.default_options with per_vcpu = true; per_domain = true }
+             ~context:"oracle")
+          acct
+      in
+      let processes = Observe.processes () in
+      List.for_all (fun (p : Export.process) -> p.dropped = 0) processes
+      && render (Stat_report.of_session ())
+         = render (Reference_accounting.of_processes processes))
+
+let prop_counters_match_trace =
+  QCheck.Test.make ~count:100
+    ~name:"counter accounting matches the trace reduction"
+    QCheck.(make ~print:string_of_int Gen.int)
+    counters_match_trace
+
+(* Every cycle a micro run spends lands in one of the two lanes: guest
+   plus hypervisor cycles equal the machine's "cycles" counter. *)
+let test_micro_cycles_conserved () =
+  List.iter
+    (fun (platform, hyp) ->
+      Observe.enable ~trace:false ~context:"micro" ();
+      Fun.protect ~finally:Observe.disable (fun () ->
+          let total = ref 0 in
+          let (), cell =
+            Observe.capture ~label:"micro#0.0" (fun () ->
+                let h = Platform.hypervisor platform hyp in
+                ignore (W.Microbench.run ~iterations:8 h);
+                total := Counter.get (Machine.counters h.machine) "cycles")
+          in
+          Observe.record_cells [| cell |];
+          let acct = Stat_report.of_session () in
+          Alcotest.(check bool) "cycles spent" true (!total > 0);
+          Alcotest.(check int)
+            (Platform.hypervisor platform hyp).name !total
+            (acct.Accounting.total_guest + acct.Accounting.total_hyp)))
+    configs
 
 (* --- trace-vs-analytic crosscheck ------------------------------------ *)
 
@@ -433,22 +504,13 @@ let test_diff () =
   (* Perturb the latency sum well past the 2% cycles threshold and the
      exit count past the 0% count threshold. *)
   let perturbed =
-    {
-      synthetic_process with
-      Export.events =
-        synthetic_process.Export.events
-        @ [
-            ev 2000
-              (Marker.exit_name ~hyp:"kvm_arm" ~reason:"hvc" ~pcpu:4)
-              Span.Instant;
-            ev 2100 "kvm_arm.host_dispatch" (Span.Complete 900);
-          ];
-    }
+    scripted
+      (synthetic_script
+      @ [ (2000, hvc_exit 4); (2100, Spend ("kvm_arm.host_dispatch", 900)) ])
   in
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
-  Stat.render_json ~context:"golden" fmt
-    (Accounting.of_processes [ perturbed ]);
+  Stat.render_json ~context:"golden" fmt perturbed;
   Format.pp_print_flush fmt ();
   (match Stat.diff doc (Buffer.contents buf) with
   | Ok [] -> Alcotest.fail "perturbation produced no findings"
@@ -463,7 +525,6 @@ let () =
     [
       ( "accounting",
         [
-          Alcotest.test_case "marker grammar" `Quick test_parse_label;
           Alcotest.test_case "builders match Printf" `Quick
             test_builders_match_printf;
           Alcotest.test_case "pairing and lanes" `Quick
@@ -491,6 +552,9 @@ let () =
             test_jobs_invariance;
           Alcotest.test_case "crosscheck vs analytic model" `Slow
             test_crosscheck;
+          Alcotest.test_case "micro cycles conserved" `Quick
+            test_micro_cycles_conserved;
+          QCheck_alcotest.to_alcotest prop_counters_match_trace;
         ] );
       ("diff", [ Alcotest.test_case "thresholded diff" `Quick test_diff ]);
     ]
