@@ -24,6 +24,7 @@ module Report = Armvirt_core.Report
 module Observe = Armvirt_core.Observe
 module Stat_report = Armvirt_core.Stat_report
 module Export = Armvirt_obs.Export
+module Table = Armvirt_obs.Table
 module Metrics = Armvirt_obs.Metrics
 module Stat = Armvirt_obs.Stat
 module W = Armvirt_workloads
@@ -149,15 +150,12 @@ let table_format = Arg.enum [ ("md", `Md); ("csv", `Csv) ]
 let table_format_arg ~doc =
   Arg.(value & opt table_format `Md & info [ "format" ] ~docv:"FORMAT" ~doc)
 
-let pp_table format out ~header rows =
-  match format with
-  | `Csv -> Report.pp_csv_table out ~header rows
-  | `Md -> Report.pp_markdown_table out ~header rows
-
-let f0 = Printf.sprintf "%.0f"
-let f1 = Printf.sprintf "%.1f"
-let f2 = Printf.sprintf "%.2f"
-let f3 = Printf.sprintf "%.3f"
+(* [--format md|csv] of migrate, fleet and cluster. *)
+let write_table format out table =
+  write_out out (fun out ->
+      match format with
+      | `Csv -> Table.csv out table
+      | `Md -> Table.markdown out table)
 
 (* --- tracing plumbing ------------------------------------------------- *)
 
@@ -284,10 +282,6 @@ let target_conv =
   let parse s = if is_target s then Ok s else Error (`Msg (unknown_target s)) in
   Arg.conv (parse, Format.pp_print_string)
 
-(* A registry experiment's report is discarded under trace and stat: the
-   export is those commands' output. *)
-let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-
 (* Runs [target] (see [is_target]) with the observer on, then [export]s
    what it recorded; [trace] records ring events for a trace export. The
    direct paths build their hypervisor inside one observed cell,
@@ -315,8 +309,9 @@ let observe_target ~trace ~platform ~hyp ?(iterations = 32) ?micro_hypervisor
              counters surface as operation rows. *)
           cell (fun () -> W.Cluster.run_chain ~requests:40 (hypervisor ()))
       | id ->
+          (* The export is the output: the tables are dropped. *)
           Option.iter
-            (fun (e : Report.entry) -> e.run null_ppf)
+            (fun (e : Report.entry) -> ignore (e.tables ()))
             (Report.find id));
       export ();
       warn_dropped ())
@@ -367,7 +362,7 @@ let run_cmd =
       String.concat "+" (List.map (fun (e : Report.entry) -> e.id) entries)
     in
     with_session ~context ~verbose session (fun () ->
-        List.iter (fun (e : Report.entry) -> e.run ppf) entries)
+        List.iter (Report.run ppf) entries)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Regenerate the paper's tables and figures")
@@ -1012,36 +1007,6 @@ let migrate_cmd =
             "Machine-readable output instead of the text report: $(b,md) \
              or $(b,csv), one row per configuration.")
   in
-  let table_rows rows =
-    let header =
-      [
-        "config"; "transport"; "rounds"; "total_us"; "downtime_us";
-        "pages_sent"; "pages_resent"; "final_pages"; "wp_faults"; "converged";
-        "baseline_p99_us"; "worst_round"; "worst_p99_us"; "p99_degradation";
-        "post_p99_us";
-      ]
-    in
-    let cells (name, (r : W.Migration.result)) =
-      [
-        name;
-        r.W.Migration.transport;
-        string_of_int r.W.Migration.precopy_rounds;
-        f1 (r.W.Migration.total_ms *. 1e3);
-        f1 r.W.Migration.downtime_us;
-        string_of_int r.W.Migration.pages_sent;
-        string_of_int r.W.Migration.pages_resent;
-        string_of_int r.W.Migration.final_pages;
-        string_of_int r.W.Migration.wp_faults;
-        string_of_bool r.W.Migration.converged;
-        f2 r.W.Migration.baseline_p99_us;
-        string_of_int r.W.Migration.worst_round;
-        f2 r.W.Migration.worst_p99_us;
-        f3 r.W.Migration.p99_degradation;
-        f2 r.W.Migration.post_p99_us;
-      ]
-    in
-    (header, List.map cells rows)
-  in
   let run platform hyp pages page_kb vcpus hot_pages rate bandwidth rounds
       downtime seed compare detail format out session =
     let plan =
@@ -1073,11 +1038,9 @@ let migrate_cmd =
     in
     match format with
     | None ->
-        Report.pp_migrate ppf results;
-        if detail then Report.pp_migrate_rounds ppf results
-    | Some format ->
-        let header, rows = table_rows results in
-        write_out out (fun out_ppf -> pp_table format out_ppf ~header rows)
+        Table.text ppf (Report.migrate results);
+        if detail then Table.text ppf (Report.migrate_rounds results)
+    | Some format -> write_table format out (Report.migrate_fields results)
   in
   Cmd.v
     (Cmd.info "migrate"
@@ -1143,47 +1106,10 @@ let fleet_cmd =
     | (_ : Fleet.Descriptor.t) -> ()
     | exception Invalid_argument msg -> reject "invalid fleet: %s" msg);
     with_session ~context:"fleet" session @@ fun () ->
-    let header, rows =
-      match scenario with
-      | `Boot ->
-          let results = Experiment.fleet_boot_storm ~vms ~mix () in
-          ( [
-              "config"; "vms"; "window_ms"; "time_to_ready_ms";
-              "mean_boot_ms"; "p99_boot_ms"; "switches"; "peak_live";
-            ],
-            List.map
-              (fun (name, (r : Fleet.Scenario.boot_storm_result)) ->
-                [
-                  name;
-                  string_of_int r.Fleet.Scenario.vms;
-                  f3 r.Fleet.Scenario.window_ms;
-                  f3 r.Fleet.Scenario.time_to_ready_ms;
-                  f3 r.Fleet.Scenario.mean_boot_ms;
-                  f3 r.Fleet.Scenario.p99_boot_ms;
-                  string_of_int r.Fleet.Scenario.switches;
-                  string_of_int r.Fleet.Scenario.peak_live;
-                ])
-              results )
-      | `Churn ->
-          let results = Experiment.fleet_churn ~vms ~mix () in
-          ( [
-              "config"; "initial_vms"; "arrivals"; "admitted"; "retired";
-              "peak_live"; "domid_reuses"; "drain_ms"; "switches";
-            ],
-            List.map
-              (fun (name, (r : Fleet.Scenario.churn_result)) ->
-                [
-                  name;
-                  string_of_int r.Fleet.Scenario.initial_vms;
-                  string_of_int r.Fleet.Scenario.arrivals;
-                  string_of_int r.Fleet.Scenario.admitted;
-                  string_of_int r.Fleet.Scenario.retired;
-                  string_of_int r.Fleet.Scenario.peak_live;
-                  string_of_int r.Fleet.Scenario.domid_reuses;
-                  f3 r.Fleet.Scenario.drain_ms;
-                  string_of_int r.Fleet.Scenario.switches;
-                ])
-              results )
+    write_table format out
+      (match scenario with
+      | `Boot -> Report.fleet_boot_storm (Experiment.fleet_boot_storm ~vms ~mix ())
+      | `Churn -> Report.fleet_churn (Experiment.fleet_churn ~vms ~mix ())
       | `Noisy ->
           (* Powers of two up to --vms, so the table reads as a
              victim-p99-vs-fleet-size curve per model. *)
@@ -1193,26 +1119,7 @@ let fleet_cmd =
             in
             up [] 1
           in
-          let results = Experiment.fleet_noisy ~sizes ~mix () in
-          ( [
-              "config"; "vms"; "pcpu_rivals"; "completed"; "mean_us";
-              "p50_us"; "p99_us"; "switches";
-            ],
-            List.map
-              (fun (name, size, (r : Fleet.Scenario.noisy_result)) ->
-                [
-                  name;
-                  string_of_int size;
-                  string_of_int r.Fleet.Scenario.victim_pcpu_rivals;
-                  string_of_int r.Fleet.Scenario.completed;
-                  f1 r.Fleet.Scenario.mean_us;
-                  f1 r.Fleet.Scenario.p50_us;
-                  f1 r.Fleet.Scenario.p99_us;
-                  string_of_int r.Fleet.Scenario.switches;
-                ])
-              results )
-    in
-    write_out out (fun out_ppf -> pp_table format out_ppf ~header rows)
+          Report.fleet_noisy (Experiment.fleet_noisy ~sizes ~mix ()))
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1312,72 +1219,15 @@ let cluster_cmd =
         reject "--vms must be at least 2 for the matrix scenario"
     | _ -> ());
     with_session ~context:"cluster" session @@ fun () ->
-    let header, rows =
-      match scenario with
+    write_table format out
+      (match scenario with
       | `Matrix ->
           let vms = Option.value vms ~default:4 in
-          let results = Experiment.cluster_matrix ~vms ~spec () in
-          ( [ "config"; "topology"; "src"; "dst"; "xhost"; "gbps" ],
-            List.concat_map
-              (fun (name, (r : W.Cluster.matrix_result)) ->
-                List.map
-                  (fun (p : W.Cluster.pair_result) ->
-                    [
-                      name;
-                      r.W.Cluster.topology;
-                      string_of_int p.W.Cluster.src;
-                      string_of_int p.W.Cluster.dst;
-                      (if p.W.Cluster.cross_host then "y" else "n");
-                      f2 p.W.Cluster.gbps;
-                    ])
-                  r.W.Cluster.pairs)
-              results )
-      | `Chain ->
-          let results = Experiment.cluster_chain ~spec () in
-          let hop_names =
-            match results with
-            | (_, r) :: _ -> List.map fst r.W.Cluster.hops
-            | [] -> []
-          in
-          ( [ "config"; "topology" ] @ hop_names
-            @ [ "mean_us"; "p99_us"; "xhost" ],
-            List.map
-              (fun (name, (r : W.Cluster.chain_result)) ->
-                [ name; r.W.Cluster.chain_topology ]
-                @ List.map (fun (_, us) -> f3 us) r.W.Cluster.hops
-                @ [
-                    f3 r.W.Cluster.mean_total_us;
-                    f3 r.W.Cluster.p99_total_us;
-                    (if r.W.Cluster.backend_cross_host then "y" else "n");
-                  ])
-              results )
+          Report.cluster_matrix (Experiment.cluster_matrix ~vms ~spec ())
+      | `Chain -> Report.cluster_chain (Experiment.cluster_chain ~spec ())
       | `Loadgen ->
           let vms = Option.value vms ~default:16 in
-          let results = Experiment.cluster_loadgen ~vms ~spec ~loads () in
-          ( [
-              "config"; "backends"; "offered"; "offered_rps"; "completed";
-              "mean_us"; "p50_us"; "p95_us"; "p99_us"; "throughput_rps";
-            ],
-            List.concat_map
-              (fun (name, (r : W.Cluster.loadgen_result)) ->
-                List.map
-                  (fun (p : W.Cluster.load_point) ->
-                    [
-                      name;
-                      string_of_int r.W.Cluster.backends;
-                      f2 p.W.Cluster.offered;
-                      f0 p.W.Cluster.offered_rps;
-                      string_of_int p.W.Cluster.completed;
-                      f1 p.W.Cluster.mean_us;
-                      f1 p.W.Cluster.p50_us;
-                      f1 p.W.Cluster.p95_us;
-                      f1 p.W.Cluster.p99_us;
-                      f0 p.W.Cluster.throughput_rps;
-                    ])
-                  r.W.Cluster.points)
-              results )
-    in
-    write_out out (fun out_ppf -> pp_table format out_ppf ~header rows)
+          Report.cluster_loadgen (Experiment.cluster_loadgen ~vms ~spec ~loads ()))
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1402,7 +1252,7 @@ let report_cmd =
           ~doc:"Write the markdown report to $(docv) instead of stdout.")
   in
   let run output =
-    let report = Armvirt_core.Markdown.full_report () in
+    let report = Report.markdown () in
     write_out
       (Option.value output ~default:"-")
       ~detail:(Printf.sprintf " (%d bytes)" (String.length report))

@@ -7,6 +7,7 @@
 module Platform = Armvirt_core.Platform
 module Experiment = Armvirt_core.Experiment
 module Report = Armvirt_core.Report
+module Table = Armvirt_obs.Table
 module Isolation = Armvirt_workloads.Isolation
 
 let section title =
@@ -49,7 +50,7 @@ let () =
      (Armvirt_net.Packet). The intervals below are means over 400\n\
      transactions:";
   print_newline ();
-  Report.pp_table5 Format.std_formatter (Experiment.table5 ());
+  Table.text Format.std_formatter (Report.table5 (Experiment.table5 ()));
 
   section "4. Self-checks: two implementations must agree";
   print_endline
@@ -58,7 +59,8 @@ let () =
      grant tables, event channels and vGIC as cooperating simulation\n\
      processes. If the two disagree, a model is wrong:";
   print_newline ();
-  Report.pp_structural Format.std_formatter (Experiment.structural ());
+  Table.text Format.std_formatter
+    (Report.structural (Experiment.structural ()));
   print_newline ();
   print_endline
     "All of this reruns from `dune runtest` — the claims of DESIGN.md\n\

@@ -15,7 +15,6 @@ type t = {
   virq_complete : Machine.op;
   virq_guest_dispatch : Machine.op;
   tlb_broadcast : Machine.op;
-  tlb_local : Machine.op;
   page_map : Machine.op;
   copy_bytes : Machine.op;
 }
@@ -47,7 +46,6 @@ let create machine =
         virq_complete = op "arm.virq_complete";
         virq_guest_dispatch = op "arm.virq_guest_dispatch";
         tlb_broadcast = op "arm.tlb_broadcast";
-        tlb_local = op "arm.tlb_local";
         page_map = op "arm.page_map";
         copy_bytes = op "arm.copy_bytes";
       }
@@ -99,9 +97,6 @@ let ipi_wire_latency t = Cycles.of_int t.hw.Cost_model.phys_ipi_wire
 
 let tlb_invalidate_broadcast t =
   Machine.spend t.tlb_broadcast t.hw.Cost_model.tlb_broadcast_invalidate
-
-let tlb_invalidate_local t =
-  Machine.spend t.tlb_local t.hw.Cost_model.tlb_local_invalidate
 
 let page_map t = Machine.spend t.page_map t.hw.Cost_model.page_map_cost
 

@@ -73,7 +73,6 @@ val ipi_wire_latency : t -> Armvirt_engine.Cycles.t
 (** {1 Memory} *)
 
 val tlb_invalidate_broadcast : t -> unit
-val tlb_invalidate_local : t -> unit
 val page_map : t -> unit
 val copy_bytes : t -> int -> unit
 (** Kernel memcpy of [n] bytes. *)

@@ -129,7 +129,6 @@ let x86_default =
   }
 
 let freq_ghz = function Arm a -> a.freq_ghz | X86 x -> x.freq_ghz
-let arch_name = function Arm _ -> "ARM" | X86 _ -> "x86"
 
 let arm_save arm classes =
   List.fold_left (fun acc cls -> acc + (arm.reg cls).save) 0 classes

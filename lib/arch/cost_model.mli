@@ -117,7 +117,6 @@ val x86_default : x86
 (** The r320 model. *)
 
 val freq_ghz : t -> float
-val arch_name : t -> string
 
 (** {1 Copy-with-override}
 

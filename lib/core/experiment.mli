@@ -2,10 +2,10 @@
     evaluation, plus the ablations its text reports.
 
     Every function builds fresh simulated machines, runs the relevant
-    workloads and returns structured results; {!Report} renders them next
-    to {!Paper_data}, and {!Report.registry} maps each artifact id
-    (the ids DESIGN.md's per-experiment index lists) to its computation
-    and printer. *)
+    workloads and returns structured results, never text; {!Report}
+    builds each artifact's tables from them, next to {!Paper_data}, and
+    {!Report.registry} maps each artifact id (the ids DESIGN.md's
+    per-experiment index lists) to its computation and tables. *)
 
 type quad_f = {
   q_kvm_arm : float option;

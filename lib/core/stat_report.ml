@@ -6,6 +6,7 @@ module Arm_ops = Armvirt_arch.Arm_ops
 module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
 module Accounting = Armvirt_obs.Accounting
+module Table = Armvirt_obs.Table
 module H = Armvirt_hypervisor
 
 let of_session () =
@@ -321,14 +322,26 @@ let crosscheck ?(iterations = 8) () =
 
 let pp_checks ppf checks =
   let ok, bad = List.partition check_ok checks in
-  let line c =
-    Format.fprintf ppf "%-6s %-14s %-40s %12.1f %12.1f (tol %.0f%%)@\n"
-      (if check_ok c then "ok" else "FAIL")
-      c.model c.name c.measured c.expected c.tolerance_pct
+  let row c =
+    [
+      (if check_ok c then "ok" else "FAIL");
+      c.model;
+      c.name;
+      Printf.sprintf "%.1f" c.measured;
+      (* The tolerance follows the expected value, past its column. *)
+      Printf.sprintf "%12.1f (tol %.0f%%)" c.expected c.tolerance_pct;
+    ]
   in
-  Format.fprintf ppf "%-6s %-14s %-40s %12s %12s@\n" "" "model" "check"
-    "measured" "expected";
-  List.iter line ok;
-  List.iter line bad;
-  Format.fprintf ppf "%d/%d checks within tolerance@\n" (List.length ok)
-    (List.length checks)
+  Table.text ppf
+    (Table.v
+       ~notes:
+         [
+           Printf.sprintf "%d/%d checks within tolerance" (List.length ok)
+             (List.length checks);
+         ]
+       Table.
+         [
+           left 6 ""; left 14 "model"; left 40 "check"; right 12 "measured";
+           right 12 "expected";
+         ]
+       (List.map row (ok @ bad)))

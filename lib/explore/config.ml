@@ -3,6 +3,7 @@ module Reg_class = Armvirt_arch.Reg_class
 module H = Armvirt_hypervisor
 module Platform = Armvirt_core.Platform
 module Plan = Armvirt_migrate.Plan
+module Topology = Armvirt_vswitch.Topology
 
 type hyp_choice = Kvm | Xen | Native
 
@@ -60,13 +61,11 @@ let hyp_choice_of_string = function
       invalid_arg
         (Printf.sprintf "Config: unknown hypervisor %S (kvm|xen|native)" s)
 
-let hyp_choice_to_string = function
-  | Kvm -> "kvm"
-  | Xen -> "xen"
-  | Native -> "native"
-
-(* Every integer cost knob is a cycle count, rejected below 0. *)
-let cost what = what ^ " (cycles >= 0)"
+(* Every integer cost knob is a cycle count in 0..max_cost: a negative
+   cost would run simulated time backwards, and 10^9 cycles a step keeps
+   the longest objective far from overflowing it. *)
+let max_cost = 1_000_000_000
+let cost what = Printf.sprintf "%s (cycles, 0..%d)" what max_cost
 
 let knobs =
   [
@@ -101,13 +100,19 @@ let knobs =
                      memory is held constant)");
     ("mig.max_rounds", "pre-copy round cap before forced stop-and-copy");
     ("mig.downtime_us", "downtime SLO driving pre-copy convergence (float)");
-    ("fleet.vms", "guests consolidated on the host for the fleet-* \
-                   objectives (int)");
+    ( "fleet.vms",
+      Printf.sprintf
+        "guests consolidated on the host for the fleet-* objectives (int, \
+         1..%d)"
+        Armvirt_fleet.Descriptor.max_vms );
     ("fleet.vcpus", "VCPUs per fleet guest (int; 2 at 8 PCPUs is 4x \
                      overcommit at 16 VMs)");
     ("fleet.timeslice_ms", "credit-scheduler timeslice in ms (float)");
-    ("cluster.vms", "VMs on the two-host cluster topology for the \
-                     cluster-* objectives (int, >= 2)");
+    ( "cluster.vms",
+      Printf.sprintf
+        "VMs on the two-host cluster topology for the cluster-* objectives \
+         (int, 2..%d)"
+        Topology.max_vms );
     ("cluster.load", "offered load as a fraction of the backend pool's \
                       aggregate native capacity (float)");
     ("net.queue", "virtual-switch per-port egress queue capacity in \
@@ -137,10 +142,11 @@ let as_bool name = function
         (Printf.sprintf "Config: %s wants a bool, got %s" name
            (Space.value_to_string v))
 
-(* A negative cycle cost would run simulated time backwards. *)
 let as_cost name v =
   let n = as_int name v in
-  if n < 0 then invalid_arg (Printf.sprintf "Config: %s < 0" name);
+  if n < 0 || n > max_cost then
+    invalid_arg
+      (Printf.sprintf "Config: %s outside 0..%d cycles" name max_cost);
   n
 
 let vgic_costs arm = arm.Cost_model.reg Reg_class.Vgic
@@ -223,7 +229,10 @@ let apply t name v =
       mig (fun m -> { m with Plan.downtime_target_us = as_float name v })
   | "fleet.vms" ->
       let n = as_int name v in
-      if n < 1 then invalid_arg "Config: fleet.vms < 1";
+      if n < 1 || n > Armvirt_fleet.Descriptor.max_vms then
+        invalid_arg
+          (Printf.sprintf "Config: fleet.vms outside 1..%d"
+             Armvirt_fleet.Descriptor.max_vms);
       { t with fleet = { t.fleet with fleet_vms = n } }
   | "fleet.vcpus" ->
       let n = as_int name v in
@@ -235,7 +244,9 @@ let apply t name v =
       { t with fleet = { t.fleet with fleet_timeslice_ms = ms } }
   | "cluster.vms" ->
       let n = as_int name v in
-      if n < 2 then invalid_arg "Config: cluster.vms < 2";
+      if n < 2 || n > Topology.max_vms then
+        invalid_arg
+          (Printf.sprintf "Config: cluster.vms outside 2..%d" Topology.max_vms);
       { t with cluster = { t.cluster with cluster_vms = n } }
   | "cluster.load" ->
       let l = as_float name v in

@@ -58,4 +58,3 @@ val hypervisor : t -> Armvirt_hypervisor.Hypervisor.t
     [vhost = false] quadruples the per-packet backend cost. *)
 
 val hyp_choice_of_string : string -> hyp_choice
-val hyp_choice_to_string : hyp_choice -> string

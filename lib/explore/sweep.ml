@@ -1,5 +1,5 @@
 module Runner = Armvirt_core.Runner
-module Report = Armvirt_core.Report
+module Table = Armvirt_obs.Table
 
 type t = {
   space : Space.t;
@@ -40,27 +40,29 @@ let run ?jobs ?(seed = 42) ~base ~sampler ~objectives space =
 
 let fmt_float x = Printf.sprintf "%.6g" x
 
-let header t =
-  List.map (fun (a : Space.axis) -> a.Space.name) t.space
-  @ List.map
-      (fun (o : Objective.t) ->
-        Printf.sprintf "%s_%s" o.Objective.name o.Objective.unit_)
-      t.objectives
-  @ [ "pareto" ]
+(* One row per point: axis levels, objective values, Pareto flag. *)
+let table ?(keep = fun _ _ -> true) t =
+  Table.v
+    (Table.heads
+       (List.map (fun (a : Space.axis) -> a.Space.name) t.space
+       @ List.map
+           (fun (o : Objective.t) ->
+             Printf.sprintf "%s_%s" o.Objective.name o.Objective.unit_)
+           t.objectives
+       @ [ "pareto" ]))
+    (List.filteri keep
+       (List.mapi
+          (fun i (point, row) ->
+            List.map (fun (_, v) -> Space.value_to_string v) point
+            @ List.map fmt_float (Array.to_list row)
+            @ [ (if List.mem i t.pareto then "1" else "0") ])
+          (List.combine t.points t.values)))
 
-let rows t =
-  List.mapi
-    (fun i (point, row) ->
-      List.map (fun (_, v) -> Space.value_to_string v) point
-      @ List.map fmt_float (Array.to_list row)
-      @ [ (if List.mem i t.pareto then "1" else "0") ])
-    (List.combine t.points t.values)
+let pp_csv ppf t = Table.csv ppf (table t)
 
-let pp_csv ppf t = Report.pp_csv_table ppf ~header:(header t) (rows t)
-
-let pp_sensitivity_md ppf rankings =
-  Report.pp_markdown_table ppf
-    ~header:[ "axis"; "lo"; "hi"; "span"; "span %" ]
+let sensitivity rankings =
+  Table.v
+    (Table.heads [ "axis"; "lo"; "hi"; "span"; "span %" ])
     (List.map
        (fun (r : Sensitivity.ranking) ->
          [
@@ -86,19 +88,17 @@ let pp_markdown ppf t =
               | Objective.Min -> "min"
               | Objective.Max -> "max"))
           t.objectives));
-  Report.pp_markdown_table ppf ~header:(header t) (rows t);
+  Table.markdown ppf (table t);
   Format.fprintf ppf "@.### Pareto frontier (%d of %d points)@.@."
     (List.length t.pareto) (List.length t.points);
-  let all_rows = rows t in
-  Report.pp_markdown_table ppf ~header:(header t)
-    (List.filteri (fun i _ -> List.mem i t.pareto) all_rows);
+  Table.markdown ppf (table ~keep:(fun i _ -> List.mem i t.pareto) t);
   match t.sensitivity with
   | None -> ()
   | Some rankings ->
       Format.fprintf ppf
         "@.### Sensitivity ranking (objective `%s`)@.@."
         (List.hd t.objectives).Objective.name;
-      pp_sensitivity_md ppf rankings
+      Table.markdown ppf (sensitivity rankings)
 
 let to_csv t = Format.asprintf "%a" pp_csv t
 let to_markdown t = Format.asprintf "%a" pp_markdown t

@@ -37,7 +37,6 @@ let check_cpu t cpu =
 
 let enable t irq = (config t irq).enabled <- true
 let disable t irq = (config t irq).enabled <- false
-let is_enabled t irq = (config t irq).enabled
 
 let set_priority t irq p =
   if p < 0 || p > 255 then invalid_arg "Distributor.set_priority: 0-255";
@@ -126,11 +125,3 @@ let pending_count t ~cpu =
     (fun (_, c) st acc ->
       if c = cpu && (st = Pending || st = Active_pending) then acc + 1 else acc)
     t.state 0
-
-let pp_state ppf st =
-  Format.pp_print_string ppf
-    (match st with
-    | Inactive -> "inactive"
-    | Pending -> "pending"
-    | Active -> "active"
-    | Active_pending -> "active+pending")

@@ -20,7 +20,6 @@ val num_cpus : t -> int
 
 val enable : t -> Irq.t -> unit
 val disable : t -> Irq.t -> unit
-val is_enabled : t -> Irq.t -> bool
 
 val set_priority : t -> Irq.t -> int -> unit
 (** 0 is highest. Raises [Invalid_argument] outside 0–255. *)
@@ -52,4 +51,3 @@ val end_of_interrupt : t -> Irq.t -> cpu:int -> unit
     simulation to say so loudly. *)
 
 val pending_count : t -> cpu:int -> int
-val pp_state : Format.formatter -> irq_state -> unit

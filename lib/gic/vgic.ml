@@ -73,5 +73,3 @@ let active t =
   List.filter_map
     (fun lr -> if lr.state = Lr_active then Some lr.irq else None)
     t.lrs
-
-let state_of t irq = Option.map (fun lr -> lr.state) (find t irq)

@@ -55,5 +55,3 @@ val pending : t -> Irq.t list
 val active : t -> Irq.t list
 val resident : t -> int
 (** Number of occupied list registers. *)
-
-val state_of : t -> Irq.t -> lr_state option

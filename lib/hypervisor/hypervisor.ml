@@ -48,9 +48,6 @@ type t = {
   guest : Armvirt_guest.Kernel_costs.t;
 }
 
-let kind_to_string = function Type1 -> "Type 1" | Type2 -> "Type 2"
-let arch_to_string = function Arm -> "ARM" | X86 -> "x86"
-
 let remote_completion machine ~name ~wire path =
   let finished = Sim.Signal.create (Machine.sim machine) in
   Sim.spawn_here ~name (fun () ->

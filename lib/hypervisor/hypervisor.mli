@@ -64,9 +64,6 @@ type t = {
   guest : Armvirt_guest.Kernel_costs.t;
 }
 
-val kind_to_string : kind -> string
-val arch_to_string : arch -> string
-
 val remote_completion :
   Armvirt_arch.Machine.t ->
   name:string ->

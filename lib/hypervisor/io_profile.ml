@@ -48,9 +48,6 @@ let total_tx_packet_cost t ~bytes =
   t.backend_cpu_per_packet + t.tx_grant_per_packet
   + copy_cycles t.tx_copy_per_byte bytes
 
-let vm_to_vm_packet_cost t ~bytes =
-  total_tx_packet_cost t ~bytes + total_rx_packet_cost t ~bytes
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>notify latency        %6d@,kick guest cpu        %6d@,\

@@ -64,12 +64,4 @@ val total_rx_packet_cost : t -> bytes:int -> int
 
 val total_tx_packet_cost : t -> bytes:int -> int
 
-val vm_to_vm_packet_cost : t -> bytes:int -> int
-(** Host-side cycles to carry one packet from a sending VM into a
-    receiving VM through a host switch: the transmit backend path out of
-    the source plus the receive backend path into the destination. Under
-    a zero-copy vhost both halves are per-packet constants; under Xen's
-    Dom0 copying backend both halves scale with [bytes] — the section V
-    contrast the {!Armvirt_vswitch} port profiles build on. *)
-
 val pp : Format.formatter -> t -> unit

@@ -28,7 +28,6 @@ let send t port = (find t port).pending <- true
 let pending t port = (find t port).pending
 let mask t port = (find t port).masked <- true
 let unmask t port = (find t port).masked <- false
-let is_masked t port = (find t port).masked
 
 let consume t port =
   let c = find t port in

@@ -30,8 +30,6 @@ val mask : t -> port -> unit
 val unmask : t -> port -> unit
 (** An unmask with the pending bit set redelivers — drivers rely on it. *)
 
-val is_masked : t -> port -> bool
-
 val consume : t -> port -> bool
 (** The target domain's upcall handler clears and handles the event.
     Returns whether the port was pending and unmasked (i.e. whether there

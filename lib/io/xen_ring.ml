@@ -63,5 +63,3 @@ let frontend_reap t =
       t.frontend_live <- true;
       Some rsp
   | None -> None
-
-let frontend_park t = t.frontend_live <- false

@@ -41,6 +41,5 @@ val backend_respond : t -> response -> unit
 
 val backend_notify_needed : t -> bool
 val frontend_reap : t -> response option
-val frontend_park : t -> unit
 
 val outstanding : t -> int

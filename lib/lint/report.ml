@@ -1,4 +1,4 @@
-module Export = Armvirt_obs.Export
+module Table = Armvirt_obs.Table
 module Json = Armvirt_obs.Json
 
 type format = Text | Csv | Json
@@ -96,18 +96,19 @@ let render_text t =
   Buffer.contents buf
 
 let render_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "file,line,col,rule,severity,status,message\n";
-  List.iter
-    (fun ((f : Engine.finding), status) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%s,%s,%s,%s\n"
-           (Export.escape_csv f.file) f.line f.col (Rules.to_string f.rule)
-           (Rules.severity_to_string (Rules.severity f.rule))
-           (status_to_string status)
-           (Export.escape_csv f.message)))
-    t.findings;
-  Buffer.contents buf
+  Format.asprintf "%a" Table.csv
+    (Table.v
+       (Table.heads
+          [ "file"; "line"; "col"; "rule"; "severity"; "status"; "message" ])
+       (List.map
+          (fun ((f : Engine.finding), status) ->
+            [
+              f.file; string_of_int f.line; string_of_int f.col;
+              Rules.to_string f.rule;
+              Rules.severity_to_string (Rules.severity f.rule);
+              status_to_string status; f.message;
+            ])
+          t.findings))
 
 (* Schema v2 (stable; consumed by CI artifacts and external tooling):
    { "version": 2, "root": str, "files_scanned": int, "suppressed": int,

@@ -21,8 +21,5 @@ let ipa_offset a = a mod page_size
 let ipa_of_page pfn = check "ipa_of_page" pfn * page_size
 let pa_of_page pfn = check "pa_of_page" pfn * page_size
 let pa_add a n = check "pa_add" (a + n)
-let equal_ipa = Int.equal
 let equal_pa = Int.equal
 let pp_ipa ppf a = Format.fprintf ppf "IPA:0x%x" a
-let pp_pa ppf a = Format.fprintf ppf "PA:0x%x" a
-let pp_va ppf a = Format.fprintf ppf "VA:0x%x" a

@@ -34,8 +34,5 @@ val pa_of_page : int -> pa
 
 val pa_add : pa -> int -> pa
 
-val equal_ipa : ipa -> ipa -> bool
 val equal_pa : pa -> pa -> bool
 val pp_ipa : Format.formatter -> ipa -> unit
-val pp_pa : Format.formatter -> pa -> unit
-val pp_va : Format.formatter -> va -> unit

@@ -78,33 +78,47 @@ let lane_of_label label =
     Guest
   else Hypervisor
 
-(* Exit latency: exits wait on (hyp, pcpu) for the next entry. *)
+(* Exit latency: exits wait on (hyp, pcpu) for the next entry. Each
+   (hyp, pcpu) has one slot, so a marker costs one lookup. *)
 
-type pairing = {
-  pending : (string * int, Marker.reason * int) Hashtbl.t;
-  latencies : (string * Marker.reason * int, hist_acc) Hashtbl.t;
+type slot = {
+  mutable since : int;  (* the pending exit's time; -1 when none is *)
+  mutable reason : Marker.reason;  (* the pending exit's reason *)
+  mutable hists : (Marker.reason * hist_acc) list;
 }
 
-let pairing () = { pending = Hashtbl.create 8; latencies = Hashtbl.create 16 }
+type pairing = (string * int, slot) Hashtbl.t
+
+let pairing () = Hashtbl.create 8
+
+let slot p hyp pcpu =
+  match Hashtbl.find_opt p (hyp, pcpu) with
+  | Some s -> s
+  | None ->
+      let s = { since = -1; reason = Marker.Hvc; hists = [] } in
+      Hashtbl.add p (hyp, pcpu) s;
+      s
 
 let pair p (m : Marker.t) ~ts =
   match m with
-  | Exit { hyp; reason; pcpu } -> Hashtbl.replace p.pending (hyp, pcpu) (reason, ts)
-  | Entry { hyp; pcpu; _ } -> (
-      match Hashtbl.find_opt p.pending (hyp, pcpu) with
-      | None -> ()
-      | Some (reason, ts0) ->
-          Hashtbl.remove p.pending (hyp, pcpu);
-          let key = (hyp, reason, pcpu) in
-          let acc =
-            match Hashtbl.find_opt p.latencies key with
-            | Some acc -> acc
-            | None ->
-                let acc = hist_acc () in
-                Hashtbl.add p.latencies key acc;
-                acc
-          in
-          hist_add acc (ts - ts0))
+  | Exit { hyp; reason; pcpu } ->
+      let s = slot p hyp pcpu in
+      s.since <- ts;
+      s.reason <- reason
+  | Entry { hyp; pcpu; _ } ->
+      let s = slot p hyp pcpu in
+      if s.since >= 0 then begin
+        let acc =
+          match List.assq_opt s.reason s.hists with
+          | Some acc -> acc
+          | None ->
+              let acc = hist_acc () in
+              s.hists <- (s.reason, acc) :: s.hists;
+              acc
+        in
+        hist_add acc (ts - s.since);
+        s.since <- -1
+      end
   | Op _ | Port _ | Flood _ | Uplink _ -> ()
 
 (* Rows. *)
@@ -144,7 +158,10 @@ let exit_rows pairing hyp exits =
       (fun s (r', p', n) -> if r' = r && p' = p then s + n else s)
       0 exits
   in
-  let acc_of r p = Hashtbl.find_opt pairing.latencies (hyp, r, p) in
+  let acc_of r p =
+    Option.bind (Hashtbl.find_opt pairing (hyp, p)) (fun s ->
+        List.assq_opt r s.hists)
+  in
   let hist_for r p =
     hist_finish (Option.value (acc_of r p) ~default:(hist_acc ()))
   in

@@ -71,11 +71,6 @@ let chrome ppf processes =
     processes;
   Format.fprintf ppf "@.],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles (1 exported us = 1 cycle)\"}}@."
 
-let escape_csv s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 let csv ppf processes =
   Format.fprintf ppf "pid,process,tid,track,ts,dur,cat,name,value@.";
   List.iter
@@ -90,11 +85,11 @@ let csv ppf processes =
             | Span.Value v -> ("", string_of_int v)
           in
           Format.fprintf ppf "%d,%s,%d,%s,%d,%s,%s,%s,%s@." p.pid
-            (escape_csv p.name)
+            (Table.csv_field p.name)
             (List.assoc e.Span.track tids)
-            (escape_csv e.Span.track) e.Span.ts dur
+            (Table.csv_field e.Span.track) e.Span.ts dur
             (Span.category_to_string e.Span.cat)
-            (escape_csv e.Span.name) value)
+            (Table.csv_field e.Span.name) value)
         (ordered p.events))
     processes
 

@@ -24,14 +24,9 @@ val chrome : Format.formatter -> process list -> unit
 
 val csv : Format.formatter -> process list -> unit
 (** One row per event:
-    [pid,process,tid,track,ts,dur,cat,name,value]. *)
-
-val escape_csv : string -> string
-(** One RFC 4180 CSV field, the escaper every CSV emitter in [lib/]
-    shares: a field containing a comma, quote, LF or CR is quoted, with
-    embedded quotes doubled. CR matters: a field with an embedded
-    ["\r\n"] written unquoted splits the row on Windows-style
-    readers. *)
+    [pid,process,tid,track,ts,dur,cat,name,value], written as it is
+    ordered rather than built as a {!Table.t}; fields are quoted by
+    {!Table.csv_field}. *)
 
 val summary : Format.formatter -> process list -> unit
 (** Cycles per {!Span.category} across all processes, each broken down

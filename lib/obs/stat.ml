@@ -88,52 +88,56 @@ let render_text ?(opts = default_options) ~context ppf (t : Accounting.t) =
 (* --- csv ------------------------------------------------------------- *)
 
 let render_csv ?(opts = default_options) ~context:_ ppf (t : Accounting.t) =
-  Format.fprintf ppf
-    "kind,cell,machine,hyp,pcpu,name,count,lat_count,lat_sum,lat_min,lat_max@.";
   let row kind (v : Accounting.vm_stats) ~pcpu ~name ~count
       (hist : Accounting.hist option) =
-    let h_cells =
-      match hist with
-      | None -> ",,,"
-      | Some h ->
-          Printf.sprintf "%d,%d,%d,%d" h.Accounting.count h.Accounting.sum
-            h.Accounting.min h.Accounting.max
-    in
-    Format.fprintf ppf "%s,%s,%s,%s,%s,%s,%d,%s@." kind
-      (Export.escape_csv v.Accounting.cell)
-      (Export.escape_csv v.Accounting.machine)
-      (Export.escape_csv v.Accounting.hyp)
-      pcpu (Export.escape_csv name) count h_cells
+    [ kind; v.Accounting.cell; v.Accounting.machine; v.Accounting.hyp; pcpu;
+      name; string_of_int count ]
+    @
+    match hist with
+    | None -> [ ""; ""; ""; "" ]
+    | Some h ->
+        List.map string_of_int
+          [ h.Accounting.count; h.Accounting.sum; h.Accounting.min;
+            h.Accounting.max ]
   in
-  List.iter
-    (fun (v : Accounting.vm_stats) ->
-      List.iter
-        (fun (reason, count, hist) ->
-          row "exit" v ~pcpu:"all" ~name:reason ~count (Some hist))
-        (take opts.top v.Accounting.exits);
-      if opts.per_vcpu then
-        List.iter
-          (fun (pcpu, rows) ->
-            List.iter
-              (fun (reason, count, hist) ->
-                row "exit" v ~pcpu:(string_of_int pcpu) ~name:reason ~count
-                  (Some hist))
-              (take opts.top rows))
-          v.Accounting.exits_per_pcpu;
-      if opts.per_domain then
-        List.iter
-          (fun (d, n) ->
-            row "entry" v ~pcpu:"all" ~name:(Printf.sprintf "d%d" d) ~count:n
-              None)
-          v.Accounting.entries_per_domain;
-      List.iter
+  let vm (v : Accounting.vm_stats) =
+    List.map
+      (fun (reason, count, hist) ->
+        row "exit" v ~pcpu:"all" ~name:reason ~count (Some hist))
+      (take opts.top v.Accounting.exits)
+    @ (if opts.per_vcpu then
+         List.concat_map
+           (fun (pcpu, rows) ->
+             List.map
+               (fun (reason, count, hist) ->
+                 row "exit" v ~pcpu:(string_of_int pcpu) ~name:reason ~count
+                   (Some hist))
+               (take opts.top rows))
+           v.Accounting.exits_per_pcpu
+       else [])
+    @ (if opts.per_domain then
+         List.map
+           (fun (d, n) ->
+             row "entry" v ~pcpu:"all" ~name:(Printf.sprintf "d%d" d) ~count:n
+               None)
+           v.Accounting.entries_per_domain
+       else [])
+    @ List.map
         (fun (op, n) -> row "op" v ~pcpu:"all" ~name:op ~count:n None)
-        v.Accounting.ops;
-      row "attribution" v ~pcpu:"all" ~name:"guest"
-        ~count:v.Accounting.guest_cycles None;
-      row "attribution" v ~pcpu:"all" ~name:"hypervisor"
-        ~count:v.Accounting.hyp_cycles None)
-    t.Accounting.vms
+        v.Accounting.ops
+    @ [
+        row "attribution" v ~pcpu:"all" ~name:"guest"
+          ~count:v.Accounting.guest_cycles None;
+        row "attribution" v ~pcpu:"all" ~name:"hypervisor"
+          ~count:v.Accounting.hyp_cycles None;
+      ]
+  in
+  Table.csv ppf
+    (Table.v
+       (Table.heads
+          [ "kind"; "cell"; "machine"; "hyp"; "pcpu"; "name"; "count";
+            "lat_count"; "lat_sum"; "lat_min"; "lat_max" ])
+       (List.concat_map vm t.Accounting.vms))
 
 (* --- json ------------------------------------------------------------ *)
 

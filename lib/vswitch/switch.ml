@@ -24,8 +24,6 @@ type dest = Local of int | Via_uplink of int
 type uplink = {
   up_id : int;
   up_link : Link.t;
-  mutable up_tx : int;
-  mutable up_rx : int;
   up_tx_mark : Machine.marker;
   up_rx_mark : Machine.marker;
   (* Set by [connect]: runs the peer switch's ingress after the wire
@@ -65,7 +63,6 @@ let create ?(queue_capacity = 64) ?(learning = true) ~name machine profile =
 
 let name t = t.name
 let profile t = t.profile
-let num_ports t = List.length t.ports
 let find_port t id =
   match List.find_opt (fun p -> p.port_id = id) t.ports with
   | Some p -> p
@@ -133,7 +130,6 @@ let egress t p ~lead ~src ~dst pkt =
   end
 
 let uplink_send u ~src ~dst pkt =
-  u.up_tx <- u.up_tx + 1;
   Machine.count u.up_tx_mark;
   (* Trunk ports tag the frame: +4 bytes of 802.1Q on the wire. *)
   Packet.set_framing pkt (Packet.framing_bytes pkt + Packet.vlan_tag_bytes);
@@ -217,8 +213,6 @@ let add_uplink t link =
     {
       up_id;
       up_link = link;
-      up_tx = 0;
-      up_rx = 0;
       up_tx_mark =
         Machine.marker t.machine (Marker.uplink ~switch:t.name ~uplink:up_id Tx);
       up_rx_mark =
@@ -235,13 +229,11 @@ let connect a b ~a_to_b ~b_to_a =
   ua.up_deliver <-
     (fun ~src ~dst pkt ->
       Packet.set_framing pkt (Packet.framing_bytes pkt - Packet.vlan_tag_bytes);
-      ub.up_rx <- ub.up_rx + 1;
       Machine.count ub.up_rx_mark;
       forward b ~ingress:(From_uplink ub.up_id) ~src ~dst pkt);
   ub.up_deliver <-
     (fun ~src ~dst pkt ->
       Packet.set_framing pkt (Packet.framing_bytes pkt - Packet.vlan_tag_bytes);
-      ua.up_rx <- ua.up_rx + 1;
       Machine.count ua.up_rx_mark;
       forward a ~ingress:(From_uplink ua.up_id) ~src ~dst pkt)
 
@@ -276,6 +268,3 @@ let mac_table t =
 (* lint: sorted — listing is ordered by MAC before it escapes *)
 
 let uplink_links t = List.rev_map (fun u -> u.up_link) t.uplinks
-
-let uplink_stats t =
-  List.rev_map (fun u -> (u.up_id, u.up_tx, u.up_rx)) t.uplinks

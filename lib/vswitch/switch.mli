@@ -35,7 +35,6 @@ val create :
 
 val name : t -> string
 val profile : t -> Port_profile.t
-val num_ports : t -> int
 
 val attach :
   t ->
@@ -88,6 +87,3 @@ val mac_table : t -> (int * dest) list
 
 val uplink_links : t -> Armvirt_net.Link.t list
 (** Outbound wires in connect order (for {!Armvirt_net.Link.utilization}). *)
-
-val uplink_stats : t -> (int * int * int) list
-(** [(uplink, tx_frames, rx_frames)] in connect order. *)

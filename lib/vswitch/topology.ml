@@ -100,11 +100,9 @@ let build ?(queue_capacity = 64) ?(uplink_gbps = 10.0) ~vms (hyp : Hypervisor.t)
 let spec t = t.spec
 let hyp t = t.hyp
 let hosts t = Array.length t.switches
-let num_vms t = Array.length t.vms
 let switch t h = t.switches.(h)
 let spine t = t.spine
 
-let vm_host t i = t.vms.(i).host
 let same_host t a b = t.vms.(a).host = t.vms.(b).host
 
 let set_handler t ~vm deliver =

@@ -39,14 +39,12 @@ val build :
 val spec : t -> spec
 val hyp : t -> Armvirt_hypervisor.Hypervisor.t
 val hosts : t -> int
-val num_vms : t -> int
 
 val switch : t -> int -> Switch.t
 (** The host's switch (for attaching extra ports, e.g. a load
     generator's client port). *)
 
 val spine : t -> Switch.t option
-val vm_host : t -> int -> int
 val same_host : t -> int -> int -> bool
 
 val set_handler :

@@ -6,7 +6,6 @@ module Sim = Armvirt_engine.Sim
 module Counter = Armvirt_stats.Counter
 module Reg_class = Armvirt_arch.Reg_class
 module Cost_model = Armvirt_arch.Cost_model
-module Exception_level = Armvirt_arch.Exception_level
 module Machine = Armvirt_arch.Machine
 module Arm_ops = Armvirt_arch.Arm_ops
 module X86_ops = Armvirt_arch.X86_ops
@@ -40,21 +39,6 @@ let test_reg_class_sets () =
   Alcotest.(check bool) "vm-to-vm excludes EL2 classes" true
     (not (List.mem Reg_class.El2_config Reg_class.vm_to_vm_switch)
     && not (List.mem Reg_class.El2_virtual_memory Reg_class.vm_to_vm_switch))
-
-(* --- Exception_level ------------------------------------------------ *)
-
-let test_exception_levels () =
-  Alcotest.(check bool) "EL2 is hyp" true (Exception_level.arm_is_hyp El2);
-  Alcotest.(check bool) "EL1 is not" false (Exception_level.arm_is_hyp El1);
-  Alcotest.(check bool) "EL2 > EL1" true
-    (Exception_level.arm_more_privileged El2 El1);
-  Alcotest.(check bool) "EL1 not > EL1" false
-    (Exception_level.arm_more_privileged El1 El1);
-  (* x86 root mode is orthogonal to rings: ring3 root is still hyp side. *)
-  Alcotest.(check bool) "root/ring3 is hyp" true
-    (Exception_level.x86_is_hyp { operation = Root; ring = Ring3 });
-  Alcotest.(check bool) "non-root/ring0 is not" false
-    (Exception_level.x86_is_hyp { operation = Non_root; ring = Ring0 })
 
 (* --- Cost_model ----------------------------------------------------- *)
 
@@ -518,8 +502,6 @@ let () =
     [
       ( "reg_class",
         [ Alcotest.test_case "class sets" `Quick test_reg_class_sets ] );
-      ( "exception_level",
-        [ Alcotest.test_case "privilege" `Quick test_exception_levels ] );
       ( "cost_model",
         [
           Alcotest.test_case "Table III values" `Quick test_table_iii_values;

@@ -3,9 +3,11 @@
    (the error goes to stderr, never into the data), and do so within a
    time bound — it may not run anything first. Also pinned here: the
    bytes of every `armvirt timeline` and of the transition_timeline
-   example, the stderr warning for a trace ring that dropped events,
-   exact exit accounting on both sides of that ring's cap, and `run`
-   with no ids printing what `run` with every listed id prints.
+   example, of the tables the CLI renders as markdown or CSV, and of
+   `report` with its rows checked against `run`'s, the stderr warning
+   for a trace ring that dropped events, exact exit accounting on both
+   sides of that ring's cap, and `run` with no ids printing what `run`
+   with every listed id prints.
 
    Runs ../bin/armvirt.exe and ../examples/transition_timeline.exe, which
    the test stanza depends on. *)
@@ -127,6 +129,16 @@ let bad_plans =
     [ "explore"; "--space"; "vcpu_resume=-100"; "--objective"; "io-in" ];
     [ "explore"; "--space"; "freq_ghz=0"; "--objective"; "rr-us" ];
     [ "explore"; "--space"; "freq_ghz=-1"; "--objective"; "hypercall" ];
+    (* Sizes past the limits `fleet --vms` and `cluster --vms` state, and
+       costs that would overflow simulated time. *)
+    [ "explore"; "--space"; "fleet.vms=65537"; "--objective"; "fleet-ready" ];
+    [ "explore"; "--space"; "cluster.vms=257"; "--objective"; "cluster-p99" ];
+    [ "explore"; "--space"; "trap_to_el2=4611686018427387903"; "--objective";
+      "hypercall" ];
+    [ "explore"; "--space"; "vgic.save=4611686018427387903"; "--objective";
+      "hypercall" ];
+    [ "explore"; "--space"; "vcpu_resume=4611686018427387903"; "--objective";
+      "io-in" ];
   ]
 
 (* Values just inside a floor another scenario sets: they must run. *)
@@ -218,6 +230,89 @@ let pins =
         timeline_configs md5s)
     timeline_pins
   @ [ pin_case ~prog:transition_timeline ~md5:transition_timeline_md5 [] ]
+
+(* md5 of the tables the CLI renders as markdown or CSV, and of the text
+   tables of `migrate --rounds-detail` and `stat --crosscheck`: moving a
+   table between renderers must leave every byte as it is. *)
+let table_pins =
+  [
+    ( "e74800f765c39ed539a3b24a36eb0bb2",
+      [ "explore"; "--space"; "vgic.save=2000:4375:625,lr_count=2|4";
+        "--sampler"; "grid"; "--objective"; "hypercall"; "--objective";
+        "lr-overhead"; "--format"; "md" ] );
+    ( "62bf4fe4c6650de96bf4b6e33efe97a2",
+      [ "explore"; "--space"; "vgic.save=2000:4375:625,trap_to_el2=60:100:20";
+        "--sampler"; "oat"; "--objective"; "hypercall"; "--format"; "md" ] );
+    ( "45212aaa3de172eae299dd594c640fb9",
+      [ "migrate"; "--compare"; "--pages"; "1024"; "--format"; "md" ] );
+    ( "4797db829aacc22d965e2cf2f7bc0245",
+      [ "migrate"; "--compare"; "--pages"; "1024"; "--rounds-detail" ] );
+    ( "669524b27af19d1b90f359316dc729f3",
+      [ "fleet"; "--scenario"; "boot-storm"; "--vms"; "16"; "--format"; "md" ] );
+    ( "3c63ad0e238024f7ac461c63e0f9855d",
+      [ "fleet"; "--scenario"; "churn"; "--vms"; "16"; "--format"; "md" ] );
+    ( "1527e4371acb7349dbcedf0c7b8ce60d",
+      [ "fleet"; "--scenario"; "noisy-neighbor"; "--vms"; "16"; "--format"; "md" ] );
+    ( "42aefc88c5ef36fa3b20abe511e5bb2d",
+      [ "cluster"; "--scenario"; "chain"; "--format"; "md" ] );
+    ( "c36c34df2603c107a43e36386d0ab040",
+      [ "cluster"; "--scenario"; "matrix"; "--vms"; "4"; "--format"; "md" ] );
+    ( "24b726aab3b8fd4718682a0d9d99339f",
+      [ "cluster"; "--scenario"; "loadgen"; "--vms"; "4"; "--offered-load";
+        "0.4,1.1"; "--format"; "md" ] );
+    ( "c7f6f9d0bb999020aa60737a2c318bbf",
+      [ "stat"; "micro"; "--iterations"; "4"; "--format"; "csv" ] );
+    ( "c1edf74330dd6433d56a8551a5bf1683",
+      [ "stat"; "--crosscheck"; "--iterations"; "4" ] );
+  ]
+
+let report_md5 = "5fbb466bb40987637e06678382407cdb"
+
+(* `report` is the markdown of the tables `run` prints for the paper's
+   artifacts: every data row of those text tables (between the second
+   and third rule of each) is a markdown row of `report` with the same
+   cells, and `report` has no other data row. Cells are compared with
+   runs of spaces collapsed, as text padding is the only difference. *)
+let test_report_matches_run () =
+  let words s =
+    String.concat " " (List.filter (( <> ) "") (String.split_on_char ' ' s))
+  in
+  let code, text, _ = run [ "run"; "table2"; "table3"; "table5"; "fig4"; "vhe" ] in
+  let code', md, _ = run [ "report" ] in
+  Alcotest.(check (pair int int)) "exit codes" (0, 0) (code, code');
+  let is_rule l = l <> "" && String.for_all (( = ) '-') l in
+  let rec text_rows rules acc = function
+    | [] -> List.rev acc
+    | l :: rest when is_rule l -> text_rows (rules + 1) acc rest
+    | l :: rest ->
+        text_rows rules (if rules mod 3 = 2 then words l :: acc else acc) rest
+  in
+  let rows = text_rows 0 [] (String.split_on_char '\n' text) in
+  let md_lines =
+    List.filter
+      (fun l -> String.length l > 1 && l.[0] = '|')
+      (String.split_on_char '\n' md)
+  in
+  let md_rows =
+    List.map
+      (fun l ->
+        words
+          (String.concat " "
+             (String.split_on_char '|' (String.sub l 1 (String.length l - 2)))))
+      md_lines
+  in
+  let separators =
+    List.length (List.filter (fun l -> String.starts_with ~prefix:"|---" l) md_lines)
+  in
+  Alcotest.(check bool) "run prints rows" true (List.length rows > 30);
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) ("report has the row " ^ row) true
+        (List.mem row md_rows))
+    rows;
+  Alcotest.(check int) "report has no other data row"
+    (List.length md_lines - (2 * separators))
+    (List.length rows)
 
 (* At 1500 iterations a traced micro cell overflows its 2^18-event ring;
    at 1400 it fits. A loss prints exactly one stderr line naming the
@@ -330,6 +425,13 @@ let () =
         @ List.map (test_case ~time_bound_s:1.0 ~code:2) too_large
         @ List.map (test_case ~time_bound_s:5.0 ~code:2) bad_plans );
       ("timeline pin", pins);
+      ("table pin", List.map (fun (md5, args) -> pin_case ~md5 args) table_pins);
+      ( "report",
+        [
+          pin_case ~md5:report_md5 [ "report" ];
+          Alcotest.test_case "report rows are run's rows" `Quick
+            test_report_matches_run;
+        ] );
       ( "accepted argument", List.map accepted_case accepted );
       ("drop warning", List.map drop_case [ ("1500", true); ("1400", false) ]);
       ("exact counts", List.map exact_case exact_cases);

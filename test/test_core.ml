@@ -159,7 +159,10 @@ let contains haystack needle =
   n = 0 || go 0
 
 let test_report_table2_renders () =
-  let out = render Report.pp_table2 (Experiment.table2 ~iterations:2 ()) in
+  let out =
+    render Armvirt_obs.Table.text
+      (Report.table2 (Experiment.table2 ~iterations:2 ()))
+  in
   Alcotest.(check bool) "mentions hypercall" true
     (String.length out > 200 && contains out "Hypercall")
 

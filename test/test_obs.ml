@@ -1,4 +1,4 @@
-(* Tests for Armvirt_obs (ring, spans, metrics, exporters) and the
+(* Tests for Armvirt_obs (ring, spans, metrics, exporters, tables) and the
    Observe/Runner tracing glue: the machine sink and timeline printer,
    golden files for the Chrome and Prometheus formats, histogram bucket
    boundaries, export determinism across --jobs levels, the domain-local
@@ -467,6 +467,120 @@ let test_summary_export () =
   Alcotest.(check bool) "io listed" true (io_pos >= 0);
   Alcotest.(check bool) "sched ranked before io" true (sched_pos < io_pos)
 
+(* --- Table ---------------------------------------------------------- *)
+
+module Table = Armvirt_obs.Table
+module Rng = Armvirt_engine.Rng
+
+(* Cells built from what CSV must quote and markdown must escape. *)
+let cell_pieces =
+  [| ","; "\""; "\r"; "\n"; "\r\n"; "|"; ""; "\xc3\xa9"; "\xe2\x86\x92"; "a";
+     "42"; " " |]
+
+let random_cell rng =
+  String.concat ""
+    (List.init (Rng.int rng ~bound:4) (fun _ ->
+         cell_pieces.(Rng.int rng ~bound:(Array.length cell_pieces))))
+
+let random_table rng =
+  let ncols = 1 + Rng.int rng ~bound:5 in
+  let columns =
+    List.init ncols (fun _ ->
+        {
+          Table.head =
+            List.init (1 + Rng.int rng ~bound:2) (fun _ -> random_cell rng);
+          width = Rng.int rng ~bound:8;
+          align = (if Rng.bool rng then Table.Left else Table.Right);
+        })
+  in
+  let rows =
+    List.init (Rng.int rng ~bound:6) (fun _ ->
+        List.init ncols (fun _ -> random_cell rng))
+  in
+  (columns, rows)
+
+(* A small strict RFC 4180 reader: records end in LF, a quoted field may
+   hold anything and doubles its quotes, and an unquoted field may hold
+   no quote and no CR (readers that take either line ending would split
+   the record there). *)
+let read_csv s =
+  let n = String.length s in
+  let rows = ref [] and row = ref [] and field = Buffer.create 16 in
+  let end_field () =
+    row := Buffer.contents field :: !row;
+    Buffer.clear field
+  in
+  let rec plain i =
+    if i < n then
+      match s.[i] with
+      | ',' -> end_field (); plain (i + 1)
+      | '\n' ->
+          end_field ();
+          rows := List.rev !row :: !rows;
+          row := [];
+          plain (i + 1)
+      | '"' when Buffer.length field = 0 -> quoted (i + 1)
+      | '"' | '\r' -> failwith "read_csv: unquoted quote or CR"
+      | c -> Buffer.add_char field c; plain (i + 1)
+  and quoted i =
+    match s.[i] with
+    | '"' when i + 1 < n && s.[i + 1] = '"' ->
+        Buffer.add_char field '"';
+        quoted (i + 2)
+    | '"' -> plain (i + 1)
+    | c -> Buffer.add_char field c; quoted (i + 1)
+  in
+  plain 0;
+  List.rev !rows
+
+(* Pipes that separate markdown cells: those no backslash escapes. *)
+let md_pipes line =
+  let count = ref 0 in
+  String.iteri
+    (fun i c -> if c = '|' && (i = 0 || line.[i - 1] <> '\\') then incr count)
+    line;
+  !count
+
+let table_renders seed =
+  let columns, rows = random_table (Rng.create ~seed) in
+  let t = Table.v ~rule:(seed land 3) columns rows in
+  let render pp = Format.asprintf "%a" pp t in
+  let header =
+    List.map
+      (fun (c : Table.column) ->
+        String.concat " " (List.filter (( <> ) "") c.Table.head))
+      columns
+  in
+  let md = String.split_on_char '\n' (render Table.markdown) in
+  (* Padding as Printf pads: to the width, never cutting a cell. *)
+  let printf_row cells =
+    String.concat " "
+      (List.map2
+         (fun (c : Table.column) cell ->
+           match c.Table.align with
+           | Table.Left -> Printf.sprintf "%-*s" c.Table.width cell
+           | Table.Right -> Printf.sprintf "%*s" c.Table.width cell)
+         columns cells)
+  in
+  let text = render Table.text in
+  let short = List.tl (List.map (fun _ -> "") columns) in
+  read_csv (render Table.csv) = header :: rows
+  && List.length md = List.length rows + 3
+  && List.for_all
+       (fun l -> l = "" || md_pipes l = List.length columns + 1)
+       md
+  && List.for_all (fun cells -> index_of text (printf_row cells) >= 0) rows
+  &&
+  match Table.v columns (rows @ [ short ]) with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let prop_table_renders =
+  QCheck.Test.make ~count:500
+    ~name:"csv round-trips, markdown keeps its columns, text cuts no cell"
+    QCheck.(make ~print:string_of_int Gen.int)
+    table_renders
+
 (* --- Observe + Runner: export determinism across jobs --------------- *)
 
 let run_traced_cells ~jobs =
@@ -718,6 +832,7 @@ let () =
             test_label_value_order_canonical;
           Alcotest.test_case "json golden" `Quick test_json_snapshot_golden;
         ] );
+      ("table", [ QCheck_alcotest.to_alcotest prop_table_renders ]);
       ( "export",
         [
           Alcotest.test_case "chrome golden" `Quick test_chrome_golden;
