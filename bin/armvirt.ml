@@ -13,7 +13,8 @@
                    noisy-neighbor p99 vs fleet size
      cluster       VM-to-VM traffic over the virtual switch fabric:
                    throughput matrix, service chain, load-generator sweep
-     lint          statically check the determinism invariants (lib/lint)
+     lint          statically check the determinism invariants and that
+                   every export has a caller (lib/lint)
 
    Experiments come from Report.registry; this file only wires them to
    flags. *)
@@ -1265,8 +1266,8 @@ let report_cmd =
 
 (* --- lint ---------------------------------------------------------------- *)
 
-(* Thin wrapper over the armvirt-lint driver so the checker is
-   discoverable from the main CLI; same flags, same exit codes. *)
+(* The linter's only entry point: Armvirt_lint.Cli's flags, with the
+   driver's exit code. *)
 let lint_cmd =
   let wrap code = if code <> 0 then exit code in
   Cmd.v

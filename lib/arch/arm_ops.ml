@@ -1,7 +1,6 @@
 module Cycles = Armvirt_engine.Cycles
 
 type t = {
-  machine : Machine.t;
   hw : Cost_model.arm;
   hvc_issue : Machine.op;
   trap_to_el2 : Machine.op;
@@ -14,7 +13,6 @@ type t = {
   vgic_lr_write : Machine.op;
   virq_complete : Machine.op;
   virq_guest_dispatch : Machine.op;
-  tlb_broadcast : Machine.op;
   page_map : Machine.op;
   copy_bytes : Machine.op;
 }
@@ -32,7 +30,6 @@ let create machine =
         Array.of_list (List.map (fun cls -> op (label cls)) Reg_class.all)
       in
       {
-        machine;
         hw;
         hvc_issue = op "arm.hvc_issue";
         trap_to_el2 = op "arm.trap_to_el2";
@@ -45,12 +42,10 @@ let create machine =
         vgic_lr_write = op "arm.vgic_lr_write";
         virq_complete = op "arm.virq_complete";
         virq_guest_dispatch = op "arm.virq_guest_dispatch";
-        tlb_broadcast = op "arm.tlb_broadcast";
         page_map = op "arm.page_map";
         copy_bytes = op "arm.copy_bytes";
       }
 
-let machine t = t.machine
 let hw t = t.hw
 let vhe_enabled t = t.hw.Cost_model.vhe
 
@@ -94,9 +89,6 @@ let virq_guest_dispatch t =
   Machine.spend t.virq_guest_dispatch t.hw.Cost_model.virq_guest_dispatch
 
 let ipi_wire_latency t = Cycles.of_int t.hw.Cost_model.phys_ipi_wire
-
-let tlb_invalidate_broadcast t =
-  Machine.spend t.tlb_broadcast t.hw.Cost_model.tlb_broadcast_invalidate
 
 let page_map t = Machine.spend t.page_map t.hw.Cost_model.page_map_cost
 

@@ -12,7 +12,6 @@ val create : Machine.t -> t
 (** Interns every operation's label on the machine ({!Machine.op}).
     Raises [Invalid_argument] if the machine's cost model is not ARM. *)
 
-val machine : t -> Machine.t
 val hw : t -> Cost_model.arm
 val vhe_enabled : t -> bool
 
@@ -72,7 +71,6 @@ val ipi_wire_latency : t -> Armvirt_engine.Cycles.t
 
 (** {1 Memory} *)
 
-val tlb_invalidate_broadcast : t -> unit
 val page_map : t -> unit
 val copy_bytes : t -> int -> unit
 (** Kernel memcpy of [n] bytes. *)

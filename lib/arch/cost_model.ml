@@ -85,16 +85,6 @@ let with_reg_cost cls ~save ~restore arm =
   let prev = arm.reg in
   { arm with reg = (fun c -> if c = cls then { save; restore } else prev c) }
 
-let with_arm t ~f =
-  match t with
-  | Arm a -> Arm (f a)
-  | X86 _ -> invalid_arg "Cost_model.with_arm: x86 model"
-
-let with_x86 t ~f =
-  match t with
-  | X86 x -> X86 (f x)
-  | Arm _ -> invalid_arg "Cost_model.with_x86: ARM model"
-
 let arm_vhe = with_vhe true arm_default
 
 (* GICv3 moves the CPU-interface state behind system registers

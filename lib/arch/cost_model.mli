@@ -137,13 +137,6 @@ val with_reg_cost : Reg_class.t -> save:int -> restore:int -> arm -> arm
 (** Override one register class's context-switch costs, leaving every
     other class of the table untouched. *)
 
-val with_arm : t -> f:(arm -> arm) -> t
-(** Apply a functional override to the ARM side of a model. Raises
-    [Invalid_argument] on an x86 model. *)
-
-val with_x86 : t -> f:(x86 -> x86) -> t
-(** Mirror of {!with_arm} for x86. Raises [Invalid_argument] on ARM. *)
-
 val arm_full_save : arm -> int
 (** Σ save over {!Reg_class.full_world_switch} — the exit-side switch of
     split-mode KVM (4,202 in Table III). *)

@@ -113,16 +113,3 @@ let establish t ~el1 ~executing =
     | `El2 -> In_el2
     | `Host -> In_host
     | `Vm d -> In_vm d)
-
-let pp ppf t =
-  let ctx = function Host -> "host" | Vm d -> Printf.sprintf "VM%d" d in
-  Format.fprintf ppf "mode=%s el1=%s stage2=%b traps=%b executing=%s"
-    (match t.mode with
-    | Split_mode -> "split"
-    | El2_resident -> "el2-resident"
-    | Vhe -> "vhe")
-    (ctx t.el1) t.stage2 t.traps
-    (match t.executing with
-    | In_el2 -> "el2"
-    | In_host -> "host"
-    | In_vm d -> Printf.sprintf "VM%d" d)

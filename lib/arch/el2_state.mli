@@ -69,5 +69,3 @@ val establish :
     in WFI earlier", "Dom0 idled and the idle domain is in"). Performs
     no validation by design; the measured path that follows is still
     fully checked. Must not be used inside a measured path. *)
-
-val pp : Format.formatter -> t -> unit

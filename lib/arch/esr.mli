@@ -3,8 +3,7 @@
     Every exit the paper's microbenchmarks provoke arrives with an
     exception syndrome; the hypervisor's first act is to decode its
     exception class. The model covers the classes the measured paths
-    generate, with their architectural EC encodings (ARM ARM D17.2.37),
-    and round-trips them through the 32-bit register format. *)
+    generate, with their architectural EC encodings (ARM ARM D17.2.37). *)
 
 type exception_class =
   | Wfi_wfe  (** EC 0x01 — the guest idled. *)
@@ -22,15 +21,6 @@ val ec : exception_class -> int
     conventional pseudo-value 0x3f used by exit-reason tables). *)
 
 val of_ec : int -> exception_class option
-
-val encode : exception_class -> iss:int -> int
-(** Builds the 32-bit syndrome: EC in bits [31:26], IL set, ISS in
-    [24:0]. Raises [Invalid_argument] if [iss] exceeds 25 bits. *)
-
-val decode : int -> (exception_class * int) option
-(** [(class, iss)], or [None] for an EC the model does not cover. *)
-
-val describe : exception_class -> string
 
 val marker_reason : exception_class -> Armvirt_obs.Marker.reason
 (** The typed {!Armvirt_obs.Marker} exit reason of a class; its

@@ -4,8 +4,6 @@ module Counter = Armvirt_stats.Counter
 module Span = Armvirt_obs.Span
 module Marker = Armvirt_obs.Marker
 
-type pcpu = { id : int; exclusive : Sim.Resource.t }
-
 type sink = {
   spend :
     label:string -> cat:Span.category -> cycles:int -> now:Cycles.t -> unit;
@@ -18,7 +16,7 @@ type t = {
   sim : Sim.t;
   cost : Cost_model.t;
   counters : Counter.set;
-  cpus : pcpu array;
+  num_cpus : int;
   mutable sink : sink option;
   mutable kinds : Bytes.t;
   mutable marked : marker list;
@@ -61,19 +59,12 @@ let set_create_hook h = Domain.DLS.set create_hook h
 
 let create sim ~cost ~num_cpus =
   if num_cpus < 1 then invalid_arg "Machine.create: num_cpus < 1";
-  let make_cpu id =
-    {
-      id;
-      exclusive =
-        Sim.Resource.create ~name:(Printf.sprintf "pcpu%d" id) sim ~capacity:1;
-    }
-  in
   let t =
     {
       sim;
       cost;
       counters = Counter.create_set ();
-      cpus = Array.init num_cpus make_cpu;
+      num_cpus;
       sink = None;
       kinds = Bytes.empty;
       marked = [];
@@ -85,15 +76,7 @@ let create sim ~cost ~num_cpus =
 let sim t = t.sim
 let cost t = t.cost
 let counters t = t.counters
-let num_cpus t = Array.length t.cpus
-
-let pcpu t i =
-  if i < 0 || i >= Array.length t.cpus then
-    invalid_arg (Printf.sprintf "Machine.pcpu: index %d out of range" i);
-  t.cpus.(i)
-
-let pcpu_id cpu = cpu.id
-let exclusive cpu = cpu.exclusive
+let num_cpus t = t.num_cpus
 
 let attach t sink = t.sink <- sink
 
@@ -137,7 +120,6 @@ let spend op cycles =
   if cycles < 0 then invalid_arg "Machine.spend: negative cycles";
   let t = op.machine in
   Counter.add_id t.counters op.counter cycles;
-  Counter.add_id t.counters Counter.cycles cycles;
   Sim.delay (Cycles.of_int cycles);
   match t.sink with
   | Some s ->

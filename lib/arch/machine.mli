@@ -15,9 +15,6 @@
     run length, and [armvirt stat] reads its counts from them
     ({!markers}, {!op_cycles}). *)
 
-type pcpu
-(** One physical CPU. *)
-
 type t
 
 val create :
@@ -28,16 +25,6 @@ val sim : t -> Armvirt_engine.Sim.t
 val cost : t -> Cost_model.t
 val counters : t -> Armvirt_stats.Counter.set
 val num_cpus : t -> int
-
-val pcpu : t -> int -> pcpu
-(** Raises [Invalid_argument] on an out-of-range index. *)
-
-val pcpu_id : pcpu -> int
-
-val exclusive : pcpu -> Armvirt_engine.Sim.Resource.t
-(** Capacity-1 resource serializing contexts that share the physical CPU
-    (e.g. Xen's Dom0 and the idle domain). The paper pins each VCPU to a
-    dedicated PCPU, so most experiments never contend on this. *)
 
 (** {1 Interned labels} *)
 
@@ -67,9 +54,8 @@ val marker : t -> Armvirt_obs.Marker.t -> marker
 
 val spend : op -> int -> unit
 (** [spend op cycles] advances the calling process by [cycles] and adds
-    them to [op]'s counter and to the total counter ["cycles"]. Must run
-    inside a simulation process. Raises [Invalid_argument] on negative
-    [cycles]. *)
+    them to [op]'s counter. Must run inside a simulation process. Raises
+    [Invalid_argument] on negative [cycles]. *)
 
 val count : marker -> unit
 (** Increment [marker]'s counter without consuming time. *)

@@ -10,7 +10,6 @@ type t =
 let all = [ Gp; Fp; El1_sys; Vgic; Timer; El2_config; El2_virtual_memory ]
 let full_world_switch = all
 let trap_only = [ Gp ]
-let vm_to_vm_switch = [ Gp; Fp; El1_sys; Vgic; Timer ]
 
 let index = function
   | Gp -> 0
@@ -29,6 +28,3 @@ let to_string = function
   | Timer -> "Timer Regs"
   | El2_config -> "EL2 Config Regs"
   | El2_virtual_memory -> "EL2 Virtual Memory Regs"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-let equal = ( = )

@@ -27,14 +27,7 @@ val trap_only : t list
     which only incurs the relatively small cost of saving and restoring
     the general-purpose (GP) registers"). *)
 
-val vm_to_vm_switch : t list
-(** The classes any ARM hypervisor (Type 1 or Type 2) must switch when
-    replacing one VM with another in EL1: everything except the per-VM
-    EL2 classes handled separately. Used by the VM-switch paths. *)
-
 val index : t -> int
 (** Position in {!all}, for per-class tables. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -41,8 +41,3 @@ let vmexit t =
 let establish t ~mode ~vmcs =
   t.mode <- mode;
   t.vmcs <- vmcs
-
-let pp ppf t =
-  Format.fprintf ppf "%s, vmcs=%s"
-    (match t.mode with Root -> "root" | Non_root -> "non-root")
-    (match t.vmcs with None -> "none" | Some d -> string_of_int d)

@@ -47,5 +47,3 @@ val vmexit : t -> unit
 val establish : t -> mode:mode -> vmcs:int option -> unit
 (** Benchmark setup: place the CPU in a precondition established off the
     measured path (mirrors {!El2_state.establish}). No validation. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 module Cycles = Armvirt_engine.Cycles
 
 type t = {
-  machine : Machine.t;
   hw : Cost_model.x86;
   vmcall_issue : Machine.op;
   vmexit : Machine.op;
@@ -10,8 +9,6 @@ type t = {
   eoi_emul : Machine.op;
   virq_guest_dispatch : Machine.op;
   tlb_shootdown : Machine.op;
-  page_map : Machine.op;
-  copy_bytes : Machine.op;
 }
 
 let create machine =
@@ -21,7 +18,6 @@ let create machine =
   | Cost_model.X86 hw ->
       let op = Machine.op machine in
       {
-        machine;
         hw;
         vmcall_issue = op "x86.vmcall_issue";
         vmexit = op "x86.vmexit";
@@ -30,11 +26,8 @@ let create machine =
         eoi_emul = op "x86.eoi_emul";
         virq_guest_dispatch = op "x86.virq_guest_dispatch";
         tlb_shootdown = op "x86.tlb_shootdown";
-        page_map = op "x86.page_map";
-        copy_bytes = op "x86.copy_bytes";
       }
 
-let machine t = t.machine
 let hw t = t.hw
 let vapic_enabled t = t.hw.Cost_model.vapic
 
@@ -61,11 +54,5 @@ let tlb_shootdown t ~cpus =
   Machine.spend t.tlb_shootdown
     (t.hw.Cost_model.tlb_shootdown_base
     + (cpus * t.hw.Cost_model.tlb_shootdown_per_cpu))
-
-let page_map t = Machine.spend t.page_map t.hw.Cost_model.page_map_cost
-
-let copy_bytes t n =
-  Machine.spend t.copy_bytes
-    (Cost_model.copy_cost ~per_byte:t.hw.Cost_model.per_byte_copy ~bytes:n)
 
 let barrier_cost t = Cycles.of_int t.hw.Cost_model.timestamp_barrier

@@ -14,7 +14,6 @@ val create : Machine.t -> t
 (** Interns every operation's label on the machine ({!Machine.op}).
     Raises [Invalid_argument] if the machine's cost model is not x86. *)
 
-val machine : t -> Machine.t
 val hw : t -> Cost_model.x86
 val vapic_enabled : t -> bool
 
@@ -43,6 +42,4 @@ val tlb_shootdown : t -> cpus:int -> unit
 (** Remote TLB invalidation across [cpus] CPUs via IPIs — the cost that
     made zero-copy uneconomical for Xen x86 (section V). *)
 
-val page_map : t -> unit
-val copy_bytes : t -> int -> unit
 val barrier_cost : t -> Armvirt_engine.Cycles.t

@@ -21,7 +21,7 @@ module Obs = Armvirt_obs
     labelled metric registries. *)
 
 module Stats = Armvirt_stats
-(** Summaries, histograms, counters, barriered cycle counters. *)
+(** Summaries, counters, barriered cycle counters. *)
 
 module Arch = Armvirt_arch
 (** Cost models and architectural operations: ARM EL2/VHE, x86 VMX,

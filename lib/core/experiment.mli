@@ -234,9 +234,6 @@ val migrate :
     VHE < split-mode KVM ARM < Xen x86, while Xen ARM's grant-copy
     transport fails to converge and hits the round cap. *)
 
-val default_fleet_mix : (Armvirt_fleet.Descriptor.profile * int) list
-(** One share of the synthetic profile. *)
-
 val fleet_boot_storm :
   ?vms:int ->
   ?mix:(Armvirt_fleet.Descriptor.profile * int) list ->

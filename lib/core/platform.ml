@@ -6,8 +6,6 @@ module H = Armvirt_hypervisor
 type t = Arm_m400 | Arm_m400_vhe | X86_r320
 type hyp_id = Kvm | Xen
 
-let all = [ Arm_m400; Arm_m400_vhe; X86_r320 ]
-
 let name = function
   | Arm_m400 -> "ARM (HP m400, X-Gene 2.4 GHz)"
   | Arm_m400_vhe -> "ARM v8.1 VHE (modelled)"

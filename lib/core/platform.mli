@@ -15,10 +15,7 @@ type t =
 
 type hyp_id = Kvm | Xen
 
-val all : t list
 val name : t -> string
-val num_cpus : int
-(** 8 physical cores on both testbeds. *)
 
 val machine : t -> Armvirt_arch.Machine.t
 (** A fresh machine (and simulation world). *)
@@ -41,7 +38,6 @@ val xen_arm :
   ?pinning:Armvirt_hypervisor.Xen_arm.pinning ->
   unit ->
   Armvirt_hypervisor.Xen_arm.t
-val kvm_x86 : unit -> Armvirt_hypervisor.Kvm_x86.t
 val xen_x86 : unit -> Armvirt_hypervisor.Xen_x86.t
 (** Typed access to the concrete models, for experiments that need more
     than the uniform interface (Table III breakdown, pinning and

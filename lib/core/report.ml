@@ -480,8 +480,8 @@ let migrate rows =
     ~notes:
       [ sprintf
           "(downtime = stop-and-copy blackout; p99 x = worst pre-copy round \
-           request p99 over the %.1f us idle baseline)"
-          baseline_p99_us ]
+           request p99 over the %s idle baseline)"
+          (Table.float "%.1f us" baseline_p99_us) ]
     [ left 14 "Config"; right 6 "rounds"; right 9 "total ms";
       right 12 "downtime us"; right 7 "sent"; right 7 "resent"; right 6 "final";
       right 5 "conv"; right 13 "worst p99 us"; right 9 "p99 x" ]
@@ -491,7 +491,8 @@ let migrate rows =
            sprintf "%.2f" r.total_ms; sprintf "%.1f" r.downtime_us;
            string_of_int r.pages_sent; string_of_int r.pages_resent;
            string_of_int r.final_pages; string_of_bool r.converged;
-           sprintf "%.1f" r.worst_p99_us; sprintf "%.1fx" r.p99_degradation ])
+           Table.float "%.1f" r.worst_p99_us;
+           Table.float "%.1fx" r.p99_degradation ])
        rows)
 
 let migrate_rounds rows =
@@ -505,13 +506,15 @@ let migrate_rounds rows =
                round.pages round.duration_us
                (if Float.is_nan p99 then "-"
                 else
-                  sprintf "%8.1f us (%.1fx)" p99
-                    (p99 /. r.W.Migration.baseline_p99_us)) ]
+                  sprintf "%8.1f us (%s)" p99
+                    (Table.float "%.1fx"
+                       (p99 /. r.W.Migration.baseline_p99_us))) ]
          in
-         ([ sprintf "%-14s baseline p99 %.1f us" name r.baseline_p99_us ]
+         ([ sprintf "%-14s baseline p99 %s" name
+              (Table.float "%.1f us" r.baseline_p99_us) ]
          :: List.map round r.rounds)
-         @ [ [ sprintf "  blackout: %.1f us   post-resume p99 %.1f us"
-                 r.downtime_us r.post_p99_us ] ])
+         @ [ [ sprintf "  blackout: %.1f us   post-resume p99 %s"
+                 r.downtime_us (Table.float "%.1f us" r.post_p99_us) ] ])
        rows)
 
 let migrate_fields rows =
@@ -527,9 +530,10 @@ let migrate_fields rows =
            sprintf "%.1f" (r.total_ms *. 1e3); sprintf "%.1f" r.downtime_us;
            string_of_int r.pages_sent; string_of_int r.pages_resent;
            string_of_int r.final_pages; string_of_int r.wp_faults;
-           string_of_bool r.converged; sprintf "%.2f" r.baseline_p99_us;
-           string_of_int r.worst_round; sprintf "%.2f" r.worst_p99_us;
-           sprintf "%.3f" r.p99_degradation; sprintf "%.2f" r.post_p99_us ])
+           string_of_bool r.converged; Table.float "%.2f" r.baseline_p99_us;
+           string_of_int r.worst_round; Table.float "%.2f" r.worst_p99_us;
+           Table.float "%.3f" r.p99_degradation;
+           Table.float "%.2f" r.post_p99_us ])
        rows)
 
 let fleet_boot_storm results =
@@ -717,7 +721,7 @@ let markdown () =
   String.concat "\n"
     ("# armvirt — live results\n"
     :: "Regenerated by `armvirt report` from a fresh simulation run.\n\
-        Every number is deterministic; paper values in parentheses.\n"
+        Every number is deterministic.\n"
     :: List.concat_map
          (fun e ->
            if List.mem e.id [ "table2"; "table3"; "table5"; "fig4"; "vhe" ] then

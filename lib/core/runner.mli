@@ -37,18 +37,12 @@ module Key : sig
     t
   (** All components default to the stock value ([""] / [0]). *)
 
-  val to_string : t -> string
-
   val seed : t -> int
   (** A positive seed derived (stably, FNV-1a) from the key alone. Cells
       that drive an {!Armvirt_engine.Rng} seed it from their own key, so
       a cell's stream is a function of its identity — never of which
       domain or in which order the runner happened to execute it. *)
 end
-
-val default_jobs : unit -> int
-(** The [ARMVIRT_JOBS] environment variable if set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. *)
 
 val set_jobs : int -> unit
 (** Sets the process-global parallelism level used when {!map} is called

@@ -14,16 +14,10 @@ let sub a b =
   if b > a then invalid_arg "Cycles.sub: negative result";
   a - b
 
-let scale k c =
-  if k < 0 then invalid_arg "Cycles.scale: negative factor";
-  k * c
-
 let ( + ) = add
 let ( - ) = sub
-let sum = List.fold_left add zero
 let compare = Int.compare
 let equal = Int.equal
-let min = Stdlib.min
 let max = Stdlib.max
 let to_us ~hz c = float_of_int c /. hz *. 1e6
 let of_us ~hz us = of_int (int_of_float (Float.round (us *. hz /. 1e6)))

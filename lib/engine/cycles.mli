@@ -22,17 +22,11 @@ val add : t -> t -> t
 val sub : t -> t -> t
 (** [sub a b] is [a - b]. Raises [Invalid_argument] if [b > a]. *)
 
-val scale : int -> t -> t
-(** [scale k c] is [k * c] cycles. Raises [Invalid_argument] if [k < 0]. *)
-
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 
-val sum : t list -> t
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 
 val to_us : hz:float -> t -> float

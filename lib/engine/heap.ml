@@ -124,8 +124,5 @@ let pop h =
     Some (time, seq, value)
   end
 
-let peek h =
-  if h.size = 0 then None else Some (h.times.(0), h.seqs.(0), h.values.(0))
-
 let size h = h.size
 let is_empty h = h.size = 0

@@ -29,6 +29,5 @@ val pop : 'a t -> (int * int * 'a) option
 (** Removes and returns the minimum element, or [None] if empty.
     Allocating convenience wrapper over {!min_time}/{!pop_min}. *)
 
-val peek : 'a t -> (int * int * 'a) option
 val size : 'a t -> int
 val is_empty : 'a t -> bool

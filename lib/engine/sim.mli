@@ -52,7 +52,7 @@ type observer = {
           cycles. Uncontended acquires never report. *)
   on_queue_depth : mailbox:string -> at:int -> depth:int -> unit;
       (** Called exactly when a {!Mailbox} queue changes length: a send
-          that enqueues, or a recv/try_recv that dequeues. Direct
+          that enqueues, or a recv that dequeues. Direct
           send-to-parked-receiver hand-offs bypass the queue and do not
           report. *)
 }
@@ -67,21 +67,13 @@ val run : t -> unit
 (** Runs the simulation until no events remain. Raises {!Deadlock} if
     blocked processes remain when the event queue drains. *)
 
-val run_until : t -> Cycles.t -> unit
-(** [run_until t limit] runs events with timestamp [<= limit], then stops
-    with the clock advanced to [limit] (so a subsequent {!now} or
-    [schedule] observes the horizon, not the last drained event time).
-    Blocked processes are not a deadlock here; they may be waiting for
-    events beyond the horizon. *)
-
 (** {1 Operations available inside a process} *)
 
 val delay : Cycles.t -> unit
 (** [delay c] suspends the calling process for [c] simulated cycles. Must
     be called from within a process; raises [Invalid_argument] otherwise.
 
-    {b Run-ahead.} When [now + c] is within the current run's horizon
-    ([max_int] under {!run}, the limit under {!run_until}) and no queued
+    {b Run-ahead.} When [now + c] does not overflow and no queued
     event is at or before [now + c], the expiry would be queued and then
     popped next, so the delay finishes in place instead: the clock moves
     to [now + c], the event is counted, and the process carries on
@@ -157,8 +149,6 @@ module Mailbox : sig
   val recv : 'a t -> 'a
   (** Returns the oldest queued value, blocking if none is available. *)
 
-  val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
 end
 
 module Resource : sig

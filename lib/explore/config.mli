@@ -56,5 +56,3 @@ val hypervisor : t -> Armvirt_hypervisor.Hypervisor.t
 (** Build a fresh machine + hypervisor for the point. VHE is forced off
     for [Xen]/[Native] (Type 1 and bare metal leave E2H clear), and
     [vhost = false] quadruples the per-packet backend cost. *)
-
-val hyp_choice_of_string : string -> hyp_choice

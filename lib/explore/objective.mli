@@ -27,7 +27,5 @@ val all : t list
     these raise [Invalid_argument] for [hyp=native], which has no
     Table II column). *)
 
-val names : string list
-
 val find : string -> t
 (** Raises [Invalid_argument] with the available names on a miss. *)

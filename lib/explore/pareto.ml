@@ -30,11 +30,16 @@ let frontier ~dirs rows =
   check_dims ~dirs rows;
   let arr = Array.of_list rows in
   let n = Array.length arr in
+  (* A point with an undefined objective ranks against nothing: it is
+     never on the frontier and pushes no other point off it. *)
+  let defined = Array.map (Array.for_all Float.is_finite) arr in
   List.filter
     (fun i ->
       let dominated =
         let rec any j =
-          j < n && ((j <> i && dominates ~dirs arr.(j) arr.(i)) || any (j + 1))
+          j < n
+          && ((j <> i && defined.(j) && dominates ~dirs arr.(j) arr.(i))
+             || any (j + 1))
         in
         any 0
       in
@@ -43,5 +48,5 @@ let frontier ~dirs rows =
         let rec any j = j < i && (arr.(j) = arr.(i) || any (j + 1)) in
         any 0
       in
-      (not dominated) && not duplicate_of_earlier)
+      defined.(i) && (not dominated) && not duplicate_of_earlier)
     (List.init n Fun.id)

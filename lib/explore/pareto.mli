@@ -8,5 +8,7 @@ val dominates :
 
 val frontier : dirs:Objective.direction list -> float array list -> int list
 (** Indices (into the input list, ascending) of the non-dominated rows.
-    Exact duplicate rows keep only the first occurrence. Raises
-    [Invalid_argument] on an empty [dirs] or a row arity mismatch. *)
+    A row with an undefined objective (NaN or infinite) is never on the
+    frontier and dominates no other row. Exact duplicate rows keep only
+    the first occurrence. Raises [Invalid_argument] on an empty [dirs]
+    or a row arity mismatch. *)

@@ -87,12 +87,6 @@ let value_to_string = function
   | Bool b -> string_of_bool b
   | Choice s -> s
 
-let value_to_float = function
-  | Int n -> float_of_int n
-  | Float f -> f
-  | Bool b -> if b then 1. else 0.
-  | Choice s -> invalid_arg (Printf.sprintf "Space.value_to_float: choice %s" s)
-
 let point_to_string (p : point) =
   String.concat " "
     (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (value_to_string v)) p)

@@ -20,13 +20,6 @@ type t = axis list
 type point = (string * value) list
 (** One sampled assignment, in axis order. *)
 
-val axis : string -> spec -> axis
-(** Raises [Invalid_argument] on an empty name, empty levels, a
-    non-positive step or an inverted range. *)
-
-val of_axes : axis list -> t
-(** Raises [Invalid_argument] on duplicate axis names or an empty list. *)
-
 val levels : axis -> value list
 (** The discrete levels a grid or one-at-a-time sampler enumerates. *)
 
@@ -46,8 +39,6 @@ val check : t -> (unit, string) result
     every level. *)
 
 val value_to_string : value -> string
-val value_to_float : value -> float
-(** [Bool] maps to 0/1; raises [Invalid_argument] on [Choice]. *)
 
 val point_to_string : point -> string
 (** ["vgic.save=2500 lr_count=4"] — stable, for logs and memo keys. *)

@@ -38,7 +38,7 @@ let run ?jobs ?(seed = 42) ~base ~sampler ~objectives space =
   in
   { space; sampler; seed; objectives; points; values; pareto; sensitivity }
 
-let fmt_float x = Printf.sprintf "%.6g" x
+let fmt_float = Table.float "%.6g"
 
 (* One row per point: axis levels, objective values, Pareto flag. *)
 let table ?(keep = fun _ _ -> true) t =
@@ -99,6 +99,3 @@ let pp_markdown ppf t =
         "@.### Sensitivity ranking (objective `%s`)@.@."
         (List.hd t.objectives).Objective.name;
       Table.markdown ppf (sensitivity rankings)
-
-let to_csv t = Format.asprintf "%a" pp_csv t
-let to_markdown t = Format.asprintf "%a" pp_markdown t

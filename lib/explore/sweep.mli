@@ -37,6 +37,3 @@ val pp_csv : Format.formatter -> t -> unit
 val pp_markdown : Format.formatter -> t -> unit
 (** Full report: parameters, the point table, the Pareto frontier and
     (for one-at-a-time runs) the sensitivity ranking. *)
-
-val to_csv : t -> string
-val to_markdown : t -> string

@@ -75,9 +75,3 @@ let profile_of t =
   fun i ->
     if i < 0 then invalid_arg "Fleet.Descriptor.profile_of: negative index";
     pat.(i mod Array.length pat)
-
-let mix_to_string t =
-  String.concat ","
-    (List.map
-       (fun (p, share) -> Printf.sprintf "%s=%d" p.name share)
-       t.mix)

@@ -48,6 +48,3 @@ val profile_of : t -> int -> profile
 (** [profile_of t i] is VM [i]'s profile: the mix expands into a
     repeating pattern in declaration order, so composition is
     deterministic and independent of fleet size. *)
-
-val mix_to_string : t -> string
-(** ["memcached=2,kernbench=1"] — the CLI's [--profile-mix] syntax. *)

@@ -106,7 +106,6 @@ let retire t domid =
   in
   t.free <- insert t.free
 
-let live t = t.live
 let admitted t = t.admitted
 let retired t = t.retired
 let peak_live t = t.peak_live

@@ -36,7 +36,6 @@ val retire : t -> int -> unit
 (** Returns the domid to the free list. Raises [Invalid_argument] for a
     domid that is not currently live. *)
 
-val live : t -> int
 val admitted : t -> int
 val retired : t -> int
 val peak_live : t -> int

@@ -24,7 +24,6 @@ let marker_prefix (hyp : Hypervisor.t) =
   | _ -> "native"
 
 type host = {
-  hyp : Hypervisor.t;
   machine : Machine.t;
   sim : Sim.t;
   sched : Credit_sched.t;
@@ -49,7 +48,6 @@ let make_host (hyp : Hypervisor.t) (desc : Descriptor.t) =
   let timeslice = Stdlib.max 1 (cycles_of_ms machine desc.timeslice_ms) in
   let num_pcpus = Machine.num_cpus machine in
   {
-    hyp;
     machine;
     sim = Machine.sim machine;
     sched = Credit_sched.create ~num_pcpus ~timeslice_cycles:timeslice;

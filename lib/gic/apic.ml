@@ -1,16 +1,8 @@
 module Int_set = Set.Make (Int)
 
-type t = {
-  vapic : bool;
-  mutable irr : Int_set.t;
-  mutable isr : Int_set.t;
-}
+type t = { mutable irr : Int_set.t; mutable isr : Int_set.t }
 
-let create ?(vapic = false) () =
-  { vapic; irr = Int_set.empty; isr = Int_set.empty }
-
-let vapic t = t.vapic
-let eoi_traps t = not t.vapic
+let create () = { irr = Int_set.empty; isr = Int_set.empty }
 
 let fire t ~vector =
   if vector < 32 || vector > 255 then
@@ -25,10 +17,4 @@ let acknowledge t =
       t.isr <- Int_set.add vector t.isr;
       Some vector
 
-let eoi t =
-  match Int_set.max_elt_opt t.isr with
-  | None -> invalid_arg "Apic.eoi: no interrupt in service"
-  | Some vector -> t.isr <- Int_set.remove vector t.isr
-
-let requested t = Int_set.elements t.irr |> List.rev
 let in_service t = Int_set.elements t.isr |> List.rev

@@ -1,21 +1,14 @@
 (** A local APIC model for the x86 comparison platform.
 
-    The detail that matters for the paper is end-of-interrupt handling:
-    without vAPIC, a guest EOI write traps to the hypervisor (Table II:
-    ~1.5k cycles on both x86 hypervisors); with vAPIC "newer x86 hardware
-    ... should perform more comparably to ARM" (section IV). The model
-    keeps the IRR/ISR vector life cycle so tests can check the protocol
-    and the x86 hypervisor models can consult [eoi_traps]. *)
+    The x86 hypervisor models send virtual IPIs through it: a vector
+    becomes requested ([fire]) and the receiving VCPU acknowledges it.
+    End-of-interrupt cost, with or without vAPIC, lives in the cost
+    model (Table II's Virtual IRQ Completion and the [vapic]
+    experiment), not here. *)
 
 type t
 
-val create : ?vapic:bool -> unit -> t
-(** [vapic] defaults to [false], matching the paper's Xeon E5-2450. *)
-
-val vapic : t -> bool
-
-val eoi_traps : t -> bool
-(** True exactly when EOI requires a VM exit. *)
+val create : unit -> t
 
 val fire : t -> vector:int -> unit
 (** A vector (32–255) becomes requested. Raises [Invalid_argument]
@@ -23,13 +16,6 @@ val fire : t -> vector:int -> unit
 
 val acknowledge : t -> int option
 (** Highest requested vector moves from IRR to ISR (in-service). *)
-
-val eoi : t -> unit
-(** Completes the highest in-service vector. Raises [Invalid_argument]
-    when nothing is in service. *)
-
-val requested : t -> int list
-(** IRR contents, descending. *)
 
 val in_service : t -> int list
 (** ISR contents, descending (nesting order). *)

@@ -9,9 +9,3 @@ let kind irq =
 
 let virtual_timer = 27
 let maintenance = 25
-
-let pp ppf irq =
-  let label =
-    match kind irq with Sgi -> "SGI" | Ppi -> "PPI" | Spi -> "SPI"
-  in
-  Format.fprintf ppf "%s%d" label irq

@@ -19,5 +19,3 @@ val virtual_timer : t
 val maintenance : t
 (** PPI 25, the GIC maintenance interrupt used when list registers
     overflow. *)
-
-val pp : Format.formatter -> t -> unit

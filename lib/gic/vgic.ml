@@ -14,7 +14,6 @@ let create ?(num_lrs = 4) () =
   if num_lrs < 1 then invalid_arg "Vgic.create: num_lrs < 1";
   { num_lrs; lrs = []; queue = Queue.create () }
 
-let num_lrs t = t.num_lrs
 let resident t = List.length t.lrs
 let free_lrs t = t.num_lrs - resident t
 

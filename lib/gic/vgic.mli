@@ -24,7 +24,6 @@ val create : ?num_lrs:int -> unit -> t
 (** [num_lrs] defaults to 4, the GIC-400 configuration. Raises
     [Invalid_argument] if [num_lrs < 1]. *)
 
-val num_lrs : t -> int
 val free_lrs : t -> int
 
 val inject : t -> Irq.t -> unit

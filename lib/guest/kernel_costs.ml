@@ -30,8 +30,6 @@ let defaults =
     tso_autosizing_bug = true;
   }
 
-let without_tso_bug = { defaults with tso_autosizing_bug = false }
-
 let rx_path t =
   t.idle_wakeup + t.irq_top_half + t.softirq_rx + t.tcp_rx + t.socket_wakeup
 

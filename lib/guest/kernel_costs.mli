@@ -31,10 +31,6 @@ val defaults : t
 (** The calibrated Linux 4.0-rc4 model, with the TSO autosizing bug
     {e present} — the kernel the paper measured. *)
 
-val without_tso_bug : t
-(** The workaround configuration the paper verified (older kernel or
-    sysfs-tuned TCP): used by the ablation bench. *)
-
 val rx_path : t -> int
 (** Interrupt to application wakeup for one packet:
     idle_wakeup + irq_top_half + softirq_rx + tcp_rx + socket_wakeup. *)

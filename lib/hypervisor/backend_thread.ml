@@ -56,12 +56,6 @@ let create machine ~profile ~kind ?(batch_budget = 64) on_item =
     max_depth = 0;
   }
 
-let vhost machine ~profile ?batch_budget on_item =
-  create machine ~profile ~kind:Vhost ?batch_budget on_item
-
-let netback machine ~profile ?batch_budget on_item =
-  create machine ~profile ~kind:Netback ?batch_budget on_item
-
 let worker t () =
   let continue_running = ref true in
   while !continue_running do
@@ -105,8 +99,6 @@ let submit t item =
   Queue.push item t.queue;
   t.max_depth <- Stdlib.max t.max_depth (Queue.length t.queue);
   ring_bell t
-
-let kick t = ring_bell t
 
 let shutdown t =
   t.stopping <- true;

@@ -10,10 +10,13 @@
     {!Io_profile}, explicit park/wake transitions, and counters for
     everything.
 
-    The two constructors differ exactly where the designs differ:
-    {!vhost} touches guest memory directly (zero copy, one thread per
-    virtual interface, scales with VMs); {!netback} must grant-copy
-    every item and serializes all interfaces through Dom0. *)
+    The two kinds differ exactly where the designs differ: a [Vhost]
+    worker touches guest memory directly (zero copy, one thread per
+    virtual interface, scales with VMs); a [Netback] worker must
+    grant-copy every item and serializes all interfaces through Dom0.
+
+    Only the structural stacks of [Armvirt_system] run these workers;
+    their tests compare those stacks with the analytic models. *)
 
 type kind = Vhost | Netback
 
@@ -32,30 +35,12 @@ val create :
     items the worker drains per wakeup before checking for parking,
     like NAPI's budget. *)
 
-val vhost :
-  Armvirt_arch.Machine.t ->
-  profile:Io_profile.t ->
-  ?batch_budget:int ->
-  (int -> unit) ->
-  t
-
-val netback :
-  Armvirt_arch.Machine.t ->
-  profile:Io_profile.t ->
-  ?batch_budget:int ->
-  (int -> unit) ->
-  t
-
 val start : t -> unit
 (** Spawns the worker process (initially parked). *)
 
 val submit : t -> int -> unit
 (** Queue one item (a frame/descriptor id) for the worker. Never
     blocks; wakes a parked worker, paying the wake cost. *)
-
-val kick : t -> unit
-(** An explicit guest kick: wakes the worker if parked (idempotent when
-    live — the suppression window). *)
 
 val shutdown : t -> unit
 (** Ask the worker to exit once its queue drains; returns immediately.
@@ -64,7 +49,7 @@ val shutdown : t -> unit
 val is_parked : t -> bool
 val processed : t -> int
 val wakeups : t -> int
-(** Times the worker was woken from park — kicks + submits that found
-    it sleeping. *)
+(** Times the worker was woken from park: submits that found it
+    sleeping. *)
 
 val max_queue_depth : t -> int

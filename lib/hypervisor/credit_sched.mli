@@ -26,9 +26,6 @@ val create : num_pcpus:int -> timeslice_cycles:int -> t
     check (Xen defaults to 30 ms; experiments use shorter slices).
     Raises [Invalid_argument] on non-positive arguments. *)
 
-val default_weight : int
-(** The neutral proportional-share weight (256, as in Xen). *)
-
 val add_vcpu : ?weight:int -> ?cap:int -> t -> vcpu -> affinity:int -> unit
 (** Registers a VCPU pinned to one PCPU (the paper's configuration).
     [weight] (default {!default_weight}) scales the VCPU's refill grant

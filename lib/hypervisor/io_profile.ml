@@ -47,15 +47,3 @@ let total_rx_packet_cost t ~bytes =
 let total_tx_packet_cost t ~bytes =
   t.backend_cpu_per_packet + t.tx_grant_per_packet
   + copy_cycles t.tx_copy_per_byte bytes
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>notify latency        %6d@,kick guest cpu        %6d@,\
-     irq delivery latency  %6d@,irq delivery cpu      %6d@,\
-     virq completion       %6d@,vipi guest cpu        %6d@,\
-     backend cpu/packet    %6d@,grant rx/tx per pkt   %6d/%d@,\
-     copy rx/tx per byte   %.2f/%.2f@,zero copy             %b@]"
-    t.notify_latency t.kick_guest_cpu t.irq_delivery_latency
-    t.irq_delivery_guest_cpu t.virq_completion t.vipi_guest_cpu
-    t.backend_cpu_per_packet t.rx_grant_per_packet t.tx_grant_per_packet
-    t.rx_copy_per_byte t.tx_copy_per_byte t.zero_copy

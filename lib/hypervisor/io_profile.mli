@@ -63,5 +63,3 @@ val total_rx_packet_cost : t -> bytes:int -> int
     to the guest (excludes the guest-side interrupt costs). *)
 
 val total_tx_packet_cost : t -> bytes:int -> int
-
-val pp : Format.formatter -> t -> unit

@@ -69,7 +69,6 @@ type t = {
   mark : Hypervisor.marks;
   virq_injected : Machine.marker;
   vm : Vm.t;
-  second_vm : Vm.t;
   guest : Kernel_costs.t;
   world : El2_state.t array;  (* one EL2 world state per PCPU *)
   phys_gic : Distributor.t;  (* the machine's physical GIC *)
@@ -80,11 +79,7 @@ let create ?(tuning = default_tuning) machine =
     invalid_arg "Kvm_arm.create: needs >= 8 PCPUs (paper testbed)";
   let ops = Arm_ops.create machine in
   let vm = Vm.create ~domid:1 ~name:"VM" ~pcpus:[ 4; 5; 6; 7 ] in
-  (* Second VM shares the same PCPUs: only used by the VM Switch
-     microbenchmark, which oversubscribes a core on purpose. *)
-  let second_vm = Vm.create ~domid:2 ~name:"VM2" ~pcpus:[ 4; 5; 6; 7 ] in
   Vm.map_memory vm ~pages:1024 ~base_pa_page:0x10000;
-  Vm.map_memory second_vm ~pages:1024 ~base_pa_page:0x20000;
   let mode =
     if Arm_ops.vhe_enabled ops then El2_state.Vhe else El2_state.Split_mode
   in
@@ -114,14 +109,12 @@ let create ?(tuning = default_tuning) machine =
     virq_injected =
       Machine.marker machine (Marker.op ~hyp:"kvm_arm" "virq_injected");
     vm;
-    second_vm;
     guest = Kernel_costs.defaults;
     world;
     phys_gic;
   }
 
 let machine t = t.machine
-let vm t = t.vm
 let vhe t = Arm_ops.vhe_enabled t.ops
 let world t ~pcpu = t.world.(pcpu)
 

@@ -60,7 +60,6 @@ val create : ?tuning:tuning -> Armvirt_arch.Machine.t -> t
     configuration). Raises [Invalid_argument] otherwise. *)
 
 val machine : t -> Armvirt_arch.Machine.t
-val vm : t -> Vm.t
 val vhe : t -> bool
 
 val world : t -> pcpu:int -> Armvirt_arch.El2_state.t
@@ -69,20 +68,6 @@ val world : t -> pcpu:int -> Armvirt_arch.El2_state.t
     the model raises instead of mis-measuring. *)
 
 (** {1 World-switch paths} — each must run inside a simulation process. *)
-
-val exit_to_host :
-  ?pcpu:int -> ?reason:Armvirt_arch.Esr.exception_class -> t -> unit
-(** VM → host: trap to EL2, full EL1 save (Table III), disable Stage-2 +
-    traps, return to host EL1. Under VHE: trap + GP save only. [pcpu]
-    defaults to VCPU0's PCPU (4); [reason] (default HVC) is the decoded
-    syndrome class, recorded in the machine's exit-reason counters. *)
-
-val enter_vm : ?pcpu:int -> ?domid:int -> t -> unit
-(** Host → VM: the reverse. [domid] defaults to the measured VM (1). *)
-
-val inject_virq : t -> Vm.vcpu -> Armvirt_gic.Irq.t -> unit
-(** Host-side virtual interrupt injection: scan for a free list register
-    and write it (queueing on overflow). *)
 
 (** {1 Microbenchmark operations (Table I)} *)
 

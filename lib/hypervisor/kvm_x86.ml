@@ -50,7 +50,6 @@ type t = {
   machine : Machine.t;
   step : steps;
   mark : Hypervisor.marks;
-  vm : Vm.t;
   apic : Apic.t;
   guest : Kernel_costs.t;
   world : Vmx_state.t array;  (* one VMX world per PCPU *)
@@ -60,8 +59,6 @@ let create ?(tuning = default_tuning) machine =
   if Machine.num_cpus machine < 8 then
     invalid_arg "Kvm_x86.create: needs >= 8 PCPUs (paper testbed)";
   let ops = X86_ops.create machine in
-  let vm = Vm.create ~domid:1 ~name:"VM" ~pcpus:[ 4; 5; 6; 7 ] in
-  Vm.map_memory vm ~pages:1024 ~base_pa_page:0x10000;
   let op = Machine.op machine in
   {
     ops;
@@ -79,14 +76,12 @@ let create ?(tuning = default_tuning) machine =
         vcpu_resume = op "kvm_x86.vcpu_resume";
       };
     mark = Hypervisor.marks machine ~hyp:"kvm_x86";
-    vm;
     apic = Apic.create ();
     guest = Kernel_costs.defaults;
     world = Array.init (Machine.num_cpus machine) (fun _ -> Vmx_state.create ());
   }
 
 let machine t = t.machine
-let vm t = t.vm
 let world t ~pcpu = t.world.(pcpu)
 
 let vcpu0_pcpu = 4

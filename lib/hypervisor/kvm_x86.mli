@@ -25,21 +25,16 @@ val create : ?tuning:tuning -> Armvirt_arch.Machine.t -> t
 (** Raises [Invalid_argument] for a non-x86 machine or < 8 PCPUs. *)
 
 val machine : t -> Armvirt_arch.Machine.t
-val vm : t -> Vm.t
 
 val world : t -> pcpu:int -> Armvirt_arch.Vmx_state.t
 (** The root/non-root state machine of one PCPU, driven alongside every
     path below. *)
 
 val hypercall : t -> unit
-val interrupt_controller_trap : t -> unit
 val virtual_irq_completion : t -> unit
 val vm_switch : t -> unit
-val virtual_ipi : t -> Armvirt_engine.Cycles.t
 val io_latency_out : t -> Armvirt_engine.Cycles.t
-val io_latency_in : t -> Armvirt_engine.Cycles.t
 
 val io_profile : t -> Io_profile.t
-val migrate_profile : t -> Migrate_profile.t
 
 val to_hypervisor : t -> Hypervisor.t

@@ -28,18 +28,3 @@ let blackout_page_cpu t ~page_bytes =
   + Armvirt_arch.Cost_model.copy_cost ~per_byte:t.page_copy_per_byte
       ~bytes:page_bytes
   + t.page_send_per_page
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>transport             %s@,\
-     wp fault (guest CPU)  %d cycles@,\
-     harvest/page          %d cycles@,\
-     copy/byte             %.2f cycles@,\
-     send/page             %d cycles@,\
-     batch kick            %d cycles@,\
-     pause/VCPU            %d cycles@,\
-     resume/VCPU           %d cycles@,\
-     state transfer        %d cycles@]"
-    t.transport t.wp_fault_guest_cpu t.harvest_per_page t.page_copy_per_byte
-    t.page_send_per_page t.batch_kick t.pause_vcpu t.resume_vcpu
-    t.state_transfer

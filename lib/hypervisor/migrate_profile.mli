@@ -49,5 +49,3 @@ val none : t
 val blackout_page_cpu : t -> page_bytes:int -> int
 (** CPU cycles the blackout pays per final-round page (harvest + copy +
     send), excluding wire time and the fixed pause/resume/state terms. *)
-
-val pp : Format.formatter -> t -> unit

@@ -5,7 +5,6 @@ module Cost_model = Armvirt_arch.Cost_model
 type t = { machine : Machine.t }
 
 let create machine = { machine }
-let machine t = t.machine
 
 let to_hypervisor t =
   let barrier =

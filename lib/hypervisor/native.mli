@@ -6,5 +6,4 @@
 type t
 
 val create : Armvirt_arch.Machine.t -> t
-val machine : t -> Armvirt_arch.Machine.t
 val to_hypervisor : t -> Hypervisor.t

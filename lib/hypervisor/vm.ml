@@ -25,7 +25,7 @@ let create ~domid ~name ~pcpus =
     vm_name = name;
     vcpus = Array.of_list (List.mapi make_vcpu pcpus);
     stage2 = Stage2.create ();
-    grants = Grant_table.create ~owner:domid;
+    grants = Grant_table.create ();
   }
 
 let vcpu t i =
@@ -41,9 +41,3 @@ let map_memory t ~pages ~base_pa_page =
     Stage2.map t.stage2 ~ipa_page:i ~pa_page:(base_pa_page + i)
       Stage2.Read_write
   done
-
-let pp ppf t =
-  Format.fprintf ppf "%s (domid %d, %d VCPUs on PCPUs %s)" t.vm_name t.domid
-    (num_vcpus t)
-    (String.concat ","
-       (Array.to_list t.vcpus |> List.map (fun v -> string_of_int v.pcpu)))

@@ -32,5 +32,3 @@ val num_vcpus : t -> int
 val map_memory : t -> pages:int -> base_pa_page:int -> unit
 (** Identity-ish stage-2 layout: guest page [i] backed by machine page
     [base_pa_page + i], read-write. *)
-
-val pp : Format.formatter -> t -> unit

@@ -138,9 +138,6 @@ let create ?(tuning = default_tuning) ?(pinning = Separate) machine =
   }
 
 let machine t = t.machine
-let dom0 t = t.dom0
-let domu t = t.domu
-let pinning t = t.pinning
 let world t ~pcpu = t.world.(pcpu)
 
 (* DomU VCPU0 runs on PCPU 4 under the paper's pinning, PCPU 0 when

@@ -65,9 +65,6 @@ val create :
     Raises [Invalid_argument] for a non-ARM machine or < 8 PCPUs. *)
 
 val machine : t -> Armvirt_arch.Machine.t
-val dom0 : t -> Vm.t
-val domu : t -> Vm.t
-val pinning : t -> pinning
 
 val world : t -> pcpu:int -> Armvirt_arch.El2_state.t
 (** The EL2 world state machine of one PCPU (checked alongside every
@@ -75,20 +72,6 @@ val world : t -> pcpu:int -> Armvirt_arch.El2_state.t
     some domain (the idle domain, -1, when nothing runs). *)
 
 (** {1 Paths} — must run inside a simulation process. *)
-
-val trap_to_xen :
-  ?pcpu:int -> ?reason:Armvirt_arch.Esr.exception_class -> t -> unit
-(** VM → EL2: trap + lazy GP spill. The fast path the paper credits ARM
-    for. [pcpu] defaults to DomU VCPU0's PCPU; [reason] (default HVC)
-    is the syndrome class recorded in the exit-marker counter. *)
-
-val return_from_xen : ?pcpu:int -> ?domid:int -> t -> unit
-
-val full_vm_switch : ?pcpu:int -> ?to_domid:int -> t -> unit
-(** Replace the VM whose EL1 state is loaded (e.g. idle domain → Dom0):
-    the full EL1 + VGIC context switch both hypervisors must do. *)
-
-val inject_virq : t -> Vm.vcpu -> Armvirt_gic.Irq.t -> unit
 
 (** {1 Microbenchmark operations (Table I)} *)
 

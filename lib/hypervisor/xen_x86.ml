@@ -61,8 +61,6 @@ type t = {
   machine : Machine.t;
   step : steps;
   mark : Hypervisor.marks;
-  dom0 : Vm.t;
-  domu : Vm.t;
   channels : Event_channel.t;
   io_port : Event_channel.port;
   irq_port : Event_channel.port;
@@ -74,10 +72,6 @@ let create ?(tuning = default_tuning) machine =
   if Machine.num_cpus machine < 8 then
     invalid_arg "Xen_x86.create: needs >= 8 PCPUs (paper testbed)";
   let ops = X86_ops.create machine in
-  let dom0 = Vm.create ~domid:0 ~name:"Dom0" ~pcpus:[ 0; 1; 2; 3 ] in
-  let domu = Vm.create ~domid:1 ~name:"DomU" ~pcpus:[ 4; 5; 6; 7 ] in
-  Vm.map_memory dom0 ~pages:1024 ~base_pa_page:0x10000;
-  Vm.map_memory domu ~pages:1024 ~base_pa_page:0x20000;
   let channels = Event_channel.create () in
   let io_port = Event_channel.alloc channels ~from_dom:1 ~to_dom:0 in
   let irq_port = Event_channel.alloc channels ~from_dom:0 ~to_dom:1 in
@@ -101,8 +95,6 @@ let create ?(tuning = default_tuning) machine =
         dom0_signal_path = op "xen_x86.dom0_signal_path";
       };
     mark = Hypervisor.marks machine ~hyp:"xen_x86";
-    dom0;
-    domu;
     channels;
     io_port;
     irq_port;
@@ -111,8 +103,6 @@ let create ?(tuning = default_tuning) machine =
   }
 
 let machine t = t.machine
-let dom0 t = t.dom0
-let domu t = t.domu
 let world t ~pcpu = t.world.(pcpu)
 
 (* DomU (HVM) VCPU0 on PCPU 4; Dom0 is paravirtualized and lives in

@@ -36,8 +36,6 @@ val create : ?tuning:tuning -> Armvirt_arch.Machine.t -> t
 (** Raises [Invalid_argument] for a non-x86 machine or < 8 PCPUs. *)
 
 val machine : t -> Armvirt_arch.Machine.t
-val dom0 : t -> Vm.t
-val domu : t -> Vm.t
 
 val world : t -> pcpu:int -> Armvirt_arch.Vmx_state.t
 (** The root/non-root state machine of one PCPU. Dom0 is paravirtualized
@@ -45,19 +43,11 @@ val world : t -> pcpu:int -> Armvirt_arch.Vmx_state.t
     DomU's PCPUs ever hold a current VMCS. *)
 
 val hypercall : t -> unit
-val interrupt_controller_trap : t -> unit
-val virtual_irq_completion : t -> unit
-val vm_switch : t -> unit
-val virtual_ipi : t -> Armvirt_engine.Cycles.t
-val io_latency_out : t -> Armvirt_engine.Cycles.t
 val io_latency_in : t -> Armvirt_engine.Cycles.t
 
 val zero_copy_break_even_bytes : t -> cpus:int -> int
 (** Bytes below which grant-copying beats zero-copy mapping on x86,
     given the TLB shootdown across [cpus] CPUs — the arithmetic behind
     abandoning zero copy on Xen x86. *)
-
-val io_profile : t -> Io_profile.t
-val migrate_profile : t -> Migrate_profile.t
 
 val to_hypervisor : t -> Hypervisor.t

@@ -5,7 +5,6 @@ type channel = {
   from_dom : domid;
   to_dom : domid;
   mutable pending : bool;
-  mutable masked : bool;
 }
 
 type t = { table : (port, channel) Hashtbl.t; mutable next_port : int }
@@ -16,7 +15,7 @@ let alloc t ~from_dom ~to_dom =
   let port = t.next_port in
   t.next_port <- port + 1;
   Hashtbl.replace t.table port
-    { from_dom; to_dom; pending = false; masked = false };
+    { from_dom; to_dom; pending = false };
   port
 
 let find t port =
@@ -26,12 +25,10 @@ let find t port =
 
 let send t port = (find t port).pending <- true
 let pending t port = (find t port).pending
-let mask t port = (find t port).masked <- true
-let unmask t port = (find t port).masked <- false
 
 let consume t port =
   let c = find t port in
-  if c.pending && not c.masked then begin
+  if c.pending then begin
     c.pending <- false;
     true
   end
@@ -44,10 +41,6 @@ let peer t port =
 let pending_for t dom =
   Hashtbl.fold
     (fun port c acc ->
-      if c.to_dom = dom && c.pending && not c.masked then port :: acc else acc)
+      if c.to_dom = dom && c.pending then port :: acc else acc)
     t.table []
   |> List.sort Int.compare
-
-let close t port =
-  ignore (find t port);
-  Hashtbl.remove t.table port

@@ -26,19 +26,13 @@ val send : t -> port -> unit
 
 val pending : t -> port -> bool
 
-val mask : t -> port -> unit
-val unmask : t -> port -> unit
-(** An unmask with the pending bit set redelivers — drivers rely on it. *)
-
 val consume : t -> port -> bool
 (** The target domain's upcall handler clears and handles the event.
-    Returns whether the port was pending and unmasked (i.e. whether there
-    was an event to handle). *)
+    Returns whether the port was pending (i.e. whether there was an
+    event to handle). *)
 
 val peer : t -> port -> domid * domid
 (** [(from_dom, to_dom)]. *)
 
 val pending_for : t -> domid -> port list
-(** Pending unmasked ports targeting a domain, ascending. *)
-
-val close : t -> port -> unit
+(** Pending ports targeting a domain, ascending. *)

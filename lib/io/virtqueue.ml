@@ -23,7 +23,6 @@ let create ?(size = 256) () =
     backend_live = false;
   }
 
-let size t = t.size
 let avail_count t = Queue.length t.avail
 let used_count t = Queue.length t.used
 

@@ -24,8 +24,6 @@ val create : ?size:int -> unit -> t
 (** [size] defaults to 256 descriptors (QEMU's default); must be a power
     of two, else raises [Invalid_argument]. *)
 
-val size : t -> int
-
 exception Ring_full
 
 val add_avail : t -> desc -> unit

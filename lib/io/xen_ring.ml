@@ -26,8 +26,6 @@ let create ?(size = 256) () =
     frontend_live = false;
   }
 
-let size t = t.size
-
 let outstanding t =
   Queue.length t.requests + Hashtbl.length t.in_backend
   + Queue.length t.responses
@@ -46,8 +44,6 @@ let backend_pop t =
       Hashtbl.replace t.in_backend req.id ();
       Some req
   | None -> None
-
-let backend_park t = t.backend_live <- false
 
 let backend_respond t rsp =
   if not (Hashtbl.mem t.in_backend rsp.id) then

@@ -22,8 +22,6 @@ type t
 val create : ?size:int -> unit -> t
 (** [size] defaults to 256 slots; must be a power of two. *)
 
-val size : t -> int
-
 exception Ring_full
 
 val frontend_push : t -> request -> unit
@@ -34,7 +32,6 @@ val frontend_notify_needed : t -> bool
 (** Whether the push must be followed by an event-channel send. *)
 
 val backend_pop : t -> request option
-val backend_park : t -> unit
 
 val backend_respond : t -> response -> unit
 (** Raises [Invalid_argument] for an id the backend does not own. *)

@@ -20,8 +20,6 @@ type entry = { file : string; rule : Rules.id; count : int }
 type t = entry list
 (** Sorted by (file, rule). *)
 
-val version : int
-
 val empty : t
 
 val of_findings : Pass.finding list -> t

@@ -74,14 +74,14 @@ let term =
 
 let doc =
   "statically check the simulator's determinism, unit and capture \
-   invariants"
+   invariants, and that every export has a caller"
 
 let man =
   [
     `S Manpage.s_description;
     `P
       "Parses every .ml/.mli under lib/, bin/ and bench/ with compiler-libs \
-       and runs three analysis passes: $(b,determinism) — seeded randomness \
+       and runs four analysis passes: $(b,determinism) — seeded randomness \
        only (R1), no wall-clock in lib/ (R2), no unsorted Hashtbl iteration \
        escaping to reports (R3), parallelism only behind Runner.map (R4), \
        explicit comparators in engine/stats (R5), mutable top-level state \
@@ -90,8 +90,10 @@ let man =
        incompatible inferred units of measure (U1) and no unit-less \
        literals entering unit-typed positions outside named converters \
        (U2); $(b,capture) — closures crossing Runner.map must not capture \
-       mutable toplevel state outside the R6 registries (D1). Use \
-       $(b,--explain RULE) for the full rationale of any rule.";
+       mutable toplevel state outside the R6 registries (D1); \
+       $(b,exports) — every val of a lib/ interface needs a caller in \
+       another unit under lib/, bin/, bench/, examples/ or test/ (S1). \
+       Use $(b,--explain RULE) for the full rationale of any rule.";
     `P
       "Exits 0 when clean (grandfathered findings under $(b,--baseline) \
        only warn), 1 on any fresh finding or stale baseline residue, 2 on \
@@ -99,7 +101,3 @@ let man =
        sorted *), (* lint: unit us reason *), (* lint: allow R6 reason *) \
        or file-wide (* lint: disable R2 *).";
   ]
-
-let cmd = Cmd.v (Cmd.info "armvirt-lint" ~version:"2.0.0" ~doc ~man) term
-
-let main () = exit (Cmd.eval' cmd)

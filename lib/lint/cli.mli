@@ -1,5 +1,4 @@
-(** Cmdliner plumbing shared by the standalone [armvirt-lint] executable
-    and the [armvirt lint] subcommand. *)
+(** Cmdliner plumbing for the [armvirt lint] subcommand. *)
 
 val term : int Cmdliner.Term.t
 (** Evaluates to the process exit code (see {!Driver.run}). *)
@@ -7,8 +6,3 @@ val term : int Cmdliner.Term.t
 val doc : string
 
 val man : Cmdliner.Manpage.block list
-
-val cmd : int Cmdliner.Cmd.t
-
-val main : unit -> unit
-(** [Cmd.eval'] + [exit]; the body of [bin/armvirt_lint.ml]. *)

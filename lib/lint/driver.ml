@@ -3,7 +3,11 @@
    sorted, per-pass timings accumulate in registration order, and output
    is rendered by Report. *)
 
-let scanned_dirs = [ "lib"; "bin"; "bench" ]
+(* Per-file passes lint lib/, bin/ and bench/; S1 also reads the
+   callers in examples/ and test/. *)
+let linted_dirs = [ "lib"; "bin"; "bench" ]
+
+let scanned_dirs = linted_dirs @ [ "examples"; "test" ]
 
 let is_source f =
   Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
@@ -75,20 +79,20 @@ let sort_by_file findings =
    stays stable as the tree changes. *)
 let pass_stats ~timings findings =
   List.map
-    (fun (p : Pass.t) ->
+    (fun (name, rules) ->
       let seconds =
         List.fold_left
-          (fun acc (name, dt) -> if name = p.Pass.name then acc +. dt else acc)
+          (fun acc (n, dt) -> if n = name then acc +. dt else acc)
           0. timings
       in
       {
-        Report.pass = p.Pass.name;
-        pass_rules = p.Pass.rules;
+        Report.pass = name;
+        pass_rules = rules;
         duration_ms = seconds *. 1000.;
         pass_findings =
           List.length
             (List.filter
-               (fun (f : Engine.finding) -> List.mem f.Engine.rule p.Pass.rules)
+               (fun (f : Engine.finding) -> List.mem f.Engine.rule rules)
                findings);
       })
     Engine.passes
@@ -101,26 +105,45 @@ let sort_by_file_tagged tagged =
       | c -> c)
     tagged
 
+(* Each file is read and parsed once; the per-file passes see those
+   under lib/, bin/ and bench/, S1 all of them. *)
 let lint_tree ?(rules = Rules.all) ?(baseline = Baseline.empty) ~root () =
   let files = scan_files ~root in
-  let findings, suppressed, timings =
-    List.fold_left
-      (fun (fs, sup, ts) relpath ->
-        let source = read_file (Filename.concat root relpath) in
-        match Engine.lint_source ~rules ~relpath source with
-        | r -> (r.Engine.findings :: fs, sup + r.Engine.suppressed,
-                List.rev_append r.Engine.timings ts)
+  let sources =
+    List.filter_map
+      (fun relpath ->
+        match Engine.parse ~relpath (read_file (Filename.concat root relpath)) with
+        | src -> Some (relpath, src)
         | exception Engine.Parse_error msg ->
-            prerr_endline ("armvirt-lint: skipping unparseable " ^ msg);
-            (fs, sup, ts))
-      ([], 0, []) files
+            prerr_endline ("armvirt lint: skipping unparseable " ^ msg);
+            None)
+      files
   in
-  let findings = sort_by_file (List.concat findings) in
+  let linted relpath =
+    List.exists
+      (fun d -> String.starts_with ~prefix:(d ^ "/") relpath)
+      linted_dirs
+  in
+  let results =
+    List.filter_map
+      (fun (relpath, src) ->
+        if linted relpath then Some (Engine.lint_file ~rules src) else None)
+      sources
+    @
+    if List.mem Rules.S1 rules then
+      [ Engine.lint_exports (List.map snd sources) ]
+    else []
+  in
+  let findings =
+    sort_by_file (List.concat_map (fun r -> r.Engine.findings) results)
+  in
+  let timings = List.concat_map (fun r -> r.Engine.timings) results in
   let verdict = Baseline.check baseline findings in
   {
     Report.root;
     files_scanned = List.length files;
-    suppressed;
+    suppressed =
+      List.fold_left (fun acc r -> acc + r.Engine.suppressed) 0 results;
     passes = pass_stats ~timings findings;
     findings =
       sort_by_file_tagged
@@ -151,7 +174,7 @@ let explain rule_spec =
   | None ->
       prerr_endline
         (Printf.sprintf
-           "armvirt-lint: unknown rule %S (known: %s)" rule_spec
+           "armvirt lint: unknown rule %S (known: %s)" rule_spec
            (String.concat " " (List.map Rules.to_string Rules.all)));
       2
   | Some rule ->
@@ -183,7 +206,7 @@ let run ?(format = Report.Text) ?(only = []) ?(skip = []) ?root ?out ?baseline
     ?(update_baseline = false) () =
   match select_rules ~only ~skip with
   | exception Invalid_argument msg ->
-      prerr_endline ("armvirt-lint: " ^ msg);
+      prerr_endline ("armvirt lint: " ^ msg);
       2
   | rules -> (
       let root = match root with Some r -> r | None -> find_root () in
@@ -191,7 +214,7 @@ let run ?(format = Report.Text) ?(only = []) ?(skip = []) ?root ?out ?baseline
         Option.map (resolve_baseline_path ~root) baseline
       in
       if update_baseline && baseline_path = None then begin
-        prerr_endline "armvirt-lint: --update-baseline requires --baseline";
+        prerr_endline "armvirt lint: --update-baseline requires --baseline";
         2
       end
       else
@@ -206,7 +229,7 @@ let run ?(format = Report.Text) ?(only = []) ?(skip = []) ?root ?out ?baseline
         match known with
         | Error msg ->
             prerr_endline
-              (Printf.sprintf "armvirt-lint: bad baseline %s: %s"
+              (Printf.sprintf "armvirt lint: bad baseline %s: %s"
                  (Option.value baseline_path ~default:"?")
                  msg);
             2
@@ -218,7 +241,7 @@ let run ?(format = Report.Text) ?(only = []) ?(skip = []) ?root ?out ?baseline
               write_file path (Baseline.render (Baseline.of_findings all));
               output_string stdout
                 (Printf.sprintf
-                   "armvirt-lint: wrote %s (%d findings grandfathered)\n" path
+                   "armvirt lint: wrote %s (%d findings grandfathered)\n" path
                    (List.length all));
               flush stdout;
               0

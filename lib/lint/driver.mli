@@ -1,9 +1,9 @@
 (** Whole-repo lint runs. *)
 
 val scan_files : root:string -> string list
-(** All [.ml]/[.mli] files under [lib/], [bin/] and [bench/] below [root],
-    as sorted '/'-separated relative paths. [_*] and dot directories are
-    skipped. *)
+(** All [.ml]/[.mli] files under [lib/], [bin/], [bench/], [examples/]
+    and [test/] below [root], as sorted '/'-separated relative paths.
+    [_*] and dot directories are skipped. *)
 
 val find_root : unit -> string
 (** Locate the repo root from the current directory, stripping any
@@ -12,9 +12,11 @@ val find_root : unit -> string
 
 val lint_tree :
   ?rules:Rules.id list -> ?baseline:Baseline.t -> root:string -> unit -> Report.t
-(** Lint every scanned file under [root], then split findings into fresh
-    vs grandfathered against [baseline] (default: empty, i.e. everything
-    fresh). Unparseable files are reported on stderr and skipped. *)
+(** Run the per-file passes over every scanned file under [lib/],
+    [bin/] and [bench/] and S1 over all of them, then split findings
+    into fresh vs grandfathered against [baseline] (default: empty, i.e.
+    everything fresh). Unparseable files are reported on stderr and
+    skipped. *)
 
 val explain : string -> int
 (** Print the long-form rationale for a rule id ([--explain]). Returns
@@ -30,8 +32,8 @@ val run :
   ?update_baseline:bool ->
   unit ->
   int
-(** CLI entry point shared by [armvirt-lint] and [armvirt lint]. [only] and
-    [skip] are comma-separable rule-id lists ([--rules]/[--skip-rules]).
+(** The [armvirt lint] entry point. [only] and [skip] are
+    comma-separable rule-id lists ([--rules]/[--skip-rules]).
     [out] of [None] or ["-"] writes to stdout. [baseline] names the
     ratchet file ([--baseline]), resolved against the cwd then the repo
     root; with [update_baseline] the current findings are written back to

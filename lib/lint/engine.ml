@@ -1,7 +1,8 @@
-(* The multi-pass analysis engine: parse one compilation unit with
-   compiler-libs, then run every registered pass whose rules are active
-   for the file, timing each. Suppression directives are applied once
-   over the union of all passes' candidate findings. *)
+(* The multi-pass analysis engine: parse each compilation unit once with
+   compiler-libs, then run every registered per-file pass whose rules
+   are active for the file, timing each; the whole-tree pass reads the
+   same parsed units. Suppression directives are applied once over the
+   union of all passes' candidate findings. *)
 
 type finding = Pass.finding = {
   rule : Rules.id;
@@ -24,57 +25,75 @@ let compare_finding = Pass.compare_finding
 
 (* Registration order is report order; a pass declares the rules it can
    emit and is skipped entirely when none of them apply to the file. *)
-let passes : Pass.t list =
-  [ Determinism.pass; Units.pass; Capture.pass ]
+let file_passes : Pass.t list = [ Determinism.pass; Units.pass; Capture.pass ]
+
+(* Every pass with its rules, the whole-tree pass last. *)
+let passes =
+  List.map (fun (p : Pass.t) -> (p.Pass.name, p.Pass.rules)) file_passes
+  @ [ (Exports.name, [ Rules.S1 ]) ]
 
 let pass_of_rule rule =
-  match List.find_opt (fun p -> List.mem rule p.Pass.rules) passes with
-  | Some p -> p.Pass.name
-  | None -> "?"
+  fst (List.find (fun (_, rules) -> List.mem rule rules) passes)
 
-(* --- entry point ------------------------------------------------------ *)
+(* --- entry points ----------------------------------------------------- *)
 
-let parse ~relpath source =
-  let lexbuf = Lexing.from_string source in
+type source = { relpath : string; sup : Suppress.t; ast : Pass.ast }
+
+let parse ~relpath text =
+  let lexbuf = Lexing.from_string text in
   Lexing.set_filename lexbuf relpath;
-  try
-    if Filename.check_suffix relpath ".mli" then
-      Pass.Intf (Parse.interface lexbuf)
-    else Pass.Impl (Parse.implementation lexbuf)
-  with exn ->
-    raise
-      (Parse_error (Printf.sprintf "%s: %s" relpath (Printexc.to_string exn)))
+  let ast =
+    try
+      if Filename.check_suffix relpath ".mli" then
+        Pass.Intf (Parse.interface lexbuf)
+      else Pass.Impl (Parse.implementation lexbuf)
+    with exn ->
+      raise
+        (Parse_error (Printf.sprintf "%s: %s" relpath (Printexc.to_string exn)))
+  in
+  { relpath; sup = Suppress.of_source text; ast }
 
 (* Host wall-clock, for the per-pass diagnostic timings in the v2
    report; never part of a byte-compared artifact. *)
 let default_clock () = Sys.time () (* lint: allow R2 pass-timing diagnostics *)
 
-let lint_source ?(rules = Rules.all) ?(clock = default_clock) ~relpath source
-    =
-  let sup = Suppress.of_source source in
-  let active =
-    List.filter (fun r -> not (Suppress.file_disabled sup r)) rules
-  in
-  let ctx = { Pass.relpath; active; raw = [] } in
-  let ast = parse ~relpath source in
-  let timings =
-    List.filter_map
-      (fun (p : Pass.t) ->
-        if Pass.relevant p ctx then begin
-          let t0 = clock () in
-          p.Pass.run ctx ast;
-          Some (p.Pass.name, clock () -. t0)
-        end
-        else None)
-      passes
-  in
+(* Candidates silenced by the directives of the file they sit in are
+   counted, the rest reported. *)
+let settle ~sup_of ~timings raw =
   let suppressed, findings =
     List.partition
-      (fun (f : finding) -> Suppress.allowed sup f.rule ~line:f.line)
-      ctx.Pass.raw
+      (fun (f : finding) ->
+        let sup = sup_of f.file in
+        Suppress.file_disabled sup f.rule
+        || Suppress.allowed sup f.rule ~line:f.line)
+      raw
   in
   {
     findings = List.sort compare_finding findings;
     suppressed = List.length suppressed;
     timings;
   }
+
+let lint_file ?(rules = Rules.all) ?(clock = default_clock) src =
+  let active =
+    List.filter (fun r -> not (Suppress.file_disabled src.sup r)) rules
+  in
+  let ctx = { Pass.relpath = src.relpath; active; raw = [] } in
+  let timings =
+    List.filter_map
+      (fun (p : Pass.t) ->
+        if Pass.relevant p ctx then begin
+          let t0 = clock () in
+          p.Pass.run ctx src.ast;
+          Some (p.Pass.name, clock () -. t0)
+        end
+        else None)
+      file_passes
+  in
+  settle ~sup_of:(fun _ -> src.sup) ~timings ctx.Pass.raw
+
+let lint_exports ?(clock = default_clock) sources =
+  let t0 = clock () in
+  let raw = Exports.run (List.map (fun s -> (s.relpath, s.ast)) sources) in
+  let sup_of file = (List.find (fun s -> s.relpath = file) sources).sup in
+  settle ~sup_of ~timings:[ (Exports.name, clock () -. t0) ] raw

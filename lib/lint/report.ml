@@ -3,12 +3,6 @@ module Json = Armvirt_obs.Json
 
 type format = Text | Csv | Json
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "csv" -> Some Csv
-  | "json" -> Some Json
-  | _ -> None
-
 type status = Fresh | Grandfathered
 
 let status_to_string = function
@@ -80,7 +74,7 @@ let render_text t =
   let ngrand = List.length (grandfathered t) in
   Buffer.add_string buf
     (Printf.sprintf
-       "armvirt-lint: %d files scanned, %d finding%s (%d grandfathered, %d \
+       "armvirt lint: %d files scanned, %d finding%s (%d grandfathered, %d \
         suppressed, %d stale)\n"
        t.files_scanned nfresh
        (if nfresh = 1 then "" else "s")

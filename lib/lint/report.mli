@@ -7,11 +7,7 @@
 
 type format = Text | Csv | Json
 
-val format_of_string : string -> format option
-
 type status = Fresh | Grandfathered
-
-val status_to_string : status -> string
 
 type pass_stat = {
   pass : string;
@@ -31,7 +27,6 @@ type t = {
 }
 
 val fresh : t -> Engine.finding list
-val grandfathered : t -> Engine.finding list
 
 val clean : t -> bool
 (** No fresh findings and no stale baseline residue. *)

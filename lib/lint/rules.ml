@@ -1,8 +1,8 @@
-type id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | U1 | U2 | D1
+type id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | U1 | U2 | D1 | S1
 
 type severity = Error | Warning
 
-let all = [ R1; R2; R3; R4; R5; R6; R7; U1; U2; D1 ]
+let all = [ R1; R2; R3; R4; R5; R6; R7; U1; U2; D1; S1 ]
 
 let to_string = function
   | R1 -> "R1"
@@ -15,6 +15,7 @@ let to_string = function
   | U1 -> "U1"
   | U2 -> "U2"
   | D1 -> "D1"
+  | S1 -> "S1"
 
 let of_string s =
   match String.uppercase_ascii (String.trim s) with
@@ -28,10 +29,11 @@ let of_string s =
   | "U1" -> Some U1
   | "U2" -> Some U2
   | "D1" -> Some D1
+  | "S1" -> Some S1
   | _ -> None
 
 let severity = function
-  | R1 | R2 | R3 | R4 | U1 | D1 -> Error
+  | R1 | R2 | R3 | R4 | U1 | D1 | S1 -> Error
   | R5 | R6 | R7 | U2 -> Warning
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
@@ -47,6 +49,7 @@ let summary = function
   | U1 -> "arithmetic/comparison/binding between incompatible units of measure"
   | U2 -> "unit-less literal combined with a unit-carrying value"
   | D1 -> "closure reaching Runner.map captures mutable toplevel state"
+  | S1 -> "exported value that no other unit calls"
 
 let hint = function
   | R1 -> "draw through a seeded Engine.Rng stream (Rng.split per consumer)"
@@ -71,6 +74,9 @@ let hint = function
   | D1 ->
       "pass state into the cell function and return it; cells must be pure \
        functions of their input for memoization and --jobs invariance"
+  | S1 ->
+      "delete the value, or drop it from the .mli when only its own module \
+       calls it; an audited export takes (* lint: allow S1 <reason> *)"
 
 let explain = function
   | R1 ->
@@ -136,6 +142,17 @@ let explain = function
        resolves to a toplevel ref/Hashtbl/Atomic of the same file is \
        flagged; the designated registries (which Runner merges \
        deterministically) are exempt."
+  | S1 ->
+      "S1 reads the whole tree: every val of a lib/**/*.mli, nested module \
+       signatures included, needs a caller in an .ml under lib/, bin/, \
+       bench/, examples/ or test/ other than its own implementation. A \
+       reference counts when it is ...M.v written through the module name \
+       M that declares v, X.v where the file binds module X = ...M, or a \
+       bare v in a file that opens M (open, let open, M.( ... ), include). \
+       Without types the match is by name, so an ambiguous reference \
+       counts as a call. An export nobody calls is surface to read, test \
+       and keep working for no program path; a value that tests call to \
+       read state a program path creates has a caller and stays."
 
 (* --- per-rule path scoping ------------------------------------------ *)
 (* Relative paths use '/' separators and are rooted at the repo root. *)
@@ -173,3 +190,4 @@ let applies ~relpath id =
       && relpath <> runner_module
       && not (List.mem relpath registry_modules)
   | R7 -> starts_with "lib/" relpath
+  | S1 -> starts_with "lib/" relpath && Filename.check_suffix relpath ".mli"

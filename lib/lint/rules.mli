@@ -11,9 +11,11 @@
       the cost arithmetic composing cycles, microseconds, bytes and
       Gbps must never mix dimensions silently.
     - [D1]: cross-domain capture — closures fanned out through
-      [Runner.map] must not touch mutable toplevel state. *)
+      [Runner.map] must not touch mutable toplevel state.
+    - [S1]: every export has a caller — a [val] of a [lib/**/*.mli]
+      that no other unit references fails (the one whole-tree rule). *)
 
-type id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | U1 | U2 | D1
+type id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | U1 | U2 | D1 | S1
 
 type severity = Error | Warning
 
@@ -38,16 +40,6 @@ val explain : id -> string
 (** The long-form rationale shown by [armvirt lint --explain RULE]:
     what the rule flags, why the invariant matters, and the audited
     suppression form. *)
-
-val rng_module : string
-(** The only file allowed to use stdlib [Random] (R1 allowlist). *)
-
-val runner_module : string
-(** The only file allowed to use [Domain.spawn]/[Domain.join] (R4). *)
-
-val registry_modules : string list
-(** Files whose top-level mutable state is the designated registry
-    (R6 allowlist, and D1's exempt capture targets). *)
 
 val applies : relpath:string -> id -> bool
 (** Whether a rule is in scope for a '/'-separated repo-relative path. *)

@@ -193,8 +193,6 @@ let rec infer e =
 
 (* --- node checks ------------------------------------------------------ *)
 
-let unit_name = function Unit u -> u | Unitless -> "unitless" | Unknown -> "?"
-
 let check_binary ctx op (loc : Location.t) a b =
   let ua = infer a and ub = infer b in
   match (ua, ub) with

@@ -10,7 +10,6 @@ let check kind n =
 
 let va n = check "va" n
 let ipa n = check "ipa" n
-let pa n = check "pa" n
 let va_to_int a = a
 let ipa_to_int a = a
 let pa_to_int a = a

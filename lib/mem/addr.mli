@@ -13,8 +13,6 @@ val page_size : int
 
 val va : int -> va
 val ipa : int -> ipa
-val pa : int -> pa
-(** Constructors raise [Invalid_argument] on negative addresses. *)
 
 val va_to_int : va -> int
 val ipa_to_int : ipa -> int

@@ -10,7 +10,6 @@ type error =
   | Wrong_domain of { expected : domid; actual : domid }
   | Already_mapped of int
   | Not_mapped of int
-  | Busy of int
   | Write_to_readonly of int
 
 exception Grant_error of error
@@ -22,14 +21,9 @@ type entry = {
   mutable mapped : bool;
 }
 
-type t = {
-  owner : domid;
-  entries : (int, entry) Hashtbl.t;
-  mutable next_ref : int;
-}
+type t = { entries : (int, entry) Hashtbl.t; mutable next_ref : int }
 
-let create ~owner = { owner; entries = Hashtbl.create 64; next_ref = 0 }
-let owner t = t.owner
+let create () = { entries = Hashtbl.create 64; next_ref = 0 }
 
 let grant t ~to_dom ~ipa_page access =
   if ipa_page < 0 then invalid_arg "Grant_table.grant: negative page frame";
@@ -59,11 +53,6 @@ let unmap t gref ~by =
   if not e.mapped then raise (Grant_error (Not_mapped gref));
   e.mapped <- false
 
-let revoke t gref =
-  let e = find t gref in
-  if e.mapped then raise (Grant_error (Busy gref));
-  Hashtbl.remove t.entries gref
-
 let is_mapped t gref =
   match Hashtbl.find_opt t.entries gref with
   | Some e -> e.mapped
@@ -77,14 +66,3 @@ let active_grants t = Hashtbl.length t.entries
 let mapped_grants t =
   (* lint: sorted — pure count, commutative *)
   Hashtbl.fold (fun _ e acc -> if e.mapped then acc + 1 else acc) t.entries 0
-
-let pp_error ppf = function
-  | Unknown_ref r -> Format.fprintf ppf "unknown grant reference %d" r
-  | Wrong_domain { expected; actual } ->
-      Format.fprintf ppf "grant mapped by domain %d but granted to %d" actual
-        expected
-  | Already_mapped r -> Format.fprintf ppf "grant %d already mapped" r
-  | Not_mapped r -> Format.fprintf ppf "grant %d not mapped" r
-  | Busy r -> Format.fprintf ppf "grant %d still mapped (busy)" r
-  | Write_to_readonly r ->
-      Format.fprintf ppf "write through read-only grant %d" r

@@ -23,7 +23,6 @@ type error =
   | Wrong_domain of { expected : domid; actual : domid }
   | Already_mapped of int
   | Not_mapped of int
-  | Busy of int  (** Revoking a grant that is still mapped. *)
   | Write_to_readonly of int
 
 exception Grant_error of error
@@ -31,27 +30,20 @@ exception Grant_error of error
 type t
 (** One domain's grant table. *)
 
-val create : owner:domid -> t
-val owner : t -> domid
+val create : unit -> t
 
 val grant : t -> to_dom:domid -> ipa_page:int -> access -> gref
 (** The owner offers [ipa_page] to [to_dom]. *)
 
 val map : t -> gref -> by:domid -> int
 (** [map t ref ~by] maps the granted page into domain [by]'s space and
-    returns the page frame. Raises {!Grant_error}: [Unknown_ref] for a
-    revoked/absent reference, [Wrong_domain] when [by] is not the
+    returns the page frame. Raises {!Grant_error}: [Unknown_ref] for an
+    absent reference, [Wrong_domain] when [by] is not the
     grantee, [Already_mapped] on a double map. *)
 
 val unmap : t -> gref -> by:domid -> unit
-val revoke : t -> gref -> unit
-(** Raises [Busy] while the grantee still has the page mapped — the
-    invariant whose enforcement on x86 requires the TLB shootdown the
-    paper discusses. *)
 
 val is_mapped : t -> gref -> bool
 val access_of : t -> gref -> access option
 val active_grants : t -> int
 val mapped_grants : t -> int
-
-val pp_error : Format.formatter -> error -> unit

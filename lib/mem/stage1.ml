@@ -52,17 +52,6 @@ let map t ~va_page ~ipa_page =
 
 exception Translation_fault of Addr.va
 
-let translate t va =
-  let va_page = Addr.va_page va in
-  let rec go node level =
-    match Hashtbl.find_opt node.entries (index ~va_page ~level) with
-    | Some (Page ipa_page) when level = levels - 1 ->
-        Addr.ipa ((ipa_page * Addr.page_size) + (Addr.va_to_int va mod Addr.page_size))
-    | Some (Table child) when level < levels - 1 -> go child (level + 1)
-    | Some _ | None -> raise (Translation_fault va)
-  in
-  go t.root 0
-
 let table_pages t =
   let rec collect node acc =
     Hashtbl.fold
@@ -104,4 +93,3 @@ let walk_2d t stage2 va =
   (pa, !accesses)
 
 let native_walk_accesses = levels
-let two_d_walk_accesses = (levels * (stage2_levels + 1)) + stage2_levels

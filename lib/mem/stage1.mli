@@ -34,10 +34,6 @@ val map : t -> va_page:int -> ipa_page:int -> unit
 
 exception Translation_fault of Addr.va
 
-val translate : t -> Addr.va -> Addr.ipa
-(** Pure stage-1 walk (what the guest kernel thinks happens). Raises
-    {!Translation_fault} on an unmapped address. *)
-
 val table_pages : t -> int list
 (** IPA page frames holding this address space's table nodes — the
     pages a hypervisor must back before the guest can even walk. *)
@@ -51,6 +47,3 @@ val walk_2d : t -> Stage2.t -> Addr.va -> Addr.pa * int
 
 val native_walk_accesses : int
 (** 4 — the same walk on bare metal. *)
-
-val two_d_walk_accesses : int
-(** 24 — [levels * (stage-2 levels + 1) + stage-2 levels]. *)

@@ -65,19 +65,6 @@ let insert t ~ipa_page ~pa_page =
       push_front t entry;
       Hashtbl.add t.table ipa_page entry
 
-let invalidate_page t ~ipa_page =
-  match Hashtbl.find_opt t.table ipa_page with
-  | Some entry ->
-      unlink entry;
-      Hashtbl.remove t.table ipa_page
-  | None -> ()
-
-let invalidate_all t =
-  Hashtbl.reset t.table;
-  t.sentinel.prev <- t.sentinel;
-  t.sentinel.next <- t.sentinel
-
 let entries t = Hashtbl.length t.table
-let capacity t = t.capacity
 let hits t = t.hits
 let misses t = t.misses

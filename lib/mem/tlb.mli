@@ -29,11 +29,7 @@ val insert : t -> ipa_page:int -> pa_page:int -> unit
     recently used. Inserting a new page into a full TLB first evicts the
     least recently used entry; replacing a resident one evicts nothing. *)
 
-val invalidate_page : t -> ipa_page:int -> unit
-val invalidate_all : t -> unit
-
 val entries : t -> int
-val capacity : t -> int
 val hits : t -> int
 val misses : t -> int
 (** Lifetime counters over {!lookup}. *)

@@ -36,7 +36,6 @@ let default =
   }
 
 let page_bytes t = t.page_kb * 1024
-let total_bytes t = t.pages * page_bytes t
 
 let max_pages = 1 lsl 20
 let max_page_kb = 1024

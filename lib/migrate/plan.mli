@@ -37,7 +37,6 @@ val default : t
     hypervisor model. *)
 
 val page_bytes : t -> int
-val total_bytes : t -> int
 
 val max_pages : int
 (** 1 048 576 pages (4 GiB at 4 KiB): the largest guest a plan admits. *)

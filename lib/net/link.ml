@@ -81,7 +81,6 @@ let send_bulk t ~bytes =
   t.delivered <- t.delivered + 1;
   Cycles.sub arrival now
 
-let in_flight t = t.in_flight
 let delivered t = t.delivered
 let busy_cycles t = t.busy
 

@@ -44,7 +44,6 @@ val send_bulk : t -> bytes:int -> Armvirt_engine.Cycles.t
     (queueing + serialization + propagation). Must run inside a
     simulation process. *)
 
-val in_flight : t -> int
 val delivered : t -> int
 
 val busy_cycles : t -> int

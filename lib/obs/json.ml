@@ -72,8 +72,14 @@ let parse s =
           | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
           | Some 'u' ->
               advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              let hex = if !pos + 4 <= n then String.sub s !pos 4 else "" in
+              let is_hex = function
+                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                | _ -> false
+              in
+              if hex = "" || not (String.for_all is_hex hex) then
+                fail "bad \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
               pos := !pos + 4;
               (* [escape] only emits \u for control characters; decode
                  the BMP code point as UTF-8. *)

@@ -219,46 +219,3 @@ let pp_prometheus ppf t =
         (float_repr h.h_sum);
       Format.fprintf ppf "%s_count%s %d@." name (prom_labels k.labels)
         h.h_count)
-
-let json_string s = "\"" ^ Json.escape s ^ "\""
-
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> json_string k ^ ":" ^ json_string v) labels)
-  ^ "}"
-
-let pp_json ppf t =
-  let entry ?(last = false) body =
-    Format.fprintf ppf "    %s%s@." body (if last then "" else ",")
-  in
-  let section name table render ~last =
-    Format.fprintf ppf "  %s: [@." (json_string name);
-    let keys = sorted_keys table in
-    let n = List.length keys in
-    List.iteri (fun i k -> entry ~last:(i = n - 1) (render k)) keys;
-    Format.fprintf ppf "  ]%s@." (if last then "" else ",")
-  in
-  Format.fprintf ppf "{@.";
-  section "counters" t.counters ~last:false (fun k ->
-      Printf.sprintf "{\"name\":%s,\"labels\":%s,\"value\":%d}"
-        (json_string k.name) (json_labels k.labels)
-        !(Hashtbl.find t.counters k));
-  section "gauges" t.gauges ~last:false (fun k ->
-      Printf.sprintf "{\"name\":%s,\"labels\":%s,\"value\":%s}"
-        (json_string k.name) (json_labels k.labels)
-        (float_repr !(Hashtbl.find t.gauges k)));
-  section "histograms" t.histograms ~last:true (fun k ->
-      let h = Hashtbl.find t.histograms k in
-      let buckets =
-        Hashtbl.fold (fun e n acc -> (e, n) :: acc) h.buckets []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.map (fun (e, n) ->
-               Printf.sprintf "{\"le\":%.0f,\"count\":%d}" (bucket_le e) n)
-        |> String.concat ","
-      in
-      Printf.sprintf
-        "{\"name\":%s,\"labels\":%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
-        (json_string k.name) (json_labels k.labels) h.h_count
-        (float_repr h.h_sum) buckets);
-  Format.fprintf ppf "}@."

@@ -58,7 +58,3 @@ val pp_prometheus : Format.formatter -> t -> unit
 (** Prometheus text exposition format: [# TYPE] per family, histograms
     with cumulative [le] buckets, [+Inf], [_sum] and [_count]. Names are
     sanitized to the Prometheus charset. *)
-
-val pp_json : Format.formatter -> t -> unit
-(** A JSON document with ["counters"], ["gauges"] and ["histograms"]
-    arrays. *)

@@ -48,9 +48,3 @@ let push t x =
 let to_list t =
   let n = Array.length t.data in
   List.init t.len (fun i -> t.data.((t.head + i) mod n))
-
-let clear t =
-  t.data <- [||];
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0

@@ -27,6 +27,3 @@ val dropped : 'a t -> int
 
 val to_list : 'a t -> 'a list
 (** Oldest first (chronological for a tracer pushing in time order). *)
-
-val clear : 'a t -> unit
-(** Drops all elements, releases storage and resets {!dropped}. *)

@@ -6,10 +6,7 @@ type category =
   | Stage2
   | Io
   | Sched
-  | Runner
   | Other
-
-let all = [ Migrate; Trap; Vmexit; Irq; Stage2; Io; Sched; Runner; Other ]
 
 let category_to_string = function
   | Migrate -> "migrate"
@@ -19,20 +16,7 @@ let category_to_string = function
   | Stage2 -> "stage2"
   | Io -> "io"
   | Sched -> "sched"
-  | Runner -> "runner"
   | Other -> "other"
-
-let category_of_string = function
-  | "migrate" -> Some Migrate
-  | "trap" -> Some Trap
-  | "vmexit" -> Some Vmexit
-  | "irq" -> Some Irq
-  | "stage2" -> Some Stage2
-  | "io" -> Some Io
-  | "sched" -> Some Sched
-  | "runner" -> Some Runner
-  | "other" -> Some Other
-  | _ -> None
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -63,11 +47,10 @@ let rules =
     (Stage2,
      [ "stage2"; "page_map"; "tlb"; "coldstart"; "grant"; "fault"; "walk" ]);
     (Io,
-     [ "netperf"; "rr_system"; "stream_system"; "maerts_system";
-       "disk_system"; "rx"; "tx"; "blk"; "backend"; "notify"; "kick";
-       "copy"; "frame"; "wire"; "dma"; "vhost"; "signal"; "nic"; "net" ]);
+     [ "netperf"; "rr_system"; "stream_system"; "rx"; "tx"; "blk";
+       "backend"; "notify"; "kick"; "copy"; "frame"; "wire"; "dma"; "vhost";
+       "signal"; "nic"; "net" ]);
     (Sched, [ "sched"; "steal"; "idle"; "park"; "wake"; "spawn"; "blocked" ]);
-    (Runner, [ "runner"; "memo"; "cell" ]);
   ]
 
 let of_label label =

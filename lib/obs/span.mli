@@ -3,7 +3,7 @@
     Mirrors the decomposition axes of the paper's analysis — traps into
     the hypervisor (Table I's transition costs), full world switches,
     interrupt virtualization, stage-2 memory management, the I/O request
-    path (Table V), scheduling, and the experiment runner itself. Every
+    path (Table V) and scheduling. Every
     {!event} carries a {!category} so exporters can attribute cycles per
     axis without re-parsing label strings. *)
 
@@ -19,17 +19,11 @@ type category =
   | Stage2  (** Stage-2/nested paging: faults, page walks, TLB, grants. *)
   | Io  (** The paravirtual I/O path: rings, backends, copies, wires. *)
   | Sched  (** Simulator scheduling: parked/woken processes, contention. *)
-  | Runner  (** Experiment-runner bookkeeping: cells, memoization. *)
   | Other
-
-val all : category list
-(** Every category, in rendering order. *)
 
 val category_to_string : category -> string
 (** Lowercase stable names: ["migrate"], ["trap"], ["vmexit"], ["irq"],
-    ["stage2"], ["io"], ["sched"], ["runner"], ["other"]. *)
-
-val category_of_string : string -> category option
+    ["stage2"], ["io"], ["sched"], ["other"]. *)
 
 val of_label : string -> category
 (** Classifies a {!Armvirt_arch.Machine.spend} label

@@ -29,6 +29,8 @@ let pad c cell =
   let fill = String.make (max 0 (c.width - String.length cell)) ' ' in
   match c.align with Left -> cell ^ fill | Right -> fill ^ cell
 
+let float fmt x = if Float.is_finite x then Printf.sprintf fmt x else "-"
+
 let text ppf t =
   let rule () = if t.rule > 0 then line ppf (String.make t.rule '-') in
   let row cells = line ppf (String.concat " " (List.map2 pad t.columns cells)) in

@@ -45,6 +45,10 @@ val heads : string list -> column list
 (** Unpadded left-aligned columns, for tables only rendered as CSV or
     markdown. *)
 
+val float : (float -> string, unit, string) format -> float -> string
+(** [float fmt x] formats a cell: [x] through [fmt], or ["-"] when [x]
+    is undefined (NaN or infinite), so no table prints [nan] or [inf]. *)
+
 val text : Format.formatter -> t -> unit
 (** The title lines; a rule; the header lines (skipped, with the rule
     under them, when every head is empty); a rule; the rows; a closing

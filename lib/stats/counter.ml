@@ -13,21 +13,14 @@ type set = {
   mutable size : int;
 }
 
-let cycles : id = 0
-
 let create_set () : set =
   let capacity = 32 in
-  let set =
-    {
-      index = Hashtbl.create capacity;
-      values = Array.make capacity 0;
-      touched = Bytes.make capacity '\000';
-      size = 0;
-    }
-  in
-  Hashtbl.add set.index "cycles" cycles;
-  set.size <- 1;
-  set
+  {
+    index = Hashtbl.create capacity;
+    values = Array.make capacity 0;
+    touched = Bytes.make capacity '\000';
+    size = 0;
+  }
 
 let grow set =
   let capacity = 2 * Array.length set.values in
@@ -55,7 +48,6 @@ let add_id set id n =
 let incr_id set id = add_id set id 1
 let add set name n = add_id set (intern set name) n
 let incr set name = add set name 1
-let add_cycles set name c = add set name (Cycles.to_int c)
 
 let get set name =
   match Hashtbl.find_opt set.index name with
@@ -64,8 +56,6 @@ let get set name =
 
 let value set id =
   if Bytes.get set.touched id <> '\000' then Some set.values.(id) else None
-
-let get_cycles set name = Cycles.of_int (get set name)
 
 let names set =
   Hashtbl.fold
@@ -77,8 +67,3 @@ let names set =
 let reset set =
   Array.fill set.values 0 set.size 0;
   Bytes.fill set.touched 0 set.size '\000'
-
-let pp ppf set =
-  List.iter
-    (fun name -> Format.fprintf ppf "%-40s %12d@." name (get set name))
-    (names set)

@@ -23,9 +23,6 @@ type id = private int
 
 val create_set : unit -> set
 
-val cycles : id
-(** The id of ["cycles"], interned first in every set. *)
-
 val intern : set -> string -> id
 (** The id of [name] in [set], allocating it on first use. Idempotent:
     interning a name again returns the same id. Interning alone does not
@@ -36,7 +33,6 @@ val incr_id : set -> id -> unit
 
 val incr : set -> string -> unit
 val add : set -> string -> int -> unit
-val add_cycles : set -> string -> Armvirt_engine.Cycles.t -> unit
 
 val get : set -> string -> int
 (** 0 for a counter never touched. *)
@@ -45,8 +41,6 @@ val value : set -> id -> int option
 (** [None] for a counter not updated since creation or the last
     {!reset}. *)
 
-val get_cycles : set -> string -> Armvirt_engine.Cycles.t
-
 val names : set -> string list
 (** Counters updated at least once since creation or the last {!reset}
     (an add of 0 counts), sorted. A name that was only interned is not
@@ -54,5 +48,3 @@ val names : set -> string list
 
 val reset : set -> unit
 (** Zeroes every counter and empties {!names}; interned ids stay valid. *)
-
-val pp : Format.formatter -> set -> unit

@@ -16,5 +16,3 @@ let measure t f =
   (* The stop timestamp includes one barrier executed after [f]
      completed; remove it so the result covers [f] alone. *)
   Cycles.sub (Cycles.sub stop start) t.barrier_cost
-
-let barrier_cost t = t.barrier_cost

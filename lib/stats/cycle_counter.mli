@@ -25,5 +25,3 @@ val measure : t -> (unit -> unit) -> Armvirt_engine.Cycles.t
     elapsed cycles of [f] alone, with the trailing barrier cost
     subtracted out (the paper subtracts measured null-loop overhead the
     same way). *)
-
-val barrier_cost : t -> Armvirt_engine.Cycles.t

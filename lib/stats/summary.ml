@@ -48,27 +48,5 @@ let coefficient_of_variation s =
   let m = mean s in
   if Float.equal m 0.0 then 0.0 else stddev s /. m
 
-(* Two-tailed Student-t critical values at 95% for df = 1..29; beyond
-   that the normal approximation (1.96) is within 0.3%. *)
-let t_critical_95 =
-  [|
-    12.706; 4.303; 3.182; 2.776; 2.571; 2.447; 2.365; 2.306; 2.262; 2.228;
-    2.201; 2.179; 2.160; 2.145; 2.131; 2.120; 2.110; 2.101; 2.093; 2.086;
-    2.080; 2.074; 2.069; 2.064; 2.060; 2.056; 2.052; 2.048; 2.045;
-  |]
-
-let ci95 s =
-  let n = count s in
-  let m = mean s in
-  let critical =
-    if n >= 2 && n < 30 then t_critical_95.(n - 2) else 1.96
-  in
-  let half = critical *. stddev s /. sqrt (float_of_int n) in
-  (m -. half, m +. half)
-
 let median_cycles s =
   Cycles.of_int (int_of_float (Float.round (median s)))
-
-let pp ppf s =
-  Format.fprintf ppf "n=%d median=%.1f mean=%.1f sd=%.1f min=%.1f max=%.1f"
-    (count s) (median s) (mean s) (stddev s) (min s) (max s)

@@ -30,14 +30,5 @@ val coefficient_of_variation : t -> float
 (** stddev / mean; the paper's variability-control criterion maps to
     requiring this to be small for microbenchmark samples. *)
 
-val ci95 : t -> float * float
-(** A 95% confidence interval on the mean ([mean ± t·sd/√n]). For
-    [n < 30] the critical value is the two-tailed Student-t quantile for
-    [n-1] degrees of freedom (small microbenchmark samples would be
-    overconfident under the normal approximation); for [n ≥ 30] it is
-    the normal 1.96. Degenerate (point) for singletons. *)
-
 val median_cycles : t -> Armvirt_engine.Cycles.t
 (** Median rounded to a whole cycle count, for table rendering. *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,7 +7,11 @@
     ({!Armvirt_hypervisor.Backend_thread}), Xen funnels all of them
     through a single netback worker in Dom0. The result is the
     completion makespan and each VM's share — fairness and serialization
-    measured, not asserted. *)
+    measured, not asserted.
+
+    No experiment runs it: [test_system] checks with it the one-vhost-
+    per-VM versus one-netback contrast the consolidation experiment
+    assumes. *)
 
 type result = {
   vms : int;

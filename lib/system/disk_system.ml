@@ -38,7 +38,7 @@ let run ?(requests = 64) (hyp : Hypervisor.t) ~device =
   let zero_copy = p.Io_profile.zero_copy in
   let vq = Virtqueue.create () in
   let ring = Xen_ring.create () in
-  let grants = Grant_table.create ~owner:1 in
+  let grants = Grant_table.create () in
   let completion = Sim.Signal.create sim in
   let device_cycles =
     Blk_device.service_cycles device ~freq_ghz ~bytes:4096 ~write:false

@@ -6,7 +6,11 @@
     closed form; this run exercises the protocol — descriptor ownership,
     grant map/unmap pairing, worker park/wake per request (queue depth 1
     means every request finds the worker asleep) — and must land on
-    comparable latencies. *)
+    comparable latencies.
+
+    No experiment runs it: it is the structural reference that
+    [test_system] holds the disk experiment's
+    {!Armvirt_workloads.Diskbench.run} against. *)
 
 type result = {
   requests : int;

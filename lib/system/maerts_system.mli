@@ -10,7 +10,11 @@
     the reason restoring TSO batching (64 KB chunks through page-
     granular grants, the analytic model's regime) matters more than the
     window itself. KVM's zero-copy ring runs the same pattern at line
-    rate. *)
+    rate.
+
+    No experiment runs it: it is the structural reference that
+    [test_system] holds {!Armvirt_workloads.Netperf.tcp_maerts}, Figure
+    4's TCP_MAERTS row, against. *)
 
 type result = {
   frames : int;

@@ -63,7 +63,7 @@ let make_transport (hyp : Hypervisor.t) =
       {
         rx = Xen_ring.create ();
         tx = Xen_ring.create ();
-        grants = Grant_table.create ~owner:1;
+        grants = Grant_table.create ();
         channels;
         io_port = Event_channel.alloc channels ~from_dom:1 ~to_dom:0;
         irq_port = Event_channel.alloc channels ~from_dom:0 ~to_dom:1;

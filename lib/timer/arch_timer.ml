@@ -6,7 +6,6 @@ type t = {
   on_expiry : unit -> unit;
   mutable generation : int; (* invalidates superseded arm requests *)
   mutable armed : bool;
-  mutable cntvoff : Cycles.t;
   mutable expirations : int;
 }
 
@@ -16,7 +15,6 @@ let create sim ~on_expiry =
     on_expiry;
     generation = 0;
     armed = false;
-    cntvoff = Cycles.zero;
     expirations = 0;
   }
 
@@ -39,17 +37,6 @@ let arm_timer t ~deadline =
   in
   Sim.spawn_here ~name:"arch-timer" fire
 
-let cancel t =
-  t.generation <- t.generation + 1;
-  t.armed <- false
-
 let is_armed t = t.armed
-let cntvoff t = t.cntvoff
-let set_cntvoff t off = t.cntvoff <- off
-
-let virtual_now t =
-  let now = Sim.current_time () in
-  if Cycles.compare now t.cntvoff >= 0 then Cycles.sub now t.cntvoff
-  else Cycles.zero
 
 let expirations t = t.expirations

@@ -22,17 +22,6 @@ val arm_timer : t -> deadline:Armvirt_engine.Cycles.t -> unit
     deadline in the past fires immediately (at the current cycle). Must
     run inside a simulation process. *)
 
-val cancel : t -> unit
-(** Guest disables the timer; a pending expiry will not fire. *)
-
 val is_armed : t -> bool
-
-val cntvoff : t -> Armvirt_engine.Cycles.t
-val set_cntvoff : t -> Armvirt_engine.Cycles.t -> unit
-(** The virtual counter offset the hypervisor programs so a migrated or
-    newly started VM sees a continuous virtual time base. *)
-
-val virtual_now : t -> Armvirt_engine.Cycles.t
-(** Physical time minus CNTVOFF: what the guest's counter reads. *)
 
 val expirations : t -> int

@@ -46,13 +46,3 @@ let ingress_cost t ~bytes =
 let egress_cost t ~bytes =
   if bytes < 0 then invalid_arg "Port_profile.egress_cost: negative size";
   t.egress_per_packet + copy_cycles t.egress_per_byte bytes
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>profile               %s@,fabric/packet         %6d@,\
-     ingress pkt/byte      %6d/%.2f@,egress pkt/byte       %6d/%.2f@,\
-     notify latency        %6d@,irq delivery latency  %6d@,\
-     zero copy             %b@]"
-    t.name t.fabric_per_packet t.ingress_per_packet t.ingress_per_byte
-    t.egress_per_packet t.egress_per_byte t.notify_latency
-    t.irq_delivery_latency t.zero_copy

@@ -28,8 +28,6 @@ type t = {
   zero_copy : bool;
 }
 
-val default_fabric_per_packet : int
-
 val of_hypervisor : Armvirt_hypervisor.Hypervisor.t -> t
 
 val ingress_cost : t -> bytes:int -> int
@@ -39,5 +37,3 @@ val ingress_cost : t -> bytes:int -> int
 val egress_cost : t -> bytes:int -> int
 (** Host cycles to push a [bytes]-sized frame into the receiving guest
     (the per-port egress service time bounding port throughput). *)
-
-val pp : Format.formatter -> t -> unit

@@ -61,8 +61,6 @@ let create ?(queue_capacity = 64) ?(learning = true) ~name machine profile =
     flooded = 0;
   }
 
-let name t = t.name
-let profile t = t.profile
 let find_port t id =
   match List.find_opt (fun p -> p.port_id = id) t.ports with
   | Some p -> p

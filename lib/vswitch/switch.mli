@@ -33,9 +33,6 @@ val create :
     (local MAC match, else the uplink). Raises [Invalid_argument] on a
     non-positive capacity. *)
 
-val name : t -> string
-val profile : t -> Port_profile.t
-
 val attach :
   t ->
   mac:int ->

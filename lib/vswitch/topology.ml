@@ -31,11 +31,9 @@ let spec_to_string = function
   | Star 4 -> "star"
   | Star n -> Printf.sprintf "star:%d" n
 
-type vm = { vm_id : int; host : int; port : int; mac : int }
+type vm = { host : int; port : int; mac : int }
 
 type t = {
-  spec : spec;
-  hyp : Hypervisor.t;
   switches : Switch.t array; (* one per host *)
   spine : Switch.t option; (* Star only *)
   vms : vm array;
@@ -93,12 +91,10 @@ let build ?(queue_capacity = 64) ?(uplink_gbps = 10.0) ~vms (hyp : Hypervisor.t)
           Switch.attach switches.(host) ~mac:i
             ~deliver:(fun ~src:_ ~dst:_ _ -> ())
         in
-        { vm_id = i; host; port; mac = i })
+        { host; port; mac = i })
   in
-  { spec; hyp; switches; spine; vms }
+  { switches; spine; vms }
 
-let spec t = t.spec
-let hyp t = t.hyp
 let hosts t = Array.length t.switches
 let switch t h = t.switches.(h)
 let spine t = t.spine

@@ -10,8 +10,6 @@
 
 type spec = Single | Pair | Star of int  (** [Star n]: [n] leaf hosts. *)
 
-val hosts_of_spec : spec -> int
-
 val spec_of_string : string -> spec
 (** ["single"], ["pair"], ["star"] (= 4 leaves) or ["star:<n>"].
     Raises [Invalid_argument] otherwise. *)
@@ -36,8 +34,6 @@ val build :
     {!set_handler}). Raises [Invalid_argument] on a non-positive VM
     count or uplink rate, or more than {!max_vms} VMs. *)
 
-val spec : t -> spec
-val hyp : t -> Armvirt_hypervisor.Hypervisor.t
 val hosts : t -> int
 
 val switch : t -> int -> Switch.t
@@ -63,6 +59,5 @@ val send_to_mac : t -> src:int -> dst_mac:int -> Armvirt_net.Packet.t -> unit
 (** Like {!send} but addressing a raw MAC — e.g. a load generator's
     client port attached outside the VM set. *)
 
-val uplinks : t -> Armvirt_net.Link.t list
 val max_uplink_utilization : t -> float
 val total_dropped : t -> int

@@ -36,10 +36,6 @@ type verdict = {
   added_cycles : float;  (** Total virtualization surcharge per unit. *)
 }
 
-val irq_preempt_penalty : int
-(** Cache/TLB pollution charged per delivered virtual interrupt on the
-    interrupted VCPU, beyond the architectural delivery cost. *)
-
 val run :
   ?irq_distribution:irq_distribution ->
   Workload.t ->

@@ -5,11 +5,6 @@
     and mean steady-state work per profile category, so descriptors can
     be built from the CLI's [--profile-mix] syntax. *)
 
-val of_workload : Workload.t -> Armvirt_fleet.Descriptor.profile
-
-val find : string -> Armvirt_fleet.Descriptor.profile option
-(** Case-insensitive catalog lookup by workload name. *)
-
 val parse_mix :
   string ->
   ((Armvirt_fleet.Descriptor.profile * int) list, string) result

@@ -62,35 +62,3 @@ let to_rows r =
     ("I/O Latency Out", median r.io_latency_out);
     ("I/O Latency In", median r.io_latency_in);
   ]
-
-let table1 =
-  [
-    ( "Hypercall",
-      "Transition from VM to hypervisor and return to VM without doing \
-       any work in the hypervisor. Measures bidirectional base transition \
-       cost of hypervisor operations." );
-    ( "Interrupt Controller Trap",
-      "Trap from VM to emulated interrupt controller then return to VM. \
-       Measures a frequent operation for many device drivers and baseline \
-       for accessing I/O devices emulated in the hypervisor." );
-    ( "Virtual IPI",
-      "Issue a virtual IPI from a VCPU to another VCPU running on a \
-       different PCPU, both PCPUs executing VM code. Measures time \
-       between sending the virtual IPI until the receiving VCPU handles \
-       it, a frequent operation in multi-core OSes." );
-    ( "Virtual IRQ Completion",
-      "VM acknowledging and completing a virtual interrupt. Measures a \
-       frequent operation that happens for every injected virtual \
-       interrupt." );
-    ( "VM Switch",
-      "Switch from one VM to another on the same physical core. Measures \
-       a central cost when oversubscribing physical CPUs." );
-    ( "I/O Latency Out",
-      "Measures latency between a driver in the VM signaling the virtual \
-       I/O device in the hypervisor and the virtual I/O device receiving \
-       the signal." );
-    ( "I/O Latency In",
-      "Measures latency between the virtual I/O device in the hypervisor \
-       signaling the VM and the VM receiving the corresponding virtual \
-       interrupt." );
-  ]

@@ -24,6 +24,3 @@ val run :
 
 val to_rows : results -> (string * int) list
 (** [(microbenchmark name, median cycles)] in Table II row order. *)
-
-val table1 : (string * string) list
-(** The name/description registry of Table I. *)

@@ -16,7 +16,6 @@ type result = {
   p95_us : float;
   p99_us : float;
   utilization : float;
-  latency_histogram : Armvirt_stats.Histogram.t;
 }
 
 (* Server-side cost of one request on the bottleneck VCPU. *)
@@ -76,8 +75,6 @@ let run ?(seed = 42) ?(requests = 2000) (hyp : Hypervisor.t) ~load =
       done);
   Sim.run sim;
   let summary = Summary.of_list !latencies in
-  let histogram = Armvirt_stats.Histogram.create ~bucket_width:10.0 in
-  List.iter (Armvirt_stats.Histogram.add histogram) !latencies;
   let span = Cycles.to_int !last_arrival_done in
   {
     config = hyp.Hypervisor.name;
@@ -89,5 +86,4 @@ let run ?(seed = 42) ?(requests = 2000) (hyp : Hypervisor.t) ~load =
     p99_us = Summary.percentile summary 99.0;
     utilization =
       (if span = 0 then 0.0 else float_of_int !busy /. float_of_int span);
-    latency_histogram = histogram;
   }

@@ -19,8 +19,6 @@ type result = {
   p95_us : float;
   p99_us : float;
   utilization : float;  (** Server busy fraction during the run. *)
-  latency_histogram : Armvirt_stats.Histogram.t;
-      (** 10 μs buckets over the completed requests' latencies. *)
 }
 
 val run :

@@ -18,9 +18,6 @@ type request_class = {
   response_bytes_mean : float;
 }
 
-val web_mix : request_class list
-(** A small static-content / API / upload mix. *)
-
 type result = {
   replayed : int;
   per_class : (string * int * float) list;

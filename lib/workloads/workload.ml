@@ -143,8 +143,3 @@ let all = [ kernbench; hackbench; specjvm; apache; memcached; mysql ]
 
 let find name =
   List.find_opt (fun w -> String.lowercase_ascii w.name = String.lowercase_ascii name) all
-
-let pp ppf w =
-  Format.fprintf ppf "%s (per %s: %.2e cycles, %.0f irqs, %.0f pkts)"
-    w.name w.unit_name w.total_cycles w.device_irqs
-    (w.packets_rx +. w.packets_tx)

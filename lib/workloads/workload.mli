@@ -38,11 +38,8 @@ type t = {
 }
 
 val kernbench : t
-val hackbench : t
-val specjvm : t
 val apache : t
 val memcached : t
-val mysql : t
 
 val all : t list
 (** The six modelled workloads above, in Figure 4 order. The three
@@ -50,4 +47,3 @@ val all : t list
     {!Netperf}. *)
 
 val find : string -> t option
-val pp : Format.formatter -> t -> unit

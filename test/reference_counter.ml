@@ -1,5 +1,3 @@
-module Cycles = Armvirt_engine.Cycles
-
 (* One mutable cell per name, so updating a touched counter is a single
    probe with no allocation. *)
 type set = (string, int ref) Hashtbl.t
@@ -12,20 +10,12 @@ let add set name n =
   | exception Not_found -> Hashtbl.add set name (ref n)
 
 let incr set name = add set name 1
-let add_cycles set name c = add set name (Cycles.to_int c)
 
 let get set name =
   match Hashtbl.find_opt set name with Some cell -> !cell | None -> 0
-
-let get_cycles set name = Cycles.of_int (get set name)
 
 let names set =
   Hashtbl.fold (fun name _ acc -> name :: acc) set []
   |> List.sort String.compare
 
 let reset = Hashtbl.reset
-
-let pp ppf set =
-  List.iter
-    (fun name -> Format.fprintf ppf "%-40s %12d@." name (get set name))
-    (names set)

@@ -171,19 +171,6 @@ let run t =
     raise (Deadlock (String.concat ", " names))
   end
 
-let run_until t limit =
-  let limit = Cycles.to_int limit in
-  let continue_running = ref true in
-  while !continue_running do
-    if (not (Heap.is_empty t.events)) && Heap.min_time t.events <= limit then
-      ignore (step t)
-    else continue_running := false
-  done;
-  (* Advance the clock to the horizon even if no event landed exactly on
-     it, so a subsequent [schedule]/[now] observes [limit], not the time
-     of the last drained event. *)
-  if limit > t.now then t.now <- limit
-
 let delay c =
   let c = Cycles.to_int c in
   try Effect.perform (Delay c)
@@ -271,16 +258,6 @@ module Mailbox = struct
       depth_changed mb;
       v
     end
-
-  let try_recv mb =
-    if Fifo.is_empty mb.queue then None
-    else begin
-      let v = Fifo.pop mb.queue in
-      depth_changed mb;
-      Some v
-    end
-
-  let length mb = Fifo.length mb.queue
 end
 
 module Resource = struct

@@ -35,10 +35,7 @@ let test_reg_class_sets () =
   Alcotest.(check bool) "full switch covers all" true
     (Reg_class.full_world_switch = Reg_class.all);
   Alcotest.(check (list string)) "trap-only is GP" [ "GP Regs" ]
-    (List.map Reg_class.to_string Reg_class.trap_only);
-  Alcotest.(check bool) "vm-to-vm excludes EL2 classes" true
-    (not (List.mem Reg_class.El2_config Reg_class.vm_to_vm_switch)
-    && not (List.mem Reg_class.El2_virtual_memory Reg_class.vm_to_vm_switch))
+    (List.map Reg_class.to_string Reg_class.trap_only)
 
 (* --- Cost_model ----------------------------------------------------- *)
 
@@ -104,15 +101,16 @@ let test_machine_spend_accounts () =
       Machine.spend (Machine.op m "test.op") 20;
       Machine.count (Machine.marker m (Marker.op ~hyp:"test" "events")));
   Alcotest.(check int) "label total" 120 (Counter.get (Machine.counters m) "test.op");
-  Alcotest.(check int) "global cycles" 120
-    (Counter.get (Machine.counters m) "cycles");
+  Alcotest.(check int) "op cycles sum" 120
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 (Machine.op_cycles m));
   Alcotest.(check int) "event count" 1
     (Counter.get (Machine.counters m) "test.events");
   Alcotest.(check int) "simulated time advanced" 120
     (Cycles.to_int (Sim.now (Machine.sim m)))
 
 (* Cycle conservation in the accounting layer: every spend lands on its
-   own label and on "cycles", and advances simulated time by as much. *)
+   own label, the op totals sum to every cycle spent, and simulated time
+   advances by as much. *)
 let prop_spend_conserves_cycles =
   let labels = [| "step.a"; "step.b"; "step.c"; "step.d" |] in
   QCheck.Test.make ~name:"spend conserves cycles per label and in total"
@@ -129,7 +127,8 @@ let prop_spend_conserves_cycles =
       in
       let total = List.fold_left (fun acc (_, n) -> acc + n) 0 spends in
       Array.for_all (fun label -> get label = sum label) labels
-      && get "cycles" = total
+      && List.fold_left (fun acc (_, n) -> acc + n) 0 (Machine.op_cycles m)
+         = total
       && Cycles.to_int (Sim.now (Machine.sim m)) = total)
 
 (* Interned ops and markers against label-keyed references: two machines
@@ -240,7 +239,6 @@ let prop_interned_traffic_matches_reference =
           | Spend (m, l, c) ->
               let label = traffic_ops.(l) in
               Reference_counter.add refs.(m) label c;
-              Reference_counter.add refs.(m) "cycles" c;
               now := !now + c;
               spends.(m) <- (label, c, !now) :: spends.(m)
           | Count (m, l) ->
@@ -258,7 +256,7 @@ let prop_interned_traffic_matches_reference =
         Counter.names set = Reference_counter.names refs.(i)
         && List.for_all
              (fun name -> Counter.get set name = Reference_counter.get refs.(i) name)
-             ("cycles" :: labels)
+             labels
       in
       (* Touched markers, each once, in intern order, and touched ops by
          label, with their totals. *)
@@ -371,11 +369,7 @@ let test_machine_validation () =
         (Machine.create sim ~cost:(Cost_model.Arm Cost_model.arm_default)
            ~num_cpus:0));
   let m = arm_machine () in
-  Alcotest.(check int) "num cpus" 8 (Machine.num_cpus m);
-  Alcotest.check_raises "pcpu out of range"
-    (Invalid_argument "Machine.pcpu: index 8 out of range") (fun () ->
-      ignore (Machine.pcpu m 8));
-  Alcotest.(check int) "pcpu id" 3 (Machine.pcpu_id (Machine.pcpu m 3))
+  Alcotest.(check int) "num cpus" 8 (Machine.num_cpus m)
 
 let test_machine_elapsed_us () =
   let m = arm_machine () in
@@ -385,6 +379,9 @@ let test_machine_elapsed_us () =
 (* --- Arm_ops -------------------------------------------------------- *)
 
 let spent m label = Counter.get (Machine.counters m) label
+
+let total_spent m =
+  List.fold_left (fun acc (_, n) -> acc + n) 0 (Machine.op_cycles m)
 
 let test_arm_ops_costs () =
   let m = arm_machine () in
@@ -405,7 +402,7 @@ let test_arm_ops_save_restore () =
       Arm_ops.save_classes ops Armvirt_arch.Reg_class.full_world_switch;
       Arm_ops.restore_classes ops Armvirt_arch.Reg_class.full_world_switch);
   Alcotest.(check int) "total = Table III sums" (4202 + 1506)
-    (spent m "cycles");
+    (total_spent m);
   Alcotest.(check int) "vgic save attributed" 3250
     (spent m "arm.save.VGIC Regs")
 
@@ -426,7 +423,7 @@ let test_arm_ops_vhe_elides_toggles () =
   in_process m (fun () ->
       Arm_ops.stage2_disable ops;
       Arm_ops.stage2_enable ops);
-  Alcotest.(check int) "toggles are free under VHE" 0 (spent m "cycles")
+  Alcotest.(check int) "toggles are free under VHE" 0 (total_spent m)
 
 let test_arm_ops_rejects_x86_machine () =
   let m = x86_machine () in
@@ -434,15 +431,13 @@ let test_arm_ops_rejects_x86_machine () =
     (Invalid_argument "Arm_ops.create: machine has an x86 cost model")
     (fun () -> ignore (Arm_ops.create m))
 
-let test_arm_ops_copy_and_tlb () =
+let test_arm_ops_copy_and_page_map () =
   let m = arm_machine () in
   let ops = Arm_ops.create m in
   in_process m (fun () ->
       Arm_ops.copy_bytes ops 4096;
-      Arm_ops.tlb_invalidate_broadcast ops;
       Arm_ops.page_map ops);
   Alcotest.(check int) "copy 4096 at 0.25/B" 1024 (spent m "arm.copy_bytes");
-  Alcotest.(check int) "broadcast TLBI" 600 (spent m "arm.tlb_broadcast");
   Alcotest.(check int) "page map" 420 (spent m "arm.page_map")
 
 (* --- X86_ops -------------------------------------------------------- *)
@@ -462,7 +457,7 @@ let test_x86_eoi_traps_without_vapic () =
   Alcotest.(check bool) "no vapic on the E5-2450" false (X86_ops.vapic_enabled ops);
   in_process m (fun () -> X86_ops.eoi ops);
   (* EOI = vmexit + emulation + vmentry: the Table II ~1.5k cycles. *)
-  Alcotest.(check int) "EOI pays a full exit" (480 + 426 + 650) (spent m "cycles")
+  Alcotest.(check int) "EOI pays a full exit" (480 + 426 + 650) (total_spent m)
 
 let test_x86_eoi_with_vapic () =
   let sim = Sim.create () in
@@ -470,7 +465,7 @@ let test_x86_eoi_with_vapic () =
   let m = Machine.create sim ~cost:(Cost_model.X86 hw) ~num_cpus:8 in
   let ops = X86_ops.create m in
   in_process m (fun () -> X86_ops.eoi ops);
-  Alcotest.(check int) "vAPIC completes like ARM" 71 (spent m "cycles")
+  Alcotest.(check int) "vAPIC completes like ARM" 71 (total_spent m)
 
 let test_x86_tlb_shootdown_scales () =
   let m = x86_machine () in
@@ -539,7 +534,7 @@ let () =
             test_arm_ops_vhe_elides_toggles;
           Alcotest.test_case "rejects x86 machine" `Quick
             test_arm_ops_rejects_x86_machine;
-          Alcotest.test_case "copy and TLB" `Quick test_arm_ops_copy_and_tlb;
+          Alcotest.test_case "copy and page map" `Quick test_arm_ops_copy_and_page_map;
         ] );
       ( "x86_ops",
         [

@@ -1,72 +1,8 @@
-(* Tests for the VHE register-redirection model (Sysreg) and the GICv3
-   cost-model variants. *)
+(* Tests for the GICv3 cost-model variants. *)
 
-module Sysreg = Armvirt_arch.Sysreg
 module Cost_model = Armvirt_arch.Cost_model
 module Reg_class = Armvirt_arch.Reg_class
 module Experiment = Armvirt_core.Experiment
-
-let test_e2h_redirects_paper_example () =
-  (* Section VI's worked example: mrs x1, ttbr1_el1 at EL2 with E2H set
-     actually reads TTBR1_EL2. *)
-  Alcotest.(check string) "TTBR1_EL1 -> TTBR1_EL2" "ttbr1_el2"
-    (Sysreg.name (Sysreg.e2h_redirect Sysreg.Ttbr1_el1));
-  Alcotest.(check string) "SCTLR_EL1 -> SCTLR_EL2" "sctlr_el2"
-    (Sysreg.name (Sysreg.e2h_redirect Sysreg.Sctlr_el1))
-
-let test_e2h_leaves_el2_alone () =
-  List.iter
-    (fun r ->
-      if Sysreg.is_el2 r then
-        Alcotest.(check string)
-          (Sysreg.name r ^ " unchanged")
-          (Sysreg.name r)
-          (Sysreg.name (Sysreg.e2h_redirect r)))
-    [ Sysreg.Hcr_el2; Sysreg.Vttbr_el2; Sysreg.Ttbr0_el2; Sysreg.Vtcr_el2 ]
-
-let test_e2h_idempotent () =
-  List.iter
-    (fun r ->
-      let once = Sysreg.e2h_redirect r in
-      Alcotest.(check string) "idempotent" (Sysreg.name once)
-        (Sysreg.name (Sysreg.e2h_redirect once)))
-    Sysreg.el1_state
-
-let test_el12_aliases () =
-  (* Only EL1 state has _EL12 aliases; the hypervisor uses them to reach
-     guest registers from EL2. *)
-  List.iter
-    (fun r ->
-      match Sysreg.el12_alias r with
-      | Some target ->
-          Alcotest.(check bool) "alias targets EL1 state" true
-            (Sysreg.is_el1 target)
-      | None -> Alcotest.fail (Sysreg.name r ^ " should have an alias"))
-    Sysreg.el1_state;
-  Alcotest.(check bool) "HCR_EL2 has no alias" true
-    (Sysreg.el12_alias Sysreg.Hcr_el2 = None)
-
-let test_vhe_only_registers () =
-  (* TTBR1_EL2 is the register ARMv8.1 added for the split VA space. *)
-  Alcotest.(check bool) "TTBR1_EL2 is new in v8.1" true
-    (Sysreg.vhe_only Sysreg.Ttbr1_el2);
-  Alcotest.(check bool) "TTBR0_EL2 existed before" false
-    (Sysreg.vhe_only Sysreg.Ttbr0_el2)
-
-let test_counterpart_involutive () =
-  List.iter
-    (fun r ->
-      match Sysreg.counterpart r with
-      | Some c -> (
-          match Sysreg.counterpart c with
-          | Some back ->
-              Alcotest.(check string) "roundtrip" (Sysreg.name r)
-                (Sysreg.name back)
-          | None -> Alcotest.fail "counterpart not symmetric")
-      | None ->
-          Alcotest.(check bool) "only EL2 control regs lack counterparts"
-            true (Sysreg.is_el2 r))
-    Sysreg.el1_state
 
 (* --- GICv3 cost model ------------------------------------------------- *)
 
@@ -108,18 +44,6 @@ let test_gicv3_experiment_shape () =
 let () =
   Alcotest.run "arch_vhe"
     [
-      ( "sysreg",
-        [
-          Alcotest.test_case "E2H redirects the paper's example" `Quick
-            test_e2h_redirects_paper_example;
-          Alcotest.test_case "E2H leaves EL2 registers alone" `Quick
-            test_e2h_leaves_el2_alone;
-          Alcotest.test_case "E2H idempotent" `Quick test_e2h_idempotent;
-          Alcotest.test_case "_EL12 aliases" `Quick test_el12_aliases;
-          Alcotest.test_case "VHE-only registers" `Quick test_vhe_only_registers;
-          Alcotest.test_case "counterpart involutive" `Quick
-            test_counterpart_involutive;
-        ] );
       ( "gicv3",
         [
           Alcotest.test_case "vgic class cheap" `Quick test_gicv3_vgic_cheap;

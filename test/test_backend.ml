@@ -24,7 +24,7 @@ let test_lifecycle_and_processing () =
   let machine = arm_machine () in
   let seen = ref [] in
   let backend =
-    Backend_thread.vhost machine ~profile:(kvm_profile ())
+    Backend_thread.create machine ~profile:(kvm_profile ()) ~kind:Vhost
       (fun id -> seen := id :: !seen)
   in
   Backend_thread.start backend;
@@ -48,7 +48,7 @@ let test_lifecycle_and_processing () =
 let test_parking_rearms_notifications () =
   let machine = arm_machine () in
   let backend =
-    Backend_thread.vhost machine ~profile:(kvm_profile ()) (fun _ -> ())
+    Backend_thread.create machine ~profile:(kvm_profile ()) ~kind:Vhost (fun _ -> ())
   in
   Backend_thread.start backend;
   Sim.spawn (Machine.sim machine) ~name:"producer" (fun () ->
@@ -66,9 +66,9 @@ let test_parking_rearms_notifications () =
     (Backend_thread.wakeups backend)
 
 let test_netback_items_cost_more () =
-  let run make profile =
+  let run kind profile =
     let machine = arm_machine () in
-    let backend = make machine ~profile (fun _ -> ()) in
+    let backend = Backend_thread.create machine ~profile ~kind (fun _ -> ()) in
     Backend_thread.start backend;
     Sim.spawn (Machine.sim machine) ~name:"producer" (fun () ->
         for id = 1 to 50 do
@@ -81,12 +81,10 @@ let test_netback_items_cost_more () =
     Counter.get counters "vhost.item" + Counter.get counters "netback.item"
   in
   let vhost_cycles =
-    run (fun m ~profile on_item -> Backend_thread.vhost m ~profile on_item)
-      (kvm_profile ())
+    run Backend_thread.Vhost (kvm_profile ())
   in
   let netback_cycles =
-    run (fun m ~profile on_item -> Backend_thread.netback m ~profile on_item)
-      (xen_profile ())
+    run Backend_thread.Netback (xen_profile ())
   in
   (* Grant + copy per item: netback burns several times vhost's cycles
      for the same 50 frames. *)
@@ -98,7 +96,7 @@ let test_batch_budget_yields () =
      between bursts), it just takes more scheduling rounds. *)
   let machine = arm_machine () in
   let backend =
-    Backend_thread.vhost machine ~profile:(kvm_profile ()) ~batch_budget:2
+    Backend_thread.create machine ~profile:(kvm_profile ()) ~kind:Vhost ~batch_budget:2
       (fun _ -> ())
   in
   Backend_thread.start backend;
@@ -118,10 +116,10 @@ let test_validation () =
   Alcotest.check_raises "budget"
     (Invalid_argument "Backend_thread.create: batch budget < 1") (fun () ->
       ignore
-        (Backend_thread.vhost machine ~profile:(kvm_profile ()) ~batch_budget:0
+        (Backend_thread.create machine ~profile:(kvm_profile ()) ~kind:Vhost ~batch_budget:0
            (fun _ -> ())));
   let backend =
-    Backend_thread.vhost machine ~profile:(kvm_profile ()) (fun _ -> ())
+    Backend_thread.create machine ~profile:(kvm_profile ()) ~kind:Vhost (fun _ -> ())
   in
   Backend_thread.start backend;
   Alcotest.check_raises "double start"

@@ -6,8 +6,9 @@
    example, of the tables the CLI renders as markdown or CSV, and of
    `report` with its rows checked against `run`'s, the stderr warning
    for a trace ring that dropped events, exact exit accounting on both
-   sides of that ring's cap, and `run` with no ids printing what `run`
-   with every listed id prints.
+   sides of that ring's cap, `run` with no ids printing what `run` with
+   every listed id prints, and tables that print "-", never "nan" or
+   "inf", for an undefined value.
 
    Runs ../bin/armvirt.exe and ../examples/transition_timeline.exe, which
    the test stanza depends on. *)
@@ -89,6 +90,8 @@ let rejected =
     [ "cluster"; "--vms"; "1" ];
     [ "stat"; "micro"; "rr" ];
     [ "stat"; "--diff"; "onlyone" ];
+    (* M1 went with the label grammar it checked. *)
+    [ "lint"; "--explain"; "M1" ];
   ]
 
 (* Sizes past the stated limits: rejected before anything is allocated,
@@ -266,7 +269,87 @@ let table_pins =
       [ "stat"; "--crosscheck"; "--iterations"; "4" ] );
   ]
 
-let report_md5 = "5fbb466bb40987637e06678382407cdb"
+let contains s needle =
+  let n = String.length needle and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+(* Commands whose tables hold an undefined value: a migration whose idle
+   baseline completes no request, and an explore point whose objective
+   is that migration's degradation. Each cell prints "-". *)
+let undefined_values =
+  [
+    [ "explore"; "--space"; "trap_to_el2=1000000000"; "--objective";
+      "mig-p99-degradation"; "--format"; "csv" ];
+    [ "migrate"; "-p"; "arm"; "-H"; "kvm"; "--rate"; "1" ];
+    [ "migrate"; "-p"; "arm"; "-H"; "kvm"; "--rate"; "1"; "--format"; "csv" ];
+    [ "migrate"; "-p"; "arm"; "-H"; "kvm"; "--rate"; "1"; "--format"; "md" ];
+    [ "migrate"; "-p"; "arm"; "-H"; "kvm"; "--rate"; "1"; "--rounds-detail" ];
+  ]
+
+let undefined_case args =
+  let name = String.concat " " args in
+  Alcotest.test_case name `Quick (fun () ->
+      let code, stdout, _ = run args in
+      Alcotest.(check int) (name ^ " exit code") 0 code;
+      List.iter
+        (fun bad ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s prints no %S" name bad)
+            false (contains stdout bad))
+        [ "nan"; "inf" ])
+
+(* `armvirt lint` is the linter's one entry point: it explains the
+   whole-tree rule and runs it over a tree given by --root. *)
+let test_lint_explain_s1 () =
+  let code, stdout, stderr = run [ "lint"; "--explain"; "S1" ] in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "stderr" "" stderr;
+  Alcotest.(check bool) "names the rule and its pass" true
+    (String.starts_with ~prefix:"S1 — " stdout && contains stdout "pass: exports")
+
+(* A two-file tree: one interface in lib/ and one caller in bin/. *)
+let lint_fixture ~caller f =
+  let root = Filename.temp_dir "armvirt_lint" "" in
+  let write relpath contents =
+    let path = Filename.concat root relpath in
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    path
+  in
+  List.iter
+    (fun d -> Sys.mkdir (Filename.concat root d) 0o755)
+    [ "lib"; "lib/demo"; "bin" ];
+  let files =
+    [
+      write "lib/demo/counter.mli" "val incr : int -> int\n\nval dead : int -> int\n";
+      write "bin/main.ml" caller;
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove files;
+      List.iter
+        (fun d -> Sys.rmdir (Filename.concat root d))
+        [ "lib/demo"; "lib"; "bin" ];
+      Sys.rmdir root)
+    (fun () -> f root)
+
+let test_lint_uncalled_export () =
+  lint_fixture ~caller:"let () = ignore (Counter.incr 1)\n" (fun root ->
+      let code, stdout, _ = run [ "lint"; "--root"; root; "--rules"; "S1" ] in
+      Alcotest.(check int) "a fresh finding fails" 1 code;
+      Alcotest.(check bool) "names the uncalled export" true
+        (contains stdout "Counter.dead is exported but nothing outside");
+      Alcotest.(check bool) "and only it" false
+        (contains stdout "Counter.incr is exported"))
+
+let test_lint_called_exports () =
+  lint_fixture ~caller:"let () = ignore (Counter.incr (Counter.dead 1))\n"
+    (fun root ->
+      let code, _, _ = run [ "lint"; "--root"; root ] in
+      Alcotest.(check int) "every export called: clean" 0 code)
+
+let report_md5 = "86f309388dae054e75e70acd1cfabf1e"
 
 (* `report` is the markdown of the tables `run` prints for the paper's
    artifacts: every data row of those text tables (between the second
@@ -372,11 +455,6 @@ let exact_cases =
       ])
     [ 8; 1500; 100_000 ]
 
-let contains s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
-  go 0
-
 let exact_case (args, needles) =
   let name = String.concat " " args in
   Alcotest.test_case name `Quick (fun () ->
@@ -433,6 +511,15 @@ let () =
             test_report_matches_run;
         ] );
       ( "accepted argument", List.map accepted_case accepted );
+      ("undefined value", List.map undefined_case undefined_values);
+      ( "lint",
+        [
+          Alcotest.test_case "explain S1" `Quick test_lint_explain_s1;
+          Alcotest.test_case "uncalled export fails" `Quick
+            test_lint_uncalled_export;
+          Alcotest.test_case "called exports pass" `Quick
+            test_lint_called_exports;
+        ] );
       ("drop warning", List.map drop_case [ ("1500", true); ("1400", false) ]);
       ("exact counts", List.map exact_case exact_cases);
       ("run all", List.map run_all_case [ "1"; "2" ]);

@@ -13,10 +13,7 @@ let test_cycles_basics () =
   Alcotest.(check int) "zero" 0 (Cycles.to_int Cycles.zero);
   Alcotest.(check int) "one" 1 (Cycles.to_int Cycles.one);
   Alcotest.(check int) "add" 30 Cycles.(to_int (of_int 10 + of_int 20));
-  Alcotest.(check int) "sub" 5 Cycles.(to_int (of_int 15 - of_int 10));
-  Alcotest.(check int) "scale" 60 (Cycles.to_int (Cycles.scale 3 (cycles_of 20)));
-  Alcotest.(check int) "sum" 6
-    (Cycles.to_int (Cycles.sum [ cycles_of 1; cycles_of 2; cycles_of 3 ]))
+  Alcotest.(check int) "sub" 5 Cycles.(to_int (of_int 15 - of_int 10))
 
 let test_cycles_errors () =
   Alcotest.check_raises "negative of_int"
@@ -24,10 +21,7 @@ let test_cycles_errors () =
       ignore (Cycles.of_int (-1)));
   Alcotest.check_raises "negative sub"
     (Invalid_argument "Cycles.sub: negative result") (fun () ->
-      ignore (Cycles.sub (cycles_of 1) (cycles_of 2)));
-  Alcotest.check_raises "negative scale"
-    (Invalid_argument "Cycles.scale: negative factor") (fun () ->
-      ignore (Cycles.scale (-1) Cycles.one))
+      ignore (Cycles.sub (cycles_of 1) (cycles_of 2)))
 
 let test_cycles_time_conversion () =
   (* 2400 cycles at 2.4 GHz is exactly one microsecond. *)
@@ -83,15 +77,6 @@ let test_heap_fifo_at_same_time () =
   in
   Alcotest.(check (list int)) "seq breaks ties" (List.init 10 Fun.id) order
 
-let test_heap_peek () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "peek empty" true (Heap.peek h = None);
-  Heap.push h ~time:7 ~seq:0 "x";
-  (match Heap.peek h with
-  | Some (7, 0, "x") -> ()
-  | _ -> Alcotest.fail "peek should return minimum without removing");
-  Alcotest.(check int) "size unchanged" 1 (Heap.size h)
-
 let prop_heap_random_pairs =
   (* Push arbitrary (time, seq) pairs and check the popped key sequence
      equals the sorted key list, with every payload accounted for. In
@@ -133,6 +118,17 @@ let prop_heap_sorted =
       in
       let popped = drain [] in
       popped = List.sort Int.compare times)
+
+let test_heap_min_time () =
+  (* Run-ahead reads the earliest queued time without removing it. *)
+  let h = Heap.create () in
+  Heap.push h ~time:7 ~seq:0 "x";
+  Heap.push h ~time:3 ~seq:1 "y";
+  Heap.push h ~time:9 ~seq:2 "z";
+  Alcotest.(check int) "earliest time" 3 (Heap.min_time h);
+  Alcotest.(check int) "size unchanged" 3 (Heap.size h);
+  Alcotest.(check string) "pop_min returns it" "y" (Heap.pop_min h);
+  Alcotest.(check int) "next earliest" 7 (Heap.min_time h)
 
 let test_heap_empty_errors () =
   let h : unit Heap.t = Heap.create () in
@@ -325,34 +321,6 @@ let test_sim_deadlock_detection () =
       Alcotest.(check bool) "names the process" true
         (String.length names > 0
         && String.equal names "stuck-waiter"))
-
-let test_sim_run_until () =
-  let sim = Sim.create () in
-  let log = ref [] in
-  Sim.spawn sim ~name:"ticker" (fun () ->
-      for i = 1 to 5 do
-        Sim.delay (cycles_of 10);
-        log := (i * 10) :: !log
-      done);
-  Sim.run_until sim (cycles_of 25);
-  Alcotest.(check (list int)) "only events <= 25" [ 10; 20 ] (List.rev !log);
-  Sim.run sim;
-  Alcotest.(check (list int)) "rest completes" [ 10; 20; 30; 40; 50 ]
-    (List.rev !log)
-
-let test_sim_run_until_advances_clock () =
-  (* Regression: run_until used to leave [now] at the last drained
-     event's time instead of the horizon, so a later [schedule] relative
-     to [now] fired too early. *)
-  let sim = Sim.create () in
-  Sim.spawn sim ~name:"early" (fun () -> Sim.delay (cycles_of 10));
-  Sim.run_until sim (cycles_of 25);
-  Alcotest.(check int) "clock at horizon, not last event" 25
-    (Cycles.to_int (Sim.now sim));
-  (* A horizon with no events at all must still advance the clock. *)
-  Sim.run_until sim (cycles_of 40);
-  Alcotest.(check int) "empty drain still advances" 40
-    (Cycles.to_int (Sim.now sim))
 
 let test_sim_mailbox_recv_fairness () =
   (* Many consumers park before any value arrives; sends must wake them
@@ -612,7 +580,6 @@ type op =
   | Use of int * int
   | Spawn of op list  (* spawn_here a sub-program *)
   | Nested of op list list  (* run a fresh sim inside this process *)
-  | Reenter of int  (* run_until this process's own sim, [n] cycles on *)
   | Raise
 
 let rec show_op = function
@@ -628,7 +595,6 @@ let rec show_op = function
   | Nested procs ->
       Printf.sprintf "nested [%s]"
         (String.concat " | " (List.map show_ops procs))
-  | Reenter n -> Printf.sprintf "reenter %d" n
   | Raise -> "raise"
 
 and show_ops ops = String.concat "; " (List.map show_op ops)
@@ -644,7 +610,6 @@ let arb_program =
         (4, map (fun n -> Delay n) (int_bound 6));
         (2, return Yield);
         (1, return Clock);
-        (1, map (fun n -> Reenter n) (int_bound 6));
         (2, map (fun m -> Send m) (int_bound 1));
         (2, map (fun m -> Recv m) (int_bound 1));
         (2, map (fun s -> Notify s) (int_bound 1));
@@ -664,10 +629,8 @@ let arb_program =
         :: leaf)
   in
   QCheck.make
-    ~print:(fun (procs, horizon) ->
-      Printf.sprintf "horizon %d\n%s" horizon
-        (String.concat "\n" (List.map show_ops procs)))
-    (pair (list_size (int_range 1 4) (ops 2 25)) (int_bound 40))
+    ~print:(fun procs -> String.concat "\n" (List.map show_ops procs))
+    (list_size (int_range 1 4) (ops 2 25))
 
 (* What the differential program uses, met by both engines. *)
 module type ENGINE = sig
@@ -680,7 +643,6 @@ module type ENGINE = sig
   val events_processed : t -> int
   val spawn : t -> ?name:string -> (unit -> unit) -> unit
   val run : t -> unit
-  val run_until : t -> Cycles.t -> unit
   val delay : Cycles.t -> unit
   val yield : unit -> unit
   val current_time : unit -> Cycles.t
@@ -794,23 +756,17 @@ module Differential (E : ENGINE) = struct
           procs;
         finish inner (name ^ " nested run") (fun () -> E.run inner.sim);
         note "nested"
-    | Reenter n ->
-        let limit = Cycles.to_int (E.current_time ()) + n in
-        finish w (name ^ " reentrant run_until") (fun () ->
-            E.run_until w.sim (cycles_of limit));
-        note "reenter"
     | Raise ->
         note "raise";
         failwith name
 
-  let run (procs, horizon) =
+  let run procs =
     let w = world (ref []) in
     List.iteri
       (fun i ops ->
         let name = Printf.sprintf "p%d" i in
         E.spawn w.sim ~name (fun () -> exec w name ops))
       procs;
-    finish w "run_until" (fun () -> E.run_until w.sim (cycles_of horizon));
     finish w "run" (fun () -> E.run w.sim);
     List.rev !(w.log)
 end
@@ -839,7 +795,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo at same time" `Quick test_heap_fifo_at_same_time;
-          Alcotest.test_case "peek" `Quick test_heap_peek;
+          Alcotest.test_case "min_time" `Quick test_heap_min_time;
           Alcotest.test_case "empty errors" `Quick test_heap_empty_errors;
           Alcotest.test_case "order across grow" `Quick
             test_heap_order_across_grow;
@@ -869,9 +825,6 @@ let () =
           Alcotest.test_case "resource capacity two" `Quick
             test_sim_resource_capacity_two;
           Alcotest.test_case "deadlock detection" `Quick test_sim_deadlock_detection;
-          Alcotest.test_case "run_until" `Quick test_sim_run_until;
-          Alcotest.test_case "run_until advances clock" `Quick
-            test_sim_run_until_advances_clock;
           Alcotest.test_case "mailbox recv fairness" `Quick
             test_sim_mailbox_recv_fairness;
           Alcotest.test_case "resource acquire fairness" `Quick

@@ -1,5 +1,5 @@
-(* Tests for ESR syndrome decoding and its integration into the KVM ARM
-   exit dispatcher's per-reason counters. *)
+(* Tests for the ESR exception classes and their integration into the
+   KVM ARM exit dispatcher's per-reason counters. *)
 
 module Sim = Armvirt_engine.Sim
 module Machine = Armvirt_arch.Machine
@@ -17,30 +17,17 @@ let test_ec_encodings () =
   Alcotest.(check int) "inst abort" 0x20 (Esr.ec Esr.Inst_abort_lower);
   Alcotest.(check int) "data abort" 0x24 (Esr.ec Esr.Data_abort_lower)
 
-let test_roundtrip () =
-  List.iter
-    (fun cls ->
-      let syndrome = Esr.encode cls ~iss:0x1234 in
-      match Esr.decode syndrome with
-      | Some (cls', iss) ->
-          Alcotest.(check string) "class survives" (Esr.describe cls)
-            (Esr.describe cls');
-          Alcotest.(check int) "iss survives" 0x1234 iss
-      | None -> Alcotest.fail "decode failed")
-    Esr.all;
-  Alcotest.(check bool) "unknown EC rejected" true (Esr.decode 0 = None);
-  Alcotest.(check bool) "of_ec total on known codes" true
-    (List.for_all (fun cls -> Esr.of_ec (Esr.ec cls) = Some cls) Esr.all);
-  Alcotest.check_raises "ISS width"
-    (Invalid_argument "Esr.encode: ISS exceeds 25 bits") (fun () ->
-      ignore (Esr.encode Esr.Hvc64 ~iss:(1 lsl 25)))
+let test_of_ec () =
+  Alcotest.(check bool) "unknown EC rejected" true (Esr.of_ec 0 = None);
+  Alcotest.(check bool) "of_ec inverts ec" true
+    (List.for_all (fun cls -> Esr.of_ec (Esr.ec cls) = Some cls) Esr.all)
 
-let prop_encode_distinct =
+let prop_ec_distinct =
   QCheck.Test.make ~name:"distinct classes never collide"
     QCheck.(pair (int_bound 6) (int_bound 6))
     (fun (i, j) ->
       let a = List.nth Esr.all i and b = List.nth Esr.all j in
-      i = j || Esr.encode a ~iss:0 <> Esr.encode b ~iss:0)
+      Esr.ec a land lnot 0x3f = 0 && (i = j || Esr.ec a <> Esr.ec b))
 
 let test_marker_parity () =
   (* Exit rows are keyed by the obs-side reason enum: Esr.marker_reason
@@ -111,8 +98,8 @@ let () =
       ( "esr",
         [
           Alcotest.test_case "EC encodings" `Quick test_ec_encodings;
-          Alcotest.test_case "roundtrip" `Quick test_roundtrip;
-          QCheck_alcotest.to_alcotest prop_encode_distinct;
+          Alcotest.test_case "of_ec" `Quick test_of_ec;
+          QCheck_alcotest.to_alcotest prop_ec_distinct;
           Alcotest.test_case "marker parity" `Quick test_marker_parity;
           Alcotest.test_case "exit-reason counters" `Quick
             test_exit_reason_counters;

@@ -166,6 +166,18 @@ let test_pareto_dominates () =
   Alcotest.(check bool) "trade-off does not dominate" false
     (Pareto.dominates ~dirs [| 1.; 2. |] [| 2.; 3. |])
 
+let test_pareto_undefined () =
+  (* NaN compares false both ways, so without the rule the NaN row would
+     be non-dominated; an infinite row would dominate every finite one. *)
+  let dirs = [ Objective.Min; Objective.Min ] in
+  let rows =
+    [ [| 2.; 2. |]; [| Float.nan; 0. |]; [| 3.; 1. |]; [| Float.neg_infinity; 1. |] ]
+  in
+  Alcotest.(check (list int)) "only the defined, non-dominated rows" [ 0; 2 ]
+    (Pareto.frontier ~dirs rows);
+  Alcotest.(check (list int)) "a lone undefined row leaves it empty" []
+    (Pareto.frontier ~dirs:[ Objective.Max ] [ [| Float.infinity |] ])
+
 let test_pareto_rejects () =
   (match Pareto.frontier ~dirs:[] [ [||] ] with
   | _ -> Alcotest.fail "empty dirs accepted"
@@ -212,15 +224,48 @@ let sweep_at jobs =
 
 let test_sweep_jobs_invariant () =
   let s1 = sweep_at 1 and s4 = sweep_at 4 in
+  let csv = Format.asprintf "%a" Sweep.pp_csv
+  and markdown = Format.asprintf "%a" Sweep.pp_markdown in
   Alcotest.(check (list point)) "identical point lists" s1.Sweep.points
     s4.Sweep.points;
-  Alcotest.(check string) "byte-identical csv" (Sweep.to_csv s1)
-    (Sweep.to_csv s4);
-  Alcotest.(check string) "byte-identical markdown" (Sweep.to_markdown s1)
-    (Sweep.to_markdown s4);
+  Alcotest.(check string) "byte-identical csv" (csv s1) (csv s4);
+  Alcotest.(check string) "byte-identical markdown" (markdown s1)
+    (markdown s4);
   Alcotest.(check bool) "csv has header + one row per point" true
-    (List.length (String.split_on_char '\n' (String.trim (Sweep.to_csv s1)))
+    (List.length (String.split_on_char '\n' (String.trim (csv s1)))
     = 1 + List.length s1.Sweep.points)
+
+let test_sweep_undefined_values () =
+  (* A point whose objective is undefined prints "-" in both renderers
+     and is flagged off the frontier. *)
+  let s = sweep_at 1 in
+  let values =
+    List.mapi (fun i row -> if i = 0 then [| Float.nan; row.(1) |] else row)
+      s.Sweep.values
+  in
+  let dirs = List.map (fun o -> o.Objective.direction) s.Sweep.objectives in
+  let s = { s with Sweep.values; pareto = Pareto.frontier ~dirs values } in
+  let csv = Format.asprintf "%a" Sweep.pp_csv s
+  and markdown = Format.asprintf "%a" Sweep.pp_markdown s in
+  let cells line = String.split_on_char ',' line in
+  (match String.split_on_char '\n' csv with
+  | _header :: first :: _ ->
+      let row = cells first in
+      let n = List.length row in
+      Alcotest.(check (list string)) "undefined value and pareto flag"
+        [ "-"; "0" ]
+        [ List.nth row (n - 3); List.nth row (n - 1) ]
+  | _ -> Alcotest.fail "no csv rows");
+  let cells_of out =
+    String.split_on_char '\n' out
+    |> List.concat_map (String.split_on_char '|')
+    |> List.concat_map cells |> List.map String.trim
+  in
+  List.iter
+    (fun (name, out) ->
+      Alcotest.(check bool) (name ^ " has no nan cell") false
+        (List.mem "nan" (cells_of out)))
+    [ ("csv", csv); ("markdown", markdown) ]
 
 let test_sweep_oat_has_sensitivity () =
   let space = Space.of_string "vgic.save=3250|1000,stage2_toggle=50|200" in
@@ -302,6 +347,8 @@ let () =
         [
           Alcotest.test_case "hand-built sets" `Quick test_pareto_hand_built;
           Alcotest.test_case "dominates" `Quick test_pareto_dominates;
+          Alcotest.test_case "undefined objectives" `Quick
+            test_pareto_undefined;
           Alcotest.test_case "rejects" `Quick test_pareto_rejects;
         ] );
       ( "sensitivity",
@@ -313,6 +360,8 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "jobs-invariant" `Quick test_sweep_jobs_invariant;
+          Alcotest.test_case "undefined values" `Quick
+            test_sweep_undefined_values;
           Alcotest.test_case "oat sensitivity" `Quick
             test_sweep_oat_has_sensitivity;
         ] );

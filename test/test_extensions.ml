@@ -439,15 +439,6 @@ let test_tracereplay () =
     (Invalid_argument "Trace_replay.run: empty mix") (fun () ->
       ignore (W.Trace_replay.run ~mix:[] (Platform.native Arm_m400)))
 
-let test_summary_ci95 () =
-  let s = Armvirt_stats.Summary.of_list [ 10.0; 12.0; 8.0; 10.0 ] in
-  let lo, hi = Armvirt_stats.Summary.ci95 s in
-  Alcotest.(check bool) "interval brackets the mean" true
-    (lo < 10.0 && 10.0 < hi);
-  let point = Armvirt_stats.Summary.of_list [ 5.0 ] in
-  let lo, hi = Armvirt_stats.Summary.ci95 point in
-  Alcotest.(check (float 1e-9)) "singleton degenerates" lo hi
-
 let test_experiment_wrappers () =
   Alcotest.(check int) "disk covers both platforms" 6
     (List.length (Experiment.disk ()));
@@ -508,7 +499,6 @@ let () =
           Alcotest.test_case "guest ops invariants" `Quick
             test_guestops_invariants;
           Alcotest.test_case "trace replay" `Quick test_tracereplay;
-          Alcotest.test_case "ci95" `Quick test_summary_ci95;
           Alcotest.test_case "wrappers" `Quick test_experiment_wrappers;
         ] );
     ]

@@ -77,7 +77,9 @@ let test_descriptor_mix () =
     "weighted round-robin pattern"
     [ "a"; "a"; "b"; "a"; "a"; "b"; "a" ]
     names;
-  Alcotest.(check string) "mix syntax" "a=2,b=1" (Descriptor.mix_to_string d);
+  Alcotest.(check (list (pair string int)))
+    "mix shares" [ ("a", 2); ("b", 1) ]
+    (List.map (fun (p, n) -> (p.Descriptor.name, n)) d.Descriptor.mix);
   Alcotest.check_raises "empty mix"
     (Invalid_argument "Fleet.Descriptor: empty profile mix") (fun () ->
       ignore (Descriptor.v ~vms:1 []));
@@ -258,6 +260,21 @@ let test_batch_matches_manual_sched () =
       ~vcpus_per_vm:num_pcpus ~work_per_vcpu:work
   in
   Alcotest.(check (pair int int)) "identical makespan and switches" expected got
+
+let test_batch_validation () =
+  let run ~vms ~vcpus_per_vm =
+    Batch.run ~num_pcpus:4 ~timeslice_cycles:1000 ~switch_cost:500 ~vms
+      ~vcpus_per_vm ~work_per_vcpu:10_000
+  in
+  Alcotest.check_raises "no VMs" (Invalid_argument "Fleet.Batch.run: vms < 1")
+    (fun () -> ignore (run ~vms:0 ~vcpus_per_vm:1));
+  Alcotest.check_raises "no VCPUs"
+    (Invalid_argument "Fleet.Batch.run: vcpus_per_vm < 1") (fun () ->
+      ignore (run ~vms:1 ~vcpus_per_vm:0));
+  (* One VCPU per PCPU: each PCPU switches only from idle to its VCPU
+     and back, and the eight switches' cost is spread over four PCPUs. *)
+  Alcotest.(check (pair int int)) "uncontended" (10_000 + (8 * 500 / 4), 8)
+    (run ~vms:1 ~vcpus_per_vm:4)
 
 (* --- credit_sched under overcommit (satellite) ----------------------- *)
 
@@ -748,6 +765,7 @@ let () =
         [
           Alcotest.test_case "reproduces the manual oversub sched" `Quick
             test_batch_matches_manual_sched;
+          Alcotest.test_case "validation" `Quick test_batch_validation;
         ] );
       ( "credit-overcommit",
         [

@@ -26,92 +26,74 @@ let test_irq_kinds () =
 
 let dist () = Distributor.create ~num_cpus:4
 
-let test_dist_spi_lifecycle () =
+let test_dist_sgi_lifecycle () =
   let d = dist () in
-  Distributor.enable d 40;
-  Distributor.set_target d 40 ~cpu:2;
-  Distributor.raise_spi d 40;
+  Distributor.enable d 1;
+  Distributor.send_sgi d 1 ~from:0 ~targets:[ 2 ];
   Alcotest.(check bool) "pending on target" true
-    (Distributor.state d 40 ~cpu:2 = Distributor.Pending);
+    (Distributor.state d 1 ~cpu:2 = Distributor.Pending);
   Alcotest.(check bool) "not pending elsewhere" true
-    (Distributor.state d 40 ~cpu:0 = Distributor.Inactive);
-  Alcotest.(check bool) "ack" true (Distributor.acknowledge d ~cpu:2 = Some 40);
+    (Distributor.state d 1 ~cpu:0 = Distributor.Inactive);
+  Alcotest.(check bool) "ack" true (Distributor.acknowledge d ~cpu:2 = Some 1);
   Alcotest.(check bool) "active" true
-    (Distributor.state d 40 ~cpu:2 = Distributor.Active);
-  Distributor.end_of_interrupt d 40 ~cpu:2;
+    (Distributor.state d 1 ~cpu:2 = Distributor.Active);
+  Distributor.end_of_interrupt d 1 ~cpu:2;
   Alcotest.(check bool) "inactive" true
-    (Distributor.state d 40 ~cpu:2 = Distributor.Inactive)
+    (Distributor.state d 1 ~cpu:2 = Distributor.Inactive)
 
 let test_dist_disabled_not_delivered () =
   let d = dist () in
-  Distributor.set_target d 40 ~cpu:0;
-  Distributor.raise_spi d 40 (* pending but disabled *);
+  Distributor.send_sgi d 1 ~from:1 ~targets:[ 0 ] (* pending but disabled *);
   Alcotest.(check bool) "no ack while disabled" true
     (Distributor.acknowledge d ~cpu:0 = None);
-  Distributor.enable d 40;
+  Distributor.enable d 1;
   Alcotest.(check bool) "delivered once enabled" true
-    (Distributor.acknowledge d ~cpu:0 = Some 40)
+    (Distributor.acknowledge d ~cpu:0 = Some 1)
 
-let test_dist_priority_order () =
+let test_dist_lowest_first () =
   let d = dist () in
   List.iter
-    (fun (irq, prio) ->
+    (fun irq ->
       Distributor.enable d irq;
-      Distributor.set_priority d irq prio;
-      Distributor.set_target d irq ~cpu:0;
-      Distributor.raise_spi d irq)
-    [ (40, 128); (41, 16); (42, 128) ];
-  Alcotest.(check bool) "highest priority first" true
-    (Distributor.acknowledge d ~cpu:0 = Some 41);
-  (* Equal priorities tie-break to the lowest IRQ id. *)
-  Alcotest.(check bool) "lowest id among equals" true
-    (Distributor.acknowledge d ~cpu:0 = Some 40)
+      Distributor.send_sgi d irq ~from:1 ~targets:[ 0 ])
+    [ 3; 1 ];
+  Alcotest.(check bool) "lowest IRQ first" true
+    (Distributor.acknowledge d ~cpu:0 = Some 1);
+  Alcotest.(check bool) "then the next" true
+    (Distributor.acknowledge d ~cpu:0 = Some 3)
 
 let test_dist_sgi_multicast () =
   let d = dist () in
   Distributor.enable d 1;
   Distributor.send_sgi d 1 ~from:0 ~targets:[ 1; 2 ];
-  Alcotest.(check int) "pending on cpu1" 1 (Distributor.pending_count d ~cpu:1);
-  Alcotest.(check int) "pending on cpu2" 1 (Distributor.pending_count d ~cpu:2);
-  Alcotest.(check int) "sender unaffected" 0 (Distributor.pending_count d ~cpu:0)
+  let pending cpu = Distributor.state d 1 ~cpu = Distributor.Pending in
+  Alcotest.(check bool) "pending on cpu1" true (pending 1);
+  Alcotest.(check bool) "pending on cpu2" true (pending 2);
+  Alcotest.(check bool) "sender unaffected" false (pending 0)
 
 let test_dist_active_pending () =
-  (* A level interrupt re-raised while in service becomes active+pending
-     and fires again after EOI. *)
   let d = dist () in
-  Distributor.enable d 50;
-  Distributor.set_target d 50 ~cpu:0;
-  Distributor.raise_spi d 50;
+  Distributor.enable d 5;
+  Distributor.send_sgi d 5 ~from:1 ~targets:[ 0 ];
   ignore (Distributor.acknowledge d ~cpu:0);
-  Distributor.raise_spi d 50;
+  Distributor.send_sgi d 5 ~from:1 ~targets:[ 0 ];
   Alcotest.(check bool) "active+pending" true
-    (Distributor.state d 50 ~cpu:0 = Distributor.Active_pending);
-  Distributor.end_of_interrupt d 50 ~cpu:0;
-  Alcotest.(check bool) "pending again" true
-    (Distributor.state d 50 ~cpu:0 = Distributor.Pending)
+    (Distributor.state d 5 ~cpu:0 = Distributor.Active_pending);
+  Distributor.end_of_interrupt d 5 ~cpu:0;
+  Alcotest.(check bool) "back to pending" true
+    (Distributor.state d 5 ~cpu:0 = Distributor.Pending)
 
 let test_dist_errors () =
   let d = dist () in
-  Alcotest.check_raises "eoi inactive"
+  Alcotest.check_raises "EOI of inactive"
     (Invalid_argument "Distributor.end_of_interrupt: interrupt not active")
-    (fun () -> Distributor.end_of_interrupt d 40 ~cpu:0);
-  Alcotest.check_raises "sgi target for spi only"
-    (Invalid_argument "Distributor.set_target: SGIs and PPIs are banked per CPU")
-    (fun () -> Distributor.set_target d 1 ~cpu:0);
-  Alcotest.check_raises "raise_spi on ppi"
-    (Invalid_argument "Distributor.raise_spi: not an SPI") (fun () ->
-      Distributor.raise_spi d 27);
-  Alcotest.check_raises "num_cpus bounds"
+    (fun () -> Distributor.end_of_interrupt d 1 ~cpu:0);
+  Alcotest.check_raises "only SGIs are sent"
+    (Invalid_argument "Distributor.send_sgi: not an SGI") (fun () ->
+      Distributor.send_sgi d 27 ~from:0 ~targets:[ 1 ]);
+  Alcotest.check_raises "GICv2 CPU limit"
     (Invalid_argument "Distributor.create: num_cpus must be in 1-8") (fun () ->
       ignore (Distributor.create ~num_cpus:9))
-
-let test_dist_ppi_banked () =
-  let d = dist () in
-  Distributor.enable d 27;
-  Distributor.raise_ppi d 27 ~cpu:1;
-  Alcotest.(check bool) "banked per cpu" true
-    (Distributor.state d 27 ~cpu:1 = Distributor.Pending
-    && Distributor.state d 27 ~cpu:0 = Distributor.Inactive)
 
 (* --- Vgic ------------------------------------------------------------ *)
 
@@ -178,37 +160,38 @@ let prop_vgic_no_duplicates =
 
 let test_apic_lifecycle () =
   let a = Apic.create () in
-  Alcotest.(check bool) "EOI traps without vAPIC" true (Apic.eoi_traps a);
   Apic.fire a ~vector:64;
   Apic.fire a ~vector:200;
   Alcotest.(check bool) "highest vector first" true
     (Apic.acknowledge a = Some 200);
   Alcotest.(check (list int)) "in service" [ 200 ] (Apic.in_service a);
-  Apic.eoi a;
-  Alcotest.(check bool) "next vector" true (Apic.acknowledge a = Some 64)
+  Alcotest.(check bool) "next vector" true (Apic.acknowledge a = Some 64);
+  Alcotest.(check (list int)) "nested, highest first" [ 200; 64 ]
+    (Apic.in_service a);
+  Alcotest.(check bool) "nothing requested" true (Apic.acknowledge a = None)
 
 let test_apic_nesting () =
+  (* A higher vector taken while one is in service nests above it; a
+     lower one requested meanwhile waits for the next acknowledge. *)
   let a = Apic.create () in
   Apic.fire a ~vector:100;
   ignore (Apic.acknowledge a);
   Apic.fire a ~vector:150;
-  ignore (Apic.acknowledge a);
+  Apic.fire a ~vector:40;
+  Alcotest.(check (option int)) "higher vector first" (Some 150)
+    (Apic.acknowledge a);
   Alcotest.(check (list int)) "nested, highest first" [ 150; 100 ]
     (Apic.in_service a);
-  Apic.eoi a;
-  Alcotest.(check (list int)) "innermost completed" [ 100 ] (Apic.in_service a)
+  Alcotest.(check (option int)) "then the lower one" (Some 40)
+    (Apic.acknowledge a);
+  Alcotest.(check (list int)) "all three in service" [ 150; 100; 40 ]
+    (Apic.in_service a)
 
 let test_apic_errors () =
   let a = Apic.create () in
   Alcotest.check_raises "vector range"
     (Invalid_argument "Apic.fire: vector must be in 32-255") (fun () ->
-      Apic.fire a ~vector:31);
-  Alcotest.check_raises "eoi with nothing in service"
-    (Invalid_argument "Apic.eoi: no interrupt in service") (fun () -> Apic.eoi a)
-
-let test_apic_vapic_flag () =
-  let a = Apic.create ~vapic:true () in
-  Alcotest.(check bool) "vAPIC avoids the trap" false (Apic.eoi_traps a)
+      Apic.fire a ~vector:31)
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -217,14 +200,13 @@ let () =
       ("irq", [ Alcotest.test_case "kinds" `Quick test_irq_kinds ]);
       ( "distributor",
         [
-          Alcotest.test_case "SPI lifecycle" `Quick test_dist_spi_lifecycle;
+          Alcotest.test_case "SGI lifecycle" `Quick test_dist_sgi_lifecycle;
           Alcotest.test_case "disabled not delivered" `Quick
             test_dist_disabled_not_delivered;
-          Alcotest.test_case "priority order" `Quick test_dist_priority_order;
+          Alcotest.test_case "lowest first" `Quick test_dist_lowest_first;
           Alcotest.test_case "SGI multicast" `Quick test_dist_sgi_multicast;
           Alcotest.test_case "active+pending" `Quick test_dist_active_pending;
           Alcotest.test_case "errors" `Quick test_dist_errors;
-          Alcotest.test_case "PPI banking" `Quick test_dist_ppi_banked;
         ] );
       ( "vgic",
         [
@@ -242,6 +224,5 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_apic_lifecycle;
           Alcotest.test_case "nesting" `Quick test_apic_nesting;
           Alcotest.test_case "errors" `Quick test_apic_errors;
-          Alcotest.test_case "vapic flag" `Quick test_apic_vapic_flag;
         ] );
     ]

@@ -116,18 +116,6 @@ let test_evtchn_send_consume () =
   Alcotest.(check bool) "consume" true (Event_channel.consume t port);
   Alcotest.(check bool) "consumed once" false (Event_channel.consume t port)
 
-let test_evtchn_masking () =
-  let t = Event_channel.create () in
-  let port = Event_channel.alloc t ~from_dom:1 ~to_dom:0 in
-  Event_channel.mask t port;
-  Event_channel.send t port;
-  Alcotest.(check bool) "masked: no upcall" false (Event_channel.consume t port);
-  Alcotest.(check bool) "still pending behind mask" true
-    (Event_channel.pending t port);
-  Event_channel.unmask t port;
-  Alcotest.(check bool) "redelivered after unmask" true
-    (Event_channel.consume t port)
-
 let test_evtchn_pending_for () =
   let t = Event_channel.create () in
   let p1 = Event_channel.alloc t ~from_dom:1 ~to_dom:0 in
@@ -140,14 +128,6 @@ let test_evtchn_pending_for () =
     (Event_channel.pending_for t 0);
   Alcotest.(check (pair int int)) "peer" (1, 0) (Event_channel.peer t p1)
 
-let test_evtchn_close () =
-  let t = Event_channel.create () in
-  let port = Event_channel.alloc t ~from_dom:1 ~to_dom:0 in
-  Event_channel.close t port;
-  Alcotest.check_raises "closed port"
-    (Invalid_argument (Printf.sprintf "Event_channel: free port %d" port))
-    (fun () -> Event_channel.send t port)
-
 (* --- Xen_ring ----------------------------------------------------------- *)
 
 let request gt id =
@@ -155,7 +135,7 @@ let request gt id =
   { Xen_ring.gref; len = 1500; id }
 
 let test_ring_request_response () =
-  let gt = Grant_table.create ~owner:1 in
+  let gt = Grant_table.create () in
   let ring = Xen_ring.create ~size:4 () in
   Xen_ring.frontend_push ring (request gt 1);
   (match Xen_ring.backend_pop ring with
@@ -173,7 +153,7 @@ let test_ring_request_response () =
   Alcotest.(check int) "drained" 0 (Xen_ring.outstanding ring)
 
 let test_ring_notification_protocol () =
-  let gt = Grant_table.create ~owner:1 in
+  let gt = Grant_table.create () in
   let ring = Xen_ring.create () in
   Alcotest.(check bool) "frontend must notify initially" true
     (Xen_ring.frontend_notify_needed ring);
@@ -192,7 +172,7 @@ let test_ring_notification_protocol () =
     (Xen_ring.backend_notify_needed ring)
 
 let test_ring_full_and_ownership () =
-  let gt = Grant_table.create ~owner:1 in
+  let gt = Grant_table.create () in
   let ring = Xen_ring.create ~size:2 () in
   Xen_ring.frontend_push ring (request gt 1);
   Xen_ring.frontend_push ring (request gt 2);
@@ -219,9 +199,7 @@ let () =
       ( "event_channel",
         [
           Alcotest.test_case "send and consume" `Quick test_evtchn_send_consume;
-          Alcotest.test_case "masking" `Quick test_evtchn_masking;
           Alcotest.test_case "pending_for" `Quick test_evtchn_pending_for;
-          Alcotest.test_case "close" `Quick test_evtchn_close;
         ] );
       ( "xen_ring",
         [

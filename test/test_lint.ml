@@ -1,8 +1,9 @@
 (* Tests for Armvirt_lint: per-pass positive/negative/suppressed fixtures
-   (determinism R1-R7, units U1/U2, capture D1), the baseline
-   ratchet, the JSON v2 report golden, CLI rule selection, and the
-   meta-tests that the repo's own lib/, bin/ and bench/ trees are
-   lint-clean and that the committed LINT_baseline.json verifies at HEAD. *)
+   (determinism R1-R7, units U1/U2, capture D1, exports S1), the
+   baseline ratchet, the JSON v2 report golden, CLI rule selection, and
+   the meta-tests that the repo's own tree is lint-clean, that an added
+   export with no caller is caught, and that the committed
+   LINT_baseline.json verifies at HEAD. *)
 
 module Rules = Armvirt_lint.Rules
 module Engine = Armvirt_lint.Engine
@@ -11,7 +12,7 @@ module Driver = Armvirt_lint.Driver
 module Baseline = Armvirt_lint.Baseline
 
 let lint ?rules ~relpath src =
-  Engine.lint_source ?rules ~clock:(fun () -> 0.) ~relpath src
+  Engine.lint_file ?rules ~clock:(fun () -> 0.) (Engine.parse ~relpath src)
 
 let rule_ids (r : Engine.result) =
   List.map (fun (f : Engine.finding) -> Rules.to_string f.rule) r.findings
@@ -219,6 +220,134 @@ let test_d1_capture () =
        "let reg = Hashtbl.create 16\n\
         let fan xs = Runner.map (fun x -> Hashtbl.hash reg + x) xs")
 
+(* --- S1: every export has a caller ------------------------------------ *)
+
+let exports sources =
+  Engine.lint_exports ~clock:(fun () -> 0.)
+    (List.map (fun (relpath, text) -> Engine.parse ~relpath text) sources)
+
+let counter_mli =
+  ("lib/demo/counter.mli", "val incr : int -> int\n\nval dead : int -> int\n")
+
+(* Each case pairs [counter_mli] with one caller file; [[]] means both
+   vals count as called. *)
+let s1_cases =
+  [
+    ( "an uncalled export is one finding",
+      [ ("bin/main.ml", "let () = ignore (Counter.incr 1)") ],
+      [ "S1" ] );
+    ( "its own implementation is no caller",
+      [
+        ("lib/demo/counter.ml", "let dead x = x\nlet incr = dead");
+        ("bin/main.ml", "let () = ignore (Counter.incr 1)");
+      ],
+      [ "S1" ] );
+    ( "a call through the module name",
+      [ ("bin/main.ml", "let _ = Armvirt_demo.Counter.incr (Counter.dead 0)") ],
+      [] );
+    ( "a call through an alias",
+      [ ("test/t.ml", "module C = Armvirt_demo.Counter\nlet _ = C.incr (C.dead 0)") ],
+      [] );
+    ( "a call through a let module",
+      [
+        ( "test/t.ml",
+          "let f () =\n\
+          \  let module C = Counter in\n\
+          \  C.incr (C.dead 0)" );
+      ],
+      [] );
+    ( "a call through an alias of an alias",
+      [
+        ( "bench/b.ml",
+          "module C = Counter\nmodule D = C\nlet _ = D.incr (D.dead 0)" );
+      ],
+      [] );
+    ( "a call through an open",
+      [ ("examples/e.ml", "open Armvirt_demo.Counter\nlet _ = incr (dead 0)") ],
+      [] );
+    ( "a call through a let open",
+      [ ("test/t.ml", "let f () = let open Counter in incr (dead 0)") ],
+      [] );
+    ( "a call through a local open",
+      [ ("bench/b.ml", "let _ = Counter.(incr (dead 0))") ],
+      [] );
+    ( "a call through an include",
+      [ ("lib/demo/more.ml", "include Counter\nlet _ = incr (dead 0)") ],
+      [] );
+    ( "a call through a functor parameter",
+      [
+        ( "test/t.ml",
+          "module F (C : S) = struct let _ = C.incr (C.dead 0) end\n\
+           module G = F (Counter)" );
+      ],
+      [] );
+    ( "a bare name without an open is no call",
+      [ ("bin/main.ml", "let dead = succ\nlet _ = Counter.incr (dead 0)") ],
+      [ "S1" ] );
+    ( "a same-named module shares its callers",
+      [ ("bin/main.ml", "let _ = Other.Counter.incr (Other.Counter.dead 0)") ],
+      [] );
+  ]
+
+let s1_case (name, callers, expected) =
+  Alcotest.test_case name `Quick (fun () ->
+      check_rules name expected (exports (counter_mli :: callers)))
+
+let test_s1_finding_position () =
+  let r =
+    exports [ counter_mli; ("bin/main.ml", "let () = ignore (Counter.incr 1)") ]
+  in
+  match r.findings with
+  | [ f ] ->
+      Alcotest.(check (pair string int))
+        "on the val's line" ("lib/demo/counter.mli", 3) (f.file, f.line);
+      Alcotest.(check string) "names the value and its unit"
+        "Counter.dead is exported but nothing outside counter.ml calls it: \
+         delete it, or drop it from the interface"
+        f.message
+  | fs -> Alcotest.failf "expected one S1 finding, got %d" (List.length fs)
+
+let test_s1_allow_comment () =
+  let allowed =
+    exports
+      [
+        ( "lib/demo/counter.mli",
+          "val incr : int -> int\n\n\
+           (* lint: allow S1 kept for the toplevel *)\n\
+           val dead : int -> int\n" );
+        ("bin/main.ml", "let () = ignore (Counter.incr 1)");
+      ]
+  in
+  check_rules "a lint: allow comment suppresses it" [] allowed;
+  Alcotest.(check int) "counted as suppressed" 1 allowed.Engine.suppressed
+
+let test_s1_nested_module () =
+  let uncalled =
+    exports
+      [
+        ( "lib/demo/sim.mli",
+          "module Mailbox : sig\n  val send : int -> unit\n  val try_recv : int -> int\nend\n" );
+        ("bin/main.ml", "let () = Sim.Mailbox.send 1");
+      ]
+  in
+  check_rules "nested module vals are exports" [ "S1" ] uncalled;
+  Alcotest.(check (list string)) "named by their full path"
+    [ "Sim.Mailbox.try_recv" ]
+    (List.map
+       (fun (f : Engine.finding) ->
+         List.hd (String.split_on_char ' ' f.message))
+       uncalled.findings)
+
+let test_s1_only_lib_interfaces () =
+  (* Interfaces outside lib/ (a test oracle's, an executable's) declare
+     no exports the rule checks. *)
+  check_rules "bin/ and test/ interfaces are not checked" []
+    (exports
+       [
+         ("test/reference_demo.mli", "val unused : int\n");
+         ("bin/tool.mli", "val unused : int\n");
+       ])
+
 (* --- suppression and selection mechanics ----------------------------- *)
 
 let test_file_wide_disable () =
@@ -228,6 +357,25 @@ let test_file_wide_disable () =
   check_rules "disable only silences listed rules" [ "R1" ]
     (lint ~relpath:"lib/core/x.ml"
        "(* lint: disable R7 *)\nlet f () = Random.bits ()")
+
+let test_site_directive_reach () =
+  (* A site directive covers its own line and the one below, no more. *)
+  let src directive_line =
+    String.concat "\n"
+      (List.init 4 (fun i ->
+           if i = directive_line then "(* lint: allow R1 seeded elsewhere *)"
+           else "let () = ()")
+      @ [ "let x = Random.int 7" ])
+  in
+  check_rules "trailing on the same line" []
+    (lint ~relpath:"lib/core/x.ml"
+       "let x = Random.int 7 (* lint: allow R1 seeded elsewhere *)");
+  check_rules "on the line above" [] (lint ~relpath:"lib/core/x.ml" (src 3));
+  check_rules "two lines above is too far" [ "R1" ]
+    (lint ~relpath:"lib/core/x.ml" (src 2));
+  check_rules "only the named rule" [ "R1" ]
+    (lint ~relpath:"lib/core/x.ml"
+       "let x = Random.int 7 (* lint: allow R2 wrong rule *)")
 
 let test_rule_selection () =
   let src = "let f () = print_endline (string_of_int (Random.bits ()))" in
@@ -261,12 +409,13 @@ let test_parse_error () =
 
 let test_pass_registration () =
   Alcotest.(check (list string))
-    "registration order" [ "determinism"; "units"; "capture" ]
-    (List.map (fun (p : Armvirt_lint.Pass.t) -> p.Armvirt_lint.Pass.name)
-       Engine.passes);
+    "registration order" [ "determinism"; "units"; "capture"; "exports" ]
+    (List.map fst Engine.passes);
   Alcotest.(check string) "U1 owned by units" "units" (Engine.pass_of_rule Rules.U1);
   Alcotest.(check string) "D1 owned by capture" "capture"
     (Engine.pass_of_rule Rules.D1);
+  Alcotest.(check string) "S1 owned by the whole-tree pass" "exports"
+    (Engine.pass_of_rule Rules.S1);
   Alcotest.(check string) "R3 owned by determinism" "determinism"
     (Engine.pass_of_rule Rules.R3);
   (* every rule has a long-form rationale for --explain *)
@@ -515,6 +664,35 @@ let test_repo_is_lint_clean () =
     "audited sites are marked, not silently dropped" true
     (report.Report.suppressed > 0)
 
+let repo_sources () =
+  let root = Driver.find_root () in
+  let read relpath =
+    In_channel.with_open_bin (Filename.concat root relpath) In_channel.input_all
+  in
+  List.map (fun relpath -> (relpath, read relpath)) (Driver.scan_files ~root)
+
+let test_repo_exports_all_called () =
+  (* Every val of lib/**/*.mli has a caller today. *)
+  check_rules "no uncalled export" [] (exports (repo_sources ()))
+
+let test_repo_catches_uncalled_export () =
+  (* One more export nothing calls is exactly one S1 finding. *)
+  let injected =
+    List.map
+      (fun (relpath, src) ->
+        if relpath = "lib/arch/machine.mli" then
+          (relpath, src ^ "\nval injected_dead : t -> unit\n")
+        else (relpath, src))
+      (repo_sources ())
+  in
+  match (exports injected).Engine.findings with
+  | [ f ] ->
+      Alcotest.(check string) "the injected export" "lib/arch/machine.mli" f.file;
+      Alcotest.(check bool) "named in the message" true
+        (String.length f.message > 22
+        && String.sub f.message 0 22 = "Machine.injected_dead ")
+  | fs -> Alcotest.failf "expected one S1 finding, got %d" (List.length fs)
+
 let test_committed_baseline_is_clean () =
   (* The acceptance criterion: LINT_baseline.json self-checks at HEAD —
      it parses, and the tree produces neither fresh findings beyond it
@@ -583,9 +761,22 @@ let () =
         ] );
       ( "capture",
         [ Alcotest.test_case "D1 capture" `Quick test_d1_capture ] );
+      ( "exports",
+        List.map s1_case s1_cases
+        @ [
+            Alcotest.test_case "finding position and message" `Quick
+              test_s1_finding_position;
+            Alcotest.test_case "lint: allow suppresses" `Quick
+              test_s1_allow_comment;
+            Alcotest.test_case "nested module vals" `Quick test_s1_nested_module;
+            Alcotest.test_case "only lib/ interfaces" `Quick
+              test_s1_only_lib_interfaces;
+          ] );
       ( "mechanics",
         [
           Alcotest.test_case "file-wide disable" `Quick test_file_wide_disable;
+          Alcotest.test_case "site directive reach" `Quick
+            test_site_directive_reach;
           Alcotest.test_case "rule selection" `Quick test_rule_selection;
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;
           Alcotest.test_case "parse error" `Quick test_parse_error;
@@ -613,6 +804,10 @@ let () =
         [
           Alcotest.test_case "repo is lint-clean" `Quick
             test_repo_is_lint_clean;
+          Alcotest.test_case "every export is called" `Quick
+            test_repo_exports_all_called;
+          Alcotest.test_case "gate catches an uncalled export" `Quick
+            test_repo_catches_uncalled_export;
           Alcotest.test_case "committed baseline self-checks" `Quick
             test_committed_baseline_is_clean;
           Alcotest.test_case "gate catches injected violations" `Quick

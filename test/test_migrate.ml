@@ -432,9 +432,8 @@ let explore_knobs () =
     (c.C.migration.M.Plan.bandwidth_gbps = 40.0);
   let c = C.apply base "mig.page_kb" (Space.Int 8) in
   checki "page granule" 8 c.C.migration.M.Plan.page_kb;
-  checki "guest memory held constant"
-    (M.Plan.total_bytes base.C.migration)
-    (M.Plan.total_bytes c.C.migration);
+  let kb (p : M.Plan.t) = p.M.Plan.pages * p.M.Plan.page_kb in
+  checki "guest memory held constant" (kb base.C.migration) (kb c.C.migration);
   checkb "hot-set bytes held constant" true
     (c.C.migration.M.Plan.hot_pages * 8
     = base.C.migration.M.Plan.hot_pages * base.C.migration.M.Plan.page_kb);

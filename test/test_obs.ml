@@ -9,6 +9,7 @@ module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
 module Metrics = Armvirt_obs.Metrics
 module Export = Armvirt_obs.Export
+module Json = Armvirt_obs.Json
 module Observe = Armvirt_core.Observe
 module Runner = Armvirt_core.Runner
 module Platform = Armvirt_core.Platform
@@ -39,14 +40,6 @@ let test_ring_capped_drops_oldest () =
   Alcotest.(check (list int)) "keeps newest, in order" [ 7; 8; 9; 10 ]
     (Ring.to_list r)
 
-let test_ring_clear_and_reuse () =
-  let r = Ring.create ~capacity:2 () in
-  List.iter (Ring.push r) [ 1; 2; 3 ];
-  Ring.clear r;
-  Alcotest.(check int) "empty" 0 (Ring.length r);
-  Alcotest.(check int) "drop counter reset" 0 (Ring.dropped r);
-  Ring.push r 9;
-  Alcotest.(check (list int)) "usable after clear" [ 9 ] (Ring.to_list r)
 
 let test_ring_rejects_zero_capacity () =
   Alcotest.check_raises "capacity 0"
@@ -67,18 +60,18 @@ let test_span_of_label () =
   check "netperf.host_rx_path" Span.Io;
   check "coldstart.page_map" Span.Stage2;
   check "xen_arm.dom0_upcall" Span.Vmexit;
+  (* Table III register classes carry no lane needle: "EL2 Virtual
+     Memory Regs" is other, like its siblings. *)
+  check "arm.save.EL2 Virtual Memory Regs" Span.Other;
+  check "arm.restore.EL2 Virtual Memory Regs" Span.Other;
   check "completely.unknown" Span.Other
 
-let test_span_category_roundtrip () =
-  List.iter
-    (fun c ->
-      match Span.category_of_string (Span.category_to_string c) with
-      | Some c' ->
-          Alcotest.(check string) "roundtrip"
-            (Span.category_to_string c)
-            (Span.category_to_string c')
-      | None -> Alcotest.fail "category_of_string failed on its own output")
-    Span.all
+let test_span_category_names () =
+  (* The trace exports' "cat" field: stable, distinct, lowercase. *)
+  Alcotest.(check (list string)) "names"
+    [ "migrate"; "trap"; "vmexit"; "irq"; "stage2"; "io"; "sched"; "other" ]
+    (List.map Span.category_to_string
+       Span.[ Migrate; Trap; Vmexit; Irq; Stage2; Io; Sched; Other ])
 
 (* Position of the first occurrence of [needle] in [s], or -1. *)
 let index_of s needle =
@@ -356,27 +349,6 @@ let test_label_value_order_canonical () =
      in
      find {|"alpha"|} < find {|"beta"|} && find {|"alpha"|} >= 0)
 
-let test_json_snapshot_golden () =
-  let m = Metrics.create () in
-  Metrics.incr m ~by:3 ~labels:[ ("k", "v") ] "c";
-  Metrics.set_gauge m "g" 0.5;
-  Metrics.observe m "h" 2.0;
-  let golden =
-    "{\n\
-     \  \"counters\": [\n\
-     \    {\"name\":\"c\",\"labels\":{\"k\":\"v\"},\"value\":3}\n\
-     \  ],\n\
-     \  \"gauges\": [\n\
-     \    {\"name\":\"g\",\"labels\":{},\"value\":0.5}\n\
-     \  ],\n\
-     \  \"histograms\": [\n\
-     \    {\"name\":\"h\",\"labels\":{},\"count\":1,\"sum\":2.0,\"buckets\":[{\"le\":2,\"count\":1}]}\n\
-     \  ]\n\
-     }\n"
-  in
-  Alcotest.(check string) "json output" golden
-    (Format.asprintf "%a" Metrics.pp_json m)
-
 (* --- Golden: Chrome trace JSON ------------------------------------- *)
 
 let chrome_sample () =
@@ -580,6 +552,111 @@ let prop_table_renders =
     ~name:"csv round-trips, markdown keeps its columns, text cuts no cell"
     QCheck.(make ~print:string_of_int Gen.int)
     table_renders
+
+let test_table_undefined_cells () =
+  let cell = Table.float "%.2f" in
+  Alcotest.(check string) "finite" "1.50" (cell 1.5);
+  Alcotest.(check (list string)) "NaN and infinities print -"
+    [ "-"; "-"; "-" ]
+    (List.map cell [ Float.nan; Float.infinity; Float.neg_infinity ]);
+  let t =
+    Table.v [ Table.left 4 "k"; Table.right 6 "v" ]
+      [ [ "a"; cell 2. ]; [ "b"; cell (0. /. 0.) ] ]
+  in
+  Alcotest.(check string) "csv" "k,v\na,2.00\nb,-\n"
+    (Format.asprintf "%a" Table.csv t)
+
+(* --- Json: the reader behind stat --diff and the lint baseline ------ *)
+
+let json_value =
+  Alcotest.testable
+    (fun ppf v ->
+      let rec pp ppf = function
+        | Json.Null -> Format.pp_print_string ppf "null"
+        | Json.Bool b -> Format.pp_print_bool ppf b
+        | Json.Num f -> Format.fprintf ppf "%h" f
+        | Json.Str s -> Format.fprintf ppf "%S" s
+        | Json.Arr vs ->
+            Format.fprintf ppf "[%a]"
+              (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") pp)
+              vs
+        | Json.Obj fs ->
+            Format.fprintf ppf "{%a}"
+              (Format.pp_print_list
+                 ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+                 (fun ppf (k, v) -> Format.fprintf ppf "%S:%a" k pp v))
+              fs
+      in
+      pp ppf v)
+    ( = )
+
+let parsed s =
+  match Json.parse s with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "parse %S: %s" s e
+
+let test_json_values () =
+  let check s v = Alcotest.check json_value s v (parsed s) in
+  check "null" Json.Null;
+  check " true " (Json.Bool true);
+  check "false" (Json.Bool false);
+  check "-12.5e1" (Json.Num (-125.));
+  check {|"a\"b\\c\/\n\t\u0041\u00e9"|} (Json.Str "a\"b\\c/\n\tA\xc3\xa9");
+  check "[]" (Json.Arr []);
+  check "{}" (Json.Obj []);
+  check {| { "k" : [1, {"x": null}], "k2": "v" } |}
+    (Json.Obj
+       [
+         ("k", Json.Arr [ Json.Num 1.; Json.Obj [ ("x", Json.Null) ] ]);
+         ("k2", Json.Str "v");
+       ])
+
+let test_json_member () =
+  let doc = parsed {|{"a": 1, "b": {"c": true}}|} in
+  Alcotest.(check (option json_value)) "present" (Some (Json.Num 1.))
+    (Json.member "a" doc);
+  Alcotest.(check (option json_value)) "absent" None (Json.member "z" doc);
+  Alcotest.(check (option json_value)) "not an object" None
+    (Json.member "a" (Json.Arr [ doc ]));
+  Alcotest.(check (option json_value)) "nested" (Some (Json.Bool true))
+    (Option.bind (Json.member "b" doc) (Json.member "c"))
+
+let test_json_errors () =
+  (* Every malformed document is an [Error] naming its byte offset,
+     never an exception. *)
+  List.iter
+    (fun (input, offset) ->
+      match Json.parse input with
+      | Ok _ -> Alcotest.failf "%S accepted" input
+      | Error msg ->
+          let suffix = Printf.sprintf "at offset %d" offset in
+          Alcotest.(check bool)
+            (Printf.sprintf "%S: %s" input msg)
+            true
+            (String.ends_with ~suffix msg)
+      | exception e ->
+          Alcotest.failf "%S raised %s" input (Printexc.to_string e))
+    [
+      ("", 0);
+      ("nul", 0);
+      ("[1,]", 3);
+      ({|{"a" 1}|}, 5);
+      ({|{"a": 1|}, 7);
+      ("1 2", 2);
+      ({|"abc|}, 4);
+      ({|"\q"|}, 2);
+      ({|"\u00"|}, 3);
+      ({|"\uZZZZ"|}, 3);
+      ("1e", 2);
+    ]
+
+let prop_json_escape_round_trip =
+  QCheck.Test.make ~count:500 ~name:"escape round-trips any byte string"
+    QCheck.(string_gen Gen.char)
+    (fun s ->
+      let body = Json.escape s in
+      String.for_all (fun c -> Char.code c >= 0x20) body
+      && Json.parse ("\"" ^ body ^ "\"") = Ok (Json.Str s))
 
 (* --- Observe + Runner: export determinism across jobs --------------- *)
 
@@ -798,15 +875,13 @@ let () =
             test_ring_unbounded_chronological;
           Alcotest.test_case "capped drops oldest" `Quick
             test_ring_capped_drops_oldest;
-          Alcotest.test_case "clear and reuse" `Quick test_ring_clear_and_reuse;
           Alcotest.test_case "rejects zero capacity" `Quick
             test_ring_rejects_zero_capacity;
         ] );
       ( "span",
         [
           Alcotest.test_case "of_label" `Quick test_span_of_label;
-          Alcotest.test_case "category roundtrip" `Quick
-            test_span_category_roundtrip;
+          Alcotest.test_case "category names" `Quick test_span_category_names;
         ] );
       ( "trace",
         [
@@ -830,9 +905,19 @@ let () =
             test_prometheus_label_order_irrelevant;
           Alcotest.test_case "label value order canonical" `Quick
             test_label_value_order_canonical;
-          Alcotest.test_case "json golden" `Quick test_json_snapshot_golden;
         ] );
-      ("table", [ QCheck_alcotest.to_alcotest prop_table_renders ]);
+      ( "table",
+        [
+          QCheck_alcotest.to_alcotest prop_table_renders;
+          Alcotest.test_case "undefined cells" `Quick test_table_undefined_cells;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "values" `Quick test_json_values;
+          Alcotest.test_case "member" `Quick test_json_member;
+          Alcotest.test_case "errors name the offset" `Quick test_json_errors;
+          QCheck_alcotest.to_alcotest prop_json_escape_round_trip;
+        ] );
       ( "export",
         [
           Alcotest.test_case "chrome golden" `Quick test_chrome_golden;

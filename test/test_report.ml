@@ -114,6 +114,68 @@ let test_markdown_full_report () =
   in
   check_tables lines
 
+(* The preamble makes no claim about how paper values appear; each
+   section that compares with the paper says it itself, in its title or
+   its header row. *)
+let test_markdown_cell_formats () =
+  let report = Lazy.force report in
+  let contains s needle =
+    let n = String.length needle and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+    go 0
+  in
+  let digits s =
+    s <> "" && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '.') s
+  in
+  (* "12/11" and "1.03 (1.05)" *)
+  let slash_cell c =
+    match String.split_on_char '/' c with
+    | [ a; b ] -> digits a && digits b
+    | _ -> false
+  in
+  let paren_cell c =
+    match String.split_on_char ' ' c with
+    | [ a; b ] ->
+        digits a
+        && String.length b > 2
+        && b.[0] = '('
+        && b.[String.length b - 1] = ')'
+        && digits (String.sub b 1 (String.length b - 2))
+    | _ -> false
+  in
+  (* Split before every "## " heading. *)
+  let rec sections acc start i =
+    if i + 4 > String.length report then
+      List.rev (String.sub report start (String.length report - start) :: acc)
+    else if String.sub report i 4 = "\n## " then
+      sections (String.sub report start (i + 1 - start) :: acc) (i + 1) (i + 1)
+    else sections acc start (i + 1)
+  in
+  match sections [] 0 0 with
+  | [] -> Alcotest.fail "no sections"
+  | preamble :: sections ->
+      Alcotest.(check bool) "preamble names no cell format" false
+        (contains preamble "parenthes" || contains preamble "meas/paper");
+      List.iter
+        (fun section ->
+          let lines = String.split_on_char '\n' section in
+          let title = List.hd lines in
+          let cells =
+            List.concat_map
+              (fun l ->
+                if String.length l > 0 && l.[0] = '|' then
+                  List.map String.trim (String.split_on_char '|' l)
+                else [])
+              lines
+          in
+          if List.exists slash_cell cells then
+            Alcotest.(check bool) (title ^ " says meas/paper") true
+              (contains section "meas/paper");
+          if List.exists paren_cell cells then
+            Alcotest.(check bool) (title ^ " says paper in parentheses") true
+              (contains title "paper in parentheses"))
+        sections
+
 let () =
   Alcotest.run "report"
     [
@@ -124,5 +186,6 @@ let () =
         [
           Alcotest.test_case "tables" `Quick test_markdown_tables;
           Alcotest.test_case "full report" `Quick test_markdown_full_report;
+          Alcotest.test_case "cell formats" `Quick test_markdown_cell_formats;
         ] );
     ]

@@ -1,10 +1,9 @@
-(* Tests for Armvirt_stats: summaries, histograms, counters and the
+(* Tests for Armvirt_stats: summaries, counters and the
    barriered cycle counter. *)
 
 module Cycles = Armvirt_engine.Cycles
 module Sim = Armvirt_engine.Sim
 module Summary = Armvirt_stats.Summary
-module Histogram = Armvirt_stats.Histogram
 module Counter = Armvirt_stats.Counter
 module Cycle_counter = Armvirt_stats.Cycle_counter
 
@@ -53,32 +52,6 @@ let test_summary_stddev () =
   Alcotest.(check (float 1e-6)) "sample stddev" (sqrt (32.0 /. 7.0))
     (Summary.stddev s)
 
-let test_summary_ci95_student_t () =
-  (* n = 4 < 30: the half-width must use t(0.975, df=3) = 3.182, not
-     z = 1.96. Sample [1;2;3;4]: mean 2.5, sample sd = sqrt(5/3). *)
-  let s = Summary.of_list [ 1.0; 2.0; 3.0; 4.0 ] in
-  let lo, hi = Summary.ci95 s in
-  let sd = sqrt (5.0 /. 3.0) in
-  let half = 3.182 *. sd /. 2.0 in
-  Alcotest.(check (float 1e-6)) "lower" (2.5 -. half) lo;
-  Alcotest.(check (float 1e-6)) "upper" (2.5 +. half) hi;
-  (* n = 2, the widest interval: t(0.975, df=1) = 12.706. *)
-  let s2 = Summary.of_list [ 10.0; 20.0 ] in
-  let lo2, hi2 = Summary.ci95 s2 in
-  let half2 = 12.706 *. Summary.stddev s2 /. sqrt 2.0 in
-  Alcotest.(check (float 1e-6)) "n=2 lower" (15.0 -. half2) lo2;
-  Alcotest.(check (float 1e-6)) "n=2 upper" (15.0 +. half2) hi2
-
-let test_summary_ci95_normal_for_large_n () =
-  (* n >= 30 keeps the normal approximation: half = 1.96 * sd / sqrt n. *)
-  let values = List.init 30 (fun i -> float_of_int i) in
-  let s = Summary.of_list values in
-  let lo, hi = Summary.ci95 s in
-  let half = 1.96 *. Summary.stddev s /. sqrt 30.0 in
-  Alcotest.(check (float 1e-6)) "half-width" half ((hi -. lo) /. 2.0);
-  Alcotest.(check (float 1e-6)) "centered on mean" (Summary.mean s)
-    ((hi +. lo) /. 2.0)
-
 let test_summary_of_cycles () =
   let s = Summary.of_cycles [ Cycles.of_int 10; Cycles.of_int 20 ] in
   Alcotest.(check int) "median cycles" 15
@@ -102,43 +75,6 @@ let prop_summary_percentile_monotone =
       let s = Summary.of_list values in
       Summary.percentile s lo <= Summary.percentile s hi +. 1e-9)
 
-(* --- Histogram ----------------------------------------------------- *)
-
-let test_histogram_bucketing () =
-  let h = Histogram.create ~bucket_width:10.0 in
-  List.iter (Histogram.add h) [ 0.0; 5.0; 9.9; 10.0; 25.0 ];
-  Alcotest.(check int) "count" 5 (Histogram.count h);
-  Alcotest.(check int) "buckets" 3 (Histogram.bucket_count h);
-  (match Histogram.buckets h with
-  | [ (0.0, 10.0, 3); (10.0, 20.0, 1); (20.0, 30.0, 1) ] -> ()
-  | _ -> Alcotest.fail "unexpected bucket layout")
-
-let test_histogram_mode () =
-  let h = Histogram.create ~bucket_width:1.0 in
-  List.iter (Histogram.add h) [ 1.5; 1.6; 3.2 ];
-  match Histogram.mode_bucket h with
-  | Some (1.0, 2.0, 2) -> ()
-  | _ -> Alcotest.fail "mode should be [1,2) with 2"
-
-let test_histogram_errors () =
-  Alcotest.check_raises "bad width"
-    (Invalid_argument "Histogram.create: non-positive bucket width") (fun () ->
-      ignore (Histogram.create ~bucket_width:0.0));
-  let h = Histogram.create ~bucket_width:1.0 in
-  Alcotest.check_raises "negative observation"
-    (Invalid_argument "Histogram.add: negative observation") (fun () ->
-      Histogram.add h (-1.0))
-
-let prop_histogram_total =
-  QCheck.Test.make ~name:"histogram count equals additions"
-    QCheck.(list (float_bound_inclusive 100.0))
-    (fun values ->
-      let h = Histogram.create ~bucket_width:7.0 in
-      List.iter (Histogram.add h) values;
-      Histogram.count h = List.length values
-      && List.fold_left (fun acc (_, _, n) -> acc + n) 0 (Histogram.buckets h)
-         = List.length values)
-
 (* --- Counter ------------------------------------------------------- *)
 
 let test_counter_accumulation () =
@@ -146,7 +82,7 @@ let test_counter_accumulation () =
   Counter.incr set "traps";
   Counter.incr set "traps";
   Counter.add set "cycles" 100;
-  Counter.add_cycles set "cycles" (Cycles.of_int 23);
+  Counter.add set "cycles" 23;
   Alcotest.(check int) "incr" 2 (Counter.get set "traps");
   Alcotest.(check int) "add" 123 (Counter.get set "cycles");
   Alcotest.(check int) "untouched" 0 (Counter.get set "nothing");
@@ -238,9 +174,7 @@ let prop_counter_matches_reference =
             id
       in
       let agree s =
-        let pp f set = Format.asprintf "%a" f set in
         Counter.names sets.(s) = Reference_counter.names refs.(s)
-        && pp Counter.pp sets.(s) = pp Reference_counter.pp refs.(s)
         && List.for_all
              (fun l ->
                Counter.get sets.(s) (counter_label l)
@@ -305,21 +239,10 @@ let () =
           Alcotest.test_case "coefficient of variation" `Quick
             test_summary_cv;
           Alcotest.test_case "stddev" `Quick test_summary_stddev;
-          Alcotest.test_case "ci95 Student-t for small n" `Quick
-            test_summary_ci95_student_t;
-          Alcotest.test_case "ci95 normal for large n" `Quick
-            test_summary_ci95_normal_for_large_n;
           Alcotest.test_case "of_cycles" `Quick test_summary_of_cycles;
         ]
         @ qcheck [ prop_summary_median_bounded; prop_summary_percentile_monotone ]
       );
-      ( "histogram",
-        [
-          Alcotest.test_case "bucketing" `Quick test_histogram_bucketing;
-          Alcotest.test_case "mode" `Quick test_histogram_mode;
-          Alcotest.test_case "errors" `Quick test_histogram_errors;
-        ]
-        @ qcheck [ prop_histogram_total ] );
       ( "counter",
         [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ]
         @ qcheck [ prop_counter_sums; prop_counter_matches_reference ] );

@@ -18,18 +18,6 @@ let test_timer_fires_at_deadline () =
   Alcotest.(check int) "one expiration" 1 (Arch_timer.expirations timer);
   Alcotest.(check bool) "disarmed after firing" false (Arch_timer.is_armed timer)
 
-let test_timer_cancel () =
-  let sim = Sim.create () in
-  let fired = ref false in
-  let timer = Arch_timer.create sim ~on_expiry:(fun () -> fired := true) in
-  Sim.spawn sim ~name:"guest" (fun () ->
-      Arch_timer.arm_timer timer ~deadline:(Cycles.of_int 100);
-      Sim.delay (Cycles.of_int 10);
-      Arch_timer.cancel timer);
-  Sim.run sim;
-  Alcotest.(check bool) "cancelled timer does not fire" false !fired;
-  Alcotest.(check int) "no expirations" 0 (Arch_timer.expirations timer)
-
 let test_timer_rearm_supersedes () =
   let sim = Sim.create () in
   let fires = ref [] in
@@ -57,18 +45,6 @@ let test_timer_past_deadline_fires_now () =
       Arch_timer.arm_timer timer ~deadline:(Cycles.of_int 10));
   Sim.run sim;
   Alcotest.(check int) "past deadline fires immediately" 1000 !fired_at
-
-let test_timer_cntvoff () =
-  let sim = Sim.create () in
-  let timer = Arch_timer.create sim ~on_expiry:(fun () -> ()) in
-  let virtual_reading = ref Cycles.zero in
-  Sim.spawn sim ~name:"guest" (fun () ->
-      Sim.delay (Cycles.of_int 1000);
-      Arch_timer.set_cntvoff timer (Cycles.of_int 400);
-      virtual_reading := Arch_timer.virtual_now timer);
-  Sim.run sim;
-  Alcotest.(check int) "virtual time = physical - CNTVOFF" 600
-    (Cycles.to_int !virtual_reading)
 
 let test_timer_repeated_ticks () =
   (* A guest periodic tick: re-arm from the expiry handler, as Linux's
@@ -99,11 +75,9 @@ let () =
       ( "arch_timer",
         [
           Alcotest.test_case "fires at deadline" `Quick test_timer_fires_at_deadline;
-          Alcotest.test_case "cancel" `Quick test_timer_cancel;
           Alcotest.test_case "re-arm supersedes" `Quick test_timer_rearm_supersedes;
           Alcotest.test_case "past deadline fires now" `Quick
             test_timer_past_deadline_fires_now;
-          Alcotest.test_case "CNTVOFF" `Quick test_timer_cntvoff;
           Alcotest.test_case "periodic ticks" `Quick test_timer_repeated_ticks;
         ] );
     ]

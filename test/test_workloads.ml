@@ -33,15 +33,6 @@ let test_microbench_no_variance () =
   Alcotest.(check int) "sample size" 8
     (Summary.count results.Microbench.hypercall)
 
-let test_microbench_table1_registry () =
-  Alcotest.(check int) "seven descriptions" 7 (List.length Microbench.table1);
-  List.iter
-    (fun (name, desc) ->
-      Alcotest.(check bool)
-        (name ^ " described") true
-        (String.length desc > 20))
-    Microbench.table1
-
 let test_microbench_rejects_bad_iterations () =
   Alcotest.check_raises "iterations"
     (Invalid_argument "Microbench.run: iterations < 1") (fun () ->
@@ -217,6 +208,35 @@ let test_maerts_tso_regression () =
   Alcotest.(check bool) "KVM unaffected by the regression" true
     (kvm.Netperf.stream_normalized < 1.1)
 
+(* --- Fleet profiles: the --profile-mix parser -------------------- *)
+
+module Descriptor = Armvirt_fleet.Descriptor
+
+let test_profile_mix () =
+  match W.Fleet_profiles.parse_mix "memcached=2, Kernbench ,synthetic=3" with
+  | Error e -> Alcotest.fail e
+  | Ok [ (m, 2); (k, 1); (s, 3) ] ->
+      (* I/O-bound guests are 1-VCPU/128 MB with at least the work floor;
+         CPU-bound ones 2-VCPU/512 MB with total_cycles / 10^4 of work. *)
+      Alcotest.(check (list (pair string int)))
+        "memcached" [ ("memcached", 1); ("mem", 128); ("work", 4_800_000) ]
+        [ (m.Descriptor.name, m.vcpus); ("mem", m.mem_mb); ("work", m.work_cycles) ];
+      Alcotest.(check (list (pair string int)))
+        "kernbench" [ ("kernbench", 2); ("mem", 512); ("work", 57_600_000) ]
+        [ (k.Descriptor.name, k.vcpus); ("mem", k.mem_mb); ("work", k.work_cycles) ];
+      Alcotest.(check bool) "synthetic is the baseline" true
+        (s = Descriptor.synthetic)
+  | Ok mix -> Alcotest.failf "unexpected mix of %d entries" (List.length mix)
+
+let test_profile_mix_errors () =
+  List.iter
+    (fun spec ->
+      match W.Fleet_profiles.parse_mix spec with
+      | Ok _ -> Alcotest.failf "%S accepted" spec
+      | Error _ -> ())
+    [ ""; "  "; "bogus"; "memcached=0"; "memcached=x"; "synthetic=-1";
+      "kernbench,bogus=2" ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -225,8 +245,6 @@ let () =
           Alcotest.test_case "runs all seven" `Quick test_microbench_runs_all_seven;
           Alcotest.test_case "deterministic samples" `Quick
             test_microbench_no_variance;
-          Alcotest.test_case "Table I registry" `Quick
-            test_microbench_table1_registry;
           Alcotest.test_case "validation" `Quick
             test_microbench_rejects_bad_iterations;
         ] );
@@ -234,6 +252,11 @@ let () =
         [
           Alcotest.test_case "registry" `Quick test_workload_registry;
           Alcotest.test_case "categories" `Quick test_workload_categories;
+        ] );
+      ( "fleet_profiles",
+        [
+          Alcotest.test_case "profile mix" `Quick test_profile_mix;
+          Alcotest.test_case "profile mix errors" `Quick test_profile_mix_errors;
         ] );
       ( "app_model",
         [
