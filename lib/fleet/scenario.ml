@@ -12,17 +12,6 @@ module Transitions = Armvirt_arch.Transitions
 
 (* --- the quantum-stepped host ---------------------------------------- *)
 
-(* Accounting markers reuse the per-model prefixes the hypervisor
-   models emit on their own exit paths, so fleet entries land in the
-   same `d<domid>` stat lanes. *)
-let marker_prefix (hyp : Hypervisor.t) =
-  match hyp.Hypervisor.name with
-  | "KVM ARM" | "KVM ARM (VHE)" -> "kvm_arm"
-  | "Xen ARM" -> "xen_arm"
-  | "KVM x86" -> "kvm_x86"
-  | "Xen x86" -> "xen_x86"
-  | _ -> "native"
-
 type host = {
   machine : Machine.t;
   sim : Sim.t;
@@ -32,6 +21,8 @@ type host = {
   num_pcpus : int;
   timeslice : int; (* cycles *)
   transitions : Transitions.t;
+      (* the model's own exit/entry markers, so fleet entries land in the
+         same `d<domid>` stat lanes as the model's exit paths *)
   mutable rr_pcpu : int; (* round-robin VCPU placement cursor *)
   mutable active : int; (* runnable VCPUs with work left *)
   mutable quanta : int;
@@ -55,7 +46,7 @@ let make_host (hyp : Hypervisor.t) (desc : Descriptor.t) =
     desc;
     num_pcpus;
     timeslice;
-    transitions = Transitions.create machine ~hyp:(marker_prefix hyp);
+    transitions = hyp.Hypervisor.transitions;
     rr_pcpu = 0;
     active = 0;
     quanta = 0;

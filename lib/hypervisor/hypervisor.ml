@@ -27,7 +27,7 @@ let marks machine ~hyp : marks =
     transitions = Transitions.create machine ~hyp;
   }
 
-type kind = Type1 | Type2
+type kind = Native | Type1 | Type2
 type arch = Arm | X86
 
 type t = {
@@ -46,6 +46,8 @@ type t = {
   io_profile : Io_profile.t;
   migrate : Migrate_profile.t;
   guest : Armvirt_guest.Kernel_costs.t;
+  transitions : Transitions.t;
+  hypercall_exit_entry : int;
 }
 
 let remote_completion machine ~name ~wire path =

@@ -35,7 +35,9 @@ val marks : Armvirt_arch.Machine.t -> hyp:string -> marks
 (** Interns the markers on the machine; call it when the model is
     built. *)
 
-type kind = Type1 | Type2
+type kind = Native | Type1 | Type2
+(** [Native] is bare metal: no hypervisor, so no world switch. *)
+
 type arch = Arm | X86
 
 type t = {
@@ -62,6 +64,14 @@ type t = {
   migrate : Migrate_profile.t;
       (** Live-migration cost profile consumed by [lib/migrate]. *)
   guest : Armvirt_guest.Kernel_costs.t;
+  transitions : Armvirt_arch.Transitions.t;
+      (** The model's exit and entry markers (its {!marks}' table;
+          prefix ["native"] on bare metal), for whatever switches worlds
+          on the model's behalf, such as a fleet scheduler. *)
+  hypercall_exit_entry : int;
+      (** Cycles from the hypercall's exit marker to its entry marker,
+          summed from the path costs [io_profile] and [migrate] are built
+          from; [stat --crosscheck] holds the simulated path to it. *)
 }
 
 val remote_completion :

@@ -341,6 +341,12 @@ let path_costs t =
   in
   (hw, exit_cost, entry_cost)
 
+(* The hypercall between its exit and entry markers: one exit, the host
+   dispatch, one entry. *)
+let hypercall_exit_entry t =
+  let _, exit_cost, entry_cost = path_costs t in
+  exit_cost + dispatch_cost t + entry_cost
+
 let io_profile t =
   let hw, exit_cost, entry_cost = path_costs t in
   let inject = hw.Cost_model.vgic_slot_scan + hw.Cost_model.vgic_lr_write in
@@ -410,4 +416,6 @@ let to_hypervisor t =
     io_profile = io_profile t;
     migrate = migrate_profile t;
     guest = t.guest;
+    transitions = t.mark.transitions;
+    hypercall_exit_entry = hypercall_exit_entry t;
   }

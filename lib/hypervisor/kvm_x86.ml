@@ -198,9 +198,20 @@ let io_latency_in t =
     receiver;
   Cycles.sub (Sim.current_time ()) start
 
-let io_profile t =
+(* Every exit and re-entry pays the VMCS transition pair; the profiles
+   and the hypercall's exit->entry distance are built from it. *)
+let path_costs t =
   let hw = X86_ops.hw t.ops in
-  let exit_entry = hw.Cost_model.vmexit + hw.Cost_model.vmentry in
+  (hw, hw.Cost_model.vmexit + hw.Cost_model.vmentry)
+
+(* The hypercall between its exit and entry markers: the transition
+   pair around the dispatch. *)
+let hypercall_exit_entry t =
+  let _, exit_entry = path_costs t in
+  exit_entry + t.tun.dispatch
+
+let io_profile t =
+  let hw, exit_entry = path_costs t in
   let eoi_cost =
     if hw.Cost_model.vapic then 71 else exit_entry + hw.Cost_model.eoi_emul
   in
@@ -233,8 +244,7 @@ let io_profile t =
    is bracketed by the fixed-function VMCS transition pair instead of a
    software world switch. *)
 let migrate_profile t =
-  let hw = X86_ops.hw t.ops in
-  let exit_entry = hw.Cost_model.vmexit + hw.Cost_model.vmentry in
+  let hw, exit_entry = path_costs t in
   {
     Migrate_profile.transport = "vhost";
     wp_fault_guest_cpu =
@@ -265,4 +275,6 @@ let to_hypervisor t =
     io_profile = io_profile t;
     migrate = migrate_profile t;
     guest = t.guest;
+    transitions = t.mark.transitions;
+    hypercall_exit_entry = hypercall_exit_entry t;
   }

@@ -17,8 +17,6 @@ type tuning = {
   vhost_per_packet : int;
 }
 
-val default_tuning : tuning
-
 type t
 
 val create : ?tuning:tuning -> Armvirt_arch.Machine.t -> t

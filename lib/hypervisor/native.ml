@@ -1,6 +1,7 @@
 module Cycles = Armvirt_engine.Cycles
 module Machine = Armvirt_arch.Machine
 module Cost_model = Armvirt_arch.Cost_model
+module Transitions = Armvirt_arch.Transitions
 
 type t = { machine : Machine.t }
 
@@ -26,7 +27,7 @@ let to_hypervisor t =
   let no_latency () = Cycles.zero in
   {
     Hypervisor.name = "Native";
-    kind = Hypervisor.Type1 (* unused; there is no hypervisor *);
+    kind = Hypervisor.Native;
     arch;
     machine = t.machine;
     barrier_cost = Cycles.of_int barrier;
@@ -42,4 +43,6 @@ let to_hypervisor t =
        machinery — just moving the bytes. *)
     migrate = { Migrate_profile.none with page_copy_per_byte = per_byte_copy };
     guest = Armvirt_guest.Kernel_costs.defaults;
+    transitions = Transitions.create t.machine ~hyp:"native";
+    hypercall_exit_entry = 0;
   }

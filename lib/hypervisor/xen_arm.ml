@@ -354,6 +354,12 @@ let path_costs t =
   let inject = hw.Cost_model.vgic_slot_scan + hw.Cost_model.vgic_lr_write in
   (hw, trap_cost, return_cost, switch_cost, inject)
 
+(* The hypercall between its exit and entry markers: the trap into Xen,
+   the dispatch, the return. *)
+let hypercall_exit_entry t =
+  let _, trap_cost, return_cost, _, _ = path_costs t in
+  trap_cost + t.tun.hypercall_dispatch + return_cost
+
 let make_io_profile t ~zero_copy =
   let hw, trap_cost, return_cost, switch_cost, inject = path_costs t in
   let wire = hw.Cost_model.phys_ipi_wire in
@@ -445,4 +451,6 @@ let to_hypervisor t =
     io_profile = io_profile t;
     migrate = migrate_profile t;
     guest = t.guest;
+    transitions = t.mark.transitions;
+    hypercall_exit_entry = hypercall_exit_entry t;
   }

@@ -55,8 +55,6 @@ type tuning = {
   netback_per_packet : int;  (** Netback work per packet in Dom0. *)
 }
 
-val default_tuning : tuning
-
 type t
 
 val create :

@@ -247,9 +247,20 @@ let zero_copy_break_even_bytes t ~cpus =
        (float_of_int (map_path - t.tun.grant_copy_fixed)
        /. hw.Cost_model.per_byte_copy))
 
-let io_profile t =
+(* Every exit and re-entry pays the VMCS transition pair; the profiles
+   and the hypercall's exit->entry distance are built from it. *)
+let path_costs t =
   let hw = X86_ops.hw t.ops in
-  let exit_entry = hw.Cost_model.vmexit + hw.Cost_model.vmentry in
+  (hw, hw.Cost_model.vmexit + hw.Cost_model.vmentry)
+
+(* The hypercall between its exit and entry markers: the transition
+   pair around the dispatch. *)
+let hypercall_exit_entry t =
+  let _, exit_entry = path_costs t in
+  exit_entry + t.tun.dispatch
+
+let io_profile t =
+  let hw, exit_entry = path_costs t in
   let wire = hw.Cost_model.phys_ipi_wire in
   {
     Io_profile.notify_latency =
@@ -283,8 +294,7 @@ let io_profile t =
    through grant copies and every batch engages Dom0 through an event
    channel + PV context switch — the heaviest transport of the four. *)
 let migrate_profile t =
-  let hw = X86_ops.hw t.ops in
-  let exit_entry = hw.Cost_model.vmexit + hw.Cost_model.vmentry in
+  let hw, exit_entry = path_costs t in
   {
     Migrate_profile.transport = "grant";
     wp_fault_guest_cpu =
@@ -315,4 +325,6 @@ let to_hypervisor t =
     io_profile = io_profile t;
     migrate = migrate_profile t;
     guest = t.guest;
+    transitions = t.mark.transitions;
+    hypercall_exit_entry = hypercall_exit_entry t;
   }

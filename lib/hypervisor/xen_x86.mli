@@ -28,8 +28,6 @@ type tuning = {
   netback_per_packet : int;
 }
 
-val default_tuning : tuning
-
 type t
 
 val create : ?tuning:tuning -> Armvirt_arch.Machine.t -> t

@@ -9,8 +9,8 @@
    fanned-out cell).
 
    The check is per-file and syntactic: collect the names of toplevel
-   [ref]/[Hashtbl.create]/[Atomic.make] bindings (whether or not R6
-   grandfathered them), then flag any bare identifier inside an
+   [ref]/[Hashtbl.create]/[Atomic.make] bindings (whether or not an R6
+   marker allows them), then flag any bare identifier inside an
    argument of a [Runner.map] application that resolves to one of
    them. Cross-module captures cannot be seen without a typing
    environment; the designated registries are exempt by scoping

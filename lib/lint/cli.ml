@@ -36,41 +36,21 @@ let out_arg =
     & info [ "o"; "out" ] ~docv:"FILE"
         ~doc:"Write the report to $(docv); $(b,-) (default) is stdout.")
 
-let baseline_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:
-          "Ratchet file (LINT_baseline.json). Findings within its (file, \
-           rule) counts are grandfathered warnings; anything beyond is \
-           fresh and fails, as does a count the tree no longer produces \
-           (stale). Resolved against the cwd, then the repo root.")
-
-let update_baseline_arg =
-  Arg.(
-    value & flag
-    & info [ "update-baseline" ]
-        ~doc:
-          "Rewrite $(b,--baseline) from the current findings instead of \
-           reporting. The ratchet only turns one way: review the diff — \
-           it should only shrink.")
-
 let explain_arg =
   Arg.(
     value & opt (some string) None
     & info [ "explain" ] ~docv:"RULE"
         ~doc:"Print the long-form rationale for a rule id and exit.")
 
-let run format only skip root out baseline update_baseline explain =
+let run format only skip root out explain =
   match explain with
   | Some rule -> Driver.explain rule
-  | None ->
-      Driver.run ~format ~only ~skip ?root ?out ?baseline ~update_baseline ()
+  | None -> Driver.run ~format ~only ~skip ?root ?out ()
 
 let term =
   Term.(
     const run $ format_arg $ rules_arg $ skip_rules_arg $ root_arg $ out_arg
-    $ baseline_arg $ update_baseline_arg $ explain_arg)
+    $ explain_arg)
 
 let doc =
   "statically check the simulator's determinism, unit and capture \
@@ -95,9 +75,10 @@ let man =
        another unit under lib/, bin/, bench/, examples/ or test/ (S1). \
        Use $(b,--explain RULE) for the full rationale of any rule.";
     `P
-      "Exits 0 when clean (grandfathered findings under $(b,--baseline) \
-       only warn), 1 on any fresh finding or stale baseline residue, 2 on \
-       usage errors. Audited sites are marked in-source with (* lint: \
-       sorted *), (* lint: unit us reason *), (* lint: allow R6 reason *) \
-       or file-wide (* lint: disable R2 *).";
+      "Exits 0 when clean, 1 on any finding, 2 on usage errors. The \
+       report is a function of the tree: two runs over the same files \
+       print the same bytes in every format. A finding is accepted only \
+       by a marker in its source file: at the site with (* lint: sorted \
+       *), (* lint: unit us reason *) or (* lint: allow R6 reason *), or \
+       file-wide with (* lint: disable R2 *).";
   ]

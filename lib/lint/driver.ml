@@ -1,7 +1,7 @@
 (* File discovery and orchestration for a whole-repo lint run. Everything
    here is deterministic: directory listings are sorted, findings are
-   sorted, per-pass timings accumulate in registration order, and output
-   is rendered by Report. *)
+   sorted, and output is rendered by Report, so a report is a function
+   of the tree. *)
 
 (* Per-file passes lint lib/, bin/ and bench/; S1 also reads the
    callers in examples/ and test/. *)
@@ -73,41 +73,9 @@ let sort_by_file findings =
       | c -> c)
     findings
 
-(* Per-pass wall time and post-suppression finding counts, accumulated
-   across every file in registration order. Every registered pass gets a
-   row even when path scoping skipped it everywhere — the report shape
-   stays stable as the tree changes. *)
-let pass_stats ~timings findings =
-  List.map
-    (fun (name, rules) ->
-      let seconds =
-        List.fold_left
-          (fun acc (n, dt) -> if n = name then acc +. dt else acc)
-          0. timings
-      in
-      {
-        Report.pass = name;
-        pass_rules = rules;
-        duration_ms = seconds *. 1000.;
-        pass_findings =
-          List.length
-            (List.filter
-               (fun (f : Engine.finding) -> List.mem f.Engine.rule rules)
-               findings);
-      })
-    Engine.passes
-
-let sort_by_file_tagged tagged =
-  List.sort
-    (fun ((a : Engine.finding), _) (b, _) ->
-      match String.compare a.Engine.file b.Engine.file with
-      | 0 -> Engine.compare_finding a b
-      | c -> c)
-    tagged
-
 (* Each file is read and parsed once; the per-file passes see those
    under lib/, bin/ and bench/, S1 all of them. *)
-let lint_tree ?(rules = Rules.all) ?(baseline = Baseline.empty) ~root () =
+let lint_tree ?(rules = Rules.all) ~root () =
   let files = scan_files ~root in
   let sources =
     List.filter_map
@@ -134,24 +102,13 @@ let lint_tree ?(rules = Rules.all) ?(baseline = Baseline.empty) ~root () =
       [ Engine.lint_exports (List.map snd sources) ]
     else []
   in
-  let findings =
-    sort_by_file (List.concat_map (fun r -> r.Engine.findings) results)
-  in
-  let timings = List.concat_map (fun r -> r.Engine.timings) results in
-  let verdict = Baseline.check baseline findings in
   {
     Report.root;
     files_scanned = List.length files;
     suppressed =
       List.fold_left (fun acc r -> acc + r.Engine.suppressed) 0 results;
-    passes = pass_stats ~timings findings;
     findings =
-      sort_by_file_tagged
-        (List.map (fun f -> (f, Report.Fresh)) verdict.Baseline.fresh
-        @ List.map
-            (fun f -> (f, Report.Grandfathered))
-            verdict.Baseline.grandfathered);
-    stale = verdict.Baseline.stale;
+      sort_by_file (List.concat_map (fun r -> r.Engine.findings) results);
   }
 
 let parse_rule_args specs =
@@ -186,72 +143,26 @@ let explain rule_spec =
       flush stdout;
       0
 
-(* --- baseline resolution ----------------------------------------------- *)
-
-(* The path is tried as given (relative to cwd) and, failing that,
-   relative to the repo root — dune rules run from _build, users run
-   from wherever. *)
-let resolve_baseline_path ~root path =
-  if Sys.file_exists path then path else Filename.concat root path
-
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* Returns the process exit code: 0 clean (grandfathered findings allowed),
-   1 fresh findings or stale baseline residue, 2 usage error. *)
-let run ?(format = Report.Text) ?(only = []) ?(skip = []) ?root ?out ?baseline
-    ?(update_baseline = false) () =
+(* Returns the process exit code: 0 clean, 1 any finding, 2 usage
+   error. *)
+let run ?(format = Report.Text) ?(only = []) ?(skip = []) ?root ?out () =
   match select_rules ~only ~skip with
   | exception Invalid_argument msg ->
       prerr_endline ("armvirt lint: " ^ msg);
       2
-  | rules -> (
+  | rules ->
       let root = match root with Some r -> r | None -> find_root () in
-      let baseline_path =
-        Option.map (resolve_baseline_path ~root) baseline
-      in
-      if update_baseline && baseline_path = None then begin
-        prerr_endline "armvirt lint: --update-baseline requires --baseline";
-        2
-      end
-      else
-        let known =
-          match baseline_path with
-          | None -> Ok Baseline.empty
-          | Some path when update_baseline && not (Sys.file_exists path) ->
-              (* First ratchet write: an absent file is an empty baseline. *)
-              Ok Baseline.empty
-          | Some path -> Baseline.load path
-        in
-        match known with
-        | Error msg ->
-            prerr_endline
-              (Printf.sprintf "armvirt lint: bad baseline %s: %s"
-                 (Option.value baseline_path ~default:"?")
-                 msg);
-            2
-        | Ok known ->
-            let report = lint_tree ~rules ~baseline:known ~root () in
-            if update_baseline then begin
-              let path = Option.get baseline_path in
-              let all = List.map fst report.Report.findings in
-              write_file path (Baseline.render (Baseline.of_findings all));
-              output_string stdout
-                (Printf.sprintf
-                   "armvirt lint: wrote %s (%d findings grandfathered)\n" path
-                   (List.length all));
-              flush stdout;
-              0
-            end
-            else begin
-              let rendered = Report.render format report in
-              (match out with
-              | None | Some "-" ->
-                  output_string stdout rendered;
-                  flush stdout
-              | Some path -> write_file path rendered);
-              if Report.clean report then 0 else 1
-            end)
+      let report = lint_tree ~rules ~root () in
+      let rendered = Report.render format report in
+      (match out with
+      | None | Some "-" ->
+          output_string stdout rendered;
+          flush stdout
+      | Some path -> write_file path rendered);
+      if report.Report.findings = [] then 0 else 1

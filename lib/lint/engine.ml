@@ -1,8 +1,8 @@
 (* The multi-pass analysis engine: parse each compilation unit once with
    compiler-libs, then run every registered per-file pass whose rules
-   are active for the file, timing each; the whole-tree pass reads the
-   same parsed units. Suppression directives are applied once over the
-   union of all passes' candidate findings. *)
+   are active for the file; the whole-tree pass reads the same parsed
+   units. Suppression directives are applied once over the union of all
+   passes' candidate findings. *)
 
 type finding = Pass.finding = {
   rule : Rules.id;
@@ -12,12 +12,7 @@ type finding = Pass.finding = {
   message : string;
 }
 
-type result = {
-  findings : finding list;
-  suppressed : int;
-  timings : (string * float) list;
-      (* (pass name, seconds spent on this file), registration order *)
-}
+type result = { findings : finding list; suppressed : int }
 
 exception Parse_error of string
 
@@ -53,13 +48,9 @@ let parse ~relpath text =
   in
   { relpath; sup = Suppress.of_source text; ast }
 
-(* Host wall-clock, for the per-pass diagnostic timings in the v2
-   report; never part of a byte-compared artifact. *)
-let default_clock () = Sys.time () (* lint: allow R2 pass-timing diagnostics *)
-
 (* Candidates silenced by the directives of the file they sit in are
    counted, the rest reported. *)
-let settle ~sup_of ~timings raw =
+let settle ~sup_of raw =
   let suppressed, findings =
     List.partition
       (fun (f : finding) ->
@@ -71,29 +62,19 @@ let settle ~sup_of ~timings raw =
   {
     findings = List.sort compare_finding findings;
     suppressed = List.length suppressed;
-    timings;
   }
 
-let lint_file ?(rules = Rules.all) ?(clock = default_clock) src =
+let lint_file ?(rules = Rules.all) src =
   let active =
     List.filter (fun r -> not (Suppress.file_disabled src.sup r)) rules
   in
   let ctx = { Pass.relpath = src.relpath; active; raw = [] } in
-  let timings =
-    List.filter_map
-      (fun (p : Pass.t) ->
-        if Pass.relevant p ctx then begin
-          let t0 = clock () in
-          p.Pass.run ctx src.ast;
-          Some (p.Pass.name, clock () -. t0)
-        end
-        else None)
-      file_passes
-  in
-  settle ~sup_of:(fun _ -> src.sup) ~timings ctx.Pass.raw
+  List.iter
+    (fun (p : Pass.t) -> if Pass.relevant p ctx then p.Pass.run ctx src.ast)
+    file_passes;
+  settle ~sup_of:(fun _ -> src.sup) ctx.Pass.raw
 
-let lint_exports ?(clock = default_clock) sources =
-  let t0 = clock () in
+let lint_exports sources =
   let raw = Exports.run (List.map (fun s -> (s.relpath, s.ast)) sources) in
   let sup_of file = (List.find (fun s -> s.relpath = file) sources).sup in
-  settle ~sup_of ~timings:[ (Exports.name, clock () -. t0) ] raw
+  settle ~sup_of raw

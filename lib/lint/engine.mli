@@ -18,9 +18,6 @@ type finding = Pass.finding = {
 type result = {
   findings : finding list;  (** unsuppressed, sorted by (line, col, rule) *)
   suppressed : int;  (** candidate findings silenced by directives *)
-  timings : (string * float) list;
-      (** [(pass name, seconds)] for each pass that ran on this file, in
-          registration order. Diagnostic only — never byte-compared. *)
 }
 
 exception Parse_error of string
@@ -42,12 +39,11 @@ val parse : relpath:string -> string -> source
 (** Parse a source text as an [.ml] or [.mli], chosen by the extension
     of [relpath]. Raises {!Parse_error} on syntax errors. *)
 
-val lint_file : ?rules:Rules.id list -> ?clock:(unit -> float) -> source -> result
+val lint_file : ?rules:Rules.id list -> source -> result
 (** Run every per-file pass with at least one rule in [rules] (default:
-    all) that {!Rules.applies} to the file. [clock] (default: host CPU
-    time) feeds the per-pass timings. *)
+    all) that {!Rules.applies} to the file. *)
 
-val lint_exports : ?clock:(unit -> float) -> source list -> result
+val lint_exports : source list -> result
 (** Run the whole-tree pass ["exports"] (S1): the [val]s of every
     [lib/**/*.mli] among [sources] against the references of every
     [.ml] among them (see [exports.ml] for what counts as a caller).

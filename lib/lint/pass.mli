@@ -1,6 +1,6 @@
 (** Shared infrastructure for registered analysis passes: a pass
     declares the rule ids it implements and a [run] function over one
-    parsed compilation unit; the engine filters, times and suppresses. *)
+    parsed compilation unit; the engine filters and suppresses. *)
 
 type finding = {
   rule : Rules.id;

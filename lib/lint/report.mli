@@ -1,46 +1,20 @@
 (** Rendering lint results for humans and machines.
 
-    Schema v2: the JSON report carries per-pass timing ([passes]), the
-    baseline verdict counts, and a [status] per finding (fresh vs
-    grandfathered). [duration_ms] is the only non-deterministic field;
-    byte-compared goldens zero it out. *)
+    Schema v3: the JSON report carries one row per registered pass
+    ([passes]: its rules and finding count) and the findings. Every
+    field is a function of the tree and the arguments, so identical
+    inputs render byte-identical text, CSV and JSON. *)
 
 type format = Text | Csv | Json
-
-type status = Fresh | Grandfathered
-
-type pass_stat = {
-  pass : string;
-  pass_rules : Rules.id list;
-  duration_ms : float;
-  pass_findings : int;
-}
 
 type t = {
   root : string;
   files_scanned : int;
   suppressed : int;
-  passes : pass_stat list;
-  findings : (Engine.finding * status) list;
-      (** sorted by (file, line, col, rule) *)
-  stale : Baseline.entry list;
+  findings : Engine.finding list;  (** sorted by (file, line, col, rule) *)
 }
 
-val fresh : t -> Engine.finding list
-
-val clean : t -> bool
-(** No fresh findings and no stale baseline residue. *)
-
-val of_findings :
-  ?passes:pass_stat list ->
-  root:string ->
-  files_scanned:int ->
-  suppressed:int ->
-  Engine.finding list ->
-  t
-(** All findings fresh, empty stale list — the no-baseline case. *)
-
 val render : format -> t -> string
-(** Deterministic apart from [duration_ms]: identical inputs produce
-    byte-identical output. The JSON schema is documented in [report.ml]
-    and in the README. *)
+(** The pass rows list every pass of {!Engine.passes}, in order, with
+    the findings of its rules. The JSON schema is documented in
+    [report.ml] and in the README. *)

@@ -1,8 +1,6 @@
-module Sim = Armvirt_engine.Sim
 module Machine = Armvirt_arch.Machine
 
 type t = {
-  sim : Sim.t;
   rx_dma : Machine.op;
   tx_dma : Machine.op;
   dma_cost : int;
@@ -12,10 +10,9 @@ type t = {
   mutable tx_count : int;
 }
 
-let create sim ~machine ~dma_cost ~irq_raise =
+let create ~machine ~dma_cost ~irq_raise =
   if dma_cost < 0 then invalid_arg "Nic.create: negative DMA cost";
   {
-    sim;
     rx_dma = Machine.op machine "nic.rx_dma";
     tx_dma = Machine.op machine "nic.tx_dma";
     dma_cost;

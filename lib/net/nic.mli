@@ -11,7 +11,6 @@
 type t
 
 val create :
-  Armvirt_engine.Sim.t ->
   machine:Armvirt_arch.Machine.t ->
   dma_cost:int ->
   irq_raise:(Packet.t -> unit) ->

@@ -1,10 +1,9 @@
 (** The one JSON reader and string escaper in [lib/].
 
     The JSON documents [lib/] emits ([armvirt.stat/v1], Chrome traces,
-    the metric registry, lint reports and baselines) escape their
-    strings through {!escape}; the documents read back ([stat --diff],
-    [LINT_baseline.json]) go through {!parse}. No dependency on an
-    external JSON library. *)
+    the metric registry, lint reports) escape their strings through
+    {!escape}; the documents read back ([stat --diff]) go through
+    {!parse}. No dependency on an external JSON library. *)
 
 type t =
   | Null

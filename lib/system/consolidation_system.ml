@@ -27,7 +27,7 @@ let jain values =
 let run ?(vms = 4) ?(requests_per_vm = 200) (hyp : Hypervisor.t) =
   if vms < 1 || requests_per_vm < 1 then
     invalid_arg "Consolidation_system.run: non-positive parameter";
-  if hyp.Hypervisor.name = "Native" then
+  if hyp.Hypervisor.kind = Hypervisor.Native then
     invalid_arg "Consolidation_system.run: nothing to consolidate natively";
   let machine = hyp.Hypervisor.machine in
   let sim = Machine.sim machine in

@@ -23,7 +23,7 @@ type result = {
    interrupt → guest. *)
 let run ?(requests = 64) (hyp : Hypervisor.t) ~device =
   if requests < 1 then invalid_arg "Disk_system.run: requests < 1";
-  if hyp.Hypervisor.name = "Native" then
+  if hyp.Hypervisor.kind = Hypervisor.Native then
     invalid_arg "Disk_system.run: no paravirtual ring natively";
   let machine = hyp.Hypervisor.machine in
   let sim = Machine.sim machine in

@@ -19,7 +19,7 @@ let mtu = 1500
 
 let run ?(frames = 1500) ?tso_bug (hyp : Hypervisor.t) =
   if frames < 1 then invalid_arg "Maerts_system.run: frames < 1";
-  if hyp.Hypervisor.name = "Native" then
+  if hyp.Hypervisor.kind = Hypervisor.Native then
     invalid_arg "Maerts_system.run: no paravirtual ring natively";
   let machine = hyp.Hypervisor.machine in
   let sim = Machine.sim machine in

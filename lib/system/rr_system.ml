@@ -54,7 +54,7 @@ type transport =
 
 let make_transport (hyp : Hypervisor.t) =
   let p = hyp.Hypervisor.io_profile in
-  if hyp.Hypervisor.name = "Native" then Direct
+  if hyp.Hypervisor.kind = Hypervisor.Native then Direct
   else if p.Io_profile.zero_copy then
     Virtio { rx = Virtqueue.create (); tx = Virtqueue.create () }
   else begin
@@ -101,7 +101,7 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
   let server_link = Link.ten_gbe sim ~freq_ghz in
   let client_link = Link.ten_gbe sim ~freq_ghz in
   let server_nic =
-    Nic.create sim ~machine ~dma_cost:500 ~irq_raise:(fun pkt ->
+    Nic.create ~machine ~dma_cost:500 ~irq_raise:(fun pkt ->
         Sim.Mailbox.send host_inbox pkt)
   in
   Nic.attach server_nic client_link ~remote:(fun pkt ->

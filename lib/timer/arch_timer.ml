@@ -2,16 +2,14 @@ module Sim = Armvirt_engine.Sim
 module Cycles = Armvirt_engine.Cycles
 
 type t = {
-  sim : Sim.t;
   on_expiry : unit -> unit;
   mutable generation : int; (* invalidates superseded arm requests *)
   mutable armed : bool;
   mutable expirations : int;
 }
 
-let create sim ~on_expiry =
+let create ~on_expiry =
   {
-    sim;
     on_expiry;
     generation = 0;
     armed = false;

@@ -10,10 +10,7 @@
 
 type t
 
-val create :
-  Armvirt_engine.Sim.t ->
-  on_expiry:(unit -> unit) ->
-  t
+val create : on_expiry:(unit -> unit) -> t
 (** [on_expiry] runs in a fresh simulation process when an armed deadline
     is reached; it models the physical PPI 27 landing at the hypervisor. *)
 

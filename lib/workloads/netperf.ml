@@ -35,7 +35,7 @@ type rr_result = {
   normalized : float;
 }
 
-let is_native (hyp : Hypervisor.t) = hyp.Hypervisor.name = "Native"
+let is_native (hyp : Hypervisor.t) = hyp.Hypervisor.kind = Hypervisor.Native
 
 (* One request-response at the server machine: wire in, server
    processing (through the hypervisor when virtualized), wire out. All

@@ -45,7 +45,7 @@ let run ?(tick_hz = 250) ?(simulated_ms = 100) (hyp : Hypervisor.t) =
     if Cycles.compare next !horizon <= 0 then
       Arch_timer.arm_timer (Option.get !timer_ref) ~deadline:next
   in
-  let timer = Arch_timer.create sim ~on_expiry in
+  let timer = Arch_timer.create ~on_expiry in
   timer_ref := Some timer;
   Sim.spawn sim ~name:"guest-clockevent" (fun () ->
       let now = Sim.current_time () in

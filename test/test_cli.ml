@@ -75,6 +75,9 @@ let usage_errors =
     [ "rr"; "--transactions=-5" ];
     [ "stat"; "micro"; "--iterations"; "0" ];
     [ "explore"; "--space"; "bogus" ];
+    (* A lint finding is accepted only in source: no baseline file. *)
+    [ "lint"; "--baseline"; "LINT_baseline.json" ];
+    [ "lint"; "--update-baseline" ];
   ]
 
 (* Values the parser accepts but the command rejects: exit 2. *)
@@ -308,6 +311,22 @@ let test_lint_explain_s1 () =
   Alcotest.(check bool) "names the rule and its pass" true
     (String.starts_with ~prefix:"S1 — " stdout && contains stdout "pass: exports")
 
+(* The help names the one way to accept a finding and no other. Words
+   are compared with line breaks collapsed, as the help is wrapped. *)
+let test_lint_help () =
+  let code, stdout, stderr = run [ "lint"; "--help=plain" ] in
+  let text =
+    String.map (function '\n' -> ' ' | c -> c) stdout
+    |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+    |> String.concat " "
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "stderr" "" stderr;
+  Alcotest.(check bool) "accepted by a marker in source" true
+    (contains text "A finding is accepted only by a marker in its source file");
+  Alcotest.(check bool) "names no baseline" false (contains text "baseline")
+
 (* A two-file tree: one interface in lib/ and one caller in bin/. *)
 let lint_fixture ~caller f =
   let root = Filename.temp_dir "armvirt_lint" "" in
@@ -337,7 +356,7 @@ let lint_fixture ~caller f =
 let test_lint_uncalled_export () =
   lint_fixture ~caller:"let () = ignore (Counter.incr 1)\n" (fun root ->
       let code, stdout, _ = run [ "lint"; "--root"; root; "--rules"; "S1" ] in
-      Alcotest.(check int) "a fresh finding fails" 1 code;
+      Alcotest.(check int) "a finding fails" 1 code;
       Alcotest.(check bool) "names the uncalled export" true
         (contains stdout "Counter.dead is exported but nothing outside");
       Alcotest.(check bool) "and only it" false
@@ -519,6 +538,7 @@ let () =
             test_lint_uncalled_export;
           Alcotest.test_case "called exports pass" `Quick
             test_lint_called_exports;
+          Alcotest.test_case "help names no baseline" `Quick test_lint_help;
         ] );
       ("drop warning", List.map drop_case [ ("1500", true); ("1400", false) ]);
       ("exact counts", List.map exact_case exact_cases);

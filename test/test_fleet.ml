@@ -11,7 +11,9 @@ module Batch = Armvirt_fleet.Batch
 module Credit_sched = Armvirt_hypervisor.Credit_sched
 module Hypervisor = Armvirt_hypervisor.Hypervisor
 module Machine = Armvirt_arch.Machine
+module Marker = Armvirt_obs.Marker
 module Platform = Armvirt_core.Platform
+module Xen_arm = Armvirt_hypervisor.Xen_arm
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -115,6 +117,29 @@ let test_boot_storm_256 () =
     (r.Scenario.time_to_ready_ms > r.Scenario.window_ms);
   let r' = Scenario.boot_storm ~seed:42 (kvm_arm ()) (storm_desc 256) in
   Alcotest.(check bool) "deterministic at 256" true (r = r')
+
+(* A model renamed the way examples/custom_hypervisor.ml renames Xen ARM
+   keeps its own marker prefix: the fleet counts world switches through
+   the model's transitions, not through its display name. *)
+let test_boot_storm_renamed_model () =
+  let hyp =
+    {
+      (Xen_arm.to_hypervisor (Platform.xen_arm ())) with
+      Hypervisor.name = "Xen ARM (zero copy)";
+    }
+  in
+  ignore (Scenario.boot_storm ~seed:7 hyp (storm_desc 16));
+  let counted prefix =
+    List.fold_left
+      (fun acc (m, n) ->
+        if String.starts_with ~prefix (Marker.label m) then acc + n else acc)
+      0
+      (Machine.markers hyp.Hypervisor.machine)
+  in
+  Alcotest.(check bool) "xen_arm exits counted" true (counted "xen_arm.exit/" > 0);
+  Alcotest.(check bool) "xen_arm entries counted" true
+    (counted "xen_arm.entry/" > 0);
+  Alcotest.(check int) "no native markers" 0 (counted "native.")
 
 let test_boot_storm_monotone_in_size () =
   (* More guests on the same host can only push all-ready out. *)
@@ -747,6 +772,8 @@ let () =
             test_boot_storm_256;
           Alcotest.test_case "ready time monotone in fleet size" `Quick
             test_boot_storm_monotone_in_size;
+          Alcotest.test_case "a renamed model keeps its markers" `Quick
+            test_boot_storm_renamed_model;
           qcheck prop_boot_storm_work_conserving;
         ] );
       ( "churn",

@@ -360,6 +360,48 @@ let test_native_is_free () =
   Alcotest.(check bool) "profile all zero" true
     (hyp.Hypervisor.io_profile = Io_profile.native)
 
+(* --- What every model publishes ------------------------------------------ *)
+
+(* Each model as the rest of the simulator sees it, with its kind, its
+   hypercall exit->entry sum and the guest's cost of issuing the call. *)
+let published () =
+  let arm = Cost_model.arm_default and vhe = Cost_model.arm_vhe in
+  let x86 = Cost_model.x86_default in
+  [
+    ( H.Kvm_arm.to_hypervisor (H.Kvm_arm.create (arm_machine ~vhe:true ())),
+      Hypervisor.Type2, 626, vhe.Cost_model.hvc_issue );
+    ( H.Kvm_arm.to_hypervisor (H.Kvm_arm.create (arm_machine ())),
+      Hypervisor.Type2, 6484, arm.Cost_model.hvc_issue );
+    ( H.Xen_arm.to_hypervisor (H.Xen_arm.create (arm_machine ())),
+      Hypervisor.Type1, 360, arm.Cost_model.hvc_issue );
+    ( H.Kvm_x86.to_hypervisor (H.Kvm_x86.create (x86_machine ())),
+      Hypervisor.Type2, 1280, x86.Cost_model.vmcall_issue );
+    ( H.Xen_x86.to_hypervisor (H.Xen_x86.create (x86_machine ())),
+      Hypervisor.Type1, 1208, x86.Cost_model.vmcall_issue );
+    ( H.Native.to_hypervisor (H.Native.create (arm_machine ())),
+      Hypervisor.Native, 0, 0 );
+  ]
+
+let test_kinds () =
+  List.iter
+    (fun ((hyp : Hypervisor.t), kind, _, _) ->
+      Alcotest.(check bool) (hyp.name ^ " kind") true (hyp.kind = kind))
+    (published ())
+
+(* The sum each model publishes from its own path costs is the distance
+   its simulated hypercall spends between the exit and entry markers:
+   adding back the guest's issue cost gives the whole call. *)
+let test_hypercall_exit_entry () =
+  List.iter
+    (fun ((hyp : Hypervisor.t), _, sum, issue) ->
+      Alcotest.(check int) (hyp.name ^ " published sum") sum
+        hyp.hypercall_exit_entry;
+      Alcotest.(check int)
+        (hyp.name ^ " sum + issue = simulated hypercall")
+        (sum + issue)
+        (measure hyp.machine (fun () -> hyp.hypercall ())))
+    (published ())
+
 let () =
   Alcotest.run "hypervisor"
     [
@@ -416,4 +458,10 @@ let () =
             test_profile_completion_matches_path;
         ] );
       ("native", [ Alcotest.test_case "free" `Quick test_native_is_free ]);
+      ( "published",
+        [
+          Alcotest.test_case "kind" `Quick test_kinds;
+          Alcotest.test_case "hypercall exit->entry sum" `Quick
+            test_hypercall_exit_entry;
+        ] );
     ]

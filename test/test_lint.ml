@@ -1,18 +1,16 @@
 (* Tests for Armvirt_lint: per-pass positive/negative/suppressed fixtures
-   (determinism R1-R7, units U1/U2, capture D1, exports S1), the
-   baseline ratchet, the JSON v2 report golden, CLI rule selection, and
-   the meta-tests that the repo's own tree is lint-clean, that an added
-   export with no caller is caught, and that the committed
-   LINT_baseline.json verifies at HEAD. *)
+   (determinism R1-R7, units U1/U2, capture D1, exports S1), the JSON
+   v3, CSV and text report goldens, CLI rule selection, and the
+   meta-tests that the repo's own tree is lint-clean, that its report is
+   a pure function of the tree, and that an added export with no caller
+   is caught. *)
 
 module Rules = Armvirt_lint.Rules
 module Engine = Armvirt_lint.Engine
 module Report = Armvirt_lint.Report
 module Driver = Armvirt_lint.Driver
-module Baseline = Armvirt_lint.Baseline
 
-let lint ?rules ~relpath src =
-  Engine.lint_file ?rules ~clock:(fun () -> 0.) (Engine.parse ~relpath src)
+let lint ?rules ~relpath src = Engine.lint_file ?rules (Engine.parse ~relpath src)
 
 let rule_ids (r : Engine.result) =
   List.map (fun (f : Engine.finding) -> Rules.to_string f.rule) r.findings
@@ -223,7 +221,7 @@ let test_d1_capture () =
 (* --- S1: every export has a caller ------------------------------------ *)
 
 let exports sources =
-  Engine.lint_exports ~clock:(fun () -> 0.)
+  Engine.lint_exports
     (List.map (fun (relpath, text) -> Engine.parse ~relpath text) sources)
 
 let counter_mli =
@@ -427,144 +425,85 @@ let test_pass_registration () =
         (String.length (Rules.explain r) > 80))
     Rules.all
 
-let test_per_pass_timing () =
-  let r =
-    lint ~relpath:"lib/hypervisor/x.ml"
-      {|let f m = Machine.spend (Machine.op m "kvm_arm.host_dispatch") 100|}
+let test_pass_scoping () =
+  (* One violation for each per-file pass: under lib/ all three passes
+     report, under bench/ path scoping leaves determinism alone. *)
+  let src =
+    "let jitter () = Random.int 100\n\
+     let mix link_gbps cost_cycles = link_gbps + cost_cycles\n\
+     let tally = ref 0\n\
+     let fan xs = Runner.map (fun x -> tally := x) xs"
   in
-  let names = List.map fst r.Engine.timings in
+  let passes relpath =
+    List.sort_uniq String.compare
+      (List.map
+         (fun (f : Engine.finding) -> Engine.pass_of_rule f.rule)
+         (lint ~relpath src).Engine.findings)
+  in
   Alcotest.(check (list string))
-    "every relevant pass timed" [ "determinism"; "units"; "capture" ]
-    names;
-  (* scoping skips passes wholesale: only determinism applies in bench/ *)
-  let r = lint ~relpath:"bench/x.ml" "let f x = x" in
+    "every pass reports in lib/" [ "capture"; "determinism"; "units" ]
+    (passes "lib/hypervisor/x.ml");
   Alcotest.(check (list string))
     "bench scoping skips unit/capture passes" [ "determinism" ]
-    (List.map fst r.Engine.timings)
+    (passes "bench/x.ml")
 
-(* --- the baseline ratchet --------------------------------------------- *)
+(* --- report formats --------------------------------------------------- *)
 
 let finding rule file line =
   { Engine.rule; file; line; col = 0; message = "m" }
-
-let entry = Alcotest.testable
-    (fun ppf (e : Baseline.entry) ->
-      Format.fprintf ppf "%s/%s=%d" e.Baseline.file
-        (Rules.to_string e.Baseline.rule)
-        e.Baseline.count)
-    ( = )
-
-let test_baseline_ratchet () =
-  let today =
-    [ finding Rules.R6 "lib/a.ml" 3; finding Rules.R6 "lib/a.ml" 9 ]
-  in
-  let base = Baseline.of_findings today in
-  Alcotest.(check (list entry))
-    "counts collapse per (file, rule)"
-    [ { Baseline.file = "lib/a.ml"; rule = Rules.R6; count = 2 } ]
-    base;
-  let v = Baseline.check base today in
-  Alcotest.(check int) "same tree: nothing fresh" 0 (List.length v.Baseline.fresh);
-  Alcotest.(check int) "same tree: all grandfathered" 2
-    (List.length v.Baseline.grandfathered);
-  Alcotest.(check (list entry)) "same tree: no residue" [] v.Baseline.stale;
-  (* growth: the finding beyond the quota is fresh *)
-  let v = Baseline.check base (finding Rules.R6 "lib/a.ml" 20 :: today) in
-  Alcotest.(check int) "growth is fresh" 1 (List.length v.Baseline.fresh);
-  Alcotest.(check int) "quota still grandfathers" 2
-    (List.length v.Baseline.grandfathered);
-  (* a different rule in the same file has no quota *)
-  let v = Baseline.check base (finding Rules.R1 "lib/a.ml" 3 :: today) in
-  Alcotest.(check int) "other rule is fresh" 1 (List.length v.Baseline.fresh);
-  (* shrinkage: unconsumed quota is stale until committed *)
-  let v = Baseline.check base [ finding Rules.R6 "lib/a.ml" 3 ] in
-  Alcotest.(check (list entry))
-    "residue reported"
-    [ { Baseline.file = "lib/a.ml"; rule = Rules.R6; count = 1 } ]
-    v.Baseline.stale
-
-let test_baseline_round_trip () =
-  let base =
-    Baseline.of_findings
-      [
-        finding Rules.R6 "lib/a.ml" 3;
-        finding Rules.U1 "lib/b.ml" 1;
-        finding Rules.R6 "lib/a.ml" 9;
-      ]
-  in
-  (match Baseline.parse (Baseline.render base) with
-  | Ok parsed -> Alcotest.(check (list entry)) "round-trips" base parsed
-  | Error e -> Alcotest.fail ("parse failed: " ^ e));
-  (match Baseline.parse {|{ "version": 9, "entries": [] }|} with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "future version accepted");
-  (match Baseline.parse {|{ "version": 1, "entries": [ { "file": "a", "rule": "ZZ", "count": 1 } ] }|} with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown rule accepted");
-  match Baseline.parse (Baseline.render Baseline.empty) with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "empty baseline grew entries"
-  | Error e -> Alcotest.fail ("empty baseline unparseable: " ^ e)
-
-(* Every error the baseline reader reported before it became a walk over
-   the shared JSON tree is still reported, with the same message. *)
-let test_baseline_parse_errors () =
-  let entry_doc fields =
-    Printf.sprintf {|{ "version": 1, "entries": [ { %s } ] }|} fields
-  in
-  List.iter
-    (fun (doc, expected) ->
-      match Baseline.parse doc with
-      | Ok _ -> Alcotest.failf "accepted %s" doc
-      | Error msg -> Alcotest.(check string) doc expected msg)
-    [
-      ({|{ "version": 9, "entries": [] }|}, "unsupported baseline version 9");
-      ( entry_doc {|"file": "a", "rule": "R6", "count": 1, "line": 3|},
-        "unknown entry key line" );
-      ( entry_doc {|"file": "a", "rule": "ZZ", "count": 1|},
-        "unknown rule ZZ" );
-      ( entry_doc {|"file": "a", "rule": "R6", "count": -1|},
-        "negative count" );
-      ( entry_doc {|"file": "a", "rule": "R6"|},
-        "entry missing file/rule/count" );
-    ]
-
-(* --- report formats --------------------------------------------------- *)
 
 let fixture_report () =
   let src =
     "let seed () = Random.int 7\nlet now () = Unix.gettimeofday ()\n"
   in
   let r = lint ~relpath:"lib/demo/fixture.ml" src in
-  let passes =
-    [
-      {
-        Report.pass = "determinism";
-        pass_rules = Rules.[ R1; R2; R3; R4; R5; R6; R7 ];
-        duration_ms = 0.;
-        pass_findings = 2;
-      };
-    ]
-  in
-  Report.of_findings ~passes ~root:"." ~files_scanned:1
-    ~suppressed:r.Engine.suppressed r.Engine.findings
+  {
+    Report.root = ".";
+    files_scanned = 1;
+    suppressed = r.Engine.suppressed;
+    findings = r.Engine.findings;
+  }
 
 let golden_json =
   {|{
-  "version": 2,
+  "version": 3,
   "root": ".",
   "files_scanned": 1,
   "suppressed": 0,
   "passes": [
-    { "name": "determinism", "rules": ["R1", "R2", "R3", "R4", "R5", "R6", "R7"], "duration_ms": 0.000, "findings": 2 }
+    { "name": "determinism", "rules": ["R1", "R2", "R3", "R4", "R5", "R6", "R7"], "findings": 2 },
+    { "name": "units", "rules": ["U1", "U2"], "findings": 0 },
+    { "name": "capture", "rules": ["D1"], "findings": 0 },
+    { "name": "exports", "rules": ["S1"], "findings": 0 }
   ],
-  "baseline": { "fresh": 2, "grandfathered": 0, "stale": 0 },
   "findings": [
-    { "file": "lib/demo/fixture.ml", "line": 1, "col": 14, "rule": "R1", "pass": "determinism", "severity": "error", "status": "fresh", "message": "use of Random.int: all randomness must flow through seeded Engine.Rng", "hint": "draw through a seeded Engine.Rng stream (Rng.split per consumer)" },
-    { "file": "lib/demo/fixture.ml", "line": 2, "col": 13, "rule": "R2", "pass": "determinism", "severity": "error", "status": "fresh", "message": "wall-clock/process-entropy call Unix.gettimeofday breaks run-to-run reproducibility", "hint": "simulated time comes from Engine.Cycles/Sim.now; host wall-clock belongs in bench/ only" }
+    { "file": "lib/demo/fixture.ml", "line": 1, "col": 14, "rule": "R1", "pass": "determinism", "severity": "error", "message": "use of Random.int: all randomness must flow through seeded Engine.Rng", "hint": "draw through a seeded Engine.Rng stream (Rng.split per consumer)" },
+    { "file": "lib/demo/fixture.ml", "line": 2, "col": 13, "rule": "R2", "pass": "determinism", "severity": "error", "message": "wall-clock/process-entropy call Unix.gettimeofday breaks run-to-run reproducibility", "hint": "simulated time comes from Engine.Cycles/Sim.now; host wall-clock belongs in bench/ only" }
   ]
 }
 |}
+
+let golden_csv =
+  "file,line,col,rule,severity,message\n\
+   lib/demo/fixture.ml,1,14,R1,error,use of Random.int: all randomness \
+   must flow through seeded Engine.Rng\n\
+   lib/demo/fixture.ml,2,13,R2,error,wall-clock/process-entropy call \
+   Unix.gettimeofday breaks run-to-run reproducibility\n"
+
+let golden_text =
+  "lib/demo/fixture.ml:1:14: error[R1] use of Random.int: all randomness \
+   must flow through seeded Engine.Rng\n\
+  \  hint: draw through a seeded Engine.Rng stream (Rng.split per \
+   consumer)\n\
+   lib/demo/fixture.ml:2:13: error[R2] wall-clock/process-entropy call \
+   Unix.gettimeofday breaks run-to-run reproducibility\n\
+  \  hint: simulated time comes from Engine.Cycles/Sim.now; host \
+   wall-clock belongs in bench/ only\n\
+   armvirt lint: 1 files scanned, 2 findings (0 suppressed)\n\
+  \  pass determinism    2 findings\n\
+  \  pass units          0 findings\n\
+  \  pass capture        0 findings\n\
+  \  pass exports        0 findings\n"
 
 let test_json_golden () =
   Alcotest.(check string)
@@ -573,27 +512,12 @@ let test_json_golden () =
 
 let test_csv_and_text () =
   let report = fixture_report () in
-  let csv = Report.render Report.Csv report in
-  let header = "file,line,col,rule,severity,status,message\n" in
   Alcotest.(check string)
-    "csv header" header
-    (String.sub csv 0 (String.length header));
-  let lines = String.split_on_char '\n' csv in
-  Alcotest.(check int) "csv rows" 4 (List.length lines);
-  (* header + 2 findings + trailing newline *)
-  let has s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "csv rows tagged fresh" true (has csv ",fresh,");
-  let text = Report.render Report.Text report in
-  Alcotest.(check bool)
-    "text mentions both rules and the pass table" true
-    (has text "[R1]" && has text "[R2]" && has text "2 findings"
-    && has text "pass determinism")
+    "csv golden" golden_csv
+    (Report.render Report.Csv report);
+  Alcotest.(check string)
+    "text golden" golden_text
+    (Report.render Report.Text report)
 
 (* RFC 4180: a CR inside a field must be quoted like an LF, or the row
    splits on readers that treat "\r\n" as the record separator. *)
@@ -601,42 +525,19 @@ let test_csv_crlf_field () =
   let f line message = { (finding Rules.R6 "lib/a.ml" line) with message } in
   let csv =
     Report.render Report.Csv
-      (Report.of_findings ~root:"." ~files_scanned:1 ~suppressed:0
-         [ f 3 "first\r\nsecond"; f 4 "bare\rCR" ])
+      {
+        Report.root = ".";
+        files_scanned = 1;
+        suppressed = 0;
+        findings = [ f 3 "first\r\nsecond"; f 4 "bare\rCR" ];
+      }
   in
   Alcotest.(check string)
     "one quoted field each"
-    "file,line,col,rule,severity,status,message\n\
-     lib/a.ml,3,0,R6,warning,fresh,\"first\r\nsecond\"\n\
-     lib/a.ml,4,0,R6,warning,fresh,\"bare\rCR\"\n"
+    "file,line,col,rule,severity,message\n\
+     lib/a.ml,3,0,R6,warning,\"first\r\nsecond\"\n\
+     lib/a.ml,4,0,R6,warning,\"bare\rCR\"\n"
     csv
-
-let test_grandfathered_render () =
-  let f = finding Rules.R6 "lib/a.ml" 3 in
-  let report =
-    {
-      (Report.of_findings ~root:"." ~files_scanned:1 ~suppressed:0 [ f ]) with
-      Report.findings = [ (f, Report.Grandfathered) ];
-      stale = [ { Baseline.file = "lib/b.ml"; rule = Rules.U1; count = 2 } ];
-    }
-  in
-  Alcotest.(check int) "nothing fresh" 0 (List.length (Report.fresh report));
-  Alcotest.(check bool) "stale residue blocks a clean exit" false
-    (Report.clean report);
-  let has s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  let text = Report.render Report.Text report in
-  Alcotest.(check bool) "grandfathered tag rendered" true
-    (has text "grandfathered[R6]");
-  Alcotest.(check bool) "stale residue rendered" true (has text "stale[U1]");
-  let json = Report.render Report.Json report in
-  Alcotest.(check bool) "json counts the verdict" true
-    (has json {|"baseline": { "fresh": 0, "grandfathered": 1, "stale": 1 }|})
 
 let test_render_deterministic () =
   let a = Report.render Report.Json (fixture_report ()) in
@@ -657,9 +558,9 @@ let test_repo_is_lint_clean () =
     (fun (f : Engine.finding) ->
       Printf.eprintf "unexpected finding: %s:%d [%s] %s\n%!" f.file f.line
         (Rules.to_string f.rule) f.message)
-    (Report.fresh report);
+    report.Report.findings;
   Alcotest.(check int) "zero unsuppressed findings" 0
-    (List.length (Report.fresh report));
+    (List.length report.Report.findings);
   Alcotest.(check bool)
     "audited sites are marked, not silently dropped" true
     (report.Report.suppressed > 0)
@@ -693,29 +594,16 @@ let test_repo_catches_uncalled_export () =
         && String.sub f.message 0 22 = "Machine.injected_dead ")
   | fs -> Alcotest.failf "expected one S1 finding, got %d" (List.length fs)
 
-let test_committed_baseline_is_clean () =
-  (* The acceptance criterion: LINT_baseline.json self-checks at HEAD —
-     it parses, and the tree produces neither fresh findings beyond it
-     nor stale residue under it. *)
+(* Two runs over the same tree render the same bytes in every format:
+   nothing in a report reads the host's clock or state. *)
+let test_report_is_pure () =
   let root = Driver.find_root () in
-  match Baseline.load (Filename.concat root "LINT_baseline.json") with
-  | Error e -> Alcotest.fail ("committed baseline unreadable: " ^ e)
-  | Ok baseline ->
-      let report = Driver.lint_tree ~baseline ~root () in
-      List.iter
-        (fun (f : Engine.finding) ->
-          Printf.eprintf "fresh beyond baseline: %s:%d [%s] %s\n%!" f.file
-            f.line (Rules.to_string f.rule) f.message)
-        (Report.fresh report);
-      List.iter
-        (fun (e : Baseline.entry) ->
-          Printf.eprintf "stale baseline residue: %s [%s] x%d\n%!"
-            e.Baseline.file
-            (Rules.to_string e.Baseline.rule)
-            e.Baseline.count)
-        report.Report.stale;
-      Alcotest.(check bool) "baseline self-check clean" true
-        (Report.clean report)
+  let a = Driver.lint_tree ~root () and b = Driver.lint_tree ~root () in
+  List.iter
+    (fun (name, format) ->
+      Alcotest.(check string) name
+        (Report.render format a) (Report.render format b))
+    [ ("text", Report.Text); ("csv", Report.Csv); ("json", Report.Json) ]
 
 let test_repo_gate_catches_injection () =
   (* The invariant CI relies on: were a forbidden call, a mixed-unit
@@ -735,8 +623,8 @@ let test_repo_gate_catches_injection () =
     "injected violations caught across all three passes"
     [ "R1"; "R4"; "U1"; "R6"; "D1" ]
     (rule_ids seeded);
-  Alcotest.(check int) "today's tree stays the baseline" 0
-    (List.length (Report.fresh clean))
+  Alcotest.(check int) "today's tree has no finding" 0
+    (List.length clean.Report.findings)
 
 let () =
   Alcotest.run "lint"
@@ -781,22 +669,13 @@ let () =
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;
           Alcotest.test_case "parse error" `Quick test_parse_error;
           Alcotest.test_case "pass registration" `Quick test_pass_registration;
-          Alcotest.test_case "per-pass timing" `Quick test_per_pass_timing;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "ratchet semantics" `Quick test_baseline_ratchet;
-          Alcotest.test_case "render/parse round trip" `Quick
-            test_baseline_round_trip;
-          Alcotest.test_case "parse errors" `Quick test_baseline_parse_errors;
+          Alcotest.test_case "pass scoping" `Quick test_pass_scoping;
         ] );
       ( "report",
         [
-          Alcotest.test_case "json v2 golden" `Quick test_json_golden;
+          Alcotest.test_case "json v3 golden" `Quick test_json_golden;
           Alcotest.test_case "csv and text" `Quick test_csv_and_text;
           Alcotest.test_case "csv CRLF field" `Quick test_csv_crlf_field;
-          Alcotest.test_case "grandfathered and stale" `Quick
-            test_grandfathered_render;
           Alcotest.test_case "render deterministic" `Quick
             test_render_deterministic;
         ] );
@@ -808,8 +687,8 @@ let () =
             test_repo_exports_all_called;
           Alcotest.test_case "gate catches an uncalled export" `Quick
             test_repo_catches_uncalled_export;
-          Alcotest.test_case "committed baseline self-checks" `Quick
-            test_committed_baseline_is_clean;
+          Alcotest.test_case "reports are a pure function of the tree" `Quick
+            test_report_is_pure;
           Alcotest.test_case "gate catches injected violations" `Quick
             test_repo_gate_catches_injection;
         ] );

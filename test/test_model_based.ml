@@ -12,9 +12,9 @@ module Distributor = Armvirt_gic.Distributor
 (* Reference: SGIs 1..4 sent to CPU 0, plain sets. *)
 module Dist_model = struct
   type t = {
-    mutable enabled : (int, unit) Hashtbl.t;
-    mutable pending : (int, unit) Hashtbl.t;
-    mutable active : (int, unit) Hashtbl.t;
+    enabled : (int, unit) Hashtbl.t;
+    pending : (int, unit) Hashtbl.t;
+    active : (int, unit) Hashtbl.t;
   }
 
   let create () =

@@ -217,7 +217,7 @@ let test_nic_rx_raises_irq () =
   let machine = arm_machine sim in
   let irqs = ref [] in
   let nic =
-    Nic.create sim ~machine ~dma_cost:500 ~irq_raise:(fun p ->
+    Nic.create ~machine ~dma_cost:500 ~irq_raise:(fun p ->
         irqs := Packet.id p :: !irqs)
   in
   Sim.spawn sim ~name:"wire" (fun () ->
@@ -232,7 +232,7 @@ let test_nic_tx_reaches_remote () =
   let sim = Sim.create () in
   let machine = arm_machine sim in
   let received = ref [] in
-  let nic = Nic.create sim ~machine ~dma_cost:500 ~irq_raise:(fun _ -> ()) in
+  let nic = Nic.create ~machine ~dma_cost:500 ~irq_raise:(fun _ -> ()) in
   let link = Link.ten_gbe sim ~freq_ghz:2.4 in
   Nic.attach nic link ~remote:(fun p -> received := Packet.id p :: !received);
   Sim.spawn sim ~name:"driver" (fun () ->
@@ -244,7 +244,7 @@ let test_nic_tx_reaches_remote () =
 let test_nic_tx_without_link_fails () =
   let sim = Sim.create () in
   let machine = arm_machine sim in
-  let nic = Nic.create sim ~machine ~dma_cost:500 ~irq_raise:(fun _ -> ()) in
+  let nic = Nic.create ~machine ~dma_cost:500 ~irq_raise:(fun _ -> ()) in
   let failed = ref false in
   Sim.spawn sim ~name:"driver" (fun () ->
       match Nic.transmit nic (Packet.create ~id:1 ()) with
@@ -259,7 +259,7 @@ let test_nic_zero_payload () =
   let machine = arm_machine sim in
   let irqs = ref 0 in
   let nic =
-    Nic.create sim ~machine ~dma_cost:500 ~irq_raise:(fun _ -> incr irqs)
+    Nic.create ~machine ~dma_cost:500 ~irq_raise:(fun _ -> incr irqs)
   in
   let link = Link.ten_gbe sim ~freq_ghz:2.4 in
   let remote = ref 0 in
@@ -279,7 +279,7 @@ let test_nic_counters_interleaved_bulk () =
      wire's busy accounting sees both. *)
   let sim = Sim.create () in
   let machine = arm_machine sim in
-  let nic = Nic.create sim ~machine ~dma_cost:500 ~irq_raise:(fun _ -> ()) in
+  let nic = Nic.create ~machine ~dma_cost:500 ~irq_raise:(fun _ -> ()) in
   let link = Link.create sim ~propagation:(Cycles.of_int 1000)
       ~cycles_per_byte:2.0
   in
@@ -301,7 +301,7 @@ let test_nic_counters_interleaved_bulk () =
 let test_nic_stamps_layers () =
   let sim = Sim.create () in
   let machine = arm_machine sim in
-  let nic = Nic.create sim ~machine ~dma_cost:500 ~irq_raise:(fun _ -> ()) in
+  let nic = Nic.create ~machine ~dma_cost:500 ~irq_raise:(fun _ -> ()) in
   let link = Link.ten_gbe sim ~freq_ghz:2.4 in
   Nic.attach nic link ~remote:(fun _ -> ());
   let p = Packet.create ~id:1 () in

@@ -566,7 +566,7 @@ let test_table_undefined_cells () =
   Alcotest.(check string) "csv" "k,v\na,2.00\nb,-\n"
     (Format.asprintf "%a" Table.csv t)
 
-(* --- Json: the reader behind stat --diff and the lint baseline ------ *)
+(* --- Json: the reader behind stat --diff ----------------------------- *)
 
 let json_value =
   Alcotest.testable

@@ -5,6 +5,7 @@
 module Platform = Armvirt_core.Platform
 module Netperf = Armvirt_workloads.Netperf
 module Rr_system = Armvirt_system.Rr_system
+module Hypervisor = Armvirt_hypervisor.Hypervisor
 
 let run name = Rr_system.run ~transactions:60 (Platform.hypervisor Arm_m400 name)
 
@@ -76,6 +77,23 @@ let test_deterministic () =
   let b = run Platform.Xen in
   Alcotest.(check (float 1e-9)) "bit-identical reruns"
     a.Rr_system.time_per_trans_us b.Rr_system.time_per_trans_us
+
+(* Bare metal is told apart by its kind, not its display name: a native
+   host renamed the way examples/custom_hypervisor.ml renames a model
+   still takes the direct path, in the structural stack and in Netperf. *)
+let test_renamed_native_stays_native () =
+  let renamed () =
+    { (Platform.native Arm_m400) with Hypervisor.name = "Bare metal" }
+  in
+  let plain = Rr_system.run ~transactions:40 (Platform.native Arm_m400) in
+  let r = Rr_system.run ~transactions:40 (renamed ()) in
+  Alcotest.(check (float 0.)) "rr_system time per transaction"
+    plain.Rr_system.time_per_trans_us r.Rr_system.time_per_trans_us;
+  Alcotest.(check int) "no rings" 0 r.Rr_system.rings_used;
+  let plain = Netperf.run_tcp_rr ~transactions:40 (Platform.native Arm_m400) in
+  let r = Netperf.run_tcp_rr ~transactions:40 (renamed ()) in
+  Alcotest.(check (float 0.)) "netperf time per transaction"
+    plain.Netperf.time_per_trans_us r.Netperf.time_per_trans_us
 
 (* --- stream_system ------------------------------------------------------ *)
 
@@ -268,6 +286,8 @@ let () =
             test_xen_matches_analytic;
           Alcotest.test_case "ordering preserved" `Quick test_ordering_preserved;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "renamed native stays native" `Quick
+            test_renamed_native_stays_native;
         ] );
       ( "stream_system",
         [

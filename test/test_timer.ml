@@ -8,7 +8,7 @@ let test_timer_fires_at_deadline () =
   let sim = Sim.create () in
   let fired_at = ref (-1) in
   let timer =
-    Arch_timer.create sim ~on_expiry:(fun () ->
+    Arch_timer.create ~on_expiry:(fun () ->
         fired_at := Cycles.to_int (Sim.current_time ()))
   in
   Sim.spawn sim ~name:"guest" (fun () ->
@@ -22,7 +22,7 @@ let test_timer_rearm_supersedes () =
   let sim = Sim.create () in
   let fires = ref [] in
   let timer =
-    Arch_timer.create sim ~on_expiry:(fun () ->
+    Arch_timer.create ~on_expiry:(fun () ->
         fires := Cycles.to_int (Sim.current_time ()) :: !fires)
   in
   Sim.spawn sim ~name:"guest" (fun () ->
@@ -37,7 +37,7 @@ let test_timer_past_deadline_fires_now () =
   let sim = Sim.create () in
   let fired_at = ref (-1) in
   let timer =
-    Arch_timer.create sim ~on_expiry:(fun () ->
+    Arch_timer.create ~on_expiry:(fun () ->
         fired_at := Cycles.to_int (Sim.current_time ()))
   in
   Sim.spawn sim ~name:"guest" (fun () ->
@@ -61,7 +61,7 @@ let test_timer_repeated_ticks () =
             ~deadline:(Cycles.add (Sim.current_time ()) (Cycles.of_int 100)))
     end
   in
-  let timer = Arch_timer.create sim ~on_expiry in
+  let timer = Arch_timer.create ~on_expiry in
   timer_ref := Some timer;
   Sim.spawn sim ~name:"guest" (fun () ->
       Arch_timer.arm_timer timer ~deadline:(Cycles.of_int 100));
