@@ -1220,15 +1220,30 @@ let cluster_cmd =
         reject "--vms must be at least 2 for the matrix scenario"
     | _ -> ());
     with_session ~context:"cluster" session @@ fun () ->
-    write_table format out
-      (match scenario with
-      | `Matrix ->
-          let vms = Option.value vms ~default:4 in
-          Report.cluster_matrix (Experiment.cluster_matrix ~vms ~spec ())
-      | `Chain -> Report.cluster_chain (Experiment.cluster_chain ~spec ())
-      | `Loadgen ->
-          let vms = Option.value vms ~default:16 in
-          Report.cluster_loadgen (Experiment.cluster_loadgen ~vms ~spec ~loads ()))
+    match scenario with
+    | `Matrix ->
+        let vms = Option.value vms ~default:4 in
+        let results = Experiment.cluster_matrix ~vms ~spec () in
+        write_table format out (Report.cluster_matrix results);
+        (* Frames a full egress queue dropped are in no row of the
+           table: one line on stderr per config that lost any, as for
+           a full trace ring, leaving stdout as it is. *)
+        List.iter
+          (fun (name, (r : W.Cluster.matrix_result)) ->
+            if r.dropped > 0 then
+              Printf.eprintf
+                "armvirt: warning: config %s dropped %d frames (switch \
+                 queue full)\n%!"
+                name r.dropped)
+          results
+    | `Chain ->
+        write_table format out
+          (Report.cluster_chain (Experiment.cluster_chain ~spec ()))
+    | `Loadgen ->
+        let vms = Option.value vms ~default:16 in
+        write_table format out
+          (Report.cluster_loadgen
+             (Experiment.cluster_loadgen ~vms ~spec ~loads ()))
   in
   Cmd.v
     (Cmd.info "cluster"

@@ -8,10 +8,10 @@ type observer = {
 
 (* A pending event. Delay expiries and wake-ups — the dominant events by
    far — store their continuation (and resume value) directly in one
-   small block instead of a wrapper closure; everything else stays a
-   thunk. *)
+   small block instead of a wrapper closure; everything else is a timed
+   callback ([at]), spawns included. *)
 type event =
-  | Run of (unit -> unit)
+  | Call of (unit -> unit)
   | Resume : ('a, unit) Effect.Deep.continuation * 'a -> event
 
 type t = {
@@ -35,17 +35,28 @@ type t = {
       (* the slot of the domain that built [t] or last entered its run *)
 }
 
-(* One per domain: the sim whose process is running on this domain,
-   valid while [active]. [active] is set just before every resume of a
-   process and cleared on every return to its handler, so while it is
-   set the innermost handler is one of [sim]'s processes, and the next
-   thing [sim]'s loop does after that process performs [Delay] is pop
-   the earliest event. Reaching it through the sim's cached [slot]
-   keeps the resume and effect paths free of [Domain.DLS] calls. *)
-and slot = { mutable sim : t option; mutable active : bool }
+(* One per domain: the sim whose code is running on this domain, and
+   what that code is; [sim] is valid unless [mode] is [Idle].
+   - [Process]: set just before every resume of a process and cleared
+     on every return to its handler that parks it (a delay, a suspend,
+     a return, a raise). The innermost handler is one of [sim]'s
+     processes, and the next thing [sim]'s loop does after that process
+     performs [Delay] is pop the earliest event, so a delay may run
+     ahead.
+   - [Forked]: the first slice of a process [fork] started. Its handler
+     is innermost, but when it parks, [fork]'s caller carries on at the
+     current cycle, so a delay must go through the queue.
+   - [Callback]: one of [sim]'s callbacks runs outside any process. An
+     effect would reach no handler of [sim] (or, in a nested run, an
+     outer sim's), so the blocking operations refuse.
+   [fork] and [run] put back the state they found. Reaching the slot
+   through the sim's cached [slot] keeps the resume and effect paths
+   free of [Domain.DLS] calls. *)
+and slot = { mutable sim : t option; mutable mode : mode }
+and mode = Idle | Process | Forked | Callback
 
 let running : slot Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { sim = None; active = false })
+  Domain.DLS.new_key (fun () -> { sim = None; mode = Idle })
 
 exception Deadlock of string
 
@@ -72,14 +83,18 @@ let create () =
 
 (* Writes [sim] only when the domain switches sims, so a resume of the
    same sim's processes allocates nothing and needs no write barrier. *)
-let[@inline] enter t =
+let[@inline] enter t mode =
   let slot = t.slot in
   (match slot.sim with
   | Some s when s == t -> ()
   | Some _ | None -> slot.sim <- Some t);
-  slot.active <- true
+  slot.mode <- mode
 
-let[@inline] leave t = t.slot.active <- false
+let[@inline] leave t = t.slot.mode <- Idle
+
+let[@inline] restore slot sim mode =
+  slot.sim <- sim;
+  slot.mode <- mode
 
 let set_observer t obs = t.observer <- obs
 
@@ -92,15 +107,22 @@ let schedule_event t ~at ev =
   t.seq <- seq + 1;
   Heap.push t.events ~time:at ~seq ev
 
-let schedule t ~at action = schedule_event t ~at (Run action)
+let at t time f =
+  let cycle = Cycles.to_int time in
+  if cycle < t.now then
+    invalid_arg
+      (Printf.sprintf "Sim.at: cycle %d is before the current cycle %d" cycle
+         t.now);
+  schedule_event t ~at:cycle (Call f)
 
 (* Each process runs under one deep handler. Delay re-queues the
    continuation; Suspend parks it behind a user-controlled wake function
    with a once-only guard so a double wake is an immediate error rather
    than silent corruption. Every resume of the process is preceded by
-   [enter t], and every way back into the handler (an effect, a return,
-   a raise) begins with [leave]. *)
-let rec start t name f =
+   [enter], and every way back into the handler that parks or ends the
+   process (a delay, a suspend, a return, a raise) begins with [leave];
+   the effects that continue at once leave the mode as it is. *)
+let rec start t mode name f =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   if pid >= Array.length t.is_blocked then begin
@@ -118,7 +140,7 @@ let rec start t name f =
   | None -> ()
   | Some o -> o.on_spawn ~id:pid ~name:pname ~at:t.now);
   let open Effect.Deep in
-  enter t;
+  enter t mode;
   match_with f ()
     {
       retc = (fun () -> leave t);
@@ -128,26 +150,22 @@ let rec start t name f =
           raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
-          leave t;
           match eff with
           | Delay c ->
               Some
                 (fun (k : (a, _) continuation) ->
+                  leave t;
                   schedule_event t ~at:(t.now + c) (Resume (k, ())))
-          | Now ->
-              Some
-                (fun k ->
-                  enter t;
-                  continue k t.now)
+          | Now -> Some (fun k -> continue k t.now)
           | Spawn (name', g) ->
               Some
                 (fun k ->
-                  schedule t ~at:t.now (fun () -> start t name' g);
-                  enter t;
+                  spawn t ?name:name' g;
                   continue k ())
           | Suspend register ->
               Some
                 (fun k ->
+                  leave t;
                   t.blocked_names.(pid) <- pname;
                   t.is_blocked.(pid) <- true;
                   t.blocked_count <- t.blocked_count + 1;
@@ -168,15 +186,26 @@ let rec start t name f =
                     schedule_event t ~at:t.now (Resume (k, v))
                   in
                   register wake)
-          | Whoami ->
-              Some
-                (fun k ->
-                  enter t;
-                  continue k pname)
+          | Whoami -> Some (fun k -> continue k pname)
           | _ -> None);
     }
 
-let spawn t ?name f = schedule t ~at:t.now (fun () -> start t name f)
+(* A spawned process starts from a callback that does nothing after it,
+   so its first slice may run ahead like any later one. *)
+and spawn t ?name f =
+  schedule_event t ~at:t.now (Call (fun () -> start t Process name f))
+
+(* A forked process runs until it first parks or ends; then the caller's
+   frame is innermost again, so the slot state it had comes back,
+   whether that frame is a callback, a process or host code. *)
+let fork t ?name f =
+  let slot = t.slot in
+  let sim = slot.sim and mode = slot.mode in
+  match start t Forked name f with
+  | () -> restore slot sim mode
+  | exception e ->
+      restore slot sim mode;
+      raise e
 
 (* The engine's innermost loop: with no observer installed this
    allocates nothing — the clock read, the pop and the dispatch all
@@ -187,19 +216,33 @@ let step t =
     t.now <- Heap.min_time t.events;
     t.processed <- t.processed + 1;
     (match Heap.pop_min t.events with
-    | Run action -> action ()
+    | Call f ->
+        enter t Callback;
+        f ();
+        leave t
     | Resume (k, v) ->
-        enter t;
+        enter t Process;
         Effect.Deep.continue k v);
     true
   end
 
-(* [run] takes this domain's slot on entry. *)
+(* [run] takes this domain's slot on entry, and puts back the state it
+   found there on exit: a process or callback that runs a nested sim
+   carries on as before it. Between events the mode is [Idle]. *)
 let run t =
-  t.slot <- Domain.DLS.get running;
-  while step t do
-    ()
-  done;
+  let slot = Domain.DLS.get running in
+  t.slot <- slot;
+  let sim = slot.sim and mode = slot.mode in
+  slot.mode <- Idle;
+  (match
+     while step t do
+       ()
+     done
+   with
+  | () -> restore slot sim mode
+  | exception e ->
+      restore slot sim mode;
+      raise e);
   if t.blocked_count > 0 then begin
     (* Sorted at raise time so the report does not depend on park order
        (which parallel-built scenarios don't fix). *)
@@ -229,14 +272,23 @@ let[@inline] run_ahead t c =
   end
   else false
 
+let outside what =
+  invalid_arg ("Sim." ^ what ^ " called outside a simulation process")
+
+(* A blocking operation inside a callback: checked before the effect is
+   performed, since in a nested run an outer process would handle it. *)
+let refuse_in_callback slot what =
+  if slot.mode == Callback then
+    invalid_arg
+      ("Sim." ^ what ^ " called inside a timed callback; wrap it in Sim.fork")
+
 let delay_cycles c ~what =
   let slot = Domain.DLS.get running in
   match slot.sim with
-  | Some t when slot.active && run_ahead t c -> ()
+  | Some t when slot.mode == Process && run_ahead t c -> ()
   | _ -> (
-      try Effect.perform (Delay c)
-      with Effect.Unhandled _ ->
-        invalid_arg ("Sim." ^ what ^ " called outside a simulation process"))
+      refuse_in_callback slot what;
+      try Effect.perform (Delay c) with Effect.Unhandled _ -> outside what)
 
 let delay c = delay_cycles (Cycles.to_int c) ~what:"delay"
 let yield () = delay_cycles 0 ~what:"yield"
@@ -244,21 +296,20 @@ let yield () = delay_cycles 0 ~what:"yield"
 let current_time () =
   let slot = Domain.DLS.get running in
   match slot.sim with
-  | Some t when slot.active -> Cycles.of_int t.now
+  | Some t when slot.mode != Idle -> Cycles.of_int t.now
   | _ -> (
       try Cycles.of_int (Effect.perform Now)
-      with Effect.Unhandled _ ->
-        invalid_arg "Sim.current_time called outside a simulation process")
+      with Effect.Unhandled _ -> outside "current_time")
 
 let suspend register =
+  refuse_in_callback (Domain.DLS.get running) "suspend";
   try Effect.perform (Suspend register)
-  with Effect.Unhandled _ ->
-    invalid_arg "Sim.suspend called outside a simulation process"
+  with Effect.Unhandled _ -> outside "suspend"
 
 let spawn_here ?name f =
+  refuse_in_callback (Domain.DLS.get running) "spawn_here";
   try Effect.perform (Spawn (name, f))
-  with Effect.Unhandled _ ->
-    invalid_arg "Sim.spawn_here called outside a simulation process"
+  with Effect.Unhandled _ -> outside "spawn_here"
 
 type sim_handle = t
 

@@ -25,7 +25,8 @@ val now : t -> Cycles.t
 
 val events_processed : t -> int
 (** Number of events the engine has executed since {!create}: every
-    delay expiry, wake-up and spawn counts as one event. A delay that
+    delay expiry, wake-up, spawn and timed callback ({!at}) counts as
+    one event; {!fork} counts none. A delay that
     runs ahead (see {!delay}) counts as the one event its expiry would
     have been, so the count does not depend on which delays ran ahead.
     Host time per event is the engine's raw cost metric; the ledger
@@ -61,7 +62,42 @@ val set_observer : t -> observer option -> unit
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] registers process [f] to start at the current simulated
-    time. [name] is used in deadlock reports and traces. *)
+    time: [at t (now t)] with a callback that starts [f] in place, as
+    {!fork} does. [name] is used in deadlock reports and traces. *)
+
+(** {1 Timed callbacks}
+
+    A callback is a function the engine calls at a given cycle, from
+    one queue entry: no fiber, no effect, no continuation. It is the
+    method half of SystemC's method/thread split, for work that only
+    has to happen at a time, such as a frame arriving at the end of a
+    wire. Callbacks and process wake-ups share one queue and run in
+    [(cycle, scheduling-order)] order; a callback takes its place when
+    {!at} is called.
+
+    Inside a callback, {!current_time} reads the clock, and anything
+    that does not block may run: {!at}, {!fork}, {!Signal.notify},
+    {!Mailbox.send}, {!Resource.release}, and a {!Mailbox.recv} or
+    {!Resource.acquire} that can complete at once. {!delay}, {!yield},
+    {!suspend} (and so a [recv] or [acquire] that would park, or a
+    {!Signal.wait}) and {!spawn_here} raise [Invalid_argument], also
+    when the sim runs nested inside another sim's process, whose
+    handler would otherwise take the effect. A callback that has to
+    block wraps its body in {!fork}. *)
+
+val at : t -> Cycles.t -> (unit -> unit) -> unit
+(** [at t time f] calls [f] at cycle [time]. Each call counts as one
+    event in {!events_processed}. Raises [Invalid_argument] if [time]
+    is before {!now}. *)
+
+val fork : t -> ?name:string -> (unit -> unit) -> unit
+(** [fork t f] starts process [f] in place: it runs at once, at the
+    current cycle and with no event, until it first blocks or returns,
+    and then [fork] returns. Its first delay never runs ahead (see
+    {!delay}), since the caller carries on at the current cycle. Call
+    it from a callback or a process of [t]. An exception [f] raises
+    before it first blocks propagates out of [fork]. [name] is as for
+    {!spawn}. *)
 
 val run : t -> unit
 (** Runs the simulation until no events remain. Raises {!Deadlock} if
@@ -90,17 +126,18 @@ val yield : unit -> unit
     once, counted as one event. *)
 
 val current_time : unit -> Cycles.t
-(** Simulated time as seen by the calling process.
+(** Simulated time as seen by the calling process or callback.
 
     The engine keeps one domain-local slot naming the simulation whose
-    process is running on this domain: it is set just before each resume
-    of a process and cleared on each return to the process's handler
-    (an effect, a return, a raise). While it is set, {!delay} applies
-    the run-ahead rule and [current_time] reads the clock directly; when
-    it is empty — host code, or a process just back from a nested
-    simulation's {!run} — both go through the effect handler, which is
-    also where the "called outside a simulation process" errors come
-    from. *)
+    process or callback is running on this domain: it is set just before
+    each resume of a process and cleared when the process parks, returns
+    or raises, set around each callback, and put back as it was when
+    {!fork} or {!run} returns. While a
+    process is running, {!delay} applies the run-ahead rule and
+    [current_time] reads the clock directly, as it also does inside a
+    callback; when the slot is empty (host code) both go through the
+    effect handler, which is also where the "called outside a
+    simulation process" errors come from. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] parks the calling process and hands [register] a

@@ -46,7 +46,8 @@ let parse ~relpath text =
       raise
         (Parse_error (Printf.sprintf "%s: %s" relpath (Printexc.to_string exn)))
   in
-  { relpath; sup = Suppress.of_source text; ast }
+  (* The parse just lexed every comment of the file, and only those. *)
+  { relpath; sup = Suppress.of_comments (Lexer.comments ()); ast }
 
 (* Candidates silenced by the directives of the file they sit in are
    counted, the rest reported. *)

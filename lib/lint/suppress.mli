@@ -1,6 +1,7 @@
 (** Suppression-comment parsing.
 
-    Three directive forms are recognised anywhere in a source line:
+    A directive is a comment whose text starts with [lint:]; a marker
+    anywhere else, a string literal included, is not one. The forms:
 
     - [(* lint: sorted *)] — marks an audited R3 site whose iteration order
       provably cannot escape (commutative fold, or sorted downstream).
@@ -10,12 +11,15 @@
     - [(* lint: allow R6 <reason> *)] — marks an audited site for any rule.
     - [(* lint: disable R2 R7 *)] — disables the listed rules file-wide.
 
-    Site directives apply to their own line and to the line directly
-    below, so they can trail the offending expression or precede it. *)
+    Site directives apply to the line their comment starts on and to
+    the line directly below, so they can trail the offending expression
+    or precede it. *)
 
 type t
 
-val of_source : string -> t
+val of_comments : (string * Location.t) list -> t
+(** The directives among a file's comments, as [Lexer.comments]
+    returns them after the file is parsed. *)
 
 val file_disabled : t -> Rules.id -> bool
 

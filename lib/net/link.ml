@@ -37,7 +37,7 @@ let ten_gbe sim ~freq_ghz =
   create sim ~propagation ~cycles_per_byte
 
 let send t packet ~deliver =
-  let now = Sim.current_time () in
+  let now = Sim.now t.sim in
   let serialization =
     Cycles.of_int
       (int_of_float
@@ -49,8 +49,7 @@ let send t packet ~deliver =
   t.busy <- t.busy + Cycles.to_int serialization;
   let arrival = Cycles.add done_serializing t.propagation in
   t.in_flight <- t.in_flight + 1;
-  Sim.spawn_here ~name:"link-delivery" (fun () ->
-      Sim.delay (Cycles.sub arrival now);
+  Sim.at t.sim arrival (fun () ->
       t.in_flight <- t.in_flight - 1;
       t.delivered <- t.delivered + 1;
       deliver packet)
@@ -82,6 +81,7 @@ let send_bulk t ~bytes =
   Cycles.sub arrival now
 
 let delivered t = t.delivered
+let in_flight t = t.in_flight
 let busy_cycles t = t.busy
 
 let utilization t =

@@ -26,9 +26,12 @@ val ten_gbe :
     propagation (cut-through switch + PHY) and 10 Gb/s serialization. *)
 
 val send : t -> Packet.t -> deliver:(Packet.t -> unit) -> unit
-(** Queues the packet; [deliver] runs in a fresh simulation process after
-    serialization + propagation, in FIFO order with earlier sends. Must
-    run inside a simulation process. *)
+(** Queues the packet at the link's current cycle; [deliver] runs as a
+    timed callback ({!Armvirt_engine.Sim.at}) after serialization +
+    propagation, in FIFO order with earlier sends. A callback may not
+    block: a receiver that charges time or waits wraps its work in
+    {!Armvirt_engine.Sim.fork}, which starts it at the delivery cycle.
+    May be called from a process or a callback. *)
 
 val transfer_time : t -> bytes:int -> Armvirt_engine.Cycles.t
 (** Serialization + propagation for a [bytes]-sized payload, rounded
@@ -45,6 +48,9 @@ val send_bulk : t -> bytes:int -> Armvirt_engine.Cycles.t
     simulation process. *)
 
 val delivered : t -> int
+
+val in_flight : t -> int
+(** Frames sent and not yet delivered. *)
 
 val busy_cycles : t -> int
 (** Cumulative serialization cycles the wire has committed (including

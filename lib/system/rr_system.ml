@@ -285,7 +285,8 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
         let pkt = Packet.create ~payload:1 ~id () in
         pkts := pkt :: !pkts;
         Packet.stamp pkt "client_send";
-        Link.send server_link pkt ~deliver:(fun pkt -> Nic.receive server_nic pkt);
+        Link.send server_link pkt ~deliver:(fun pkt ->
+            Sim.fork sim ~name:"nic-rx" (fun () -> Nic.receive server_nic pkt));
         Sim.Signal.wait response_arrived;
         Sim.delay (Cycles.of_int client_turnaround)
       done;

@@ -98,8 +98,7 @@ let set_handler t ~port deliver = (find_port t port).handler <- deliver
    front of the per-port backend (egress cost serializes per port, like
    a wire), then the virtual interrupt into the guest. [lead] is extra
    latency before the backend can start (the notify kick when the frame
-   came from a local guest; zero off the uplink). Must run inside a
-   simulation process. *)
+   came from a local guest; zero off the uplink). *)
 let egress t p ~lead ~src ~dst pkt =
   if p.queued >= t.queue_capacity then begin
     p.dropped <- p.dropped + 1;
@@ -107,7 +106,8 @@ let egress t p ~lead ~src ~dst pkt =
   end
   else begin
     p.queued <- p.queued + 1;
-    let now = Sim.current_time () in
+    let sim = Machine.sim t.machine in
+    let now = Sim.now sim in
     let cost =
       Port_profile.egress_cost t.profile ~bytes:(Packet.wire_bytes pkt)
     in
@@ -119,19 +119,23 @@ let egress t p ~lead ~src ~dst pkt =
     let arrival =
       Cycles.add finished (Cycles.of_int t.profile.Port_profile.irq_delivery_latency)
     in
-    Sim.spawn_here ~name:"vswitch-egress" (fun () ->
-        Sim.delay (Cycles.sub arrival now);
+    Sim.at sim arrival (fun () ->
         p.queued <- p.queued - 1;
         p.tx_frames <- p.tx_frames + 1;
         Machine.count p.tx_mark;
         p.handler ~src ~dst pkt)
   end
 
+(* Trunk ports tag the frame: +4 bytes of 802.1Q on the wire. The tag
+   is on the packet only while [Link.send] prices its serialization: a
+   flood hands one packet to several uplinks, and a tag left on it would
+   reach the next uplink's wire and the far switch's ports. *)
 let uplink_send u ~src ~dst pkt =
   Machine.count u.up_tx_mark;
-  (* Trunk ports tag the frame: +4 bytes of 802.1Q on the wire. *)
-  Packet.set_framing pkt (Packet.framing_bytes pkt + Packet.vlan_tag_bytes);
-  Link.send u.up_link pkt ~deliver:(fun pkt -> u.up_deliver ~src ~dst pkt)
+  let framing = Packet.framing_bytes pkt in
+  Packet.set_framing pkt (framing + Packet.vlan_tag_bytes);
+  Link.send u.up_link pkt ~deliver:(fun pkt -> u.up_deliver ~src ~dst pkt);
+  Packet.set_framing pkt framing
 
 type ingress_from = From_port of int | From_uplink of int
 
@@ -226,12 +230,10 @@ let connect a b ~a_to_b ~b_to_a =
   let ub = add_uplink b b_to_a in
   ua.up_deliver <-
     (fun ~src ~dst pkt ->
-      Packet.set_framing pkt (Packet.framing_bytes pkt - Packet.vlan_tag_bytes);
       Machine.count ub.up_rx_mark;
       forward b ~ingress:(From_uplink ub.up_id) ~src ~dst pkt);
   ub.up_deliver <-
     (fun ~src ~dst pkt ->
-      Packet.set_framing pkt (Packet.framing_bytes pkt - Packet.vlan_tag_bytes);
       Machine.count ua.up_rx_mark;
       forward a ~ingress:(From_uplink ua.up_id) ~src ~dst pkt)
 

@@ -39,11 +39,13 @@ val attach :
   deliver:(src:int -> dst:int -> Armvirt_net.Packet.t -> unit) ->
   int
 (** Attach a VM: returns the new port id (dense, in attach order).
-    [deliver] runs in a fresh simulation process when a frame reaches
-    the guest, with the frame's source and destination MACs — ports are
-    promiscuous taps (floods reach every port), so the guest stack
-    filters on [dst] like a real NIC driver. Raises [Invalid_argument]
-    on a duplicate MAC. *)
+    [deliver] runs as a timed callback ({!Armvirt_engine.Sim.at}) when a
+    frame reaches the guest, with the frame's source and destination
+    MACs — ports are promiscuous taps (floods reach every port), so the
+    guest stack filters on [dst] like a real NIC driver. A callback may
+    not block: a guest that charges time or waits for a resource wraps
+    its work in {!Armvirt_engine.Sim.fork}, which starts it at the
+    delivery cycle. Raises [Invalid_argument] on a duplicate MAC. *)
 
 val set_handler :
   t -> port:int -> (src:int -> dst:int -> Armvirt_net.Packet.t -> unit) -> unit

@@ -162,27 +162,30 @@ let run_chain ?(requests = 400) ?(payload = 256) ?(spec = Topology.Pair)
   let lb_op = op "cluster.lb"
   and backend_op = op "cluster.backend" in
   let pkts = ref [] in
+  (* Deliveries are timed callbacks; the LB and backend charge guest
+     work, so each frame they take is served by a forked process. *)
   Topology.set_handler topo ~vm:lb (fun ~src ~dst pkt ->
       if dst = lb then
-        if src = client then begin
-          Packet.stamp pkt "lb_recv";
-          Machine.spend lb_op (lb_cycles g);
-          Packet.stamp pkt "lb_send";
-          Topology.send topo ~src:lb ~dst:backend pkt
-        end
-        else begin
-          Packet.stamp pkt "lb_ret_recv";
-          Machine.spend lb_op (lb_cycles g);
-          Packet.stamp pkt "lb_ret_send";
-          Topology.send topo ~src:lb ~dst:client pkt
-        end);
+        Sim.fork sim ~name:"chain-lb" (fun () ->
+            if src = client then begin
+              Packet.stamp pkt "lb_recv";
+              Machine.spend lb_op (lb_cycles g);
+              Packet.stamp pkt "lb_send";
+              Topology.send topo ~src:lb ~dst:backend pkt
+            end
+            else begin
+              Packet.stamp pkt "lb_ret_recv";
+              Machine.spend lb_op (lb_cycles g);
+              Packet.stamp pkt "lb_ret_send";
+              Topology.send topo ~src:lb ~dst:client pkt
+            end));
   Topology.set_handler topo ~vm:backend (fun ~src:_ ~dst pkt ->
-      if dst = backend then begin
-        Packet.stamp pkt "backend_recv";
-        Machine.spend backend_op (service_cycles hyp);
-        Packet.stamp pkt "backend_send";
-        Topology.send topo ~src:backend ~dst:lb pkt
-      end);
+      if dst = backend then
+        Sim.fork sim ~name:"chain-backend" (fun () ->
+            Packet.stamp pkt "backend_recv";
+            Machine.spend backend_op (service_cycles hyp);
+            Packet.stamp pkt "backend_send";
+            Topology.send topo ~src:backend ~dst:lb pkt));
   let done_mb = Sim.Mailbox.create ~name:"chain-done" sim in
   Topology.set_handler topo ~vm:client (fun ~src:_ ~dst pkt ->
       if dst = client then begin
@@ -315,14 +318,14 @@ let run_loadgen ?(seed = 42) ?(requests = 1600) ?(payload = 128) ?(vms = 16)
   Array.iteri
     (fun b _ ->
       Topology.set_handler topo ~vm:b (fun ~src:_ ~dst pkt ->
-          if dst = b then begin
+          if dst = b then
             (* One serving VCPU per backend microVM: FIFO socket queue,
                deterministic per-request service. *)
-            Sim.Resource.acquire servers.(b);
-            Sim.delay (Cycles.of_int service);
-            Sim.Resource.release servers.(b);
-            Topology.send_to_mac topo ~src:b ~dst_mac:client_mac pkt
-          end))
+            Sim.fork sim ~name:"loadgen-backend" (fun () ->
+                Sim.Resource.acquire servers.(b);
+                Sim.delay (Cycles.of_int service);
+                Sim.Resource.release servers.(b);
+                Topology.send_to_mac topo ~src:b ~dst_mac:client_mac pkt)))
     servers;
   let points = ref [] in
   Sim.spawn sim ~name:"cluster-loadgen" (fun () ->

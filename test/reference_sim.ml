@@ -142,6 +142,11 @@ let rec start t name f =
 
 let spawn t ?name f = schedule t ~at:t.now (fun () -> start t name f)
 
+(* Timed callbacks with no guard: a queued thunk, and a process started
+   in place. *)
+let at t time f = schedule t ~at:(Cycles.to_int time) f
+let fork t ?name f = start t name f
+
 (* The engine's innermost loop: with no observer installed this
    allocates nothing — the clock read, the pop and the dispatch all
    operate on unboxed ints and the stored event. *)

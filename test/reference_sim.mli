@@ -65,6 +65,12 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] registers process [f] to start at the current simulated
     time. [name] is used in deadlock reports and traces. *)
 
+val at : t -> Cycles.t -> (unit -> unit) -> unit
+(** [at t time f] queues [f] to run at [time], outside any process. *)
+
+val fork : t -> ?name:string -> (unit -> unit) -> unit
+(** [fork t f] starts process [f] in place, with no event. *)
+
 val run : t -> unit
 (** Runs the simulation until no events remain. Raises {!Deadlock} if
     blocked processes remain when the event queue drains. *)

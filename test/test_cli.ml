@@ -438,6 +438,30 @@ let drop_case (n, drops) =
       Alcotest.(check int) (name ^ " exit code") 0 code;
       Alcotest.(check string) (name ^ " stderr") (drop_warning drops) stderr)
 
+(* The 16-VM matrix on one host overflows KVM ARM's egress queues: one
+   stderr line names the config and its drops, and stdout keeps the
+   table's bytes. The stock 4-VM matrix drops nothing and says nothing. *)
+let switch_drop_cases =
+  [
+    ( [ "--vms"; "16"; "--topology"; "single" ],
+      "armvirt: warning: config KVM ARM dropped 13 frames (switch queue \
+       full)\n",
+      "be6d9ffaa10a47f7eda79a4a940bef33" );
+    ([ "--vms"; "4" ], "", "bebe3111d064f58f085340ae4de6e9c8");
+  ]
+
+let switch_drop_case (extra, warning, md5) =
+  let args =
+    [ "cluster"; "--scenario"; "matrix" ] @ extra @ [ "--format"; "csv" ]
+  in
+  let name = String.concat " " args in
+  Alcotest.test_case name `Quick (fun () ->
+      let code, stdout, stderr = run args in
+      Alcotest.(check int) (name ^ " exit code") 0 code;
+      Alcotest.(check string) (name ^ " stderr") warning stderr;
+      Alcotest.(check string) (name ^ " stdout md5") md5
+        (Digest.to_hex (Digest.string stdout)))
+
 (* Exit accounting reads the machine's counters, so it is exact on both
    sides of the ring's cap: N iterations of the Table I suite on KVM ARM
    are N hvc, 3N dabt and 2N irq exits, 7N entries and N hypercalls,
@@ -541,6 +565,7 @@ let () =
           Alcotest.test_case "help names no baseline" `Quick test_lint_help;
         ] );
       ("drop warning", List.map drop_case [ ("1500", true); ("1400", false) ]);
+      ("switch drop warning", List.map switch_drop_case switch_drop_cases);
       ("exact counts", List.map exact_case exact_cases);
       ("run all", List.map run_all_case [ "1"; "2" ]);
     ]

@@ -240,6 +240,99 @@ let test_sim_outside_process_errors () =
     (Invalid_argument "Sim.delay called outside a simulation process")
     (fun () -> Sim.delay Cycles.one)
 
+(* --- Timed callbacks --------------------------------------------------- *)
+
+let test_sim_at_past_rejected () =
+  let sim = Sim.create () in
+  Sim.spawn sim ~name:"p" (fun () -> Sim.delay (cycles_of 10));
+  Sim.run sim;
+  Alcotest.check_raises "at before now"
+    (Invalid_argument "Sim.at: cycle 5 is before the current cycle 10")
+    (fun () -> Sim.at sim (cycles_of 5) ignore);
+  (* The current cycle itself is not in the past. *)
+  let ran = ref false in
+  Sim.at sim (cycles_of 10) (fun () -> ran := true);
+  Sim.run sim;
+  Alcotest.(check bool) "at now runs" true !ran
+
+(* A callback reads the clock, and a process it forks starts at once, at
+   the callback's cycle; when the process first blocks, the callback
+   carries on at that same cycle. One event for the callback, one for
+   the forked process's delay, none for the fork. *)
+let test_sim_callback_and_fork () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note what = log := (what, Cycles.to_int (Sim.current_time ())) :: !log in
+  Sim.at sim (cycles_of 7) (fun () ->
+      note "callback";
+      Sim.fork sim ~name:"child" (fun () ->
+          note "forked";
+          Sim.delay (cycles_of 3);
+          note "child resumed");
+      note "after fork");
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "order and clock"
+    [ ("callback", 7); ("forked", 7); ("after fork", 7); ("child resumed", 10) ]
+    (List.rev !log);
+  Alcotest.(check int) "events" 2 (Sim.events_processed sim)
+
+(* Each blocking operation, tried inside a callback: the message it
+   raised, or "returned". *)
+let blocking_ops =
+  [
+    ("delay", fun () -> Sim.delay Cycles.one);
+    ("yield", Sim.yield);
+    ("suspend", fun () -> Sim.suspend (fun (_ : unit -> unit) -> ()));
+    ("spawn_here", fun () -> Sim.spawn_here ~name:"child" ignore);
+  ]
+
+let try_in_callback sim f =
+  let got = ref "not run" in
+  Sim.at sim (cycles_of 4) (fun () ->
+      got :=
+        match f () with
+        | () -> "returned"
+        | exception Invalid_argument msg -> msg);
+  got
+
+let refusal what =
+  Printf.sprintf "Sim.%s called inside a timed callback; wrap it in Sim.fork"
+    what
+
+let test_sim_blocking_in_callback_rejected () =
+  List.iter
+    (fun (what, f) ->
+      let sim = Sim.create () in
+      let got = try_in_callback sim f in
+      Sim.run sim;
+      Alcotest.(check string) what (refusal what) !got)
+    blocking_ops
+
+(* In a sim run from another sim's process, an unguarded effect from a
+   callback would reach the outer process's handler and park it. *)
+let test_sim_blocking_in_nested_callback_rejected () =
+  List.iter
+    (fun (what, f) ->
+      let outer = Sim.create () in
+      let got = ref "not run" and inner_clock = ref (-1) and clock = ref (-1) in
+      Sim.spawn outer ~name:"host" (fun () ->
+          Sim.delay (cycles_of 100);
+          let inner = Sim.create () in
+          let attempt = try_in_callback inner f in
+          Sim.at inner (cycles_of 6) (fun () ->
+              inner_clock := Cycles.to_int (Sim.current_time ()));
+          Sim.run inner;
+          got := !attempt;
+          clock := Cycles.to_int (Sim.current_time ()));
+      Sim.run outer;
+      Alcotest.(check string) what (refusal what) !got;
+      Alcotest.(check int) (what ^ ": inner clock") 6 !inner_clock;
+      Alcotest.(check int) (what ^ ": outer process not moved") 100 !clock;
+      Alcotest.(check int) (what ^ ": outer sim") 100
+        (Cycles.to_int (Sim.now outer)))
+    blocking_ops
+
 let test_sim_signal_broadcast () =
   let sim = Sim.create () in
   let s = Sim.Signal.create sim in
@@ -580,7 +673,11 @@ type op =
   | Use of int * int
   | Spawn of op list  (* spawn_here a sub-program *)
   | Nested of op list list  (* run a fresh sim inside this process *)
+  | At of int * action list  (* a timed callback [n] cycles on *)
   | Raise
+
+(* What a callback does, logging the clock after each step. *)
+and action = Cb_send of int | Cb_notify of int | Cb_fork of op list
 
 let rec show_op = function
   | Delay n -> Printf.sprintf "delay %d" n
@@ -595,15 +692,34 @@ let rec show_op = function
   | Nested procs ->
       Printf.sprintf "nested [%s]"
         (String.concat " | " (List.map show_ops procs))
+  | At (n, acts) ->
+      Printf.sprintf "at +%d {%s}" n
+        (String.concat "; " (List.map show_action acts))
   | Raise -> "raise"
+
+and show_action = function
+  | Cb_send m -> Printf.sprintf "send m%d" m
+  | Cb_notify s -> Printf.sprintf "notify s%d" s
+  | Cb_fork ops -> Printf.sprintf "fork [%s]" (show_ops ops)
 
 and show_ops ops = String.concat "; " (List.map show_op ops)
 
 (* 1-4 processes of up to 25 operations, sub-programs two levels deep;
-   at depth > 0 a process raises in 1 case out of 21. *)
+   at depth > 0 a process raises in 1 case out of 22. A callback sends
+   and notifies at any depth, and forks sub-programs above depth 0. *)
 let arb_program =
   let open QCheck.Gen in
   let rec ops depth len = list_size (int_bound len) (op depth)
+  and action depth =
+    let plain =
+      [
+        (2, map (fun m -> Cb_send m) (int_bound 1));
+        (2, map (fun s -> Cb_notify s) (int_bound 1));
+      ]
+    in
+    if depth = 0 then frequency plain
+    else
+      frequency ((2, map (fun sub -> Cb_fork sub) (ops (depth - 1) 8)) :: plain)
   and op depth =
     let leaf =
       [
@@ -615,6 +731,11 @@ let arb_program =
         (2, map (fun s -> Notify s) (int_bound 1));
         (2, map (fun s -> Wait s) (int_bound 1));
         (2, map2 (fun r n -> Use (r, n)) (int_bound 1) (int_bound 6));
+        ( 2,
+          map2
+            (fun n acts -> At (n, acts))
+            (int_bound 6)
+            (list_size (int_bound 3) (action depth)) );
         (1, return Raise);
       ]
     in
@@ -647,6 +768,8 @@ module type ENGINE = sig
   val yield : unit -> unit
   val current_time : unit -> Cycles.t
   val spawn_here : ?name:string -> (unit -> unit) -> unit
+  val at : t -> Cycles.t -> (unit -> unit) -> unit
+  val fork : t -> ?name:string -> (unit -> unit) -> unit
 
   module Signal : sig
     type sim := t
@@ -756,9 +879,35 @@ module Differential (E : ENGINE) = struct
           procs;
         finish inner (name ^ " nested run") (fun () -> E.run inner.sim);
         note "nested"
+    | At (n, acts) ->
+        let cb = Printf.sprintf "%s/%d" name i in
+        E.at w.sim
+          (Cycles.add (E.current_time ()) (cycles_of n))
+          (fun () -> callback w cb acts);
+        note "at"
     | Raise ->
         note "raise";
         failwith name
+
+  (* The queue-only engine has no clock for a callback to read through
+     [current_time], so a callback reads its sim's. *)
+  and callback w name acts =
+    let note what = record w "%s %s @%d" name what (Cycles.to_int (E.now w.sim)) in
+    note "callback";
+    List.iteri
+      (fun j act ->
+        match act with
+        | Cb_send m ->
+            E.Mailbox.send w.mailboxes.(m) (100 + j);
+            note "send"
+        | Cb_notify s ->
+            E.Signal.notify w.signals.(s);
+            note "notify"
+        | Cb_fork sub ->
+            let child = Printf.sprintf "%s/f%d" name j in
+            E.fork w.sim ~name:child (fun () -> exec w child sub);
+            note "fork")
+      acts
 
   let run procs =
     let w = world (ref []) in
@@ -845,6 +994,14 @@ let () =
             test_sim_mailbox_depth_transitions;
           Alcotest.test_case "runs on any domain" `Quick
             test_sim_runs_on_any_domain;
+          Alcotest.test_case "at rejects the past" `Quick
+            test_sim_at_past_rejected;
+          Alcotest.test_case "callback and fork" `Quick
+            test_sim_callback_and_fork;
+          Alcotest.test_case "no blocking in a callback" `Quick
+            test_sim_blocking_in_callback_rejected;
+          Alcotest.test_case "no blocking in a nested callback" `Quick
+            test_sim_blocking_in_nested_callback_rejected;
         ]
         @ qcheck [ prop_sim_determinism; prop_run_ahead_matches_queue ] );
     ]

@@ -375,6 +375,22 @@ let test_site_directive_reach () =
     (lint ~relpath:"lib/core/x.ml"
        "let x = Random.int 7 (* lint: allow R2 wrong rule *)")
 
+(* A directive is a comment: the same marker inside a string literal is
+   text, whether file-wide or at the site. *)
+let test_marker_in_string () =
+  check_rules "file-wide marker in a string" [ "R2" ]
+    (lint ~relpath:"lib/core/x.ml"
+       "let help = \"(* lint: disable R2 *)\"\nlet now () = Sys.time ()");
+  check_rules "site marker in a string" [ "R1" ]
+    (lint ~relpath:"lib/core/x.ml"
+       "let x = (Random.int 7, \"(* lint: allow R1 seeded *)\")");
+  check_rules "the same marker as a comment" []
+    (lint ~relpath:"lib/core/x.ml"
+       "(* lint: disable R2 *)\nlet now () = Sys.time ()");
+  check_rules "a multi-line directive counts from its first line" []
+    (lint ~relpath:"lib/core/x.ml"
+       "let x = Random.int 7 (* lint: allow R1 seeded\n   elsewhere *)")
+
 let test_rule_selection () =
   let src = "let f () = print_endline (string_of_int (Random.bits ()))" in
   (* same line: ordered by column, print_endline first *)
@@ -665,6 +681,7 @@ let () =
           Alcotest.test_case "file-wide disable" `Quick test_file_wide_disable;
           Alcotest.test_case "site directive reach" `Quick
             test_site_directive_reach;
+          Alcotest.test_case "marker in a string" `Quick test_marker_in_string;
           Alcotest.test_case "rule selection" `Quick test_rule_selection;
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;
           Alcotest.test_case "parse error" `Quick test_parse_error;

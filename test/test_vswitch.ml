@@ -12,6 +12,7 @@ module Platform = Armvirt_core.Platform
 module Port_profile = Armvirt_vswitch.Port_profile
 module Switch = Armvirt_vswitch.Switch
 module Topology = Armvirt_vswitch.Topology
+module Rng = Armvirt_engine.Rng
 
 let kvm_arm () = Platform.hypervisor Platform.Arm_m400 Platform.Kvm
 let xen_arm () = Platform.hypervisor Platform.Arm_m400 Platform.Xen
@@ -229,7 +230,168 @@ let test_star_topology () =
   Alcotest.(check int) "two hosts + spine" 2 (Topology.hosts topo);
   Alcotest.(check bool) "spine exists" true (Topology.spine topo <> None)
 
+(* --- conservation ---------------------------------------------------- *)
+
+(* A fabric and its traffic, drawn from one seed: a topology, a VM
+   count, egress queues small enough to drop, and frames of random size
+   between random VM pairs, about half of them back to back. *)
+type scenario = {
+  xen : bool;
+  spec : Topology.spec;
+  vms : int;
+  capacity : int;
+  frames : (int * int * int * int) list; (* src, dst, payload, gap *)
+}
+
+let draw seed =
+  let rng = Rng.create ~seed in
+  let xen = Rng.bool rng in
+  let spec =
+    match Rng.int rng ~bound:3 with
+    | 0 -> Topology.Single
+    | 1 -> Topology.Pair
+    | _ -> Topology.Star (2 + Rng.int rng ~bound:3)
+  in
+  let vms = 2 + Rng.int rng ~bound:7 in
+  let capacity = 1 + Rng.int rng ~bound:3 in
+  let frame _ =
+    let src = Rng.int rng ~bound:vms in
+    let dst = (src + 1 + Rng.int rng ~bound:(vms - 1)) mod vms in
+    let payload = Rng.int rng ~bound:3000 in
+    let gap = if Rng.bool rng then 0 else Rng.int rng ~bound:20_000 in
+    (src, dst, payload, gap)
+  in
+  let frames = List.init (1 + Rng.int rng ~bound:24) frame in
+  { xen; spec; vms; capacity; frames }
+
+let show_scenario sc =
+  Printf.sprintf "%s %s, %d VMs, capacity %d, frames %s"
+    (if sc.xen then "xen" else "kvm")
+    (Topology.spec_to_string sc.spec)
+    sc.vms sc.capacity
+    (String.concat " "
+       (List.map
+          (fun (s, d, p, g) -> Printf.sprintf "%d->%d:%dB+%d" s d p g)
+          sc.frames))
+
+let unknown_mac = 1_000_000
+let flood_payload = 64
+
+(* Every VM first floods one frame to a MAC nobody has, which teaches
+   every switch where every VM is; the drawn frames then follow fixed
+   routes. Returns the topology and the frames each VM's handler got. *)
+let run_scenario sc =
+  let hyp = if sc.xen then xen_arm () else kvm_arm () in
+  let topo =
+    Topology.build ~queue_capacity:sc.capacity ~vms:sc.vms hyp sc.spec
+  in
+  let got = Array.make sc.vms 0 in
+  for v = 0 to sc.vms - 1 do
+    Topology.set_handler topo ~vm:v (fun ~src:_ ~dst:_ _ ->
+        got.(v) <- got.(v) + 1)
+  done;
+  run_process hyp (fun () ->
+      for v = 0 to sc.vms - 1 do
+        Topology.send_to_mac topo ~src:v ~dst_mac:unknown_mac
+          (Packet.create ~payload:flood_payload ~id:(-v - 1) ())
+      done;
+      Sim.delay (Cycles.of_int 50_000_000);
+      List.iteri
+        (fun i (src, dst, payload, gap) ->
+          Sim.delay (Cycles.of_int gap);
+          Topology.send topo ~src ~dst (Packet.create ~payload ~id:i ()))
+        sc.frames);
+  (hyp, topo, got)
+
+(* The outbound wires a frame from host [hs] crosses: to host [hd], or
+   to every other host when it floods. VMs round-robin over hosts; a
+   leaf's one uplink goes to the spine, and the spine's uplink [j] to
+   leaf [j]. *)
+let wires_crossed topo spec ~hs ~hd =
+  let up sw i = List.nth (Switch.uplink_links sw) i in
+  let leaf h = up (Topology.switch topo h) 0 in
+  match (spec, Topology.spine topo) with
+  | Topology.Single, _ -> []
+  | Topology.Pair, _ -> if hd = Some hs then [] else [ leaf hs ]
+  | Topology.Star n, Some spine -> (
+      match hd with
+      | Some h when h = hs -> []
+      | Some h -> [ leaf hs; up spine h ]
+      | None ->
+          leaf hs
+          :: List.filter_map
+               (fun j -> if j = hs then None else Some (up spine j))
+               (List.init n Fun.id))
+  | Topology.Star _, None -> Alcotest.fail "star without a spine"
+
+let prop_conservation =
+  QCheck.Test.make ~name:"ports and wires conserve frames" ~count:200
+    (QCheck.make ~print:(fun seed -> show_scenario (draw seed))
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let sc = draw seed in
+      let hyp, topo, got = run_scenario sc in
+      let hosts = Topology.hosts topo in
+      let host v = v mod hosts in
+      let machine = hyp.Armvirt_hypervisor.Hypervisor.machine in
+      let cycles_per_byte =
+        Link.cycles_per_byte_of_gbps ~freq_ghz:(Machine.freq_ghz machine) 10.0
+      in
+      let serialization payload =
+        let bytes = payload + Packet.default_framing + Packet.vlan_tag_bytes in
+        int_of_float (Float.round (cycles_per_byte *. float_of_int bytes))
+      in
+      (* Expected crossings per wire, as (wire, serialization) pairs. *)
+      let crossings =
+        List.concat_map
+          (fun v ->
+            List.map
+              (fun w -> (w, serialization flood_payload))
+              (wires_crossed topo sc.spec ~hs:(host v) ~hd:None))
+          (List.init sc.vms Fun.id)
+        @ List.concat_map
+            (fun (src, dst, payload, _) ->
+              List.map
+                (fun w -> (w, serialization payload))
+                (wires_crossed topo sc.spec ~hs:(host src)
+                   ~hd:(Some (host dst))))
+            sc.frames
+      in
+      let on w = List.filter (fun (w', _) -> w' == w) crossings in
+      let wires_ok =
+        List.for_all
+          (fun sw ->
+            List.for_all
+              (fun w ->
+                let mine = on w in
+                Link.delivered w = List.length mine
+                && Link.in_flight w = 0
+                && Link.busy_cycles w
+                   = List.fold_left (fun acc (_, c) -> acc + c) 0 mine)
+              (Switch.uplink_links sw))
+          (List.init hosts (Topology.switch topo)
+          @ Option.to_list (Topology.spine topo))
+      in
+      (* Each port is offered every other VM's flood and the frames
+         addressed to it. *)
+      let ports_ok =
+        List.for_all
+          (fun v ->
+            let sw = Topology.switch topo (host v) in
+            let st = List.nth (Switch.port_stats sw) (v / hosts) in
+            let count p = List.length (List.filter p sc.frames) in
+            let offered = sc.vms - 1 + count (fun (_, d, _, _) -> d = v) in
+            st.Switch.stat_mac = v
+            && st.Switch.rx = 1 + count (fun (s, _, _, _) -> s = v)
+            && st.Switch.tx + st.Switch.drops = offered
+            && st.Switch.queue_depth = 0
+            && got.(v) = st.Switch.tx)
+          (List.init sc.vms Fun.id)
+      in
+      wires_ok && ports_ok)
+
 let () =
+  let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "vswitch"
     [
       ( "profile",
@@ -255,4 +417,5 @@ let () =
           Alcotest.test_case "vlan on wire" `Quick test_uplink_vlan_on_wire;
           Alcotest.test_case "star" `Quick test_star_topology;
         ] );
+      ("conservation", qcheck [ prop_conservation ]);
     ]
