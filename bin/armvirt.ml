@@ -25,6 +25,7 @@ module Report = Armvirt_core.Report
 module Observe = Armvirt_core.Observe
 module Stat_report = Armvirt_core.Stat_report
 module Export = Armvirt_obs.Export
+module Tracer = Armvirt_obs.Tracer
 module Table = Armvirt_obs.Table
 module Metrics = Armvirt_obs.Metrics
 module Stat = Armvirt_obs.Stat
@@ -194,7 +195,7 @@ let write_trace ~format path =
   let procs = Observe.processes () in
   let events =
     List.fold_left
-      (fun acc (p : Export.process) -> acc + List.length p.events)
+      (fun acc (p : Export.process) -> acc + Tracer.length p.trace)
       0 procs
   in
   write_out path
@@ -249,10 +250,11 @@ let session_args =
 let warn_dropped () =
   List.iter
     (fun (c : Observe.cell) ->
-      if c.dropped > 0 then
+      let dropped = Tracer.dropped c.trace in
+      if dropped > 0 then
         Printf.eprintf
           "armvirt: warning: cell %s dropped %d trace events (ring full)\n%!"
-          c.label c.dropped)
+          c.label dropped)
     (Observe.cells ())
 
 (* Tracing, [--stat] and [--verbose] share a session: all need the
@@ -728,7 +730,7 @@ let timeline_cmd =
   let run platform hyp op =
     let hypervisor = resolve platform hyp in
     let machine = hypervisor.Hypervisor.machine in
-    let tracer = Armvirt_obs.Tracer.create () in
+    let tracer = Tracer.create () in
     let path = List.assoc op timeline_ops in
     Armvirt_engine.Sim.spawn
       (Armvirt_arch.Machine.sim machine)
@@ -738,7 +740,7 @@ let timeline_cmd =
         path hypervisor;
         Armvirt_arch.Machine.attach machine None);
     Armvirt_engine.Sim.run (Armvirt_arch.Machine.sim machine);
-    let events = Armvirt_obs.Tracer.events tracer in
+    let events = Tracer.events tracer in
     Format.fprintf ppf "%s: %s, step by step@." hypervisor.Hypervisor.name op;
     Observe.pp_timeline ppf events;
     Format.fprintf ppf "total: %d cycles@."
@@ -1295,11 +1297,27 @@ let () =
      Architectural Implications' (ISCA 2016)"
   in
   let info = Cmd.info "armvirt" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd; run_cmd; micro_cmd; app_cmd; rr_cmd; trace_cmd; stat_cmd;
+        timeline_cmd; explore_cmd; migrate_cmd; fleet_cmd; cluster_cmd;
+        report_cmd; lint_cmd;
+      ]
+  in
+  (* A simulation left with blocked processes and no event to wake them
+     ran a configuration its model cannot finish: one line naming them
+     and exit 2, like any other rejected run. Any other exception is
+     still an internal error. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; run_cmd; micro_cmd; app_cmd; rr_cmd; trace_cmd;
-            stat_cmd; timeline_cmd; explore_cmd; migrate_cmd; fleet_cmd;
-            cluster_cmd; report_cmd; lint_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Armvirt_engine.Sim.Deadlock blocked ->
+        Printf.eprintf
+          "armvirt: the simulation deadlocked; blocked processes: %s\n%!"
+          blocked;
+        2
+    | exception e ->
+        Printf.eprintf "armvirt: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e) (Printexc.get_backtrace ());
+        Cmd.Exit.internal_error)

@@ -6,10 +6,11 @@ module Marker = Armvirt_obs.Marker
 
 type sink = {
   spend :
-    label:string -> cat:Span.category -> cycles:int -> now:Cycles.t -> unit;
+    id:Counter.id -> label:string -> cat:Span.category -> cycles:int ->
+    now:Cycles.t -> unit;
   count :
-    marker:Marker.t -> label:string -> cat:Span.category -> now:Cycles.t ->
-    unit;
+    id:Counter.id -> marker:Marker.t -> label:string -> cat:Span.category ->
+    now:Cycles.t -> unit;
 }
 
 type t = {
@@ -131,7 +132,8 @@ let spend op cycles =
             op.cat <- Some c;
             c
       in
-      s.spend ~label:op.label ~cat ~cycles ~now:(Sim.current_time ())
+      s.spend ~id:op.counter ~label:op.label ~cat ~cycles
+        ~now:(Sim.current_time ())
   | None -> ()
 
 let count mk =
@@ -147,7 +149,8 @@ let count mk =
             mk.m_cat <- Some c;
             c
       in
-      s.count ~marker:mk.marker ~label:mk.m_label ~cat ~now:(Sim.now t.sim)
+      s.count ~id:mk.m_counter ~marker:mk.marker ~label:mk.m_label ~cat
+        ~now:(Sim.now t.sim)
   | None -> ()
 
 let markers t =

@@ -72,16 +72,19 @@ val op_cycles : t -> (string * int) list
 
 type sink = {
   spend :
-    label:string -> cat:Armvirt_obs.Span.category -> cycles:int ->
+    id:Armvirt_stats.Counter.id -> label:string ->
+    cat:Armvirt_obs.Span.category -> cycles:int ->
     now:Armvirt_engine.Cycles.t -> unit;
-      (** Every {!spend}: the op's label and category, its cycles and
-          the simulated time {e after} the step. *)
+      (** Every {!spend}: the op's counter id in {!counters} and its
+          label and category, its cycles and the simulated time {e
+          after} the step. *)
   count :
-    marker:Armvirt_obs.Marker.t -> label:string ->
-    cat:Armvirt_obs.Span.category -> now:Armvirt_engine.Cycles.t -> unit;
-      (** Every {!count}: the typed marker, its label and category and
-          the machine's clock, so it is safe outside a simulation
-          process. *)
+    id:Armvirt_stats.Counter.id -> marker:Armvirt_obs.Marker.t ->
+    label:string -> cat:Armvirt_obs.Span.category ->
+    now:Armvirt_engine.Cycles.t -> unit;
+      (** Every {!count}: the marker's counter id, the typed marker,
+          its label and category and the machine's clock, so it is safe
+          outside a simulation process. *)
 }
 (** Where a machine reports its priced steps and counted markers, in
     the order they happen. The library builds every sink in

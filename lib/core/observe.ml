@@ -1,6 +1,7 @@
 module Sim = Armvirt_engine.Sim
 module Cycles = Armvirt_engine.Cycles
 module Machine = Armvirt_arch.Machine
+module Counter = Armvirt_stats.Counter
 module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
 module Metrics = Armvirt_obs.Metrics
@@ -9,8 +10,7 @@ module Accounting = Armvirt_obs.Accounting
 
 type cell = {
   label : string;
-  events : Span.event list;
-  dropped : int;
+  trace : Tracer.t;
   metrics : Metrics.t;
   rows : Accounting.vm_stats list;
 }
@@ -49,15 +49,36 @@ let next_map_seq () = Atomic.fetch_and_add map_seq 1
 
 (* --- machine instrumentation --------------------------------------- *)
 
+(* An int table keyed by a dense id, -1 where unset: [slots t i] grows
+   [t] to hold slot [i] and returns it. *)
+let slots t i =
+  if i >= Array.length !t then begin
+    let grown = Array.make (Stdlib.max 64 (2 * (i + 1))) (-1) in
+    Array.blit !t 0 grown 0 (Array.length !t);
+    t := grown
+  end;
+  !t
+
+(* A machine's ops and markers are dense counter ids, so the sink maps
+   each to its interned name through an int table: a traced spend
+   neither hashes nor allocates. *)
 let machine_sink ?pairing ~track tracer =
-  let spend ~label ~cat ~cycles ~now =
-    let now = Cycles.to_int now in
-    Tracer.complete tracer ~track ~cat ~name:label ~ts:(now - cycles)
-      ~dur:cycles
+  let track = Tracer.track tracer track in
+  let names = ref [||] in
+  let name_of (id : Counter.id) label =
+    let id = (id :> int) in
+    let known = slots names id in
+    if known.(id) < 0 then known.(id) <- Tracer.name tracer label;
+    known.(id)
   in
-  let count ~marker ~label ~cat ~now =
+  let spend ~id ~label ~cat ~cycles ~now =
+    let now = Cycles.to_int now in
+    Tracer.complete tracer ~track ~cat ~name:(name_of id label)
+      ~ts:(now - cycles) ~dur:cycles
+  in
+  let count ~id ~marker ~label ~cat ~now =
     let ts = Cycles.to_int now in
-    Tracer.instant tracer ~track ~cat ~name:label ~ts;
+    Tracer.instant tracer ~track ~cat ~name:(name_of id label) ~ts;
     match pairing with Some p -> Accounting.pair p marker ~ts | None -> ()
   in
   { Machine.spend; count }
@@ -65,9 +86,9 @@ let machine_sink ?pairing ~track tracer =
 (* An untraced session only pairs exits with entries. *)
 let pairing_sink pairing =
   {
-    Machine.spend = (fun ~label:_ ~cat:_ ~cycles:_ ~now:_ -> ());
+    Machine.spend = (fun ~id:_ ~label:_ ~cat:_ ~cycles:_ ~now:_ -> ());
     count =
-      (fun ~marker ~label:_ ~cat:_ ~now ->
+      (fun ~id:_ ~marker ~label:_ ~cat:_ ~now ->
         Accounting.pair pairing marker ~ts:(Cycles.to_int now));
   }
 
@@ -82,6 +103,38 @@ let pp_timeline ppf events =
       | Span.Instant | Span.Value _ -> ())
     events
 
+(* [interned f] is [f] memoized by its string key, so an observer
+   event looks its track or name up without building a string. *)
+let interned f =
+  let ids = Hashtbl.create 16 in
+  fun key ->
+    match Hashtbl.find ids key with
+    | id -> id
+    | exception Not_found ->
+        let id = f key in
+        Hashtbl.add ids key id;
+        id
+
+(* The engine observer's tracks and names in a tracer, each interned
+   once per machine. *)
+type sim_ids = {
+  proc : string -> int; (* a process's track *)
+  mailbox : string -> int; (* a mailbox's track *)
+  contention : string -> int; (* "contention:<resource>" *)
+  spawn : int;
+  blocked : int;
+}
+
+let sim_ids ~prefix tracer =
+  {
+    proc = interned (fun name -> Tracer.track tracer (prefix ^ name));
+    mailbox = interned (fun mb -> Tracer.track tracer (prefix ^ "mb:" ^ mb));
+    contention =
+      interned (fun resource -> Tracer.name tracer ("contention:" ^ resource));
+    spawn = Tracer.name tracer "spawn";
+    blocked = Tracer.name tracer "blocked";
+  }
+
 let attach live m =
   let idx = List.length live.machines in
   let pairing = Accounting.pairing () in
@@ -93,48 +146,52 @@ let attach live m =
        (match live.tracer with
        | Some tracer -> machine_sink ~pairing ~track:(prefix ^ "cpu") tracer
        | None -> pairing_sink pairing));
-  (* Park times keyed by pid so blocked spans pair correctly even when
-     several processes share a display name. *)
-  let parked : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let traced =
+    Option.map (fun tracer -> (tracer, sim_ids ~prefix tracer)) live.tracer
+  in
+  (* Park times by pid (dense per sim) so blocked spans pair correctly
+     even when several processes share a display name. *)
+  let parked = ref [||] in
   Sim.set_observer (Machine.sim m)
     (Some
        {
          Sim.on_spawn =
            (fun ~id:_ ~name ~at ->
-             (match live.tracer with
-             | Some tracer ->
-                 Tracer.instant tracer ~track:(prefix ^ name) ~cat:Span.Sched
-                   ~name:"spawn" ~ts:at
+             (match traced with
+             | Some (tracer, ids) ->
+                 Tracer.instant tracer ~track:(ids.proc name) ~cat:Span.Sched
+                   ~name:ids.spawn ~ts:at
              | None -> ());
              Metrics.incr metrics "sim_processes_spawned_total");
          on_park =
            (fun ~id ~name:_ ~at ->
-             if Option.is_some live.tracer then Hashtbl.replace parked id at);
+             if Option.is_some traced then (slots parked id).(id) <- at);
          on_wake =
            (fun ~id ~name ~at ->
-             match (live.tracer, Hashtbl.find_opt parked id) with
-             | None, _ | _, None -> ()
-             | Some tracer, Some t0 ->
-                 Hashtbl.remove parked id;
-                 if at > t0 then
-                   Tracer.complete tracer ~track:(prefix ^ name)
-                     ~cat:Span.Sched ~name:"blocked" ~ts:t0 ~dur:(at - t0));
+             match traced with
+             | Some (tracer, ids) when id < Array.length !parked ->
+                 let t0 = !parked.(id) in
+                 !parked.(id) <- -1;
+                 if t0 >= 0 && at > t0 then
+                   Tracer.complete tracer ~track:(ids.proc name)
+                     ~cat:Span.Sched ~name:ids.blocked ~ts:t0 ~dur:(at - t0)
+             | _ -> ());
          on_contention =
            (fun ~resource ~proc ~at ~waited ->
-             (match live.tracer with
-             | Some tracer ->
-                 Tracer.complete tracer ~track:(prefix ^ proc) ~cat:Span.Sched
-                   ~name:("contention:" ^ resource) ~ts:at ~dur:waited
+             (match traced with
+             | Some (tracer, ids) ->
+                 Tracer.complete tracer ~track:(ids.proc proc) ~cat:Span.Sched
+                   ~name:(ids.contention resource) ~ts:at ~dur:waited
              | None -> ());
              Metrics.observe metrics
                ~labels:[ ("resource", resource) ]
                "sim_contention_wait_cycles" (float_of_int waited));
          on_queue_depth =
            (fun ~mailbox ~at ~depth ->
-             (match live.tracer with
-             | Some tracer ->
-                 Tracer.value tracer ~track:(prefix ^ "mb:" ^ mailbox)
-                   ~cat:Span.Io ~name:mailbox ~ts:at ~value:depth
+             (match traced with
+             | Some (tracer, ids) ->
+                 Tracer.value tracer ~track:(ids.mailbox mailbox) ~cat:Span.Io
+                   ~name:(Tracer.name tracer mailbox) ~ts:at ~value:depth
              | None -> ());
              Metrics.observe metrics
                ~labels:[ ("mailbox", mailbox) ]
@@ -198,9 +255,16 @@ let capture ~label f =
         (* cell_wall_seconds is host-side profiling, never byte-compared *)
         (* lint: allow R2 — host-side wall-clock profiling gauge *)
         let t0 = Unix.gettimeofday () in
+        (* Detaching the cell's machines freezes its ring: a machine
+           that outlives the cell records nothing more into it. *)
         let finish () =
           Machine.set_create_hook None;
-          Domain.DLS.set live_key None
+          Domain.DLS.set live_key None;
+          List.iter
+            (fun (m, _) ->
+              Machine.attach m None;
+              Sim.set_observer (Machine.sim m) None)
+            live.machines
         in
         let result = try Ok (f ()) with e -> Error e in
         finish ();
@@ -213,12 +277,10 @@ let capture ~label f =
               (* lint: allow R2 — same host-side profiling gauge as above *)
               (Unix.gettimeofday () -. t0);
             let rows = snapshot live ~label in
-            let events, dropped =
-              match live.tracer with
-              | Some t -> (Tracer.events t, Tracer.dropped t)
-              | None -> ([], 0)
+            let trace =
+              match live.tracer with Some t -> t | None -> Tracer.create ()
             in
-            (v, Some { label; events; dropped; metrics = live.cell_metrics; rows }))
+            (v, Some { label; trace; metrics = live.cell_metrics; rows }))
 
 let record_cells captured =
   if !enabled then
@@ -236,7 +298,7 @@ let cells () = locked (fun () -> List.rev !recorded)
 let processes () =
   List.mapi
     (fun i (c : cell) ->
-      { Export.pid = i; name = c.label; events = c.events; dropped = c.dropped })
+      { Export.pid = i; name = c.label; trace = c.trace })
     (cells ())
 
 let metrics () = locked (fun () -> !global)

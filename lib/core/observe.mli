@@ -30,8 +30,11 @@ val machine_sink :
 (** The sink that records a machine into a tracer: a spend of [c] cycles
     completing at [now] becomes a complete span on [track] from [now - c]
     lasting [c], and a count an instant at the machine's clock, which is
-    also fed to [pairing]. Sessions, the [stat --crosscheck] runs and
-    [armvirt timeline] all use it. *)
+    also fed to [pairing]. The sink interns [track] once and each op's
+    or marker's label the first time it sees it, keyed by the machine's
+    counter id, so a later spend records three ints and allocates
+    nothing; attach it to one machine only. Sessions, the [stat
+    --crosscheck] runs and [armvirt timeline] all use it. *)
 
 val pp_timeline : Format.formatter -> Armvirt_obs.Span.event list -> unit
 (** One line per complete span, in the given order: completion time
@@ -40,8 +43,11 @@ val pp_timeline : Format.formatter -> Armvirt_obs.Span.event list -> unit
 
 type cell = {
   label : string;  (** ["<context>#<map>.<index>"], from the runner. *)
-  events : Armvirt_obs.Span.event list;  (** Empty in an untraced session. *)
-  dropped : int;  (** Events the cell's 2{^18}-event ring lost. *)
+  trace : Armvirt_obs.Tracer.t;
+      (** The cell's ring of up to 2{^18} events, frozen when the cell
+          finished (its machines are detached then); empty in an
+          untraced session. {!Armvirt_obs.Tracer.dropped} counts the
+          events it lost. *)
   metrics : Armvirt_obs.Metrics.t;
   rows : Armvirt_obs.Accounting.vm_stats list;
       (** Exit accounting of every machine the cell built, read from

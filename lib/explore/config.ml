@@ -115,8 +115,12 @@ let knobs =
         Topology.max_vms );
     ("cluster.load", "offered load as a fraction of the backend pool's \
                       aggregate native capacity (float)");
-    ("net.queue", "virtual-switch per-port egress queue capacity in \
-                   frames (int)");
+    ( "net.queue",
+      Printf.sprintf
+        "virtual-switch per-port egress queue capacity in frames (int, >= \
+         %d: the cluster-pair/xhost matrix keeps that many chunks in \
+         flight and waits for each)"
+        Armvirt_workloads.Cluster.matrix_window );
     ("net.uplink_gbps", "cross-host uplink wire rate in Gbps (float)");
   ]
 
@@ -254,7 +258,10 @@ let apply t name v =
       { t with cluster = { t.cluster with cluster_load = l } }
   | "net.queue" ->
       let n = as_int name v in
-      if n < 1 then invalid_arg "Config: net.queue < 1";
+      if n < Armvirt_workloads.Cluster.matrix_window then
+        invalid_arg
+          (Printf.sprintf "Config: net.queue < %d (the matrix window)"
+             Armvirt_workloads.Cluster.matrix_window);
       { t with cluster = { t.cluster with net_queue = n } }
   | "net.uplink_gbps" ->
       let g = as_float name v in

@@ -1,149 +1,252 @@
-type process = {
-  pid : int;
-  name : string;
-  events : Span.event list;
-  dropped : int;
-}
+type process = { pid : int; name : string; trace : Tracer.t }
+
+(* Lines are written into a buffer with Buffer.add_* and handed to the
+   formatter in chunks of about 64 KB: no event goes through Printf or
+   Format, and no export holds a whole cell's text. *)
+let chunk = 65536
+
+let spill ppf buf =
+  if Buffer.length buf >= chunk then begin
+    Format.pp_print_string ppf (Buffer.contents buf);
+    Buffer.clear buf
+  end
+
+let finish ppf buf =
+  Format.pp_print_string ppf (Buffer.contents buf);
+  Format.pp_print_flush ppf ()
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.chr (48 + (n mod 10)))
+
+(* [string_of_int n] without building the string. *)
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
+let duration t i =
+  match Tracer.kind t i with
+  | Tracer.Complete -> Tracer.arg t i
+  | Tracer.Instant | Tracer.Value -> 0
 
 (* Stable event order for rendering: by start time, then longer spans
    first (so nested spans follow their parents at equal starts), then
-   recording order. Exporter output is a pure function of the event
-   list — identical runs yield identical bytes. *)
-let ordered events =
-  List.mapi (fun i e -> (i, e)) events
-  |> List.stable_sort (fun (ia, a) (ib, b) ->
-         match Int.compare a.Span.ts b.Span.ts with
-         | 0 -> (
-             match Int.compare (Span.duration b) (Span.duration a) with
-             | 0 -> Int.compare ia ib
-             | c -> c)
-         | c -> c)
-  |> List.map snd
+   recording order. Exporter output is a pure function of the ring —
+   identical runs yield identical bytes. *)
+let ordered t =
+  let n = Tracer.length t in
+  let ts = Array.init n (Tracer.ts t) and dur = Array.init n (duration t) in
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Int.compare ts.(i) ts.(j) with
+      | 0 -> Int.compare dur.(j) dur.(i)
+      | c -> c)
+    order;
+  order
 
-(* Track name -> Chrome tid, assigned in sorted track order per process. *)
-let tids events =
+(* The tracks retained events use, in label order, and each track id's
+   Chrome tid: 1, 2, ... in that order. *)
+let tids t =
+  let used = Array.make (Tracer.tracks t) false in
+  for i = 0 to Tracer.length t - 1 do
+    used.(Tracer.track_of t i) <- true
+  done;
   let tracks =
-    List.map (fun e -> e.Span.track) events |> List.sort_uniq String.compare
+    List.filter (Array.get used) (List.init (Tracer.tracks t) Fun.id)
+    |> List.sort (fun a b ->
+           String.compare (Tracer.track_label t a) (Tracer.track_label t b))
   in
-  List.mapi (fun i track -> (track, i + 1)) tracks
+  let tid = Array.make (Tracer.tracks t) 0 in
+  List.iteri (fun k track -> tid.(track) <- k + 1) tracks;
+  (tracks, tid)
 
+(* Each distinct name rendered once per cell. *)
+let rendered_names render t =
+  Array.init (Tracer.names t) (fun id -> render (Tracer.name_label t id))
+
+(* Per cell, every constant piece of an event line is built once: the
+   phase and pid, each track's tid, each category and each escaped
+   name, so a line is six or eight appends. *)
 let chrome ppf processes =
-  Format.fprintf ppf "{\"traceEvents\":[";
+  let buf = Buffer.create (2 * chunk) in
+  let add = Buffer.add_string buf and add_int = add_int buf in
+  add "{\"traceEvents\":[";
   let first = ref true in
-  let emit line =
-    if !first then first := false else Format.fprintf ppf ",";
-    Format.fprintf ppf "@.%s" line
+  let line () =
+    if !first then first := false else Buffer.add_char buf ',';
+    Buffer.add_char buf '\n'
+  in
+  let cats =
+    Array.map
+      (fun c -> ",\"cat\":\"" ^ Span.category_to_string c ^ "\",\"name\":\"")
+      Span.categories
   in
   List.iter
     (fun p ->
-      emit
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":\"%s\",\"dropped_events\":%d}}"
-           p.pid (Json.escape p.name) p.dropped);
-      let tids = tids p.events in
+      let t = p.trace and pid = string_of_int p.pid in
+      line ();
+      add "{\"ph\":\"M\",\"pid\":";
+      add pid;
+      add ",\"name\":\"process_name\",\"args\":{\"name\":\"";
+      add (Json.escape p.name);
+      add "\",\"dropped_events\":";
+      add_int (Tracer.dropped t);
+      add "}}";
+      let tracks, tid = tids t in
       List.iter
-        (fun (track, tid) ->
-          emit
-            (Printf.sprintf
-               "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-               p.pid tid (Json.escape track)))
-        tids;
-      List.iter
-        (fun e ->
-          let tid = List.assoc e.Span.track tids in
-          let common =
-            Printf.sprintf
-              "\"pid\":%d,\"tid\":%d,\"ts\":%d,\"cat\":\"%s\",\"name\":\"%s\""
-              p.pid tid e.Span.ts
-              (Span.category_to_string e.Span.cat)
-              (Json.escape e.Span.name)
-          in
-          emit
-            (match e.Span.kind with
-            | Span.Complete dur ->
-                Printf.sprintf "{\"ph\":\"X\",%s,\"dur\":%d}" common dur
-            | Span.Instant ->
-                Printf.sprintf "{\"ph\":\"i\",%s,\"s\":\"t\"}" common
-            | Span.Value v ->
-                Printf.sprintf "{\"ph\":\"C\",%s,\"args\":{\"value\":%d}}"
-                  common v))
-        (ordered p.events))
+        (fun track ->
+          line ();
+          add "{\"ph\":\"M\",\"pid\":";
+          add pid;
+          add ",\"tid\":";
+          add_int tid.(track);
+          add ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+          add (Json.escape (Tracer.track_label t track));
+          add "\"}}")
+        tracks;
+      let head ph = "{\"ph\":\"" ^ ph ^ "\",\"pid\":" ^ pid ^ ",\"tid\":" in
+      let complete = head "X" and instant = head "i" and value = head "C" in
+      let tid_ts =
+        Array.map (fun tid -> string_of_int tid ^ ",\"ts\":") tid
+      and names = rendered_names Json.escape t in
+      Array.iter
+        (fun i ->
+          line ();
+          let kind = Tracer.kind t i in
+          add
+            (match kind with
+            | Tracer.Complete -> complete
+            | Tracer.Instant -> instant
+            | Tracer.Value -> value);
+          add tid_ts.(Tracer.track_of t i);
+          add_int (Tracer.ts t i);
+          add cats.(Span.category_index (Tracer.cat t i));
+          add names.(Tracer.name_of t i);
+          (match kind with
+          | Tracer.Complete ->
+              add "\",\"dur\":";
+              add_int (Tracer.arg t i);
+              Buffer.add_char buf '}'
+          | Tracer.Instant -> add "\",\"s\":\"t\"}"
+          | Tracer.Value ->
+              add "\",\"args\":{\"value\":";
+              add_int (Tracer.arg t i);
+              add "}}");
+          spill ppf buf)
+        (ordered t))
     processes;
-  Format.fprintf ppf "@.],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated cycles (1 exported us = 1 cycle)\"}}@."
+  add
+    "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"simulated \
+     cycles (1 exported us = 1 cycle)\"}}\n";
+  finish ppf buf
 
+(* As for {!chrome}: a row is its track's quoted prefix (pid, process,
+   tid, track), the start, the category and the name between the
+   optional duration and value. *)
 let csv ppf processes =
-  Format.fprintf ppf "pid,process,tid,track,ts,dur,cat,name,value@.";
+  let buf = Buffer.create (2 * chunk) in
+  let add = Buffer.add_string buf and add_int = add_int buf in
+  add "pid,process,tid,track,ts,dur,cat,name,value\n";
+  let cats =
+    Array.map (fun c -> "," ^ Span.category_to_string c ^ ",") Span.categories
+  in
   List.iter
     (fun p ->
-      let tids = tids p.events in
-      List.iter
-        (fun e ->
-          let dur, value =
-            match e.Span.kind with
-            | Span.Complete d -> (string_of_int d, "")
-            | Span.Instant -> ("", "")
-            | Span.Value v -> ("", string_of_int v)
-          in
-          Format.fprintf ppf "%d,%s,%d,%s,%d,%s,%s,%s,%s@." p.pid
-            (Table.csv_field p.name)
-            (List.assoc e.Span.track tids)
-            (Table.csv_field e.Span.track) e.Span.ts dur
-            (Span.category_to_string e.Span.cat)
-            (Table.csv_field e.Span.name) value)
-        (ordered p.events))
-    processes
+      let t = p.trace in
+      let _, tid = tids t
+      and process = string_of_int p.pid ^ "," ^ Table.csv_field p.name ^ "," in
+      let tracks =
+        Array.mapi
+          (fun track tid ->
+            process ^ string_of_int tid ^ ","
+            ^ Table.csv_field (Tracer.track_label t track)
+            ^ ",")
+          tid
+      and names = rendered_names Table.csv_field t in
+      Array.iter
+        (fun i ->
+          add tracks.(Tracer.track_of t i);
+          add_int (Tracer.ts t i);
+          Buffer.add_char buf ',';
+          let kind = Tracer.kind t i in
+          if kind = Tracer.Complete then add_int (Tracer.arg t i);
+          add cats.(Span.category_index (Tracer.cat t i));
+          add names.(Tracer.name_of t i);
+          Buffer.add_char buf ',';
+          if kind = Tracer.Value then add_int (Tracer.arg t i);
+          Buffer.add_char buf '\n';
+          spill ppf buf)
+        (ordered t))
+    processes;
+  finish ppf buf
 
 (* Flame-style cycle attribution: cycles per category across all
    processes, each category broken down by span name, sorted by
-   descending cycles (ties by name, so output is deterministic). *)
+   descending cycles (ties by name, so output is deterministic). Within
+   a cell, cycles add up in an array indexed by category and name id;
+   names meet across cells by label. *)
 let summary ppf processes =
-  let add table k v =
-    Hashtbl.replace table k (v + Option.value ~default:0 (Hashtbl.find_opt table k))
-  in
-  let by_cat = Hashtbl.create 8 in
+  let ncats = Array.length Span.categories in
+  let by_cat = Array.make ncats 0 in
   let by_name = Hashtbl.create 64 in
-  let total = ref 0 in
-  let events = ref 0 in
-  let dropped = ref 0 in
+  let total = ref 0 and events = ref 0 and dropped = ref 0 in
   List.iter
     (fun p ->
-      dropped := !dropped + p.dropped;
-      List.iter
-        (fun e ->
-          incr events;
-          let d = Span.duration e in
+      let t = p.trace in
+      dropped := !dropped + Tracer.dropped t;
+      events := !events + Tracer.length t;
+      let nnames = Tracer.names t in
+      let cycles = Array.make (ncats * nnames) 0 in
+      for i = 0 to Tracer.length t - 1 do
+        let d = duration t i in
+        if d > 0 then begin
+          let c = Span.category_index (Tracer.cat t i) in
+          total := !total + d;
+          by_cat.(c) <- by_cat.(c) + d;
+          let k = (c * nnames) + Tracer.name_of t i in
+          cycles.(k) <- cycles.(k) + d
+        end
+      done;
+      Array.iteri
+        (fun k d ->
           if d > 0 then begin
-            total := !total + d;
-            add by_cat e.Span.cat d;
-            add by_name (e.Span.cat, e.Span.name) d
+            let key = (k / nnames, Tracer.name_label t (k mod nnames)) in
+            Hashtbl.replace by_name key
+              (d + Option.value ~default:0 (Hashtbl.find_opt by_name key))
           end)
-        p.events)
+        cycles)
     processes;
   Format.fprintf ppf
     "Cycle attribution (%d processes, %d events, %d dropped)@."
     (List.length processes) !events !dropped;
   Format.fprintf ppf "%s@." (String.make 64 '-');
   let cats =
-    Hashtbl.fold (fun c v acc -> (c, v) :: acc) by_cat []
-    |> List.sort (fun (ca, a) (cb, b) ->
-           match Int.compare b a with
+    List.filter (fun c -> by_cat.(c) > 0) (List.init ncats Fun.id)
+    |> List.sort (fun a b ->
+           match Int.compare by_cat.(b) by_cat.(a) with
            | 0 ->
                String.compare
-                 (Span.category_to_string ca)
-                 (Span.category_to_string cb)
+                 (Span.category_to_string Span.categories.(a))
+                 (Span.category_to_string Span.categories.(b))
            | c -> c)
   in
   List.iter
-    (fun (cat, cycles) ->
+    (fun c ->
+      let cycles = by_cat.(c) in
       let pct =
         if !total = 0 then 0.0
         else 100.0 *. float_of_int cycles /. float_of_int !total
       in
       Format.fprintf ppf "%-10s %14d %5.1f%%@."
-        (Span.category_to_string cat)
+        (Span.category_to_string Span.categories.(c))
         cycles pct;
       Hashtbl.fold
-        (fun (c, name) v acc -> if c = cat then (name, v) :: acc else acc)
+        (fun (c', name) v acc -> if c' = c then (name, v) :: acc else acc)
         by_name []
       |> List.sort (fun (na, a) (nb, b) ->
              match Int.compare b a with 0 -> String.compare na nb | c -> c)

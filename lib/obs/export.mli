@@ -5,13 +5,21 @@
     deterministically ordered output (events sorted by start time, spans
     before their nested children, track/category ties broken
     lexicographically), so exports from identical simulations are
-    byte-identical regardless of runner parallelism. *)
+    byte-identical regardless of runner parallelism.
+
+    They read each cell's integer ring in place: an index array sorted
+    by (start, longer first, recording order), track ids mapped to
+    Chrome tids through an array, each distinct name escaped once, and
+    every line written with [Buffer.add_*] and a decimal writer. The
+    buffer goes to the formatter every 64 KB, so no export holds a whole
+    cell's text. *)
 
 type process = {
   pid : int;  (** Chrome pid; one per simulation cell. *)
   name : string;  (** Cell label, shown as the Chrome process name. *)
-  events : Span.event list;
-  dropped : int;  (** Events lost to the ring-buffer cap. *)
+  trace : Tracer.t;
+      (** The cell's ring; its {!Tracer.dropped} is the count of events
+          lost to the cap. *)
 }
 
 val chrome : Format.formatter -> process list -> unit

@@ -8,6 +8,18 @@ type category =
   | Sched
   | Other
 
+let categories = [| Migrate; Trap; Vmexit; Irq; Stage2; Io; Sched; Other |]
+
+let category_index = function
+  | Migrate -> 0
+  | Trap -> 1
+  | Vmexit -> 2
+  | Irq -> 3
+  | Stage2 -> 4
+  | Io -> 5
+  | Sched -> 6
+  | Other -> 7
+
 let category_to_string = function
   | Migrate -> "migrate"
   | Trap -> "trap"

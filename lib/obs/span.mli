@@ -21,6 +21,12 @@ type category =
   | Sched  (** Simulator scheduling: parked/woken processes, contention. *)
   | Other
 
+val categories : category array
+(** Every category, in declaration order. *)
+
+val category_index : category -> int
+(** The position of a category in {!categories}. *)
+
 val category_to_string : category -> string
 (** Lowercase stable names: ["migrate"], ["trap"], ["vmexit"], ["irq"],
     ["stage2"], ["io"], ["sched"], ["other"]. *)

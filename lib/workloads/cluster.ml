@@ -47,16 +47,21 @@ type matrix_result = {
   dropped : int;
 }
 
-let run_matrix ?(chunks = 16) ?(window = 4) ?(vms = 4) ?(spec = Topology.Pair)
-    ?queue_capacity ?uplink_gbps (hyp : Hypervisor.t) =
+let matrix_window = 4
+
+let run_matrix ?(chunks = 16) ?(window = matrix_window) ?(vms = 4)
+    ?(spec = Topology.Pair) ?queue_capacity ?uplink_gbps (hyp : Hypervisor.t) =
   if chunks < 1 then invalid_arg "Cluster.run_matrix: chunks < 1";
   if window < 1 then invalid_arg "Cluster.run_matrix: window < 1";
   if vms < 2 then invalid_arg "Cluster.run_matrix: vms < 2";
+  (* The sender waits for each chunk's delivery, so a measured chunk an
+     egress queue dropped would block it for good: the queue must hold
+     the whole window. Only the unmeasured learning frames can drop. *)
+  let queue_capacity = Option.value queue_capacity ~default:(2 * window) in
+  if queue_capacity < window then
+    invalid_arg "Cluster.run_matrix: queue_capacity < window";
   let machine = hyp.Hypervisor.machine in
   let sim = Machine.sim machine in
-  (* Default egress queues hold the full window, so the stock matrix
-     never drops; an explicit (smaller) capacity measures loss. *)
-  let queue_capacity = Option.value queue_capacity ~default:(2 * window) in
   let topo = Topology.build ~queue_capacity ?uplink_gbps ~vms hyp spec in
   let hz = Machine.freq_ghz machine *. 1e9 in
   let results = ref [] in

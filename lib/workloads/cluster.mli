@@ -34,6 +34,9 @@ type matrix_result = {
   dropped : int;  (** Egress-queue drops (0 when the window fits). *)
 }
 
+val matrix_window : int
+(** The chunks {!run_matrix} keeps in flight by default: 4. *)
+
 val run_matrix :
   ?chunks:int ->
   ?window:int ->
@@ -47,9 +50,12 @@ val run_matrix :
     GRO aggregates with [window] (default 4) in flight. Same-host
     pairs bound on the hypervisor's port costs — zero-copy vhost far
     above Xen's per-byte Dom0 copies — and cross-host pairs add the
-    10 GbE uplink. [queue_capacity] defaults to twice the window (no
-    drops); a smaller value measures loss. Raises [Invalid_argument]
-    on non-positive parameters or [vms < 2]. *)
+    10 GbE uplink. [queue_capacity] defaults to twice the window. The
+    sender waits for each chunk's delivery, so a queue that dropped a
+    measured chunk would block the run: a capacity below [window] is
+    rejected, and [dropped] counts only the unmeasured MAC-learning
+    frames a full queue lost. Raises [Invalid_argument] on non-positive
+    parameters, [vms < 2] or [queue_capacity < window]. *)
 
 val matrix_mean : cross:bool -> matrix_result -> float
 (** Mean Gbps over the same-host ([cross:false]) or cross-host pairs;

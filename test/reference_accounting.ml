@@ -175,7 +175,7 @@ let scan_cell (p : Export.process) =
                       in
                       hist_add acc (e.Span.ts - ts0))
               | Some (Op { hyp; op }) -> bump a.op_counts (hyp, op))))
-    p.Export.events;
+    (Armvirt_obs.Tracer.events p.Export.trace);
   machines
 
 let by_count_then_reason (ra, ca, _) (rb, cb, _) =

@@ -213,11 +213,11 @@ let prop_interned_traffic_matches_reference =
             (Some
                {
                  Machine.spend =
-                   (fun ~label ~cat ~cycles ~now ->
+                   (fun ~id:_ ~label ~cat ~cycles ~now ->
                      check_cat cat (Armvirt_obs.Span.of_label label);
                      seen.(i) <- (label, cycles, Cycles.to_int now) :: seen.(i));
                  count =
-                   (fun ~marker ~label ~cat ~now ->
+                   (fun ~id:_ ~marker ~label ~cat ~now ->
                      check_cat cat (Marker.category marker);
                      seen_count.(i) <-
                        (marker, label, Cycles.to_int now) :: seen_count.(i));

@@ -61,6 +61,23 @@ let test_matrix_deterministic () =
   let b = Cluster.run_matrix ~vms:4 (kvm_arm ()) in
   Alcotest.(check bool) "same bytes out" true (a = b)
 
+(* The sender waits for every chunk, so a queue that could drop one
+   would block the matrix for good: below the window it is refused
+   before anything runs; at the window it finishes without a drop. *)
+let test_matrix_queue_holds_window () =
+  Alcotest.check_raises "queue below the window"
+    (Invalid_argument "Cluster.run_matrix: queue_capacity < window")
+    (fun () ->
+      ignore
+        (Cluster.run_matrix ~vms:4
+           ~queue_capacity:(Cluster.matrix_window - 1)
+           (kvm_arm ())));
+  let r =
+    Cluster.run_matrix ~vms:4 ~queue_capacity:Cluster.matrix_window (kvm_arm ())
+  in
+  Alcotest.(check int) "every ordered pair measured" 12
+    (List.length r.Cluster.pairs)
+
 (* --- service chain ------------------------------------------------- *)
 
 let test_chain_hops () =
@@ -195,6 +212,8 @@ let () =
           Alcotest.test_case "cross-host wire bound" `Quick
             test_matrix_cross_host_wire_bound;
           Alcotest.test_case "deterministic" `Quick test_matrix_deterministic;
+          Alcotest.test_case "queue holds the window" `Quick
+            test_matrix_queue_holds_window;
         ] );
       ( "chain",
         [

@@ -642,6 +642,33 @@ let test_repo_gate_catches_injection () =
   Alcotest.(check int) "today's tree has no finding" 0
     (List.length clean.Report.findings)
 
+(* dune writes an empty interface for each executable into _build: a
+   tree holding such a stub scans the same files as one without, and a
+   real interface next to it still counts. *)
+let test_scan_skips_dune_stubs () =
+  let root = Filename.temp_dir "armvirt_lint" "" in
+  let write relpath contents =
+    let path = Filename.concat root relpath in
+    if not (Sys.file_exists (Filename.dirname path)) then
+      Sys.mkdir (Filename.dirname path) 0o755;
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  in
+  write "lib/a.ml" "let x = 1\n";
+  write "lib/a.mli" "val x : int\n";
+  write "bin/main.ml" "let () = ignore A.x\n";
+  let without = Driver.scan_files ~root in
+  write "bin/main.mli" "(* Auto-generated by Dune *)";
+  let with_stub = Driver.scan_files ~root in
+  write "bin/tool.mli" "(* Not generated *)\nval run : unit -> unit\n";
+  let with_interface = Driver.scan_files ~root in
+  List.iter
+    (fun rel -> Sys.remove (Filename.concat root rel))
+    [ "lib/a.ml"; "lib/a.mli"; "bin/main.ml"; "bin/main.mli"; "bin/tool.mli" ];
+  List.iter (fun d -> Sys.rmdir (Filename.concat root d)) [ "lib"; "bin"; "" ];
+  Alcotest.(check (list string)) "the stub is not scanned" without with_stub;
+  Alcotest.(check int) "a written interface is" (List.length without + 1)
+    (List.length with_interface)
+
 let () =
   Alcotest.run "lint"
     [
@@ -687,6 +714,8 @@ let () =
           Alcotest.test_case "parse error" `Quick test_parse_error;
           Alcotest.test_case "pass registration" `Quick test_pass_registration;
           Alcotest.test_case "pass scoping" `Quick test_pass_scoping;
+          Alcotest.test_case "scan skips dune stubs" `Quick
+            test_scan_skips_dune_stubs;
         ] );
       ( "report",
         [

@@ -4,7 +4,6 @@
    boundaries, export determinism across --jobs levels, the domain-local
    create hook, and the traced-off = seed invariant. *)
 
-module Ring = Armvirt_obs.Ring
 module Span = Armvirt_obs.Span
 module Tracer = Armvirt_obs.Tracer
 module Metrics = Armvirt_obs.Metrics
@@ -16,35 +15,55 @@ module Platform = Armvirt_core.Platform
 module Machine = Armvirt_arch.Machine
 module Marker = Armvirt_obs.Marker
 module Sim = Armvirt_engine.Sim
+module Rng = Armvirt_engine.Rng
 module W = Armvirt_workloads
 
-(* --- Ring ---------------------------------------------------------- *)
+(* --- The ring -------------------------------------------------------- *)
+
+(* [n] instants at times 1 .. n on one track. *)
+let record_instants tracer n =
+  let track = Tracer.track tracer "t" and name = Tracer.name tracer "e" in
+  for ts = 1 to n do
+    Tracer.instant tracer ~track ~cat:Span.Other ~name ~ts
+  done
+
+let times tracer = List.init (Tracer.length tracer) (Tracer.ts tracer)
 
 let test_ring_unbounded_chronological () =
-  let r = Ring.create () in
-  for i = 1 to 1000 do
-    Ring.push r i
-  done;
-  Alcotest.(check int) "length" 1000 (Ring.length r);
-  Alcotest.(check int) "dropped" 0 (Ring.dropped r);
+  let r = Tracer.create () in
+  record_instants r 1000;
+  Alcotest.(check int) "length" 1000 (Tracer.length r);
+  Alcotest.(check int) "dropped" 0 (Tracer.dropped r);
   Alcotest.(check (list int)) "oldest first" (List.init 1000 (fun i -> i + 1))
-    (Ring.to_list r)
+    (times r)
 
 let test_ring_capped_drops_oldest () =
-  let r = Ring.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Ring.push r i
-  done;
-  Alcotest.(check int) "length at cap" 4 (Ring.length r);
-  Alcotest.(check int) "dropped" 6 (Ring.dropped r);
+  let r = Tracer.create ~capacity:4 () in
+  record_instants r 10;
+  Alcotest.(check int) "length at cap" 4 (Tracer.length r);
+  Alcotest.(check int) "dropped" 6 (Tracer.dropped r);
   Alcotest.(check (list int)) "keeps newest, in order" [ 7; 8; 9; 10 ]
-    (Ring.to_list r)
-
+    (times r)
 
 let test_ring_rejects_zero_capacity () =
   Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Ring.create: capacity < 1") (fun () ->
-      ignore (Ring.create ~capacity:0 ()))
+    (Invalid_argument "Tracer.create: capacity < 1") (fun () ->
+      ignore (Tracer.create ~capacity:0 ()))
+
+(* An id is an index into one tracer's interned strings: one the tracer
+   never handed out would decode as another event's track or name. *)
+let test_ring_rejects_foreign_ids () =
+  let r = Tracer.create () in
+  let track = Tracer.track r "cpu" and name = Tracer.name r "step" in
+  Alcotest.(check int) "interning is idempotent" track (Tracer.track r "cpu");
+  List.iter
+    (fun (what, track, name) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Tracer: track or name not interned by this tracer")
+        (fun () -> Tracer.instant r ~track ~cat:Span.Other ~name ~ts:0))
+    [ ("track", track + 1, name); ("name", track, name + 1);
+      ("negative", -1, name) ];
+  Alcotest.(check int) "nothing recorded" 0 (Tracer.length r)
 
 (* --- Span classification ------------------------------------------- *)
 
@@ -191,8 +210,8 @@ let test_capture_reads_counters () =
       | rows -> Alcotest.failf "expected one row, got %d" (List.length rows))
     [ traced; untraced ];
   Alcotest.(check int) "traced: six machine events and the spawn" 7
-    (List.length traced.events);
-  Alcotest.(check int) "untraced: no events" 0 (List.length untraced.events)
+    (Tracer.length traced.trace);
+  Alcotest.(check int) "untraced: no events" 0 (Tracer.length untraced.trace)
 
 (* Many spends completing at one instant keep their recording order. *)
 let test_trace_events_chronological () =
@@ -210,6 +229,41 @@ let test_trace_events_chronological () =
     (List.map (fun (e : Span.event) -> e.name) events);
   Alcotest.(check bool) "all at t=0" true
     (List.for_all (fun (e : Span.event) -> e.ts = 0) events)
+
+(* Once the ring has grown and the sink has seen each op, a traced
+   Machine.spend records three ints: the same spends allocate exactly as
+   many minor words through Observe.machine_sink as with no sink, on the
+   growing ring and at the cap, measured as in "session costs
+   engine-only runs nothing". One process per run on one sim and one
+   machine keeps the engine's own allocation identical across runs. *)
+let test_traced_spend_allocates_nothing () =
+  let sim = Sim.create () in
+  let machine = arm_machine sim in
+  let ops =
+    Array.init 8 (fun i -> Machine.op machine (Printf.sprintf "kvm_arm.step%d" i))
+  in
+  let run n =
+    Sim.spawn sim ~name:"worker" (fun () ->
+        for i = 1 to n do
+          Machine.spend ops.(i land 7) (1 + (i land 15))
+        done);
+    let before = Gc.minor_words () in
+    Sim.run sim;
+    Gc.minor_words () -. before
+  in
+  ignore (run 8);
+  let untraced = run 200 in
+  let traced tracer ~warm =
+    Machine.attach machine (Some (Observe.machine_sink ~track:"cpu" tracer));
+    ignore (run warm);
+    run 200
+  in
+  (* 300 warm-up spends grow the ring to 512 slots; 200 more fit. *)
+  Alcotest.(check (float 0.)) "growing ring" untraced
+    (traced (Tracer.create ()) ~warm:300);
+  let capped = Tracer.create ~capacity:64 () in
+  Alcotest.(check (float 0.)) "at the cap" untraced (traced capped ~warm:100);
+  Alcotest.(check int) "the capped ring dropped" 236 (Tracer.dropped capped)
 
 (* --- Metrics: histogram bucket boundaries -------------------------- *)
 
@@ -351,54 +405,68 @@ let test_label_value_order_canonical () =
 
 (* --- Golden: Chrome trace JSON ------------------------------------- *)
 
+(* Records a decoded event into a tracer, interning its strings. *)
+let record trace (e : Span.event) =
+  let track = Tracer.track trace e.track and name = Tracer.name trace e.name in
+  match e.kind with
+  | Span.Complete dur ->
+      Tracer.complete trace ~track ~cat:e.cat ~name ~ts:e.ts ~dur
+  | Span.Instant -> Tracer.instant trace ~track ~cat:e.cat ~name ~ts:e.ts
+  | Span.Value value ->
+      Tracer.value trace ~track ~cat:e.cat ~name ~ts:e.ts ~value
+
 let chrome_sample () =
-  [
-    {
-      Export.pid = 0;
-      name = "cell-a";
-      dropped = 1;
-      events =
-        [
-          (* Recorded out of start order and with a tie at ts=0: the
-             exporter must sort by (ts, dur desc, recording order). *)
-          {
-            Span.ts = 5;
-            track = "cpu";
-            cat = Span.Io;
-            name = "tx";
-            kind = Span.Complete 3;
-          };
-          {
-            Span.ts = 0;
-            track = "cpu";
-            cat = Span.Vmexit;
-            name = "inner";
-            kind = Span.Complete 2;
-          };
-          {
-            Span.ts = 0;
-            track = "cpu";
-            cat = Span.Sched;
-            name = "outer";
-            kind = Span.Complete 10;
-          };
-          {
-            Span.ts = 2;
-            track = "worker";
-            cat = Span.Sched;
-            name = "spawn";
-            kind = Span.Instant;
-          };
-          {
-            Span.ts = 4;
-            track = "mb:inbox";
-            cat = Span.Io;
-            name = "inbox";
-            kind = Span.Value 2;
-          };
-        ];
-    };
-  ]
+  let trace = Tracer.create ~capacity:5 () in
+  List.iter (record trace)
+    [
+      (* Lost to the cap: the cell reports one dropped event, and its
+         track and name appear nowhere. *)
+      {
+        Span.ts = 0;
+        track = "lost";
+        cat = Span.Other;
+        name = "lost";
+        kind = Span.Complete 1;
+      };
+      (* Recorded out of start order and with a tie at ts=0: the
+         exporter must sort by (ts, dur desc, recording order). *)
+      {
+        Span.ts = 5;
+        track = "cpu";
+        cat = Span.Io;
+        name = "tx";
+        kind = Span.Complete 3;
+      };
+      {
+        Span.ts = 0;
+        track = "cpu";
+        cat = Span.Vmexit;
+        name = "inner";
+        kind = Span.Complete 2;
+      };
+      {
+        Span.ts = 0;
+        track = "cpu";
+        cat = Span.Sched;
+        name = "outer";
+        kind = Span.Complete 10;
+      };
+      {
+        Span.ts = 2;
+        track = "worker";
+        cat = Span.Sched;
+        name = "spawn";
+        kind = Span.Instant;
+      };
+      {
+        Span.ts = 4;
+        track = "mb:inbox";
+        cat = Span.Io;
+        name = "inbox";
+        kind = Span.Value 2;
+      };
+    ];
+  [ { Export.pid = 0; name = "cell-a"; trace } ]
 
 let chrome_golden =
   "{\"traceEvents\":[\n\
@@ -417,32 +485,119 @@ let test_chrome_golden () =
   Alcotest.(check string) "chrome trace output" chrome_golden
     (Format.asprintf "%a" Export.chrome (chrome_sample ()))
 
+(* One row per event in the chrome order; an empty dur or value cell
+   where the kind has none. *)
+let csv_golden =
+  "pid,process,tid,track,ts,dur,cat,name,value\n\
+   0,cell-a,1,cpu,0,10,sched,outer,\n\
+   0,cell-a,1,cpu,0,2,vmexit,inner,\n\
+   0,cell-a,3,worker,2,,sched,spawn,\n\
+   0,cell-a,2,mb:inbox,4,,io,inbox,2\n\
+   0,cell-a,1,cpu,5,3,io,tx,\n"
+
 let test_csv_export () =
-  let lines =
-    Format.asprintf "%a" Export.csv (chrome_sample ())
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  Alcotest.(check string) "header" "pid,process,tid,track,ts,dur,cat,name,value"
-    (List.hd lines);
-  Alcotest.(check int) "one row per event" 6 (List.length lines);
-  Alcotest.(check string) "outer span row first" "0,cell-a,1,cpu,0,10,sched,outer,"
-    (List.nth lines 1)
+  Alcotest.(check string) "csv output" csv_golden
+    (Format.asprintf "%a" Export.csv (chrome_sample ()))
+
+(* sched (10) > io (3) > vmexit (2); instants and values count as events
+   but contribute no cycles. *)
+let summary_golden =
+  "Cycle attribution (1 processes, 5 events, 1 dropped)\n\
+   ----------------------------------------------------------------\n\
+   sched                  10  66.7%\n\
+  \  outer                                              10\n\
+   io                      3  20.0%\n\
+  \  tx                                                  3\n\
+   vmexit                  2  13.3%\n\
+  \  inner                                               2\n\
+   ----------------------------------------------------------------\n\
+   total                  15\n"
 
 let test_summary_export () =
-  let out = Format.asprintf "%a" Export.summary (chrome_sample ()) in
-  (* sched (10) > io (3) > vmexit (2); instants and values contribute no
-     cycles. Categories print in descending cycle order. *)
-  Alcotest.(check bool) "mentions total" true (index_of out "total" >= 0);
-  let sched_pos = index_of out "sched" and io_pos = index_of out "\nio" in
-  Alcotest.(check bool) "sched listed" true (sched_pos >= 0);
-  Alcotest.(check bool) "io listed" true (io_pos >= 0);
-  Alcotest.(check bool) "sched ranked before io" true (sched_pos < io_pos)
+  Alcotest.(check string) "summary output" summary_golden
+    (Format.asprintf "%a" Export.summary (chrome_sample ()))
+
+(* --- The exporters against the record ring they replaced ------------ *)
+
+(* Names and cell labels from pieces JSON must escape (quote, backslash,
+   control bytes) and CSV must quote (comma, quote, CR, LF). *)
+let name_pieces =
+  [| "cpu"; "kvm_arm.hvc"; ","; "\""; "\\"; "\n"; "\r"; "\t"; "\x01";
+     "\xc3\xa9"; " "; "mb:" |]
+
+let random_name rng =
+  String.concat ""
+    (List.init (1 + Rng.int rng ~bound:3) (fun _ ->
+         name_pieces.(Rng.int rng ~bound:(Array.length name_pieces))))
+
+(* Small start times and durations so ties and nesting are common, a
+   few tracks and names per cell, values of either sign. *)
+let random_event rng ~tracks ~names =
+  let pick a = a.(Rng.int rng ~bound:(Array.length a)) in
+  {
+    Span.ts = Rng.int rng ~bound:12;
+    track = pick tracks;
+    cat = pick Span.categories;
+    name = pick names;
+    kind =
+      (match Rng.int rng ~bound:3 with
+      | 0 -> Span.Complete (Rng.int rng ~bound:6)
+      | 1 -> Span.Instant
+      | _ -> Span.Value (Rng.int rng ~bound:2001 - 1000));
+  }
+
+(* One to three cells, each recorded into both rings: half of them
+   capped below their event count, so they drop. *)
+let random_cells seed =
+  let rng = Rng.create ~seed in
+  List.init (1 + Rng.int rng ~bound:3) (fun pid ->
+      let tracks = Array.init (1 + Rng.int rng ~bound:4) (fun _ -> random_name rng)
+      and names = Array.init (1 + Rng.int rng ~bound:6) (fun _ -> random_name rng) in
+      let events =
+        List.init (Rng.int rng ~bound:40) (fun _ -> random_event rng ~tracks ~names)
+      in
+      let capacity =
+        if Rng.bool rng then Some (1 + Rng.int rng ~bound:30) else None
+      in
+      let trace = Tracer.create ?capacity ()
+      and reference = Reference_export.tracer ?capacity () in
+      List.iter
+        (fun (e : Span.event) ->
+          record trace e;
+          match e.kind with
+          | Span.Complete dur ->
+              Reference_export.complete reference ~track:e.track ~cat:e.cat
+                ~name:e.name ~ts:e.ts ~dur
+          | Span.Instant ->
+              Reference_export.instant reference ~track:e.track ~cat:e.cat
+                ~name:e.name ~ts:e.ts
+          | Span.Value value ->
+              Reference_export.value reference ~track:e.track ~cat:e.cat
+                ~name:e.name ~ts:e.ts ~value)
+        events;
+      let name = random_name rng in
+      ( { Export.pid; name; trace },
+        Reference_export.process ~pid ~name reference ))
+
+let exports_match_reference seed =
+  let cells = random_cells seed in
+  let ours = List.map fst cells and theirs = List.map snd cells in
+  let render pp x = Format.asprintf "%a" pp x in
+  let chrome = render Export.chrome ours in
+  chrome = render Reference_export.chrome theirs
+  && render Export.csv ours = render Reference_export.csv theirs
+  && render Export.summary ours = render Reference_export.summary theirs
+  && Result.is_ok (Json.parse chrome)
+
+let prop_exports_match_reference =
+  QCheck.Test.make ~count:500
+    ~name:"integer ring exports the record ring's chrome, csv and summary bytes"
+    QCheck.(make ~print:string_of_int Gen.int)
+    exports_match_reference
 
 (* --- Table ---------------------------------------------------------- *)
 
 module Table = Armvirt_obs.Table
-module Rng = Armvirt_engine.Rng
 
 (* Cells built from what CSV must quote and markdown must escape. *)
 let cell_pieces =
@@ -675,19 +830,21 @@ let run_traced_cells ~jobs =
             i)
           [ 0; 1; 2; 3; 4; 5 ]
       in
-      let trace =
-        Format.asprintf "%a" Export.chrome (Observe.processes ())
-      in
-      (results, trace))
+      let export pp = Format.asprintf "%a" pp (Observe.processes ()) in
+      (results, List.map export [ Export.chrome; Export.csv; Export.summary ]))
 
 let test_export_deterministic_across_jobs () =
   let r1, t1 = run_traced_cells ~jobs:1 in
   let r4, t4 = run_traced_cells ~jobs:4 in
   Alcotest.(check (list int)) "results in input order" [ 0; 1; 2; 3; 4; 5 ] r1;
   Alcotest.(check (list int)) "parallel results identical" r1 r4;
-  Alcotest.(check string) "chrome export byte-identical" t1 t4;
+  List.iter2
+    (fun format (a, b) ->
+      Alcotest.(check string) (format ^ " export byte-identical") a b)
+    [ "chrome"; "csv"; "summary" ]
+    (List.combine t1 t4);
   Alcotest.(check bool) "trace is non-trivial" true
-    (String.length t1 > 500)
+    (String.length (List.hd t1) > 500)
 
 let test_cell_labels_in_input_order () =
   Observe.enable ~trace:false ~context:"lbl" ();
@@ -731,7 +888,7 @@ let test_create_hook_domain_local () =
             match e.kind with
             | Span.Complete _ -> Some (e.track, e.name)
             | _ -> None)
-          c.events
+          (Tracer.events c.trace)
   in
   Observe.enable ~trace:true ~context:"hook" ();
   Fun.protect ~finally:Observe.disable (fun () ->
@@ -780,7 +937,7 @@ let test_tracing_does_not_change_results () =
   match cell with
   | Some c ->
       Alcotest.(check bool) "cell recorded events" true
-        (List.length c.Observe.events > 0)
+        (Tracer.length c.Observe.trace > 0)
   | None -> Alcotest.fail "capture returned no cell"
 
 let test_untraced_capture_is_transparent () =
@@ -819,8 +976,8 @@ let test_session_costs_engine_only_nothing () =
       match cell with
       | None -> Alcotest.fail "capture returned no cell"
       | Some c ->
-          Alcotest.(check int) "no events recorded" 0 (List.length c.events);
-          Alcotest.(check int) "nothing dropped" 0 c.dropped)
+          Alcotest.(check int) "no events recorded" 0 (Tracer.length c.trace);
+          Alcotest.(check int) "nothing dropped" 0 (Tracer.dropped c.trace))
 
 (* --- Mailbox depth through the tracer glue -------------------------- *)
 
@@ -840,8 +997,10 @@ let test_mailbox_depth_value_events () =
          on_contention = (fun ~resource:_ ~proc:_ ~at:_ ~waited:_ -> ());
          on_queue_depth =
            (fun ~mailbox ~at ~depth ->
-             Tracer.value tracer ~track:("mb:" ^ mailbox) ~cat:Span.Io
-               ~name:mailbox ~ts:at ~value:depth);
+             Tracer.value tracer
+               ~track:(Tracer.track tracer ("mb:" ^ mailbox))
+               ~cat:Span.Io ~name:(Tracer.name tracer mailbox) ~ts:at
+               ~value:depth);
        });
   let mb = Sim.Mailbox.create ~name:"inbox" sim in
   Sim.spawn sim ~name:"consumer" (fun () ->
@@ -877,6 +1036,8 @@ let () =
             test_ring_capped_drops_oldest;
           Alcotest.test_case "rejects zero capacity" `Quick
             test_ring_rejects_zero_capacity;
+          Alcotest.test_case "rejects foreign ids" `Quick
+            test_ring_rejects_foreign_ids;
         ] );
       ( "span",
         [
@@ -890,6 +1051,8 @@ let () =
             test_capture_reads_counters;
           Alcotest.test_case "events chronological" `Quick
             test_trace_events_chronological;
+          Alcotest.test_case "traced spend allocates nothing" `Quick
+            test_traced_spend_allocates_nothing;
         ] );
       ( "metrics",
         [
@@ -923,6 +1086,7 @@ let () =
           Alcotest.test_case "chrome golden" `Quick test_chrome_golden;
           Alcotest.test_case "csv" `Quick test_csv_export;
           Alcotest.test_case "summary" `Quick test_summary_export;
+          QCheck_alcotest.to_alcotest prop_exports_match_reference;
         ] );
       ( "observe",
         [

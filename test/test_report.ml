@@ -176,6 +176,83 @@ let test_markdown_cell_formats () =
               (contains title "paper in parentheses"))
         sections
 
+(* --- EXPERIMENTS.md ------------------------------------------------------ *)
+
+(* EXPERIMENTS.md's Table V states what [Report.table5] computes: every
+   cell, measured and paper value, at the precision the document gives
+   it ("10,404 (10,253)" for "10403.6 (10253.0)", "—" for "-"), and the
+   transaction-time ratios quoted under the table. *)
+let test_experiments_table5 () =
+  let doc =
+    In_channel.with_open_bin (Filename.concat ".." "EXPERIMENTS.md")
+      In_channel.input_all
+  in
+  let rows = (Report.table5 (Armvirt_core.Experiment.table5 ())).rows in
+  (* The markdown rows under "## Table V", header and rule dropped. *)
+  let doc_rows =
+    let rec table = function
+      | l :: rest when String.starts_with ~prefix:"|" l -> l :: table rest
+      | "" :: rest -> table rest
+      | _ -> []
+    in
+    let rec from = function
+      | l :: rest when String.starts_with ~prefix:"## Table V" l -> table rest
+      | _ :: rest -> from rest
+      | [] -> []
+    in
+    match from (String.split_on_char '\n' doc) with
+    | _ :: _ :: rows ->
+        List.map
+          (fun l ->
+            String.split_on_char '|' l |> List.map String.trim
+            |> List.filter (( <> ) ""))
+          rows
+    | _ -> []
+  in
+  let strip s =
+    String.of_seq
+      (Seq.filter (fun c -> not (String.contains "()," c)) (String.to_seq s))
+  in
+  let states d r =
+    let d = List.map strip (String.split_on_char ' ' d)
+    and r = List.map strip (String.split_on_char ' ' r) in
+    List.length d = List.length r
+    && List.for_all2
+         (fun d r ->
+           (d = "\u{2014}" && r = "-")
+           ||
+           let decimals =
+             match String.index_opt d '.' with
+             | Some i -> String.length d - i - 1
+             | None -> 0
+           in
+           match float_of_string_opt r with
+           | Some v -> Printf.sprintf "%.*f" decimals v = d
+           | None -> false)
+         d r
+  in
+  Alcotest.(check int) "every row documented" (List.length rows)
+    (List.length doc_rows);
+  List.iter2
+    (fun doc_row row ->
+      List.iter2
+        (fun d r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: EXPERIMENTS.md %S, run table5 %S"
+               (List.hd row) d r)
+            true (states d r))
+        (List.tl doc_row) (List.tl row))
+    doc_rows rows;
+  let time col =
+    let row = List.find (fun r -> List.hd r = "Time/trans (us)") rows in
+    float_of_string (List.hd (String.split_on_char ' ' (List.nth row col)))
+  in
+  let ratio =
+    Printf.sprintf "%.2f/%.2f\u{00d7} measured" (time 2 /. time 1)
+      (time 3 /. time 1)
+  in
+  Alcotest.(check bool) ("states " ^ ratio) true (contains doc ratio)
+
 let () =
   Alcotest.run "report"
     [
@@ -188,4 +265,6 @@ let () =
           Alcotest.test_case "full report" `Quick test_markdown_full_report;
           Alcotest.test_case "cell formats" `Quick test_markdown_cell_formats;
         ] );
+      ( "experiments",
+        [ Alcotest.test_case "table5 cells" `Quick test_experiments_table5 ] );
     ]

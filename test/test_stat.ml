@@ -312,23 +312,11 @@ let test_per_domain_csv () =
 
 let test_csv_escaping () =
   let evil = "a,b\"c\r\nd" in
-  let p =
-    {
-      Export.pid = 0;
-      name = evil;
-      dropped = 0;
-      events =
-        [
-          {
-            Span.ts = 10;
-            track = "cpu";
-            cat = Span.Other;
-            name = evil;
-            kind = Span.Complete 5;
-          };
-        ];
-    }
-  in
+  let trace = Armvirt_obs.Tracer.create () in
+  Armvirt_obs.Tracer.(
+    complete trace ~track:(track trace "cpu") ~cat:Span.Other
+      ~name:(name trace evil) ~ts:10 ~dur:5);
+  let p = { Export.pid = 0; name = evil; trace } in
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
   Export.csv fmt [ p ];
@@ -447,7 +435,9 @@ let counters_match_trace seed =
           acct
       in
       let processes = Observe.processes () in
-      List.for_all (fun (p : Export.process) -> p.dropped = 0) processes
+      List.for_all
+        (fun (p : Export.process) -> Armvirt_obs.Tracer.dropped p.trace = 0)
+        processes
       && render (Stat_report.of_session ())
          = render (Reference_accounting.of_processes processes))
 
