@@ -13,11 +13,10 @@
                    noisy-neighbor p99 vs fleet size
      cluster       VM-to-VM traffic over the virtual switch fabric:
                    throughput matrix, service chain, load-generator sweep
-     lint          statically check the determinism invariants and that
-                   every export has a caller (lib/lint)
 
    Experiments come from Report.registry; this file only wires them to
-   flags. *)
+   flags. The linter is its own executable, armvirt-lint
+   (bin/armvirt_lint.ml). *)
 
 module Platform = Armvirt_core.Platform
 module Experiment = Armvirt_core.Experiment
@@ -93,7 +92,21 @@ let hyp_arg =
     value
     & opt hyp_conv (Some Platform.Kvm)
     & info [ "H"; "hypervisor" ] ~docv:"HYP"
-        ~doc:"Hypervisor: kvm, xen or native.")
+        ~doc:
+          "Hypervisor: kvm, xen or native. With $(b,-p arm-vhe) only kvm or \
+           native: Xen is a Type 1 hypervisor, which VHE does not change, \
+           so there is no arm-vhe Xen model.")
+
+(* -p and -H as one configuration. The one pair with no model is
+   rejected here, before anything runs. *)
+let config_args =
+  let check platform hyp =
+    match (platform, hyp) with
+    | Platform.Arm_m400_vhe, Some Platform.Xen ->
+        reject "-p arm-vhe takes -H kvm or native: there is no VHE Xen model"
+    | _ -> (platform, hyp)
+  in
+  Term.(const check $ platform_arg $ hyp_arg)
 
 let resolve platform hyp =
   match hyp with
@@ -132,19 +145,32 @@ let out_arg =
     & info [ "o"; "out" ] ~docv:"FILE"
         ~doc:"Output file; $(b,-) (default) writes to stdout.")
 
-(* The one "-" or path writer: [render] goes to stdout for "-"; otherwise
-   to [path], followed by a "wrote PATH" status line on stdout ending in
+(* Where a report goes: stdout for "-", else a file. A command opens
+   each of its outputs after checking its arguments and before it runs
+   anything, so a path it cannot write is a rejected argument, not an
+   internal error after the run. *)
+type output = Stdout | File of string * out_channel
+
+let open_output = function
+  | "-" -> Stdout
+  | path -> (
+      match open_out path with
+      | oc -> File (path, oc)
+      | exception Sys_error msg -> reject "cannot write output: %s" msg)
+
+(* The one output writer: [render] goes to stdout, or to the file
+   followed by a "wrote PATH" status line on stdout ending in
    [detail]. *)
-let write_out ?(detail = "") path render =
-  match path with
-  | "-" ->
+let write_out ?(detail = "") output render =
+  match output with
+  | Stdout ->
       render Format.std_formatter;
       Format.pp_print_flush Format.std_formatter ()
-  | path ->
-      Out_channel.with_open_text path (fun oc ->
-          let out = Format.formatter_of_out_channel oc in
-          render out;
-          Format.pp_print_flush out ());
+  | File (path, oc) ->
+      let out = Format.formatter_of_out_channel oc in
+      render out;
+      Format.pp_print_flush out ();
+      close_out oc;
       Format.fprintf ppf "wrote %s%s@." path detail
 
 let table_format = Arg.enum [ ("md", `Md); ("csv", `Csv) ]
@@ -191,14 +217,14 @@ let traced_cell label f =
   Observe.record_cells [| cell |];
   v
 
-let write_trace ~format path =
+let write_trace ~format output =
   let procs = Observe.processes () in
   let events =
     List.fold_left
       (fun acc (p : Export.process) -> acc + Tracer.length p.trace)
       0 procs
   in
-  write_out path
+  write_out output
     ~detail:(Printf.sprintf " (%d cells, %d events)" (List.length procs) events)
     (fun out ->
       match format with
@@ -223,9 +249,9 @@ let stat_file_arg =
            attribution) as $(b,armvirt.stat/v1) JSON to $(docv); \
            $(b,-) writes it to stdout.")
 
-let write_stat ~context path =
+let write_stat ~context output =
   let acct = Stat_report.of_session () in
-  write_out path
+  write_out output
     ~detail:
       (Printf.sprintf " (%d accounting rows)"
          (List.length acct.Armvirt_obs.Accounting.vms))
@@ -259,17 +285,20 @@ let warn_dropped () =
 
 (* Tracing, [--stat] and [--verbose] share a session: all need the
    machines instrumented; they differ in what is exported afterwards,
-   and only a trace export records ring events. *)
+   and only a trace export records ring events. The trace and stat
+   files are opened before [f] runs. *)
 let with_session ~context ?(verbose = false) s f =
   apply_jobs s.jobs;
-  if s.trace_file = None && s.stat_file = None && not verbose then f ()
+  let trace = Option.map open_output s.trace_file in
+  let stat = Option.map open_output s.stat_file in
+  if Option.is_none trace && Option.is_none stat && not verbose then f ()
   else begin
-    Observe.enable ~trace:(s.trace_file <> None) ~context ();
+    Observe.enable ~trace:(Option.is_some trace) ~context ();
     Fun.protect ~finally:Observe.disable (fun () ->
         let v = f () in
-        Option.iter (write_trace ~format:`Chrome) s.trace_file;
-        Option.iter (write_stat ~context) s.stat_file;
-        if s.trace_file <> None then warn_dropped ();
+        Option.iter (write_trace ~format:`Chrome) trace;
+        Option.iter (write_stat ~context) stat;
+        if Option.is_some trace then warn_dropped ();
         if verbose then print_verbose ppf;
         v)
   end
@@ -379,7 +408,7 @@ let micro_cmd =
       value & opt positive_int 32
       & info [ "iterations" ] ~docv:"N" ~doc:"Iterations per microbenchmark.")
   in
-  let run platform hyp iterations session =
+  let run (platform, hyp) iterations session =
     with_session ~context:"micro" session (fun () ->
         (* The hypervisor (and its machine) must be built inside the
            captured cell so the tracer attaches to it. *)
@@ -397,7 +426,7 @@ let micro_cmd =
   in
   Cmd.v
     (Cmd.info "micro" ~doc:"Run the Table I microbenchmark suite")
-    Term.(const run $ platform_arg $ hyp_arg $ iterations $ session_args)
+    Term.(const run $ config_args $ iterations $ session_args)
 
 (* --- app ------------------------------------------------------------------- *)
 
@@ -430,7 +459,7 @@ let app_cmd =
       & info [ "distribute-irqs" ]
           ~doc:"Spread virtual interrupts across all VCPUs (section V ablation).")
   in
-  let run platform hyp workload distribute session =
+  let run (platform, hyp) workload distribute session =
     with_session ~context:"app" session @@ fun () ->
     traced_cell "app#0.0" @@ fun () ->
     let hypervisor = resolve platform hyp in
@@ -462,7 +491,7 @@ let app_cmd =
   Cmd.v
     (Cmd.info "app" ~doc:"Run one application workload (Figure 4 model)")
     Term.(
-      const run $ platform_arg $ hyp_arg $ workload $ distribute $ session_args)
+      const run $ config_args $ workload $ distribute $ session_args)
 
 (* --- rr ---------------------------------------------------------------------- *)
 
@@ -472,7 +501,7 @@ let rr_cmd =
       value & opt positive_int 400
       & info [ "transactions" ] ~docv:"N" ~doc:"Transactions to simulate.")
   in
-  let run platform hyp transactions trace_file =
+  let run (platform, hyp) transactions trace_file =
     with_session ~context:"rr" { jobs = None; trace_file; stat_file = None }
     @@ fun () ->
     traced_cell "rr#0.0" @@ fun () ->
@@ -494,7 +523,7 @@ let rr_cmd =
   in
   Cmd.v
     (Cmd.info "rr" ~doc:"Netperf TCP_RR latency decomposition (Table V)")
-    Term.(const run $ platform_arg $ hyp_arg $ transactions $ trace_file_arg)
+    Term.(const run $ config_args $ transactions $ trace_file_arg)
 
 (* --- trace ---------------------------------------------------------------- *)
 
@@ -518,8 +547,9 @@ let trace_cmd =
              Perfetto/chrome://tracing), $(b,csv), or $(b,summary) \
              (flame-style cycle attribution by category).")
   in
-  let run platform hyp jobs target out format =
+  let run (platform, hyp) jobs target out format =
     apply_jobs jobs;
+    let out = open_output out in
     observe_target ~trace:true ~platform ~hyp target (fun () ->
         write_trace ~format out)
   in
@@ -527,7 +557,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run an experiment under the tracer and export the trace")
     Term.(
-      const run $ platform_arg $ hyp_arg $ jobs_arg $ target $ out_arg $ format)
+      const run $ config_args $ jobs_arg $ target $ out_arg $ format)
 
 (* --- stat ----------------------------------------------------------------- *)
 
@@ -648,9 +678,13 @@ let stat_cmd =
     Armvirt_hypervisor.Kvm_arm.to_hypervisor
       (Armvirt_hypervisor.Kvm_arm.create (Platform.machine_with ~cost))
   in
-  let read_file path = In_channel.with_open_bin path In_channel.input_all in
-  let run platform hyp jobs iterations format out per_vcpu per_domain top diff
-      crosscheck count_pct cycles_pct perturb targets =
+  let read_file path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | s -> s
+    | exception Sys_error msg -> reject "stat diff: %s" msg
+  in
+  let run (platform, hyp) jobs iterations format out per_vcpu per_domain top
+      diff crosscheck count_pct cycles_pct perturb targets =
     apply_jobs jobs;
     if diff then (
       match targets with
@@ -659,23 +693,27 @@ let stat_cmd =
           match Stat.diff ~thresholds (read_file old_file) (read_file new_file)
           with
           | Error msg -> reject "stat diff: %s" msg
-          | Ok [] ->
-              Format.fprintf ppf
-                "stat diff: no findings (count tol %.2f%%, cycles tol \
-                 %.2f%%)@."
-                count_pct cycles_pct
           | Ok findings ->
-              Stat.pp_findings ppf findings;
-              exit 1)
+              write_out (open_output out) (fun ppf ->
+                  match findings with
+                  | [] ->
+                      Format.fprintf ppf
+                        "stat diff: no findings (count tol %.2f%%, cycles \
+                         tol %.2f%%)@."
+                        count_pct cycles_pct
+                  | _ -> Stat.pp_findings ppf findings);
+              if findings <> [] then exit 1)
       | _ -> reject "stat --diff needs exactly two JSON reports")
     else if crosscheck then begin
+      let out = open_output out in
       let checks = Stat_report.crosscheck ~iterations () in
-      Stat_report.pp_checks ppf checks;
+      write_out out (fun ppf -> Stat_report.pp_checks ppf checks);
       if not (List.for_all Stat_report.check_ok checks) then exit 1
     end
     else
       match targets with
       | [ target ] when is_target target ->
+          let out = open_output out in
           let micro_hypervisor = Option.map perturbed_kvm_arm perturb in
           observe_target ~trace:false ~platform ~hyp ~iterations
             ?micro_hypervisor target
@@ -700,7 +738,7 @@ let stat_cmd =
           latencies, guest vs hypervisor cycle attribution, regression \
           diffing and the counter-vs-analytic crosscheck")
     Term.(
-      const run $ platform_arg $ hyp_arg $ jobs_arg $ iterations $ format
+      const run $ config_args $ jobs_arg $ iterations $ format
       $ out_arg $ per_vcpu $ per_domain $ top $ diff $ crosscheck
       $ count_tolerance $ cycles_tolerance $ perturb_vgic_save $ targets)
 
@@ -727,7 +765,7 @@ let timeline_cmd =
             "Operation to trace: hypercall, ict, eoi, vmswitch, vipi, io-out \
              or io-in.")
   in
-  let run platform hyp op =
+  let run (platform, hyp) op =
     let hypervisor = resolve platform hyp in
     let machine = hypervisor.Hypervisor.machine in
     let tracer = Tracer.create () in
@@ -749,7 +787,7 @@ let timeline_cmd =
   Cmd.v
     (Cmd.info "timeline"
        ~doc:"Cycle-by-cycle ledger of one hypervisor operation")
-    Term.(const run $ platform_arg $ hyp_arg $ operation)
+    Term.(const run $ config_args $ operation)
 
 (* --- explore --------------------------------------------------------------- *)
 
@@ -900,6 +938,7 @@ let explore_cmd =
            with
           | () -> ()
           | exception Invalid_argument msg -> reject "invalid --space: %s" msg);
+          let out = open_output out in
           with_session ~context:"explore"
             { jobs; trace_file; stat_file = None }
           @@ fun () ->
@@ -908,13 +947,17 @@ let explore_cmd =
             let r =
               Explore.Calibrate.search ~restarts ~seed ~base ~objective space
             in
-            Format.fprintf ppf "calibrated %s (%s, %d evaluations, %d sweeps)@."
-              objective.Explore.Objective.name objective.Explore.Objective.unit_
-              r.Explore.Calibrate.evaluations r.Explore.Calibrate.sweeps;
-            Format.fprintf ppf "  best: %s@."
-              (Explore.Space.point_to_string r.Explore.Calibrate.best);
-            Format.fprintf ppf "  value: %.6g %s@."
-              r.Explore.Calibrate.best_value objective.Explore.Objective.unit_
+            write_out out (fun ppf ->
+                Format.fprintf ppf
+                  "calibrated %s (%s, %d evaluations, %d sweeps)@."
+                  objective.Explore.Objective.name
+                  objective.Explore.Objective.unit_
+                  r.Explore.Calibrate.evaluations r.Explore.Calibrate.sweeps;
+                Format.fprintf ppf "  best: %s@."
+                  (Explore.Space.point_to_string r.Explore.Calibrate.best);
+                Format.fprintf ppf "  value: %.6g %s@."
+                  r.Explore.Calibrate.best_value
+                  objective.Explore.Objective.unit_)
           end
           else begin
             let sweep =
@@ -1010,7 +1053,7 @@ let migrate_cmd =
             "Machine-readable output instead of the text report: $(b,md) \
              or $(b,csv), one row per configuration.")
   in
-  let run platform hyp pages page_kb vcpus hot_pages rate bandwidth rounds
+  let run (platform, hyp) pages page_kb vcpus hot_pages rate bandwidth rounds
       downtime seed compare detail format out session =
     let plan =
       {
@@ -1029,6 +1072,7 @@ let migrate_cmd =
     (match Plan.validate plan with
     | () -> ()
     | exception Invalid_argument msg -> reject "invalid plan: %s" msg);
+    let out = open_output out in
     with_session ~context:"migrate" session @@ fun () ->
     let results =
       if compare then Experiment.migrate ~plan ()
@@ -1041,8 +1085,9 @@ let migrate_cmd =
     in
     match format with
     | None ->
-        Table.text ppf (Report.migrate results);
-        if detail then Table.text ppf (Report.migrate_rounds results)
+        write_out out (fun ppf ->
+            Table.text ppf (Report.migrate results);
+            if detail then Table.text ppf (Report.migrate_rounds results))
     | Some format -> write_table format out (Report.migrate_fields results)
   in
   Cmd.v
@@ -1051,7 +1096,7 @@ let migrate_cmd =
          "Live-migrate a VM under request load: pre-copy with stage-2 \
           dirty logging, downtime vs the SLO")
     Term.(
-      const run $ platform_arg $ hyp_arg $ pages $ page_kb $ vcpus $ hot_pages
+      const run $ config_args $ pages $ page_kb $ vcpus $ hot_pages
       $ rate $ bandwidth $ rounds $ downtime $ seed $ compare $ detail
       $ format_arg $ out_arg $ session_args)
 
@@ -1108,6 +1153,7 @@ let fleet_cmd =
     (match Fleet.Descriptor.v ~vms mix with
     | (_ : Fleet.Descriptor.t) -> ()
     | exception Invalid_argument msg -> reject "invalid fleet: %s" msg);
+    let out = open_output out in
     with_session ~context:"fleet" session @@ fun () ->
     write_table format out
       (match scenario with
@@ -1204,16 +1250,22 @@ let cluster_cmd =
       & opt loads_conv W.Cluster.default_loads
       & info [ "offered-load" ] ~docv:"L1,L2,..."
           ~doc:
-            "Loadgen sweep points as fractions of the pool's aggregate \
-             native capacity; the default tops out at $(b,1.1) — past \
-             the knee on every model.")
+            (Printf.sprintf
+               "Loadgen sweep points as fractions of the pool's aggregate \
+                native capacity, each from %g to %g; the default tops out \
+                at $(b,1.1) — past the knee on every model."
+               W.Cluster.min_load W.Cluster.max_load))
   in
   let format_arg = table_format_arg ~doc:"$(b,md) (default) or $(b,csv)." in
   let run scenario spec vms loads format out session =
     (match loads with
     | [] -> reject "--offered-load needs at least one point"
-    | l when List.exists (fun x -> x <= 0.0) l ->
-        reject "--offered-load points must be positive"
+    | l
+      when List.exists
+             (fun x -> not (x >= W.Cluster.min_load && x <= W.Cluster.max_load))
+             l ->
+        reject "--offered-load points must be from %g to %g" W.Cluster.min_load
+          W.Cluster.max_load
     | _ -> ());
     (match vms with
     | Some n when n > Topology.max_vms ->
@@ -1221,6 +1273,7 @@ let cluster_cmd =
     | Some n when n < 2 && scenario = `Matrix ->
         reject "--vms must be at least 2 for the matrix scenario"
     | _ -> ());
+    let out = open_output out in
     with_session ~context:"cluster" session @@ fun () ->
     match scenario with
     | `Matrix ->
@@ -1270,9 +1323,9 @@ let report_cmd =
           ~doc:"Write the markdown report to $(docv) instead of stdout.")
   in
   let run output =
+    let output = open_output (Option.value output ~default:"-") in
     let report = Report.markdown () in
-    write_out
-      (Option.value output ~default:"-")
+    write_out output
       ~detail:(Printf.sprintf " (%d bytes)" (String.length report))
       (fun out -> Format.pp_print_string out report)
   in
@@ -1280,16 +1333,6 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Regenerate the paper's tables as a markdown report")
     Term.(const run $ output)
-
-(* --- lint ---------------------------------------------------------------- *)
-
-(* The linter's only entry point: Armvirt_lint.Cli's flags, with the
-   driver's exit code. *)
-let lint_cmd =
-  let wrap code = if code <> 0 then exit code in
-  Cmd.v
-    (Cmd.info "lint" ~doc:Armvirt_lint.Cli.doc ~man:Armvirt_lint.Cli.man)
-    Term.(const wrap $ Armvirt_lint.Cli.term)
 
 let () =
   let doc =
@@ -1302,7 +1345,7 @@ let () =
       [
         list_cmd; run_cmd; micro_cmd; app_cmd; rr_cmd; trace_cmd; stat_cmd;
         timeline_cmd; explore_cmd; migrate_cmd; fleet_cmd; cluster_cmd;
-        report_cmd; lint_cmd;
+        report_cmd;
       ]
   in
   (* A simulation left with blocked processes and no event to wake them

@@ -113,8 +113,12 @@ let knobs =
         "VMs on the two-host cluster topology for the cluster-* objectives \
          (int, 2..%d)"
         Topology.max_vms );
-    ("cluster.load", "offered load as a fraction of the backend pool's \
-                      aggregate native capacity (float)");
+    ( "cluster.load",
+      Printf.sprintf
+        "offered load as a fraction of the backend pool's aggregate native \
+         capacity (float, %g..%g)"
+        Armvirt_workloads.Cluster.min_load Armvirt_workloads.Cluster.max_load
+    );
     ( "net.queue",
       Printf.sprintf
         "virtual-switch per-port egress queue capacity in frames (int, >= \
@@ -254,7 +258,15 @@ let apply t name v =
       { t with cluster = { t.cluster with cluster_vms = n } }
   | "cluster.load" ->
       let l = as_float name v in
-      if l <= 0.0 then invalid_arg "Config: cluster.load <= 0";
+      if
+        not
+          (l >= Armvirt_workloads.Cluster.min_load
+          && l <= Armvirt_workloads.Cluster.max_load)
+      then
+        invalid_arg
+          (Printf.sprintf "Config: cluster.load outside %g..%g"
+             Armvirt_workloads.Cluster.min_load
+             Armvirt_workloads.Cluster.max_load);
       { t with cluster = { t.cluster with cluster_load = l } }
   | "net.queue" ->
       let n = as_int name v in

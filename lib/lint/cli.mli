@@ -1,4 +1,5 @@
-(** Cmdliner plumbing for the [armvirt lint] subcommand. *)
+(** Cmdliner plumbing for [armvirt-lint] (bin/armvirt_lint.ml), the
+    linter's own executable. *)
 
 val term : int Cmdliner.Term.t
 (** Evaluates to the process exit code (see {!Driver.run}). *)

@@ -37,7 +37,7 @@ val hint : id -> string
 (** How to fix a finding. *)
 
 val explain : id -> string
-(** The long-form rationale shown by [armvirt lint --explain RULE]:
+(** The long-form rationale shown by [armvirt-lint --explain RULE]:
     what the rule flags, why the invariant matters, and the audited
     suppression form. *)
 

@@ -263,13 +263,21 @@ let client_mac = 1_000_000
 
 let default_loads = [ 0.2; 0.4; 0.6; 0.8; 0.95; 1.1 ]
 
+let min_load = 1e-6
+let max_load = 1e6
+
 let run_loadgen ?(seed = 42) ?(requests = 1600) ?(payload = 128) ?(vms = 16)
     ?(spec = Topology.Pair) ?(loads = default_loads) ?uplink_gbps
     (hyp : Hypervisor.t) =
   if requests < 1 then invalid_arg "Cluster.run_loadgen: requests < 1";
   if vms < 1 then invalid_arg "Cluster.run_loadgen: vms < 1";
   List.iter
-    (fun l -> if l <= 0.0 then invalid_arg "Cluster.run_loadgen: load <= 0")
+    (fun l ->
+      if l <= 0.0 then invalid_arg "Cluster.run_loadgen: load <= 0";
+      if not (l >= min_load && l <= max_load) then
+        invalid_arg
+          (Printf.sprintf "Cluster.run_loadgen: load outside %g..%g" min_load
+             max_load))
     loads;
   let machine = hyp.Hypervisor.machine in
   let sim = Machine.sim machine in

@@ -114,6 +114,14 @@ val default_loads : float list
     even a native pool, so every hypervisor's curve shows the
     hockey-stick knee. *)
 
+val min_load : float
+
+val max_load : float
+(** [1e-6] and [1e6]: the offered loads {!run_loadgen} takes. An
+    arrival gap is a unit gap scaled by [1 / load] and truncated to
+    whole cycles, so a load far below [min_load] overflows every gap to
+    none at all, and a non-finite load has no gap. *)
+
 val run_loadgen :
   ?seed:int ->
   ?requests:int ->
@@ -132,4 +140,5 @@ val run_loadgen :
     and therefore p99 — is monotone non-decreasing in offered load.
     At 16 backends the default sweep tops out above one million
     simulated requests/second offered. Raises [Invalid_argument] on
-    non-positive parameters. *)
+    non-positive parameters and on a load outside
+    [min_load .. max_load]. *)

@@ -8,12 +8,17 @@
    for a trace ring that dropped events, exact exit accounting on both
    sides of that ring's cap, `run` with no ids printing what `run` with
    every listed id prints, and tables that print "-", never "nan" or
-   "inf", for an undefined value.
+   "inf", for an undefined value. The linter is its own executable:
+   armvirt has no lint command.
 
-   Runs ../bin/armvirt.exe and ../examples/transition_timeline.exe, which
-   the test stanza depends on. *)
+   Runs ../bin/armvirt.exe, ../bin/armvirt_lint.exe and
+   ../examples/transition_timeline.exe, which the test stanza depends
+   on. *)
 
 let armvirt = Filename.concat (Filename.concat ".." "bin") "armvirt.exe"
+
+let armvirt_lint =
+  Filename.concat (Filename.concat ".." "bin") "armvirt_lint.exe"
 
 let transition_timeline =
   Filename.concat (Filename.concat ".." "examples") "transition_timeline.exe"
@@ -21,7 +26,8 @@ let transition_timeline =
 let time_bound_s = 20.0
 
 (* Exit code, stdout and stderr of one run, or a failure past the time
-   bound. *)
+   bound. Most runs end within a few milliseconds, so the poll starts at
+   1 ms and backs off to 20 ms. *)
 let run ?(prog = armvirt) ?(time_bound_s = time_bound_s) args =
   let out = Filename.temp_file "armvirt_cli" ".out" in
   let err = Filename.temp_file "armvirt_cli" ".err" in
@@ -35,7 +41,7 @@ let run ?(prog = armvirt) ?(time_bound_s = time_bound_s) args =
   Unix.close stdout_fd;
   Unix.close stderr_fd;
   let deadline = Unix.gettimeofday () +. time_bound_s in
-  let rec wait () =
+  let rec wait pause =
     match Unix.waitpid [ Unix.WNOHANG ] pid with
     | 0, _ when Unix.gettimeofday () > deadline ->
         Unix.kill pid Sys.sigkill;
@@ -43,13 +49,13 @@ let run ?(prog = armvirt) ?(time_bound_s = time_bound_s) args =
         Alcotest.failf "%s %s ran past %.0f s" prog (String.concat " " args)
           time_bound_s
     | 0, _ ->
-        Unix.sleepf 0.02;
-        wait ()
+        Unix.sleepf pause;
+        wait (Float.min 0.02 (2.0 *. pause))
     | _, Unix.WEXITED code -> code
     | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
         Alcotest.failf "%s %s was killed" prog (String.concat " " args)
   in
-  let code = wait () in
+  let code = wait 0.001 in
   let read file =
     let s = In_channel.with_open_bin file In_channel.input_all in
     Sys.remove file;
@@ -75,10 +81,14 @@ let usage_errors =
     [ "rr"; "--transactions=-5" ];
     [ "stat"; "micro"; "--iterations"; "0" ];
     [ "explore"; "--space"; "bogus" ];
-    (* A lint finding is accepted only in source: no baseline file. *)
-    [ "lint"; "--baseline"; "LINT_baseline.json" ];
-    [ "lint"; "--update-baseline" ];
+    (* The linter is armvirt-lint: armvirt has no lint command. *)
+    [ "lint"; "--root"; "." ];
   ]
+
+(* The same for armvirt-lint: a lint finding is accepted only in
+   source, so there is no baseline file. *)
+let lint_usage_errors =
+  [ [ "--baseline"; "LINT_baseline.json" ]; [ "--update-baseline" ] ]
 
 (* Values the parser accepts but the command rejects: exit 2. *)
 let rejected =
@@ -89,12 +99,55 @@ let rejected =
     [ "migrate"; "--pages"; "0" ];
     [ "explore" ];
     [ "cluster"; "--offered-load"; "0" ];
+    (* Loads the sweep cannot scale its arrival gaps by: non-finite, or
+       outside the range `cluster --help` states. *)
+    [ "cluster"; "--scenario"; "loadgen"; "--offered-load"; "nan" ];
+    [ "cluster"; "--scenario"; "loadgen"; "--offered-load"; "inf" ];
+    [ "cluster"; "--scenario"; "loadgen"; "--offered-load"; "1e300" ];
+    [ "cluster"; "--scenario"; "loadgen"; "--offered-load"; "1e-300" ];
+    [ "cluster"; "--scenario"; "loadgen"; "--offered-load"; "0.4,nan" ];
     (* The matrix, the default scenario, needs two VMs. *)
     [ "cluster"; "--vms"; "1" ];
     [ "stat"; "micro"; "rr" ];
     [ "stat"; "--diff"; "onlyone" ];
-    (* M1 went with the label grammar it checked. *)
-    [ "lint"; "--explain"; "M1" ];
+    [ "stat"; "--diff"; "/nonexistent/old.json"; "/nonexistent/new.json" ];
+    (* Xen has no VHE model: every command that builds a hypervisor from
+       -p and -H rejects the pair before it runs anything. *)
+    [ "micro"; "-p"; "arm-vhe"; "-H"; "xen" ];
+    [ "rr"; "-p"; "arm-vhe"; "-H"; "xen" ];
+    [ "app"; "Apache"; "-p"; "arm-vhe"; "-H"; "xen" ];
+    [ "stat"; "micro"; "-p"; "arm-vhe"; "-H"; "xen" ];
+    [ "timeline"; "-p"; "arm-vhe"; "-H"; "xen" ];
+    [ "trace"; "micro"; "-p"; "arm-vhe"; "-H"; "xen" ];
+    [ "migrate"; "-p"; "arm-vhe"; "-H"; "xen" ];
+  ]
+
+(* M1 went with the label grammar it checked. *)
+let lint_rejected = [ [ "--explain"; "M1" ] ]
+
+(* An output that cannot be opened is a rejected argument: each command
+   opens its outputs before it runs anything, and names the path. *)
+let unwritable = "/nonexistent/out"
+
+let unwritable_outputs =
+  [
+    (armvirt, [ "rr"; "--trace"; unwritable ]);
+    (armvirt, [ "micro"; "--stat"; unwritable ]);
+    (armvirt, [ "run"; "table2"; "--trace"; unwritable ]);
+    (armvirt, [ "app"; "Apache"; "--stat"; unwritable ]);
+    (armvirt, [ "report"; "--output"; unwritable ]);
+    (armvirt, [ "explore"; "--space"; "lr_count=2|4"; "--out"; unwritable ]);
+    (armvirt, [ "explore"; "--space"; "lr_count=2|4"; "--calibrate"; "--out";
+                unwritable ]);
+    (armvirt, [ "stat"; "micro"; "--out"; unwritable ]);
+    (armvirt, [ "stat"; "--crosscheck"; "--out"; unwritable ]);
+    (armvirt, [ "trace"; "rr"; "--out"; unwritable ]);
+    (armvirt, [ "fleet"; "--vms"; "4"; "--out"; unwritable ]);
+    (armvirt, [ "cluster"; "--out"; unwritable ]);
+    (armvirt, [ "migrate"; "--out"; unwritable ]);
+    (armvirt, [ "migrate"; "--format"; "csv"; "--out"; unwritable ]);
+    (armvirt, [ "migrate"; "--trace"; unwritable ]);
+    (armvirt_lint, [ "--root"; "."; "--out"; unwritable ]);
   ]
 
 (* Sizes past the stated limits: rejected before anything is allocated,
@@ -128,6 +181,11 @@ let bad_plans =
     [ "explore"; "--space"; "mig.max_rounds=0|3" ];
     [ "explore"; "--space"; "mig.bandwidth_gbps=nan" ];
     [ "explore"; "--space"; "mig.txn_rate_hz=1e9|2e4" ];
+    (* Offered loads outside the range `explore --knobs` states: a load
+       that overflows every arrival gap ran at no gap at all. *)
+    [ "explore"; "--space"; "cluster.load=nan"; "--objective"; "cluster-p99" ];
+    [ "explore"; "--space"; "cluster.load=1e-300"; "--objective";
+      "cluster-p99" ];
     [ "explore"; "--space"; "mig.page_kb=0|4"; "--calibrate" ];
     (* Negative costs and non-positive clocks. *)
     [ "explore"; "--space"; "vgic.save=-5:5:5"; "--objective"; "hypercall" ];
@@ -160,7 +218,15 @@ let accepted =
   [
     [ "cluster"; "--scenario"; "chain"; "--vms"; "1"; "--format"; "csv" ];
     [ "cluster"; "--scenario"; "loadgen"; "--vms"; "1"; "--format"; "csv" ];
+    (* The ends of the --offered-load range. *)
+    [ "cluster"; "--scenario"; "loadgen"; "--vms"; "1"; "--offered-load";
+      "1e-6,1e6"; "--format"; "csv" ];
   ]
+
+(* Cases show their command line; armvirt's show only its arguments. *)
+let case_name prog args =
+  String.concat " "
+    (if prog = armvirt_lint then "armvirt-lint" :: args else args)
 
 let accepted_case args =
   let name = String.concat " " args in
@@ -171,19 +237,29 @@ let accepted_case args =
       Alcotest.(check bool) (name ^ " prints rows") true
         (List.length (String.split_on_char '\n' (String.trim stdout)) > 1))
 
-(* A rejection (exit 2) is one line on stderr; cmdliner's usage errors
-   (exit 124) print the usage too. *)
-let test_case ?time_bound_s ~code args =
-  let name = String.concat " " args in
+let contains s needle =
+  let n = String.length needle and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+(* A rejection (exit 2) is one line on stderr, naming [names] if given;
+   cmdliner's usage errors (exit 124) print the usage too. *)
+let test_case ?time_bound_s ?(prog = armvirt) ?names ~code args =
+  let name = case_name prog args in
   Alcotest.test_case name `Quick (fun () ->
-      let got, stdout, stderr = run ?time_bound_s args in
+      let got, stdout, stderr = run ?time_bound_s ~prog args in
       Alcotest.(check int) (name ^ " exit code") code got;
       Alcotest.(check string) (name ^ " prints nothing on stdout") "" stdout;
       if code = 2 then
         Alcotest.(check int)
           (name ^ " prints one line on stderr: " ^ stderr)
           1
-          (List.length (String.split_on_char '\n' (String.trim stderr))))
+          (List.length (String.split_on_char '\n' (String.trim stderr)));
+      Option.iter
+        (fun needle ->
+          Alcotest.(check bool) (name ^ " names " ^ needle) true
+            (contains stderr needle))
+        names)
 
 (* md5 of `timeline -p P -H H --op OP`'s stdout for each op, in
    [timeline_configs] order, and of the example's stdout: a change to
@@ -280,11 +356,6 @@ let table_pins =
       [ "stat"; "--crosscheck"; "--iterations"; "4" ] );
   ]
 
-let contains s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
-  go 0
-
 (* Commands whose tables hold an undefined value: a migration whose idle
    baseline completes no request, and an explore point whose objective
    is that migration's degradation. Each cell prints "-". *)
@@ -310,10 +381,10 @@ let undefined_case args =
             false (contains stdout bad))
         [ "nan"; "inf" ])
 
-(* `armvirt lint` is the linter's one entry point: it explains the
+(* armvirt-lint is the linter's one entry point: it explains the
    whole-tree rule and runs it over a tree given by --root. *)
 let test_lint_explain_s1 () =
-  let code, stdout, stderr = run [ "lint"; "--explain"; "S1" ] in
+  let code, stdout, stderr = run ~prog:armvirt_lint [ "--explain"; "S1" ] in
   Alcotest.(check int) "exit code" 0 code;
   Alcotest.(check string) "stderr" "" stderr;
   Alcotest.(check bool) "names the rule and its pass" true
@@ -322,7 +393,7 @@ let test_lint_explain_s1 () =
 (* The help names the one way to accept a finding and no other. Words
    are compared with line breaks collapsed, as the help is wrapped. *)
 let test_lint_help () =
-  let code, stdout, stderr = run [ "lint"; "--help=plain" ] in
+  let code, stdout, stderr = run ~prog:armvirt_lint [ "--help=plain" ] in
   let text =
     String.map (function '\n' -> ' ' | c -> c) stdout
     |> String.split_on_char ' '
@@ -363,7 +434,9 @@ let lint_fixture ~caller f =
 
 let test_lint_uncalled_export () =
   lint_fixture ~caller:"let () = ignore (Counter.incr 1)\n" (fun root ->
-      let code, stdout, _ = run [ "lint"; "--root"; root; "--rules"; "S1" ] in
+      let code, stdout, _ =
+        run ~prog:armvirt_lint [ "--root"; root; "--rules"; "S1" ]
+      in
       Alcotest.(check int) "a finding fails" 1 code;
       Alcotest.(check bool) "names the uncalled export" true
         (contains stdout "Counter.dead is exported but nothing outside");
@@ -373,8 +446,35 @@ let test_lint_uncalled_export () =
 let test_lint_called_exports () =
   lint_fixture ~caller:"let () = ignore (Counter.incr (Counter.dead 1))\n"
     (fun root ->
-      let code, _, _ = run [ "lint"; "--root"; root ] in
+      let code, _, _ = run ~prog:armvirt_lint [ "--root"; root ] in
       Alcotest.(check int) "every export called: clean" 0 code)
+
+(* The simulator carries no linter: its help lists no lint command. *)
+let test_no_lint_command () =
+  let code, stdout, stderr = run [ "--help=plain" ] in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "stderr" "" stderr;
+  Alcotest.(check bool) "lists commands" true (contains stdout "migrate");
+  Alcotest.(check bool) "names no lint" false (contains stdout "lint")
+
+(* Without --format, migrate's text report goes to --out's file like
+   every other output, leaving only the status line on stdout. *)
+let test_migrate_text_out () =
+  let args = [ "migrate"; "--pages"; "1024"; "--rounds-detail" ] in
+  let file = Filename.temp_file "armvirt_cli" ".txt" in
+  let code, text, _ = run args in
+  let code', stdout, stderr =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        let r = run (args @ [ "--out"; file ]) in
+        let written = In_channel.with_open_bin file In_channel.input_all in
+        Alcotest.(check string) "the file holds the report" text written;
+        r)
+  in
+  Alcotest.(check (pair int int)) "exit codes" (0, 0) (code, code');
+  Alcotest.(check string) "stderr" "" stderr;
+  Alcotest.(check string) "stdout" ("wrote " ^ file ^ "\n") stdout
 
 let report_md5 = "86f309388dae054e75e70acd1cfabf1e"
 
@@ -548,11 +648,20 @@ let run_all_case jobs =
 let () =
   Alcotest.run "cli"
     [
-      ("usage error", List.map (test_case ~code:124) usage_errors);
+      ( "usage error",
+        List.map (test_case ~code:124) usage_errors
+        @ List.map (test_case ~prog:armvirt_lint ~code:124) lint_usage_errors
+      );
       ( "rejected argument",
         List.map (test_case ~code:2) rejected
+        @ List.map (test_case ~prog:armvirt_lint ~code:2) lint_rejected
         @ List.map (test_case ~time_bound_s:1.0 ~code:2) too_large
         @ List.map (test_case ~time_bound_s:5.0 ~code:2) bad_plans );
+      ( "unwritable output",
+        List.map
+          (fun (prog, args) ->
+            test_case ~time_bound_s:5.0 ~prog ~names:unwritable ~code:2 args)
+          unwritable_outputs );
       ("timeline pin", pins);
       ("table pin", List.map (fun (md5, args) -> pin_case ~md5 args) table_pins);
       ( "report",
@@ -571,6 +680,13 @@ let () =
           Alcotest.test_case "called exports pass" `Quick
             test_lint_called_exports;
           Alcotest.test_case "help names no baseline" `Quick test_lint_help;
+          Alcotest.test_case "armvirt has no lint command" `Quick
+            test_no_lint_command;
+        ] );
+      ( "output file",
+        [
+          Alcotest.test_case "migrate text report to --out" `Quick
+            test_migrate_text_out;
         ] );
       ("drop warning", List.map drop_case [ ("1500", true); ("1400", false) ]);
       ("switch drop warning", List.map switch_drop_case switch_drop_cases);

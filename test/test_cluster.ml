@@ -164,7 +164,15 @@ let test_loadgen_seed_replay () =
 let test_loadgen_bad_args () =
   Alcotest.check_raises "zero load"
     (Invalid_argument "Cluster.run_loadgen: load <= 0") (fun () ->
-      ignore (Cluster.run_loadgen ~loads:[ 0.0 ] (kvm_arm ())))
+      ignore (Cluster.run_loadgen ~loads:[ 0.0 ] (kvm_arm ())));
+  (* Past the range an arrival gap overflows to none at all. *)
+  List.iter
+    (fun load ->
+      Alcotest.check_raises
+        (Printf.sprintf "load %g" load)
+        (Invalid_argument "Cluster.run_loadgen: load outside 1e-06..1e+06")
+        (fun () -> ignore (Cluster.run_loadgen ~loads:[ load ] (kvm_arm ()))))
+    [ Float.nan; Float.infinity; 1e-300; 1e300 ]
 
 (* --- experiment wrappers: jobs invariance -------------------------- *)
 
