@@ -113,14 +113,18 @@ let resolve platform hyp =
   | Some id -> Platform.hypervisor platform id
   | None -> Platform.native platform
 
-let positive_int =
+(* An integer option the parser rejects outside [lo, hi]: a usage
+   error (exit 124) before anything runs. *)
+let int_in ?(hi = max_int) ~what lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg "must be a positive integer")
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some _ -> Error (`Msg ("must be " ^ what))
     | None -> Error (`Msg "expected an integer")
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_in ~what:"a positive integer" 1
 
 let jobs_arg =
   Arg.(
@@ -602,9 +606,12 @@ let stat_cmd =
   in
   let top =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_in ~what:"a non-negative integer" 0) 0
       & info [ "top" ] ~docv:"N"
-          ~doc:"Keep only the top $(docv) exit reasons by count; 0 = all.")
+          ~doc:
+            "Keep only the top $(docv) exit reasons by count; 0 (the \
+             default) = all. Must not be negative.")
   in
   let iterations =
     Arg.(
@@ -653,14 +660,24 @@ let stat_cmd =
              check is out of tolerance.")
   in
   let perturb_vgic_save =
+    let max_cost = Armvirt_explore.Config.max_cost in
     Arg.(
-      value & opt (some int) None
+      value
+      & opt
+          (some
+             (int_in ~hi:max_cost
+                ~what:(Printf.sprintf "a cycle count in 0..%d" max_cost)
+                0))
+          None
       & info [ "perturb-vgic-save" ] ~docv:"CYCLES"
           ~doc:
-            "Self-test hook for the $(b,--diff) gate: run the $(b,micro) \
-             target on a split-mode KVM ARM model whose VGIC save cost \
-             is overridden to $(docv) cycles (Table III default: 3250), \
-             so the report measurably shifts.")
+            (Printf.sprintf
+               "Self-test hook for the $(b,--diff) gate: run the $(b,micro) \
+                target on a split-mode KVM ARM model whose VGIC save cost \
+                is overridden to $(docv) cycles (Table III default: 3250), \
+                so the report measurably shifts. From 0 to %d, the range \
+                $(b,explore) takes for every cost."
+               max_cost))
   in
   (* Perturbed split-mode KVM ARM, whatever -p/-H say: the knob exists to
      move the committed baseline measurably. *)

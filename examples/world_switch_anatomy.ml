@@ -20,7 +20,9 @@ let run_one_hypercall kvm =
   machine
 
 let total machine =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (Machine.op_cycles machine)
+  List.fold_left
+    (fun acc (o : Armvirt_obs.Accounting.spent) -> acc + o.cycles)
+    0 (Machine.op_cycles machine)
 
 let print_bill title machine =
   let counters = Machine.counters machine in

@@ -26,24 +26,31 @@ let create machine =
       invalid_arg "Arm_ops.create: machine has an x86 cost model"
   | Cost_model.Arm hw ->
       let op = Machine.op machine in
+      (* Only the VGIC and timer classes are interrupt state. *)
       let per_class label =
-        Array.of_list (List.map (fun cls -> op (label cls)) Reg_class.all)
+        Array.of_list
+          (List.map
+             (fun cls ->
+               op
+                 (match cls with Reg_class.Vgic | Timer -> Irq | _ -> Other)
+                 (label cls))
+             Reg_class.all)
       in
       {
         hw;
-        hvc_issue = op "arm.hvc_issue";
-        trap_to_el2 = op "arm.trap_to_el2";
-        eret = op "arm.eret";
+        hvc_issue = op Trap "arm.hvc_issue";
+        trap_to_el2 = op Trap "arm.trap_to_el2";
+        eret = op Vmexit "arm.eret";
         save = per_class save_label;
         restore = per_class restore_label;
-        stage2_toggle = op "arm.stage2_toggle";
-        mmio_decode = op "arm.mmio_decode";
-        vgic_slot_scan = op "arm.vgic_slot_scan";
-        vgic_lr_write = op "arm.vgic_lr_write";
-        virq_complete = op "arm.virq_complete";
-        virq_guest_dispatch = op "arm.virq_guest_dispatch";
-        page_map = op "arm.page_map";
-        copy_bytes = op "arm.copy_bytes";
+        stage2_toggle = op Stage2 "arm.stage2_toggle";
+        mmio_decode = op Trap "arm.mmio_decode";
+        vgic_slot_scan = op Irq "arm.vgic_slot_scan";
+        vgic_lr_write = op Irq "arm.vgic_lr_write";
+        virq_complete = op ~lane:Guest Irq "arm.virq_complete";
+        virq_guest_dispatch = op ~lane:Guest Trap "arm.virq_guest_dispatch";
+        page_map = op Stage2 "arm.page_map";
+        copy_bytes = op Io "arm.copy_bytes";
       }
 
 let hw t = t.hw

@@ -3,6 +3,7 @@ module Cycles = Armvirt_engine.Cycles
 module Counter = Armvirt_stats.Counter
 module Span = Armvirt_obs.Span
 module Marker = Armvirt_obs.Marker
+module Accounting = Armvirt_obs.Accounting
 
 type sink = {
   spend :
@@ -20,17 +21,18 @@ type t = {
   num_cpus : int;
   mutable sink : sink option;
   mutable kinds : Bytes.t;
+  mutable ops : op list;
   mutable marked : marker list;
 }
 
-(* One interned op of one machine. The category is classified on the
-   first observed use, not at intern time: most machines are never
-   traced. *)
+(* One interned op of one machine, with its declared category and
+   lane. *)
 and op = {
   machine : t;
   counter : Counter.id;
   label : string;
-  mutable cat : Span.category option;
+  cat : Span.category;
+  lane : Accounting.lane;
 }
 
 (* One interned marker, the same with its typed marker. *)
@@ -38,13 +40,12 @@ and marker = {
   m_machine : t;
   m_counter : Counter.id;
   m_label : string;
-  mutable m_cat : Span.category option;
   marker : Marker.t;
 }
 
 (* [kinds] says, by counter id, what each label was interned as: a label
-   is an op or a marker on one machine, never both. [marked] holds the
-   first marker interned on each marker id, newest first. *)
+   is an op or a marker on one machine, never both. [ops] and [marked]
+   hold the first op and marker interned on each id, newest first. *)
 let free = '\000'
 and is_op = 'o'
 and is_marker = 'm'
@@ -68,6 +69,7 @@ let create sim ~cost ~num_cpus =
       num_cpus;
       sink = None;
       kinds = Bytes.empty;
+      ops = [];
       marked = [];
     }
   in
@@ -94,12 +96,17 @@ let set_kind t (counter : Counter.id) k =
   end;
   Bytes.set t.kinds i k
 
-let op t label =
+let op t ?(lane = Accounting.Hypervisor) cat label =
   let counter = Counter.intern t.counters label in
-  if kind t counter = is_marker then
+  let k = kind t counter in
+  if k = is_marker then
     invalid_arg (Printf.sprintf "Machine.op: %S is already a marker" label);
-  set_kind t counter is_op;
-  { machine = t; counter; label; cat = None }
+  let op = { machine = t; counter; label; cat; lane } in
+  if k = free then begin
+    set_kind t counter is_op;
+    t.ops <- op :: t.ops
+  end;
+  op
 
 let marker t m =
   let label = Marker.label m in
@@ -108,8 +115,7 @@ let marker t m =
   if k = is_op then
     invalid_arg (Printf.sprintf "Machine.marker: %S is already an op" label);
   let mk =
-    { m_machine = t; m_counter = counter; m_label = label; m_cat = None;
-      marker = m }
+    { m_machine = t; m_counter = counter; m_label = label; marker = m }
   in
   if k = free then begin
     set_kind t counter is_marker;
@@ -124,15 +130,7 @@ let spend op cycles =
   Sim.delay (Cycles.of_int cycles);
   match t.sink with
   | Some s ->
-      let cat =
-        match op.cat with
-        | Some c -> c
-        | None ->
-            let c = Span.of_label op.label in
-            op.cat <- Some c;
-            c
-      in
-      s.spend ~id:op.counter ~label:op.label ~cat ~cycles
+      s.spend ~id:op.counter ~label:op.label ~cat:op.cat ~cycles
         ~now:(Sim.current_time ())
   | None -> ()
 
@@ -141,16 +139,8 @@ let count mk =
   Counter.incr_id t.counters mk.m_counter;
   match t.sink with
   | Some s ->
-      let cat =
-        match mk.m_cat with
-        | Some c -> c
-        | None ->
-            let c = Marker.category mk.marker in
-            mk.m_cat <- Some c;
-            c
-      in
-      s.count ~id:mk.m_counter ~marker:mk.marker ~label:mk.m_label ~cat
-        ~now:(Sim.now t.sim)
+      s.count ~id:mk.m_counter ~marker:mk.marker ~label:mk.m_label
+        ~cat:(Marker.category mk.marker) ~now:(Sim.now t.sim)
   | None -> ()
 
 let markers t =
@@ -163,12 +153,13 @@ let markers t =
 
 let op_cycles t =
   List.filter_map
-    (fun label ->
-      let counter = Counter.intern t.counters label in
-      if kind t counter = is_op then
-        Option.map (fun n -> (label, n)) (Counter.value t.counters counter)
-      else None)
-    (Counter.names t.counters)
+    (fun op ->
+      Option.map
+        (fun cycles ->
+          { Accounting.label = op.label; cat = op.cat; lane = op.lane; cycles })
+        (Counter.value t.counters op.counter))
+    t.ops
+  |> List.sort (fun (a : Accounting.spent) b -> String.compare a.label b.label)
 
 let freq_ghz t = Cost_model.freq_ghz t.cost
 let elapsed_us t c = Cycles.to_us ~hz:(freq_ghz t *. 1e9) c

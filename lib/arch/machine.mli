@@ -13,7 +13,8 @@
     string. An op or marker carries its machine, so it can only ever
     charge the machine it was interned on. The counters are exact at any
     run length, and [armvirt stat] reads its counts from them
-    ({!markers}, {!op_cycles}). *)
+    ({!markers}, {!op_cycles}). Each op declares its trace category and
+    stat lane where it is interned; nothing is inferred from a label. *)
 
 type t
 
@@ -36,21 +37,21 @@ type marker
 (** A counted {!Armvirt_obs.Marker.t} (exits, entries, operation,
     switch and wire counters), counted through {!count}. *)
 
-val op : t -> string -> op
-(** [op t label] interns [label] in [t]'s counters. Interning the same
-    label again returns an op on the same counter. Call it when the
-    model is built, not per operation. Raises [Invalid_argument] if
-    [label] is already a marker on [t]. *)
+val op :
+  t -> ?lane:Armvirt_obs.Accounting.lane -> Armvirt_obs.Span.category ->
+  string -> op
+(** [op t ?lane cat label] interns [label] in [t]'s counters as an op of
+    trace category [cat] and stat lane [lane] (default [Hypervisor]; an
+    op the guest itself executes declares [Guest]). Interning the same
+    label again returns an op on the same counter; it must declare the
+    same category and lane, and {!op_cycles} reports the first. Call it
+    when the model is built, not per operation. Raises
+    [Invalid_argument] if [label] is already a marker on [t]. *)
 
 val marker : t -> Armvirt_obs.Marker.t -> marker
 (** As {!op}, for a marker: its label ({!Armvirt_obs.Marker.label}) is
     built here, once. Raises [Invalid_argument] if that label is already
     an op on [t]. *)
-
-(** Each op and marker also carries its {!Armvirt_obs.Span.category},
-    computed the first time a {!sink} sees it, never at intern time: for
-    an op {!Armvirt_obs.Span.of_label} of its label, for a marker
-    {!Armvirt_obs.Marker.category}. *)
 
 val spend : op -> int -> unit
 (** [spend op cycles] advances the calling process by [cycles] and adds
@@ -64,9 +65,9 @@ val markers : t -> (Armvirt_obs.Marker.t * int) list
 (** Every marker counted at least once, with its count, in intern
     order; a marker interned twice is listed once. *)
 
-val op_cycles : t -> (string * int) list
-(** Every op spent at least once (a spend of 0 counts), with its label
-    and total cycles, sorted by label. *)
+val op_cycles : t -> Armvirt_obs.Accounting.spent list
+(** Every op spent at least once (a spend of 0 counts), with its label,
+    declared category and lane, and total cycles, sorted by label. *)
 
 (** {1 Instrumentation} *)
 
@@ -75,16 +76,16 @@ type sink = {
     id:Armvirt_stats.Counter.id -> label:string ->
     cat:Armvirt_obs.Span.category -> cycles:int ->
     now:Armvirt_engine.Cycles.t -> unit;
-      (** Every {!spend}: the op's counter id in {!counters} and its
-          label and category, its cycles and the simulated time {e
+      (** Every {!spend}: the op's counter id in {!counters}, its label
+          and declared category, its cycles and the simulated time {e
           after} the step. *)
   count :
     id:Armvirt_stats.Counter.id -> marker:Armvirt_obs.Marker.t ->
     label:string -> cat:Armvirt_obs.Span.category ->
     now:Armvirt_engine.Cycles.t -> unit;
       (** Every {!count}: the marker's counter id, the typed marker,
-          its label and category and the machine's clock, so it is safe
-          outside a simulation process. *)
+          its label and {!Armvirt_obs.Marker.category} and the machine's
+          clock, so it is safe outside a simulation process. *)
 }
 (** Where a machine reports its priced steps and counted markers, in
     the order they happen. The library builds every sink in

@@ -19,13 +19,13 @@ let create machine =
       let op = Machine.op machine in
       {
         hw;
-        vmcall_issue = op "x86.vmcall_issue";
-        vmexit = op "x86.vmexit";
-        vmentry = op "x86.vmentry";
-        eoi_vapic = op "x86.eoi_vapic";
-        eoi_emul = op "x86.eoi_emul";
-        virq_guest_dispatch = op "x86.virq_guest_dispatch";
-        tlb_shootdown = op "x86.tlb_shootdown";
+        vmcall_issue = op Trap "x86.vmcall_issue";
+        vmexit = op Vmexit "x86.vmexit";
+        vmentry = op Vmexit "x86.vmentry";
+        eoi_vapic = op ~lane:Guest Irq "x86.eoi_vapic";
+        eoi_emul = op Trap "x86.eoi_emul";
+        virq_guest_dispatch = op ~lane:Guest Trap "x86.virq_guest_dispatch";
+        tlb_shootdown = op Stage2 "x86.tlb_shootdown";
       }
 
 let hw t = t.hw

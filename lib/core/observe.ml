@@ -200,22 +200,31 @@ let attach live m =
 
 (* A finished cell's accounting rows, machines named m0, m1, ... in
    build order and sorted as strings, and its spend_cycles_total by
-   category, both read from the machines' counters. *)
+   declared category, both read from the machines' counters. A category
+   some op was spent in, if only for 0 cycles, gets a series. *)
 let snapshot live ~label =
-  List.rev live.machines
-  |> List.mapi (fun i (m, pairing) ->
-         let machine = Printf.sprintf "m%d" i and ops = Machine.op_cycles m in
-         List.iter
-           (fun (op, cycles) ->
-             Metrics.incr live.cell_metrics
-               ~labels:
-                 [ ("category", Span.category_to_string (Span.of_label op)) ]
-               ~by:cycles "spend_cycles_total")
-           ops;
-         ( machine,
-           Accounting.rows ~cell:label ~machine ~markers:(Machine.markers m)
-             ~ops pairing ))
-  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+  let by_cat = Array.make (Array.length Span.categories) (-1) in
+  let rows =
+    List.rev live.machines
+    |> List.mapi (fun i (m, pairing) ->
+           let machine = Printf.sprintf "m%d" i and ops = Machine.op_cycles m in
+           List.iter
+             (fun (o : Accounting.spent) ->
+               let c = Span.category_index o.cat in
+               by_cat.(c) <- Int.max by_cat.(c) 0 + o.cycles)
+             ops;
+           ( machine,
+             Accounting.rows ~cell:label ~machine ~markers:(Machine.markers m)
+               ~ops pairing ))
+  in
+  Array.iteri
+    (fun c cycles ->
+      if cycles >= 0 then
+        Metrics.incr live.cell_metrics
+          ~labels:[ ("category", Span.category_to_string Span.categories.(c)) ]
+          ~by:cycles "spend_cycles_total")
+    by_cat;
+  List.stable_sort (fun (a, _) (b, _) -> String.compare a b) rows
   |> List.concat_map snd
 
 (* --- session lifecycle --------------------------------------------- *)

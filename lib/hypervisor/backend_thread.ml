@@ -42,8 +42,8 @@ let create machine ~profile ~kind ?(batch_budget = 64) on_item =
     per_item = per_item_cost profile kind;
     (* Scheduler wake of a kernel thread. *)
     wake_cost = 1_100;
-    item_op = Machine.op machine (label kind ^ ".item");
-    wake_op = Machine.op machine (label kind ^ ".wake");
+    item_op = Machine.op machine Io (label kind ^ ".item");
+    wake_op = Machine.op machine Io (label kind ^ ".wake");
     batch_budget;
     on_item;
     queue = Queue.create ();

@@ -17,13 +17,14 @@ type marks = {
 
 let marks machine ~hyp : marks =
   {
-    hypercall = Machine.marker machine (Marker.op ~hyp "hypercall");
-    ict = Machine.marker machine (Marker.op ~hyp "ict");
-    virq_completion = Machine.marker machine (Marker.op ~hyp "virq_completion");
-    vm_switch = Machine.marker machine (Marker.op ~hyp "vm_switch");
-    vipi = Machine.marker machine (Marker.op ~hyp "vipi");
-    io_out = Machine.marker machine (Marker.op ~hyp "io_out");
-    io_in = Machine.marker machine (Marker.op ~hyp "io_in");
+    hypercall = Machine.marker machine (Marker.op ~hyp Trap "hypercall");
+    ict = Machine.marker machine (Marker.op ~hyp Other "ict");
+    virq_completion =
+      Machine.marker machine (Marker.op ~hyp Irq "virq_completion");
+    vm_switch = Machine.marker machine (Marker.op ~hyp Other "vm_switch");
+    vipi = Machine.marker machine (Marker.op ~hyp Irq "vipi");
+    io_out = Machine.marker machine (Marker.op ~hyp Other "io_out");
+    io_in = Machine.marker machine (Marker.op ~hyp Other "io_in");
     transitions = Transitions.create machine ~hyp;
   }
 

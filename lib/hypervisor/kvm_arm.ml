@@ -96,18 +96,18 @@ let create ?(tuning = default_tuning) machine =
     machine;
     step =
       {
-        host_dispatch = op "kvm_arm.host_dispatch";
-        gic_mmio_emulate = op "kvm_arm.gic_mmio_emulate";
-        process_switch = op "kvm_arm.process_switch";
-        sgi_emulate = op "kvm_arm.sgi_emulate";
-        host_irq_route = op "kvm_arm.host_irq_route";
-        kick_dispatch = op "kvm_arm.kick_dispatch";
-        vhost_signal = op "kvm_arm.vhost_signal";
-        vcpu_resume = op "kvm_arm.vcpu_resume";
+        host_dispatch = op Trap "kvm_arm.host_dispatch";
+        gic_mmio_emulate = op Trap "kvm_arm.gic_mmio_emulate";
+        process_switch = op Vmexit "kvm_arm.process_switch";
+        sgi_emulate = op Trap "kvm_arm.sgi_emulate";
+        host_irq_route = op Irq "kvm_arm.host_irq_route";
+        kick_dispatch = op Trap "kvm_arm.kick_dispatch";
+        vhost_signal = op Io "kvm_arm.vhost_signal";
+        vcpu_resume = op Vmexit "kvm_arm.vcpu_resume";
       };
     mark = Hypervisor.marks machine ~hyp:"kvm_arm";
     virq_injected =
-      Machine.marker machine (Marker.op ~hyp:"kvm_arm" "virq_injected");
+      Machine.marker machine (Marker.op ~hyp:"kvm_arm" Irq "virq_injected");
     vm;
     guest = Kernel_costs.defaults;
     world;

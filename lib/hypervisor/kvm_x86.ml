@@ -66,14 +66,14 @@ let create ?(tuning = default_tuning) machine =
     machine;
     step =
       {
-        dispatch = op "kvm_x86.dispatch";
-        apic_emulate = op "kvm_x86.apic_emulate";
-        process_switch = op "kvm_x86.process_switch";
-        icr_emulate = op "kvm_x86.icr_emulate";
-        irq_inject = op "kvm_x86.irq_inject";
-        kick_dispatch = op "kvm_x86.kick_dispatch";
-        vhost_signal = op "kvm_x86.vhost_signal";
-        vcpu_resume = op "kvm_x86.vcpu_resume";
+        dispatch = op Trap "kvm_x86.dispatch";
+        apic_emulate = op Trap "kvm_x86.apic_emulate";
+        process_switch = op Vmexit "kvm_x86.process_switch";
+        icr_emulate = op Trap "kvm_x86.icr_emulate";
+        irq_inject = op Irq "kvm_x86.irq_inject";
+        kick_dispatch = op Trap "kvm_x86.kick_dispatch";
+        vhost_signal = op Io "kvm_x86.vhost_signal";
+        vcpu_resume = op Vmexit "kvm_x86.vcpu_resume";
       };
     mark = Hypervisor.marks machine ~hyp:"kvm_x86";
     apic = Apic.create ();

@@ -110,22 +110,22 @@ let create ?(tuning = default_tuning) ?(pinning = Separate) machine =
     machine;
     step =
       {
-        trap_save = op "xen_arm.trap_save";
-        trap_restore = op "xen_arm.trap_restore";
-        sched_pick = op "xen_arm.sched_pick";
-        dispatch = op "xen_arm.dispatch";
-        gic_mmio_emulate = op "xen_arm.gic_mmio_emulate";
-        sgi_emulate = op "xen_arm.sgi_emulate";
-        irq_route = op "xen_arm.irq_route";
-        evtchn_send = op "xen_arm.evtchn_send";
-        dom0_upcall = op "xen_arm.dom0_upcall";
-        dom0_signal_path = op "xen_arm.dom0_signal_path";
+        trap_save = op Trap "xen_arm.trap_save";
+        trap_restore = op Trap "xen_arm.trap_restore";
+        sched_pick = op Sched "xen_arm.sched_pick";
+        dispatch = op Trap "xen_arm.dispatch";
+        gic_mmio_emulate = op Trap "xen_arm.gic_mmio_emulate";
+        sgi_emulate = op Trap "xen_arm.sgi_emulate";
+        irq_route = op Irq "xen_arm.irq_route";
+        evtchn_send = op Irq "xen_arm.evtchn_send";
+        dom0_upcall = op Vmexit "xen_arm.dom0_upcall";
+        dom0_signal_path = op Io "xen_arm.dom0_signal_path";
       };
     mark = Hypervisor.marks machine ~hyp:"xen_arm";
     vm_switch_inner =
-      Machine.marker machine (Marker.op ~hyp:"xen_arm" "vm_switch_inner");
+      Machine.marker machine (Marker.op ~hyp:"xen_arm" Other "vm_switch_inner");
     virq_injected =
-      Machine.marker machine (Marker.op ~hyp:"xen_arm" "virq_injected");
+      Machine.marker machine (Marker.op ~hyp:"xen_arm" Irq "virq_injected");
     dom0;
     domu;
     channels;

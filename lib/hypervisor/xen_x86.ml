@@ -82,17 +82,17 @@ let create ?(tuning = default_tuning) machine =
     machine;
     step =
       {
-        dispatch = op "xen_x86.dispatch";
-        apic_emulate = op "xen_x86.apic_emulate";
-        eoi_vapic = op "xen_x86.eoi_vapic";
-        eoi_emul = op "xen_x86.eoi_emul";
-        sched_switch = op "xen_x86.sched_switch";
-        icr_emulate = op "xen_x86.icr_emulate";
-        irq_inject = op "xen_x86.irq_inject";
-        evtchn_send = op "xen_x86.evtchn_send";
-        pv_switch = op "xen_x86.pv_switch";
-        dom0_upcall = op "xen_x86.dom0_upcall";
-        dom0_signal_path = op "xen_x86.dom0_signal_path";
+        dispatch = op Trap "xen_x86.dispatch";
+        apic_emulate = op Trap "xen_x86.apic_emulate";
+        eoi_vapic = op ~lane:Guest Irq "xen_x86.eoi_vapic";
+        eoi_emul = op Trap "xen_x86.eoi_emul";
+        sched_switch = op Sched "xen_x86.sched_switch";
+        icr_emulate = op Trap "xen_x86.icr_emulate";
+        irq_inject = op Irq "xen_x86.irq_inject";
+        evtchn_send = op Irq "xen_x86.evtchn_send";
+        pv_switch = op Other "xen_x86.pv_switch";
+        dom0_upcall = op Vmexit "xen_x86.dom0_upcall";
+        dom0_signal_path = op Io "xen_x86.dom0_signal_path";
       };
     mark = Hypervisor.marks machine ~hyp:"xen_x86";
     channels;

@@ -68,17 +68,19 @@ let run ?(plan = Plan.default) (hyp : Hypervisor.t) =
   let cycles_of_us us = Cycles.of_us ~hz:freq_hz us in
   let spend op cycles = if cycles > 0 then Machine.spend op cycles in
   let op = Machine.op machine in
-  let wp_fault_op = op "migrate.wp_fault"
-  and guest_service_op = op "migrate.guest_service"
-  and copy_op = op "migrate.copy"
-  and send_op = op "migrate.send"
-  and kick_op = op "migrate.kick"
-  and protect_op = op "migrate.protect"
-  and harvest_op = op "migrate.harvest"
-  and pause_op = op "migrate.pause"
-  and state_op = op "migrate.state"
-  and resume_op = op "migrate.resume" in
-  let mark name = Machine.marker machine (Marker.op ~hyp:"migrate" name) in
+  let wp_fault_op = op Migrate "migrate.wp_fault"
+  and guest_service_op = op ~lane:Guest Migrate "migrate.guest_service"
+  and copy_op = op Migrate "migrate.copy"
+  and send_op = op Migrate "migrate.send"
+  and kick_op = op Migrate "migrate.kick"
+  and protect_op = op Migrate "migrate.protect"
+  and harvest_op = op Migrate "migrate.harvest"
+  and pause_op = op Migrate "migrate.pause"
+  and state_op = op Migrate "migrate.state"
+  and resume_op = op Migrate "migrate.resume" in
+  let mark name =
+    Machine.marker machine (Marker.op ~hyp:"migrate" Migrate name)
+  in
   let start_mark = mark "start"
   and round_mark = mark "round"
   and round_cap_mark = mark "round_cap"

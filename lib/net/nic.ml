@@ -13,8 +13,8 @@ type t = {
 let create ~machine ~dma_cost ~irq_raise =
   if dma_cost < 0 then invalid_arg "Nic.create: negative DMA cost";
   {
-    rx_dma = Machine.op machine "nic.rx_dma";
-    tx_dma = Machine.op machine "nic.tx_dma";
+    rx_dma = Machine.op machine Io "nic.rx_dma";
+    tx_dma = Machine.op machine Io "nic.tx_dma";
     dma_cost;
     irq_raise;
     link = None;

@@ -64,19 +64,12 @@ type lane = Guest | Hypervisor
 
 let lane_to_string = function Guest -> "guest" | Hypervisor -> "hypervisor"
 
-let guest_needles =
-  [ "vm_processing"; "native_server"; "guest"; "virq_complete"; "eoi_vapic" ]
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec at i j = j = nn || (haystack.[i + j] = needle.[j] && at i (j + 1)) in
-  let rec go i = i + nn <= nh && (at i 0 || go (i + 1)) in
-  nn = 0 || go 0
-
-let lane_of_label label =
-  if List.exists (contains (String.lowercase_ascii label)) guest_needles then
-    Guest
-  else Hypervisor
+type spent = {
+  label : string;
+  cat : Span.category;
+  lane : lane;
+  cycles : int;
+}
 
 (* Exit latency: exits wait on (hyp, pcpu) for the next entry. Each
    (hyp, pcpu) has one slot, so a marker costs one lookup. *)
@@ -209,10 +202,10 @@ let sum_by_key pairs =
 let rows ~cell ~machine ~markers ~ops pairing =
   let guest_cycles, hyp_cycles =
     List.fold_left
-      (fun (g, h) (label, cycles) ->
-        match lane_of_label label with
-        | Guest -> (g + cycles, h)
-        | Hypervisor -> (g, h + cycles))
+      (fun (g, h) o ->
+        match o.lane with
+        | Guest -> (g + o.cycles, h)
+        | Hypervisor -> (g, h + o.cycles))
       (0, 0) ops
   in
   let row hyp ~cycles:(guest_cycles, hyp_cycles) markers =

@@ -38,13 +38,18 @@ type lane = Guest | Hypervisor
 
 val lane_to_string : lane -> string
 
-val lane_of_label : string -> lane
-(** First-match substring rules, mirroring {!Span.of_label}: labels for
-    work the VM itself executes (["vm_processing"], ["native_server"],
-    anything containing ["guest"], hardware-assisted completion paths
-    ["virq_complete"] / ["eoi_vapic"]) are [Guest]; every other priced
-    label — world-switch costs, hypervisor dispatch, host backend and
-    I/O paths — is [Hypervisor]. *)
+type spent = {
+  label : string;
+  cat : Span.category;
+  lane : lane;
+  cycles : int;  (** Every cycle the op spent, 0 if it was spent for 0. *)
+}
+(** One op's total, with the category and lane declared where it was
+    interned ([Armvirt_arch.Machine.op_cycles]). The lane says who
+    executes the op: [Guest] for work the VM itself runs (its packet
+    processing, its own interrupt completion, a native server), and
+    [Hypervisor] for world-switch costs, hypervisor dispatch and the
+    host's backend and I/O paths. *)
 
 (** {1 Exit latency} *)
 
@@ -90,14 +95,14 @@ val rows :
   cell:string ->
   machine:string ->
   markers:(Marker.t * int) list ->
-  ops:(string * int) list ->
+  ops:spent list ->
   pairing ->
   vm_stats list
 (** One machine's rows: one per marker prefix ({!Marker.hyp}), sorted.
     [markers] are the machine's counted markers with their counts, each
-    once; [ops] its priced ops' labels and total cycles, split into the
-    two lanes by {!lane_of_label} and reported on the first row (in
-    practice one machine hosts one hypervisor). A machine with no
+    once; [ops] its priced ops, whose cycles are summed by their lanes
+    and reported on the first row (in practice one machine hosts one
+    hypervisor). A machine with no
     markers gets one ["-"] row if it spent any cycles, none otherwise. *)
 
 type t = {

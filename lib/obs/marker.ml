@@ -25,7 +25,7 @@ let dir_to_string = function Rx -> "rx" | Tx -> "tx" | Drop -> "drop"
 type t =
   | Exit of { hyp : string; reason : reason; pcpu : int }
   | Entry of { hyp : string; pcpu : int; domid : int option }
-  | Op of { hyp : string; name : string }
+  | Op of { hyp : string; name : string; cat : Span.category }
   | Port of { switch : string; port : int; dir : dir }
   | Flood of { switch : string }
   | Uplink of { switch : string; uplink : int; dir : dir }
@@ -50,7 +50,7 @@ let entry ?domid ~hyp ~pcpu () =
   require_ident ~what:"hypervisor" hyp;
   Entry { hyp; pcpu; domid }
 
-let op ~hyp name =
+let op ~hyp cat name =
   require_ident ~what:"hypervisor" hyp;
   if
     not
@@ -59,7 +59,7 @@ let op ~hyp name =
            (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false)
            name)
   then invalid_arg (Printf.sprintf "Marker.op: %S must match [a-z0-9_]+" name);
-  Op { hyp; name }
+  Op { hyp; name; cat }
 
 let port ~switch ~port dir =
   require_ident ~what:"switch" switch;
@@ -92,7 +92,7 @@ let label = function
   | Entry { hyp; pcpu; domid = Some d } ->
       String.concat ""
         [ hyp; ".entry/p"; Int.to_string pcpu; "/d"; Int.to_string d ]
-  | Op { hyp; name } -> hyp ^ "." ^ name
+  | Op { hyp; name; _ } -> hyp ^ "." ^ name
   | Port { switch; port; dir } ->
       String.concat ""
         [ "vswitch."; switch; "/p"; Int.to_string port; "/"; dir_to_string dir ]
@@ -107,4 +107,6 @@ let name t =
 
 let category = function
   | Exit _ | Entry _ -> Span.Vmexit
-  | (Op _ | Port _ | Flood _ | Uplink _) as t -> Span.of_label (label t)
+  | Op { cat; _ } -> cat
+  | Port { dir = Rx | Tx; _ } | Uplink _ -> Span.Io
+  | Port { dir = Drop; _ } | Flood _ -> Span.Other

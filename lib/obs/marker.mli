@@ -37,7 +37,7 @@ type dir = Rx | Tx | Drop
 type t = private
   | Exit of { hyp : string; reason : reason; pcpu : int }
   | Entry of { hyp : string; pcpu : int; domid : int option }
-  | Op of { hyp : string; name : string }
+  | Op of { hyp : string; name : string; cat : Span.category }
   | Port of { switch : string; port : int; dir : dir }
   | Flood of { switch : string }
   | Uplink of { switch : string; uplink : int; dir : dir }
@@ -47,8 +47,9 @@ val exit : hyp:string -> reason:reason -> pcpu:int -> t
 val entry : ?domid:int -> hyp:string -> pcpu:int -> unit -> t
 (** Fleet schedulers tag every entry with the guest's [domid]. *)
 
-val op : hyp:string -> string -> t
-(** An operation counter; the name must match [[a-z0-9_]+]. *)
+val op : hyp:string -> Span.category -> string -> t
+(** An operation counter of the given category; the name must match
+    [[a-z0-9_]+]. *)
 
 val port : switch:string -> port:int -> dir -> t
 
@@ -68,5 +69,6 @@ val name : t -> string
     ["s0/p1/rx"], ["s0-u0/tx"]). *)
 
 val category : t -> Span.category
-(** Exits and entries are {!Span.Vmexit}; every other marker is
-    {!Span.of_label} of its label. *)
+(** By constructor: exits and entries are {!Span.Vmexit}; an op is the
+    category {!op} was given; a port's [Rx] and [Tx] and every uplink
+    are {!Span.Io}; a port's [Drop] and a flood are {!Span.Other}. *)

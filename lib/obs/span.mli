@@ -3,18 +3,17 @@
     Mirrors the decomposition axes of the paper's analysis — traps into
     the hypervisor (Table I's transition costs), full world switches,
     interrupt virtualization, stage-2 memory management, the I/O request
-    path (Table V) and scheduling. Every
-    {!event} carries a {!category} so exporters can attribute cycles per
-    axis without re-parsing label strings. *)
+    path (Table V) and scheduling. Every {!event} carries a {!category};
+    each op declares its own where it is interned
+    ([Armvirt_arch.Machine.op]), and a marker's follows from its
+    constructor ({!Marker.category}), so no label is parsed. *)
 
 type category =
-  | Migrate
-      (** Live migration: dirty logging, pre-copy rounds, blackout.
-          Matched first — migration labels ("migrate.wp_fault",
-          "migrate.copy") would otherwise scatter into the Stage2 and Io
-          lanes. *)
+  | Migrate  (** Live migration: dirty logging, pre-copy rounds, blackout. *)
   | Trap  (** Traps/exits into hypervisor emulation (hypercall, MMIO). *)
-  | Vmexit  (** Full world switches: save/restore, VM entry/exit. *)
+  | Vmexit
+      (** World-switch transitions: VM exit and entry, VCPU resume,
+          process switch, exception return. *)
   | Irq  (** Interrupt virtualization: vGIC, IPIs, EOI, timer ticks. *)
   | Stage2  (** Stage-2/nested paging: faults, page walks, TLB, grants. *)
   | Io  (** The paravirtual I/O path: rings, backends, copies, wires. *)
@@ -30,11 +29,6 @@ val category_index : category -> int
 val category_to_string : category -> string
 (** Lowercase stable names: ["migrate"], ["trap"], ["vmexit"], ["irq"],
     ["stage2"], ["io"], ["sched"], ["other"]. *)
-
-val of_label : string -> category
-(** Classifies a {!Armvirt_arch.Machine.spend} label
-    (["kvm_arm.vcpu_resume"], ["netperf.host_rx_path"], ...) by ordered
-    substring rules; unmatched labels map to {!Other}. *)
 
 (** {1 Events} *)
 

@@ -31,10 +31,10 @@ let run ?(requests = 64) (hyp : Hypervisor.t) ~device =
   let g = hyp.Hypervisor.guest in
   let freq_ghz = Machine.freq_ghz machine in
   let op = Machine.op machine in
-  let irq_delivery_op = op "disk_system.irq_delivery"
-  and guest_blk_op = op "disk_system.guest_blk"
-  and kick_op = op "disk_system.kick"
-  and completion_op = op "disk_system.completion" in
+  let irq_delivery_op = op Irq "disk_system.irq_delivery"
+  and guest_blk_op = op ~lane:Guest Io "disk_system.guest_blk"
+  and kick_op = op Io "disk_system.kick"
+  and completion_op = op Other "disk_system.completion" in
   let zero_copy = p.Io_profile.zero_copy in
   let vq = Virtqueue.create () in
   let ring = Xen_ring.create () in

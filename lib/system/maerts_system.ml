@@ -40,9 +40,9 @@ let run ?(frames = 1500) ?tso_bug (hyp : Hypervisor.t) =
     else 42
   in
   let op = Machine.op machine in
-  let guest_frame_op = op "maerts_system.guest_frame"
-  and kick_op = op "maerts_system.kick"
-  and backend_frame_op = op "maerts_system.backend_frame" in
+  let guest_frame_op = op ~lane:Guest Io "maerts_system.guest_frame"
+  and kick_op = op Io "maerts_system.kick"
+  and backend_frame_op = op Io "maerts_system.backend_frame" in
   let ring = Virtqueue.create ~size:256 () in
   let window = Sim.Resource.create ~name:"tx-window" sim ~capacity:window_frames in
   let backend_inbox : int Sim.Mailbox.t = Sim.Mailbox.create ~name:"backend-inbox" sim in

@@ -77,17 +77,17 @@ let run ?(transactions = 100) (hyp : Hypervisor.t) =
   let p = hyp.Hypervisor.io_profile in
   let g = hyp.Hypervisor.guest in
   let op = Machine.op machine in
-  let rx_grant_op = op "rr_system.rx_grant"
-  and irq_delivery_op = op "rr_system.irq_delivery"
-  and notify_op = op "rr_system.notify"
-  and tx_grant_op = op "rr_system.tx_grant"
-  and backend_tx_op = op "rr_system.backend_tx"
-  and host_tx_path_op = op "rr_system.host_tx_path"
-  and phys_rx_extra_op = op "rr_system.phys_rx_extra"
-  and native_server_op = op "rr_system.native_server"
-  and host_rx_path_op = op "rr_system.host_rx_path"
-  and virq_completion_op = op "rr_system.virq_completion"
-  and vm_processing_op = op "rr_system.vm_processing" in
+  let rx_grant_op = op Stage2 "rr_system.rx_grant"
+  and irq_delivery_op = op Irq "rr_system.irq_delivery"
+  and notify_op = op Io "rr_system.notify"
+  and tx_grant_op = op Stage2 "rr_system.tx_grant"
+  and backend_tx_op = op Io "rr_system.backend_tx"
+  and host_tx_path_op = op Io "rr_system.host_tx_path"
+  and phys_rx_extra_op = op Io "rr_system.phys_rx_extra"
+  and native_server_op = op ~lane:Guest Io "rr_system.native_server"
+  and host_rx_path_op = op Io "rr_system.host_rx_path"
+  and virq_completion_op = op Irq "rr_system.virq_completion"
+  and vm_processing_op = op ~lane:Guest Io "rr_system.vm_processing" in
   let stats = { rings = 0; grants = 0; virqs = 0 } in
   let transport = make_transport hyp in
   let vgic = Vgic.create () in

@@ -26,9 +26,9 @@ let run ?(frames = 2000) (hyp : Hypervisor.t) =
   let p = hyp.Hypervisor.io_profile in
   let g = hyp.Hypervisor.guest in
   let op = Machine.op machine in
-  let guest_frame = op "stream_system.guest_frame"
-  and backend_frame = op "stream_system.backend_frame"
-  and irq_delivery = op "stream_system.irq_delivery" in
+  let guest_frame = op ~lane:Guest Io "stream_system.guest_frame"
+  and backend_frame = op Io "stream_system.backend_frame"
+  and irq_delivery = op Irq "stream_system.irq_delivery" in
   (* One receive virtqueue models either transport's ring here: the
      batching protocol (backend-live window) is identical; the per-frame
      costs differ through the profile. *)

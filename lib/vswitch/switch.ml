@@ -50,7 +50,7 @@ let create ?(queue_capacity = 64) ?(learning = true) ~name machine profile =
   {
     name;
     machine;
-    ingress_op = Machine.op machine "vswitch.ingress";
+    ingress_op = Machine.op machine Other "vswitch.ingress";
     flood_mark = Machine.marker machine (Marker.flood ~switch:name);
     profile;
     queue_capacity;

@@ -164,8 +164,8 @@ let run_chain ?(requests = 400) ?(payload = 256) ?(spec = Topology.Pair)
   let backend = if lb = 2 then 1 else 2 in
   let g = hyp.Hypervisor.guest in
   let op = Machine.op machine in
-  let lb_op = op "cluster.lb"
-  and backend_op = op "cluster.backend" in
+  let lb_op = op Other "cluster.lb"
+  and backend_op = op Io "cluster.backend" in
   let pkts = ref [] in
   (* Deliveries are timed callbacks; the LB and backend charge guest
      work, so each frame they take is served by a forked process. *)

@@ -32,9 +32,9 @@ let run (hyp : Hypervisor.t) ~pages =
      kernel with no transition at all. *)
   let transition = p.Io_profile.kick_guest_cpu in
   let op = Machine.op machine in
-  let transition_op = op "coldstart.transition"
-  and alloc_op = op "coldstart.alloc"
-  and map_op = op "coldstart.map" in
+  let transition_op = op Stage2 "coldstart.transition"
+  and alloc_op = op Stage2 "coldstart.alloc"
+  and map_op = op Stage2 "coldstart.map" in
   let stage2 = Stage2.create () in
   let tlb = Tlb.create ~capacity:512 in
   let faults = ref 0 in

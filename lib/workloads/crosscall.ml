@@ -32,7 +32,7 @@ let run ?(targets = 3) (hyp : Hypervisor.t) =
       ( 700 + (p.Io_profile.vipi_guest_cpu / 2),
         800 + (p.Io_profile.vipi_guest_cpu / 2) + target_handler )
   in
-  let send_leg = Machine.op machine "crosscall.send_leg" in
+  let send_leg = Machine.op machine Irq "crosscall.send_leg" in
   let latency = ref 0 in
   let sender_cpu = ref 0 in
   Sim.spawn sim ~name:"crosscall-sender" (fun () ->

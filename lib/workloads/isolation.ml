@@ -23,7 +23,7 @@ let run ?(seed = 7) ?(iterations = 200) ~interference (hyp : Hypervisor.t) =
   let counter =
     Cycle_counter.create ~barrier_cost:hyp.Hypervisor.barrier_cost
   in
-  let interference_op = Machine.op machine "isolation.interference" in
+  let interference_op = Machine.op machine Other "isolation.interference" in
   let collected = ref None in
   Sim.spawn sim ~name:"isolation-probe" (fun () ->
       let samples =

@@ -46,15 +46,15 @@ let transaction (hyp : Hypervisor.t) =
   let g = hyp.Hypervisor.guest in
   let machine = hyp.Hypervisor.machine in
   let op = Machine.op machine in
-  let phys_rx_extra_op = op "netperf.phys_rx_extra"
-  and native_server_op = op "netperf.native_server"
-  and host_rx_path_op = op "netperf.host_rx_path"
-  and rx_grant_op = op "netperf.rx_grant"
-  and irq_delivery_op = op "netperf.irq_delivery"
-  and vm_processing_op = op "netperf.vm_processing"
-  and notify_op = op "netperf.notify"
-  and backend_tx_op = op "netperf.backend_tx"
-  and host_tx_path_op = op "netperf.host_tx_path" in
+  let phys_rx_extra_op = op Io "netperf.phys_rx_extra"
+  and native_server_op = op ~lane:Guest Io "netperf.native_server"
+  and host_rx_path_op = op Io "netperf.host_rx_path"
+  and rx_grant_op = op Stage2 "netperf.rx_grant"
+  and irq_delivery_op = op Irq "netperf.irq_delivery"
+  and vm_processing_op = op ~lane:Guest Io "netperf.vm_processing"
+  and notify_op = op Io "netperf.notify"
+  and backend_tx_op = op Io "netperf.backend_tx"
+  and host_tx_path_op = op Io "netperf.host_tx_path" in
   let native = is_native hyp in
   fun ~id ->
   let pkt = Packet.create ~payload:rr_payload ~id () in
@@ -99,20 +99,6 @@ let transaction (hyp : Hypervisor.t) =
   Sim.delay (Cycles.of_int client_turnaround);
   pkt
 
-let mean_interval machine pkts a b =
-  let values =
-    List.filter_map
-      (fun p ->
-        Option.map
-          (fun c -> Machine.elapsed_us machine c)
-          (Packet.interval p a b))
-      pkts
-  in
-  match values with
-  | [] -> None
-  | _ ->
-      Some (List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values))
-
 (* Native residence time on this machine, for the overhead column. *)
 let native_us (hyp : Hypervisor.t) =
   let machine = hyp.Hypervisor.machine in
@@ -123,30 +109,47 @@ let native_us (hyp : Hypervisor.t) =
        + client_turnaround
        + Kernel_costs.rr_server_cycles g))
 
+(* The Table V legs, averaged over the transactions that stamped both
+   ends. *)
+let legs =
+  [| ("recv", "send"); ("recv", "vm_recv"); ("vm_recv", "vm_send");
+     ("vm_send", "send") |]
+
 let run_tcp_rr ?(transactions = 400) (hyp : Hypervisor.t) =
   if transactions < 1 then invalid_arg "Netperf.run_tcp_rr: no transactions";
   let machine = hyp.Hypervisor.machine in
   let sim = Machine.sim machine in
-  let pkts = ref [] in
+  (* Running sums per leg, added in transaction order: no packet is
+     kept past its transaction. *)
+  let sums = Array.make (Array.length legs) 0.0
+  and counts = Array.make (Array.length legs) 0 in
   let elapsed = ref Cycles.zero in
   let transaction = transaction hyp in
   Sim.spawn sim ~name:"netperf-tcp-rr" (fun () ->
       let start = Sim.current_time () in
       for id = 1 to transactions do
-        pkts := transaction ~id :: !pkts
+        let pkt = transaction ~id in
+        Array.iteri
+          (fun i (a, b) ->
+            match Packet.interval pkt a b with
+            | Some c ->
+                sums.(i) <- sums.(i) +. Machine.elapsed_us machine c;
+                counts.(i) <- counts.(i) + 1
+            | None -> ())
+          legs
       done;
       elapsed := Cycles.sub (Sim.current_time ()) start);
   Sim.run sim;
-  let pkts = List.rev !pkts in
   let total_us = Machine.elapsed_us machine !elapsed in
   let time_per_trans_us = total_us /. float_of_int transactions in
   let native = native_us hyp in
-  let interval = mean_interval machine pkts in
-  let value label = Option.value ~default:0.0 label in
+  let mean i =
+    if counts.(i) = 0 then None else Some (sums.(i) /. float_of_int counts.(i))
+  in
   (* "send to recv": server send -> (wire, client, wire, Dom0 wake) ->
      next request visible at the server's physical layer. Per-transaction
      it is everything outside recv->send. *)
-  let recv_to_send = value (interval "recv" "send") in
+  let recv_to_send = Option.value ~default:0.0 (mean 0) in
   {
     transactions;
     time_per_trans_us;
@@ -154,9 +157,9 @@ let run_tcp_rr ?(transactions = 400) (hyp : Hypervisor.t) =
     overhead_us = time_per_trans_us -. native;
     send_to_recv_us = time_per_trans_us -. recv_to_send;
     recv_to_send_us = recv_to_send;
-    recv_to_vm_recv_us = interval "recv" "vm_recv";
-    vm_recv_to_vm_send_us = interval "vm_recv" "vm_send";
-    vm_send_to_send_us = interval "vm_send" "send";
+    recv_to_vm_recv_us = mean 1;
+    vm_recv_to_vm_send_us = mean 2;
+    vm_send_to_send_us = mean 3;
     normalized = time_per_trans_us /. native;
   }
 
@@ -173,13 +176,11 @@ let rate_gbps machine ~cycles_per_chunk ~chunk_bytes =
   let hz = Machine.freq_ghz machine *. 1e9 in
   hz /. float_of_int cycles_per_chunk *. float_of_int chunk_bytes *. 8.0 /. 1e9
 
-let pick_bound bounds =
-  let name, gbps =
-    List.fold_left
-      (fun (bn, bv) (name, v) -> if v < bv then (name, v) else (bn, bv))
-      ("wire", wire_gbps) bounds
-  in
-  (name, gbps)
+(* The tightest bound, the wire unless some other bound is lower. *)
+let pick_bound ~wire_gbps bounds =
+  List.fold_left
+    (fun (bn, bv) (name, v) -> if v < bv then (name, v) else (bn, bv))
+    ("wire", wire_gbps) bounds
 
 (* Bulk receive. KVM's VHOST preserves GRO: the guest and backend see
    64 KB aggregates and the wire binds. Xen's netback forwards
@@ -217,11 +218,7 @@ let tcp_stream ?(wire_gbps = wire_gbps) (hyp : Hypervisor.t) =
           rate_gbps machine ~cycles_per_chunk:backend_chunk ~chunk_bytes );
       ]
     in
-    let name, best =
-      List.fold_left
-        (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv))
-        ("wire", wire_gbps) bounds
-    in
+    let name, best = pick_bound ~wire_gbps bounds in
     { gbps = best; stream_normalized = wire_gbps /. best; stream_bottleneck = name }
   end
 
@@ -283,6 +280,6 @@ let tcp_maerts ?tso_bug (hyp : Hypervisor.t) =
         ("guest", rate_gbps machine ~cycles_per_chunk:guest_chunk ~chunk_bytes);
       ]
     in
-    let stream_bottleneck, gbps = pick_bound bounds in
+    let stream_bottleneck, gbps = pick_bound ~wire_gbps bounds in
     { gbps; stream_normalized = wire_gbps /. gbps; stream_bottleneck }
   end

@@ -33,7 +33,7 @@ let run ?(tick_hz = 250) ?(simulated_ms = 100) (hyp : Hypervisor.t) =
   (* Each expiry: the physical interrupt lands at the hypervisor, which
      injects the virtual timer interrupt; the guest handles and
      completes it, then re-arms for the next period — a clockevent. *)
-  let translate = Machine.op machine "timer_tick.translate" in
+  let translate = Machine.op machine Irq "timer_tick.translate" in
   let on_expiry () =
     let t0 = Sim.current_time () in
     Machine.spend translate

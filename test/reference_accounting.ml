@@ -142,7 +142,7 @@ let scan_cell (p : Export.process) =
           let a = get_macc m in
           match e.Span.kind with
           | Span.Complete dur -> (
-              match lane_of_label e.Span.name with
+              match Reference_span.lane_of_label e.Span.name with
               | Guest -> a.g_cycles <- a.g_cycles + dur
               | Hypervisor -> a.h_cycles <- a.h_cycles + dur)
           | Span.Value _ -> ()

@@ -11,6 +11,8 @@ module Arm_ops = Armvirt_arch.Arm_ops
 module X86_ops = Armvirt_arch.X86_ops
 module Transitions = Armvirt_arch.Transitions
 module Marker = Armvirt_obs.Marker
+module Span = Armvirt_obs.Span
+module Accounting = Armvirt_obs.Accounting
 
 let arm_machine ?(vhe = false) () =
   let sim = Sim.create () in
@@ -26,6 +28,11 @@ let x86_machine () =
 let in_process machine f =
   Sim.spawn (Machine.sim machine) ~name:"test" f;
   Sim.run (Machine.sim machine)
+
+let total_spent m =
+  List.fold_left
+    (fun acc (o : Accounting.spent) -> acc + o.cycles)
+    0 (Machine.op_cycles m)
 
 (* --- Reg_class ----------------------------------------------------- *)
 
@@ -97,12 +104,11 @@ let test_platform_frequencies () =
 let test_machine_spend_accounts () =
   let m = arm_machine () in
   in_process m (fun () ->
-      Machine.spend (Machine.op m "test.op") 100;
-      Machine.spend (Machine.op m "test.op") 20;
-      Machine.count (Machine.marker m (Marker.op ~hyp:"test" "events")));
+      Machine.spend (Machine.op m Other "test.op") 100;
+      Machine.spend (Machine.op m Other "test.op") 20;
+      Machine.count (Machine.marker m (Marker.op ~hyp:"test" Other "events")));
   Alcotest.(check int) "label total" 120 (Counter.get (Machine.counters m) "test.op");
-  Alcotest.(check int) "op cycles sum" 120
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 (Machine.op_cycles m));
+  Alcotest.(check int) "op cycles sum" 120 (total_spent m);
   Alcotest.(check int) "event count" 1
     (Counter.get (Machine.counters m) "test.events");
   Alcotest.(check int) "simulated time advanced" 120
@@ -118,7 +124,9 @@ let prop_spend_conserves_cycles =
     (fun spends ->
       let m = arm_machine () in
       in_process m (fun () ->
-          List.iter (fun (i, n) -> Machine.spend (Machine.op m labels.(i)) n) spends);
+          List.iter
+            (fun (i, n) -> Machine.spend (Machine.op m Other labels.(i)) n)
+            spends);
       let get = Counter.get (Machine.counters m) in
       let sum label =
         List.fold_left
@@ -127,8 +135,7 @@ let prop_spend_conserves_cycles =
       in
       let total = List.fold_left (fun acc (_, n) -> acc + n) 0 spends in
       Array.for_all (fun label -> get label = sum label) labels
-      && List.fold_left (fun acc (_, n) -> acc + n) 0 (Machine.op_cycles m)
-         = total
+      && total_spent m = total
       && Cycles.to_int (Sim.now (Machine.sim m)) = total)
 
 (* Interned ops and markers against label-keyed references: two machines
@@ -136,23 +143,30 @@ let prop_spend_conserves_cycles =
    clock. Each machine's counters must equal a reference counter fed by
    label; its sink must see exactly the (label, cycles, now) spend
    sequence and (marker, label, now) count sequence a label-keyed replay
-   predicts, each op with [Span.of_label] of its label and each marker
-   with [Marker.category]; and [Machine.markers] and [Machine.op_cycles]
-   must list each touched marker and op once with its total, however
-   often it was interned. The labels span several categories, so a
-   category taken from the wrong label shows. *)
+   predicts, each op with the category it was interned with and each
+   marker with [Marker.category]; and [Machine.markers] and
+   [Machine.op_cycles] must list each touched marker and op once with
+   its declared category and lane and its total, however often it was
+   interned. The ops span several categories and both lanes, so a
+   declaration taken from the wrong op shows. *)
 let traffic_ops =
   [|
-    "arm.save.GP Regs"; "netperf.host_rx_path"; "migrate.copy";
-    "xen_arm.sched_pick"; "plain";
+    ("arm.save.GP Regs", Span.Other, Accounting.Hypervisor);
+    ("netperf.host_rx_path", Io, Hypervisor);
+    ("migrate.copy", Migrate, Hypervisor);
+    ("xen_arm.sched_pick", Sched, Hypervisor);
+    ("netperf.vm_processing", Io, Guest);
+    ("plain", Other, Hypervisor);
   |]
+
+let op_label (label, _, _) = label
 
 let traffic_markers =
   [|
     Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:4;
     Marker.entry ~domid:1 ~hyp:"kvm_arm" ~pcpu:4 ();
     Marker.port ~switch:"s0" ~port:1 Marker.Rx;
-    Marker.op ~hyp:"kvm_arm" "hypercall";
+    Marker.op ~hyp:"kvm_arm" Trap "hypercall";
     Marker.flood ~switch:"s0";
     Marker.uplink ~switch:"s0" ~uplink:0 Marker.Tx;
   |]
@@ -185,7 +199,8 @@ let prop_interned_traffic_matches_reference =
             (List.map
                (function
                  | Spend (m, l, c) ->
-                     Printf.sprintf "spend m%d %s %d" m traffic_ops.(l) c
+                     Printf.sprintf "spend m%d %s %d" m
+                       (op_label traffic_ops.(l)) c
                  | Count (m, l) ->
                      Printf.sprintf "count m%d %s" m
                        (Marker.label traffic_markers.(l)))
@@ -197,7 +212,16 @@ let prop_interned_traffic_matches_reference =
       let machines = Array.init 2 (fun _ -> Machine.create sim ~cost ~num_cpus:8) in
       (* Interned at build time, as the models do, and every marker a
          second time: a re-interned label is the same counter. *)
-      let ops = Array.map (fun m -> Array.map (Machine.op m) traffic_ops) machines in
+      let ops =
+        Array.map
+          (fun m ->
+            Array.map (fun (label, cat, lane) -> Machine.op m ~lane cat label)
+              traffic_ops)
+          machines
+      in
+      let declared label =
+        List.find (fun o -> op_label o = label) (Array.to_list traffic_ops)
+      in
       let markers =
         Array.map (fun m -> Array.map (Machine.marker m) traffic_markers) machines
       in
@@ -214,7 +238,8 @@ let prop_interned_traffic_matches_reference =
                {
                  Machine.spend =
                    (fun ~id:_ ~label ~cat ~cycles ~now ->
-                     check_cat cat (Armvirt_obs.Span.of_label label);
+                     let _, want, _ = declared label in
+                     check_cat cat want;
                      seen.(i) <- (label, cycles, Cycles.to_int now) :: seen.(i));
                  count =
                    (fun ~id:_ ~marker ~label ~cat ~now ->
@@ -237,7 +262,7 @@ let prop_interned_traffic_matches_reference =
       List.iter
         (function
           | Spend (m, l, c) ->
-              let label = traffic_ops.(l) in
+              let label = op_label traffic_ops.(l) in
               Reference_counter.add refs.(m) label c;
               now := !now + c;
               spends.(m) <- (label, c, !now) :: spends.(m)
@@ -248,7 +273,7 @@ let prop_interned_traffic_matches_reference =
               counts.(m) <- (marker, label, !now) :: counts.(m))
         steps;
       let labels =
-        Array.to_list traffic_ops
+        List.map op_label (Array.to_list traffic_ops)
         @ List.map Marker.label (Array.to_list traffic_markers)
       in
       let counters_agree i =
@@ -270,8 +295,10 @@ let prop_interned_traffic_matches_reference =
               else None)
             (Array.to_list xs)
         in
-        Machine.op_cycles machines.(i)
-        = List.sort compare (touched traffic_ops Fun.id)
+        List.map
+          (fun (o : Accounting.spent) -> ((o.label, o.cat, o.lane), o.cycles))
+          (Machine.op_cycles machines.(i))
+        = List.sort compare (touched traffic_ops op_label)
         && Machine.markers machines.(i) = touched traffic_markers Marker.label
       in
       !cats_ok
@@ -285,19 +312,20 @@ let prop_interned_traffic_matches_reference =
    come from the markers and cycle attribution from the ops. *)
 let test_op_and_marker_disjoint () =
   let m = arm_machine () in
-  let hc = Marker.op ~hyp:"kvm_arm" "hypercall" in
+  let hc = Marker.op ~hyp:"kvm_arm" Trap "hypercall" in
   Machine.count (Machine.marker m hc);
   Machine.count (Machine.marker m hc);
   Alcotest.(check bool) "a re-interned marker shares its counter" true
     (Machine.markers m = [ (hc, 2) ]);
-  ignore (Machine.op m "kvm_arm.host_dispatch");
+  ignore (Machine.op m Trap "kvm_arm.host_dispatch");
   Alcotest.check_raises "marker label as an op"
     (Invalid_argument "Machine.op: \"kvm_arm.hypercall\" is already a marker")
-    (fun () -> ignore (Machine.op m "kvm_arm.hypercall"));
+    (fun () -> ignore (Machine.op m Trap "kvm_arm.hypercall"));
   Alcotest.check_raises "op label as a marker"
     (Invalid_argument
        "Machine.marker: \"kvm_arm.host_dispatch\" is already an op")
-    (fun () -> ignore (Machine.marker m (Marker.op ~hyp:"kvm_arm" "host_dispatch")))
+    (fun () ->
+      ignore (Machine.marker m (Marker.op ~hyp:"kvm_arm" Trap "host_dispatch")))
 
 (* A label string where Machine.marker wants a typed marker does not
    compile: compile_fail/dune compiles such a line against the built
@@ -379,9 +407,6 @@ let test_machine_elapsed_us () =
 (* --- Arm_ops -------------------------------------------------------- *)
 
 let spent m label = Counter.get (Machine.counters m) label
-
-let total_spent m =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (Machine.op_cycles m)
 
 let test_arm_ops_costs () =
   let m = arm_machine () in

@@ -80,6 +80,12 @@ let usage_errors =
     [ "rr"; "--transactions"; "0" ];
     [ "rr"; "--transactions=-5" ];
     [ "stat"; "micro"; "--iterations"; "0" ];
+    (* A cost outside the 0..10^9 cycles explore takes for every cost:
+       a negative one ran simulated time backwards, a huge one
+       overflowed the clock. *)
+    [ "stat"; "micro"; "--perturb-vgic-save=-100" ];
+    [ "stat"; "micro"; "--perturb-vgic-save=4611686018427387903" ];
+    [ "stat"; "micro"; "--top=-1" ];
     [ "explore"; "--space"; "bogus" ];
     (* The linter is armvirt-lint: armvirt has no lint command. *)
     [ "lint"; "--root"; "." ];
@@ -221,6 +227,9 @@ let accepted =
     (* The ends of the --offered-load range. *)
     [ "cluster"; "--scenario"; "loadgen"; "--vms"; "1"; "--offered-load";
       "1e-6,1e6"; "--format"; "csv" ];
+    (* The ends of the --perturb-vgic-save range. *)
+    [ "stat"; "micro"; "--perturb-vgic-save=0"; "--iterations"; "4" ];
+    [ "stat"; "micro"; "--perturb-vgic-save=1000000000"; "--iterations"; "4" ];
   ]
 
 (* Cases show their command line; armvirt's show only its arguments. *)
@@ -574,7 +583,7 @@ let switch_drop_case (extra, warning, md5) =
    sides of the ring's cap: N iterations of the Table I suite on KVM ARM
    are N hvc, 3N dabt and 2N irq exits, 7N entries and N hypercalls,
    with nothing on stderr, in the text report of `stat` and in the JSON
-   of `--stat -`. *)
+   of `--stat -`, whose schema and hypervisor are named. *)
 let exact_cases =
   List.concat_map
     (fun n ->
@@ -597,6 +606,8 @@ let exact_cases =
             "--stat"; "-";
           ],
           [
+            {|"schema": "armvirt.stat/v1"|};
+            {|"hyp": "kvm_arm"|};
             exit "hvc" n;
             exit "dabt" (3 * n);
             exit "irq" (2 * n);
@@ -618,6 +629,16 @@ let exact_case (args, needles) =
             (Printf.sprintf "%s reports %S" name needle)
             true (contains stdout needle))
         needles)
+
+(* Cells merge in input order, so `stat rr`'s JSON is the same bytes at
+   any --jobs, with nothing on stderr. *)
+let test_stat_jobs_invariant () =
+  let stat jobs = run [ "stat"; "rr"; "--format"; "json"; "--jobs"; jobs ] in
+  let code, one, err = stat "1" and code4, four, err4 = stat "4" in
+  Alcotest.(check (list int)) "exit codes" [ 0; 0 ] [ code; code4 ];
+  Alcotest.(check (list string)) "stderr" [ ""; "" ] [ err; err4 ];
+  Alcotest.(check bool) "a report" true (contains one "armvirt.stat/v1");
+  Alcotest.(check string) "--jobs 1 and 4" one four
 
 (* `run` with no ids regenerates every artifact: the same bytes as `run`
    given every id `armvirt list` prints, in that order. *)
@@ -690,6 +711,11 @@ let () =
         ] );
       ("drop warning", List.map drop_case [ ("1500", true); ("1400", false) ]);
       ("switch drop warning", List.map switch_drop_case switch_drop_cases);
-      ("exact counts", List.map exact_case exact_cases);
+      ( "exact counts",
+        List.map exact_case exact_cases
+        @ [
+            Alcotest.test_case "stat rr json at --jobs 1 and 4" `Quick
+              test_stat_jobs_invariant;
+          ] );
       ("run all", List.map run_all_case [ "1"; "2" ]);
     ]

@@ -47,7 +47,7 @@ let test_marker_parity () =
   Alcotest.(check string) "entry without domain" "kvm_x86.entry/p0"
     (label (Marker.entry ~hyp:"kvm_x86" ~pcpu:0 ()));
   Alcotest.(check string) "op label" "kvm_arm.hypercall"
-    (label (Marker.op ~hyp:"kvm_arm" "hypercall"));
+    (label (Marker.op ~hyp:"kvm_arm" Trap "hypercall"));
   Alcotest.(check string) "port label" "vswitch.s0/p4/rx"
     (label (Marker.port ~switch:"s0" ~port:4 Marker.Rx));
   Alcotest.(check string) "flood label" "vswitch.s0/flood"

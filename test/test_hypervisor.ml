@@ -82,7 +82,7 @@ let test_remote_completion_timing () =
     measure m (fun () ->
         Hypervisor.remote_completion m ~name:"remote"
           ~wire:(Cycles.of_int 400) (fun () ->
-            Machine.spend (Machine.op m "remote.work") 600))
+            Machine.spend (Machine.op m Other "remote.work") 600))
   in
   Alcotest.(check int) "wire + remote path" 1000 elapsed
 

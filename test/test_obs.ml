@@ -67,11 +67,13 @@ let test_ring_rejects_foreign_ids () =
 
 (* --- Span classification ------------------------------------------- *)
 
+(* The rules the declarations replaced, kept as the differential
+   tests' oracle (test/reference_span.ml). *)
 let test_span_of_label () =
   let check label expect =
     Alcotest.(check string) label
       (Span.category_to_string expect)
-      (Span.category_to_string (Span.of_label label))
+      (Span.category_to_string (Reference_span.of_label label))
   in
   check "kvm_arm.vcpu_resume" Span.Vmexit;
   check "arm.hvc_to_el2" Span.Trap;
@@ -116,8 +118,11 @@ let test_trace_records_spends () =
   let machine = arm_machine sim in
   let tracer = Tracer.create () in
   Machine.attach machine (Some (Observe.machine_sink ~track:"cpu" tracer));
-  let a = Machine.op machine "step.a" and b = Machine.op machine "step.b" in
-  let hypercall = Machine.marker machine (Marker.op ~hyp:"kvm_arm" "hypercall") in
+  let a = Machine.op machine Other "step.a"
+  and b = Machine.op machine Other "step.b" in
+  let hypercall =
+    Machine.marker machine (Marker.op ~hyp:"kvm_arm" Trap "hypercall")
+  in
   Sim.spawn sim ~name:"worker" (fun () ->
       Machine.spend a 100;
       Machine.spend b 50;
@@ -139,7 +144,7 @@ let test_trace_records_spends () =
     (Format.asprintf "%a" Observe.pp_timeline events);
   Machine.attach machine None;
   Sim.spawn sim ~name:"worker2" (fun () ->
-      Machine.spend (Machine.op machine "step.c") 10);
+      Machine.spend (Machine.op machine Other "step.c") 10);
   Sim.run sim;
   Alcotest.(check int) "detached: no longer recording" 4
     (List.length (Tracer.events tracer))
@@ -158,9 +163,9 @@ let test_capture_reads_counters () =
             (Observe.capture ~label:"spends#0.0" (fun () ->
                  let sim = Sim.create () in
                  let machine = arm_machine sim in
-                 let a = Machine.op machine "step.a"
-                 and b = Machine.op machine "step.b"
-                 and resume = Machine.op machine "kvm_arm.vcpu_resume" in
+                 let a = Machine.op machine Other "step.a"
+                 and b = Machine.op machine Other "step.b"
+                 and resume = Machine.op machine Vmexit "kvm_arm.vcpu_resume" in
                  let exit =
                    Machine.marker machine
                      (Marker.exit ~hyp:"kvm_arm" ~reason:Marker.Hvc ~pcpu:1)
@@ -220,7 +225,7 @@ let test_trace_events_chronological () =
   let tracer = Tracer.create () in
   Machine.attach machine (Some (Observe.machine_sink ~track:"cpu" tracer));
   let labels = List.init 1000 (Printf.sprintf "op%d") in
-  let ops = List.map (Machine.op machine) labels in
+  let ops = List.map (Machine.op machine Other) labels in
   Sim.spawn sim ~name:"worker" (fun () ->
       List.iter (fun op -> Machine.spend op 0) ops);
   Sim.run sim;
@@ -240,7 +245,8 @@ let test_traced_spend_allocates_nothing () =
   let sim = Sim.create () in
   let machine = arm_machine sim in
   let ops =
-    Array.init 8 (fun i -> Machine.op machine (Printf.sprintf "kvm_arm.step%d" i))
+    Array.init 8 (fun i ->
+        Machine.op machine Other (Printf.sprintf "kvm_arm.step%d" i))
   in
   let run n =
     Sim.spawn sim ~name:"worker" (fun () ->
@@ -824,8 +830,10 @@ let run_traced_cells ~jobs =
             let m = Platform.machine Platform.Arm_m400 in
             let sim = Machine.sim m in
             Sim.spawn sim ~name:"w" (fun () ->
-                Machine.spend (Machine.op m "vmexit.entry") (100 * (i + 1));
-                Machine.spend (Machine.op m "netperf.tx_path") 50);
+                Machine.spend
+                  (Machine.op m Vmexit "vmexit.entry")
+                  (100 * (i + 1));
+                Machine.spend (Machine.op m Io "netperf.tx_path") 50);
             Sim.run sim;
             i)
           [ 0; 1; 2; 3; 4; 5 ]
@@ -876,7 +884,8 @@ let test_create_hook_domain_local () =
   let build () = arm_machine (Sim.create ()) in
   let step m label =
     let sim = Machine.sim m in
-    Sim.spawn sim ~name:"w" (fun () -> Machine.spend (Machine.op m label) 10);
+    Sim.spawn sim ~name:"w" (fun () ->
+        Machine.spend (Machine.op m Other label) 10);
     Sim.run sim
   in
   let spans (cell : Observe.cell option) =

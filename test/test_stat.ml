@@ -18,6 +18,8 @@ module Observe = Armvirt_core.Observe
 module Runner = Armvirt_core.Runner
 module Platform = Armvirt_core.Platform
 module Stat_report = Armvirt_core.Stat_report
+module Experiment = Armvirt_core.Experiment
+module Report = Armvirt_core.Report
 module Hypervisor = Armvirt_hypervisor.Hypervisor
 module Fleet = Armvirt_fleet
 module W = Armvirt_workloads
@@ -35,7 +37,7 @@ let test_builders_match_printf () =
     Alcotest.(check string) "hyp.name" want (Marker.hyp m ^ "." ^ Marker.name m)
   in
   check (Printf.sprintf "vswitch.%s/flood" switch) (Marker.flood ~switch);
-  check "kvm_arm.hypercall" (Marker.op ~hyp "hypercall");
+  check "kvm_arm.hypercall" (Marker.op ~hyp Trap "hypercall");
   for n = 0 to 1023 do
     List.iter
       (fun reason ->
@@ -86,7 +88,11 @@ let scripted ?(cell = "cell#0.0") script =
                         let mk = Machine.marker m mk in
                         fun () -> Machine.count mk
                     | Spend (label, cycles) ->
-                        let op = Machine.op m label in
+                        let op =
+                          Machine.op m
+                            ~lane:(Reference_span.lane_of_label label)
+                            (Reference_span.of_label label) label
+                        in
                         fun () -> Machine.spend op cycles ))
                 script
             in
@@ -114,7 +120,7 @@ let synthetic_script =
     (700, Count (Marker.entry ~hyp:"kvm_arm" ~pcpu:4 ()));
     (800, Spend ("vm_processing", 500));
     (1400, hvc_exit 4);
-    (1450, Count (Marker.op ~hyp:"kvm_arm" "vipi"));
+    (1450, Count (Marker.op ~hyp:"kvm_arm" Irq "vipi"));
   ]
 
 let synthetic_accounting () = scripted synthetic_script
@@ -146,13 +152,15 @@ let test_pairing_and_lanes () =
   Alcotest.(check int) "hypervisor cycles" 300 vm.Accounting.hyp_cycles;
   Alcotest.(check int) "total exits" 2 acct.Accounting.total_exits
 
+(* The rules the declarations replaced, kept as the differential
+   tests' oracle (test/reference_span.ml). *)
 let test_lane_rules () =
   List.iter
     (fun (label, expect) ->
       Alcotest.(check string)
         label
         (Accounting.lane_to_string expect)
-        (Accounting.lane_to_string (Accounting.lane_of_label label)))
+        (Accounting.lane_to_string (Reference_span.lane_of_label label)))
     [
       ("vm_processing", Accounting.Guest);
       ("native_server", Accounting.Guest);
@@ -415,7 +423,7 @@ let counters_match_trace seed =
         [|
           cell 0 (fun () ->
               let h = Platform.hypervisor platform hyp in
-              let probe = Marker.op ~hyp:"oracle" "probe" in
+              let probe = Marker.op ~hyp:"oracle" Other "probe" in
               let mk = Machine.marker h.machine probe in
               ignore (Machine.marker h.machine probe);
               in_process h (fun () ->
@@ -461,7 +469,7 @@ let test_micro_cycles_conserved () =
                 ignore (W.Microbench.run ~iterations:8 h);
                 total :=
                   List.fold_left
-                    (fun acc (_, n) -> acc + n)
+                    (fun acc (o : Accounting.spent) -> acc + o.cycles)
                     0 (Machine.op_cycles h.machine))
           in
           Observe.record_cells [| cell |];
@@ -471,6 +479,110 @@ let test_micro_cycles_conserved () =
             (Platform.hypervisor platform hyp).name !total
             (acct.Accounting.total_guest + acct.Accounting.total_hyp)))
     configs
+
+(* --- declared categories and lanes ------------------------------------ *)
+
+(* Each op declares its trace category and stat lane where it is
+   interned, and a marker's category follows from its constructor; the
+   label rules that used to infer both are test/reference_span.ml. Every
+   machine built while running every registry experiment, the three
+   cluster and three fleet scenarios and migrate on every model, at
+   --jobs 1 so the domain-local create hook sees them all, must agree
+   with those rules: each spend's and each count's category (every
+   handle, through a sink; no covered run attaches another) and each
+   spent op's lane (its first handle, through [Machine.op_cycles]). The ledger goldens pin
+   categories only for what rr and micro spend; this guards every other
+   op. *)
+let declaration_mismatches () =
+  let wrong = ref [] in
+  let check what label ~got ~want to_string =
+    if got <> want then
+      wrong :=
+        Printf.sprintf "%s %S declares %s, the rules say %s" what label
+          (to_string got) (to_string want)
+        :: !wrong
+  in
+  let cat_rule what label ~want got =
+    check what label ~got ~want Span.category_to_string
+  in
+  let built = ref [] in
+  (* A label's first category on each machine, by counter id, so a
+     handle interned again with another category shows too. *)
+  let watch m =
+    built := m :: !built;
+    let seen = Hashtbl.create 64 in
+    let first ~id ~label what ~want cat =
+      match Hashtbl.find_opt seen id with
+      | Some c -> if c <> cat then cat_rule what label ~want:(want ()) cat
+      | None ->
+          Hashtbl.add seen id cat;
+          cat_rule what label ~want:(want ()) cat
+    in
+    Machine.attach m
+      (Some
+         {
+           Machine.spend =
+             (fun ~id ~label ~cat ~cycles:_ ~now:_ ->
+               first ~id ~label "op" cat ~want:(fun () ->
+                   Reference_span.of_label label));
+           count =
+             (fun ~id ~marker ~label ~cat ~now:_ ->
+               first ~id ~label "marker" cat ~want:(fun () ->
+                   Reference_span.marker_category marker));
+         })
+  in
+  let jobs = Runner.jobs () in
+  Experiment.reset_memo ();
+  Runner.set_jobs 1;
+  Machine.set_create_hook (Some watch);
+  Fun.protect
+    ~finally:(fun () ->
+      Machine.set_create_hook None;
+      Runner.set_jobs jobs)
+    (fun () ->
+      List.iter
+        (fun (e : Report.entry) -> ignore (e.tables ()))
+        Report.registry;
+      ignore (Experiment.cluster_matrix ());
+      ignore (Experiment.cluster_chain ());
+      ignore (Experiment.cluster_loadgen ());
+      ignore (Experiment.fleet_boot_storm ());
+      ignore (Experiment.fleet_churn ());
+      ignore (Experiment.fleet_noisy ());
+      ignore (Experiment.migrate ()));
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (o : Accounting.spent) ->
+          check "op" o.label ~got:o.lane
+            ~want:(Reference_span.lane_of_label o.label)
+            Accounting.lane_to_string)
+        (Machine.op_cycles m))
+    !built;
+  (List.length !built, List.sort_uniq String.compare !wrong)
+
+let test_declarations_match_rules () =
+  let machines, wrong = declaration_mismatches () in
+  Alcotest.(check bool) "machines built" true (machines > 100);
+  Alcotest.(check (list string)) "declarations the rules disagree with" []
+    wrong;
+  (* No run above drops a frame or builds the star topology's spine. *)
+  List.iter
+    (fun switch ->
+      List.iter
+        (fun m ->
+          Alcotest.(check string) (Marker.label m)
+            (Span.category_to_string (Reference_span.marker_category m))
+            (Span.category_to_string (Marker.category m)))
+        (Marker.flood ~switch
+        :: List.concat_map
+             (fun n ->
+               [ Marker.port ~switch ~port:n Rx; Marker.port ~switch ~port:n Tx;
+                 Marker.port ~switch ~port:n Drop;
+                 Marker.uplink ~switch ~uplink:n Rx;
+                 Marker.uplink ~switch ~uplink:n Tx ])
+             (List.init 16 Fun.id)))
+    [ "s0"; "s15"; "spine" ]
 
 (* --- trace-vs-analytic crosscheck ------------------------------------ *)
 
@@ -522,6 +634,8 @@ let () =
           Alcotest.test_case "pairing and lanes" `Quick
             test_pairing_and_lanes;
           Alcotest.test_case "lane rules" `Quick test_lane_rules;
+          Alcotest.test_case "declarations match the label rules" `Quick
+            test_declarations_match_rules;
         ] );
       ( "render",
         [
