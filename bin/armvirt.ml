@@ -113,12 +113,12 @@ let resolve platform hyp =
   | Some id -> Platform.hypervisor platform id
   | None -> Platform.native platform
 
-(* An integer option the parser rejects outside [lo, hi]: a usage
-   error (exit 124) before anything runs. *)
-let int_in ?(hi = max_int) ~what lo =
+(* An integer option the parser rejects below [lo]: a usage error
+   (exit 124) before anything runs. *)
+let int_in ~what lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= lo && n <= hi -> Ok n
+    | Some n when n >= lo -> Ok n
     | Some _ -> Error (`Msg ("must be " ^ what))
     | None -> Error (`Msg "expected an integer")
   in
@@ -321,18 +321,15 @@ let target_conv =
 (* Runs [target] (see [is_target]) with the observer on, then [export]s
    what it recorded; [trace] records ring events for a trace export. The
    direct paths build their hypervisor inside one observed cell,
-   honouring -p/-H; [micro_hypervisor] overrides the model for micro. *)
-let observe_target ~trace ~platform ~hyp ?(iterations = 32) ?micro_hypervisor
-    target export =
+   honouring -p/-H. *)
+let observe_target ~trace ~platform ~hyp ?(iterations = 32) target export =
   let hypervisor () = resolve platform hyp in
   let cell f = traced_cell (target ^ "#0.0") (fun () -> ignore (f ())) in
   Observe.enable ~trace ~context:target ();
   Fun.protect ~finally:Observe.disable (fun () ->
       (match target with
       | "micro" ->
-          cell (fun () ->
-              W.Microbench.run ~iterations
-                (Option.value micro_hypervisor ~default:hypervisor ()))
+          cell (fun () -> W.Microbench.run ~iterations (hypervisor ()))
       | "rr" -> cell (fun () -> W.Netperf.run_tcp_rr (hypervisor ()))
       | "fleet" ->
           cell (fun () ->
@@ -659,49 +656,13 @@ let stat_cmd =
              Table II, structural exit mixes); exit non-zero if any \
              check is out of tolerance.")
   in
-  let perturb_vgic_save =
-    let max_cost = Armvirt_explore.Config.max_cost in
-    Arg.(
-      value
-      & opt
-          (some
-             (int_in ~hi:max_cost
-                ~what:(Printf.sprintf "a cycle count in 0..%d" max_cost)
-                0))
-          None
-      & info [ "perturb-vgic-save" ] ~docv:"CYCLES"
-          ~doc:
-            (Printf.sprintf
-               "Self-test hook for the $(b,--diff) gate: run the $(b,micro) \
-                target on a split-mode KVM ARM model whose VGIC save cost \
-                is overridden to $(docv) cycles (Table III default: 3250), \
-                so the report measurably shifts. From 0 to %d, the range \
-                $(b,explore) takes for every cost."
-               max_cost))
-  in
-  (* Perturbed split-mode KVM ARM, whatever -p/-H say: the knob exists to
-     move the committed baseline measurably. *)
-  let perturbed_kvm_arm save () =
-    let module Cost_model = Armvirt_arch.Cost_model in
-    let arm = Cost_model.arm_default in
-    let restore =
-      (arm.Cost_model.reg Armvirt_arch.Reg_class.Vgic).Cost_model.restore
-    in
-    let cost =
-      Cost_model.Arm
-        (Cost_model.with_reg_cost Armvirt_arch.Reg_class.Vgic ~save ~restore
-           arm)
-    in
-    Armvirt_hypervisor.Kvm_arm.to_hypervisor
-      (Armvirt_hypervisor.Kvm_arm.create (Platform.machine_with ~cost))
-  in
   let read_file path =
     match In_channel.with_open_bin path In_channel.input_all with
     | s -> s
     | exception Sys_error msg -> reject "stat diff: %s" msg
   in
   let run (platform, hyp) jobs iterations format out per_vcpu per_domain top
-      diff crosscheck count_pct cycles_pct perturb targets =
+      diff crosscheck count_pct cycles_pct targets =
     apply_jobs jobs;
     if diff then (
       match targets with
@@ -731,9 +692,7 @@ let stat_cmd =
       match targets with
       | [ target ] when is_target target ->
           let out = open_output out in
-          let micro_hypervisor = Option.map perturbed_kvm_arm perturb in
-          observe_target ~trace:false ~platform ~hyp ~iterations
-            ?micro_hypervisor target
+          observe_target ~trace:false ~platform ~hyp ~iterations target
             (fun () ->
               let acct = Stat_report.of_session () in
               let opts = { Stat.per_vcpu; per_domain; top } in
@@ -757,7 +716,7 @@ let stat_cmd =
     Term.(
       const run $ config_args $ jobs_arg $ iterations $ format
       $ out_arg $ per_vcpu $ per_domain $ top $ diff $ crosscheck
-      $ count_tolerance $ cycles_tolerance $ perturb_vgic_save $ targets)
+      $ count_tolerance $ cycles_tolerance $ targets)
 
 (* --- timeline ------------------------------------------------------------ *)
 

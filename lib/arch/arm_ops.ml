@@ -13,8 +13,6 @@ type t = {
   vgic_lr_write : Machine.op;
   virq_complete : Machine.op;
   virq_guest_dispatch : Machine.op;
-  page_map : Machine.op;
-  copy_bytes : Machine.op;
 }
 
 let save_label cls = "arm.save." ^ Reg_class.to_string cls
@@ -49,8 +47,6 @@ let create machine =
         vgic_lr_write = op Irq "arm.vgic_lr_write";
         virq_complete = op ~lane:Guest Irq "arm.virq_complete";
         virq_guest_dispatch = op ~lane:Guest Trap "arm.virq_guest_dispatch";
-        page_map = op Stage2 "arm.page_map";
-        copy_bytes = op Io "arm.copy_bytes";
       }
 
 let hw t = t.hw
@@ -96,11 +92,5 @@ let virq_guest_dispatch t =
   Machine.spend t.virq_guest_dispatch t.hw.Cost_model.virq_guest_dispatch
 
 let ipi_wire_latency t = Cycles.of_int t.hw.Cost_model.phys_ipi_wire
-
-let page_map t = Machine.spend t.page_map t.hw.Cost_model.page_map_cost
-
-let copy_bytes t n =
-  Machine.spend t.copy_bytes
-    (Cost_model.copy_cost ~per_byte:t.hw.Cost_model.per_byte_copy ~bytes:n)
 
 let barrier_cost t = Cycles.of_int t.hw.Cost_model.timestamp_barrier

@@ -69,11 +69,5 @@ val virq_guest_dispatch : t -> unit
 val ipi_wire_latency : t -> Armvirt_engine.Cycles.t
 (** Propagation delay of a physical SGI between PCPUs (no CPU time). *)
 
-(** {1 Memory} *)
-
-val page_map : t -> unit
-val copy_bytes : t -> int -> unit
-(** Kernel memcpy of [n] bytes. *)
-
 val barrier_cost : t -> Armvirt_engine.Cycles.t
 (** Timestamp barrier cost, for {!Armvirt_stats.Cycle_counter}. *)

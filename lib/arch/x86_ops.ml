@@ -8,7 +8,6 @@ type t = {
   eoi_vapic : Machine.op;
   eoi_emul : Machine.op;
   virq_guest_dispatch : Machine.op;
-  tlb_shootdown : Machine.op;
 }
 
 let create machine =
@@ -25,7 +24,6 @@ let create machine =
         eoi_vapic = op ~lane:Guest Irq "x86.eoi_vapic";
         eoi_emul = op Trap "x86.eoi_emul";
         virq_guest_dispatch = op ~lane:Guest Trap "x86.virq_guest_dispatch";
-        tlb_shootdown = op Stage2 "x86.tlb_shootdown";
       }
 
 let hw t = t.hw
@@ -48,11 +46,5 @@ let virq_guest_dispatch t =
   Machine.spend t.virq_guest_dispatch t.hw.Cost_model.virq_guest_dispatch
 
 let ipi_wire_latency t = Cycles.of_int t.hw.Cost_model.phys_ipi_wire
-
-let tlb_shootdown t ~cpus =
-  if cpus < 0 then invalid_arg "X86_ops.tlb_shootdown: negative cpu count";
-  Machine.spend t.tlb_shootdown
-    (t.hw.Cost_model.tlb_shootdown_base
-    + (cpus * t.hw.Cost_model.tlb_shootdown_per_cpu))
 
 let barrier_cost t = Cycles.of_int t.hw.Cost_model.timestamp_barrier

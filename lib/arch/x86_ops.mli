@@ -38,8 +38,4 @@ val eoi : t -> unit
 val virq_guest_dispatch : t -> unit
 val ipi_wire_latency : t -> Armvirt_engine.Cycles.t
 
-val tlb_shootdown : t -> cpus:int -> unit
-(** Remote TLB invalidation across [cpus] CPUs via IPIs — the cost that
-    made zero-copy uneconomical for Xen x86 (section V). *)
-
 val barrier_cost : t -> Armvirt_engine.Cycles.t

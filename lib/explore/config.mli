@@ -43,9 +43,6 @@ val default : t
     {!Armvirt_hypervisor.Kvm_arm.default_tuning}, 4 list registers
     (GIC-400), VHOST on. *)
 
-val max_cost : int
-(** 10{^9}: every integer cost knob is a cycle count in [0..max_cost]. *)
-
 val knobs : (string * string) list
 (** Every axis name {!apply} understands, with a one-line description. *)
 

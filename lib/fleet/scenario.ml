@@ -5,8 +5,6 @@ module Summary = Armvirt_stats.Summary
 module Machine = Armvirt_arch.Machine
 module Marker = Armvirt_obs.Marker
 module Hypervisor = Armvirt_hypervisor.Hypervisor
-module Io_profile = Armvirt_hypervisor.Io_profile
-module Kernel_costs = Armvirt_guest.Kernel_costs
 module Credit_sched = Armvirt_hypervisor.Credit_sched
 module Transitions = Armvirt_arch.Transitions
 
@@ -284,22 +282,6 @@ type noisy_result = {
   switches : int;
 }
 
-(* Server-side cost of one memcached/TCP_RR request on the victim VCPU,
-   and the fixed delivery latency outside it — the same per-model
-   decomposition Tail_latency uses, so the five hypervisors keep their
-   paper-calibrated I/O cost differences. *)
-let request_service_cycles (hyp : Hypervisor.t) =
-  let p = hyp.Hypervisor.io_profile in
-  Kernel_costs.rr_server_cycles hyp.Hypervisor.guest
-  + p.Io_profile.irq_delivery_guest_cpu + p.Io_profile.virq_completion
-  + p.Io_profile.guest_rx_per_packet + p.Io_profile.guest_tx_per_packet
-  + p.Io_profile.kick_guest_cpu
-
-let request_fixed_latency (hyp : Hypervisor.t) =
-  let p = hyp.Hypervisor.io_profile in
-  p.Io_profile.phys_rx_extra_latency + p.Io_profile.irq_delivery_latency
-  + p.Io_profile.notify_latency
-
 type request = { arrived : int; mutable remaining : int }
 
 let noisy_neighbor ?(seed = 42) ?(requests = 400) ?(load = 0.3)
@@ -309,8 +291,11 @@ let noisy_neighbor ?(seed = 42) ?(requests = 400) ?(load = 0.3)
     invalid_arg "Scenario.noisy_neighbor: load outside (0, 1)";
   let host = make_host hyp desc in
   let vms = desc.Descriptor.vms in
-  let service_cycles = request_service_cycles hyp in
-  let fixed = request_fixed_latency hyp in
+  (* The victim's cost per memcached/TCP_RR request and the latency
+     outside its VCPU, from the model's I/O profile, so the five
+     hypervisors keep their paper-calibrated I/O cost differences. *)
+  let service_cycles = Hypervisor.request_service_cycles hyp in
+  let fixed = Hypervisor.request_fixed_latency hyp in
   let rng = Rng.create ~seed in
   (* The victim's open-loop arrival stream is drawn before any
      fleet-size-dependent state, so every fleet size sees the same

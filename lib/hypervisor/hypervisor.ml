@@ -51,6 +51,18 @@ type t = {
   hypercall_exit_entry : int;
 }
 
+let request_service_cycles t =
+  let p = t.io_profile in
+  Armvirt_guest.Kernel_costs.rr_server_cycles t.guest
+  + p.Io_profile.irq_delivery_guest_cpu + p.Io_profile.virq_completion
+  + p.Io_profile.guest_rx_per_packet + p.Io_profile.guest_tx_per_packet
+  + p.Io_profile.kick_guest_cpu
+
+let request_fixed_latency t =
+  let p = t.io_profile in
+  p.Io_profile.phys_rx_extra_latency + p.Io_profile.irq_delivery_latency
+  + p.Io_profile.notify_latency
+
 let remote_completion machine ~name ~wire path =
   let finished = Sim.Signal.create (Machine.sim machine) in
   Sim.spawn_here ~name (fun () ->

@@ -74,6 +74,18 @@ type t = {
           from; [stat --crosscheck] holds the simulated path to it. *)
 }
 
+val request_service_cycles : t -> int
+(** Guest-VCPU cycles to serve one request-response (TCP_RR,
+    memcached): the guest's native server path plus the interrupt
+    delivery, completion, frontend RX/TX and kick costs of the model's
+    {!Io_profile}. The tail-latency, noisy-neighbor and cluster
+    workloads all charge it. *)
+
+val request_fixed_latency : t -> int
+(** Latency one request pays outside the serving VCPU: the physical
+    driver's extra wake-up, interrupt delivery into the VM and the
+    notify out of it. *)
+
 val remote_completion :
   Armvirt_arch.Machine.t ->
   name:string ->

@@ -12,9 +12,10 @@
     The interesting property for the paper is not hit rate modelling but
     the *invalidation protocol*: removing a grant mapping requires every
     CPU's TLB to drop the entry. ARM broadcasts the invalidate in
-    hardware; x86 must interrupt every CPU (see
-    {!Armvirt_arch.X86_ops.tlb_shootdown}). This module supplies the
-    per-CPU state those protocols manipulate. *)
+    hardware; x86 must interrupt every CPU (the shootdown cost in
+    {!Armvirt_arch.Cost_model.x86} that
+    [Xen_x86.zero_copy_break_even_bytes] prices). This module supplies
+    the per-CPU state those protocols manipulate. *)
 
 type t
 

@@ -5,20 +5,9 @@ module Summary = Armvirt_stats.Summary
 module Machine = Armvirt_arch.Machine
 module Packet = Armvirt_net.Packet
 module Hypervisor = Armvirt_hypervisor.Hypervisor
-module Io_profile = Armvirt_hypervisor.Io_profile
 module Kernel_costs = Armvirt_guest.Kernel_costs
 module Switch = Armvirt_vswitch.Switch
 module Topology = Armvirt_vswitch.Topology
-
-(* Guest-side work per served request, identical to the Tail_latency
-   decomposition: the native server path plus the paravirtual frontend
-   and interrupt costs the hypervisor adds. *)
-let service_cycles (hyp : Hypervisor.t) =
-  let p = hyp.Hypervisor.io_profile in
-  Kernel_costs.rr_server_cycles hyp.Hypervisor.guest
-  + p.Io_profile.irq_delivery_guest_cpu + p.Io_profile.virq_completion
-  + p.Io_profile.guest_rx_per_packet + p.Io_profile.guest_tx_per_packet
-  + p.Io_profile.kick_guest_cpu
 
 (* A load balancer forwards without application processing: the guest
    RX and TX protocol paths, no app_rr_process. *)
@@ -188,7 +177,8 @@ let run_chain ?(requests = 400) ?(payload = 256) ?(spec = Topology.Pair)
       if dst = backend then
         Sim.fork sim ~name:"chain-backend" (fun () ->
             Packet.stamp pkt "backend_recv";
-            Machine.spend backend_op (service_cycles hyp);
+            Machine.spend backend_op
+              (Hypervisor.request_service_cycles hyp);
             Packet.stamp pkt "backend_send";
             Topology.send topo ~src:backend ~dst:lb pkt));
   let done_mb = Sim.Mailbox.create ~name:"chain-done" sim in
@@ -295,7 +285,7 @@ let run_loadgen ?(seed = 42) ?(requests = 1600) ?(payload = 128) ?(vms = 16)
   let native_service =
     float_of_int (Kernel_costs.rr_server_cycles hyp.Hypervisor.guest)
   in
-  let service = service_cycles hyp in
+  let service = Hypervisor.request_service_cycles hyp in
   let servers =
     Array.init vms (fun i ->
         Sim.Resource.create ~name:(Printf.sprintf "backend-%d" i) sim

@@ -11,11 +11,6 @@
     driving a memcached-style backend pool to saturation. All three are
     deterministic: same hypervisor, same parameters, same bytes out. *)
 
-val service_cycles : Armvirt_hypervisor.Hypervisor.t -> int
-(** Guest-side cycles to serve one request: the native TCP_RR server
-    path plus the hypervisor's per-request frontend and interrupt
-    costs (the Tail_latency decomposition). *)
-
 (** {1 Pairwise throughput matrix} *)
 
 type pair_result = {

@@ -4,7 +4,6 @@ module Rng = Armvirt_engine.Rng
 module Summary = Armvirt_stats.Summary
 module Machine = Armvirt_arch.Machine
 module Hypervisor = Armvirt_hypervisor.Hypervisor
-module Io_profile = Armvirt_hypervisor.Io_profile
 module Kernel_costs = Armvirt_guest.Kernel_costs
 
 type result = {
@@ -18,20 +17,6 @@ type result = {
   utilization : float;
 }
 
-(* Server-side cost of one request on the bottleneck VCPU. *)
-let service_cycles (hyp : Hypervisor.t) =
-  let p = hyp.Hypervisor.io_profile in
-  Kernel_costs.rr_server_cycles hyp.Hypervisor.guest
-  + p.Io_profile.irq_delivery_guest_cpu + p.Io_profile.virq_completion
-  + p.Io_profile.guest_rx_per_packet + p.Io_profile.guest_tx_per_packet
-  + p.Io_profile.kick_guest_cpu
-
-(* Fixed delivery latency outside the VCPU (into and out of the VM). *)
-let fixed_latency (hyp : Hypervisor.t) =
-  let p = hyp.Hypervisor.io_profile in
-  p.Io_profile.phys_rx_extra_latency + p.Io_profile.irq_delivery_latency
-  + p.Io_profile.notify_latency
-
 let run ?(seed = 42) ?(requests = 2000) (hyp : Hypervisor.t) ~load =
   if load <= 0.0 || load >= 1.0 then
     invalid_arg "Tail_latency.run: load must be in (0, 1)";
@@ -42,8 +27,10 @@ let run ?(seed = 42) ?(requests = 2000) (hyp : Hypervisor.t) ~load =
   let native_service =
     Kernel_costs.rr_server_cycles hyp.Hypervisor.guest
   in
-  let service = service_cycles hyp in
-  let fixed = fixed_latency hyp in
+  (* Server-side cost on the bottleneck VCPU, and the fixed delivery
+     latency outside it. *)
+  let service = Hypervisor.request_service_cycles hyp in
+  let fixed = Hypervisor.request_fixed_latency hyp in
   (* Arrival rate: [load] of *native* capacity. *)
   let mean_interarrival = float_of_int native_service /. load in
   let server = Sim.Resource.create ~name:"server" sim ~capacity:1 in

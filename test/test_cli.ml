@@ -6,10 +6,9 @@
    example, of the tables the CLI renders as markdown or CSV, and of
    `report` with its rows checked against `run`'s, the stderr warning
    for a trace ring that dropped events, exact exit accounting on both
-   sides of that ring's cap, `run` with no ids printing what `run` with
-   every listed id prints, and tables that print "-", never "nan" or
+   sides of that ring's cap, and tables that print "-", never "nan" or
    "inf", for an undefined value. The linter is its own executable:
-   armvirt has no lint command.
+   armvirt has no lint command, and armvirt-lint explains every rule.
 
    Runs ../bin/armvirt.exe, ../bin/armvirt_lint.exe and
    ../examples/transition_timeline.exe, which the test stanza depends
@@ -23,46 +22,10 @@ let armvirt_lint =
 let transition_timeline =
   Filename.concat (Filename.concat ".." "examples") "transition_timeline.exe"
 
-let time_bound_s = 20.0
-
 (* Exit code, stdout and stderr of one run, or a failure past the time
-   bound. Most runs end within a few milliseconds, so the poll starts at
-   1 ms and backs off to 20 ms. *)
-let run ?(prog = armvirt) ?(time_bound_s = time_bound_s) args =
-  let out = Filename.temp_file "armvirt_cli" ".out" in
-  let err = Filename.temp_file "armvirt_cli" ".err" in
-  let stdout_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let stderr_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid =
-    Unix.create_process prog
-      (Array.of_list (prog :: args))
-      Unix.stdin stdout_fd stderr_fd
-  in
-  Unix.close stdout_fd;
-  Unix.close stderr_fd;
-  let deadline = Unix.gettimeofday () +. time_bound_s in
-  let rec wait pause =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ when Unix.gettimeofday () > deadline ->
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid);
-        Alcotest.failf "%s %s ran past %.0f s" prog (String.concat " " args)
-          time_bound_s
-    | 0, _ ->
-        Unix.sleepf pause;
-        wait (Float.min 0.02 (2.0 *. pause))
-    | _, Unix.WEXITED code -> code
-    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-        Alcotest.failf "%s %s was killed" prog (String.concat " " args)
-  in
-  let code = wait 0.001 in
-  let read file =
-    let s = In_channel.with_open_bin file In_channel.input_all in
-    Sys.remove file;
-    s
-  in
-  let stdout = read out in
-  (code, stdout, read err)
+   bound. *)
+let run ?(prog = armvirt) ?time_bound_s args = Child.run ?time_bound_s prog args
+let contains = Child.contains
 
 (* Unknown ids and values the option parser rejects are cmdliner usage
    errors: exit 124. *)
@@ -80,11 +43,6 @@ let usage_errors =
     [ "rr"; "--transactions"; "0" ];
     [ "rr"; "--transactions=-5" ];
     [ "stat"; "micro"; "--iterations"; "0" ];
-    (* A cost outside the 0..10^9 cycles explore takes for every cost:
-       a negative one ran simulated time backwards, a huge one
-       overflowed the clock. *)
-    [ "stat"; "micro"; "--perturb-vgic-save=-100" ];
-    [ "stat"; "micro"; "--perturb-vgic-save=4611686018427387903" ];
     [ "stat"; "micro"; "--top=-1" ];
     [ "explore"; "--space"; "bogus" ];
     (* The linter is armvirt-lint: armvirt has no lint command. *)
@@ -227,9 +185,6 @@ let accepted =
     (* The ends of the --offered-load range. *)
     [ "cluster"; "--scenario"; "loadgen"; "--vms"; "1"; "--offered-load";
       "1e-6,1e6"; "--format"; "csv" ];
-    (* The ends of the --perturb-vgic-save range. *)
-    [ "stat"; "micro"; "--perturb-vgic-save=0"; "--iterations"; "4" ];
-    [ "stat"; "micro"; "--perturb-vgic-save=1000000000"; "--iterations"; "4" ];
   ]
 
 (* Cases show their command line; armvirt's show only its arguments. *)
@@ -245,11 +200,6 @@ let accepted_case args =
       Alcotest.(check string) (name ^ " stderr") "" stderr;
       Alcotest.(check bool) (name ^ " prints rows") true
         (List.length (String.split_on_char '\n' (String.trim stdout)) > 1))
-
-let contains s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
-  go 0
 
 (* A rejection (exit 2) is one line on stderr, naming [names] if given;
    cmdliner's usage errors (exit 124) print the usage too. *)
@@ -390,14 +340,23 @@ let undefined_case args =
             false (contains stdout bad))
         [ "nan"; "inf" ])
 
-(* armvirt-lint is the linter's one entry point: it explains the
-   whole-tree rule and runs it over a tree given by --root. *)
-let test_lint_explain_s1 () =
-  let code, stdout, stderr = run ~prog:armvirt_lint [ "--explain"; "S1" ] in
-  Alcotest.(check int) "exit code" 0 code;
-  Alcotest.(check string) "stderr" "" stderr;
-  Alcotest.(check bool) "names the rule and its pass" true
-    (String.starts_with ~prefix:"S1 — " stdout && contains stdout "pass: exports")
+(* armvirt-lint is the linter's one entry point: it explains every
+   rule, naming its pass, and runs the whole-tree rule over a tree given
+   by --root. *)
+let lint_rules =
+  List.map
+    (fun r -> (r, "determinism"))
+    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7" ]
+  @ [ ("U1", "units"); ("U2", "units"); ("D1", "capture"); ("S1", "exports") ]
+
+let explain_case (rule, pass) =
+  Alcotest.test_case ("explain " ^ rule) `Quick (fun () ->
+      let code, stdout, stderr = run ~prog:armvirt_lint [ "--explain"; rule ] in
+      Alcotest.(check int) "exit code" 0 code;
+      Alcotest.(check string) "stderr" "" stderr;
+      Alcotest.(check bool) "names the rule and its pass" true
+        (String.starts_with ~prefix:(rule ^ " — ") stdout
+        && contains stdout ("pass: " ^ pass)))
 
 (* The help names the one way to accept a finding and no other. Words
    are compared with line breaks collapsed, as the help is wrapped. *)
@@ -640,32 +599,6 @@ let test_stat_jobs_invariant () =
   Alcotest.(check bool) "a report" true (contains one "armvirt.stat/v1");
   Alcotest.(check string) "--jobs 1 and 4" one four
 
-(* `run` with no ids regenerates every artifact: the same bytes as `run`
-   given every id `armvirt list` prints, in that order. *)
-let listed_ids () =
-  let _, stdout, _ = run [ "list" ] in
-  let rec experiments = function
-    | [] | "" :: _ -> []
-    | line :: rest ->
-        List.hd (String.split_on_char ' ' (String.trim line))
-        :: experiments rest
-  in
-  match String.split_on_char '\n' stdout with
-  | _header :: lines -> experiments lines
-  | [] -> []
-
-let run_all_case jobs =
-  let name = "run --jobs " ^ jobs ^ " with no ids" in
-  Alcotest.test_case name `Quick (fun () ->
-      let ids = listed_ids () in
-      Alcotest.(check bool) "list prints experiments" true (ids <> []);
-      let code, stdout, stderr = run [ "run"; "--jobs"; jobs ] in
-      let code', stdout', stderr' = run ("run" :: ids @ [ "--jobs"; jobs ]) in
-      Alcotest.(check int) (name ^ " exit code") 0 code;
-      Alcotest.(check int) "run <every id> exit code" 0 code';
-      Alcotest.(check string) (name ^ " stderr") stderr' stderr;
-      Alcotest.(check string) (name ^ " stdout") stdout' stdout)
-
 let () =
   Alcotest.run "cli"
     [
@@ -694,16 +627,16 @@ let () =
       ( "accepted argument", List.map accepted_case accepted );
       ("undefined value", List.map undefined_case undefined_values);
       ( "lint",
-        [
-          Alcotest.test_case "explain S1" `Quick test_lint_explain_s1;
-          Alcotest.test_case "uncalled export fails" `Quick
-            test_lint_uncalled_export;
-          Alcotest.test_case "called exports pass" `Quick
-            test_lint_called_exports;
-          Alcotest.test_case "help names no baseline" `Quick test_lint_help;
-          Alcotest.test_case "armvirt has no lint command" `Quick
-            test_no_lint_command;
-        ] );
+        List.map explain_case lint_rules
+        @ [
+            Alcotest.test_case "uncalled export fails" `Quick
+              test_lint_uncalled_export;
+            Alcotest.test_case "called exports pass" `Quick
+              test_lint_called_exports;
+            Alcotest.test_case "help names no baseline" `Quick test_lint_help;
+            Alcotest.test_case "armvirt has no lint command" `Quick
+              test_no_lint_command;
+          ] );
       ( "output file",
         [
           Alcotest.test_case "migrate text report to --out" `Quick
@@ -717,5 +650,4 @@ let () =
             Alcotest.test_case "stat rr json at --jobs 1 and 4" `Quick
               test_stat_jobs_invariant;
           ] );
-      ("run all", List.map run_all_case [ "1"; "2" ]);
     ]

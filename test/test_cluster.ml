@@ -100,7 +100,8 @@ let test_chain_hops () =
   let machine = hyp.Armvirt_hypervisor.Hypervisor.machine in
   let service_us =
     Armvirt_arch.Machine.elapsed_us machine
-      (Armvirt_engine.Cycles.of_int (Cluster.service_cycles hyp))
+      (Armvirt_engine.Cycles.of_int
+         (Armvirt_hypervisor.Hypervisor.request_service_cycles hyp))
   in
   Alcotest.(check (float 0.01)) "backend hop = service decomposition"
     service_us (hop "backend");

@@ -297,39 +297,52 @@ let test_xen_x86_breakeven () =
 (* --- Profile/path consistency --------------------------------------------------- *)
 
 (* The application models consume Io_profile; the microbenchmarks run the
-   simulated paths. The two must tell the same story: a profile's
-   notify_latency is the simulated I/O Latency Out (within the small
-   bookkeeping delta of path steps the closed-form sum folds together). *)
+   simulated paths. The two must tell the same story: on every model a
+   profile's notify_latency is the simulated I/O Latency Out exactly, and
+   Xen ARM's irq_delivery_latency its I/O Latency In. io_profile.mli says
+   why the other models' delivery differs; each path runs on a fresh
+   model. *)
 let test_profiles_match_paths () =
-  let close name expected actual =
-    let tol = Float.max (0.08 *. float_of_int expected) 50.0 in
-    if Float.abs (float_of_int (actual - expected)) > tol then
-      Alcotest.failf "%s: profile %d vs path %d" name expected actual
-  in
-  (* KVM ARM *)
-  let kvm = H.Kvm_arm.create (arm_machine ()) in
-  let profile = H.Kvm_arm.io_profile kvm in
-  let out =
-    measure_latency (H.Kvm_arm.machine kvm) (fun () ->
-        H.Kvm_arm.io_latency_out kvm)
-  in
-  close "KVM ARM notify" profile.Io_profile.notify_latency out;
-  (* Xen ARM *)
-  let xen = H.Xen_arm.create (arm_machine ()) in
-  let profile = H.Xen_arm.io_profile xen in
-  let out =
-    measure_latency (H.Xen_arm.machine xen) (fun () ->
-        H.Xen_arm.io_latency_out xen)
-  in
-  close "Xen ARM notify" profile.Io_profile.notify_latency out;
-  (* KVM x86 *)
-  let kvm86 = H.Kvm_x86.create (x86_machine ()) in
-  let profile = H.Kvm_x86.io_profile kvm86 in
-  let out =
-    measure_latency (H.Kvm_x86.machine kvm86) (fun () ->
-        H.Kvm_x86.io_latency_out kvm86)
-  in
-  close "KVM x86 notify" profile.Io_profile.notify_latency out
+  let x86 = Cost_model.x86_default in
+  List.iter
+    (fun (make, delivery_gap) ->
+      let path f =
+        let hyp : Hypervisor.t = make () in
+        (hyp, measure_latency hyp.machine (fun () -> f hyp))
+      in
+      let hyp, out = path (fun h -> h.Hypervisor.io_latency_out ()) in
+      let _, in_ = path (fun h -> h.Hypervisor.io_latency_in ()) in
+      let p = hyp.io_profile in
+      Alcotest.(check int) (hyp.name ^ " notify = I/O Latency Out") out
+        p.Io_profile.notify_latency;
+      match delivery_gap with
+      | Some gap ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s irq delivery + %d = I/O Latency In" hyp.name gap)
+            in_
+            (p.Io_profile.irq_delivery_latency + gap)
+      | None ->
+          (* KVM prices a running VCPU; the microbenchmark wakes a blocked
+             one. *)
+          Alcotest.(check bool)
+            (Printf.sprintf "%s irq delivery %d < I/O Latency In %d" hyp.name
+               p.Io_profile.irq_delivery_latency in_)
+            true
+            (p.Io_profile.irq_delivery_latency < in_))
+    [
+      ( (fun () ->
+          H.Kvm_arm.to_hypervisor (H.Kvm_arm.create (arm_machine ()))),
+        None );
+      ( (fun () ->
+          H.Kvm_arm.to_hypervisor (H.Kvm_arm.create (arm_machine ~vhe:true ()))),
+        None );
+      ( (fun () -> H.Xen_arm.to_hypervisor (H.Xen_arm.create (arm_machine ()))),
+        Some 0 );
+      ( (fun () -> H.Kvm_x86.to_hypervisor (H.Kvm_x86.create (x86_machine ()))),
+        None );
+      ( (fun () -> H.Xen_x86.to_hypervisor (H.Xen_x86.create (x86_machine ()))),
+        Some x86.Cost_model.virq_guest_dispatch );
+    ]
 
 let test_profile_completion_matches_path () =
   let kvm86 = H.Kvm_x86.create (x86_machine ()) in
