@@ -69,6 +69,14 @@ let min_time h =
   if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
   h.times.(0)
 
+let min_seq h =
+  if h.size = 0 then invalid_arg "Heap.min_seq: empty heap";
+  h.seqs.(0)
+
+let min_value h =
+  if h.size = 0 then invalid_arg "Heap.min_value: empty heap";
+  h.values.(0)
+
 let pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
   let times = h.times and seqs = h.seqs and values = h.values in

@@ -19,6 +19,14 @@ val min_time : 'a t -> int
 (** Time key of the minimum element, without allocating.
     @raise Invalid_argument on an empty heap. *)
 
+val min_seq : 'a t -> int
+(** Sequence key of the minimum element, without allocating.
+    @raise Invalid_argument on an empty heap. *)
+
+val min_value : 'a t -> 'a
+(** Payload of the minimum element, left in place.
+    @raise Invalid_argument on an empty heap. *)
+
 val pop_min : 'a t -> 'a
 (** Removes the minimum element and returns its payload, without
     allocating — the simulation engine's hot path ({!min_time} first for

@@ -31,6 +31,26 @@ type t = {
 }
 
 let max_vms = 65_536
+let max_vcpus = 131_072
+
+(* VCPUs of the whole fleet, in floats so that no share or VCPU count
+   can overflow the sum. *)
+let total_vcpus t =
+  let cycle = List.fold_left (fun a (_, s) -> a +. float_of_int s) 0.0 t.mix in
+  let per_cycle =
+    List.fold_left
+      (fun a (p, s) -> a +. (float_of_int s *. float_of_int p.vcpus))
+      0.0 t.mix
+  in
+  let vms = float_of_int t.vms in
+  let full = Float.of_int (truncate (vms /. cycle)) in
+  let rest = ref (vms -. (full *. cycle)) in
+  List.fold_left
+    (fun a (p, s) ->
+      let take = Float.min !rest (float_of_int s) in
+      rest := !rest -. take;
+      a +. (take *. float_of_int p.vcpus))
+    (full *. per_cycle) t.mix
 
 let validate t =
   if t.vms < 1 then invalid_arg "Fleet.Descriptor: vms < 1";
@@ -56,7 +76,10 @@ let validate t =
       if p.boot_cycles < 1 || p.work_cycles < 1 then
         invalid_arg
           ("Fleet.Descriptor: profile " ^ p.name ^ ": non-positive work"))
-    t.mix
+    t.mix;
+  if total_vcpus t > float_of_int max_vcpus then
+    invalid_arg
+      (Printf.sprintf "Fleet.Descriptor: more than %d VCPUs in all" max_vcpus)
 
 let v ?(timeslice_ms = 1.0) ?(refill_quanta = 10) ~vms mix =
   let t = { vms; mix; timeslice_ms; refill_quanta } in

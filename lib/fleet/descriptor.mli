@@ -35,12 +35,16 @@ type t = {
 val max_vms : int
 (** 65 536: the largest fleet a descriptor admits. *)
 
+val max_vcpus : int
+(** 131 072: the most VCPUs a descriptor admits in all, what
+    {!max_vms} guests of a 2-VCPU Table IV profile make. *)
+
 val v :
   ?timeslice_ms:float -> ?refill_quanta:int -> vms:int ->
   (profile * int) list -> t
 (** Validating constructor. Raises [Invalid_argument] on a non-positive
     fleet size, timeslice, share, or per-profile parameter, or a fleet
-    larger than {!max_vms}. Allocates nothing before validating. *)
+    larger than {!max_vms} guests or {!max_vcpus} VCPUs. Allocates nothing before validating. *)
 
 val validate : t -> unit
 

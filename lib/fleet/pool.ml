@@ -1,3 +1,5 @@
+module Heap = Armvirt_engine.Heap
+
 type vm_state = Booting | Ready
 
 type slot = {
@@ -13,7 +15,7 @@ type slot = {
 
 type t = {
   mutable slots : slot array; (* index = domid *)
-  mutable free : int list; (* retired domids, ascending *)
+  free : unit Heap.t; (* retired domids, keyed by domid *)
   mutable next : int; (* first never-used domid *)
   mutable live : int;
   mutable admitted : int;
@@ -37,7 +39,7 @@ let empty_slot () =
 let create () =
   {
     slots = Array.init 16 (fun _ -> empty_slot ());
-    free = [];
+    free = Heap.create ();
     next = 0;
     live = 0;
     admitted = 0;
@@ -67,15 +69,17 @@ let slot t domid =
 let admit t ~profile ~vcpus ~now =
   if vcpus < 1 then invalid_arg "Fleet.Pool.admit: vcpus < 1";
   let domid =
-    match t.free with
-    | d :: rest ->
-        t.free <- rest;
-        t.reused <- t.reused + 1;
-        d
-    | [] ->
-        let d = t.next in
-        t.next <- t.next + 1;
-        d
+    if Heap.is_empty t.free then begin
+      let d = t.next in
+      t.next <- t.next + 1;
+      d
+    end
+    else begin
+      let d = Heap.min_time t.free in
+      Heap.pop_min t.free;
+      t.reused <- t.reused + 1;
+      d
+    end
   in
   ensure t domid;
   let s = t.slots.(domid) in
@@ -98,13 +102,7 @@ let retire t domid =
   s.occupied <- false;
   t.live <- t.live - 1;
   t.retired <- t.retired + 1;
-  (* Keep the free list ascending so reuse order is deterministic. *)
-  let rec insert = function
-    | [] -> [ domid ]
-    | d :: rest when d < domid -> d :: insert rest
-    | rest -> domid :: rest
-  in
-  t.free <- insert t.free
+  Heap.push t.free ~time:domid ~seq:0 ()
 
 let admitted t = t.admitted
 let retired t = t.retired

@@ -4,9 +4,9 @@
     one-guest-per-cell layout the paper experiments use), a fleet keeps
     every guest as a small mutable slot in one array on one host:
     domid-indexed, with per-VCPU remaining-work arrays reused across
-    tenancies. Departing guests return their domid to an ascending free
-    list, so churn exercises slot reuse deterministically — the lowest
-    retired domid is always recycled first. *)
+    tenancies. Departing guests return their domid to a min-heap of
+    free domids, so churn exercises slot reuse deterministically — the
+    lowest retired domid is always recycled first. *)
 
 type vm_state = Booting | Ready
 
@@ -33,8 +33,8 @@ val slot : t -> int -> slot
 (** Raises [Invalid_argument] for a domid that is not currently live. *)
 
 val retire : t -> int -> unit
-(** Returns the domid to the free list. Raises [Invalid_argument] for a
-    domid that is not currently live. *)
+(** Returns the domid to the free heap, O(log n). Raises
+    [Invalid_argument] for a domid that is not currently live. *)
 
 val admitted : t -> int
 val retired : t -> int

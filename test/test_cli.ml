@@ -160,6 +160,12 @@ let bad_plans =
     (* Sizes past the limits `fleet --vms` and `cluster --vms` state, and
        costs that would overflow simulated time. *)
     [ "explore"; "--space"; "fleet.vms=65537"; "--objective"; "fleet-ready" ];
+    (* The fleet VCPU budget, on one point and on a calibration that
+       could combine two levels each within it alone. *)
+    [ "explore"; "--space"; "fleet.vcpus=100000"; "--objective";
+      "fleet-ready" ];
+    [ "explore"; "--space"; "fleet.vms=16|65536,fleet.vcpus=1|3";
+      "--calibrate"; "--objective"; "fleet-ready" ];
     [ "explore"; "--space"; "cluster.vms=257"; "--objective"; "cluster-p99" ];
     [ "explore"; "--space"; "trap_to_el2=4611686018427387903"; "--objective";
       "hypercall" ];
