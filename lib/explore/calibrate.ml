@@ -24,6 +24,22 @@ let random_point rng (space : Space.t) : Space.point =
       (a.Space.name, List.nth lv (Rng.int rng ~bound:(List.length lv))))
     space
 
+(* Knobs validate one by one, but for the fleet VCPU budget, which
+   grows with both fleet.vms and fleet.vcpus; the point at every int
+   axis's largest level is where a search would pass it first. *)
+let check_points (space : Space.t) =
+  let largest (a : Space.axis) =
+    let lv = Space.levels a in
+    List.fold_left
+      (fun best v ->
+        match (best, v) with
+        | Space.Int b, Space.Int n when n > b -> v
+        | _ -> best)
+      (List.hd lv) lv
+  in
+  List.map (fun (a : Space.axis) -> (a.Space.name, largest a)) space
+  :: Sampler.points Sampler.Oat ~seed:0 space
+
 let set_axis point name v =
   List.map (fun (k, v0) -> if k = name then (k, v) else (k, v0)) point
 

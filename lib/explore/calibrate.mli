@@ -17,6 +17,13 @@ type result = {
   restart_bests : (Space.point * float) list;
 }
 
+val check_points : Space.t -> Space.point list
+(** Points to pass through {!Config.apply_point} before a search, so a
+    level it could visit is refused up front: the one-at-a-time design,
+    which holds every level, and the point at every int axis's largest
+    level, where the fleet VCPU budget (the one rule over two knobs) is
+    tightest. *)
+
 val search :
   ?restarts:int ->
   ?max_sweeps:int ->

@@ -50,7 +50,16 @@ val apply : t -> string -> Space.value -> t
 (** [apply t name v] returns a copy with one knob overridden. Raises
     [Invalid_argument] on an unknown name or a value of the wrong kind. *)
 
+val fleet_descriptor : t -> Armvirt_fleet.Descriptor.t
+(** The one-profile fleet of the [fleet-*] objectives: [fleet.vms]
+    guests of {!Armvirt_fleet.Descriptor.synthetic}, [fleet.vcpus]
+    VCPUs each. Raises [Invalid_argument] where
+    {!Armvirt_fleet.Descriptor.v} does. *)
+
 val apply_point : t -> Space.point -> t
+(** Applies every binding in order, then builds the point's
+    {!fleet_descriptor}, so a point past the fleet VCPU budget is
+    refused here. Raises [Invalid_argument] as {!apply} does. *)
 
 val hypervisor : t -> Armvirt_hypervisor.Hypervisor.t
 (** Build a fresh machine + hypervisor for the point. VHE is forced off

@@ -59,15 +59,6 @@ let hypercall_cycles config =
 
 module Fleet = Armvirt_fleet
 
-(* One-profile fleet built from the point's fleet.* knobs. *)
-let fleet_desc (c : Config.t) =
-  let f = c.Config.fleet in
-  Fleet.Descriptor.v ~timeslice_ms:f.Config.fleet_timeslice_ms
-    ~vms:f.Config.fleet_vms
-    [
-      ({ Fleet.Descriptor.synthetic with vcpus = f.Config.fleet_vcpus }, 1);
-    ]
-
 let table2_row name =
   match List.assoc_opt name Paper_data.table2 with
   | Some q -> q
@@ -229,7 +220,7 @@ let all =
       eval =
         (fun c ->
           (Fleet.Scenario.boot_storm ~seed:42 (Config.hypervisor c)
-             (fleet_desc c))
+             (Config.fleet_descriptor c))
             .Fleet.Scenario.time_to_ready_ms);
     };
     {
@@ -242,7 +233,7 @@ let all =
       eval =
         (fun c ->
           (Fleet.Scenario.noisy_neighbor ~seed:42 (Config.hypervisor c)
-             (fleet_desc c))
+             (Config.fleet_descriptor c))
             .Fleet.Scenario.p99_us);
     };
     {
