@@ -1,51 +1,63 @@
-(* Structure-of-arrays binary min-heap.
+(* Binary min-heap whose sifts move only ints.
 
-   The previous implementation stored one boxed [{time; seq; value}]
-   record per pending event: every push allocated, every key comparison
-   chased a pointer, and [pop] left the popped record reachable from the
-   backing array until some later push overwrote the slot — a space leak
-   that pinned completed events' closures (and everything they captured)
-   for the life of the heap.
+   The heap proper is three parallel [int] arrays: the [(time, seq)]
+   keys and, for each entry, the index of the slot that holds its
+   payload. Payloads live in a slot table, [values], written once when
+   an entry is pushed and cleared when it is popped, so a popped value
+   is collectable at once. The free slots are the tail of [slots]:
+   positions [0, size) name the entries' slots and [size, capacity) the
+   empty ones, so [slots] is always a permutation of the slot indices.
+   A push takes the slot at [size], and a pop leaves the freed slot
+   where the last entry was, so a steady push/pop churn reuses one
+   slot.
 
-   This layout keeps the [(time, seq)] keys in two unboxed [int] arrays
-   (sift loops touch only immediate ints, no write barrier) and the
-   payloads in a third array whose vacated slots are overwritten with a
-   dummy as soon as an element leaves the heap, so popped values are
-   collectable immediately. Pushes allocate nothing; the sifts move
-   elements into a hole instead of swapping. *)
+   A sift reads and writes immediate ints only: no payload moves, so
+   there is no write barrier per level, and a push or pop makes one
+   barriered write into [values]. Pushes allocate nothing but the
+   doubling of a full heap; the sifts move elements into a hole instead
+   of swapping. *)
 
 type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable slots : int array; (* heap position -> slot; then the free slots *)
+  mutable values : 'a array; (* slot -> payload; free slots hold [dummy] *)
   mutable size : int;
 }
 
 (* Fills empty value slots. An immediate (so [Array.make] builds a
-   uniform array for any 'a) that no read path can observe: every access
-   is bounds-guarded by [size]. *)
+   uniform array for any 'a) that no read path can observe: a slot is
+   read only while an entry names it. *)
 let dummy : 'a. unit -> 'a = fun () -> Obj.magic ()
 
-let create () = { times = [||]; seqs = [||]; values = [||]; size = 0 }
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; values = [||]; size = 0 }
 
+(* Only a full heap grows, so every old slot is taken and the new ones
+   are the free tail, lowest first. *)
 let grow h =
   let cap = Array.length h.times in
   let cap' = if cap = 0 then 16 else 2 * cap in
-  let times' = Array.make cap' 0 in
-  let seqs' = Array.make cap' 0 in
-  let values' = Array.make cap' (dummy ()) in
-  Array.blit h.times 0 times' 0 h.size;
-  Array.blit h.seqs 0 seqs' 0 h.size;
-  Array.blit h.values 0 values' 0 h.size;
-  h.times <- times';
-  h.seqs <- seqs';
-  h.values <- values'
+  let extend a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  h.times <- extend h.times 0;
+  h.seqs <- extend h.seqs 0;
+  h.slots <- extend h.slots 0;
+  h.values <- extend h.values (dummy ());
+  for i = cap to cap' - 1 do
+    h.slots.(i) <- i
+  done
 
 let push h ~time ~seq value =
   if h.size = Array.length h.times then grow h;
-  let times = h.times and seqs = h.seqs and values = h.values in
+  let times = h.times and seqs = h.seqs and slots = h.slots in
+  let slot = slots.(h.size) in
+  h.values.(slot) <- value;
   (* Sift up around a hole: parents greater than [(time, seq)] slide
-     down; the new element is written once, into its final slot. *)
+     down; the new entry is written once, into its final position. *)
   (* Indices below are all in [0, size): safe for unsafe accesses. *)
   let i = ref h.size in
   h.size <- h.size + 1;
@@ -56,14 +68,14 @@ let push h ~time ~seq value =
     if tp > time || (tp = time && Array.unsafe_get seqs p > seq) then begin
       Array.unsafe_set times !i tp;
       Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
-      Array.unsafe_set values !i (Array.unsafe_get values p);
+      Array.unsafe_set slots !i (Array.unsafe_get slots p);
       i := p
     end
     else moving := false
   done;
   Array.unsafe_set times !i time;
   Array.unsafe_set seqs !i seq;
-  Array.unsafe_set values !i value
+  Array.unsafe_set slots !i slot
 
 let min_time h =
   if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
@@ -75,20 +87,21 @@ let min_seq h =
 
 let min_value h =
   if h.size = 0 then invalid_arg "Heap.min_value: empty heap";
-  h.values.(0)
+  h.values.(h.slots.(0))
 
 let pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
-  let times = h.times and seqs = h.seqs and values = h.values in
-  let top = values.(0) in
+  let times = h.times and seqs = h.seqs and slots = h.slots in
+  let slot = slots.(0) in
+  let top = h.values.(slot) in
+  h.values.(slot) <- dummy ();
   let n = h.size - 1 in
   h.size <- n;
-  if n = 0 then values.(0) <- dummy ()
-  else begin
-    (* Move the last element into the root hole, clearing its old slot
-       (the space-leak fix), then sift the hole down. *)
-    let t = times.(n) and s = seqs.(n) and v = values.(n) in
-    values.(n) <- dummy ();
+  if n > 0 then begin
+    (* Move the last entry into the root hole, its position taking the
+       freed slot, and sift the hole down. *)
+    let t = times.(n) and s = seqs.(n) and v = slots.(n) in
+    slots.(n) <- slot;
     (* Indices below are all in [0, n): safe for unsafe accesses. *)
     let i = ref 0 in
     let moving = ref true in
@@ -112,7 +125,7 @@ let pop_min h =
         if tc < t || (tc = t && Array.unsafe_get seqs c < s) then begin
           Array.unsafe_set times !i tc;
           Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
-          Array.unsafe_set values !i (Array.unsafe_get values c);
+          Array.unsafe_set slots !i (Array.unsafe_get slots c);
           i := c
         end
         else moving := false
@@ -120,7 +133,7 @@ let pop_min h =
     done;
     Array.unsafe_set times !i t;
     Array.unsafe_set seqs !i s;
-    Array.unsafe_set values !i v
+    Array.unsafe_set slots !i v
   end;
   top
 

@@ -4,10 +4,14 @@
     events scheduled for the same cycle pop in scheduling order, so every
     simulation run is exactly reproducible.
 
-    Internally a structure of arrays: keys live in unboxed [int] arrays,
-    payloads in a separate array whose slots are cleared as elements
-    leave the heap, so {!push} allocates nothing and a popped payload is
-    collectable immediately. *)
+    Internally the heap is three [int] arrays, the two keys and a slot
+    index, and the sifts move only those. Each payload is written once,
+    into a slot table, when it is pushed, and its slot is cleared when
+    it is popped, so a popped payload is collectable at once. Free slots
+    are an int free list, the most recently freed reused first. A push
+    or pop makes one write-barriered store, not one per level of the
+    sift, and {!push} allocates nothing but the doubling of a full
+    heap. *)
 
 type 'a t
 

@@ -14,18 +14,26 @@ type event =
   | Call of (unit -> unit)
   | Resume : ('a, unit) Effect.Deep.continuation * 'a -> event
 
+(* A parked process: what names it (see [name_of]) and its index in its
+   sim's [parked] table, or [-1] once woken. *)
+type parked = {
+  pid : int;
+  name : string option;
+  number : int option;
+  mutable index : int;
+}
+
 type t = {
   mutable now : int;
   mutable seq : int;
   events : event Heap.t;
-  mutable blocked_names : string array;
-      (* pid-indexed; valid only where [is_blocked.(pid)]. Flat arrays
-         make park/wake O(1) and allocation-free (the wake path used to
-         List.filter a list — O(parked) per wake, quadratic across a
-         fleet of parked processes). Names are only read at
-         deadlock-report time, sorted there for determinism. *)
-  mutable is_blocked : bool array;
-  mutable blocked_count : int;
+  mutable parked : parked array;
+  mutable parked_count : int;
+      (* [parked.(0 .. parked_count - 1)] holds the processes parked now,
+         in no order: a park appends, a wake moves the last entry into
+         the hole. Both are O(1), and the table is as large as the most
+         processes ever parked at once, however many a run starts. Names are read from it only for a deadlock report,
+         sorted there for determinism. *)
   mutable next_pid : int;
   mutable processed : int;
       (* events executed so far: the engine's raw-throughput numerator *)
@@ -33,6 +41,15 @@ type t = {
       (* [None] keeps every scheduling path allocation-free *)
   mutable slot : slot;
       (* the slot of the domain that built [t] or last entered its run *)
+  mutable delayed : int;
+      (* the cycles of the [Delay] effect being handled, for [on_delay] *)
+  on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_now : ((int, unit) Effect.Deep.continuation -> unit) option;
+  retc : unit -> unit;
+  exnc : exn -> unit;
+      (* The handler parts no process owns, built once per sim: a delay,
+         a clock read, a return and a raise allocate no handler of their
+         own. *)
 }
 
 (* One per domain: the sim whose code is running on this domain, and
@@ -64,22 +81,7 @@ type _ Effect.t +=
   | Delay : int -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Now : int Effect.t
-  | Spawn : (string option * (unit -> unit)) -> unit Effect.t
   | Whoami : string Effect.t
-
-let create () =
-  {
-    now = 0;
-    seq = 0;
-    events = Heap.create ();
-    blocked_names = [||];
-    is_blocked = [||];
-    blocked_count = 0;
-    next_pid = 0;
-    processed = 0;
-    observer = None;
-    slot = Domain.DLS.get running;
-  }
 
 (* Writes [sim] only when the domain switches sims, so a resume of the
    same sim's processes allocates nothing and needs no write barrier. *)
@@ -96,16 +98,45 @@ let[@inline] restore slot sim mode =
   slot.sim <- sim;
   slot.mode <- mode
 
-let set_observer t obs = t.observer <- obs
-
-let now t = Cycles.of_int t.now
-let events_processed t = t.processed
-
 let schedule_event t ~at ev =
   assert (at >= t.now);
   let seq = t.seq in
   t.seq <- seq + 1;
   Heap.push t.events ~time:at ~seq ev
+
+let create () =
+  let events = Heap.create () and slot = Domain.DLS.get running in
+  let rec t =
+    {
+      now = 0;
+      seq = 0;
+      events;
+      parked = [||];
+      parked_count = 0;
+      next_pid = 0;
+      processed = 0;
+      observer = None;
+      slot;
+      delayed = 0;
+      on_delay =
+        Some
+          (fun k ->
+            leave t;
+            schedule_event t ~at:(t.now + t.delayed) (Resume (k, ())));
+      on_now = Some (fun k -> Effect.Deep.continue k t.now);
+      retc = (fun () -> leave t);
+      exnc =
+        (fun e ->
+          leave t;
+          raise e);
+    }
+  in
+  t
+
+let set_observer t obs = t.observer <- obs
+
+let now t = Cycles.of_int t.now
+let events_processed t = t.processed
 
 let at t time f =
   let cycle = Cycles.to_int time in
@@ -115,6 +146,38 @@ let at t time f =
          t.now);
   schedule_event t ~at:cycle (Call f)
 
+(* Formatted only when something reads it: an observer, [whoami], a
+   deadlock report or a double wake. *)
+let name_of pid name number =
+  match (name, number) with
+  | Some name, None -> name
+  | Some name, Some n -> name ^ "-" ^ string_of_int n
+  | None, Some n -> "process-" ^ string_of_int n
+  | None, None -> "process-" ^ string_of_int pid
+
+let parked_name p = name_of p.pid p.name p.number
+let nobody = { pid = -1; name = None; number = None; index = -1 }
+
+let park t p =
+  let n = t.parked_count in
+  if n = Array.length t.parked then begin
+    let parked = Array.make (max 16 (2 * n)) nobody in
+    Array.blit t.parked 0 parked 0 n;
+    t.parked <- parked
+  end;
+  t.parked.(n) <- p;
+  p.index <- n;
+  t.parked_count <- n + 1
+
+let unpark t p =
+  let n = t.parked_count - 1 in
+  let last = t.parked.(n) in
+  t.parked.(p.index) <- last;
+  last.index <- p.index;
+  t.parked.(n) <- nobody;
+  t.parked_count <- n;
+  p.index <- -1
+
 (* Each process runs under one deep handler. Delay re-queues the
    continuation; Suspend parks it behind a user-controlled wake function
    with a once-only guard so a double wake is an immediate error rather
@@ -122,86 +185,65 @@ let at t time f =
    [enter], and every way back into the handler that parks or ends the
    process (a delay, a suspend, a return, a raise) begins with [leave];
    the effects that continue at once leave the mode as it is. *)
-let rec start t mode name f =
+let start t mode name number f =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  if pid >= Array.length t.is_blocked then begin
-    let cap = max 16 (2 * Array.length t.is_blocked) in
-    let names = Array.make cap "" and flags = Array.make cap false in
-    Array.blit t.blocked_names 0 names 0 pid;
-    Array.blit t.is_blocked 0 flags 0 pid;
-    t.blocked_names <- names;
-    t.is_blocked <- flags
-  end;
-  let pname =
-    match name with Some n -> n | None -> Printf.sprintf "process-%d" pid
-  in
   (match t.observer with
   | None -> ()
-  | Some o -> o.on_spawn ~id:pid ~name:pname ~at:t.now);
+  | Some o -> o.on_spawn ~id:pid ~name:(name_of pid name number) ~at:t.now);
   let open Effect.Deep in
   enter t mode;
   match_with f ()
     {
-      retc = (fun () -> leave t);
-      exnc =
-        (fun e ->
-          leave t;
-          raise e);
+      retc = t.retc;
+      exnc = t.exnc;
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
           | Delay c ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  leave t;
-                  schedule_event t ~at:(t.now + c) (Resume (k, ())))
-          | Now -> Some (fun k -> continue k t.now)
-          | Spawn (name', g) ->
-              Some
-                (fun k ->
-                  spawn t ?name:name' g;
-                  continue k ())
+              t.delayed <- c;
+              t.on_delay
+          | Now -> t.on_now
           | Suspend register ->
               Some
                 (fun k ->
                   leave t;
-                  t.blocked_names.(pid) <- pname;
-                  t.is_blocked.(pid) <- true;
-                  t.blocked_count <- t.blocked_count + 1;
+                  let p = { pid; name; number; index = -1 } in
+                  park t p;
                   (match t.observer with
                   | None -> ()
-                  | Some o -> o.on_park ~id:pid ~name:pname ~at:t.now);
-                  let woken = ref false in
+                  | Some o ->
+                      o.on_park ~id:pid ~name:(parked_name p) ~at:t.now);
                   let wake v =
-                    if !woken then
+                    if p.index < 0 then
                       invalid_arg
-                        (Printf.sprintf "Sim: process %s woken twice" pname);
-                    woken := true;
-                    t.is_blocked.(pid) <- false;
-                    t.blocked_count <- t.blocked_count - 1;
+                        (Printf.sprintf "Sim: process %s woken twice"
+                           (parked_name p));
+                    unpark t p;
                     (match t.observer with
                     | None -> ()
-                    | Some o -> o.on_wake ~id:pid ~name:pname ~at:t.now);
+                    | Some o ->
+                        o.on_wake ~id:p.pid ~name:(parked_name p) ~at:t.now);
                     schedule_event t ~at:t.now (Resume (k, v))
                   in
                   register wake)
-          | Whoami -> Some (fun k -> continue k pname)
+          | Whoami -> Some (fun k -> continue k (name_of pid name number))
           | _ -> None);
     }
 
 (* A spawned process starts from a callback that does nothing after it,
    so its first slice may run ahead like any later one. *)
-and spawn t ?name f =
-  schedule_event t ~at:t.now (Call (fun () -> start t Process name f))
+let spawn t ?name ?number f =
+  schedule_event t ~at:t.now (Call (fun () -> start t Process name number f))
 
 (* A forked process runs until it first parks or ends; then the caller's
    frame is innermost again, so the slot state it had comes back,
    whether that frame is a callback, a process or host code. *)
-let fork t ?name f =
+let fork t ?name ?number f =
   let slot = t.slot in
   let sim = slot.sim and mode = slot.mode in
-  match start t Forked name f with
+  match start t Forked name number f with
   | () -> restore slot sim mode
   | exception e ->
       restore slot sim mode;
@@ -243,15 +285,11 @@ let run t =
   | exception e ->
       restore slot sim mode;
       raise e);
-  if t.blocked_count > 0 then begin
+  if t.parked_count > 0 then begin
     (* Sorted at raise time so the report does not depend on park order
        (which parallel-built scenarios don't fix). *)
-    let names = ref [] in
-    for pid = t.next_pid - 1 downto 0 do
-      if t.is_blocked.(pid) then names := t.blocked_names.(pid) :: !names
-    done;
-    let names = List.sort String.compare !names in
-    raise (Deadlock (String.concat ", " names))
+    let names = List.init t.parked_count (fun i -> parked_name t.parked.(i)) in
+    raise (Deadlock (String.concat ", " (List.sort String.compare names)))
   end
 
 (* Run-ahead: a delay whose expiry does not overflow and is strictly
@@ -306,10 +344,14 @@ let suspend register =
   try Effect.perform (Suspend register)
   with Effect.Unhandled _ -> outside "suspend"
 
-let spawn_here ?name f =
-  refuse_in_callback (Domain.DLS.get running) "spawn_here";
-  try Effect.perform (Spawn (name, f))
-  with Effect.Unhandled _ -> outside "spawn_here"
+(* A process of a sim, forked or not, is the innermost handler exactly
+   when the slot names that sim, so the spawn goes straight to it. *)
+let spawn_here ?name ?number f =
+  let slot = Domain.DLS.get running in
+  refuse_in_callback slot "spawn_here";
+  match slot.sim with
+  | Some t when slot.mode != Idle -> spawn t ?name ?number f
+  | Some _ | None -> outside "spawn_here"
 
 type sim_handle = t
 

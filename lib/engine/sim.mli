@@ -15,10 +15,14 @@ type t
 
 exception Deadlock of string
 (** Raised by {!run} when processes remain blocked but no event can ever
-    wake them. The payload names the stuck processes, sorted, so the
-    report is deterministic regardless of park order. *)
+    wake them. The payload names the stuck processes (see {!spawn}),
+    sorted and comma-separated, so the report is deterministic
+    regardless of park order. *)
 
 val create : unit -> t
+(** A sim at cycle 0 with no events. The handler parts its processes
+    share (a return, a raise, a delay, a clock read) are built here,
+    once, so no delay or clock read allocates a handler. *)
 
 val now : t -> Cycles.t
 (** Current simulated time. *)
@@ -60,10 +64,19 @@ type observer = {
 
 val set_observer : t -> observer option -> unit
 
-val spawn : t -> ?name:string -> (unit -> unit) -> unit
+val spawn : t -> ?name:string -> ?number:int -> (unit -> unit) -> unit
 (** [spawn t f] registers process [f] to start at the current simulated
     time: [at t (now t)] with a callback that starts [f] in place, as
-    {!fork} does. [name] is used in deadlock reports and traces. *)
+    {!fork} does.
+
+    {b Names.} A process is called [name] (default ["process"]),
+    followed by ["-<number>"] when [number] is given:
+    [~name:"req" ~number:7] is ["req-7"]. With neither it is
+    ["process-<pid>"], [pid] counting the sim's processes from 0 in
+    start order. The name is formatted only when something reads it:
+    an observer's callbacks, {!whoami}, a {!Deadlock} report or the
+    double-wake error; so a numbered name costs no formatting on a run
+    nobody watches. *)
 
 (** {1 Timed callbacks}
 
@@ -90,14 +103,14 @@ val at : t -> Cycles.t -> (unit -> unit) -> unit
     event in {!events_processed}. Raises [Invalid_argument] if [time]
     is before {!now}. *)
 
-val fork : t -> ?name:string -> (unit -> unit) -> unit
+val fork : t -> ?name:string -> ?number:int -> (unit -> unit) -> unit
 (** [fork t f] starts process [f] in place: it runs at once, at the
     current cycle and with no event, until it first blocks or returns,
     and then [fork] returns. Its first delay never runs ahead (see
     {!delay}), since the caller carries on at the current cycle. Call
     it from a callback or a process of [t]. An exception [f] raises
-    before it first blocks propagates out of [fork]. [name] is as for
-    {!spawn}. *)
+    before it first blocks propagates out of [fork]. [name] and [number]
+    are as for {!spawn}. *)
 
 val run : t -> unit
 (** Runs the simulation until no events remain. Raises {!Deadlock} if
@@ -146,9 +159,13 @@ val suspend : (('a -> unit) -> unit) -> 'a
     This is the single primitive from which all synchronization in
     {!Signal}, {!Mailbox} and {!Resource} is built. *)
 
-val spawn_here : ?name:string -> (unit -> unit) -> unit
+val spawn_here : ?name:string -> ?number:int -> (unit -> unit) -> unit
 (** Like {!spawn} but callable from inside a process, targeting the
     enclosing simulation. *)
+
+val whoami : unit -> string
+(** The name of the calling process (see {!spawn}), or ["main"] outside
+    any process. *)
 
 (** {1 Synchronization primitives} *)
 

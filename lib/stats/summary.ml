@@ -2,15 +2,52 @@ module Cycles = Armvirt_engine.Cycles
 
 type t = { sorted : float array }
 
+(* [Float.compare x y < 0], nan first. Inlined, so the floats stay
+   unboxed: [Array.sort Float.compare] boxes each element it hands the
+   comparison. *)
+let[@inline] before (x : float) y = x < y || (x <> x && y = y)
+
+(* Sifts [a.(i)] down the max-heap [a.(0 .. len - 1)]. *)
+let sift (a : float array) i len =
+  let v = a.(i) in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= len then moving := false
+    else begin
+      let c = if l + 1 < len && before a.(l) a.(l + 1) then l + 1 else l in
+      if before v a.(c) then begin
+        a.(!i) <- a.(c);
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  a.(!i) <- v
+
+(* In-place heapsort in [before]'s order; allocates nothing. *)
+let sort (a : float array) =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for last = n - 1 downto 1 do
+    let top = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- top;
+    sift a 0 last
+  done
+
 let of_list values =
   if values = [] then invalid_arg "Summary.of_list: empty sample";
   let sorted = Array.of_list values in
-  Array.sort Float.compare sorted;
+  sort sorted;
   { sorted }
 
 let of_cycles cycles =
   of_list (List.map (fun c -> float_of_int (Cycles.to_int c)) cycles)
 
+let sorted s = Array.to_list s.sorted
 let count s = Array.length s.sorted
 
 let mean s =

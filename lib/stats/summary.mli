@@ -13,6 +13,9 @@ val of_list : float list -> t
 
 val of_cycles : Armvirt_engine.Cycles.t list -> t
 
+val sorted : t -> float list
+(** The sample in ascending {!Float.compare} order, nan first. *)
+
 val count : t -> int
 val mean : t -> float
 val median : t -> float

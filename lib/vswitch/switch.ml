@@ -5,9 +5,14 @@ module Packet = Armvirt_net.Packet
 module Link = Armvirt_net.Link
 module Marker = Armvirt_obs.Marker
 
+type dest = Local of int | Via_uplink of int
+
 type port = {
   port_id : int;
   mac : int;
+  local : dest;
+      (* [Local port_id], built once: the route to this port, and the
+         ingress its frames learn *)
   mutable handler : src:int -> dst:int -> Packet.t -> unit;
   mutable queued : int; (* frames committed to egress, not yet delivered *)
   mutable rx_frames : int;
@@ -19,10 +24,8 @@ type port = {
   drop_mark : Machine.marker;
 }
 
-type dest = Local of int | Via_uplink of int
-
 type uplink = {
-  up_id : int;
+  via : dest; (* [Via_uplink] of its id, built once, as [local] is *)
   up_link : Link.t;
   up_tx_mark : Machine.marker;
   up_rx_mark : Machine.marker;
@@ -30,6 +33,13 @@ type uplink = {
      delivers a frame. *)
   mutable up_deliver : src:int -> dst:int -> Packet.t -> unit;
 }
+
+module Macs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash mac = mac land max_int
+end)
 
 type t = {
   name : string;
@@ -39,9 +49,9 @@ type t = {
   profile : Port_profile.t;
   queue_capacity : int;
   learning : bool;
-  mac_table : (int, dest) Hashtbl.t;
-  mutable ports : port list; (* reverse attach order *)
-  mutable uplinks : uplink list; (* reverse connect order *)
+  mac_table : dest Macs.t; (* holds only ports' [local] and uplinks' [via] *)
+  mutable ports : port array; (* by id: attach order *)
+  mutable uplinks : uplink array; (* by id: connect order *)
   mutable flooded : int;
 }
 
@@ -55,25 +65,25 @@ let create ?(queue_capacity = 64) ?(learning = true) ~name machine profile =
     profile;
     queue_capacity;
     learning;
-    mac_table = Hashtbl.create 32;
-    ports = [];
-    uplinks = [];
+    mac_table = Macs.create 32;
+    ports = [||];
+    uplinks = [||];
     flooded = 0;
   }
 
 let find_port t id =
-  match List.find_opt (fun p -> p.port_id = id) t.ports with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Switch %s: no port %d" t.name id)
+  if id >= 0 && id < Array.length t.ports then t.ports.(id)
+  else invalid_arg (Printf.sprintf "Switch %s: no port %d" t.name id)
 
 let attach t ~mac ~deliver =
-  if List.exists (fun p -> p.mac = mac) t.ports then
+  if Array.exists (fun p -> p.mac = mac) t.ports then
     invalid_arg (Printf.sprintf "Switch %s: MAC %d already attached" t.name mac);
-  let port_id = List.length t.ports in
+  let port_id = Array.length t.ports in
   let p =
     {
       port_id;
       mac;
+      local = Local port_id;
       handler = deliver;
       queued = 0;
       rx_frames = 0;
@@ -89,7 +99,7 @@ let attach t ~mac ~deliver =
           (Marker.port ~switch:t.name ~port:port_id Drop);
     }
   in
-  t.ports <- p :: t.ports;
+  t.ports <- Array.append t.ports [| p |];
   port_id
 
 let set_handler t ~port deliver = (find_port t port).handler <- deliver
@@ -137,67 +147,52 @@ let uplink_send u ~src ~dst pkt =
   Link.send u.up_link pkt ~deliver:(fun pkt -> u.up_deliver ~src ~dst pkt);
   Packet.set_framing pkt framing
 
-type ingress_from = From_port of int | From_uplink of int
+(* A frame's ingress is the [dest] that reaches back to where it came
+   from: a port's [local] or an uplink's [via]. *)
+let lead t = function
+  | Local _ -> t.profile.Port_profile.notify_latency
+  | Via_uplink _ -> 0
+
+(* The table is written only when [mac]'s route changes. *)
+let learn t mac ingress =
+  match Macs.find t.mac_table mac with
+  | route when route == ingress -> ()
+  | _ -> Macs.replace t.mac_table mac ingress
+  | exception Not_found -> Macs.replace t.mac_table mac ingress
+
+(* Static forwarding: local MAC match, else the last uplink connected. *)
+let rec static_route t dst i =
+  if i < Array.length t.ports then
+    if t.ports.(i).mac = dst then t.ports.(i).local
+    else static_route t dst (i + 1)
+  else
+    let n = Array.length t.uplinks in
+    if n = 0 then raise Not_found else t.uplinks.(n - 1).via
 
 let rec forward t ~ingress ~src ~dst pkt =
-  if t.learning then
-    Hashtbl.replace t.mac_table src
-      (match ingress with
-      | From_port i -> Local i
-      | From_uplink u -> Via_uplink u);
-  let route =
-    if t.learning then Hashtbl.find_opt t.mac_table dst
-    else
-      (* Static forwarding: local MAC match, else the uplink. *)
-      match List.find_opt (fun p -> p.mac = dst) t.ports with
-      | Some p -> Some (Local p.port_id)
-      | None -> (
-          match t.uplinks with
-          | [] -> None
-          | u :: _ -> Some (Via_uplink u.up_id))
-  in
-  match route with
-  | Some (Local pid) -> (
-      let p = find_port t pid in
-      let lead =
-        match ingress with
-        | From_port _ -> t.profile.Port_profile.notify_latency
-        | From_uplink _ -> 0
-      in
-      egress t p ~lead ~src ~dst pkt)
-  | Some (Via_uplink uid)
-    when (match ingress with From_uplink u -> u <> uid | From_port _ -> true)
-    -> (
-      match List.find_opt (fun u -> u.up_id = uid) t.uplinks with
-      | Some u -> uplink_send u ~src ~dst pkt
-      | None -> ())
-  | Some (Via_uplink _) ->
+  if t.learning then learn t src ingress;
+  match
+    if t.learning then Macs.find t.mac_table dst else static_route t dst 0
+  with
+  | Local pid -> egress t t.ports.(pid) ~lead:(lead t ingress) ~src ~dst pkt
+  | Via_uplink uid when ingress != t.uplinks.(uid).via ->
+      uplink_send t.uplinks.(uid) ~src ~dst pkt
+  | Via_uplink _ ->
       (* Split horizon: never bounce a frame back out the uplink it
          arrived on. *)
       ()
-  | None -> flood t ~ingress ~src ~dst pkt
+  | exception Not_found -> flood t ~ingress ~src ~dst pkt
 
 and flood t ~ingress ~src ~dst pkt =
   t.flooded <- t.flooded + 1;
   Machine.count t.flood_mark;
-  let skip_port =
-    match ingress with From_port i -> Some i | From_uplink _ -> None
-  in
-  let skip_uplink =
-    match ingress with From_uplink u -> Some u | From_port _ -> None
-  in
-  let lead =
-    match ingress with
-    | From_port _ -> t.profile.Port_profile.notify_latency
-    | From_uplink _ -> 0
-  in
-  List.iter
-    (fun p -> if Some p.port_id <> skip_port then egress t p ~lead ~src ~dst pkt)
-    (List.rev t.ports);
-  List.iter
-    (fun u ->
-      if Some u.up_id <> skip_uplink then uplink_send u ~src ~dst pkt)
-    (List.rev t.uplinks)
+  let lead = lead t ingress in
+  Array.iter
+    (fun p -> if p.local != ingress then egress t p ~lead ~src ~dst pkt)
+    t.ports;
+  Array.iter
+    (fun u -> if u.via != ingress then uplink_send u ~src ~dst pkt)
+    t.uplinks
 
 let transmit t ~port ~dst pkt =
   let p = find_port t port in
@@ -207,13 +202,13 @@ let transmit t ~port ~dst pkt =
      the caller's (guest) process like the netperf model does. *)
   Machine.spend t.ingress_op
     (Port_profile.ingress_cost t.profile ~bytes:(Packet.wire_bytes pkt));
-  forward t ~ingress:(From_port port) ~src:p.mac ~dst pkt
+  forward t ~ingress:p.local ~src:p.mac ~dst pkt
 
 let add_uplink t link =
-  let up_id = List.length t.uplinks in
+  let up_id = Array.length t.uplinks in
   let u =
     {
-      up_id;
+      via = Via_uplink up_id;
       up_link = link;
       up_tx_mark =
         Machine.marker t.machine (Marker.uplink ~switch:t.name ~uplink:up_id Tx);
@@ -222,7 +217,7 @@ let add_uplink t link =
       up_deliver = (fun ~src:_ ~dst:_ _ -> ());
     }
   in
-  t.uplinks <- u :: t.uplinks;
+  t.uplinks <- Array.append t.uplinks [| u |];
   u
 
 let connect a b ~a_to_b ~b_to_a =
@@ -231,11 +226,11 @@ let connect a b ~a_to_b ~b_to_a =
   ua.up_deliver <-
     (fun ~src ~dst pkt ->
       Machine.count ub.up_rx_mark;
-      forward b ~ingress:(From_uplink ub.up_id) ~src ~dst pkt);
+      forward b ~ingress:ub.via ~src ~dst pkt);
   ub.up_deliver <-
     (fun ~src ~dst pkt ->
       Machine.count ua.up_rx_mark;
-      forward a ~ingress:(From_uplink ua.up_id) ~src ~dst pkt)
+      forward a ~ingress:ua.via ~src ~dst pkt)
 
 type port_stats = {
   stat_port : int;
@@ -247,24 +242,25 @@ type port_stats = {
 }
 
 let port_stats t =
-  List.rev_map
-    (fun p ->
-      {
-        stat_port = p.port_id;
-        stat_mac = p.mac;
-        rx = p.rx_frames;
-        tx = p.tx_frames;
-        drops = p.dropped;
-        queue_depth = p.queued;
-      })
-    t.ports
+  Array.to_list
+    (Array.map
+       (fun p ->
+         {
+           stat_port = p.port_id;
+           stat_mac = p.mac;
+           rx = p.rx_frames;
+           tx = p.tx_frames;
+           drops = p.dropped;
+           queue_depth = p.queued;
+         })
+       t.ports)
 
-let dropped t = List.fold_left (fun s p -> s + p.dropped) 0 t.ports
+let dropped t = Array.fold_left (fun s p -> s + p.dropped) 0 t.ports
 let flooded t = t.flooded
 
 let mac_table t =
-  Hashtbl.fold (fun mac dest l -> (mac, dest) :: l) t.mac_table []
+  Macs.fold (fun mac dest l -> (mac, dest) :: l) t.mac_table []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 (* lint: sorted — listing is ordered by MAC before it escapes *)
 
-let uplink_links t = List.rev_map (fun u -> u.up_link) t.uplinks
+let uplink_links t = Array.to_list (Array.map (fun u -> u.up_link) t.uplinks)

@@ -360,7 +360,7 @@ let run_loadgen ?(seed = 42) ?(requests = 1600) ?(payload = 128) ?(vms = 16)
             let b = k mod vms in
             (* Open loop: each request is its own process, so the
                generator never backpressures on a saturated pool. *)
-            Sim.spawn_here ~name:(Printf.sprintf "req-%d" id) (fun () ->
+            Sim.spawn_here ~name:"req" ~number:id (fun () ->
                 let pkt = Packet.create ~payload ~id () in
                 Packet.stamp pkt "req_send";
                 Switch.transmit sw0 ~port:client_port ~dst:b pkt)

@@ -44,7 +44,7 @@ let run ?(seed = 42) ?(requests = 2000) (hyp : Hypervisor.t) ~load =
             (int_of_float (Rng.exponential rng ~mean:mean_interarrival))
         in
         Sim.delay gap;
-        Sim.spawn_here ~name:(Printf.sprintf "req-%d" i) (fun () ->
+        Sim.spawn_here ~name:"req" ~number:i (fun () ->
             let arrived = Sim.current_time () in
             (* Delivery into the VM. *)
             Sim.delay (Cycles.of_int (fixed / 2));

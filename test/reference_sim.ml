@@ -45,7 +45,7 @@ type _ Effect.t +=
   | Delay : int -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Now : int Effect.t
-  | Spawn : (string option * (unit -> unit)) -> unit Effect.t
+  | Spawn : (string option * int option * (unit -> unit)) -> unit Effect.t
   | Whoami : string Effect.t
 
 let create () =
@@ -78,7 +78,7 @@ let schedule t ~at action = schedule_event t ~at (Run action)
    continuation; Suspend parks it behind a user-controlled wake function
    with a once-only guard so a double wake is an immediate error rather
    than silent corruption. *)
-let rec start t name f =
+let rec start t name number f =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   if pid >= Array.length t.is_blocked then begin
@@ -90,7 +90,11 @@ let rec start t name f =
     t.is_blocked <- flags
   end;
   let pname =
-    match name with Some n -> n | None -> Printf.sprintf "process-%d" pid
+    match (name, number) with
+    | Some n, Some k -> Printf.sprintf "%s-%d" n k
+    | Some n, None -> n
+    | None, Some k -> Printf.sprintf "process-%d" k
+    | None, None -> Printf.sprintf "process-%d" pid
   in
   (match t.observer with
   | None -> ()
@@ -108,10 +112,10 @@ let rec start t name f =
                 (fun (k : (a, _) continuation) ->
                   schedule_event t ~at:(t.now + c) (Resume (k, ())))
           | Now -> Some (fun k -> continue k t.now)
-          | Spawn (name', g) ->
+          | Spawn (name', number', g) ->
               Some
                 (fun k ->
-                  schedule t ~at:t.now (fun () -> start t name' g);
+                  schedule t ~at:t.now (fun () -> start t name' number' g);
                   continue k ())
           | Suspend register ->
               Some
@@ -140,12 +144,13 @@ let rec start t name f =
           | _ -> None);
     }
 
-let spawn t ?name f = schedule t ~at:t.now (fun () -> start t name f)
+let spawn t ?name ?number f =
+  schedule t ~at:t.now (fun () -> start t name number f)
 
 (* Timed callbacks with no guard: a queued thunk, and a process started
    in place. *)
 let at t time f = schedule t ~at:(Cycles.to_int time) f
-let fork t ?name f = start t name f
+let fork t ?name ?number f = start t name number f
 
 (* The engine's innermost loop: with no observer installed this
    allocates nothing — the clock read, the pop and the dispatch all
@@ -197,8 +202,8 @@ let suspend register =
   with Effect.Unhandled _ ->
     invalid_arg "Sim.suspend called outside a simulation process"
 
-let spawn_here ?name f =
-  try Effect.perform (Spawn (name, f))
+let spawn_here ?name ?number f =
+  try Effect.perform (Spawn (name, number, f))
   with Effect.Unhandled _ ->
     invalid_arg "Sim.spawn_here called outside a simulation process"
 

@@ -61,14 +61,15 @@ type observer = {
 
 val set_observer : t -> observer option -> unit
 
-val spawn : t -> ?name:string -> (unit -> unit) -> unit
+val spawn : t -> ?name:string -> ?number:int -> (unit -> unit) -> unit
 (** [spawn t f] registers process [f] to start at the current simulated
-    time. [name] is used in deadlock reports and traces. *)
+    time. [name] and [number] name it as for [Sim.spawn], formatted
+    when the process starts. *)
 
 val at : t -> Cycles.t -> (unit -> unit) -> unit
 (** [at t time f] queues [f] to run at [time], outside any process. *)
 
-val fork : t -> ?name:string -> (unit -> unit) -> unit
+val fork : t -> ?name:string -> ?number:int -> (unit -> unit) -> unit
 (** [fork t f] starts process [f] in place, with no event. *)
 
 val run : t -> unit
@@ -95,7 +96,7 @@ val suspend : (('a -> unit) -> unit) -> 'a
     This is the single primitive from which all synchronization in
     {!Signal}, {!Mailbox} and {!Resource} is built. *)
 
-val spawn_here : ?name:string -> (unit -> unit) -> unit
+val spawn_here : ?name:string -> ?number:int -> (unit -> unit) -> unit
 (** Like {!spawn} but callable from inside a process, targeting the
     enclosing simulation. *)
 

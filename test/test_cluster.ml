@@ -1,14 +1,16 @@
 (* Tests for Armvirt_workloads.Cluster: the pairwise throughput matrix
    (vhost vs Dom0-copy ordering, wire-bound cross-host pairs), the
    client -> LB -> backend service chain, the open-loop load generator
-   (monotone hockey-stick tails, million-req/s offered load), and the
-   jobs-invariance of the Experiment wrappers. *)
+   (monotone hockey-stick tails, million-req/s offered load, and
+   generated sweeps that complete and replay), and the jobs-invariance
+   of the Experiment wrappers. *)
 
 module Platform = Armvirt_core.Platform
 module Experiment = Armvirt_core.Experiment
 module Runner = Armvirt_core.Runner
 module Cluster = Armvirt_workloads.Cluster
 module Topology = Armvirt_vswitch.Topology
+module Sim = Armvirt_engine.Sim
 
 let kvm_arm () = Platform.hypervisor Platform.Arm_m400 Platform.Kvm
 let xen_arm () = Platform.hypervisor Platform.Arm_m400 Platform.Xen
@@ -175,6 +177,70 @@ let test_loadgen_bad_args () =
         (fun () -> ignore (Cluster.run_loadgen ~loads:[ load ] (kvm_arm ()))))
     [ Float.nan; Float.infinity; 1e-300; 1e300 ]
 
+(* Small sweeps on any model and topology: every point must complete
+   exactly its requests (a dropped reply stalls the sweep, as a fixed
+   1024-frame reply queue once did, and a lost wake-up deadlocks it),
+   and the same seed must replay the same curve. *)
+type sweep = {
+  config : Platform.t * Platform.hyp_id;
+  seed : int;
+  vms : int;
+  requests : int;
+  spec : Topology.spec;
+  loads : float list;
+}
+
+let show_sweep c =
+  Printf.sprintf "%s %s seed=%d vms=%d requests=%d %s loads=%s"
+    (Platform.name (fst c.config))
+    (match snd c.config with Platform.Kvm -> "kvm" | Platform.Xen -> "xen")
+    c.seed c.vms c.requests
+    (Topology.spec_to_string c.spec)
+    (String.concat "," (List.map string_of_float c.loads))
+
+let arb_sweep =
+  let open QCheck.Gen in
+  let gen =
+    let* config =
+      oneofl
+        Platform.
+          [
+            (Arm_m400, Kvm);
+            (Arm_m400_vhe, Kvm);
+            (Arm_m400, Xen);
+            (X86_r320, Kvm);
+            (X86_r320, Xen);
+          ]
+    in
+    let* seed = int_bound 1000 in
+    let* vms = int_range 1 8 in
+    let* requests = int_range 1 64 in
+    let* spec = oneofl Topology.[ Single; Pair; Star 3 ] in
+    let* loads =
+      list_size (int_range 1 3) (oneofl [ 0.05; 0.3; 0.7; 0.95; 1.1; 3.0 ])
+    in
+    return { config; seed; vms; requests; spec; loads }
+  in
+  QCheck.make ~print:show_sweep gen
+
+let prop_loadgen_completes =
+  QCheck.Test.make ~name:"every point completes its requests; seeds replay"
+    ~count:100 arb_sweep (fun c ->
+      let run () =
+        Cluster.run_loadgen ~seed:c.seed ~requests:c.requests ~vms:c.vms
+          ~spec:c.spec ~loads:c.loads
+          (Platform.hypervisor (fst c.config) (snd c.config))
+      in
+      match run () with
+      | exception Sim.Deadlock names ->
+          QCheck.Test.fail_reportf "deadlock: %s" names
+      | r ->
+          List.length r.Cluster.points = List.length c.loads
+          && List.for_all
+               (fun p -> p.Cluster.completed = c.requests)
+               r.Cluster.points
+          && r = run ())
+
 (* --- experiment wrappers: jobs invariance -------------------------- *)
 
 let with_jobs n f =
@@ -235,6 +301,7 @@ let () =
           Alcotest.test_case "million rps" `Quick test_loadgen_million_rps;
           Alcotest.test_case "seed replay" `Quick test_loadgen_seed_replay;
           Alcotest.test_case "bad args" `Quick test_loadgen_bad_args;
+          QCheck_alcotest.to_alcotest prop_loadgen_completes;
         ] );
       ( "experiment",
         [

@@ -173,6 +173,78 @@ let test_heap_pop_liveness () =
   Alcotest.(check bool) "popped value collected" false (Weak.check w 0);
   Alcotest.(check int) "remaining entry untouched" 1 (Heap.size h)
 
+(* One heap against a sorted-list model: each push takes the next
+   [seq], as the engine does, so no two keys tie; each pop and peek
+   must read the model's head. A program runs to a few hundred
+   entries, crossing the 16 -> 32 -> 64 -> 128 -> 256 doublings while
+   pops keep freeing slots for later pushes to reuse. *)
+type heap_op = Push of int | Pop | Peek
+
+let arb_heap_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun t -> Push t) (int_bound 40));
+        (3, return Pop);
+        (1, return Peek);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Push t -> "push " ^ string_of_int t
+             | Pop -> "pop"
+             | Peek -> "peek")
+           ops))
+    (list_size (int_range 0 1500) op)
+
+let prop_heap_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:100
+    arb_heap_ops (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and seq = ref 0 in
+      let rec insert e = function
+        | [] -> [ e ]
+        | x :: rest as l ->
+            if compare e x < 0 then e :: l else x :: insert e rest
+      in
+      let head_matches () =
+        match !model with
+        | [] ->
+            Heap.is_empty h
+            && (match Heap.min_value h with
+               | _ -> false
+               | exception Invalid_argument _ -> true)
+        | (time, s, v) :: _ ->
+            Heap.min_time h = time && Heap.min_seq h = s
+            && String.equal (Heap.min_value h) v
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push time ->
+              let v = Printf.sprintf "v%d" !seq in
+              Heap.push h ~time ~seq:!seq v;
+              model := insert (time, !seq, v) !model;
+              incr seq
+          | Pop -> (
+              match !model with
+              | [] -> ()
+              | (_, _, v) :: rest ->
+                  model := rest;
+                  if not (String.equal (Heap.pop_min h) v) then
+                    QCheck.Test.fail_reportf "pop_min did not return %s" v)
+          | Peek -> ());
+          Heap.size h = List.length !model && head_matches ())
+        ops
+      && List.for_all
+           (fun (_, _, v) -> String.equal (Heap.pop_min h) v)
+           !model
+      && Heap.is_empty h)
+
 (* --- Fifo ---------------------------------------------------------- *)
 
 module Fifo = Armvirt_engine.Fifo
@@ -504,19 +576,36 @@ let test_sim_resource_released_on_exception () =
   Alcotest.(check bool) "resource not leaked" true !second_ran;
   Alcotest.(check int) "capacity restored" 1 (Sim.Resource.available r)
 
-let test_sim_double_wake_rejected () =
+(* The second wake raises, naming the sleeper as [Sim.spawn] does; the
+   sleeper is pid 3. *)
+let double_wake_message ?name ?number () =
   let sim = Sim.create () in
-  let stash = ref None in
-  Sim.spawn sim ~name:"sleeper" (fun () ->
-      Sim.suspend (fun wake -> stash := Some wake));
+  let stash = ref None and message = ref "" in
   Sim.spawn sim ~name:"waker" (fun () ->
       Sim.delay (cycles_of 5);
       let wake = Option.get !stash in
       wake ();
       match wake () with
       | () -> Alcotest.fail "double wake must be rejected"
-      | exception Invalid_argument _ -> ());
-  Sim.run sim
+      | exception Invalid_argument m -> message := m);
+  Sim.spawn sim ignore;
+  Sim.spawn sim ignore;
+  Sim.spawn sim ?name ?number (fun () ->
+      Sim.suspend (fun wake -> stash := Some wake));
+  Sim.run sim;
+  !message
+
+let test_sim_double_wake_rejected () =
+  List.iter
+    (fun (expected, message) ->
+      Alcotest.(check string) expected expected message)
+    [
+      ( "Sim: process sleeper woken twice",
+        double_wake_message ~name:"sleeper" () );
+      ( "Sim: process req-7 woken twice",
+        double_wake_message ~name:"req" ~number:7 () );
+      ("Sim: process process-3 woken twice", double_wake_message ());
+    ]
 
 let deadlock_names spawn_order =
   let sim = Sim.create () in
@@ -556,6 +645,68 @@ let null_observer =
     on_contention = (fun ~resource:_ ~proc:_ ~at:_ ~waited:_ -> ());
     on_queue_depth = (fun ~mailbox:_ ~at:_ ~depth:_ -> ());
   }
+
+(* A name is formatted only when read, so every reader must see the
+   bytes the eager [Printf.sprintf] gave: ["req-7"] for a numbered
+   process and ["process-<pid>"] for an unnamed one, here pid 3. *)
+let test_sim_names_as_read () =
+  let sim = Sim.create () in
+  let spawned = ref [] and parked = ref [] and who = ref [] in
+  Sim.set_observer sim
+    (Some
+       {
+         null_observer with
+         Sim.on_spawn =
+           (fun ~id ~name ~at:_ -> spawned := (id, name) :: !spawned);
+         on_park = (fun ~id:_ ~name ~at:_ -> parked := name :: !parked);
+       });
+  let s = Sim.Signal.create sim in
+  let stuck () =
+    who := Sim.whoami () :: !who;
+    Sim.Signal.wait s
+  in
+  for _ = 0 to 2 do
+    Sim.spawn sim (fun () -> Sim.delay Cycles.one)
+  done;
+  Sim.spawn sim stuck;
+  Sim.spawn sim ~name:"req" ~number:7 stuck;
+  Sim.spawn sim ~name:"plain" stuck;
+  (match Sim.run sim with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Sim.Deadlock names ->
+      Alcotest.(check string)
+        "deadlock report" "plain, process-3, req-7" names);
+  Alcotest.(check (list (pair int string)))
+    "on_spawn"
+    [
+      (0, "process-0");
+      (1, "process-1");
+      (2, "process-2");
+      (3, "process-3");
+      (4, "req-7");
+      (5, "plain");
+    ]
+    (List.rev !spawned);
+  Alcotest.(check (list string)) "on_park" [ "process-3"; "req-7"; "plain" ]
+    (List.rev !parked);
+  Alcotest.(check (list string)) "whoami" [ "process-3"; "req-7"; "plain" ]
+    (List.rev !who);
+  Alcotest.(check string) "whoami outside a process" "main" (Sim.whoami ())
+
+let test_sim_numbered_spawn_here_and_fork () =
+  let sim = Sim.create () in
+  let who = ref [] in
+  let note () = who := Sim.whoami () :: !who in
+  Sim.spawn sim ~number:5 (fun () ->
+      note ();
+      Sim.spawn_here ~name:"req" ~number:12 note;
+      Sim.spawn_here note;
+      Sim.fork sim ~name:"fork" ~number:0 note;
+      Sim.fork sim note);
+  Sim.run sim;
+  Alcotest.(check (list string)) "names"
+    [ "process-5"; "fork-0"; "process-2"; "req-12"; "process-4" ]
+    (List.rev !who)
 
 let test_sim_mailbox_depth_transitions () =
   (* Depth events fire exactly on queue-length transitions: the direct
@@ -762,14 +913,14 @@ module type ENGINE = sig
   val create : unit -> t
   val now : t -> Cycles.t
   val events_processed : t -> int
-  val spawn : t -> ?name:string -> (unit -> unit) -> unit
+  val spawn : t -> ?name:string -> ?number:int -> (unit -> unit) -> unit
   val run : t -> unit
   val delay : Cycles.t -> unit
   val yield : unit -> unit
   val current_time : unit -> Cycles.t
-  val spawn_here : ?name:string -> (unit -> unit) -> unit
+  val spawn_here : ?name:string -> ?number:int -> (unit -> unit) -> unit
   val at : t -> Cycles.t -> (unit -> unit) -> unit
-  val fork : t -> ?name:string -> (unit -> unit) -> unit
+  val fork : t -> ?name:string -> ?number:int -> (unit -> unit) -> unit
 
   module Signal : sig
     type sim := t
@@ -867,8 +1018,10 @@ module Differential (E : ENGINE) = struct
         E.Resource.use w.resources.(r) (cycles_of n);
         note "use"
     | Spawn sub ->
-        let child = Printf.sprintf "%s/%d" name i in
-        E.spawn_here ~name:child (fun () -> exec w child sub);
+        (* Numbered, so a deadlock report also checks the engine's
+           on-demand names against the oracle's eager ones. *)
+        let child = Printf.sprintf "%s-%d" name i in
+        E.spawn_here ~name ~number:i (fun () -> exec w child sub);
         note "spawn"
     | Nested procs ->
         let inner = world w.log in
@@ -904,8 +1057,9 @@ module Differential (E : ENGINE) = struct
             E.Signal.notify w.signals.(s);
             note "notify"
         | Cb_fork sub ->
+            (* Unnamed: the engine calls it process-<pid>. *)
             let child = Printf.sprintf "%s/f%d" name j in
-            E.fork w.sim ~name:child (fun () -> exec w child sub);
+            E.fork w.sim (fun () -> exec w child sub);
             note "fork")
       acts
 
@@ -951,7 +1105,8 @@ let () =
           Alcotest.test_case "popped values collectable" `Quick
             test_heap_pop_liveness;
         ]
-        @ qcheck [ prop_heap_sorted; prop_heap_random_pairs ] );
+        @ qcheck
+            [ prop_heap_sorted; prop_heap_random_pairs; prop_heap_model ] );
       ( "fifo",
         [
           Alcotest.test_case "order across wraparound" `Quick
@@ -986,6 +1141,9 @@ let () =
             test_sim_resource_released_on_exception;
           Alcotest.test_case "double wake rejected" `Quick
             test_sim_double_wake_rejected;
+          Alcotest.test_case "names as read" `Quick test_sim_names_as_read;
+          Alcotest.test_case "numbered spawn_here and fork" `Quick
+            test_sim_numbered_spawn_here_and_fork;
           Alcotest.test_case "deadlock names sorted" `Quick
             test_sim_deadlock_names_sorted;
           Alcotest.test_case "events processed counter" `Quick

@@ -113,10 +113,10 @@ let replica_case (workload, events, words_per_event) =
 
 let replicas =
   [
-    ("world-switch", 1_539_306, 9.725);
-    ("fleet-storm", 5519, 170.248);
-    ("migrate", 90_249, 44.312);
-    ("cluster", 423_636, 46.204);
+    ("world-switch", 1_539_306, 5.216);
+    ("fleet-storm", 5519, 101.513);
+    ("migrate", 90_249, 24.845);
+    ("cluster", 423_636, 21.217);
   ]
 
 let test_engine_micros () =

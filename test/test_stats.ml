@@ -75,6 +75,43 @@ let prop_summary_percentile_monotone =
       let s = Summary.of_list values in
       Summary.percentile s lo <= Summary.percentile s hi +. 1e-9)
 
+(* [Summary] sorts with its own unboxed heapsort; [Array.sort
+   Float.compare] is the oracle. Apart from -0.0 against 0.0 and nan
+   payloads, floats that compare equal are the same bits, so any correct
+   sort gives the oracle's bytes; a small value set makes ties common. *)
+let bits values = List.map Int64.bits_of_float values
+
+let oracle values =
+  let a = Array.of_list values in
+  Array.sort Float.compare a;
+  Array.to_list a
+
+let prop_summary_sorts_as_float_compare =
+  let pool =
+    [|
+      0.0; 1.0; -1.0; 0.5; -0.5; 2.0; 1e-300; -1e300; 4.9e-324; max_float;
+      -.max_float; 1600.25; 3.0;
+    |]
+  in
+  QCheck.Test.make ~name:"sorted as Array.sort Float.compare, bit for bit"
+    ~count:500
+    QCheck.(
+      list_of_size (Gen.int_range 1 300)
+        (make ~print:string_of_float (Gen.oneofa pool)))
+    (fun values ->
+      bits (Summary.sorted (Summary.of_list values)) = bits (oracle values))
+
+let test_summary_orders_specials () =
+  let values = [ 1.0; nan; infinity; neg_infinity; -2.0; nan; 0.5 ] in
+  let got = Summary.sorted (Summary.of_list values) in
+  Alcotest.(check (list int64)) "Float.compare's order" (bits (oracle values))
+    (bits got);
+  Alcotest.(check bool) "nan first, then -inf .. inf" true
+    (match got with
+    | [ a; b; c; -2.0; 0.5; 1.0; d ] ->
+        Float.is_nan a && Float.is_nan b && c = neg_infinity && d = infinity
+    | _ -> false)
+
 (* --- Counter ------------------------------------------------------- *)
 
 let test_counter_accumulation () =
@@ -240,8 +277,15 @@ let () =
             test_summary_cv;
           Alcotest.test_case "stddev" `Quick test_summary_stddev;
           Alcotest.test_case "of_cycles" `Quick test_summary_of_cycles;
+          Alcotest.test_case "orders nan and infinities" `Quick
+            test_summary_orders_specials;
         ]
-        @ qcheck [ prop_summary_median_bounded; prop_summary_percentile_monotone ]
+        @ qcheck
+            [
+              prop_summary_median_bounded;
+              prop_summary_percentile_monotone;
+              prop_summary_sorts_as_float_compare;
+            ]
       );
       ( "counter",
         [ Alcotest.test_case "accumulation" `Quick test_counter_accumulation ]
